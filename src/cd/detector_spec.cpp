@@ -61,38 +61,6 @@ DetectorSpec DetectorSpec::NoAcc() {
   return {Completeness::kComplete, Accuracy::kNone, 1, false};
 }
 
-bool DetectorSpec::collision_forced(std::uint32_t c, std::uint32_t t) const {
-  if (always_collision) return true;
-  switch (completeness) {
-    case Completeness::kComplete:
-      return t < c;
-    case Completeness::kMajority:
-      return c > 0 && 2ull * t <= c;
-    case Completeness::kHalf:
-      return c > 0 && 2ull * t < c;
-    case Completeness::kZero:
-      return c > 0 && t == 0;
-    case Completeness::kNone:
-      return false;
-  }
-  return false;
-}
-
-bool DetectorSpec::null_forced(Round r, std::uint32_t c,
-                               std::uint32_t t) const {
-  if (always_collision) return false;
-  if (t != c) return false;  // accuracy only constrains loss-free processes
-  switch (accuracy) {
-    case Accuracy::kAccurate:
-      return true;
-    case Accuracy::kEventual:
-      return r >= r_acc;
-    case Accuracy::kNone:
-      return false;
-  }
-  return false;
-}
-
 bool DetectorSpec::advice_legal(Round r, std::uint32_t c, std::uint32_t t,
                                 CdAdvice advice) const {
   if (advice == CdAdvice::kCollision) return !null_forced(r, c, t);

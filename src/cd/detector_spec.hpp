@@ -75,11 +75,39 @@ struct DetectorSpec {
   static DetectorSpec NoAcc();                  ///< complete, no accuracy
 
   /// Is a "+-" report forced for a process that received t of c messages?
-  bool collision_forced(std::uint32_t c, std::uint32_t t) const;
+  /// (Inline: kLocal scope asks once per receiver per round.)
+  bool collision_forced(std::uint32_t c, std::uint32_t t) const {
+    if (always_collision) return true;
+    switch (completeness) {
+      case Completeness::kComplete:
+        return t < c;
+      case Completeness::kMajority:
+        return c > 0 && 2ull * t <= c;
+      case Completeness::kHalf:
+        return c > 0 && 2ull * t < c;
+      case Completeness::kZero:
+        return c > 0 && t == 0;
+      case Completeness::kNone:
+        return false;
+    }
+    return false;
+  }
 
   /// Is a "null" report forced in round r for a process that received t of
   /// c messages?
-  bool null_forced(Round r, std::uint32_t c, std::uint32_t t) const;
+  bool null_forced(Round r, std::uint32_t c, std::uint32_t t) const {
+    if (always_collision) return false;
+    if (t != c) return false;  // accuracy only constrains loss-free processes
+    switch (accuracy) {
+      case Accuracy::kAccurate:
+        return true;
+      case Accuracy::kEventual:
+        return r >= r_acc;
+      case Accuracy::kNone:
+        return false;
+    }
+    return false;
+  }
 
   /// Is `advice` a legal report for this spec in round r with counts (c,t)?
   bool advice_legal(Round r, std::uint32_t c, std::uint32_t t,

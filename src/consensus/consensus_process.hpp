@@ -14,29 +14,10 @@ class ConsensusProcess : public Process {
   explicit ConsensusProcess(Value initial_value)
       : initial_value_(initial_value) {}
 
-  bool decided() const final { return decided_; }
-  Value decision() const final { return decision_; }
-  bool halted() const final { return halted_; }
-
   Value initial_value() const { return initial_value_; }
-
- protected:
-  /// Enter the decide state for v (idempotent; first decision wins, which
-  /// matches the automaton formalization where decide states absorb).
-  void decide(Value v) {
-    if (!decided_) {
-      decided_ = true;
-      decision_ = v;
-    }
-  }
-
-  void halt() { halted_ = true; }
 
  private:
   Value initial_value_;
-  bool decided_ = false;
-  bool halted_ = false;
-  Value decision_ = kNoValue;
 };
 
 }  // namespace ccd

@@ -27,6 +27,31 @@ inline void for_each_bit(std::uint64_t word, std::size_t base, Fn&& fn) {
   }
 }
 
+/// Set bits of `word`.  A SWAR count rather than std::popcount: the build
+/// targets baseline x86-64 (no -mpopcnt), where std::popcount becomes a
+/// libgcc call.
+inline std::uint32_t bit_count(std::uint64_t word) {
+  word -= (word >> 1) & 0x5555555555555555ull;
+  word = (word & 0x3333333333333333ull) + ((word >> 2) & 0x3333333333333333ull);
+  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<std::uint32_t>((word * 0x0101010101010101ull) >> 56);
+}
+
+/// Index of the k-th (0-based, ascending) set bit of the row `a & b`; k
+/// must be below the row's bit count (the scan stops at that bit).
+inline std::size_t nth_set_bit(const std::uint64_t* a, const std::uint64_t* b,
+                               std::uint64_t k) {
+  for (std::size_t w = 0;; ++w) {
+    std::uint64_t word = a[w] & b[w];
+    const std::uint32_t count = bit_count(word);
+    if (k < count) {
+      for (; k > 0; --k) word &= word - 1;
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+    }
+    k -= count;
+  }
+}
+
 }  // namespace
 
 LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
@@ -35,7 +60,9 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
   n_ = worlds_[0].world.processes.size();
   assert(n_ >= 1);  // n = 0 never enters the lane path (scalar tail)
   words_ = (n_ + 63) / 64;
-  for ([[maybe_unused]] const EngineWorld& ew : worlds_) {
+  adj_base_.resize(lanes_);
+  for (std::size_t l = 0; l < lanes_; ++l) {
+    [[maybe_unused]] const EngineWorld& ew = worlds_[l];
     assert(ew.world.processes.size() == n_);
     assert(ew.topology.size() == n_);
     assert(ew.channel == worlds_[0].channel);
@@ -43,14 +70,20 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
     assert(ew.scope == CollisionScope::kLocal || is_clique(ew.topology));
     assert(ew.world.initial_values.empty() ||
            ew.world.initial_values.size() == n_);
-  }
-
-  // Shared adjacency bit rows (all lanes run the same graph; lane 0's
-  // topology is the canonical copy).
-  adj_.assign(n_ * words_, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::uint32_t j : worlds_[0].topology.neighbors(i)) {
-      adj_[i * words_ + j / 64] |= std::uint64_t{1} << (j % 64);
+    // A lane on the same graph as the previous lane reads that lane's rows
+    // (a fixed shape is one graph for the whole block), which keeps large
+    // blocks' adjacency in cache.
+    if (l > 0 && ew.topology == worlds_[l - 1].topology) {
+      adj_base_[l] = adj_base_[l - 1];
+      continue;
+    }
+    adj_base_[l] = adj_.size();
+    adj_.resize(adj_.size() + n_ * words_, 0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::uint64_t* row = &adj_[adj_base_[l] + i * words_];
+      for (std::uint32_t j : ew.topology.neighbors(i)) {
+        row[j / 64] |= std::uint64_t{1} << (j % 64);
+      }
     }
   }
 
@@ -79,12 +112,12 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
   decided_value_.resize(lanes_);
   total_broadcasts_.assign(lanes_, 0);
   crashes_applied_.assign(lanes_, 0);
+  last_crash_round_.resize(lanes_);
   num_alive_.assign(lanes_, n_);
   broadcaster_count_.assign(lanes_, 0);
   results_.resize(lanes_);
   logs_.reserve(lanes_);
   link_rng_.reserve(lanes_);
-  broadcasting_neighbors_.reserve(worlds_[0].topology.max_degree());
 
   for (std::size_t l = 0; l < lanes_; ++l) {
     World& w = worlds_[l].world;
@@ -97,6 +130,7 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
     }
     if (!w.loss) w.loss = std::make_unique<NoLoss>();
     if (!w.fault) w.fault = std::make_unique<NoFailures>();
+    last_crash_round_[l] = w.fault->last_crash_round();
 
     link_rng_.emplace_back(worlds_[l].link_seed);
     logs_.emplace_back(n_, /*record_views=*/false);
@@ -138,25 +172,26 @@ bool LaneEngine::all_correct_decided(std::size_t l) const {
 }
 
 void LaneEngine::note_halt_state(std::size_t l, std::size_t i) {
+  // Called only for live processes, whose participating flag is !halted.
   const bool h = worlds_[l].world.processes[i]->halted();
   std::uint64_t& word = halted_pw_[lane_base(l) + i / 64];
   const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-  if (h) {
-    word |= bit;
-    participating_vb_[l][i] = false;
-  } else {
-    word &= ~bit;
-    participating_vb_[l][i] = alive_vb_[l][i];
-  }
+  if (h == ((word & bit) != 0)) return;
+  word ^= bit;
+  participating_vb_[l][i] = !h;
 }
 
 void LaneEngine::commit_crashes(std::size_t l, Round r) {
-  const std::vector<bool>& mask = crash_mask_vb_[l];
+  // Consumes the marks, so the mask is all-false again whenever no hook's
+  // marks are pending.
+  std::vector<bool>& mask = crash_mask_vb_[l];
   const std::uint64_t lane_bit = std::uint64_t{1} << l;
   std::uint64_t* alive = &alive_pw_[lane_base(l)];
   std::uint64_t* part = &participating_pw_[lane_base(l)];
   for (std::size_t i = 0; i < n_; ++i) {
-    if (mask[i] && alive_vb_[l][i]) {
+    if (!mask[i]) continue;
+    mask[i] = false;
+    if (alive_vb_[l][i]) {
       const std::uint64_t bit = std::uint64_t{1} << (i % 64);
       alive[i / 64] &= ~bit;
       part[i / 64] &= ~bit;
@@ -232,7 +267,7 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
           }
         });
       }
-      std::sort(in.begin(), in.end());
+      if (in.size() > 1) std::sort(in.begin(), in.end());
       rc[i] = static_cast<std::uint32_t>(in.size());
       counters_[l].messages_delivered += rc[i];
     });
@@ -272,7 +307,7 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
         ++c;                              // own broadcast counts toward c_i
         in.push_back(sent_msg_[l][i]);    // and is always self-delivered
       }
-      const std::uint64_t* adj = &adj_[i * words_];
+      const std::uint64_t* adj = adj_row(l, i);
       for (std::size_t sw = 0; sw < words_; ++sw) {
         for_each_bit(sent[sw] & adj[sw], sw * 64, [&](std::size_t j) {
           ++c;
@@ -281,7 +316,7 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
           }
         });
       }
-      std::sort(in.begin(), in.end());
+      if (in.size() > 1) std::sort(in.begin(), in.end());
       rc[i] = static_cast<std::uint32_t>(in.size());
       counters_[l].messages_delivered += rc[i];
       lc[i] = c;
@@ -300,36 +335,35 @@ void LaneEngine::deliver_capture(std::size_t l) {
   std::fill(lc.begin(), lc.end(), 0);
 
   // Receivers ascending, dead skipped WITHOUT consuming randomness -- the
-  // per-lane RNG stream must advance exactly as the scalar engine's.
+  // per-lane RNG stream must advance exactly as the scalar engine's.  The
+  // scalar engine lists the broadcasting neighbours ascending and draws an
+  // index into that list; the same index into the set bits of
+  // `sent & adjacency` names the same neighbour.
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
       std::vector<Message>& in = recv_[l][i];
       in.clear();
-      broadcasting_neighbors_.clear();
-      const std::uint64_t* adj = &adj_[i * words_];
+      const std::uint64_t* adj = adj_row(l, i);
+      std::uint32_t heard = 0;  // broadcasting neighbours
       for (std::size_t sw = 0; sw < words_; ++sw) {
-        for_each_bit(sent[sw] & adj[sw], sw * 64, [&](std::size_t j) {
-          broadcasting_neighbors_.push_back(static_cast<std::uint32_t>(j));
-        });
+        heard += bit_count(sent[sw] & adj[sw]);
       }
-      std::uint32_t c =
-          static_cast<std::uint32_t>(broadcasting_neighbors_.size());
+      std::uint32_t c = heard;
       if ((sent[i / 64] >> (i % 64)) & 1u) {
         ++c;
         in.push_back(sent_msg_[l][i]);
       }
-      if (broadcasting_neighbors_.size() == 1) {
+      if (heard == 1) {
         if (rng.chance(link.p_single)) {
-          in.push_back(sent_msg_[l][broadcasting_neighbors_.front()]);
+          in.push_back(sent_msg_[l][nth_set_bit(sent, adj, 0)]);
         }
-      } else if (broadcasting_neighbors_.size() > 1) {
+      } else if (heard > 1) {
         if (rng.chance(link.p_capture)) {
-          const std::uint32_t j = broadcasting_neighbors_[rng.below(
-              broadcasting_neighbors_.size())];
+          const std::size_t j = nth_set_bit(sent, adj, rng.below(heard));
           in.push_back(sent_msg_[l][j]);
         }
       }
-      std::sort(in.begin(), in.end());
+      if (in.size() > 1) std::sort(in.begin(), in.end());
       rc[i] = static_cast<std::uint32_t>(in.size());
       counters_[l].messages_delivered += rc[i];
       lc[i] = c;
@@ -360,12 +394,12 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   cm_advice_[l].resize(n_, CmAdvice::kPassive);
   ++ctr.cm_advice_calls;
 
-  const bool faults = !w.fault->never_crashes();
+  // Both crash points run only inside the lane's crash window.
+  const bool faults = r <= last_crash_round_[l];
 
   // Crash point A (kBeforeSend): marked processes are silent from round r
   // on.
   if (faults) {
-    crash_mask_vb_[l].assign(n_, false);
     w.fault->crash_before_send(r, alive_vb_[l], crash_mask_vb_[l]);
     const std::uint64_t pre = crashes_applied_[l];
     commit_crashes(l, r);
@@ -396,7 +430,6 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   // crasher's round-r view still forms.
   const std::uint64_t pre_b = crashes_applied_[l];
   if (faults) {
-    crash_mask_vb_[l].assign(n_, false);
     w.fault->crash_after_send(r, alive_vb_[l], crash_mask_vb_[l]);
     if (local) commit_crashes(l, r);
   }

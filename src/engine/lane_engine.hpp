@@ -1,16 +1,18 @@
-// LaneEngine: the RoundEngine's batched sibling -- up to 64 structurally
-// identical worlds ("lanes", one per seed of a sweep cell) advance through
-// Definition 11's W/M/N/D/C round structure in lockstep, sharing one round
-// counter, one topology, and one set of adjacency bitmask rows.
+// LaneEngine: the RoundEngine's batched sibling -- up to 64 worlds of one
+// sweep cell ("lanes", one per seed) advance through Definition 11's
+// W/M/N/D/C round structure in lockstep, sharing one round counter.  Each
+// lane reads its own adjacency bitmask rows, so the lanes of a cell may run
+// on different graphs (a random-geometric topology is drawn per seed);
+// lanes on an identical graph share one copy of the rows.
 //
 // Layout is struct-of-arrays in BOTH directions:
 //
 //  * process words -- per lane, the alive / halted / participating / sent
-//    flags over processes are packed ceil(n/64) `uint64_t`s wide.  The
-//    delivery loops iterate SET BITS of `sent & adjacency_row(i)` instead
-//    of scanning all n senders per receiver, which collapses the scalar
-//    engine's O(n^2) clique delivery masking to O(broadcasters * n / 64)
-//    word operations -- the SIMD-in-a-register fast path PR 5 deferred.
+//    flags over processes, and each adjacency row, are packed ceil(n/64)
+//    `uint64_t`s wide (adjacency is [lane][i][word]).  The delivery loops
+//    iterate SET BITS of `sent & adjacency_row(i)` instead of scanning all
+//    n senders per receiver, which collapses the scalar engine's O(n^2)
+//    clique delivery masking to O(broadcasters * n / 64) word operations.
 //
 //  * lane words -- per process, one `uint64_t` whose bit l mirrors lane
 //    l's alive / decided flag.  Cross-lane sweeps (which lanes still have
@@ -26,27 +28,31 @@
 // component calls with the SAME arguments in the SAME order as
 // RoundEngine::step() would per lane -- so every RNG stream advances
 // identically and reports, golden FNV-1a hashes, and per-run EngineCounters
-// are exact.  The speedup comes only from engine-owned bookkeeping:
+// are exact.  The speedup comes only from engine-owned bookkeeping, whose
+// per-round cost follows events rather than n:
 //
 //  * bitmask words replace vector<bool> scans (masks, termination);
-//  * senders are iterated as set bits, never scanned;
+//  * senders are iterated as set bits, never scanned; a capture receiver
+//    picks its captured neighbour straight from the set bits of
+//    `sent & adjacency`;
 //  * per-round traces are not recorded (reports never read them; the
 //    scalar consensus adapter records them unconditionally);
-//  * halted() is memoized -- it can only change inside that process's own
-//    on_send/on_receive, so the cache is re-queried exactly there and the
-//    per-round n virtual participation probes disappear;
-//  * statically neutral components short-circuit: NoLoss
-//    (LossAdversary::always_delivers) skips the delivery matrix entirely,
-//    NoFailures (FailureAdversary::never_crashes) skips both crash points.
-//    Both are stateless and RNG-free, so skipping the calls is
-//    unobservable.
+//  * halt state is mirrored in the halted word, refreshed only inside the
+//    process's own on_send/on_receive (the one place it can change) and
+//    written only when it flips;
+//  * NoLoss (LossAdversary::always_delivers) skips the delivery matrix
+//    entirely -- it is stateless and RNG-free, so skipping it is
+//    unobservable;
+//  * both crash points run only inside the adversary's crash window,
+//    r <= FailureAdversary::last_crash_round() -- the same rule the scalar
+//    engine follows.
 //
 // Divergence rule: lanes share the round counter but not a fate.  A lane
 // that terminates (all correct processes decided, or the caller retires it)
 // drops out of the active mask and is never stepped again; the remaining
-// lanes keep advancing.  Worlds whose structure itself diverges per seed
-// (random-geometric topologies, phase-2 consensus among a seed-dependent
-// head count, n = 0) do not enter the lane path at all -- exp::LaneExecutor
+// lanes keep advancing.  Worlds whose process count itself diverges per
+// seed (phase-2 consensus among a seed-dependent head count) or that have
+// none (n = 0) do not enter the lane path at all -- exp::LaneExecutor
 // routes them to the scalar engine (the "scalar tail", which also absorbs
 // the S mod 64 remainder of a cell's seeds).
 #pragma once
@@ -75,15 +81,15 @@ struct LaneOptions {
 
 class LaneEngine {
  public:
-  /// All worlds must agree on process count, topology (adjacency is shared
-  /// from worlds[0]), channel, scope, and link model; each keeps its own
-  /// components and link_seed.  1 <= worlds.size() <= kLaneWidth, n >= 1.
+  /// All worlds must agree on process count, channel and scope; each keeps
+  /// its own topology, components, link model and link_seed.
+  /// 1 <= worlds.size() <= kLaneWidth, n >= 1.
   explicit LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options = {});
 
   std::size_t lanes() const { return lanes_; }
   std::size_t size() const { return n_; }
   Round current_round() const { return round_; }
-  const Topology& topology() const { return worlds_[0].topology; }
+  const Topology& topology(std::size_t l) const { return worlds_[l].topology; }
 
   /// Advance every active lane exactly one round (lockstep).
   void step();
@@ -127,8 +133,8 @@ class LaneEngine {
 
  private:
   std::size_t lane_base(std::size_t l) const { return l * words_; }
-  std::uint64_t adj_word(std::size_t i, std::size_t w) const {
-    return adj_[i * words_ + w];
+  const std::uint64_t* adj_row(std::size_t l, std::size_t i) const {
+    return &adj_[adj_base_[l] + i * words_];
   }
   void commit_crashes(std::size_t l, Round r);
   void lane_round(std::size_t l, Round r);
@@ -147,8 +153,10 @@ class LaneEngine {
   std::vector<EngineWorld> worlds_;
   std::vector<Rng> link_rng_;
 
-  // Shared across lanes: adjacency bit rows (row i = neighbors of i).
-  std::vector<std::uint64_t> adj_;  // [n][words_]
+  // Adjacency bit rows per lane (row i = neighbors of i), [lane][i][word]
+  // by address; lanes on an identical graph share one copy.
+  std::vector<std::uint64_t> adj_;
+  std::vector<std::size_t> adj_base_;  // lane l's rows start here
 
   // Process words, per lane ([lanes][words_], flattened).
   std::vector<std::uint64_t> alive_pw_;
@@ -180,13 +188,13 @@ class LaneEngine {
   std::vector<std::vector<Value>> decided_value_;
   std::vector<std::uint64_t> total_broadcasts_;
   std::vector<std::uint64_t> crashes_applied_;
+  std::vector<Round> last_crash_round_;  // each lane's crash window
   std::vector<std::size_t> num_alive_;
   std::vector<std::uint32_t> broadcaster_count_;
   std::vector<RunResult> results_;
 
   // Shared scratch (consumed within one lane's delivery phase).
   DeliveryMatrix delivery_;
-  std::vector<std::uint32_t> broadcasting_neighbors_;
   /// Loss-free clique fast path: with a statically-all-delivering loss
   /// model every participating receiver observes the SAME multiset, so
   /// deliver_matrix_global builds it once here and C_r hands every

@@ -72,8 +72,12 @@ bool RoundEngine::all_correct_decided() const {
 }
 
 void RoundEngine::commit_crashes(Round r) {
+  // Consumes the marks, so the mask is all-false again whenever no hook's
+  // marks are pending.
   for (std::size_t i = 0; i < crash_mask_.size(); ++i) {
-    if (crash_mask_[i] && alive_[i]) {
+    if (!crash_mask_[i]) continue;
+    crash_mask_[i] = false;
+    if (alive_[i]) {
       alive_[i] = false;
       participating_[i] = false;
       --num_alive_;
@@ -198,13 +202,18 @@ void RoundEngine::step() {
   cm_advice_.resize(n, CmAdvice::kPassive);
   ++counters_.cm_advice_calls;
 
+  // Both crash points run only inside the adversary's crash window; past
+  // last_crash_round() its hooks mark nobody and draw nothing.
+  const bool faults = r <= world_.world.fault->last_crash_round();
+
   // Crash point A (kBeforeSend): marked processes are silent from round r
   // on.
-  crash_mask_.assign(n, false);
-  world_.world.fault->crash_before_send(r, alive_, crash_mask_);
-  const std::uint64_t crashes_pre_a = crashes_applied_;
-  commit_crashes(r);
-  counters_.crashes_before_send += crashes_applied_ - crashes_pre_a;
+  if (faults) {
+    world_.world.fault->crash_before_send(r, alive_, crash_mask_);
+    const std::uint64_t crashes_pre_a = crashes_applied_;
+    commit_crashes(r);
+    counters_.crashes_before_send += crashes_applied_ - crashes_pre_a;
+  }
 
   // M_r: message assignments.
   sent_flag_.assign(n, false);
@@ -224,10 +233,11 @@ void RoundEngine::step() {
   // is not taken (Definition 11, constraint 2's fail branch).  kLocal
   // commits immediately -- a dead radio leaves the channel before
   // delivery; kGlobal defers so the crasher's round-r view still forms.
-  crash_mask_.assign(n, false);
-  world_.world.fault->crash_after_send(r, alive_, crash_mask_);
   const std::uint64_t crashes_pre_b = crashes_applied_;
-  if (local) commit_crashes(r);
+  if (faults) {
+    world_.world.fault->crash_after_send(r, alive_, crash_mask_);
+    if (local) commit_crashes(r);
+  }
 
   // N_r: receive multisets.
   if (world_.channel == ChannelModel::kMatrix) {
@@ -272,7 +282,7 @@ void RoundEngine::step() {
       log_.record_decision(static_cast<ProcessId>(i), r, decided_value_[i]);
     }
   }
-  if (!local) commit_crashes(r);
+  if (!local && faults) commit_crashes(r);
   counters_.crashes_after_send += crashes_applied_ - crashes_pre_b;
 
   // Record the round.

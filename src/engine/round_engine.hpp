@@ -47,7 +47,9 @@
 // std::vector<bool>) is preallocated at construction and reused; after the
 // first round a step() performs no heap allocation unless round traces or
 // per-process views are being recorded (bench_sim_micro's BM_EngineRound
-// pins the steady state).
+// pins the steady state).  Both crash points run only inside the crash
+// window r <= FailureAdversary::last_crash_round(); later rounds skip the
+// hooks and the crash commits (LaneEngine follows the same rule).
 #pragma once
 
 #include <memory>

@@ -14,7 +14,8 @@ namespace ccd::exp {
 namespace {
 
 /// Every spec in a block must agree on the axes that fix the execution
-/// structure (one shared topology, one round budget, one lockstep loop).
+/// structure (one graph shape and size, one round budget, one lockstep
+/// loop).
 [[maybe_unused]] bool block_is_uniform(const std::vector<ScenarioSpec>& s) {
   for (std::size_t k = 1; k < s.size(); ++k) {
     if (s[k].workload != s[0].workload || s[k].topology != s[0].topology ||
@@ -23,6 +24,38 @@ namespace {
     }
   }
   return true;
+}
+
+/// A lane's graph with its diameter (0 when disconnected).
+struct LaneGraph {
+  Topology topology;
+  std::uint32_t diameter = 0;
+  bool connected = false;
+};
+
+/// One graph per spec.  A random-geometric graph is drawn from the spec's
+/// seed, so each lane builds its own; every other shape is the same for
+/// all seeds and is built (and its diameter taken) once.  Diameters are
+/// only taken when `measure` is set, as the scalar path does.
+std::vector<LaneGraph> lane_graphs(const std::vector<ScenarioSpec>& specs,
+                                   bool measure) {
+  auto build = [measure](const ScenarioSpec& spec) {
+    LaneGraph g{WorldFactory::make_topology(spec)};
+    if (measure) {
+      const std::uint32_t d = g.topology.diameter();
+      g.connected = d != Topology::kUnreachable;
+      g.diameter = g.connected ? d : 0;
+    }
+    return g;
+  };
+  std::vector<LaneGraph> graphs;
+  graphs.reserve(specs.size());
+  if (specs[0].topology == TopologyKind::kRandomGeometric) {
+    for (const ScenarioSpec& spec : specs) graphs.push_back(build(spec));
+  } else {
+    graphs.assign(specs.size(), build(specs[0]));
+  }
+  return graphs;
 }
 
 /// The RunSummary epilogue shared by every consensus-shaped lane: verdict
@@ -40,21 +73,14 @@ void run_consensus_block(const std::vector<ScenarioSpec>& specs,
                          std::vector<ScenarioOutcome>& outs) {
   const ScenarioSpec& head = specs[0];
   const bool singlehop = head.topology == TopologyKind::kSingleHop;
-  Topology topo = WorldFactory::make_topology(head);
-  std::uint32_t diam = 0;
-  bool connected = false;
-  if (!singlehop) {
-    const std::uint32_t d = topo.diameter();
-    connected = d != Topology::kUnreachable;
-    diam = connected ? d : 0;
-  }
+  std::vector<LaneGraph> graphs = lane_graphs(specs, !singlehop);
 
   std::vector<EngineWorld> worlds;
   worlds.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) {
+  for (std::size_t l = 0; l < specs.size(); ++l) {
     EngineWorld ew;
-    ew.world = WorldFactory::make(spec);
-    ew.topology = topo;
+    ew.world = WorldFactory::make(specs[l]);
+    ew.topology = std::move(graphs[l].topology);
     ew.channel = ChannelModel::kMatrix;
     ew.scope = singlehop ? CollisionScope::kGlobal : CollisionScope::kLocal;
     worlds.push_back(std::move(ew));
@@ -72,8 +98,8 @@ void run_consensus_block(const std::vector<ScenarioSpec>& specs,
     out.counters.add(eng.counters(l));
     if (!singlehop) {
       out.mh.ran = true;
-      out.mh.connected = connected;
-      out.mh.diameter = diam;
+      out.mh.connected = graphs[l].connected;
+      out.mh.diameter = graphs[l].diameter;
       out.mh.rounds_executed = eng.result(l).rounds_executed;
       out.mh.broadcasts = eng.total_broadcasts(l);
       out.mh.messages_per_node =
@@ -86,17 +112,26 @@ void run_consensus_block(const std::vector<ScenarioSpec>& specs,
   }
 }
 
-/// Shared capture-channel assembly, the lane twin of make_capture_engine:
-/// same component construction order per lane, same kMhLinkSalt stream.
+/// Shared capture-channel assembly, the lane twin of run_flood /
+/// run_mis_phase's setup: each lane's graph and diameter (recorded in its
+/// outcome), then the same component construction order per lane and the
+/// same kMhLinkSalt stream as make_capture_engine.
 LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
-                              const Topology& topo,
+                              std::vector<ScenarioOutcome>& outs,
                               std::vector<Round>& quiesce, bool mis) {
   const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
+  std::vector<LaneGraph> graphs = lane_graphs(specs, /*measure=*/true);
+  for (std::size_t l = 0; l < specs.size(); ++l) {
+    outs[l].mh.ran = true;
+    outs[l].mh.connected = graphs[l].connected;
+    outs[l].mh.diameter = graphs[l].diameter;
+  }
   std::vector<EngineWorld> worlds;
   worlds.reserve(specs.size());
   quiesce.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) {
-    const std::size_t n = topo.size();
+  for (std::size_t l = 0; l < specs.size(); ++l) {
+    const ScenarioSpec& spec = specs[l];
+    const std::size_t n = graphs[l].topology.size();
     const std::uint64_t proc_base = WorldFactory::mh_proc_seed(spec);
     EngineWorld ew;
     ew.world.processes.reserve(n);
@@ -121,7 +156,7 @@ LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
     // Theorem 3 accounting: completion is only declared once the adversary
     // has no crashes pending.
     quiesce.push_back(ew.world.fault->last_crash_round());
-    ew.topology = topo;
+    ew.topology = std::move(graphs[l].topology);
     ew.channel = ChannelModel::kCapture;
     ew.scope = CollisionScope::kLocal;
     ew.link = WorldFactory::make_link(spec);
@@ -144,18 +179,10 @@ void finish_mh(MultihopSummary& out, const LaneEngine& eng, std::size_t l) {
 
 void run_flood_block(const std::vector<ScenarioSpec>& specs,
                      std::vector<ScenarioOutcome>& outs) {
-  const Topology topo = WorldFactory::make_topology(specs[0]);
-  const std::size_t n = topo.size();
-  const std::uint32_t diam = topo.diameter();
   const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
-  for (ScenarioOutcome& out : outs) {
-    out.mh.ran = true;
-    out.mh.connected = diam != Topology::kUnreachable;
-    out.mh.diameter = out.mh.connected ? diam : 0;
-  }
-
   std::vector<Round> quiesce;
-  LaneEngine eng = make_capture_lanes(specs, topo, quiesce, /*mis=*/false);
+  LaneEngine eng = make_capture_lanes(specs, outs, quiesce, /*mis=*/false);
+  const std::size_t n = eng.size();
   for (Round r = 1; r <= budget && eng.active_mask(); ++r) {
     eng.step();
     for (std::size_t l = 0; l < specs.size(); ++l) {
@@ -187,18 +214,10 @@ void run_flood_block(const std::vector<ScenarioSpec>& specs,
 void run_mis_block(const std::vector<ScenarioSpec>& specs,
                    std::vector<ScenarioOutcome>& outs,
                    std::vector<std::vector<bool>>* heads_out) {
-  const Topology topo = WorldFactory::make_topology(specs[0]);
-  const std::size_t n = topo.size();
-  const std::uint32_t diam = topo.diameter();
   const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
-  for (ScenarioOutcome& out : outs) {
-    out.mh.ran = true;
-    out.mh.connected = diam != Topology::kUnreachable;
-    out.mh.diameter = out.mh.connected ? diam : 0;
-  }
-
   std::vector<Round> quiesce;
-  LaneEngine eng = make_capture_lanes(specs, topo, quiesce, /*mis=*/true);
+  LaneEngine eng = make_capture_lanes(specs, outs, quiesce, /*mis=*/true);
+  const std::size_t n = eng.size();
   for (Round r = 1; r <= budget && eng.active_mask(); ++r) {
     eng.step();
     for (std::size_t l = 0; l < specs.size(); ++l) {
@@ -223,6 +242,7 @@ void run_mis_block(const std::vector<ScenarioSpec>& specs,
   for (std::size_t l = 0; l < specs.size(); ++l) {
     if (eng.lane_active(l)) eng.retire(l);
     MultihopSummary& out = outs[l].mh;
+    const Topology& topo = eng.topology(l);
     // Heads and the independence/maximality verdicts are conditioned on
     // the surviving subgraph.
     std::vector<bool> heads(n, false);
@@ -261,10 +281,7 @@ bool LaneExecutor::eligible(const ScenarioSpec& spec,
   if (options.capture_log || options.record_views) return false;
   if (spec.n == 0) return false;
   // Round-sync sits below the round abstraction entirely.
-  if (spec.workload == WorkloadKind::kRoundSync) return false;
-  // A random-geometric graph is seed-dependent; lanes share one topology.
-  if (spec.topology == TopologyKind::kRandomGeometric) return false;
-  return true;
+  return spec.workload != WorkloadKind::kRoundSync;
 }
 
 std::vector<ScenarioOutcome> LaneExecutor::run_block(

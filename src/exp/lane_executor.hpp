@@ -14,15 +14,15 @@
 // Routing (the scalar tail):
 //
 //   laned            consensus/singlehop (kMatrix x kGlobal), consensus on
-//                    line/ring/grid (kMatrix x kLocal), flood and mis
+//                    line/ring/grid/rgg (kMatrix x kLocal), flood and mis
 //                    (kCapture x kLocal), and the MIS phase of
 //                    mis-then-consensus (its phase-2 consensus runs per
 //                    lane through the scalar harness: the head count k --
-//                    and with it n -- is seed-dependent)
+//                    and with it n -- is seed-dependent).  A random-
+//                    geometric graph is drawn per seed, so each lane builds
+//                    its own graph and diameter; fixed shapes build once.
 //
-//   scalar fallback  random-geometric topologies (the graph itself is
-//                    seed-dependent, so lanes would not share adjacency),
-//                    round-sync (below the round abstraction), n = 0, and
+//   scalar fallback  round-sync (below the round abstraction), n = 0, and
 //                    any run capturing logs or views (trace capture wants
 //                    the engine's round recording)
 //

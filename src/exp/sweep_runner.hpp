@@ -59,10 +59,9 @@ struct SweepOptions {
   /// lockstep) instead of single runs.  Records are byte-identical either
   /// way -- LaneExecutor::run_block reproduces run_one's outcome exactly
   /// per lane -- so this is purely a throughput switch (`--no-lanes` in
-  /// ccd_sweep is the escape hatch).  Ineligible specs (random-geometric
-  /// topologies, round-sync, n = 0, view recording) and non-consecutive
-  /// index sets (strided shards) degrade to 1-run blocks on the scalar
-  /// path.
+  /// ccd_sweep is the escape hatch).  Ineligible specs (round-sync,
+  /// n = 0, view recording) and non-consecutive index sets (strided
+  /// shards) degrade to 1-run blocks on the scalar path.
   bool lanes = true;
   /// Invoked after each completed run with the number finished so far.
   /// Called from worker threads; must be thread-safe.  May be empty.

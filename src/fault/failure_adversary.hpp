@@ -54,21 +54,16 @@ class FailureAdversary {
 
   /// Upper bound on the last round in which this adversary crashes anyone;
   /// 0 when failure-free.  Used for "after failures cease" accounting
-  /// (Theorem 3's termination bound).
+  /// (Theorem 3's termination bound) and as the engines' crash window:
+  /// neither hook is called in any later round, so past this bound the
+  /// hooks must mark nobody and draw no randomness.
   virtual Round last_crash_round() const { return 0; }
-
-  /// True iff this adversary statically never crashes anyone: both crash
-  /// hooks are stateless, RNG-free no-ops.  Engines may then skip both
-  /// crash points entirely without observable effect.  Only NoFailures
-  /// qualifies.
-  virtual bool never_crashes() const { return false; }
 
   virtual const char* name() const = 0;
 };
 
 class NoFailures final : public FailureAdversary {
  public:
-  bool never_crashes() const override { return true; }
   const char* name() const override { return "NoFailures"; }
 };
 

@@ -35,14 +35,32 @@ class Process {
   virtual void on_receive(Round round, std::span<const Message> received,
                           CdAdvice cd, CmAdvice cm) = 0;
 
-  /// Decision/halting observation hooks (the paper models deciding as
-  /// entering decide states; we expose them as queries).
-  virtual bool decided() const { return false; }
-  virtual Value decision() const { return kNoValue; }
+  /// Decision/halting observation (the paper models deciding as entering
+  /// decide states; we expose them as queries).  Plain field reads: the
+  /// engines poll them for every process every round.
+  bool decided() const { return decided_; }
+  Value decision() const { return decision_; }
 
   /// A halted process stays silent forever (Algorithms 1-3 "halt" after
   /// deciding).  The executor stops invoking a halted process.
-  virtual bool halted() const { return false; }
+  bool halted() const { return halted_; }
+
+ protected:
+  /// Enter the decide state for v (idempotent; first decision wins, which
+  /// matches the automaton formalization where decide states absorb).
+  void decide(Value v) {
+    if (!decided_) {
+      decided_ = true;
+      decision_ = v;
+    }
+  }
+
+  void halt() { halted_ = true; }
+
+ private:
+  bool decided_ = false;
+  bool halted_ = false;
+  Value decision_ = kNoValue;
 };
 
 /// An algorithm (Definition 2) maps process indices to processes.  For

@@ -83,6 +83,8 @@ class Topology {
   /// the candidate pool, ranked by the same (damage, lex) rule.
   std::vector<std::uint32_t> min_vertex_cut(std::size_t max_size = 3) const;
 
+  friend bool operator==(const Topology&, const Topology&) = default;
+
  private:
   explicit Topology(std::size_t n) : adjacency_(n) {}
   void add_edge(std::size_t a, std::size_t b);

@@ -180,10 +180,15 @@ TEST(LaneDifferential, EligibilityRoutesTheScalarOnlyShapes) {
   ScenarioSpec spec;  // defaults: consensus / singlehop / n=8
   EXPECT_TRUE(LaneExecutor::eligible(spec, plain));
 
+  // Random-geometric graphs are drawn per seed; each lane carries its own
+  // adjacency, so every workload on them is laned.
   ScenarioSpec rgg = spec;
   rgg.topology = TopologyKind::kRandomGeometric;
-  rgg.workload = WorkloadKind::kFlood;
-  EXPECT_FALSE(LaneExecutor::eligible(rgg, plain));
+  for (WorkloadKind w : {WorkloadKind::kConsensus, WorkloadKind::kFlood,
+                         WorkloadKind::kMis, WorkloadKind::kMisThenConsensus}) {
+    rgg.workload = w;
+    EXPECT_TRUE(LaneExecutor::eligible(rgg, plain)) << to_string(w);
+  }
 
   ScenarioSpec empty = spec;
   empty.n = 0;

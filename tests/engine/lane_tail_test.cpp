@@ -8,13 +8,16 @@
 // retirement logic could plausibly diverge.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "engine/lane_engine.hpp"
 #include "exp/aggregator.hpp"
+#include "exp/lane_executor.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
+#include "exp/world_factory.hpp"
 
 namespace ccd::exp {
 namespace {
@@ -127,6 +130,116 @@ TEST(LaneTail, SingleSurvivorDecides) {
   flood.base.topology = TopologyKind::kLine;
   ASSERT_FALSE(flood.validate().has_value());
   expect_identical(flood, /*threads=*/2, "single survivor flood");
+}
+
+/// Every report-relevant field of a record, for whole-record comparison.
+std::string describe(const RunSummary& s) {
+  std::string out;
+  const ConsensusVerdict& v = s.verdict;
+  for (const std::uint64_t x :
+       {std::uint64_t{s.result.all_correct_decided},
+        std::uint64_t{s.result.last_decision_round},
+        std::uint64_t{s.result.rounds_executed},
+        std::uint64_t{s.result.num_crashed}, std::uint64_t{v.agreement},
+        std::uint64_t{v.strong_validity}, std::uint64_t{v.uniform_validity},
+        std::uint64_t{v.termination}, std::uint64_t{v.first_decision_round},
+        std::uint64_t{v.last_decision_round}, std::uint64_t{s.cst},
+        std::uint64_t{s.rounds_after_cst}}) {
+    out.append(std::to_string(x)).append(",");
+  }
+  for (const Value d : v.decided_values) {
+    out.append("d").append(std::to_string(d)).append(",");
+  }
+  return out;
+}
+
+std::string describe(const RunRecord& r) {
+  const MultihopSummary& mh = r.mh;
+  std::string out = describe(r.summary);
+  out.append("|");
+  for (const std::uint64_t x :
+       {std::uint64_t{mh.ran}, std::uint64_t{mh.connected},
+        std::uint64_t{mh.diameter}, std::uint64_t{mh.rounds_executed},
+        mh.broadcasts, mh.crashes_applied, std::uint64_t{mh.survivors},
+        std::uint64_t{mh.covered}, std::uint64_t{mh.full_coverage_round},
+        std::uint64_t{mh.mis_size}, std::uint64_t{mh.mis_settle_round},
+        std::uint64_t{mh.mis_independent}, std::uint64_t{mh.mis_maximal},
+        std::uint64_t{mh.phase2_skipped}}) {
+    out.append(std::to_string(x)).append(",");
+  }
+  out.append(std::to_string(mh.messages_per_node)).append(",");
+  out.append(mh.error).append("|");
+  if (mh.consensus) out.append(describe(*mh.consensus));
+  return out;
+}
+
+/// Each lane of a laned sweep must equal the scalar run_one of its index,
+/// record and counters alike.
+void expect_lanes_match_run_one(const SweepGrid& grid, const char* what) {
+  SweepOptions options;
+  options.lanes = true;
+  const std::vector<RunRecord> laned = run_sweep(grid, options);
+  ASSERT_EQ(laned.size(), grid.num_runs()) << what;
+  for (std::size_t j = 0; j < laned.size(); ++j) {
+    const RunRecord scalar = run_one(grid, j, /*record_views=*/false);
+    EXPECT_EQ(describe(laned[j]), describe(scalar)) << what << " run " << j;
+    EXPECT_EQ(laned[j].perf.engine, scalar.perf.engine)
+        << what << ": counters diverged at run " << j;
+  }
+}
+
+TEST(LaneTail, RandomGeometricLanesEachRunTheirOwnGraph) {
+  // Twelve seeds of one rgg cell form one lane block, but each seed draws
+  // its own graph.  Density 0.5 sits below the connectivity threshold, so
+  // some lanes stay disconnected even after the factory's retries.
+  SweepGrid grid;
+  grid.base.n = 24;
+  grid.base.topology = TopologyKind::kRandomGeometric;
+  grid.base.density = 0.5;
+  grid.base.fault = FaultKind::kRandomCrash;
+  grid.base.crash_p = 0.05;
+  grid.base.max_rounds = 60;
+  grid.seeds_per_cell = 12;
+  grid.grid_seed = 0x5eedu;
+  grid.workloads = {WorkloadKind::kFlood, WorkloadKind::kMis,
+                    WorkloadKind::kMisThenConsensus, WorkloadKind::kConsensus};
+  ASSERT_FALSE(grid.validate().has_value()) << *grid.validate();
+  ASSERT_TRUE(LaneExecutor::eligible(grid.spec_for_run(0)));
+
+  // The block really mixes graphs: distinct shapes, at least one of them
+  // disconnected.
+  std::set<std::vector<std::vector<std::uint32_t>>> shapes;
+  std::size_t disconnected = 0;
+  for (std::size_t j = 0; j < grid.seeds_per_cell; ++j) {
+    const Topology topo = WorldFactory::make_topology(grid.spec_for_run(j));
+    std::vector<std::vector<std::uint32_t>> rows;
+    for (std::size_t i = 0; i < topo.size(); ++i) {
+      rows.push_back(topo.neighbors(i));
+    }
+    shapes.insert(std::move(rows));
+    if (!topo.connected()) ++disconnected;
+  }
+  EXPECT_GT(shapes.size(), 1u);
+  EXPECT_GE(disconnected, 1u);
+
+  expect_lanes_match_run_one(grid, "rgg density 0.5");
+}
+
+TEST(LaneTail, ConsensusOnRandomGeometricLanes) {
+  // The mhloss shape: consensus over rgg with an adjacency-masked loss
+  // adversary and a contention manager, plus crashes and a 65-seed tail.
+  SweepGrid grid = base_grid(65);
+  grid.base.n = 12;
+  grid.base.topology = TopologyKind::kRandomGeometric;
+  grid.losses = {LossKind::kEcf, LossKind::kProbabilistic,
+                 LossKind::kUnrestricted};
+  grid.cms = {CmKind::kNoCm, CmKind::kWakeup};
+  ASSERT_FALSE(grid.validate().has_value()) << *grid.validate();
+  expect_identical(grid, /*threads=*/2, "consensus on rgg");
+
+  SweepGrid small = grid;
+  small.seeds_per_cell = 12;
+  expect_lanes_match_run_one(small, "consensus on rgg, run_one");
 }
 
 TEST(LaneTail, StridedSubsetDegradesToScalarBlocks) {

@@ -61,20 +61,15 @@ class TimerDecider final : public Process {
   void on_receive(Round round, std::span<const Message>, CdAdvice,
                   CmAdvice) override {
     if (round >= delay_) {
-      decided_ = true;
-      halted_ = true;
+      decide(value_);
+      halt();
     }
   }
-  bool decided() const override { return decided_; }
-  Value decision() const override { return decided_ ? value_ : kNoValue; }
-  bool halted() const override { return halted_; }
   int sends() const { return sends_; }
 
  private:
   Value value_;
   Round delay_;
-  bool decided_ = false;
-  bool halted_ = false;
   int sends_ = 0;
 };
 
