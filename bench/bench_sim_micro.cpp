@@ -1,8 +1,9 @@
 // E12 -- simulator micro-performance (google-benchmark): round throughput
-// of the unified RoundEngine (through both the single-hop Executor adapter
-// and the multihop capture/local configurations), detector advice cost,
-// and loss-adversary cost.  Not a paper experiment; establishes that the
-// sweeps in E2..E11 measure algorithm behaviour, not harness overhead --
+// of the round engine (through the single-hop Executor adapter, one-lane
+// engines in the multihop capture/local configurations, and 64-lane
+// twins), detector advice cost, and loss-adversary cost.  Not a paper
+// experiment; establishes that the sweeps in E2..E11 measure algorithm
+// behaviour, not harness overhead --
 // and that the engine's hot loop stays allocation-free in steady state
 // (the BM_EngineRound* numbers are the before/after gate for engine
 // refactors; CI prints them so regressions show up in logs).
@@ -14,7 +15,6 @@
 #include "consensus/alg2_zero_oac.hpp"
 #include "consensus/harness.hpp"
 #include "engine/lane_engine.hpp"
-#include "engine/round_engine.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
 #include "fault/failure_adversary.hpp"
@@ -27,6 +27,14 @@
 
 namespace ccd {
 namespace {
+
+/// A one-lane engine (one world, no recording) stepped until the caller
+/// stops.
+LaneEngine one_lane(EngineWorld ew) {
+  EngineOptions options;
+  options.stop_when_all_decided = false;
+  return LaneEngine(std::move(ew), options);
+}
 
 World bench_world(std::size_t n, bool record_views) {
   (void)record_views;
@@ -91,11 +99,7 @@ void BM_EngineRoundCaptureGrid(benchmark::State& state) {
   ew.scope = CollisionScope::kLocal;
   ew.link = {0.9, 0.3};
   ew.link_seed = 7;
-  EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
-  options.stop_when_all_decided = false;
-  RoundEngine engine(std::move(ew), options);
+  LaneEngine engine = one_lane(std::move(ew));
   for (auto _ : state) {
     engine.step();
   }
@@ -127,11 +131,7 @@ void BM_EngineRoundMatrixLocal(benchmark::State& state) {
   ew.topology = Topology::grid_n(n);
   ew.channel = ChannelModel::kMatrix;
   ew.scope = CollisionScope::kLocal;
-  EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
-  options.stop_when_all_decided = false;
-  RoundEngine engine(std::move(ew), options);
+  LaneEngine engine = one_lane(std::move(ew));
   for (auto _ : state) {
     engine.step();
   }
@@ -139,14 +139,14 @@ void BM_EngineRoundMatrixLocal(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRoundMatrixLocal)->Arg(16)->Arg(64)->Arg(256);
 
-// ---- lane-vs-scalar twin pairs ------------------------------------------
+// ---- one-lane vs 64-lane twin pairs -------------------------------------
 // Each pair constructs a FRESH engine per measurement batch and runs a
 // fixed round count.  A persistent engine drifts into its quiesced steady
 // state over thousands of benchmark iterations (everyone decided, nobody
 // broadcasting) and stops representing what sweeps execute: fresh worlds
 // whose early rounds carry all the contention.  items/sec counts
-// process-rounds across every lane, so the lane/scalar items-per-second
-// ratio IS the per-world-round speedup (construction cost included in
+// process-rounds across every lane, so the 64-lane/one-lane items-per-
+// second ratio IS the batching speedup (construction cost included in
 // both, amortized over the same round count).
 constexpr Round kTwinRounds = 128;
 
@@ -174,7 +174,7 @@ EngineWorld clique_world(std::size_t n, std::uint64_t seed) {
 
 // Worst-case clique load: every process broadcasts every round, forever
 // (flooding with p = 1 and an unbounded freshness window).  This is the
-// O(n^2) delivery loop the lane engine's shared-multiset path vectorizes.
+// clique delivery load the engine's shared-multiset path amortizes.
 EngineWorld saturated_world(std::size_t n, std::uint64_t seed) {
   EngineWorld ew;
   for (std::size_t i = 0; i < n; ++i) {
@@ -217,17 +217,13 @@ EngineWorld mis_grid_world(std::size_t n, std::uint64_t seed) {
 }
 
 template <EngineWorld (*MakeWorld)(std::size_t, std::uint64_t)>
-void scalar_twin(benchmark::State& state) {
+void one_lane_twin(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
-  options.stop_when_all_decided = false;
   std::uint64_t seed = 7;
   for (auto _ : state) {
-    RoundEngine engine(MakeWorld(n, seed++), options);
+    LaneEngine engine = one_lane(MakeWorld(n, seed++));
     for (Round r = 0; r < kTwinRounds; ++r) engine.step();
-    benchmark::DoNotOptimize(engine.counters());
+    benchmark::DoNotOptimize(engine.counters(0));
   }
   state.SetItemsProcessed(state.iterations() * kTwinRounds * n);
 }
@@ -235,7 +231,7 @@ void scalar_twin(benchmark::State& state) {
 template <EngineWorld (*MakeWorld)(std::size_t, std::uint64_t)>
 void lane_twin(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  LaneOptions options;
+  EngineOptions options;
   options.stop_when_all_decided = false;
   std::uint64_t seed = 7;
   for (auto _ : state) {
@@ -252,7 +248,7 @@ void lane_twin(benchmark::State& state) {
 }
 
 void BM_EngineRoundConsensusClique(benchmark::State& state) {
-  scalar_twin<clique_world>(state);
+  one_lane_twin<clique_world>(state);
 }
 BENCHMARK(BM_EngineRoundConsensusClique)->Arg(16)->Arg(64);
 
@@ -262,7 +258,7 @@ void BM_LaneEngineRoundConsensusClique(benchmark::State& state) {
 BENCHMARK(BM_LaneEngineRoundConsensusClique)->Arg(16)->Arg(64);
 
 void BM_EngineRoundSaturatedClique(benchmark::State& state) {
-  scalar_twin<saturated_world>(state);
+  one_lane_twin<saturated_world>(state);
 }
 BENCHMARK(BM_EngineRoundSaturatedClique)->Arg(16)->Arg(64)->Arg(256);
 
@@ -272,7 +268,7 @@ void BM_LaneEngineRoundSaturatedClique(benchmark::State& state) {
 BENCHMARK(BM_LaneEngineRoundSaturatedClique)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_EngineRoundMisGrid(benchmark::State& state) {
-  scalar_twin<mis_grid_world>(state);
+  one_lane_twin<mis_grid_world>(state);
 }
 BENCHMARK(BM_EngineRoundMisGrid)->Arg(16)->Arg(64);
 
@@ -334,7 +330,7 @@ void BM_SweepThroughput(benchmark::State& state) {
     obs::SweepPerf perf;
     exp::SweepOptions options;
     options.threads = 1;
-    options.lanes = false;  // scalar baseline; lane twin below
+    options.lanes = false;  // one-run blocks; lane twin below
     options.perf = &perf;
     benchmark::DoNotOptimize(exp::run_sweep(*grid, options));
     rounds += perf.counters.rounds;

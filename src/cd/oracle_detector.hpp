@@ -31,7 +31,7 @@ class OracleDetector {
 
   /// Advice for ONE process from its local neighborhood counts: the same
   /// forced-report/free-choice resolution as advise(), evaluated on
-  /// (c_i, t_i).  This is how the RoundEngine's per-neighborhood scope
+  /// (c_i, t_i).  This is how the round engine's per-neighborhood scope
   /// (CollisionScope::kLocal) consults the detector -- the class envelope
   /// is identical, only the scope of c changes.
   CdAdvice advise_local(Round round, ProcessId i, std::uint32_t c,

@@ -78,7 +78,7 @@ RunSummary run_consensus(World world, Round max_rounds,
                                summary.cst;
   }
   if (log_out) *log_out = executor.log();
-  if (counters_out) counters_out->add(executor.engine().counters());
+  if (counters_out) counters_out->add(executor.engine().counters(0));
   return summary;
 }
 

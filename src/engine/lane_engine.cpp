@@ -54,12 +54,12 @@ inline std::size_t nth_set_bit(const std::uint64_t* a, const std::uint64_t* b,
 
 }  // namespace
 
-LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
+LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     : lanes_(worlds.size()), options_(options), worlds_(std::move(worlds)) {
   assert(lanes_ >= 1 && lanes_ <= kLaneWidth);
   n_ = worlds_[0].world.processes.size();
-  assert(n_ >= 1);  // n = 0 never enters the lane path (scalar tail)
   words_ = (n_ + 63) / 64;
+  local_ = worlds_[0].scope == CollisionScope::kLocal;
   adj_base_.resize(lanes_);
   for (std::size_t l = 0; l < lanes_; ++l) {
     [[maybe_unused]] const EngineWorld& ew = worlds_[l];
@@ -121,8 +121,10 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
 
   for (std::size_t l = 0; l < lanes_; ++l) {
     World& w = worlds_[l].world;
-    // Same neutral-element substitution as the scalar engine: a caller-
-    // assembled world may omit components.
+    // Degenerate-world robustness: a caller-assembled world may omit
+    // components.  Substitute the neutral element for each rather than
+    // dereferencing null mid-round: NoCM (everyone active), the NoCD
+    // detector (no information), a perfect channel, no failures.
     if (!w.cm) w.cm = std::make_unique<NoCm>();
     if (!w.cd) {
       w.cd = std::make_unique<OracleDetector>(DetectorSpec::NoCD(),
@@ -133,7 +135,7 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
     last_crash_round_[l] = w.fault->last_crash_round();
 
     link_rng_.emplace_back(worlds_[l].link_seed);
-    logs_.emplace_back(n_, /*record_views=*/false);
+    logs_.emplace_back(n_, options_.record_rounds && options_.record_views);
     for (std::size_t i = 0; i < w.initial_values.size(); ++i) {
       logs_[l].set_initial_value(static_cast<ProcessId>(i),
                                  w.initial_values[i]);
@@ -151,8 +153,8 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
     recv_[l].resize(n_);
     decided_value_[l].assign(n_, kNoValue);
 
-    std::uint64_t* alive = &alive_pw_[lane_base(l)];
-    std::uint64_t* halted = &halted_pw_[lane_base(l)];
+    std::uint64_t* alive = alive_pw_.data() + lane_base(l);  // n = 0: empty
+    std::uint64_t* halted = halted_pw_.data() + lane_base(l);
     for (std::size_t i = 0; i < n_; ++i) {
       alive[i / 64] |= std::uint64_t{1} << (i % 64);
       const bool h = w.processes[i]->halted();
@@ -161,7 +163,22 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
     }
   }
   if (worlds_[0].channel == ChannelModel::kMatrix) delivery_.reset(n_, false);
+  if (options_.record_rounds) receivers_.assign(words_, 0);
+  // n = 0: no process can ever send, decide or crash; every lane is done
+  // before its first round.
+  if (n_ == 0) {
+    for (std::size_t l = 0; l < lanes_; ++l) retire(l);
+  }
 }
+
+LaneEngine::LaneEngine(EngineWorld world, EngineOptions options)
+    : LaneEngine(
+          [&] {
+            std::vector<EngineWorld> lane;
+            lane.push_back(std::move(world));
+            return lane;
+          }(),
+          options) {}
 
 bool LaneEngine::all_correct_decided(std::size_t l) const {
   const std::uint64_t bit = std::uint64_t{1} << l;
@@ -198,6 +215,9 @@ void LaneEngine::commit_crashes(std::size_t l, Round r) {
       alive_lw_[i] &= ~lane_bit;
       alive_vb_[l][i] = false;
       participating_vb_[l][i] = false;
+      // kLocal: a dead radio's detector advice reads kNull from now on
+      // (kGlobal's oracle advises every process each round).
+      if (local_) cd_advice_[l][i] = CdAdvice::kNull;
       --num_alive_[l];
       ++crashes_applied_[l];
       logs_[l].record_crash(static_cast<ProcessId>(i), r);
@@ -216,9 +236,8 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
   if (all) {
     // Loss-free clique: every participating receiver observes the SAME
     // multiset -- every broadcast, self-delivery included -- so build and
-    // sort it once and let C_r hand each receiver the shared view.  The
-    // scalar engine assembles and sorts this per receiver; the bytes it
-    // produces are identical.
+    // sort it once and let C_r hand each receiver the shared view (the
+    // same bytes as a per-receiver copy, sorted).
     shared_recv_.clear();
     for (std::size_t sw = 0; sw < words_; ++sw) {
       for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
@@ -254,8 +273,7 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
   }
 
   // Clique: the receiver set is the participation mask, and only set bits
-  // of the sent words are ever visited (the scalar engine scans all n
-  // senders per receiver).
+  // of the sent words are ever visited (no O(n) sender scan per receiver).
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     for_each_bit(part[wdx], wdx * 64, [&](std::size_t i) {
       std::vector<Message>& in = recv_[l][i];
@@ -296,8 +314,7 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
 
   // Ground-truth contention c_i is counted over the neighborhood whether or
   // not anything was delivered; the adversary's matrix is masked by
-  // adjacency.  Neighbor lists are sorted ascending, so set-bit order is
-  // exactly the scalar engine's iteration order.
+  // adjacency.  Set-bit order is ascending neighbour order.
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
       std::vector<Message>& in = recv_[l][i];
@@ -334,11 +351,10 @@ void LaneEngine::deliver_capture(std::size_t l) {
   std::fill(rc.begin(), rc.end(), 0);
   std::fill(lc.begin(), lc.end(), 0);
 
-  // Receivers ascending, dead skipped WITHOUT consuming randomness -- the
-  // per-lane RNG stream must advance exactly as the scalar engine's.  The
-  // scalar engine lists the broadcasting neighbours ascending and draws an
-  // index into that list; the same index into the set bits of
-  // `sent & adjacency` names the same neighbour.
+  // Receivers ascending, dead skipped WITHOUT consuming randomness, so the
+  // lane's link RNG stream depends on its world alone.  The captured
+  // neighbour is the k-th broadcasting neighbour in ascending order: the
+  // k-th set bit of `sent & adjacency`.
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
       std::vector<Message>& in = recv_[l][i];
@@ -373,7 +389,7 @@ void LaneEngine::deliver_capture(std::size_t l) {
 
 void LaneEngine::lane_round(std::size_t l, Round r) {
   World& w = worlds_[l].world;
-  const bool local = worlds_[0].scope == CollisionScope::kLocal;
+  const bool local = local_;
   obs::EngineCounters& ctr = counters_[l];
   ++ctr.rounds;
 
@@ -445,6 +461,12 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   } else {
     deliver_capture(l);
   }
+  if (options_.record_rounds) {
+    // kGlobal delivers to the participants; kLocal to every live process.
+    const std::uint64_t* receivers =
+        local ? &alive_pw_[lane_base(l)] : part;
+    std::copy(receivers, receivers + words_, receivers_.begin());
+  }
 
   ctr.messages_sent += bc;
 
@@ -504,6 +526,31 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   }
   if (!local && faults) commit_crashes(l, r);
   ctr.crashes_after_send += crashes_applied_[l] - pre_b;
+  if (options_.record_rounds) record_round(l, receivers_.data());
+}
+
+void LaneEngine::record_round(std::size_t l, const std::uint64_t* receivers) {
+  TransmissionRound tr;
+  tr.broadcaster_count = broadcaster_count_[l];
+  tr.receive_count = recv_count_[l];
+  std::vector<RoundView> views;
+  if (logs_[l].views_recorded()) {
+    views.resize(n_);
+    const std::uint64_t* sent = &sent_pw_[lane_base(l)];
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      RoundView& view = views[i];
+      if (sent[i / 64] & bit) view.sent = sent_msg_[l][i];
+      if (receivers[i / 64] & bit) {
+        view.received = recv_shared_ ? shared_recv_ : recv_[l][i];
+      }
+      view.cd = cd_advice_[l][i];
+      view.cm = cm_advice_[l][i];
+      view.crashed = !alive(l, i);
+    }
+  }
+  logs_[l].push_round(std::move(tr), cd_advice_[l], cm_advice_[l],
+                      std::move(views));
 }
 
 void LaneEngine::step() {

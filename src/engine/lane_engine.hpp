@@ -1,9 +1,52 @@
-// LaneEngine: the RoundEngine's batched sibling -- up to 64 worlds of one
-// sweep cell ("lanes", one per seed) advance through Definition 11's
-// W/M/N/D/C round structure in lockstep, sharing one round counter.  Each
-// lane reads its own adjacency bitmask rows, so the lanes of a cell may run
-// on different graphs (a random-geometric topology is drawn per seed);
-// lanes on an identical graph share one copy of the rows.
+// LaneEngine: THE round executor.  One engine drives Definition 11's round
+// structure -- W_r contention advice, M_r message assignment, N_r receive
+// multisets, D_r collision-detector advice, C_r transitions, with the
+// Section 3.3 crash adversary at both crash points -- over an arbitrary
+// Topology.  The paper's single-hop model is the clique special case; the
+// multihop extension its conclusion announces is every other graph.
+// sim::Executor and MultihopExecutor are one-lane adapters over this class
+// and every sweep workload runs on it, so there is exactly one
+// implementation of the round semantics.
+//
+// An engine holds 1..64 worlds ("lanes", one per seed of a sweep cell)
+// that advance in lockstep, sharing one round counter.  One lane is the
+// single-world engine; a sweep block of up to 64 seeds batches its
+// bookkeeping.  Each lane reads its own adjacency bitmask rows, so the
+// lanes of a cell may run on different graphs (a random-geometric
+// topology is drawn per seed); lanes on an identical graph share one copy
+// of the rows.
+//
+// Two orthogonal configuration axes (per EngineWorld, equal across lanes):
+//
+//  * ChannelModel -- who decides message loss.
+//      kMatrix:  a LossAdversary fills a (receiver, sender) delivery
+//                matrix (the paper's Section 3.2 environment); delivery is
+//                additionally masked by topology adjacency, which on a
+//                clique is a no-op (the exact single-hop semantics) and on
+//                any other graph composes the adversary with the
+//                neighborhood structure.
+//      kCapture: per-neighborhood capture-effect physics (MhLinkModel): a
+//                lone broadcasting neighbor arrives with p_single; under
+//                contention each receiver independently captures at most
+//                one neighbor with p_capture.
+//
+//  * CollisionScope -- what a collision detector sees.
+//      kGlobal: the single-hop Definition 6 oracle: one global broadcaster
+//               count c, advice for every process from OracleDetector::
+//               advise (clique topologies only -- on a clique the local
+//               count degenerates to c).
+//      kLocal:  per-neighborhood counts c_i = |{j broadcasting : j == i or
+//               j ~ i}| with advice from the same DetectorSpec envelope
+//               evaluated per receiver (OracleDetector::advise_local).
+//
+// Crash-point visibility follows the scope: kGlobal keeps the literal
+// Definition 11 reading (an after-send crasher's round-r view N_r[i] still
+// forms -- it feeds the detector's t vector -- only its transition is
+// skipped), while kLocal removes the crasher from the channel immediately
+// (a dead radio neither receives nor shows up in later neighborhoods, and
+// its detector advice reads kNull from then on).  Both are faithful to
+// "C_r[i] = fail"; the difference is only where the corpse is still
+// observable.
 //
 // Layout is struct-of-arrays in BOTH directions:
 //
@@ -11,32 +54,27 @@
 //    flags over processes, and each adjacency row, are packed ceil(n/64)
 //    `uint64_t`s wide (adjacency is [lane][i][word]).  The delivery loops
 //    iterate SET BITS of `sent & adjacency_row(i)` instead of scanning all
-//    n senders per receiver, which collapses the scalar engine's O(n^2)
-//    clique delivery masking to O(broadcasters * n / 64) word operations.
+//    n senders per receiver, so clique delivery costs O(broadcasters *
+//    n / 64) word operations, not O(n^2).
 //
 //  * lane words -- per process, one `uint64_t` whose bit l mirrors lane
-//    l's alive / decided flag.  Cross-lane sweeps (which lanes still have
-//    an undecided correct process?) are one AND-NOT per process for all 64
-//    seeds at once, so per-lane termination divergence costs O(n) words
-//    per round, not O(n * lanes) flag tests.
+//    l's alive / decided flag.  Which lanes still have an undecided
+//    correct process is one AND-NOT per process for all 64 seeds at once.
 //
-// EQUIVALENCE CONTRACT (the whole point -- see
-// tests/engine/lane_differential_test.cpp): a lane's observable execution
-// is byte-for-byte the scalar RoundEngine's.  Each lane owns its OWN
-// component objects (cm / cd / loss / fault / processes / link RNG), built
-// exactly as the scalar path builds them, and the engine performs the SAME
-// component calls with the SAME arguments in the SAME order as
-// RoundEngine::step() would per lane -- so every RNG stream advances
-// identically and reports, golden FNV-1a hashes, and per-run EngineCounters
-// are exact.  The speedup comes only from engine-owned bookkeeping, whose
-// per-round cost follows events rather than n:
+// Determinism: each lane owns its OWN component objects (cm / cd / loss /
+// fault / processes / link RNG) and the engine calls them in a fixed order
+// with fixed arguments, so every RNG stream advances identically whatever
+// lanes share a block -- a lane's execution, log and EngineCounters are
+// the same as that world run alone (tests/engine/lane_differential_test.cpp
+// pins this, and pins both against hashes frozen from the retired scalar
+// engine).  Per-round cost follows events rather than n:
 //
 //  * bitmask words replace vector<bool> scans (masks, termination);
 //  * senders are iterated as set bits, never scanned; a capture receiver
 //    picks its captured neighbour straight from the set bits of
 //    `sent & adjacency`;
-//  * per-round traces are not recorded (reports never read them; the
-//    scalar consensus adapter records them unconditionally);
+//  * round and view recording is opt-in (EngineOptions); sweeps record
+//    neither -- reports read only decisions and crashes;
 //  * halt state is mirrored in the halted word, refreshed only inside the
 //    process's own on_send/on_receive (the one place it can change) and
 //    written only when it flips;
@@ -44,23 +82,20 @@
 //    entirely -- it is stateless and RNG-free, so skipping it is
 //    unobservable;
 //  * both crash points run only inside the adversary's crash window,
-//    r <= FailureAdversary::last_crash_round() -- the same rule the scalar
-//    engine follows.
+//    r <= FailureAdversary::last_crash_round().
 //
 // Divergence rule: lanes share the round counter but not a fate.  A lane
 // that terminates (all correct processes decided, or the caller retires it)
 // drops out of the active mask and is never stepped again; the remaining
-// lanes keep advancing.  Worlds whose process count itself diverges per
-// seed (phase-2 consensus among a seed-dependent head count) or that have
-// none (n = 0) do not enter the lane path at all -- exp::LaneExecutor
-// routes them to the scalar engine (the "scalar tail", which also absorbs
-// the S mod 64 remainder of a cell's seeds).
+// lanes keep advancing.  Worlds without processes (n = 0) start retired:
+// there is nothing to step, and every process is vacuously decided.
+// Worlds whose process count diverges per seed (phase-2 consensus among a
+// seed-dependent head count) run as one-lane engines.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "engine/round_engine.hpp"
 #include "multihop/topology.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/execution_log.hpp"
@@ -69,22 +104,62 @@
 
 namespace ccd {
 
-/// Max lanes per engine: one bit of a uint64_t lane word per seed.
-inline constexpr std::size_t kLaneWidth = 64;
+/// Capture-effect link physics for ChannelModel::kCapture (the Section 1.1
+/// radio regime): p_single is the lone-neighbor delivery probability (1.0
+/// models collision freedom), p_capture the chance a receiver captures one
+/// of several broadcasting neighbors.
+struct MhLinkModel {
+  double p_single = 1.0;
+  double p_capture = 0.5;
+};
 
-struct LaneOptions {
-  /// run(): retire a lane as soon as every non-crashed process decided
-  /// (the scalar engine's stop_when_all_decided).  Callers driving step()
-  /// directly (flood / MIS budget loops) retire lanes themselves.
+enum class ChannelModel : std::uint8_t { kMatrix, kCapture };
+enum class CollisionScope : std::uint8_t { kGlobal, kLocal };
+
+/// Everything one lane drives: the paper's "system" (World) plus the
+/// communication graph and the channel/detector-scope configuration.
+struct EngineWorld {
+  World world;          ///< processes + cm/cd/loss/fault (null = neutral)
+  /// Communication graph; Topology::clique(n) recovers single-hop.
+  Topology topology = Topology::clique(0);
+  ChannelModel channel = ChannelModel::kMatrix;
+  CollisionScope scope = CollisionScope::kGlobal;
+  MhLinkModel link;     ///< kCapture physics; ignored by kMatrix
+  std::uint64_t link_seed = 0;  ///< kCapture RNG stream seed
+};
+
+struct EngineOptions {
+  /// Record per-round traces (transmission/cd/cm) in every lane's log.
+  /// Decisions and crashes are always recorded.  Off = the mode sweeps
+  /// run in.
+  bool record_rounds = false;
+  /// Also record per-process views (needs record_rounds).
+  bool record_views = false;
+  /// run(): retire a lane as soon as every non-crashed process decided.
+  /// Callers driving step() directly (flood / MIS budget loops) retire
+  /// lanes themselves.
   bool stop_when_all_decided = true;
 };
+
+struct RunResult {
+  bool all_correct_decided = false;
+  Round last_decision_round = 0;  ///< max decision round among correct procs
+  Round rounds_executed = 0;
+  std::uint32_t num_crashed = 0;
+};
+
+/// Max lanes per engine: one bit of a uint64_t lane word per seed.
+inline constexpr std::size_t kLaneWidth = 64;
 
 class LaneEngine {
  public:
   /// All worlds must agree on process count, channel and scope; each keeps
   /// its own topology, components, link model and link_seed.
-  /// 1 <= worlds.size() <= kLaneWidth, n >= 1.
-  explicit LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options = {});
+  /// 1 <= worlds.size() <= kLaneWidth.
+  explicit LaneEngine(std::vector<EngineWorld> worlds,
+                      EngineOptions options = {});
+  /// The single-world engine: one lane.
+  explicit LaneEngine(EngineWorld world, EngineOptions options = {});
 
   std::size_t lanes() const { return lanes_; }
   std::size_t size() const { return n_; }
@@ -94,10 +169,10 @@ class LaneEngine {
   /// Advance every active lane exactly one round (lockstep).
   void step();
 
-  /// Consensus driving: mirror RoundEngine::run(max_rounds) per lane --
-  /// the stop condition is evaluated before each step, lanes retire
-  /// individually, and results() afterwards equal the scalar engine's
-  /// RunResult per lane.
+  /// Step until every lane retired (all correct processes decided, when
+  /// stop_when_all_decided) or max_rounds elapsed; the stop condition is
+  /// evaluated before each step.  Retires every lane, so result(l) is
+  /// valid afterwards.
   void run(Round max_rounds);
 
   /// Lanes still being stepped (bit l = lane l).
@@ -119,16 +194,44 @@ class LaneEngine {
     return (alive_lw_[i] >> l) & 1u;
   }
   std::size_t num_alive(std::size_t l) const { return num_alive_[l]; }
+  /// Crashes the failure adversary actually landed (alive targets only).
   std::uint64_t crashes_applied(std::size_t l) const {
     return crashes_applied_[l];
   }
+  /// Broadcasts attempted over all executed rounds (the per-node energy
+  /// budget of the Section 1.1 literature).
   std::uint64_t total_broadcasts(std::size_t l) const {
     return total_broadcasts_[l];
   }
+  bool decided(std::size_t l, std::size_t i) const {
+    return decided_value_[l][i] != kNoValue;
+  }
+  Value decision(std::size_t l, std::size_t i) const {
+    return decided_value_[l][i];
+  }
+  /// True iff every non-crashed process of lane l has decided.
   bool all_correct_decided(std::size_t l) const;
   const ExecutionLog& log(std::size_t l) const { return logs_[l]; }
+
+  /// Telemetry tallies for lane l's execution so far.  Plain engine-local
+  /// increments (no atomics in the hot loop) and -- like the execution
+  /// itself -- a pure function of the EngineWorld, so counter totals are
+  /// deterministic and shard merges sum them exactly.  Never feeds the
+  /// Aggregator: reports stay byte-identical with telemetry on or off.
   const obs::EngineCounters& counters(std::size_t l) const {
     return counters_[l];
+  }
+
+  /// Lane l's observations of process i in the last executed round.
+  std::uint32_t last_receive_count(std::size_t l, std::size_t i) const {
+    return recv_count_[l][i];
+  }
+  /// c_i: the global broadcaster count under kGlobal.
+  std::uint32_t last_local_broadcasters(std::size_t l, std::size_t i) const {
+    return local_ ? local_c_[l][i] : broadcaster_count_[l];
+  }
+  CdAdvice last_cd(std::size_t l, std::size_t i) const {
+    return cd_advice_[l][i];
   }
 
  private:
@@ -142,11 +245,13 @@ class LaneEngine {
   void deliver_matrix_local(std::size_t l, Round r);
   void deliver_capture(std::size_t l);
   void note_halt_state(std::size_t l, std::size_t i);
+  void record_round(std::size_t l, const std::uint64_t* receivers);
 
   std::size_t lanes_ = 0;
   std::size_t n_ = 0;
   std::size_t words_ = 0;  ///< process words per lane row: ceil(n/64)
-  LaneOptions options_;
+  EngineOptions options_;
+  bool local_ = false;     ///< CollisionScope::kLocal
   Round round_ = 0;
   std::uint64_t active_ = 0;
 
@@ -168,9 +273,8 @@ class LaneEngine {
   std::vector<std::uint64_t> alive_lw_;
   std::vector<std::uint64_t> decided_lw_;
 
-  // Per-lane mirrors handed to components (identical values to the scalar
-  // engine's vectors; alive/participating are event-maintained, not
-  // rebuilt per round).
+  // Per-lane vectors handed to components (alive/participating are
+  // event-maintained, not rebuilt per round).
   std::vector<std::vector<bool>> alive_vb_;
   std::vector<std::vector<bool>> participating_vb_;
   std::vector<std::vector<bool>> sent_vb_;
@@ -193,7 +297,7 @@ class LaneEngine {
   std::vector<std::uint32_t> broadcaster_count_;
   std::vector<RunResult> results_;
 
-  // Shared scratch (consumed within one lane's delivery phase).
+  // Shared scratch (consumed within one lane's round).
   DeliveryMatrix delivery_;
   /// Loss-free clique fast path: with a statically-all-delivering loss
   /// model every participating receiver observes the SAME multiset, so
@@ -202,6 +306,9 @@ class LaneEngine {
   /// only within the lane_round that set recv_shared_.
   std::vector<Message> shared_recv_;
   bool recv_shared_ = false;
+  /// record_rounds only: the round's receivers, snapshotted at delivery
+  /// (a kGlobal after-send crasher received, but is dead by record time).
+  std::vector<std::uint64_t> receivers_;
 };
 
 }  // namespace ccd

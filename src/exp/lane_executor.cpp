@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "consensus/checker.hpp"
-#include "consensus/harness.hpp"
 #include "engine/lane_engine.hpp"
 #include "multihop/flood.hpp"
 #include "multihop/mis.hpp"
@@ -36,7 +35,8 @@ struct LaneGraph {
 /// One graph per spec.  A random-geometric graph is drawn from the spec's
 /// seed, so each lane builds its own; every other shape is the same for
 /// all seeds and is built (and its diameter taken) once.  Diameters are
-/// only taken when `measure` is set, as the scalar path does.
+/// only taken when `measure` is set (single-hop consensus reports no graph
+/// metrics).
 std::vector<LaneGraph> lane_graphs(const std::vector<ScenarioSpec>& specs,
                                    bool measure) {
   auto build = [measure](const ScenarioSpec& spec) {
@@ -58,9 +58,14 @@ std::vector<LaneGraph> lane_graphs(const std::vector<ScenarioSpec>& specs,
   return graphs;
 }
 
-/// The RunSummary epilogue shared by every consensus-shaped lane: verdict
-/// from the lane's log, CST surplus accounting -- the exact arithmetic of
-/// run_consensus / run_consensus_on_topology.
+/// capture_log records rounds and views in every lane's log.
+EngineOptions engine_options(const RunScenarioOptions& options,
+                             bool stop_when_all_decided) {
+  return {options.capture_log, options.capture_log, stop_when_all_decided};
+}
+
+/// The RunSummary epilogue of a consensus lane: verdict from the lane's
+/// log, CST surplus accounting -- the same arithmetic as run_consensus.
 void finish_summary(RunSummary& s, const LaneEngine& eng, std::size_t l) {
   s.result = eng.result(l);
   s.verdict = check_consensus(eng.log(l), eng.world(l).initial_values);
@@ -70,7 +75,8 @@ void finish_summary(RunSummary& s, const LaneEngine& eng, std::size_t l) {
 }
 
 void run_consensus_block(const std::vector<ScenarioSpec>& specs,
-                         std::vector<ScenarioOutcome>& outs) {
+                         std::vector<ScenarioOutcome>& outs,
+                         const RunScenarioOptions& options) {
   const ScenarioSpec& head = specs[0];
   const bool singlehop = head.topology == TopologyKind::kSingleHop;
   std::vector<LaneGraph> graphs = lane_graphs(specs, !singlehop);
@@ -85,7 +91,7 @@ void run_consensus_block(const std::vector<ScenarioSpec>& specs,
     ew.scope = singlehop ? CollisionScope::kGlobal : CollisionScope::kLocal;
     worlds.push_back(std::move(ew));
   }
-  LaneEngine eng(std::move(worlds), LaneOptions{true});
+  LaneEngine eng(std::move(worlds), engine_options(options, true));
   // CST is read after construction so it reflects substituted neutral
   // components (same reason run_consensus reads it off the Executor).
   for (std::size_t l = 0; l < specs.size(); ++l) {
@@ -96,6 +102,7 @@ void run_consensus_block(const std::vector<ScenarioSpec>& specs,
     ScenarioOutcome& out = outs[l];
     finish_summary(out.summary, eng, l);
     out.counters.add(eng.counters(l));
+    if (options.capture_log) out.log = eng.log(l);
     if (!singlehop) {
       out.mh.ran = true;
       out.mh.connected = graphs[l].connected;
@@ -112,13 +119,13 @@ void run_consensus_block(const std::vector<ScenarioSpec>& specs,
   }
 }
 
-/// Shared capture-channel assembly, the lane twin of run_flood /
-/// run_mis_phase's setup: each lane's graph and diameter (recorded in its
-/// outcome), then the same component construction order per lane and the
-/// same kMhLinkSalt stream as make_capture_engine.
+/// Shared capture-channel (flood / MIS) assembly: each lane's graph and
+/// diameter (recorded in its outcome), then per lane its processes, the
+/// spec's detector and fault adversary, and the kMhLinkSalt link stream.
 LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
                               std::vector<ScenarioOutcome>& outs,
-                              std::vector<Round>& quiesce, bool mis) {
+                              std::vector<Round>& quiesce, bool mis,
+                              const RunScenarioOptions& options) {
   const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
   std::vector<LaneGraph> graphs = lane_graphs(specs, /*measure=*/true);
   for (std::size_t l = 0; l < specs.size(); ++l) {
@@ -145,6 +152,9 @@ LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
       } else {
         FloodProcess::Options o;
         o.is_source = i == 0;
+        // Always CD-backoff: under a NoCD detector it degenerates to
+        // fixed-probability flooding, so the detector axis itself carries
+        // the with/without-collision-feedback contrast.
         o.policy = FloodPolicy::kCdBackoff;
         o.fresh_rounds = budget;
         o.seed = seed;
@@ -153,8 +163,9 @@ LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
     }
     ew.world.cd = WorldFactory::make_detector(spec);
     ew.world.fault = WorldFactory::make_fault(spec);
-    // Theorem 3 accounting: completion is only declared once the adversary
-    // has no crashes pending.
+    // Theorem 3 accounting: success criteria are judged against the
+    // survivor set AFTER failures cease, so completion is only declared
+    // once the adversary has no crashes pending.
     quiesce.push_back(ew.world.fault->last_crash_round());
     ew.topology = std::move(graphs[l].topology);
     ew.channel = ChannelModel::kCapture;
@@ -163,10 +174,14 @@ LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
     ew.link_seed = WorldFactory::mh_link_seed(spec);
     worlds.push_back(std::move(ew));
   }
-  return LaneEngine(std::move(worlds), LaneOptions{false});
+  return LaneEngine(std::move(worlds), engine_options(options, false));
 }
 
-void finish_mh(MultihopSummary& out, const LaneEngine& eng, std::size_t l) {
+/// A retired capture lane's run totals, counters and (capture_log, n > 0)
+/// log.
+void finish_mh(ScenarioOutcome& outcome, const LaneEngine& eng, std::size_t l,
+               const RunScenarioOptions& options) {
+  MultihopSummary& out = outcome.mh;
   out.rounds_executed = eng.result(l).rounds_executed;
   out.broadcasts = eng.total_broadcasts(l);
   out.messages_per_node =
@@ -175,13 +190,17 @@ void finish_mh(MultihopSummary& out, const LaneEngine& eng, std::size_t l) {
                      : 0.0;
   out.crashes_applied = eng.crashes_applied(l);
   out.survivors = eng.num_alive(l);
+  outcome.counters.add(eng.counters(l));
+  if (options.capture_log && eng.size() > 0) outcome.log = eng.log(l);
 }
 
 void run_flood_block(const std::vector<ScenarioSpec>& specs,
-                     std::vector<ScenarioOutcome>& outs) {
+                     std::vector<ScenarioOutcome>& outs,
+                     const RunScenarioOptions& options) {
   const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
   std::vector<Round> quiesce;
-  LaneEngine eng = make_capture_lanes(specs, outs, quiesce, /*mis=*/false);
+  LaneEngine eng =
+      make_capture_lanes(specs, outs, quiesce, /*mis=*/false, options);
   const std::size_t n = eng.size();
   for (Round r = 1; r <= budget && eng.active_mask(); ++r) {
     eng.step();
@@ -206,17 +225,18 @@ void run_flood_block(const std::vector<ScenarioSpec>& specs,
   }
   for (std::size_t l = 0; l < specs.size(); ++l) {
     if (eng.lane_active(l)) eng.retire(l);
-    finish_mh(outs[l].mh, eng, l);
-    outs[l].counters.add(eng.counters(l));
+    finish_mh(outs[l], eng, l, options);
   }
 }
 
 void run_mis_block(const std::vector<ScenarioSpec>& specs,
                    std::vector<ScenarioOutcome>& outs,
-                   std::vector<std::vector<bool>>* heads_out) {
+                   std::vector<std::vector<bool>>* heads_out,
+                   const RunScenarioOptions& options) {
   const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
   std::vector<Round> quiesce;
-  LaneEngine eng = make_capture_lanes(specs, outs, quiesce, /*mis=*/true);
+  LaneEngine eng =
+      make_capture_lanes(specs, outs, quiesce, /*mis=*/true, options);
   const std::size_t n = eng.size();
   for (Round r = 1; r <= budget && eng.active_mask(); ++r) {
     eng.step();
@@ -266,8 +286,7 @@ void run_mis_block(const std::vector<ScenarioSpec>& specs,
         if (!dominated) out.mis_maximal = false;
       }
     }
-    finish_mh(out, eng, l);
-    outs[l].counters.add(eng.counters(l));
+    finish_mh(outs[l], eng, l, options);
     if (heads_out) (*heads_out)[l] = std::move(heads);
   }
 }
@@ -275,11 +294,7 @@ void run_mis_block(const std::vector<ScenarioSpec>& specs,
 }  // namespace
 
 bool LaneExecutor::eligible(const ScenarioSpec& spec,
-                            const RunScenarioOptions& options) {
-  // Trace capture wants the engine's per-round recording; the lane engine
-  // deliberately records none (reports never read it).
-  if (options.capture_log || options.record_views) return false;
-  if (spec.n == 0) return false;
+                            const RunScenarioOptions&) {
   // Round-sync sits below the round abstraction entirely.
   return spec.workload != WorkloadKind::kRoundSync;
 }
@@ -295,36 +310,36 @@ std::vector<ScenarioOutcome> LaneExecutor::run_block(
   std::vector<ScenarioOutcome> outs(specs.size());
   switch (specs[0].workload) {
     case WorkloadKind::kConsensus:
-      run_consensus_block(specs, outs);
+      run_consensus_block(specs, outs, options);
       break;
     case WorkloadKind::kFlood:
-      run_flood_block(specs, outs);
+      run_flood_block(specs, outs, options);
       break;
     case WorkloadKind::kMis:
-      run_mis_block(specs, outs, nullptr);
+      run_mis_block(specs, outs, nullptr, options);
       break;
     case WorkloadKind::kMisThenConsensus: {
       std::vector<std::vector<bool>> heads;
-      run_mis_block(specs, outs, &heads);
-      // Phase 2 per lane through the scalar harness: the surviving head
-      // count k fixes n, and k is seed-dependent, so lanes cannot stay in
-      // lockstep past phase 1.
+      run_mis_block(specs, outs, &heads, options);
+      // Phase 2: each lane's surviving clusterheads form a single-hop
+      // backbone running the spec's consensus stack (see phase2_spec).  The
+      // head count k fixes n and is seed-dependent, so every lane's phase
+      // 2 is a one-spec consensus block of its own.
       for (std::size_t l = 0; l < specs.size(); ++l) {
         std::size_t k = 0;
         for (bool h : heads[l]) k += h;
-        if (k > 0) {
-          const ScenarioSpec sub = WorldFactory::phase2_spec(
-              specs[l], static_cast<std::uint32_t>(k));
-          ExecutorOptions eo;
-          eo.record_views = options.record_views;
-          outs[l].mh.consensus =
-              run_consensus(WorldFactory::make(sub),
-                            WorldFactory::max_rounds(sub), eo, nullptr,
-                            &outs[l].counters);
-          outs[l].summary = *outs[l].mh.consensus;
-        } else {
+        if (k == 0) {
           outs[l].mh.phase2_skipped = true;
+          continue;
         }
+        const ScenarioSpec sub =
+            WorldFactory::phase2_spec(specs[l], static_cast<std::uint32_t>(k));
+        std::vector<ScenarioOutcome> phase2(1);
+        run_consensus_block({sub}, phase2, options);
+        outs[l].mh.consensus = phase2[0].summary;
+        outs[l].summary = phase2[0].summary;
+        outs[l].counters.add(phase2[0].counters);
+        outs[l].phase2_log = std::move(phase2[0].log);
       }
       break;
     }

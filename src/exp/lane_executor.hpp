@@ -1,35 +1,33 @@
-// LaneExecutor: WorldFactory::run_scenario for a BLOCK of specs that differ
-// only in seed, executed through the batched LaneEngine (up to kLaneWidth
-// seeds in lockstep) instead of one RoundEngine per run.
+// LaneExecutor: execute a BLOCK of specs that differ only in seed through
+// one LaneEngine (up to kLaneWidth seeds in lockstep).  This is the one
+// code path of every engine workload: WorldFactory::run_scenario is a
+// one-spec block, SweepRunner hands it whole blocks.
 //
-// The contract mirrors the scalar path exactly: run_block(specs)[k] is
-// byte-for-byte the ScenarioOutcome that run_scenario(specs[k]) produces --
-// same component construction (same factories, same hash_mix(seed ^ salt)
-// streams), same per-workload measurement loops (flood coverage / MIS
-// settlement judged per round over survivors, quiesce gating, phase-2
-// consensus among surviving heads), same counters.  SweepRunner relies on
-// this to keep reports, perf-sidecar counter totals, and golden hashes
-// identical with lanes on or off.
+//   consensus/singlehop   kMatrix x kGlobal over clique(n)
+//   consensus/other       kMatrix x kLocal over the graph; the SAME
+//                         loss/cm/detector/fault stack
+//   flood, mis            kCapture x kLocal, stepped under the workload's
+//                         round budget: flood coverage / MIS settlement are
+//                         judged per round over survivors, only after the
+//                         adversary's last crash round (quiesce gating)
+//   mis-then-consensus    the MIS phase as above, then per lane a one-spec
+//                         consensus block among its surviving heads (the
+//                         head count k -- and with it n -- is
+//                         seed-dependent)
 //
-// Routing (the scalar tail):
+// A random-geometric graph is drawn per seed, so each lane builds its own
+// graph and diameter; fixed shapes build once.  run_block(specs)[k] is a
+// function of specs[k] alone -- block size and company never change a
+// byte -- so SweepRunner's partition (and --no-lanes, which makes every
+// block one spec) leaves reports, perf-sidecar counter totals and golden
+// hashes unchanged.  RunScenarioOptions::capture_log records rounds and
+// views in every lane's log (the --rerun-cell trace capture).
 //
-//   laned            consensus/singlehop (kMatrix x kGlobal), consensus on
-//                    line/ring/grid/rgg (kMatrix x kLocal), flood and mis
-//                    (kCapture x kLocal), and the MIS phase of
-//                    mis-then-consensus (its phase-2 consensus runs per
-//                    lane through the scalar harness: the head count k --
-//                    and with it n -- is seed-dependent).  A random-
-//                    geometric graph is drawn per seed, so each lane builds
-//                    its own graph and diameter; fixed shapes build once.
-//
-//   scalar fallback  round-sync (below the round abstraction), n = 0, and
-//                    any run capturing logs or views (trace capture wants
-//                    the engine's round recording)
-//
-// eligible() is the routing predicate; callers (SweepRunner) form blocks
-// only from eligible specs within one grid cell, so every spec in a block
-// shares all axes but the seed.  The S mod 64 remainder of a cell simply
-// arrives as a smaller block.
+// eligible() is the routing predicate: everything but round-sync, which
+// sits below the round abstraction.  Callers form blocks only from
+// eligible specs within one grid cell, so every spec in a block shares all
+// axes but the seed.  The S mod 64 remainder of a cell simply arrives as
+// a smaller block.
 #pragma once
 
 #include <vector>
@@ -41,7 +39,8 @@ namespace ccd::exp {
 
 class LaneExecutor {
  public:
-  /// Can this spec run through the lane path under these options?
+  /// Can this spec run through the engine?  Every workload but round-sync
+  /// can, whatever the options.
   static bool eligible(const ScenarioSpec& spec,
                        const RunScenarioOptions& options = {});
 

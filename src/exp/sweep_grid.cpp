@@ -72,7 +72,7 @@ ScenarioSpec SweepGrid::spec_for_run(std::size_t run_index) const {
 
 std::optional<std::string> SweepGrid::validate() const {
   // Consensus x non-singlehop topology was rejected here before the
-  // RoundEngine unification; it is now a first-class combination (the
+  // engine unification; it is now a first-class combination (the
   // engine drives the same loss/cm/detector/fault stack over any graph
   // with per-neighborhood collision semantics), so no topology constraint
   // remains.
@@ -188,7 +188,7 @@ std::optional<SweepGrid> SweepGrid::named(const std::string& name) {
     // The unification's acceptance grid: the paper's CONSENSUS stack --
     // loss adversaries (including loss != none), contention managers and
     // detector envelopes -- composed with non-clique topologies through
-    // the one RoundEngine path.  Per-neighborhood collision detection over
+    // the one engine path.  Per-neighborhood collision detection over
     // sparse graphs starves the anonymous protocols of global information,
     // so failure rows here are data (how far does single-hop consensus
     // degrade beyond one hop?), not errors.

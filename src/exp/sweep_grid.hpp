@@ -64,7 +64,7 @@ struct SweepGrid {
   /// human-readable reason.  Catches the silent footguns: a `scheduled`
   /// fault cell with no schedule to run, and unknown crash-schedule
   /// generator names.  (Consensus x non-singlehop topology, rejected here
-  /// before the RoundEngine unification, is now a first-class cell.)
+  /// before the engine unification, is now a first-class cell.)
   std::optional<std::string> validate() const;
 
   /// Built-in grids: "smoke" (fast sanity), "default" (the broad

@@ -10,17 +10,13 @@
 
 namespace ccd::exp {
 
-RunRecord run_one(const SweepGrid& grid, std::size_t run_index,
-                  bool record_views) {
+RunRecord run_one(const SweepGrid& grid, std::size_t run_index) {
   RunRecord record;
   record.run_index = run_index;
   record.cell_index = grid.cell_of_run(run_index);
   record.spec = grid.spec_for_run(run_index);
-  RunScenarioOptions options;
-  options.record_views = record_views;
   obs::RunTimer timer;
-  ScenarioOutcome outcome =
-      WorldFactory::run_scenario(record.spec, options);
+  ScenarioOutcome outcome = WorldFactory::run_scenario(record.spec);
   record.perf.wall_ns = timer.elapsed_ns();
   record.perf.engine = outcome.counters;
   record.summary = std::move(outcome.summary);
@@ -38,10 +34,10 @@ namespace {
 ///
 /// With options.lanes, a block is a maximal run of consecutive slots whose
 /// GLOBAL run indices are consecutive within one lane-eligible cell (up to
-/// kLaneWidth of them) -- those execute in lockstep through the
-/// LaneExecutor.  Everything else (ineligible specs, strided shard index
-/// sets, the S mod 64 cell remainder when it lands alone) is a 1-run block
-/// on the scalar run_one path.  The partition only affects scheduling
+/// kLaneWidth of them) -- those execute in lockstep through one
+/// LaneExecutor::run_block.  Everything else (round-sync, strided shard
+/// index sets, the S mod 64 cell remainder when it lands alone) is a
+/// 1-run block through run_one.  The partition only affects scheduling
 /// granularity; record CONTENT is byte-identical either way.
 template <typename IndexOf>
 std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
@@ -53,9 +49,6 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
     return records;
   }
 
-  RunScenarioOptions scenario_options;
-  scenario_options.record_views = options.record_views;
-
   struct Block {
     std::size_t first = 0;
     std::size_t count = 1;
@@ -65,8 +58,7 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
   for (std::size_t j = 0; j < total;) {
     const std::size_t idx = index_of(j);
     std::size_t count = 1;
-    if (options.lanes &&
-        LaneExecutor::eligible(grid.spec_for_run(idx), scenario_options)) {
+    if (options.lanes && LaneExecutor::eligible(grid.spec_for_run(idx))) {
       const std::size_t cell = grid.cell_of_run(idx);
       while (count < kLaneWidth && j + count < total &&
              index_of(j + count) == idx + count &&
@@ -104,8 +96,7 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
       const std::uint64_t start_ns =
           options.perf ? epoch.elapsed_ns() : 0;
       if (blk.count == 1) {
-        records[blk.first] =
-            run_one(grid, index_of(blk.first), options.record_views);
+        records[blk.first] = run_one(grid, index_of(blk.first));
       } else {
         std::vector<ScenarioSpec> specs(blk.count);
         for (std::size_t k = 0; k < blk.count; ++k) {
@@ -117,7 +108,7 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
         }
         obs::RunTimer timer;
         std::vector<ScenarioOutcome> outcomes =
-            LaneExecutor::run_block(specs, scenario_options);
+            LaneExecutor::run_block(specs);
         // Per-run wall time is observational only (sidecar percentiles);
         // the honest per-run figure for a lockstep block is the amortized
         // cost.

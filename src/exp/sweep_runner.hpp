@@ -51,17 +51,14 @@ struct RunRecord {
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 1;
-  /// Skip per-round view recording (the checker only needs decisions and
-  /// crashes); large sweeps run several times faster without views.
-  bool record_views = false;
-  /// Batch eligible runs through the 64-wide LaneEngine: workers claim
-  /// BLOCKS of consecutive run indices within one cell (up to 64 seeds in
-  /// lockstep) instead of single runs.  Records are byte-identical either
-  /// way -- LaneExecutor::run_block reproduces run_one's outcome exactly
-  /// per lane -- so this is purely a throughput switch (`--no-lanes` in
-  /// ccd_sweep is the escape hatch).  Ineligible specs (round-sync,
-  /// n = 0, view recording) and non-consecutive index sets (strided
-  /// shards) degrade to 1-run blocks on the scalar path.
+  /// Batch eligible runs into lane blocks: workers claim BLOCKS of
+  /// consecutive run indices within one cell (up to 64 seeds in lockstep
+  /// on one LaneEngine) instead of single runs.  Records are
+  /// byte-identical either way -- LaneExecutor::run_block(specs)[k]
+  /// depends on specs[k] alone -- so this is purely a throughput switch
+  /// (`--no-lanes` in ccd_sweep makes every block one run).  Round-sync
+  /// specs and non-consecutive index sets (strided shards) are 1-run
+  /// blocks either way.
   bool lanes = true;
   /// Invoked after each completed run with the number finished so far.
   /// Called from worker threads; must be thread-safe.  May be empty.
@@ -89,8 +86,8 @@ std::vector<RunRecord> run_subset(const SweepGrid& grid,
                                   const std::vector<std::size_t>& run_indices,
                                   const SweepOptions& options = {});
 
-/// Execute a single run of the grid (what each worker does per index).
-RunRecord run_one(const SweepGrid& grid, std::size_t run_index,
-                  bool record_views = false);
+/// Execute a single run of the grid (what each worker does per 1-run
+/// block).
+RunRecord run_one(const SweepGrid& grid, std::size_t run_index);
 
 }  // namespace ccd::exp

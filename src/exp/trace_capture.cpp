@@ -105,7 +105,6 @@ std::vector<TracedRun> rerun_cell(const SweepGrid& grid,
   std::vector<TracedRun> runs;
   runs.reserve(grid.seeds_per_cell);
   RunScenarioOptions options;
-  options.record_views = true;
   options.capture_log = true;
   for (std::uint32_t s = 0; s < grid.seeds_per_cell; ++s) {
     TracedRun traced;

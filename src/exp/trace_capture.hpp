@@ -2,9 +2,9 @@
 // report back to fully instrumented executions (the ROADMAP item ccd_sweep
 // --rerun-cell exposes).
 //
-// Sweeps run with record_views = false and no round recording for speed;
-// when a report cell looks interesting (an agreement failure, a coverage
-// stall, a surprising crash count), rerun_cell() re-executes every run of
+// Sweeps run without round or view recording for speed; when a report
+// cell looks interesting (an agreement failure, a coverage stall, a
+// surprising crash count), rerun_cell() re-executes every run of
 // that cell single-threaded with full ExecutionLogs.  Determinism makes
 // this exact: a run's entire behaviour derives from hash(grid_seed,
 // run_index), so the re-executed runs are THE runs the report aggregated,
@@ -36,9 +36,10 @@ struct TracedRun {
   std::optional<ExecutionLog> phase2_log;
 };
 
-/// Re-execute every run of one cell with record_views = true and full
-/// round recording.  Single-threaded by construction (the runs of one
-/// cell are a handful; determinism does not depend on scheduling anyway).
+/// Re-execute every run of one cell with full round and view recording
+/// (RunScenarioOptions::capture_log).  Single-threaded by construction
+/// (the runs of one cell are a handful; determinism does not depend on
+/// scheduling anyway).
 std::vector<TracedRun> rerun_cell(const SweepGrid& grid,
                                   std::size_t cell_index);
 

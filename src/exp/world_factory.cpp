@@ -14,8 +14,7 @@
 #include "consensus/alg4_non_anonymous.hpp"
 #include "consensus/harness.hpp"
 #include "consensus/naive_no_cd.hpp"
-#include "multihop/flood.hpp"
-#include "multihop/mis.hpp"
+#include "exp/lane_executor.hpp"
 #include "net/ecf_adversary.hpp"
 #include "net/no_loss.hpp"
 #include "net/probabilistic_loss.hpp"
@@ -311,222 +310,6 @@ ScenarioSpec WorldFactory::phase2_spec(const ScenarioSpec& spec,
 
 namespace {
 
-/// Shared engine assembly for the capture-channel (flood / MIS) workloads:
-/// byte-identical to the pre-unification MultihopExecutor wiring -- same
-/// component construction order, same kMhLinkSalt RNG stream.
-RoundEngine make_capture_engine(const ScenarioSpec& spec, Topology topo,
-                                std::vector<std::unique_ptr<Process>> procs,
-                                std::unique_ptr<FailureAdversary> fault,
-                                const RunScenarioOptions& options) {
-  EngineWorld ew;
-  ew.world.processes = std::move(procs);
-  ew.world.cd = std::make_unique<OracleDetector>(detector_spec(spec),
-                                                 make_policy(spec));
-  ew.world.fault = std::move(fault);
-  ew.topology = std::move(topo);
-  ew.channel = ChannelModel::kCapture;
-  ew.scope = CollisionScope::kLocal;
-  ew.link = WorldFactory::make_link(spec);
-  ew.link_seed = sub_seed(spec, kMhLinkSalt);
-  EngineOptions eo;
-  eo.record_views = options.record_views;
-  eo.record_rounds = options.capture_log;
-  eo.stop_when_all_decided = false;
-  return RoundEngine(std::move(ew), eo);
-}
-
-void finish_common(MultihopSummary& out, const RoundEngine& ex) {
-  out.rounds_executed = ex.current_round();
-  out.broadcasts = ex.total_broadcasts();
-  out.messages_per_node =
-      ex.size() > 0 ? static_cast<double>(ex.total_broadcasts()) /
-                          static_cast<double>(ex.size())
-                    : 0.0;
-  out.crashes_applied = ex.crashes_applied();
-  out.survivors = ex.num_alive();
-}
-
-MultihopSummary run_flood(const ScenarioSpec& spec, Topology topo,
-                          const RunScenarioOptions& options,
-                          std::optional<ExecutionLog>* log_out,
-                          obs::EngineCounters* counters_out) {
-  MultihopSummary out;
-  out.ran = true;
-  const std::size_t n = topo.size();
-  const std::uint32_t diam = topo.diameter();
-  out.connected = diam != Topology::kUnreachable;
-  out.diameter = out.connected ? diam : 0;
-  if (n == 0) return out;
-
-  const Round budget = WorldFactory::multihop_max_rounds(spec);
-  const std::uint64_t proc_base = sub_seed(spec, kMhProcSalt);
-  std::vector<std::unique_ptr<Process>> procs;
-  procs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    FloodProcess::Options o;
-    o.is_source = i == 0;
-    // Always the CD-backoff policy: under a NoCD detector it degenerates
-    // to fixed-probability flooding, so the detector axis itself carries
-    // the with/without-collision-feedback contrast.
-    o.policy = FloodPolicy::kCdBackoff;
-    o.fresh_rounds = budget;
-    o.seed = hash_mix(proc_base ^ static_cast<std::uint64_t>(i));
-    procs.push_back(std::make_unique<FloodProcess>(o));
-  }
-  auto fault = WorldFactory::make_fault(spec);
-  // Theorem 3 accounting: success criteria are judged against the survivor
-  // set AFTER failures cease, so completion cannot be declared while the
-  // adversary still has crashes pending.
-  const Round quiesce = fault->last_crash_round();
-  RoundEngine ex = make_capture_engine(spec, std::move(topo),
-                                       std::move(procs), std::move(fault),
-                                       options);
-  for (Round r = 1; r <= budget; ++r) {
-    ex.step();
-    // Coverage is over survivors: a copy of the message held only by dead
-    // nodes cannot serve anyone.
-    std::size_t covered = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ex.alive(i) &&
-          static_cast<FloodProcess&>(ex.process(i)).has_message()) {
-        ++covered;
-      }
-    }
-    out.covered = covered;
-    if (ex.num_alive() > 0 && covered == ex.num_alive() && r >= quiesce) {
-      out.full_coverage_round = r;
-      break;
-    }
-  }
-  finish_common(out, ex);
-  if (log_out) *log_out = ex.log();
-  if (counters_out) counters_out->add(ex.counters());
-  return out;
-}
-
-MultihopSummary run_mis_phase(const ScenarioSpec& spec, Topology topo,
-                              std::vector<bool>* heads_out,
-                              const RunScenarioOptions& options,
-                              std::optional<ExecutionLog>* log_out,
-                              obs::EngineCounters* counters_out) {
-  MultihopSummary out;
-  out.ran = true;
-  const std::size_t n = topo.size();
-  const std::uint32_t diam = topo.diameter();
-  out.connected = diam != Topology::kUnreachable;
-  out.diameter = out.connected ? diam : 0;
-  if (n == 0) return out;
-
-  const Round budget = WorldFactory::multihop_max_rounds(spec);
-  const std::uint64_t proc_base = sub_seed(spec, kMhProcSalt);
-  std::vector<std::unique_ptr<Process>> procs;
-  procs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    MisProcess::Options o;
-    o.seed = hash_mix(proc_base ^ static_cast<std::uint64_t>(i));
-    procs.push_back(std::make_unique<MisProcess>(o));
-  }
-  auto fault = WorldFactory::make_fault(spec);
-  const Round quiesce = fault->last_crash_round();
-  RoundEngine ex = make_capture_engine(spec, std::move(topo),
-                                       std::move(procs), std::move(fault),
-                                       options);
-  for (Round r = 1; r <= budget; ++r) {
-    ex.step();
-    // Settlement is judged over survivors, and -- as in Theorem 3's bound
-    // -- only after failures cease: a crash can un-dominate a node, so an
-    // early all-settled snapshot would overstate the clustering.
-    bool all_settled = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ex.alive(i) &&
-          !static_cast<MisProcess&>(ex.process(i)).settled()) {
-        all_settled = false;
-        break;
-      }
-    }
-    if (all_settled && r >= quiesce) {
-      out.mis_settle_round = r;
-      break;
-    }
-  }
-
-  // Heads and the independence/maximality verdicts are conditioned on the
-  // surviving subgraph: dead heads elect nobody and dominate nobody.
-  std::vector<bool> heads(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    heads[i] = ex.alive(i) &&
-               static_cast<MisProcess&>(ex.process(i)).state() ==
-                   MisProcess::State::kHead;
-    if (heads[i]) ++out.mis_size;
-  }
-  const Topology& graph = ex.topology();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!ex.alive(i)) continue;
-    if (heads[i]) {
-      for (std::uint32_t j : graph.neighbors(i)) {
-        if (heads[j]) out.mis_independent = false;
-      }
-    } else {
-      bool dominated = false;
-      for (std::uint32_t j : graph.neighbors(i)) {
-        if (heads[j]) dominated = true;
-      }
-      if (!dominated) out.mis_maximal = false;
-    }
-  }
-  finish_common(out, ex);
-  if (heads_out) *heads_out = std::move(heads);
-  if (log_out) *log_out = ex.log();
-  if (counters_out) counters_out->add(ex.counters());
-  return out;
-}
-
-/// Consensus over a non-clique topology: the composition the RoundEngine
-/// unification buys.  The SAME component stack the single-hop path builds
-/// (WorldFactory::make: algorithm, cm, detector, loss, fault, initial
-/// values -- same salts, same streams) is driven over the spec's graph
-/// with per-neighborhood collision semantics and an adjacency-masked loss
-/// adversary.
-void run_consensus_on_topology(const ScenarioSpec& spec,
-                               const RunScenarioOptions& options,
-                               ScenarioOutcome& out) {
-  Topology topo = WorldFactory::make_topology(spec);
-  out.mh.ran = true;
-  const std::uint32_t diam = topo.diameter();
-  out.mh.connected = diam != Topology::kUnreachable;
-  out.mh.diameter = out.mh.connected ? diam : 0;
-
-  EngineWorld ew;
-  ew.world = WorldFactory::make(spec);
-  ew.topology = std::move(topo);
-  ew.channel = ChannelModel::kMatrix;
-  ew.scope = CollisionScope::kLocal;
-  EngineOptions eo;
-  eo.record_views = options.record_views;
-  eo.record_rounds = true;  // the consensus checker reads the log
-  RoundEngine engine(std::move(ew), eo);
-
-  out.summary.cst = engine.world().cst();
-  out.summary.result = engine.run(WorldFactory::max_rounds(spec));
-  out.summary.verdict =
-      check_consensus(engine.log(), engine.world().initial_values);
-  if (out.summary.cst != kNeverRound &&
-      out.summary.verdict.last_decision_round > out.summary.cst) {
-    out.summary.rounds_after_cst =
-        out.summary.verdict.last_decision_round - out.summary.cst;
-  }
-  out.mh.rounds_executed = engine.current_round();
-  out.mh.broadcasts = engine.total_broadcasts();
-  out.mh.messages_per_node =
-      spec.n > 0 ? static_cast<double>(engine.total_broadcasts()) /
-                       static_cast<double>(spec.n)
-                 : 0.0;
-  out.mh.crashes_applied = engine.crashes_applied();
-  out.mh.survivors = engine.num_alive();
-  out.counters.add(engine.counters());
-  if (options.capture_log) out.log = engine.log();
-}
-
 /// The E13 substrate workload: below the round abstraction entirely, so it
 /// bypasses the engine and asks the reference-broadcast synchronizer
 /// whether synchronized rounds exist at all under this drift/loss regime.
@@ -555,73 +338,12 @@ SyncSummary run_round_sync(const ScenarioSpec& spec) {
 
 ScenarioOutcome WorldFactory::run_scenario(const ScenarioSpec& spec,
                                            const RunScenarioOptions& options) {
-  ScenarioOutcome out;
-  switch (spec.workload) {
-    case WorkloadKind::kConsensus: {
-      if (spec.topology == TopologyKind::kSingleHop) {
-        ExecutorOptions eo;
-        eo.record_views = options.record_views;
-        if (options.capture_log) {
-          ExecutionLog log(0, false);
-          out.summary = run_consensus(make(spec), max_rounds(spec), eo, &log,
-                                      &out.counters);
-          out.log = std::move(log);
-        } else {
-          out.summary = run_consensus(make(spec), max_rounds(spec), eo,
-                                      nullptr, &out.counters);
-        }
-      } else {
-        run_consensus_on_topology(spec, options, out);
-      }
-      return out;
-    }
-    case WorkloadKind::kFlood: {
-      out.mh = run_flood(spec, make_topology(spec), options,
-                         options.capture_log ? &out.log : nullptr,
-                         &out.counters);
-      return out;
-    }
-    case WorkloadKind::kMis: {
-      out.mh = run_mis_phase(spec, make_topology(spec), nullptr, options,
-                             options.capture_log ? &out.log : nullptr,
-                             &out.counters);
-      return out;
-    }
-    case WorkloadKind::kMisThenConsensus: {
-      std::vector<bool> heads;  // surviving heads only (dead heads are out)
-      out.mh = run_mis_phase(spec, make_topology(spec), &heads, options,
-                             options.capture_log ? &out.log : nullptr,
-                             &out.counters);
-      std::size_t k = 0;
-      for (bool h : heads) k += h;
-      if (k > 0) {
-        // Phase 2: the surviving clusterheads form the single-hop
-        // backbone; run the spec's consensus stack among them with a
-        // derived seed (see phase2_spec for the fault-axis carry rules).
-        ScenarioSpec sub = phase2_spec(spec, static_cast<std::uint32_t>(k));
-        ExecutorOptions eo;
-        eo.record_views = options.record_views;
-        if (options.capture_log) {
-          ExecutionLog log(0, false);
-          out.mh.consensus = run_consensus(make(sub), max_rounds(sub), eo,
-                                           &log, &out.counters);
-          out.phase2_log = std::move(log);
-        } else {
-          out.mh.consensus = run_consensus(make(sub), max_rounds(sub), eo,
-                                           nullptr, &out.counters);
-        }
-        out.summary = *out.mh.consensus;
-      } else {
-        out.mh.phase2_skipped = true;
-      }
-      return out;
-    }
-    case WorkloadKind::kRoundSync: {
-      out.sync = run_round_sync(spec);
-      return out;
-    }
+  if (spec.workload == WorkloadKind::kRoundSync) {
+    ScenarioOutcome out;
+    out.sync = run_round_sync(spec);
+    return out;
   }
-  return out;
+  return std::move(LaneExecutor::run_block({spec}, options).front());
 }
 
 MultihopSummary WorldFactory::run_multihop(const ScenarioSpec& spec) {
@@ -634,7 +356,7 @@ MultihopSummary WorldFactory::run_multihop(const ScenarioSpec& spec) {
     out.error = std::string("workload consensus invalid for topology ") +
                 to_string(spec.topology) +
                 " (use run_scenario, which executes consensus over any "
-                "topology through the unified RoundEngine)";
+                "topology through the one round engine)";
     return out;
   }
   if (spec.workload == WorkloadKind::kRoundSync) {

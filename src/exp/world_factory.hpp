@@ -1,9 +1,9 @@
 // WorldFactory: materialize and execute a scenario (Definition 10's
 // "system") from a ScenarioSpec.  This is the single place where algorithm
 // / detector / contention-manager / adversary objects are constructed for
-// experiments, and -- since the RoundEngine unification -- the single
-// place where a spec is turned into an execution: run_scenario() maps
-// every workload onto one topology-aware engine.
+// experiments, and run_scenario() is the entry point that turns a spec
+// into an execution: every workload but round-sync runs as a one-spec
+// LaneExecutor block on the one topology-aware engine (LaneEngine).
 //
 //   workload   topology    channel            scope     engine world
 //   ---------  ----------  -----------------  --------  -------------------
@@ -31,7 +31,7 @@
 #include <optional>
 
 #include "consensus/harness.hpp"
-#include "engine/round_engine.hpp"
+#include "engine/lane_engine.hpp"
 #include "exp/scenario_spec.hpp"
 #include "model/process.hpp"
 #include "sim/world.hpp"
@@ -89,11 +89,9 @@ struct SyncSummary {
 };
 
 struct RunScenarioOptions {
-  /// Record per-process views (only observable through capture_log).
-  bool record_views = false;
-  /// Keep the full ExecutionLog(s) in the outcome -- the --rerun-cell
-  /// trace-capture path.  Off for sweeps: the engine then skips round
-  /// recording entirely on non-consensus workloads.
+  /// Record rounds and per-process views and keep the full
+  /// ExecutionLog(s) in the outcome -- the --rerun-cell trace-capture
+  /// path.  Off for sweeps: the engine then records no rounds at all.
   bool capture_log = false;
 };
 
@@ -113,7 +111,8 @@ struct ScenarioOutcome {
   /// Round-sync metrics; sync.ran is false for every other workload.
   SyncSummary sync;
   /// capture_log only: the primary phase's full log (consensus / flood /
-  /// mis / MIS phase of mis-then-consensus)...
+  /// mis / MIS phase of mis-then-consensus; absent for a flood or MIS
+  /// phase without processes)...
   std::optional<ExecutionLog> log;
   /// ...and the phase-2 consensus log of mis-then-consensus.
   std::optional<ExecutionLog> phase2_log;
@@ -172,9 +171,9 @@ class WorldFactory {
   /// topology nodes, not head indices); random-crash carries over.
   static ScenarioSpec phase2_spec(const ScenarioSpec& spec, std::uint32_t k);
 
-  /// Execute a spec, whatever its workload/topology, through the one
-  /// RoundEngine path.  THE entry point; run_one and --rerun-cell both
-  /// land here.
+  /// Execute a spec, whatever its workload/topology: round-sync through
+  /// the synchronizer, everything else as a one-spec LaneExecutor block.
+  /// THE entry point; run_one and --rerun-cell both land here.
   static ScenarioOutcome run_scenario(const ScenarioSpec& spec,
                                       const RunScenarioOptions& options = {});
 

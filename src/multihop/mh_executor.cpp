@@ -20,7 +20,7 @@ MultihopExecutor::MultihopExecutor(
             ew.link_seed = seed;
             return ew;
           }(),
-          EngineOptions{/*record_views=*/false, /*record_rounds=*/false,
+          EngineOptions{/*record_rounds=*/false, /*record_views=*/false,
                         /*stop_when_all_decided=*/false}) {}
 
 }  // namespace ccd

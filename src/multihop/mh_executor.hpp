@@ -1,6 +1,6 @@
 // Multihop round executor: Definition 11 generalized from a clique to an
 // arbitrary topology, exactly the extension the paper's conclusion plans.
-// A thin adapter over the RoundEngine with
+// A one-lane adapter over the LaneEngine with
 //
 //   channel = ChannelModel::kCapture (Section 1.1 capture-effect physics)
 //   scope   = CollisionScope::kLocal (per-neighborhood detector counts)
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "cd/oracle_detector.hpp"
-#include "engine/round_engine.hpp"
+#include "engine/lane_engine.hpp"
 #include "fault/failure_adversary.hpp"
 #include "model/process.hpp"
 #include "multihop/topology.hpp"
@@ -50,35 +50,37 @@ class MultihopExecutor {
   void step() { engine_.step(); }
   Round current_round() const { return engine_.current_round(); }
 
-  const Topology& topology() const { return engine_.topology(); }
-  Process& process(std::size_t i) { return engine_.process(i); }
+  const Topology& topology() const { return engine_.topology(0); }
+  Process& process(std::size_t i) { return engine_.process(0, i); }
   std::size_t size() const { return engine_.size(); }
 
   /// False once the failure adversary crashed process i.
-  bool alive(std::size_t i) const { return engine_.alive(i); }
-  std::size_t num_alive() const { return engine_.num_alive(); }
+  bool alive(std::size_t i) const { return engine_.alive(0, i); }
+  std::size_t num_alive() const { return engine_.num_alive(0); }
   /// Crashes the adversary actually applied so far (alive targets only).
-  std::uint64_t crashes_applied() const { return engine_.crashes_applied(); }
+  std::uint64_t crashes_applied() const { return engine_.crashes_applied(0); }
 
   /// Receive count of process i in the last executed round.
   std::uint32_t last_receive_count(std::size_t i) const {
-    return engine_.last_receive_count(i);
+    return engine_.last_receive_count(0, i);
   }
   /// Local broadcaster count c_i in the last executed round.
   std::uint32_t last_local_broadcasters(std::size_t i) const {
-    return engine_.last_local_broadcasters(i);
+    return engine_.last_local_broadcasters(0, i);
   }
-  CdAdvice last_cd(std::size_t i) const { return engine_.last_cd(i); }
+  CdAdvice last_cd(std::size_t i) const { return engine_.last_cd(0, i); }
 
   /// Broadcasts attempted over all executed rounds (the energy/message
   /// cost the Section 1.1 literature budgets per node).
-  std::uint64_t total_broadcasts() const { return engine_.total_broadcasts(); }
+  std::uint64_t total_broadcasts() const {
+    return engine_.total_broadcasts(0);
+  }
 
-  /// The underlying engine.
-  RoundEngine& engine() { return engine_; }
+  /// The underlying one-lane engine (lane 0).
+  LaneEngine& engine() { return engine_; }
 
  private:
-  RoundEngine engine_;
+  LaneEngine engine_;
 };
 
 }  // namespace ccd

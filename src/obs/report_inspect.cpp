@@ -997,8 +997,8 @@ bool parse_bench_object(const std::string& raw,
         }
         entry.metrics[key] = value;
       }
-      // Absolute rates are machine physics; the scalar-vs-lane speedup is
-      // machine-relative and is what the gate watches.
+      // Absolute rates are machine physics; the one-lane-vs-64-lane
+      // speedup is machine-relative and is what the gate watches.
       entry.gated.insert("speedup");
       (*entries)["lanes:" + *config + "/n" + *n] = std::move(entry);
     }

@@ -10,7 +10,7 @@
 //
 // Three layers:
 //
-//  * EngineCounters -- a plain struct of uint64 tallies the RoundEngine
+//  * EngineCounters -- a plain struct of uint64 tallies the round engine
 //    increments non-atomically in its hot loop (an increment on engine-
 //    local state costs nothing measurable next to a round).  Deterministic:
 //    a run's counters are a pure function of its spec, so shard-merged
@@ -38,7 +38,7 @@
 
 namespace ccd::obs {
 
-/// Per-engine tallies, incremented non-atomically by the owning RoundEngine
+/// Per-run tallies, incremented non-atomically by the round engine
 /// and summed across runs by the sweep runner.  Deterministic per spec.
 struct EngineCounters {
   std::uint64_t rounds = 0;            ///< step() calls executed

@@ -13,7 +13,7 @@ Executor::Executor(World world, ExecutorOptions options)
             ew.scope = CollisionScope::kGlobal;
             return ew;
           }(),
-          EngineOptions{options.record_views, /*record_rounds=*/true,
+          EngineOptions{/*record_rounds=*/true, options.record_views,
                         options.stop_when_all_decided}) {}
 
 }  // namespace ccd

@@ -1,5 +1,5 @@
 // Synchronous single-hop round executor: the paper's Definition 11 model
-// proper, as a thin adapter over the topology-aware RoundEngine with
+// proper, as a one-lane adapter over the topology-aware LaneEngine with
 //
 //   topology = Topology::clique(n)   (single hop: everyone hears everyone)
 //   channel  = ChannelModel::kMatrix (the Section 3.2 loss adversary)
@@ -27,9 +27,12 @@
 // mask passed to practical contention managers excludes them, mirroring a
 // real wake-up service that stops scheduling devices which left the
 // protocol.
+//
+// Rounds are always recorded in the log (the lower-bound constructions
+// and trace checks read them); per-process views only with record_views.
 #pragma once
 
-#include "engine/round_engine.hpp"
+#include "engine/lane_engine.hpp"
 #include "sim/execution_log.hpp"
 #include "sim/world.hpp"
 
@@ -49,25 +52,28 @@ class Executor {
   void step() { engine_.step(); }
 
   /// Execute until all non-crashed processes decide (if enabled) or
-  /// max_rounds elapse.
-  RunResult run(Round max_rounds) { return engine_.run(max_rounds); }
+  /// max_rounds elapse.  Ends the execution: later steps are no-ops.
+  RunResult run(Round max_rounds) {
+    engine_.run(max_rounds);
+    return engine_.result(0);
+  }
 
   Round current_round() const { return engine_.current_round(); }
-  const ExecutionLog& log() const { return engine_.log(); }
-  const World& world() const { return engine_.world(); }
+  const ExecutionLog& log() const { return engine_.log(0); }
+  const World& world() const { return engine_.world(0); }
 
-  bool alive(ProcessId i) const { return engine_.alive(i); }
-  bool decided(ProcessId i) const { return engine_.decided(i); }
-  Value decision(ProcessId i) const { return engine_.decision(i); }
+  bool alive(ProcessId i) const { return engine_.alive(0, i); }
+  bool decided(ProcessId i) const { return engine_.decided(0, i); }
+  Value decision(ProcessId i) const { return engine_.decision(0, i); }
 
   /// True iff every non-crashed process has decided.
-  bool all_correct_decided() const { return engine_.all_correct_decided(); }
+  bool all_correct_decided() const { return engine_.all_correct_decided(0); }
 
-  /// The underlying engine (trace capture moves the log out through this).
-  RoundEngine& engine() { return engine_; }
+  /// The underlying one-lane engine (lane 0).
+  LaneEngine& engine() { return engine_; }
 
  private:
-  RoundEngine engine_;
+  LaneEngine engine_;
 };
 
 }  // namespace ccd

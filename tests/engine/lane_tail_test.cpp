@@ -1,6 +1,6 @@
 // Tail and degenerate-shape coverage for the lane path: cell sizes that
-// land exactly on, just under, and just over the 64-lane block width; the
-// n = 0 scalar fallback; schedules that crash EVERY process; and cells
+// land exactly on, just under, and just over the 64-lane block width;
+// n = 0 blocks; schedules that crash EVERY process; and cells
 // where a single survivor must still decide.  Each case runs the sweep
 // with lanes on and off and demands byte-identical reports plus exactly
 // equal per-run EngineCounters -- the same contract as the differential
@@ -88,18 +88,25 @@ TEST(LaneTail, TailStraddlesCellsAndAxes) {
   expect_identical(grid, /*threads=*/3, "two axes x 65 seeds");
 }
 
-TEST(LaneTail, EmptyWorldFallsBackToScalar) {
+TEST(LaneTail, EmptyWorldRunsThroughTheEngine) {
+  // n = 0 is an 8-lane block of worlds that are done before round 1.
   SweepGrid grid = base_grid(8);
   grid.base.n = 0;
   grid.base.fault = FaultKind::kNone;
   ASSERT_FALSE(grid.validate().has_value());
+  ASSERT_TRUE(LaneExecutor::eligible(grid.spec_for_run(0)));
   expect_identical(grid, /*threads=*/2, "n=0");
+  for (const RunRecord& record : run_sweep(grid)) {
+    EXPECT_TRUE(record.summary.verdict.solved());
+    EXPECT_EQ(record.summary.result.rounds_executed, 0u);
+    EXPECT_EQ(record.perf.engine, obs::EngineCounters{});
+  }
 }
 
 TEST(LaneTail, AllProcessesCrash) {
   // Every process is scheduled to die -- a mix of both crash points --
-  // so lanes reach zero survivors and must retire with the scalar
-  // engine's exact counters and (empty) decision set.
+  // so lanes reach zero survivors and must retire with a lone lane's
+  // exact counters and (empty) decision set.
   SweepGrid grid = base_grid(65);
   grid.base.fault = FaultKind::kScheduled;
   for (ProcessId p = 0; p < grid.base.n; ++p) {
@@ -173,7 +180,7 @@ std::string describe(const RunRecord& r) {
   return out;
 }
 
-/// Each lane of a laned sweep must equal the scalar run_one of its index,
+/// Each lane of a laned sweep must equal the one-run run_one of its index,
 /// record and counters alike.
 void expect_lanes_match_run_one(const SweepGrid& grid, const char* what) {
   SweepOptions options;
@@ -181,9 +188,9 @@ void expect_lanes_match_run_one(const SweepGrid& grid, const char* what) {
   const std::vector<RunRecord> laned = run_sweep(grid, options);
   ASSERT_EQ(laned.size(), grid.num_runs()) << what;
   for (std::size_t j = 0; j < laned.size(); ++j) {
-    const RunRecord scalar = run_one(grid, j, /*record_views=*/false);
-    EXPECT_EQ(describe(laned[j]), describe(scalar)) << what << " run " << j;
-    EXPECT_EQ(laned[j].perf.engine, scalar.perf.engine)
+    const RunRecord alone = run_one(grid, j);
+    EXPECT_EQ(describe(laned[j]), describe(alone)) << what << " run " << j;
+    EXPECT_EQ(laned[j].perf.engine, alone.perf.engine)
         << what << ": counters diverged at run " << j;
   }
 }
@@ -242,10 +249,10 @@ TEST(LaneTail, ConsensusOnRandomGeometricLanes) {
   expect_lanes_match_run_one(small, "consensus on rgg, run_one");
 }
 
-TEST(LaneTail, StridedSubsetDegradesToScalarBlocks) {
+TEST(LaneTail, StridedSubsetDegradesToOneRunBlocks) {
   // run_subset with a stride breaks global-index consecutiveness, so the
   // lane partition must fall back to 1-run blocks -- and still match the
-  // scalar path byte for byte.
+  // lanes-off run byte for byte.
   SweepGrid grid = base_grid(64);
   std::vector<std::size_t> indices;
   for (std::size_t j = 0; j < grid.num_runs(); j += 2) indices.push_back(j);

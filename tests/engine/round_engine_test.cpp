@@ -1,9 +1,10 @@
-// RoundEngine semantics: the configuration axes (channel, scope) and their
-// interaction with topology and crash points.  The byte-level equivalence
-// with the pre-refactor executors is pinned by exp/golden_report_test; the
-// adapter-level behaviour by the existing executor/mh_executor tests
-// (which now drive the engine through sim::Executor / MultihopExecutor).
-#include "engine/round_engine.hpp"
+// Round engine semantics, on a one-lane LaneEngine: the configuration axes
+// (channel, scope) and their interaction with topology and crash points,
+// round recording, and the n = 0 world.  The byte-level equivalence with
+// the pre-refactor executors is pinned by exp/golden_report_test; the
+// adapter-level behaviour by the executor/mh_executor tests (which drive
+// the engine through sim::Executor / MultihopExecutor).
+#include "engine/lane_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -56,31 +57,29 @@ EngineWorld beacon_world(Topology topo, std::vector<bool> talk,
 
 EngineOptions quiet_options() {
   EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
   options.stop_when_all_decided = false;
   return options;
 }
 
-TEST(RoundEngine, MatrixChannelMasksDeliveryByAdjacency) {
+TEST(Engine, MatrixChannelMasksDeliveryByAdjacency) {
   // Line 0-1-2, perfect matrix channel (NoLoss fills the whole matrix):
   // node 0 broadcasts; node 1 is adjacent and receives, node 2 is NOT
   // adjacent -- the adjacency mask must drop the matrix entry, and its
   // local c must be 0 (accuracy: no collision to report two hops away).
   auto ew = beacon_world(Topology::line(3), {true, false, false},
                          ChannelModel::kMatrix, CollisionScope::kLocal);
-  RoundEngine engine(std::move(ew), quiet_options());
+  LaneEngine engine(std::move(ew), quiet_options());
   engine.step();
-  EXPECT_EQ(engine.last_receive_count(0), 1u);  // self-delivery
-  EXPECT_EQ(engine.last_local_broadcasters(0), 1u);
-  EXPECT_EQ(engine.last_receive_count(1), 1u);
-  EXPECT_EQ(engine.last_local_broadcasters(1), 1u);
-  EXPECT_EQ(engine.last_receive_count(2), 0u);
-  EXPECT_EQ(engine.last_local_broadcasters(2), 0u);
-  EXPECT_EQ(engine.last_cd(2), CdAdvice::kNull);
+  EXPECT_EQ(engine.last_receive_count(0, 0), 1u);  // self-delivery
+  EXPECT_EQ(engine.last_local_broadcasters(0, 0), 1u);
+  EXPECT_EQ(engine.last_receive_count(0, 1), 1u);
+  EXPECT_EQ(engine.last_local_broadcasters(0, 1), 1u);
+  EXPECT_EQ(engine.last_receive_count(0, 2), 0u);
+  EXPECT_EQ(engine.last_local_broadcasters(0, 2), 0u);
+  EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kNull);
 }
 
-TEST(RoundEngine, GlobalAndLocalScopeAgreeOnACliqueDeterministically) {
+TEST(Engine, GlobalAndLocalScopeAgreeOnACliqueDeterministically) {
   // On a clique, per-neighborhood counts degenerate to the global count,
   // so with RNG-free components (truthful detector, NoLoss, NoCm) the two
   // scopes must produce the SAME consensus execution.
@@ -96,21 +95,24 @@ TEST(RoundEngine, GlobalAndLocalScopeAgreeOnACliqueDeterministically) {
     ew.topology = Topology::clique(6);
     ew.channel = ChannelModel::kMatrix;
     ew.scope = scope;
-    return RoundEngine(std::move(ew), EngineOptions{});
+    return LaneEngine(std::move(ew), EngineOptions{});
   };
-  RoundEngine global = build(CollisionScope::kGlobal);
-  RoundEngine local = build(CollisionScope::kLocal);
-  const RunResult rg = global.run(500);
-  const RunResult rl = local.run(500);
+  LaneEngine global = build(CollisionScope::kGlobal);
+  LaneEngine local = build(CollisionScope::kLocal);
+  global.run(500);
+  local.run(500);
+  const RunResult& rg = global.result(0);
+  const RunResult& rl = local.result(0);
+  EXPECT_TRUE(rg.all_correct_decided);
   EXPECT_EQ(rg.all_correct_decided, rl.all_correct_decided);
   EXPECT_EQ(rg.rounds_executed, rl.rounds_executed);
   EXPECT_EQ(rg.last_decision_round, rl.last_decision_round);
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(global.decision(i), local.decision(i)) << i;
+    EXPECT_EQ(global.decision(0, i), local.decision(0, i)) << i;
   }
 }
 
-TEST(RoundEngine, AfterSendCrashVisibilityFollowsScope) {
+TEST(Engine, AfterSendCrashVisibilityFollowsScope) {
   // Process 0 broadcasts and crashes after its round-1 send.  Both scopes
   // deliver the message and skip the crasher's transition; they differ in
   // whether the corpse's own view still forms (kGlobal: Definition 11's
@@ -123,13 +125,13 @@ TEST(RoundEngine, AfterSendCrashVisibilityFollowsScope) {
        {CollisionScope::kGlobal, CollisionScope::kLocal}) {
     auto ew = beacon_world(Topology::clique(2), {true, false},
                            ChannelModel::kMatrix, scope, crash0());
-    RoundEngine engine(std::move(ew), quiet_options());
-    BeaconProcess& crasher = static_cast<BeaconProcess&>(engine.process(0));
-    BeaconProcess& survivor = static_cast<BeaconProcess&>(engine.process(1));
+    LaneEngine engine(std::move(ew), quiet_options());
+    auto& crasher = static_cast<BeaconProcess&>(engine.process(0, 0));
+    auto& survivor = static_cast<BeaconProcess&>(engine.process(0, 1));
     engine.step();
-    EXPECT_FALSE(engine.alive(0));
-    EXPECT_EQ(engine.num_alive(), 1u);
-    EXPECT_EQ(engine.crashes_applied(), 1u);
+    EXPECT_FALSE(engine.alive(0, 0));
+    EXPECT_EQ(engine.num_alive(0), 1u);
+    EXPECT_EQ(engine.crashes_applied(0), 1u);
     // The round-1 message went out either way (Definition 11: the message
     // derives from the pre-crash state)...
     EXPECT_EQ(survivor.last_count_, 1u);
@@ -138,27 +140,26 @@ TEST(RoundEngine, AfterSendCrashVisibilityFollowsScope) {
     EXPECT_EQ(crasher.transitions_, 0u);
     // Scope-dependent: does the crasher's round-1 view still form?
     if (scope == CollisionScope::kGlobal) {
-      EXPECT_EQ(engine.last_receive_count(0), 1u);  // self-delivery observed
+      EXPECT_EQ(engine.last_receive_count(0, 0), 1u);  // self-delivery
     } else {
-      EXPECT_EQ(engine.last_receive_count(0), 0u);  // out of the channel
+      EXPECT_EQ(engine.last_receive_count(0, 0), 0u);  // out of the channel
     }
   }
 }
 
-TEST(RoundEngine, CaptureChannelCountsBroadcastsAndKeepsTopology) {
+TEST(Engine, CaptureChannelCountsBroadcastsAndKeepsTopology) {
   auto ew = beacon_world(Topology::ring(5), {true, true, false, false, false},
                          ChannelModel::kCapture, CollisionScope::kLocal);
   ew.link_seed = 42;
-  RoundEngine engine(std::move(ew), quiet_options());
+  LaneEngine engine(std::move(ew), quiet_options());
   for (int r = 0; r < 3; ++r) engine.step();
-  EXPECT_EQ(engine.total_broadcasts(), 6u);  // 2 talkers x 3 rounds
-  EXPECT_EQ(engine.topology().size(), 5u);
+  EXPECT_EQ(engine.total_broadcasts(0), 6u);  // 2 talkers x 3 rounds
+  EXPECT_EQ(engine.topology(0).size(), 5u);
   EXPECT_EQ(engine.current_round(), 3u);
-  EXPECT_TRUE(engine.all_correct_decided() == false ||
-              engine.size() == 0);  // beacons never decide
+  EXPECT_FALSE(engine.all_correct_decided(0));  // beacons never decide
 }
 
-TEST(RoundEngine, RecordsRoundsOnlyWhenAsked) {
+TEST(Engine, RecordsRoundsOnlyWhenAsked) {
   auto make = [](bool record_rounds) {
     auto ew = beacon_world(Topology::clique(3), {true, false, false},
                            ChannelModel::kMatrix, CollisionScope::kGlobal);
@@ -166,18 +167,69 @@ TEST(RoundEngine, RecordsRoundsOnlyWhenAsked) {
     options.record_views = record_rounds;
     options.record_rounds = record_rounds;
     options.stop_when_all_decided = false;
-    return RoundEngine(std::move(ew), options);
+    return LaneEngine(std::move(ew), options);
   };
-  RoundEngine quiet = make(false);
-  RoundEngine logged = make(true);
+  LaneEngine quiet = make(false);
+  LaneEngine logged = make(true);
   for (int r = 0; r < 4; ++r) {
     quiet.step();
     logged.step();
   }
-  EXPECT_EQ(quiet.log().num_rounds(), 0u);
-  EXPECT_EQ(logged.log().num_rounds(), 4u);
-  EXPECT_EQ(logged.log().transmission().at(2).broadcaster_count, 1u);
-  EXPECT_TRUE(logged.log().views_recorded());
+  EXPECT_EQ(quiet.log(0).num_rounds(), 0u);
+  EXPECT_FALSE(quiet.log(0).views_recorded());
+  EXPECT_EQ(logged.log(0).num_rounds(), 4u);
+  EXPECT_EQ(logged.log(0).transmission().at(2).broadcaster_count, 1u);
+  ASSERT_TRUE(logged.log(0).views_recorded());
+  // Views: the talker's send, and everyone's copy of it.
+  const RoundView& talker = logged.log(0).view(0).rounds.at(1);
+  ASSERT_TRUE(talker.sent.has_value());
+  EXPECT_EQ(talker.sent->value, 7u);
+  EXPECT_EQ(logged.log(0).view(2).rounds.at(1).received.size(), 1u);
+  EXPECT_FALSE(logged.log(0).view(2).rounds.at(1).sent.has_value());
+}
+
+TEST(Engine, EmptyWorldIsDoneBeforeItsFirstRound) {
+  // n = 0: nothing can send, decide or crash; every process is vacuously
+  // decided, so run() returns at once -- also without stop_when_all_decided
+  // and on a multi-lane engine.
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<EngineWorld> worlds(lanes);
+    LaneEngine engine(std::move(worlds), quiet_options());
+    EXPECT_EQ(engine.size(), 0u);
+    EXPECT_EQ(engine.active_mask(), 0u);
+    engine.run(100);
+    EXPECT_EQ(engine.current_round(), 0u);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      EXPECT_TRUE(engine.result(l).all_correct_decided);
+      EXPECT_EQ(engine.result(l).rounds_executed, 0u);
+      EXPECT_EQ(engine.result(l).num_crashed, 0u);
+      EXPECT_TRUE(engine.all_correct_decided(l));
+      EXPECT_EQ(engine.counters(l), obs::EngineCounters{});
+    }
+  }
+}
+
+TEST(Engine, LocalScopeCrashedProcessReadsNullAdvice) {
+  // Clique of 3, processes 0 and 1 talk, capture never resolves
+  // contention: process 2 hears two broadcasters and receives nothing, so
+  // the zero-complete detector must report a collision.  Once process 2
+  // crashes, its advice reads kNull -- a dead radio observes nothing.
+  auto crash2 = std::make_unique<ScheduledCrash>(
+      std::vector<CrashEvent>{{2, 2, CrashPoint::kBeforeSend}});
+  auto ew = beacon_world(Topology::clique(3), {true, true, false},
+                         ChannelModel::kCapture, CollisionScope::kLocal,
+                         std::move(crash2));
+  ew.link = {1.0, 0.0};
+  LaneEngine engine(std::move(ew), quiet_options());
+  engine.step();
+  EXPECT_EQ(engine.last_local_broadcasters(0, 2), 2u);
+  EXPECT_EQ(engine.last_receive_count(0, 2), 0u);
+  EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kCollision);
+  engine.step();
+  EXPECT_FALSE(engine.alive(0, 2));
+  EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kNull);
+  engine.step();
+  EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kNull);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Golden-report equivalence: the RoundEngine unification's acceptance
+// Golden-report equivalence: the engine unification's acceptance
 // gate.  The smoke, crash and multihop named grids must emit JSON and CSV
 // reports BYTE-identical to the pre-refactor executors' output -- the
 // hashes below were captured from the dual-executor implementation
@@ -47,8 +47,8 @@ constexpr Golden kGoldens[] = {
 };
 
 TEST(GoldenReports, EngineReproducesPreRefactorReportsByteIdentically) {
-  // Both execution paths -- the 64-wide lane engine (the default) and the
-  // scalar per-run path -- must reproduce the pre-refactor bytes.
+  // Both partitions -- lane blocks of up to 64 seeds (the default) and
+  // one-lane blocks -- must reproduce the pre-refactor bytes.
   for (const bool lanes : {true, false}) {
     for (const Golden& golden : kGoldens) {
       auto grid = SweepGrid::named(golden.grid);

@@ -2,7 +2,7 @@
 // whole reproduction leans on.
 //
 // Every guarantee this repo ships -- byte-identical reports at any thread
-// count, the obs/ no-perturbation invariant, lane/scalar equivalence --
+// count, the obs/ no-perturbation invariant, lanes on/off equivalence --
 // rests on source-level discipline that runtime differential tests catch
 // only after the fact.  This tool enforces the discipline statically, on
 // every commit, with file:line keyed diagnostics:

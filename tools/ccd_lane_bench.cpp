@@ -1,5 +1,8 @@
-// ccd_lane_bench: self-timed scalar-vs-lane engine throughput, emitted as
-// ccd-bench-v1 JSON (BENCH_engine_lanes.json in CI).
+// ccd_lane_bench: self-timed one-world-vs-64-lane engine throughput,
+// emitted as ccd-bench-v1 JSON (BENCH_engine_lanes.json in CI).  The
+// "scalar" arm runs each world alone on a one-lane LaneEngine (what
+// sim::Executor, run_scenario and --no-lanes do); the "lane" arm batches
+// 64 worlds per engine.
 //
 // Three engine shapes, each measured with fresh engines over a fixed round
 // count (persistent engines quiesce and stop representing sweep work):
@@ -7,11 +10,10 @@
 //   consensus_clique  loss-free single-hop consensus (busy head, quiet
 //                     tail) -- the production E2..E7 shape
 //   saturated_clique  every process broadcasts every round -- worst-case
-//                     load for the O(n^2) clique delivery loop, which the
-//                     lane engine's shared-multiset path amortizes
+//                     clique delivery load
 //   mis_grid          MIS over the capture channel -- per-lane RNG work
-//                     the lane engine cannot share, so roughly 1x is the
-//                     honest expectation
+//                     batching cannot share, so roughly 1x is the honest
+//                     expectation
 //
 // rounds_per_sec counts WORLD-rounds (a 64-lane step is 64 of them), so
 // speedup = lane / scalar is the per-world-round ratio a sweep sees.
@@ -29,7 +31,6 @@
 #include "consensus/alg2_zero_oac.hpp"
 #include "consensus/harness.hpp"
 #include "engine/lane_engine.hpp"
-#include "engine/round_engine.hpp"
 #include "fault/failure_adversary.hpp"
 #include "multihop/flood.hpp"
 #include "multihop/mis.hpp"
@@ -103,16 +104,14 @@ double now_secs() {
       .count();
 }
 
-/// World-rounds per second through fresh scalar engines.
+/// World-rounds per second through fresh one-lane engines.
 double scalar_rounds_per_sec(MakeWorld make, std::size_t n, Round rounds,
                              int reps) {
   EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
   options.stop_when_all_decided = false;
   const double t0 = now_secs();
   for (int rep = 0; rep < reps; ++rep) {
-    RoundEngine engine(make(n, 7 + rep), options);
+    LaneEngine engine(make(n, 7 + rep), options);
     for (Round r = 0; r < rounds; ++r) engine.step();
   }
   const double dt = now_secs() - t0;
@@ -122,7 +121,7 @@ double scalar_rounds_per_sec(MakeWorld make, std::size_t n, Round rounds,
 /// World-rounds per second through fresh 64-lane engines.
 double lane_rounds_per_sec(MakeWorld make, std::size_t n, Round rounds,
                            int reps) {
-  LaneOptions options;
+  EngineOptions options;
   options.stop_when_all_decided = false;
   const double t0 = now_secs();
   for (int rep = 0; rep < reps; ++rep) {

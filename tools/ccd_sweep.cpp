@@ -93,14 +93,15 @@ scalar knobs:
 trace capture:
   --rerun-cell N       re-execute every run of report cell N of the
                        assembled grid, single-threaded, with full
-                       ExecutionLogs (record_views = true), and dump the
+                       ExecutionLogs (rounds and views), and dump the
                        traces as JSON (--json PATH, else stdout)
 
 execution and output:
   --threads N          worker threads (0 = hardware concurrency; default 0)
-  --no-lanes           disable the 64-wide batched lane engine and run every
-                       run on the scalar path (reports are byte-identical
-                       either way; this is purely a throughput escape hatch)
+  --no-lanes           run every run alone on a one-lane engine instead of
+                       batching up to 64 seeds of a cell per engine
+                       (reports are byte-identical either way; this is
+                       purely a throughput switch)
   --json PATH          write aggregate JSON report
   --csv PATH           write per-cell CSV
   --dist-out PATH      write full per-cell distributions (ccd-dist-v1);
