@@ -5,13 +5,15 @@
 // The scheduler composes machinery that already exists instead of growing
 // a second execution path:
 //
-//   * assignments are explicit-cell shard specs (ShardMode::kExplicit), so
-//     workers are plain `ccd_sweep --shard-file` invocations -- checkpoint
-//     writing, resume validation and report emission all unchanged;
+//   * assignments are shard specs like any other (ShardPlanner::plan_cells
+//     names each batch's cells), so workers are plain `ccd_sweep
+//     --shard-file` invocations -- checkpoint writing, resume validation
+//     and report emission all unchanged;
 //   * liveness is read from the workers' own checkpoint JSONL heartbeats
 //     (tail_checkpoint each poll tick); a batch whose heartbeat goes stale
 //     past stale_after has its unfinished cells re-queued (STOLEN) while
-//     the laggard keeps running -- first completed copy wins;
+//     the laggard keeps running -- first completed copy wins.  This is the
+//     stack's only staleness signal;
 //   * a worker that exits nonzero has its checkpoint harvested (torn-tail
 //     amnesty included) so finished cells survive the crash, and the rest
 //     re-queued;

@@ -83,18 +83,17 @@ std::optional<std::vector<CrashEvent>> parse_crash_schedule(
     bool have_round = false, have_process = false;
     for (const auto& [key, value] : flat->members) {
       if (key == "round" || key == "process") {
-        char* num_end = nullptr;
-        const std::uint64_t v = std::strtoull(value.c_str(), &num_end, 10);
-        if (!num_end || *num_end != '\0' || value.empty() ||
-            v > std::numeric_limits<std::uint32_t>::max()) {
+        const auto v = jsonu::parse_u64(
+            value, std::numeric_limits<std::uint32_t>::max());
+        if (!v) {
           return fail("bad value '" + value + "' for key '" + key + "' in " +
                       entry_tag() + " (expected an unsigned 32-bit integer)");
         }
         if (key == "round") {
-          event.round = static_cast<Round>(v);
+          event.round = static_cast<Round>(*v);
           have_round = true;
         } else {
-          event.process = static_cast<ProcessId>(v);
+          event.process = static_cast<ProcessId>(*v);
           have_process = true;
         }
       } else if (key == "point") {
@@ -428,15 +427,16 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
       report(key, *raw, expected);
     }
   };
-  auto read_u64 = [&](const char* key, auto& field) {
+  // Unsigned members narrower than 64 bits are range-checked against
+  // their field: "n":4294967300 is an error, not n = 4.
+  auto read_uint = [&](const char* key, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
     const std::string* raw = flat->find(key);
     if (!raw) return;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(raw->c_str(), &end, 10);
-    if (end && *end == '\0') {
-      field = static_cast<std::remove_reference_t<decltype(field)>>(v);
+    if (auto v = jsonu::parse_u64(*raw, std::numeric_limits<T>::max())) {
+      field = static_cast<T>(*v);
     } else {
-      report(key, *raw, "an unsigned integer");
+      report(key, *raw, "an unsigned integer in range");
     }
   };
   auto read_double = [&](const char* key, double& field) {
@@ -490,18 +490,18 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
             "singlehop, line, ring, grid or rgg");
   read_enum("workload", parse_workload, spec.workload,
             "consensus, flood, mis or mis-then-consensus");
-  read_u64("n", spec.n);
-  read_u64("num_values", spec.num_values);
-  read_u64("cst_target", spec.cst_target);
+  read_uint("n", spec.n);
+  read_uint("num_values", spec.num_values);
+  read_uint("cst_target", spec.cst_target);
   read_double("p_deliver", spec.p_deliver);
   read_double("spurious_p", spec.spurious_p);
   read_double("crash_p", spec.crash_p);
   read_double("density", spec.density);
-  read_u64("id_space", spec.id_space);
+  read_uint("id_space", spec.id_space);
   read_double("sync_rho", spec.sync_rho);
   read_double("sync_round_length", spec.sync_round_length);
-  read_u64("max_rounds", spec.max_rounds);
-  read_u64("seed", spec.seed);
+  read_uint("max_rounds", spec.max_rounds);
+  read_uint("seed", spec.seed);
 
   if (!ok) return std::nullopt;
   return spec;

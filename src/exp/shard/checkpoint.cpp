@@ -1,7 +1,8 @@
 #include "exp/shard/checkpoint.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
+#include <limits>
 
 #include "obs/telemetry.hpp"
 #include "util/flat_json.hpp"
@@ -13,10 +14,7 @@ namespace {
 /// ts_ms from an already-parsed checkpoint line, 0 if absent/bad.
 std::uint64_t heartbeat_of(const jsonu::FlatJson& flat) {
   const std::string* ts = flat.find("ts_ms");
-  if (!ts) return 0;
-  char* end = nullptr;
-  const std::uint64_t ts_ms = std::strtoull(ts->c_str(), &end, 10);
-  return (end && *end == '\0') ? ts_ms : 0;
+  return ts ? jsonu::parse_u64(*ts).value_or(0) : 0;
 }
 
 }  // namespace
@@ -32,12 +30,10 @@ std::string checkpoint_header(const ShardSpec& shard) {
   return out;
 }
 
-std::string checkpoint_cell_marker(const CellAggregate& cell,
-                                   const std::uint32_t* worker) {
+std::string checkpoint_cell_marker(const CellAggregate& cell) {
   std::string marker = cell_aggregate_to_json(cell);
   marker.pop_back();  // cell_aggregate_to_json yields one flat object
   marker += ",\"ts_ms\":" + std::to_string(obs::wall_clock_ms());
-  if (worker) marker += ",\"worker\":" + std::to_string(*worker);
   marker += "}";
   return marker;
 }
@@ -144,10 +140,9 @@ bool tail_checkpoint(const std::string& path,
     if (last_ts_ms) *last_ts_ms = std::max(*last_ts_ms, heartbeat_of(*flat));
     const std::string* cell_raw = flat->find("cell");
     if (!cell_raw || !cells_done) continue;
-    char* end = nullptr;
-    const unsigned long long c = std::strtoull(cell_raw->c_str(), &end, 10);
-    if (end && *end == '\0' && !cell_raw->empty()) {
-      cells_done->push_back(static_cast<std::size_t>(c));
+    if (auto c = jsonu::parse_u64(*cell_raw,
+                                  std::numeric_limits<std::size_t>::max())) {
+      cells_done->push_back(static_cast<std::size_t>(*c));
     }
   }
   return true;

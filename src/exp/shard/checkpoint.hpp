@@ -1,17 +1,17 @@
 // Shard checkpoint files: the JSONL stream a worker writes as cells
-// complete, read back by resume, by `ccd_merge --checkpoint` heartbeat
-// inspection, and by the dispatcher when it harvests a dead worker's
-// partial progress before re-queueing the rest of its batch.
+// complete, read back by resume, by the dispatcher's per-tick liveness
+// probe (its steal signal), and by the dispatcher when it harvests a dead
+// worker's partial progress before re-queueing the rest of its batch.
 //
 // Layout: one header line ("ccd-shard-checkpoint-v1", grid fingerprint,
 // shard identity, wall-clock stamp) then one cell-aggregate line per
-// COMPLETED cell, each carrying a ts_ms heartbeat and the completing
-// worker thread.  The file is rewritten whole at worker start and appended
-// per cell after that, so the only malformed content a crash can produce
-// is a torn FINAL line -- possibly the header itself when the worker died
-// inside its very first write.  Loading forgives exactly that: a torn tail
-// (including a torn lone header) drops silently; malformed content
-// anywhere else is a hard, keyed error.
+// COMPLETED cell, each carrying a ts_ms heartbeat.  The file is rewritten
+// whole at worker start and appended per cell after that, so the only
+// malformed content a crash can produce is a torn FINAL line -- possibly
+// the header itself when the worker died inside its very first write.
+// Loading forgives exactly that: a torn tail (including a torn lone
+// header) drops silently; malformed content anywhere else is a hard,
+// keyed error.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +28,10 @@ namespace ccd::exp {
 /// proves liveness at start).
 std::string checkpoint_header(const ShardSpec& shard);
 
-/// One completed cell as a checkpoint line: the cell aggregate with
-/// heartbeat fields (ts_ms, completing worker) spliced in before the
-/// closing brace.  Pure observability -- the reader looks up known keys
-/// only, so replayed cells (worker == nullptr) load identically.
-std::string checkpoint_cell_marker(const CellAggregate& cell,
-                                   const std::uint32_t* worker);
+/// One completed cell as a checkpoint line: the cell aggregate with a
+/// ts_ms heartbeat spliced in before the closing brace.  The loader looks
+/// up known keys only, so the stamp never changes what a resume reads.
+std::string checkpoint_cell_marker(const CellAggregate& cell);
 
 /// What a checkpoint file held when loaded.
 struct CheckpointContents {

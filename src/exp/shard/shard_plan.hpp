@@ -2,13 +2,17 @@
 // self-contained shard specs for multi-process / multi-host execution.
 //
 // A shard spec carries everything a worker needs -- the full grid (so the
-// hash(grid_seed, run_index) seed stream is reproduced exactly), the cell
-// subset it owns, and the grid fingerprint that makes stale shard files
-// unmergeable by construction.  Cells, not runs, are the partition unit:
-// every cell's seeds stay together, so per-cell aggregates computed by a
-// shard are bit-identical to the same cells inside a full-grid run and the
-// merged report needs no cross-shard statistics arithmetic beyond the
-// exact Stats/Aggregate merge.
+// hash(grid_seed, run_index) seed stream is reproduced exactly), the cells
+// it owns as an explicit ascending list, and the grid fingerprint that
+// makes stale shard files unmergeable by construction.  The planner's
+// K-way splits and the dispatcher's dynamic batches are the same shape, so
+// workers, checkpoints and the merge validation have one code path.
+//
+// Cells, not runs, are the partition unit: every cell's seeds stay
+// together, so per-cell aggregates computed by a shard are bit-identical
+// to the same cells inside a full-grid run and the merged report needs no
+// cross-shard statistics arithmetic beyond the exact Stats/Aggregate
+// merge.
 #pragma once
 
 #include <cstdint>
@@ -17,67 +21,59 @@
 #include <vector>
 
 #include "exp/sweep_grid.hpp"
+#include "util/flat_json.hpp"
 
 namespace ccd::exp {
 
-/// How cells map to shards.  kContiguous gives shard i the balanced range
-/// [floor(i*N/K), floor((i+1)*N/K)) -- cache-friendly and trivially
-/// describable; kStrided gives it {c : c mod K == i} -- load-balancing
-/// when cell cost varies systematically along the enumeration order.
-/// kExplicit carries the owned cells verbatim: the dispatcher's dynamic
-/// batches are specs like any other, so workers, checkpoints and the merge
-/// validation need no second code path.
-enum class ShardMode : std::uint8_t { kContiguous, kStrided, kExplicit };
-
-const char* to_string(ShardMode m);
-std::optional<ShardMode> parse_shard_mode(const std::string& s);
-
 struct ShardSpec {
+  /// Which spec of its plan this is: shard i of plan(grid, K) has index i
+  /// and count K; a dispatcher batch carries its batch id and count 1.
+  /// Neither decides ownership -- `cells` does.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  ShardMode mode = ShardMode::kContiguous;
   /// Fingerprint of `grid` at planning time; from_json re-derives the
   /// grid's fingerprint and rejects the file on mismatch (a hand-edited or
   /// stale shard must not run, let alone merge).
   std::uint64_t grid_fingerprint = 0;
   SweepGrid grid;
-  /// kExplicit only: the owned cells, strictly ascending.  For the derived
-  /// modes this stays empty and ownership is pure index arithmetic.  For
-  /// explicit specs shard_index is a batch/assignment id (unique per spec
-  /// the dispatcher hands out) and shard_count is not meaningful.
+  /// The owned cells, strictly ascending and in range.  May be empty
+  /// (K > num_cells): an empty shard runs nothing and contributes nothing
+  /// at merge time, which is still an exact merge.
   std::vector<std::size_t> cells;
 
-  /// The cells this shard owns, ascending.  May be empty (K > num_cells):
-  /// an empty shard runs nothing and contributes nothing at merge time,
-  /// which is still an exact merge.
-  std::vector<std::size_t> cell_indices() const;
   bool owns_cell(std::size_t cell) const;
 
   /// Self-contained shard JSON ("ccd-shard-spec-v1").
   std::string to_json() const;
   static std::optional<ShardSpec> from_json(const std::string& json,
                                             std::string* error = nullptr);
+  /// The spec members of an already-parsed object, owned cells read from
+  /// `cells_key` (a shard report keeps them under "cell_list", because its
+  /// "cells" holds the aggregates).  No format check.
+  static std::optional<ShardSpec> from_members(const jsonu::FlatJson& flat,
+                                               const char* cells_key,
+                                               std::string* error);
 };
 
 class ShardPlanner {
  public:
   /// Partition `grid` into `count` shards (count >= 1) covering every cell
-  /// exactly once.  Deterministic: same (grid, count, mode) -> same specs.
-  static std::vector<ShardSpec> plan(const SweepGrid& grid, std::size_t count,
-                                     ShardMode mode = ShardMode::kContiguous);
+  /// exactly once: shard i owns the balanced range
+  /// [i*N/count, (i+1)*N/count).  Deterministic: same (grid, count) ->
+  /// same specs.
+  static std::vector<ShardSpec> plan(const SweepGrid& grid,
+                                     std::size_t count);
 
-  /// One explicit-cell spec owning exactly `cells` (must be strictly
-  /// ascending and in range).  `batch_id` lands in shard_index so every
-  /// assignment the dispatcher writes is distinguishable in checkpoints
-  /// and error messages.
+  /// One spec owning exactly `cells` (must be strictly ascending and in
+  /// range).  `batch_id` lands in shard_index so every assignment the
+  /// dispatcher writes is distinguishable in checkpoints and error
+  /// messages.
   static ShardSpec plan_cells(const SweepGrid& grid,
                               std::vector<std::size_t> cells,
                               std::size_t batch_id);
 };
 
-/// 16-hex-digit rendering used for fingerprints in shard JSON (readable in
-/// error messages, greppable across shard files).
-std::string fingerprint_to_hex(std::uint64_t fp);
-std::optional<std::uint64_t> fingerprint_from_hex(const std::string& s);
+using jsonu::fingerprint_from_hex;
+using jsonu::fingerprint_to_hex;
 
 }  // namespace ccd::exp

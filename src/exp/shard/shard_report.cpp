@@ -1,7 +1,7 @@
 #include "exp/shard/shard_report.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "util/flat_json.hpp"
 
@@ -86,36 +86,31 @@ std::optional<CellAggregate> cell_aggregate_from_json(const SweepGrid& grid,
 
   const std::string* cell_raw = flat->find("cell");
   if (!cell_raw) return fail("cell aggregate missing key 'cell'");
-  char* end = nullptr;
-  const unsigned long long c = std::strtoull(cell_raw->c_str(), &end, 10);
-  if (!end || *end != '\0' || cell_raw->empty() ||
-      (*cell_raw)[0] == '-') {  // strtoull would silently wrap negatives
-    return fail("bad value '" + *cell_raw + "' for key 'cell'");
-  }
-  if (c >= grid.num_cells()) {
-    return fail("cell " + std::to_string(c) + " out of range (grid has " +
+  const auto c = jsonu::parse_u64(*cell_raw);
+  if (!c) return fail("bad value '" + *cell_raw + "' for key 'cell'");
+  if (*c >= grid.num_cells()) {
+    return fail("cell " + std::to_string(*c) + " out of range (grid has " +
                 std::to_string(grid.num_cells()) + " cells)");
   }
 
-  CellAggregate cell = empty_cell_aggregate(grid, static_cast<std::size_t>(c));
+  CellAggregate cell =
+      empty_cell_aggregate(grid, static_cast<std::size_t>(*c));
   for (const CounterField& f : kCounters) {
     const std::string* raw = flat->find(f.key);
     if (!raw) return fail(std::string("cell aggregate missing key '") +
                           f.key + "'");
-    char* num_end = nullptr;
-    const unsigned long long v = std::strtoull(raw->c_str(), &num_end, 10);
-    if (!num_end || *num_end != '\0' || raw->empty() || (*raw)[0] == '-') {
-      return fail("bad value '" + *raw + "' for key '" + f.key + "'");
-    }
-    cell.*(f.member) = static_cast<std::size_t>(v);
+    const auto v =
+        jsonu::parse_u64(*raw, std::numeric_limits<std::size_t>::max());
+    if (!v) return fail("bad value '" + *raw + "' for key '" + f.key + "'");
+    cell.*(f.member) = static_cast<std::size_t>(*v);
   }
   for (const CellStatsField& f : cell_stats_fields()) {
     const std::string* raw = flat->find(f.name);
     if (!raw) return fail(std::string("cell aggregate missing key '") +
                           f.name + "'");
-    // Histogram bins install by count addition; raw buffers (and legacy
-    // v1 bare sample arrays) replay via add() in insertion order.  Either
-    // way the worker's accumulator state is reproduced exactly.
+    // Histogram bins install by count addition; raw buffers replay via
+    // add() in insertion order.  Either way the worker's accumulator state
+    // is reproduced exactly.
     std::string stats_error;
     if (!stats_from_json(*raw, &(cell.*(f.member)), &stats_error)) {
       return fail(std::string("key '") + f.name + "': " + stats_error);
@@ -128,21 +123,16 @@ std::string ShardReport::to_json() const {
   std::string out = "{\"format\":\"ccd-shard-report-v2\"";
   out += ",\"shard_index\":" + std::to_string(shard.shard_index);
   out += ",\"shard_count\":" + std::to_string(shard.shard_count);
-  out += ",\"mode\":\"";
-  out += to_string(shard.mode);
-  out += "\",\"grid_fingerprint\":\"" +
+  out += ",\"grid_fingerprint\":\"" +
          fingerprint_to_hex(shard.grid_fingerprint);
   out += "\",\"grid\":" + shard.grid.to_json();
-  // Explicit (dispatcher-batch) specs name their owned cells outright;
   // "cell_list" because "cells" already carries the aggregates below.
-  if (shard.mode == ShardMode::kExplicit) {
-    out += ",\"cell_list\":[";
-    for (std::size_t i = 0; i < shard.cells.size(); ++i) {
-      if (i > 0) out += ",";
-      out += std::to_string(shard.cells[i]);
-    }
-    out += "]";
+  out += ",\"cell_list\":[";
+  for (std::size_t i = 0; i < shard.cells.size(); ++i) {
+    if (i > 0) out += ",";
+    out += std::to_string(shard.cells[i]);
   }
+  out += "]";
   out += ",\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i > 0) out += ",";
@@ -160,44 +150,17 @@ std::optional<ShardReport> ShardReport::from_json(const std::string& json,
   };
   auto flat = jsonu::FlatJson::parse(json);
   if (!flat) return fail("shard report is not a flat JSON object");
-  // v2 encodes statistics as histograms/raw-buffer objects; v1 (the
-  // legacy format) as bare sample arrays.  The per-stats decoder accepts
-  // both, so old shard reports keep merging.
   const std::string* format = flat->find("format");
-  if (!format || (*format != "ccd-shard-report-v2" &&
-                  *format != "ccd-shard-report-v1")) {
+  if (!format || *format != "ccd-shard-report-v2") {
     return fail(
-        "missing or unknown \"format\" (expected ccd-shard-report-v2 or the "
-        "legacy ccd-shard-report-v1)");
+        "missing or unknown \"format\" (expected ccd-shard-report-v2)");
   }
 
-  // The report header doubles as a shard spec; reuse its parser (and its
-  // fingerprint-vs-grid consistency check) by re-wrapping the members.
-  std::string spec_json = "{\"format\":\"ccd-shard-spec-v1\"";
-  for (const char* key :
-       {"shard_index", "shard_count", "mode", "grid_fingerprint"}) {
-    const std::string* raw = flat->find(key);
-    if (!raw) return fail(std::string("missing key '") + key + "'");
-    spec_json += ",\"";
-    spec_json += key;
-    spec_json += "\":";
-    spec_json += (key == std::string("shard_index") ||
-                  key == std::string("shard_count"))
-                     ? *raw
-                     : jsonu::quote(*raw);
-  }
-  const std::string* grid_raw = flat->find("grid");
-  if (!grid_raw) return fail("missing key 'grid'");
-  spec_json += ",\"grid\":" + *grid_raw;
-  if (const std::string* cell_list = flat->find("cell_list")) {
-    spec_json += ",\"cells\":" + *cell_list;
-  }
-  spec_json += "}";
-
+  // The report header doubles as a shard spec, owned cells in
+  // "cell_list".
   ShardReport report;
-  std::string spec_error;
-  auto spec = ShardSpec::from_json(spec_json, &spec_error);
-  if (!spec) return fail(spec_error);
+  auto spec = ShardSpec::from_members(*flat, "cell_list", error);
+  if (!spec) return std::nullopt;
   report.shard = std::move(*spec);
 
   const std::string* cells_raw = flat->find("cells");

@@ -1,18 +1,15 @@
 // Shard reports: the partial result a shard worker emits, and the merge
 // that recombines K of them into the exact full-grid aggregates.
 //
-// A report serializes each owned cell's CellAggregate with its statistics
-// in full -- sparse histogram bins for integer-valued metrics, raw sample
+// A report ("ccd-shard-report-v2") serializes each owned cell's
+// CellAggregate with its statistics in full -- {"h":[key,count,...]}
+// sparse histogram bins for integer-valued metrics, {"raw":[...]} sample
 // buffers (lossless shortest-round-trip doubles) for the real-valued
 // opt-ins -- not as pre-rendered summaries.  ccd_merge rebuilds every
 // Stats exactly (bin addition / add() replay) and hands the merged cells
 // to the same aggregates_to_json / aggregates_to_csv renderers ccd_sweep
 // uses.  The merged report is byte-identical to a single-process
 // full-grid run; a ctest target and a CI smoke step both enforce this.
-//
-// Format history: "ccd-shard-report-v2" (current) encodes each statistic
-// as {"h":[key,count,...]} or {"raw":[...]}; the legacy v1 format
-// (bare sample arrays) is still read back exactly.
 #pragma once
 
 #include <optional>
@@ -30,9 +27,9 @@ struct ShardReport {
   /// Aggregates for exactly the cells the shard owns, ascending cell index.
   std::vector<CellAggregate> cells;
 
-  /// "ccd-shard-report-v2" JSON.
+  /// "ccd-shard-report-v2" JSON; the spec's owned cells ride in
+  /// "cell_list".
   std::string to_json() const;
-  /// Accepts v2 and the legacy v1 format.
   static std::optional<ShardReport> from_json(const std::string& json,
                                               std::string* error = nullptr);
 };

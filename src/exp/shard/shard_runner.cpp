@@ -20,7 +20,7 @@ std::optional<ShardReport> run_shard(const ShardSpec& shard,
     return fail("shard grid has seeds_per_cell 0: no runs to execute");
   }
 
-  const std::vector<std::size_t> owned = shard.cell_indices();
+  const std::vector<std::size_t>& owned = shard.cells;
   std::map<std::size_t, CellAggregate> completed;
   if (options.resume && !options.checkpoint_path.empty()) {
     CheckpointContents contents;
@@ -57,7 +57,7 @@ std::optional<ShardReport> run_shard(const ShardSpec& shard,
     checkpoint << checkpoint_header(shard) << "\n";
     for (const auto& [c, cell] : completed) {
       (void)c;
-      checkpoint << checkpoint_cell_marker(cell, nullptr) << "\n";
+      checkpoint << checkpoint_cell_marker(cell) << "\n";
     }
     checkpoint << std::flush;
   }
@@ -86,7 +86,7 @@ std::optional<ShardReport> run_shard(const ShardSpec& shard,
     for (const RunRecord* r : slots[c]) accumulate_run(cell, *r);
     obs::Telemetry::thread_sink().add(obs::Counter::kCellsCompleted, 1);
     if (checkpoint.is_open()) {
-      checkpoint << checkpoint_cell_marker(cell, &record.perf.worker) << "\n"
+      checkpoint << checkpoint_cell_marker(cell) << "\n"
                  << std::flush;
     }
     fresh_cells[c] = std::move(cell);

@@ -1,7 +1,7 @@
 #include "exp/sweep_grid.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <type_traits>
 
 #include "util/flat_json.hpp"
@@ -350,20 +350,18 @@ std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
     }
   };
   auto read_uint_axis = [&](const char* key, auto& axis) {
+    using T = typename std::remove_reference_t<decltype(axis)>::value_type;
     const std::string* raw = flat->find(key);
     if (!raw) return;
-    auto items = jsonu::parse_u64_array(*raw);
+    auto items =
+        jsonu::parse_u64_array(*raw, std::numeric_limits<T>::max());
     if (!items) {
       report(std::string("axis '") + key +
              "' must be an array of unsigned integers");
       return;
     }
     axis.clear();
-    for (std::uint64_t v : *items) {
-      axis.push_back(
-          static_cast<typename std::remove_reference_t<
-              decltype(axis)>::value_type>(v));
-    }
+    for (std::uint64_t v : *items) axis.push_back(static_cast<T>(v));
   };
 
   static const char* const known_keys[] = {
@@ -389,20 +387,17 @@ std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
     }
   }
   if (const std::string* raw = flat->find("grid_seed")) {
-    char* end = nullptr;
-    grid.grid_seed = std::strtoull(raw->c_str(), &end, 10);
-    if (!end || *end != '\0' || raw->empty() || (*raw)[0] == '-') {
+    if (auto v = jsonu::parse_u64(*raw)) {
+      grid.grid_seed = *v;
+    } else {
       report("bad value '" + *raw + "' for key 'grid_seed'");
     }
   }
   if (const std::string* raw = flat->find("seeds_per_cell")) {
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(raw->c_str(), &end, 10);
-    if (!end || *end != '\0' || raw->empty() || (*raw)[0] == '-' ||
-        v > ~0u) {
-      report("bad value '" + *raw + "' for key 'seeds_per_cell'");
+    if (auto v = jsonu::parse_u64(*raw, ~0u)) {
+      grid.seeds_per_cell = static_cast<std::uint32_t>(*v);
     } else {
-      grid.seeds_per_cell = static_cast<std::uint32_t>(v);
+      report("bad value '" + *raw + "' for key 'seeds_per_cell'");
     }
   }
   read_enum_axis("algs", parse_alg, grid.algs);

@@ -1,7 +1,7 @@
 #include "obs/perf_sidecar.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "util/flat_json.hpp"
@@ -12,41 +12,15 @@ namespace ccd::obs {
 namespace {
 
 namespace jsonu = ccd::jsonu;
+using jsonu::fingerprint_from_hex;
+using jsonu::fingerprint_to_hex;
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
-// Same 16-hex-digit rendering exp/shard uses for grid fingerprints, kept
-// local so obs/ does not depend on the shard layer.
-std::string fp_to_hex(std::uint64_t fp) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[fp & 0xf];
-    fp >>= 4;
-  }
-  return out;
-}
-
-std::optional<std::uint64_t> fp_from_hex(const std::string& s) {
-  if (s.size() != 16) return std::nullopt;
-  std::uint64_t fp = 0;
-  for (char c : s) {
-    fp <<= 4;
-    if (c >= '0' && c <= '9') fp |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') fp |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return std::nullopt;
-  }
-  return fp;
-}
-
-bool parse_u64(const std::string& raw, std::uint64_t& out) {
-  if (raw.empty() || raw[0] == '-') return false;
-  char* end = nullptr;
-  out = std::strtoull(raw.c_str(), &end, 10);
-  return end && *end == '\0';
-}
-
-/// Fetch member `key` of `flat` as a u64 into `out`; keyed error otherwise.
+/// Fetch member `key` of `flat` as a u64 <= `max` into `out`; keyed error
+/// otherwise.
 bool need_u64(const jsonu::FlatJson& flat, const char* key, std::uint64_t& out,
-              std::string* error, const char* where) {
+              std::string* error, const char* where,
+              std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const std::string* raw = flat.find(key);
   if (!raw) {
     if (error) {
@@ -54,13 +28,15 @@ bool need_u64(const jsonu::FlatJson& flat, const char* key, std::uint64_t& out,
     }
     return false;
   }
-  if (!parse_u64(*raw, out)) {
+  const auto v = jsonu::parse_u64(*raw, max);
+  if (!v) {
     if (error) {
       *error = std::string("bad value '") + *raw + "' for key '" + key +
                "' in " + where;
     }
     return false;
   }
+  out = *v;
   return true;
 }
 
@@ -110,7 +86,8 @@ std::uint64_t percentile_ns(const ExactHistogram& durations, double p) {
 
 std::string PerfSidecar::to_json() const {
   std::string out = "{\"format\":\"ccd-perf-sidecar-v1\"";
-  out += ",\"grid_fingerprint\":\"" + fp_to_hex(grid_fingerprint) + "\"";
+  out += ",\"grid_fingerprint\":\"" + fingerprint_to_hex(grid_fingerprint) +
+         "\"";
   out += ",\"runs\":" + std::to_string(runs);
   out += ",\"stats_bytes_retained\":" + std::to_string(stats_bytes_retained);
   out += ",\"counters\":";
@@ -190,7 +167,7 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
   PerfSidecar sidecar;
   const std::string* fp_raw = flat->find("grid_fingerprint");
   if (!fp_raw) return fail("missing key 'grid_fingerprint'");
-  auto fp = fp_from_hex(*fp_raw);
+  auto fp = fingerprint_from_hex(*fp_raw);
   if (!fp) {
     return fail("bad value '" + *fp_raw + "' for key 'grid_fingerprint'");
   }
@@ -224,7 +201,7 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
         !need_u64(*sf, "shard_count", s.shard_count, error, where.c_str()) ||
         !need_u64(*sf, "wall_ns", s.wall_ns, error, where.c_str()) ||
         !need_u64(*sf, "drain_ns", s.drain_ns, error, where.c_str()) ||
-        !need_u64(*sf, "threads", threads, error, where.c_str()) ||
+        !need_u64(*sf, "threads", threads, error, where.c_str(), kU32Max) ||
         !need_u64(*sf, "runs", s.runs, error, where.c_str())) {
       return std::nullopt;
     }
@@ -239,7 +216,7 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
       if (!wf) return fail(wwhere + " is not a flat JSON object");
       PerfWorker pw;
       std::uint64_t id = 0;
-      if (!need_u64(*wf, "worker", id, error, wwhere.c_str()) ||
+      if (!need_u64(*wf, "worker", id, error, wwhere.c_str(), kU32Max) ||
           !need_u64(*wf, "busy_ns", pw.busy_ns, error, wwhere.c_str()) ||
           !need_u64(*wf, "runs", pw.runs, error, wwhere.c_str())) {
         return std::nullopt;
@@ -380,9 +357,9 @@ std::optional<PerfSidecar> merge_perf_sidecars(
     const PerfSidecar& s = sidecars[i];
     if (s.grid_fingerprint != merged.grid_fingerprint) {
       return fail("grid fingerprint mismatch: sidecar 0 is for grid " +
-                  fp_to_hex(merged.grid_fingerprint) + " but sidecar " +
-                  std::to_string(i) + " for grid " +
-                  fp_to_hex(s.grid_fingerprint) +
+                  fingerprint_to_hex(merged.grid_fingerprint) +
+                  " but sidecar " + std::to_string(i) + " for grid " +
+                  fingerprint_to_hex(s.grid_fingerprint) +
                   " (sidecars from different grids cannot merge)");
     }
     merged.runs += s.runs;

@@ -25,13 +25,6 @@ bool set_error(std::string* error, const std::string& message) {
   return false;
 }
 
-bool parse_u64_text(const std::string& raw, std::uint64_t* out) {
-  if (raw.empty() || raw[0] == '-') return false;
-  char* end = nullptr;
-  *out = std::strtoull(raw.c_str(), &end, 10);
-  return end && *end == '\0';
-}
-
 bool parse_double_text(const std::string& raw, double* out) {
   if (raw.empty()) return false;
   char* end = nullptr;
@@ -111,9 +104,11 @@ bool metric_from_summary(const std::string& name, const std::string& raw,
   out->name = name;
   out->full = false;
   const std::string* count_raw = flat->find("count");
-  if (!count_raw || !parse_u64_text(*count_raw, &out->count)) {
+  const auto count = count_raw ? jsonu::parse_u64(*count_raw) : std::nullopt;
+  if (!count) {
     return set_error(error, "metric '" + name + "' missing valid 'count'");
   }
+  out->count = *count;
   struct Field {
     const char* key;
     double MetricView::* member;
@@ -149,11 +144,9 @@ bool hoist_summary_block(const std::string& prefix, const std::string& raw,
       cell->metrics.push_back(std::move(m));
       continue;
     }
-    std::uint64_t v = 0;
-    if (!parse_u64_text(value, &v)) {
-      return set_error(error, "bad value for '" + name + "'");
-    }
-    cell->counters[name] = v;
+    const auto v = jsonu::parse_u64(value);
+    if (!v) return set_error(error, "bad value for '" + name + "'");
+    cell->counters[name] = *v;
   }
   return true;
 }
@@ -168,18 +161,18 @@ bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
     if (!flat) return set_error(error, where + " is not a JSON object");
     CellView cell;
     const std::string* cell_raw = flat->find("cell");
-    if (!cell_raw || !parse_u64_text(*cell_raw, &cell.cell)) {
-      return set_error(error, where + " missing valid 'cell'");
-    }
+    const auto index = cell_raw ? jsonu::parse_u64(*cell_raw) : std::nullopt;
+    if (!index) return set_error(error, where + " missing valid 'cell'");
+    cell.cell = *index;
     if (const std::string* spec = flat->find("spec")) cell.spec = *spec;
     if (shard_layout) {
       // Shard cell: every member other than the index is either a counter
-      // (plain integer) or a statistic (v2 {"h":..}/{"raw":..} object or a
-      // legacy v1 sample array).  Heartbeat keys ride along in
-      // checkpoints; they parse as counters, which is fine for display.
+      // (plain integer) or a statistic ({"h":..} or {"raw":..} object).
+      // A checkpoint's ts_ms heartbeat parses as a counter, which is fine
+      // for display.
       for (const auto& [key, value] : flat->members) {
         if (key == "cell") continue;
-        if (!value.empty() && (value[0] == '{' || value[0] == '[')) {
+        if (!value.empty() && value[0] == '{') {
           Stats stats;
           std::string stats_error;
           if (!stats_from_json(value, &stats, &stats_error)) {
@@ -188,16 +181,15 @@ bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
           cell.metrics.push_back(metric_from_stats(key, std::move(stats)));
           continue;
         }
-        std::uint64_t v = 0;
-        if (!parse_u64_text(value, &v)) {
+        const auto v = jsonu::parse_u64(value);
+        if (!v) {
           return set_error(error, where + ": bad value for '" + key + "'");
         }
-        cell.counters[key] = v;
+        cell.counters[key] = *v;
       }
     } else {
       if (const std::string* runs = flat->find("runs")) {
-        std::uint64_t v = 0;
-        if (parse_u64_text(*runs, &v)) cell.counters["runs"] = v;
+        if (auto v = jsonu::parse_u64(*runs)) cell.counters["runs"] = *v;
       }
       const std::string* metrics_raw = flat->find("metrics");
       if (!metrics_raw) {
@@ -241,9 +233,9 @@ bool parse_aggregate_cells(const std::string& cells_raw, ReportView* view,
     if (!flat) return set_error(error, where + " is not a JSON object");
     CellView cell;
     const std::string* cell_raw = flat->find("cell");
-    if (!cell_raw || !parse_u64_text(*cell_raw, &cell.cell)) {
-      return set_error(error, where + " missing valid 'cell'");
-    }
+    const auto index = cell_raw ? jsonu::parse_u64(*cell_raw) : std::nullopt;
+    if (!index) return set_error(error, where + " missing valid 'cell'");
+    cell.cell = *index;
     for (const auto& [key, value] : flat->members) {
       if (key == "cell") continue;
       if (key == "spec") {
@@ -261,11 +253,11 @@ bool parse_aggregate_cells(const std::string& cells_raw, ReportView* view,
         cell.metrics.push_back(std::move(m));
         continue;
       }
-      std::uint64_t v = 0;
-      if (!parse_u64_text(value, &v)) {
+      const auto v = jsonu::parse_u64(value);
+      if (!v) {
         return set_error(error, where + ": bad value for '" + key + "'");
       }
-      cell.counters[key] = v;
+      cell.counters[key] = *v;
     }
     std::sort(cell.metrics.begin(), cell.metrics.end(),
               [](const MetricView& a, const MetricView& b) {
@@ -286,16 +278,16 @@ bool parse_sidecar_cells(const std::string& cells_raw, ReportView* view,
     if (!flat) return set_error(error, where + " is not a JSON object");
     CellView cell;
     const std::string* cell_raw = flat->find("cell");
-    if (!cell_raw || !parse_u64_text(*cell_raw, &cell.cell)) {
-      return set_error(error, where + " missing valid 'cell'");
-    }
+    const auto index = cell_raw ? jsonu::parse_u64(*cell_raw) : std::nullopt;
+    if (!index) return set_error(error, where + " missing valid 'cell'");
+    cell.cell = *index;
     for (const auto& [key, value] : flat->members) {
       if (key == "cell") continue;
-      std::uint64_t v = 0;
-      if (!parse_u64_text(value, &v)) {
+      const auto v = jsonu::parse_u64(value);
+      if (!v) {
         return set_error(error, where + ": bad value for '" + key + "'");
       }
-      cell.counters[key] = v;
+      cell.counters[key] = *v;
     }
     view->cells.push_back(std::move(cell));
   }
@@ -328,7 +320,7 @@ bool parse_report(const std::string& json, ReportView* view,
     view->kind = "dist";
     return parse_dist_cells(*cells_raw, /*shard_layout=*/false, view, error);
   }
-  if (kind == "ccd-shard-report-v1" || kind == "ccd-shard-report-v2") {
+  if (kind == "ccd-shard-report-v2") {
     view->kind = "shard";
     return parse_dist_cells(*cells_raw, /*shard_layout=*/true, view, error);
   }
@@ -340,8 +332,7 @@ bool parse_report(const std::string& json, ReportView* view,
     view->kind = "sidecar";
     for (const char* key : {"runs", "stats_bytes_retained"}) {
       if (const std::string* v = flat->find(key)) {
-        std::uint64_t n = 0;
-        if (parse_u64_text(*v, &n)) view->totals[key] = n;
+        if (auto n = jsonu::parse_u64(*v)) view->totals[key] = *n;
       }
     }
     return parse_sidecar_cells(*cells_raw, view, error);
@@ -588,7 +579,7 @@ bool parse_trace(const std::string& json, const char* label, TraceDoc* doc,
                                 "ccd_sweep --rerun-cell dump)");
   }
   if (const std::string* cell = flat->find("cell")) {
-    parse_u64_text(*cell, &doc->cell);
+    if (auto v = jsonu::parse_u64(*cell)) doc->cell = *v;
   }
   const std::string* runs_raw = flat->find("runs");
   if (!runs_raw) return set_error(error, std::string(label) + ": no 'runs'");
@@ -603,10 +594,10 @@ bool parse_trace(const std::string& json, const char* label, TraceDoc* doc,
     if (!rf) return set_error(error, where + " is not a JSON object");
     TraceRun run;
     if (const std::string* v = rf->find("run_index")) {
-      parse_u64_text(*v, &run.run_index);
+      if (auto n = jsonu::parse_u64(*v)) run.run_index = *n;
     }
     if (const std::string* v = rf->find("seed")) {
-      parse_u64_text(*v, &run.seed);
+      if (auto n = jsonu::parse_u64(*v)) run.seed = *n;
     }
     if (const std::string* v = rf->find("solved")) run.solved = *v;
     if (const std::string* log_raw = rf->find("log")) {
@@ -631,7 +622,7 @@ bool parse_trace(const std::string& json, const char* label, TraceDoc* doc,
         }
         TraceRound round;
         if (const std::string* v = rr->find("round")) {
-          parse_u64_text(*v, &round.round);
+          if (auto n = jsonu::parse_u64(*v)) round.round = *n;
         }
         if (const std::string* v = rr->find("broadcasters")) {
           round.broadcasters = *v;

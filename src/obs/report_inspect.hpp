@@ -5,8 +5,8 @@
 //
 //   render_report  per-cell distribution view (histogram bars, exact
 //                  p50/p90/p99/p99.9, tail mass) of a ccd-dist-v1 file, a
-//                  shard report (v1 or v2), an aggregate report, or a
-//                  perf sidecar.
+//                  shard report (ccd-shard-report-v2), an aggregate
+//                  report, or a perf sidecar.
 //   diff_reports   cell-by-cell, metric-by-metric comparison of two such
 //                  artifacts with keyed mismatch output.
 //   export_dist    canonicalize a dist/shard artifact into ccd-dist-v1.

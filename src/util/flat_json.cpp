@@ -1,6 +1,7 @@
 #include "util/flat_json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -207,21 +208,55 @@ std::optional<std::vector<double>> parse_double_array(const std::string& raw) {
   return out;
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view text,
+                                       std::uint64_t max) {
+  // from_chars takes no sign or whitespace for an unsigned target and
+  // reports overflow as result_out_of_range.
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v, 10);
+  if (ec != std::errc() || stop != end || v > max) return std::nullopt;
+  return v;
+}
+
 std::optional<std::vector<std::uint64_t>> parse_u64_array(
-    const std::string& raw) {
+    const std::string& raw, std::uint64_t max) {
   auto items = parse_array_items(raw);
   if (!items) return std::nullopt;
   std::vector<std::uint64_t> out;
   out.reserve(items->size());
   for (const std::string& item : *items) {
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(item.c_str(), &end, 10);
-    if (!end || *end != '\0' || item.empty() || item[0] == '-') {
-      return std::nullopt;
-    }
-    out.push_back(v);
+    auto v = parse_u64(item, max);
+    if (!v) return std::nullopt;
+    out.push_back(*v);
   }
   return out;
+}
+
+std::string fingerprint_to_hex(std::uint64_t fp) {
+  static const char* digits = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<std::size_t>(i)] = digits[fp & 0xf];
+    fp >>= 4;
+  }
+  return out;
+}
+
+std::optional<std::uint64_t> fingerprint_from_hex(std::string_view s) {
+  if (s.size() != 16) return std::nullopt;
+  std::uint64_t fp = 0;
+  for (char c : s) {
+    fp <<= 4;
+    if (c >= '0' && c <= '9') {
+      fp |= static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      fp |= static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return std::nullopt;
+    }
+  }
+  return fp;
 }
 
 void append_double_array(std::string& out, const std::vector<double>& xs) {

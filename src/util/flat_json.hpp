@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ccd::jsonu {
@@ -54,9 +56,25 @@ std::optional<std::vector<std::string>> parse_array_items(
 /// number.
 std::optional<std::vector<double>> parse_double_array(const std::string& raw);
 
-/// Array of unquoted non-negative integers; nullopt on anything else.
+/// Strict unsigned decimal: one or more digits and nothing else -- no
+/// sign, no whitespace, no trailing bytes -- with a value <= `max` (pass
+/// the narrower field's maximum when the result is narrowed).  Every
+/// artifact reader parses unsigned members through here, so "-1" never
+/// wraps to 2^64-1 and "4294967300" never truncates to 4.
+std::optional<std::uint64_t> parse_u64(
+    std::string_view text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// Array of parse_u64 values; nullopt on anything else.
 std::optional<std::vector<std::uint64_t>> parse_u64_array(
-    const std::string& raw);
+    const std::string& raw,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// 16-hex-digit rendering used for grid fingerprints in shard specs,
+/// reports, checkpoints and perf sidecars (readable in error messages,
+/// greppable across files); the parser takes exactly that form.
+std::string fingerprint_to_hex(std::uint64_t fp);
+std::optional<std::uint64_t> fingerprint_from_hex(std::string_view s);
 
 /// Append `[a,b,...]` rendering doubles via format_double.
 void append_double_array(std::string& out, const std::vector<double>& xs);

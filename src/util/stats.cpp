@@ -83,13 +83,8 @@ void Stats::add(double x) {
 }
 
 void Stats::add_bin(std::int64_t key, std::uint64_t count) {
-  if (hist_active_) {
-    hist_.add(key, count);
-    return;
-  }
-  const double x = static_cast<double>(key);
-  samples_.reserve(samples_.size() + count);
-  for (std::uint64_t i = 0; i < count; ++i) raw_add(x);
+  assert(hist_active_);
+  hist_.add(key, count);
 }
 
 void Stats::merge_from(const Stats& other) {
@@ -230,16 +225,6 @@ bool parse_i64(const std::string& text, std::int64_t* out) {
   return true;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 bool fail(std::string* error, const char* what) {
   if (error) *error = what;
   return false;
@@ -250,29 +235,25 @@ bool fail(std::string* error, const char* what) {
 bool stats_from_json(std::string_view raw, Stats* into, std::string* error) {
   std::size_t start = raw.find_first_not_of(" \t\r\n");
   if (start == std::string_view::npos) return fail(error, "stats: empty");
-  const std::string text(raw.substr(start));
-  if (text[0] == '[') {
-    // Legacy shard-v1 encoding: bare sample array, replayed via add() in
-    // serialized (= insertion) order.
-    auto xs = jsonu::parse_double_array(text);
-    if (!xs) return fail(error, "stats: bad legacy sample array");
-    for (double x : *xs) into->add(x);
-    return true;
-  }
-  auto obj = jsonu::FlatJson::parse(text);
-  if (!obj) return fail(error, "stats: not an object or array");
+  auto obj = jsonu::FlatJson::parse(std::string(raw.substr(start)));
+  if (!obj) return fail(error, "stats: not an object");
   if (const std::string* h = obj->find("h")) {
+    // Only a histogram-mode accumulator takes bins: a raw-mode one would
+    // expand each count into that many samples.
+    if (!into->histogram_active()) {
+      return fail(error, "stats: histogram bins for a raw-sample statistic");
+    }
     auto items = jsonu::parse_array_items(*h);
     if (!items || items->size() % 2 != 0) {
       return fail(error, "stats: bad histogram array");
     }
     for (std::size_t i = 0; i < items->size(); i += 2) {
       std::int64_t key = 0;
-      std::uint64_t cnt = 0;
-      if (!parse_i64((*items)[i], &key) || !parse_u64((*items)[i + 1], &cnt)) {
+      const auto cnt = jsonu::parse_u64((*items)[i + 1]);
+      if (!parse_i64((*items)[i], &key) || !cnt) {
         return fail(error, "stats: bad histogram bin");
       }
-      into->add_bin(key, cnt);
+      into->add_bin(key, *cnt);
     }
     return true;
   }

@@ -80,8 +80,8 @@ class Stats {
   /// add() replay.
   const std::vector<double>& samples() const;
 
-  /// Bulk add of `count` copies of `key`.  Used by the shard-report
-  /// decoder; in raw mode this appends count copies of double(key).
+  /// Bulk add of `count` copies of `key`.  Requires histogram_active();
+  /// used by the shard-report decoder.
   void add_bin(std::int64_t key, std::uint64_t count);
 
   std::size_t count() const;
@@ -119,10 +119,10 @@ class Stats {
 /// (insertion order, shortest round-trip doubles).
 std::string stats_to_json(const Stats& s);
 
-/// Rebuilds a Stats serialized by stats_to_json, plus the legacy
-/// shard-v1 encoding (a bare sample array "[x0,x1,...]", replayed via
-/// add()).  Folds into `*into` (normally freshly constructed).  Returns
-/// false and sets *error (if non-null) on malformed input.
+/// Rebuilds a Stats serialized by stats_to_json.  Folds into `*into`
+/// (freshly constructed, in the mode the writer's accumulator had).
+/// Returns false and sets *error (if non-null) on malformed input, and on
+/// histogram bins for a raw-mode `*into`.
 bool stats_from_json(std::string_view raw, Stats* into, std::string* error);
 
 }  // namespace ccd

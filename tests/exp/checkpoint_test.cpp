@@ -48,9 +48,8 @@ std::string valid_checkpoint(const ShardSpec& shard,
                              const std::vector<CellAggregate>& cells,
                              std::size_t completed) {
   std::string out = checkpoint_header(shard) + "\n";
-  const std::uint32_t worker = 0;
   for (std::size_t i = 0; i < completed; ++i) {
-    out += checkpoint_cell_marker(cells[i], &worker) + "\n";
+    out += checkpoint_cell_marker(cells[i]) + "\n";
   }
   return out;
 }
@@ -83,26 +82,6 @@ TEST(CheckpointTest, RoundTripLoadsEveryCellBitIdentically) {
     EXPECT_EQ(cell_aggregate_to_json(it->second),
               cell_aggregate_to_json(cell));
   }
-}
-
-TEST(CheckpointTest, MarkerWithoutWorkerLoadsIdentically) {
-  const SweepGrid grid = small_grid();
-  const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
-  const auto cells = grid_cells(grid);
-  const std::uint32_t worker = 7;
-  const std::string with = checkpoint_cell_marker(cells[0], &worker);
-  const std::string without = checkpoint_cell_marker(cells[0], nullptr);
-  EXPECT_NE(with.find("\"worker\":7"), std::string::npos);
-  EXPECT_EQ(without.find("\"worker\""), std::string::npos);
-
-  TempFile file("ckpt_noworker.jsonl");
-  file.write(checkpoint_header(shard) + "\n" + without + "\n");
-  CheckpointContents contents;
-  std::string error;
-  ASSERT_TRUE(load_checkpoint(shard, file.path, &contents, &error)) << error;
-  ASSERT_EQ(contents.cells.size(), 1u);
-  EXPECT_EQ(cell_aggregate_to_json(contents.cells.begin()->second),
-            cell_aggregate_to_json(cells[0]));
 }
 
 TEST(CheckpointTest, MissingFileIsEmptySuccess) {
@@ -179,10 +158,9 @@ TEST(CheckpointTest, MalformedMiddleLineIsAHardError) {
   const SweepGrid grid = small_grid();
   const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
   const auto cells = grid_cells(grid);
-  const std::uint32_t worker = 0;
   TempFile file("ckpt_midgarbage.jsonl");
   file.write(checkpoint_header(shard) + "\n" + "not json\n" +
-             checkpoint_cell_marker(cells[0], &worker) + "\n");
+             checkpoint_cell_marker(cells[0]) + "\n");
   CheckpointContents contents;
   std::string error;
   EXPECT_FALSE(load_checkpoint(shard, file.path, &contents, &error));
@@ -213,10 +191,9 @@ TEST(CheckpointTest, MarkerForUnownedCellIsAHardError) {
   const SweepGrid grid = small_grid();
   const auto cells = grid_cells(grid);
   const ShardSpec shard = ShardPlanner::plan_cells(grid, {0, 1}, 0);
-  const std::uint32_t worker = 0;
   TempFile file("ckpt_unowned.jsonl");
   file.write(checkpoint_header(shard) + "\n" +
-             checkpoint_cell_marker(cells[5], &worker) + "\n");
+             checkpoint_cell_marker(cells[5]) + "\n");
   CheckpointContents contents;
   std::string error;
   EXPECT_FALSE(load_checkpoint(shard, file.path, &contents, &error));
@@ -231,7 +208,7 @@ TEST(CheckpointTest, TailCheckpointIsLenientAndCheap) {
 
   // Mid-append torn tail: the tailer skips it and reports what's whole.
   std::string content = valid_checkpoint(shard, cells, 3);
-  content += checkpoint_cell_marker(cells[3], nullptr).substr(0, 20);
+  content += checkpoint_cell_marker(cells[3]).substr(0, 20);
   file.write(content);
   std::vector<std::size_t> done;
   std::uint64_t last_ts = 0;

@@ -103,9 +103,8 @@ TEST(DispatchTest, LedgerJsonPinsTheFormat) {
 TEST(DispatchTest, ExplicitSpecOwnsExactlyItsCellsThroughJson) {
   const SweepGrid grid = small_grid();
   const ShardSpec spec = ShardPlanner::plan_cells(grid, {0, 3, 5, 11}, 7);
-  EXPECT_EQ(spec.mode, ShardMode::kExplicit);
   EXPECT_EQ(spec.shard_index, 7u);  // batch id rides in shard_index
-  EXPECT_EQ(spec.cell_indices(), (std::vector<std::size_t>{0, 3, 5, 11}));
+  EXPECT_EQ(spec.cells, (std::vector<std::size_t>{0, 3, 5, 11}));
   for (std::size_t c = 0; c < grid.num_cells(); ++c) {
     EXPECT_EQ(spec.owns_cell(c), c == 0 || c == 3 || c == 5 || c == 11);
   }
@@ -113,9 +112,8 @@ TEST(DispatchTest, ExplicitSpecOwnsExactlyItsCellsThroughJson) {
   std::string error;
   auto parsed = ShardSpec::from_json(spec.to_json(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->mode, ShardMode::kExplicit);
   EXPECT_EQ(parsed->shard_index, 7u);
-  EXPECT_EQ(parsed->cell_indices(), spec.cell_indices());
+  EXPECT_EQ(parsed->cells, spec.cells);
   EXPECT_EQ(parsed->to_json(), spec.to_json());
 }
 
@@ -139,21 +137,13 @@ TEST(DispatchTest, MalformedExplicitSpecsAreRejected) {
   EXPECT_FALSE(ShardSpec::from_json(out_of_range, &error).has_value());
   EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 
-  // A 'cells' array on a derived mode is a contradiction, not a hint.
-  std::string derived = ShardPlanner::plan(grid, 2)[0].to_json();
-  ASSERT_NE(derived.back(), '\0');
-  derived.insert(derived.size() - 1, ",\"cells\":[0,1]");
-  EXPECT_FALSE(ShardSpec::from_json(derived, &error).has_value());
-  EXPECT_NE(error.find("only valid with mode explicit"), std::string::npos)
-      << error;
-
-  // Explicit mode without the cell list.
+  // No cell list: ownership is the list, so this is a keyed error.
   std::string missing = json;
   const auto cells_at = missing.find(",\"cells\":[0,3,5]");
   ASSERT_NE(cells_at, std::string::npos);
   missing.erase(cells_at, std::strlen(",\"cells\":[0,3,5]"));
   EXPECT_FALSE(ShardSpec::from_json(missing, &error).has_value());
-  EXPECT_NE(error.find("needs a 'cells' array"), std::string::npos) << error;
+  EXPECT_NE(error.find("missing key 'cells'"), std::string::npos) << error;
 }
 
 TEST(DispatchTest, ExplicitShardsRunAndMergeToTheExactFullReport) {

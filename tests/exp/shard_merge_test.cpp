@@ -43,13 +43,24 @@ std::pair<std::string, std::string> full_report(const SweepGrid& grid,
   return {aggregates_to_json(grid, cells), aggregates_to_csv(cells)};
 }
 
-/// Shard the grid K ways, run every shard (through the JSON round trip, as
-/// separate processes would), merge, and render.
-std::pair<std::string, std::string> sharded_report(const SweepGrid& grid,
-                                                   std::size_t k,
-                                                   ShardMode mode) {
+/// A non-contiguous K-way partition: shard i owns {c : c mod K == i}.
+std::vector<ShardSpec> interleaved(const SweepGrid& grid, std::size_t k) {
+  std::vector<ShardSpec> shards;
+  for (std::size_t i = 0; i < k; ++i) {
+    std::vector<std::size_t> cells;
+    for (std::size_t c = i; c < grid.num_cells(); c += k) cells.push_back(c);
+    shards.push_back(ShardPlanner::plan_cells(grid, std::move(cells), i));
+    shards.back().shard_count = k;
+  }
+  return shards;
+}
+
+/// Run every shard (through the JSON round trip, as separate processes
+/// would), merge, and render.
+std::pair<std::string, std::string> sharded_report(
+    const std::vector<ShardSpec>& shards) {
   std::vector<ShardReport> reports;
-  for (const ShardSpec& spec : ShardPlanner::plan(grid, k, mode)) {
+  for (const ShardSpec& spec : shards) {
     // Spec and report both cross a serialization boundary.
     std::string error;
     auto parsed_spec = ShardSpec::from_json(spec.to_json(), &error);
@@ -116,37 +127,44 @@ TEST(StatsMerge, RawModeSelfMergeKeepsInsertionOrder) {
 
 TEST(ShardPlanner, EveryCellOwnedExactlyOnce) {
   const SweepGrid grid = small_grid();
-  for (ShardMode mode : {ShardMode::kContiguous, ShardMode::kStrided}) {
-    for (std::size_t k : {1u, 2u, 3u, 5u, 12u}) {
-      const auto shards = ShardPlanner::plan(grid, k, mode);
-      ASSERT_EQ(shards.size(), k);
-      std::set<std::size_t> seen;
-      for (const ShardSpec& spec : shards) {
-        for (std::size_t c : spec.cell_indices()) {
-          EXPECT_TRUE(spec.owns_cell(c));
-          EXPECT_TRUE(seen.insert(c).second)
-              << "cell " << c << " owned twice (k=" << k << ")";
-        }
+  const std::size_t n = grid.num_cells();
+  for (std::size_t k : {1u, 2u, 3u, 5u, 12u}) {
+    const auto shards = ShardPlanner::plan(grid, k);
+    ASSERT_EQ(shards.size(), k);
+    std::set<std::size_t> seen;
+    for (std::size_t i = 0; i < k; ++i) {
+      const ShardSpec& spec = shards[i];
+      EXPECT_EQ(spec.shard_index, i);
+      EXPECT_EQ(spec.shard_count, k);
+      // Spec i owns the balanced range [i*N/K, (i+1)*N/K).
+      std::vector<std::size_t> range;
+      for (std::size_t c = i * n / k; c < (i + 1) * n / k; ++c) {
+        range.push_back(c);
       }
-      EXPECT_EQ(seen.size(), grid.num_cells());
+      EXPECT_EQ(spec.cells, range) << "shard " << i << " of " << k;
+      for (std::size_t c : spec.cells) {
+        EXPECT_TRUE(spec.owns_cell(c));
+        EXPECT_TRUE(seen.insert(c).second)
+            << "cell " << c << " owned twice (k=" << k << ")";
+      }
     }
+    EXPECT_EQ(seen.size(), n);
   }
 }
 
 TEST(ShardPlanner, MoreShardsThanCellsYieldsEmptyShards) {
   SweepGrid grid = small_grid();  // 12 cells
-  const auto shards = ShardPlanner::plan(grid, 20, ShardMode::kContiguous);
+  const auto shards = ShardPlanner::plan(grid, 20);
   std::size_t empty = 0, covered = 0;
   for (const ShardSpec& spec : shards) {
-    const auto cells = spec.cell_indices();
-    if (cells.empty()) ++empty;
-    covered += cells.size();
+    if (spec.cells.empty()) ++empty;
+    covered += spec.cells.size();
   }
   EXPECT_EQ(covered, grid.num_cells());
   EXPECT_EQ(empty, 8u);  // 20 shards over 12 cells
 
   // Empty shards still run and merge exactly.
-  const auto [json, csv] = sharded_report(grid, 20, ShardMode::kContiguous);
+  const auto [json, csv] = sharded_report(shards);
   const auto [full_json, full_csv] = full_report(grid);
   EXPECT_EQ(json, full_json);
   EXPECT_EQ(csv, full_csv);
@@ -154,7 +172,7 @@ TEST(ShardPlanner, MoreShardsThanCellsYieldsEmptyShards) {
 
 TEST(ShardPlanner, SingleShardReportEqualsFullReport) {
   const SweepGrid grid = small_grid();
-  const auto [json, csv] = sharded_report(grid, 1, ShardMode::kContiguous);
+  const auto [json, csv] = sharded_report(ShardPlanner::plan(grid, 1));
   const auto [full_json, full_csv] = full_report(grid);
   EXPECT_EQ(json, full_json);
   EXPECT_EQ(csv, full_csv);
@@ -191,16 +209,16 @@ TEST(SweepGridJson, RejectsTyposWithKeyedErrors) {
 
 TEST(ShardSpecJson, RoundTripsAndRejectsTamperedGrids) {
   const SweepGrid grid = *SweepGrid::named("smoke");
-  const auto shards = ShardPlanner::plan(grid, 3, ShardMode::kStrided);
+  const auto shards = ShardPlanner::plan(grid, 3);
   const ShardSpec& spec = shards[1];
   std::string error;
   auto parsed = ShardSpec::from_json(spec.to_json(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->shard_index, 1u);
   EXPECT_EQ(parsed->shard_count, 3u);
-  EXPECT_EQ(parsed->mode, ShardMode::kStrided);
   EXPECT_EQ(parsed->grid, grid);
-  EXPECT_EQ(parsed->cell_indices(), spec.cell_indices());
+  EXPECT_EQ(parsed->cells, spec.cells);
+  EXPECT_EQ(parsed->to_json(), spec.to_json());
 
   // Fingerprint pinning: editing the embedded grid (here: the grid seed)
   // without re-planning must be rejected, keyed to the mismatch.
@@ -213,13 +231,27 @@ TEST(ShardSpecJson, RoundTripsAndRejectsTamperedGrids) {
   EXPECT_NE(error.find("fingerprint mismatch"), std::string::npos) << error;
 }
 
+TEST(ShardSpecJson, SpecWithoutCellListIsRejected) {
+  // A contiguous spec as written before specs carried their cells: shard
+  // index arithmetic only, no list.  Ownership is the list, so no list is
+  // a keyed error rather than a guess.
+  const SweepGrid grid = *SweepGrid::named("smoke");
+  const std::string old_spec =
+      "{\"format\":\"ccd-shard-spec-v1\",\"shard_index\":0,"
+      "\"shard_count\":2,\"mode\":\"contiguous\",\"grid_fingerprint\":\"" +
+      fingerprint_to_hex(grid.fingerprint()) +
+      "\",\"grid\":" + grid.to_json() + "}";
+  std::string error;
+  EXPECT_FALSE(ShardSpec::from_json(old_spec, &error).has_value());
+  EXPECT_NE(error.find("missing key 'cells'"), std::string::npos) << error;
+}
+
 // ---- merge validation -----------------------------------------------------
 
 TEST(MergeShardReports, KeyedErrorsForMissingDuplicateAndForeignShards) {
   const SweepGrid grid = small_grid();
   std::vector<ShardReport> reports;
-  for (const ShardSpec& spec : ShardPlanner::plan(grid, 3,
-                                                  ShardMode::kContiguous)) {
+  for (const ShardSpec& spec : ShardPlanner::plan(grid, 3)) {
     std::string error;
     auto report = run_shard(spec, {}, &error);
     ASSERT_TRUE(report.has_value()) << error;
@@ -245,8 +277,7 @@ TEST(MergeShardReports, KeyedErrorsForMissingDuplicateAndForeignShards) {
   {
     SweepGrid other = grid;
     other.grid_seed += 1;
-    auto foreign =
-        run_shard(ShardPlanner::plan(other, 3, ShardMode::kContiguous)[1]);
+    auto foreign = run_shard(ShardPlanner::plan(other, 3)[1]);
     ASSERT_TRUE(foreign.has_value());
     std::vector<ShardReport> mixed = {reports[0], *foreign, reports[2]};
     EXPECT_FALSE(merge_shard_reports(mixed, &error).has_value());
@@ -267,8 +298,7 @@ TEST(MergeShardReports, KeyedErrorsForMissingDuplicateAndForeignShards) {
 
 TEST(ShardCheckpoint, ResumeAfterTruncationReproducesTheReport) {
   const SweepGrid grid = small_grid();
-  const ShardSpec spec = ShardPlanner::plan(grid, 2,
-                                            ShardMode::kContiguous)[0];
+  const ShardSpec spec = ShardPlanner::plan(grid, 2)[0];
   const std::string path = "shard_merge_test_resume.ckpt";
 
   ShardRunOptions options;
@@ -314,9 +344,7 @@ TEST(ShardCheckpoint, ResumeAfterTruncationReproducesTheReport) {
   // A checkpoint from another grid must be refused, not resumed past.
   SweepGrid other = grid;
   other.grid_seed += 7;
-  auto foreign = run_shard(
-      ShardPlanner::plan(other, 2, ShardMode::kContiguous)[0], options,
-      &error);
+  auto foreign = run_shard(ShardPlanner::plan(other, 2)[0], options, &error);
   EXPECT_FALSE(foreign.has_value());
   EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
   std::remove(path.c_str());
@@ -337,8 +365,7 @@ std::string strip_field(std::string text, const std::string& key) {
 
 TEST(ShardCheckpoint, HeartbeatFieldsStampedAndIgnoredOnResume) {
   const SweepGrid grid = small_grid();
-  const ShardSpec spec = ShardPlanner::plan(grid, 2,
-                                            ShardMode::kContiguous)[0];
+  const ShardSpec spec = ShardPlanner::plan(grid, 2)[0];
   const std::string path = "shard_merge_test_heartbeat.ckpt";
   ShardRunOptions options;
   options.checkpoint_path = path;
@@ -353,12 +380,10 @@ TEST(ShardCheckpoint, HeartbeatFieldsStampedAndIgnoredOnResume) {
     while (std::getline(in, line)) lines.push_back(line);
   }
   ASSERT_GE(lines.size(), 2u);
-  // Header and every cell marker carry a wall-clock heartbeat; executed
-  // cell markers also name the worker that completed them.
+  // Header and every cell marker carry a wall-clock heartbeat.
   EXPECT_NE(lines[0].find("\"ts_ms\":"), std::string::npos) << lines[0];
   for (std::size_t i = 1; i < lines.size(); ++i) {
     EXPECT_NE(lines[i].find("\"ts_ms\":"), std::string::npos) << lines[i];
-    EXPECT_NE(lines[i].find("\"worker\":"), std::string::npos) << lines[i];
   }
 
   // Resume reads PAST the heartbeat fields: everything already complete,
@@ -368,15 +393,13 @@ TEST(ShardCheckpoint, HeartbeatFieldsStampedAndIgnoredOnResume) {
   ASSERT_TRUE(resumed.has_value()) << error;
   EXPECT_EQ(resumed->to_json(), clean->to_json());
 
-  // Rewritten (replayed) markers still carry ts_ms; worker is absent
-  // because no worker executed them this time.
+  // Rewritten (replayed) markers still carry ts_ms.
   {
     std::ifstream in(path);
     std::string line;
     std::getline(in, line);  // header
     while (std::getline(in, line)) {
       EXPECT_NE(line.find("\"ts_ms\":"), std::string::npos) << line;
-      EXPECT_EQ(line.find("\"worker\":"), std::string::npos) << line;
     }
   }
   std::remove(path.c_str());
@@ -384,11 +407,10 @@ TEST(ShardCheckpoint, HeartbeatFieldsStampedAndIgnoredOnResume) {
 
 TEST(ShardCheckpoint, OldFormatCheckpointWithoutHeartbeatResumesCleanly) {
   // Forward compatibility satellite: a checkpoint written BEFORE the
-  // heartbeat fields existed (no ts_ms, no worker anywhere) must resume
-  // exactly as a fresh one does -- the fields are optional on read.
+  // heartbeat existed (no ts_ms anywhere) must resume exactly as a fresh
+  // one does -- the field is optional on read.
   const SweepGrid grid = small_grid();
-  const ShardSpec spec = ShardPlanner::plan(grid, 2,
-                                            ShardMode::kContiguous)[0];
+  const ShardSpec spec = ShardPlanner::plan(grid, 2)[0];
   const std::string path = "shard_merge_test_oldformat.ckpt";
   ShardRunOptions options;
   options.checkpoint_path = path;
@@ -402,8 +424,7 @@ TEST(ShardCheckpoint, OldFormatCheckpointWithoutHeartbeatResumesCleanly) {
     text.assign((std::istreambuf_iterator<char>(in)),
                 std::istreambuf_iterator<char>());
   }
-  const std::string old_format =
-      strip_field(strip_field(text, "ts_ms"), "worker");
+  const std::string old_format = strip_field(text, "ts_ms");
   ASSERT_NE(old_format, text);  // the strip actually removed fields
   ASSERT_EQ(old_format.find("ts_ms"), std::string::npos);
   {
@@ -437,8 +458,7 @@ TEST(PerfSidecarShards, FourShardMergeSumsToSingleProcessCounters) {
   EXPECT_EQ(full_sidecar.cells.size(), grid.num_cells());
 
   std::vector<obs::PerfSidecar> sidecars;
-  for (const ShardSpec& spec : ShardPlanner::plan(grid, 4,
-                                                  ShardMode::kStrided)) {
+  for (const ShardSpec& spec : interleaved(grid, 4)) {
     obs::SweepPerf perf;
     ShardRunOptions options;
     options.sweep.threads = 2;
@@ -474,19 +494,19 @@ TEST(PerfSidecarShards, FourShardMergeSumsToSingleProcessCounters) {
 TEST(ShardMerge, MultihopGridMergesByteIdenticallyAtSeveralK) {
   // The acceptance criterion, in-process: K-way shard splits of the named
   // multihop grid (432 cells, crash axis included) merge into JSON and CSV
-  // byte-identical to the single-process full-grid run.  K values cover an
-  // uneven contiguous split, a strided split, and K > 1 thread per shard.
+  // byte-identical to the single-process full-grid run.  The splits cover
+  // an uneven planned split and an interleaved (c mod K) one.
   const SweepGrid grid = *SweepGrid::named("multihop");
   ASSERT_EQ(grid.num_cells(), 432u);
   const auto [full_json, full_csv] = full_report(grid, /*threads=*/2);
 
   {
-    const auto [json, csv] = sharded_report(grid, 5, ShardMode::kContiguous);
+    const auto [json, csv] = sharded_report(ShardPlanner::plan(grid, 5));
     EXPECT_EQ(json, full_json);
     EXPECT_EQ(csv, full_csv);
   }
   {
-    const auto [json, csv] = sharded_report(grid, 4, ShardMode::kStrided);
+    const auto [json, csv] = sharded_report(interleaved(grid, 4));
     EXPECT_EQ(json, full_json);
     EXPECT_EQ(csv, full_csv);
   }

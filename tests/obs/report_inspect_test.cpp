@@ -96,16 +96,24 @@ TEST(ReportInspect, ExportCanonicalizesShardReportToDist) {
   EXPECT_EQ(out, again);
 }
 
-TEST(ReportInspect, LegacyV1ShardArraysParse) {
-  // Pre-v2 shard reports serialized stats as bare sample arrays.
+TEST(ReportInspect, LegacyV1ShardReportRejected) {
+  // Pre-v2 shard reports serialized stats as bare sample arrays; they are
+  // no longer read, by format or by cell content.
   const std::string legacy =
       R"({"format":"ccd-shard-report-v1","grid_fingerprint":"00000000deadbeef",)"
       R"("cells":[{"cell":0,"runs":2,"decision_round":[6,4]}]})";
   InspectOptions options;
   std::string out, error;
-  ASSERT_TRUE(render_report(legacy, options, &out, &error)) << error;
-  EXPECT_NE(out.find("decision_round  n=2"), std::string::npos) << out;
-  EXPECT_NE(out.find("min=4.0000"), std::string::npos) << out;
+  EXPECT_FALSE(render_report(legacy, options, &out, &error));
+  EXPECT_NE(error.find("unrecognized artifact format 'ccd-shard-report-v1'"),
+            std::string::npos)
+      << error;
+
+  std::string relabeled = legacy;
+  relabeled.replace(relabeled.find("-v1"), 3, "-v2");
+  error.clear();
+  EXPECT_FALSE(render_report(relabeled, options, &out, &error));
+  EXPECT_NE(error.find("decision_round"), std::string::npos) << error;
 }
 
 TEST(ReportInspect, RejectsMismatchedKindsAndGarbage) {

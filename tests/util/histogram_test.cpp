@@ -164,9 +164,9 @@ TEST(StatsHistogram, MergeEqualsSinglePassFoldOnRandomSplits) {
   }
 }
 
-/// Serialization round trip in both modes, plus the legacy v1 bare-array
-/// form that pre-v2 shard reports used.
-TEST(StatsHistogram, JsonRoundTripAndLegacyV1) {
+/// Serialization round trip in both modes; the bare-array form pre-v2
+/// shard reports used is no longer read.
+TEST(StatsHistogram, JsonRoundTripAndBareArraysRejected) {
   Stats hist;
   for (double x : {4.0, 4.0, 7.0, -2.0}) hist.add(x);
   EXPECT_EQ(stats_to_json(hist), "{\"h\":[-2,1,4,2,7,1]}");
@@ -185,21 +185,39 @@ TEST(StatsHistogram, JsonRoundTripAndLegacyV1) {
   EXPECT_FALSE(raw_back.histogram_active());
   EXPECT_EQ(stats_to_json(raw_back), stats_to_json(raw));
 
-  // Legacy v1: a bare sample array.  Integer-only arrays rebuild into
-  // histogram mode; the rendered statistics are what the old reader
-  // produced from the same samples.
-  Stats legacy;
-  ASSERT_TRUE(stats_from_json("[3,1,2,2]", &legacy, &error)) << error;
-  EXPECT_TRUE(legacy.histogram_active());
-  EXPECT_EQ(legacy.count(), 4u);
-  EXPECT_EQ(legacy.median(), 2.0);
-  EXPECT_EQ(stats_to_json(legacy), "{\"h\":[1,1,2,2,3,1]}");
+  // Legacy v1: a bare sample array.  Rejected with a keyed error, and
+  // nothing is folded in.
+  for (const char* legacy : {"[3,1,2,2]", "[0.5,2]"}) {
+    Stats back;
+    error.clear();
+    EXPECT_FALSE(stats_from_json(legacy, &back, &error)) << legacy;
+    EXPECT_NE(error.find("not an object"), std::string::npos) << error;
+    EXPECT_TRUE(back.empty());
+  }
+}
 
-  Stats legacy_real;
-  ASSERT_TRUE(stats_from_json("[0.5,2]", &legacy_real, &error)) << error;
-  EXPECT_FALSE(legacy_real.histogram_active());
-  EXPECT_EQ(legacy_real.count(), 2u);
-  EXPECT_EQ(legacy_real.min(), 0.5);
+/// Histogram bins only install into a histogram-mode accumulator: a
+/// raw-mode one would turn each count into that many stored samples.
+TEST(StatsHistogram, HistogramBinsIntoRawModeRejected) {
+  Stats raw_mode{Stats::Mode::kRawSamples};
+  std::string error;
+  EXPECT_FALSE(
+      stats_from_json("{\"h\":[1,1000000000000]}", &raw_mode, &error));
+  EXPECT_NE(error.find("raw-sample statistic"), std::string::npos) << error;
+  EXPECT_TRUE(raw_mode.empty());
+}
+
+/// Histogram counts parse strictly: no sign, no overflow, no junk.
+TEST(StatsHistogram, BadHistogramCountsRejected) {
+  for (const char* bad :
+       {"{\"h\":[1,-1]}", "{\"h\":[1,+1]}", "{\"h\":[1,2x]}",
+        "{\"h\":[1,18446744073709551616]}", "{\"h\":[1,\"\"]}"}) {
+    Stats s;
+    std::string error;
+    EXPECT_FALSE(stats_from_json(bad, &s, &error)) << bad;
+    EXPECT_NE(error.find("bad histogram bin"), std::string::npos)
+        << bad << ": " << error;
+  }
 }
 
 /// Out-of-window and signed-zero values must demote rather than corrupt

@@ -1,10 +1,12 @@
 // ccd_dispatch: work-stealing fleet dispatcher for sweep grids.
 //
-// Where `ccd_sweep --shard i/K` carves the grid statically -- so the fleet
-// finishes when the WORST shard does -- ccd_dispatch owns the cell list as
-// a dynamic queue: N local `ccd_sweep` worker processes pull decaying cell
-// batches, the dispatcher tails their checkpoint heartbeats, and cells
-// whose owner goes stale (or exits nonzero) are re-queued to idle workers.
+// Where `ccd_sweep --emit-shards K` carves the grid statically -- so the
+// fleet finishes when the WORST shard does -- ccd_dispatch owns the cell
+// list as a dynamic queue: N local `ccd_sweep` worker processes pull
+// decaying cell batches, the dispatcher tails their checkpoint heartbeats,
+// and cells whose owner goes stale (or exits nonzero) are re-queued to idle
+// workers.  This heartbeat-driven steal is the stack's one staleness
+// signal.
 // First completed copy wins; a cell -> winning-assignment ledger prunes
 // duplicates before the merge, whose exactly-once validation then holds.
 //
@@ -28,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +39,7 @@
 #include "exp/dispatch/dispatcher.hpp"
 #include "exp/sweep_grid.hpp"
 #include "obs/telemetry.hpp"
+#include "util/flat_json.hpp"
 
 namespace {
 
@@ -46,8 +50,8 @@ void usage(std::FILE* out) {
   std::fprintf(out, R"(usage: ccd_dispatch [options]
 
 Run a sweep grid across N worker processes with dynamic work stealing.
-Workers are plain `ccd_sweep --shard-file` invocations fed explicit-cell
-shard specs; liveness is read from their checkpoint heartbeats, stale or
+Workers are plain `ccd_sweep --shard-file` invocations fed shard specs
+naming their cells; liveness is read from their checkpoint heartbeats, stale or
 crashed batches are re-queued, and the first completed copy of a cell
 wins.  The merged report is byte-identical to a single-process run.
 
@@ -87,15 +91,12 @@ output:
 }
 
 bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
-  if (!arg || *arg == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (!end || *end != '\0' || arg[0] == '-') {
-    std::fprintf(stderr, "ccd_dispatch: bad %s value '%s'\n", what,
-                 arg ? arg : "");
+  const auto v = jsonu::parse_u64(arg);
+  if (!v) {
+    std::fprintf(stderr, "ccd_dispatch: bad %s value '%s'\n", what, arg);
     return false;
   }
-  out = v;
+  out = *v;
   return true;
 }
 
@@ -119,14 +120,14 @@ bool parse_uint_list(const std::string& arg, const char* what,
     std::size_t comma = arg.find(',', start);
     if (comma == std::string::npos) comma = arg.size();
     const std::string tok = arg.substr(start, comma - start);
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (!end || *end != '\0' || tok.empty()) {
+    const auto v =
+        jsonu::parse_u64(tok, std::numeric_limits<std::uint32_t>::max());
+    if (!v) {
       std::fprintf(stderr, "ccd_dispatch: bad %s value '%s'\n", what,
                    tok.c_str());
       return false;
     }
-    out.push_back(static_cast<std::uint32_t>(v));
+    out.push_back(static_cast<std::uint32_t>(*v));
     start = comma + 1;
   }
   return true;

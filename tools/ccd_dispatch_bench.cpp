@@ -4,10 +4,11 @@
 // Both arms run the same cheap 48-cell grid across 4 worker processes with
 // CCD_SWEEP_TEST_RUN_DELAY_MS making every run cost ~75 ms -- except worker
 // 0, which gets a 4x delay (300 ms/run).  The static arm carves the grid
-// into 4 contiguous `--shard i/K` spec files, so its wall-clock is the slow
-// worker's whole shard; the dynamic arm feeds the same grid through
-// run_dispatch, whose stale-heartbeat steal re-queues the slow worker's
-// unfinished cells to the idle fast workers.
+// into the 4 balanced cell ranges `--emit-shards 4` writes, one spec file
+// per worker, so its wall-clock is the slow worker's whole shard; the
+// dynamic arm feeds the same grid through run_dispatch, whose
+// stale-heartbeat steal re-queues the slow worker's unfinished cells to
+// the idle fast workers.
 //
 // Emits a ccd-bench-v1 "dispatch_steal" object (BENCH_dispatch.json) whose
 // gated metric is speedup = static_wall / dynamic_wall; CI diffs it against
@@ -47,8 +48,8 @@ constexpr double kStaleAfterSecs = 0.15;
 void usage(std::FILE* out) {
   std::fprintf(out, R"(usage: ccd_dispatch_bench [options]
 
-Benchmark dynamic work stealing (ccd_dispatch machinery) against static
---shard i/K partitioning on a skewed 4-worker fleet (worker 0 runs 4x
+Benchmark dynamic work stealing (ccd_dispatch machinery) against a static
+--emit-shards 4 partition on a skewed 4-worker fleet (worker 0 runs 4x
 slower via CCD_SWEEP_TEST_RUN_DELAY_MS).  Writes a ccd-bench-v1
 "dispatch_steal" JSON with the gated dynamic-vs-static speedup.
 
@@ -114,14 +115,13 @@ struct ArmResult {
   std::string json, csv, dist;
 };
 
-/// Static arm: K contiguous shard workers, launched together, wall-clock =
-/// last exit.  This is exactly the `ccd_sweep --shard i/K` + `ccd_merge`
-/// workflow the dispatcher replaces.
+/// Static arm: K planned shard workers, launched together, wall-clock =
+/// last exit.  This is exactly the `ccd_sweep --emit-shards K` +
+/// `--shard-file` + `ccd_merge` workflow the dispatcher replaces.
 bool run_static_arm(const SweepGrid& grid, const std::string& work_dir,
                     const std::string& worker_bin, ArmResult* out,
                     std::string* error) {
-  const std::vector<ShardSpec> shards =
-      ShardPlanner::plan(grid, kWorkers, ShardMode::kContiguous);
+  const std::vector<ShardSpec> shards = ShardPlanner::plan(grid, kWorkers);
   LocalProcessTransport transport;
   std::vector<int> handles;
   std::vector<std::string> report_paths;

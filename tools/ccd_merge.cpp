@@ -1,5 +1,5 @@
-// ccd_merge: recombine shard reports (ccd_sweep --shard / --shard-file)
-// into the full-grid report.
+// ccd_merge: recombine shard reports (ccd_sweep --shard-file) into the
+// full-grid report.
 //
 // Validation is strict and every failure is keyed: shard reports from
 // different grids (fingerprint mismatch), overlapping or duplicate cell
@@ -14,10 +14,7 @@
 //     ccd_sweep --shard-file shards/mh-$i-of-4.json --json part-$i.json
 //   done
 //   ccd_merge --json merged.json --csv merged.csv part-*.json
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -27,7 +24,6 @@
 #include "exp/aggregator.hpp"
 #include "exp/shard/shard_report.hpp"
 #include "obs/perf_sidecar.hpp"
-#include "util/flat_json.hpp"
 
 namespace {
 
@@ -37,9 +33,9 @@ using namespace ccd::exp;
 void usage(std::FILE* out) {
   std::fprintf(out, R"(usage: ccd_merge [options] SHARD_REPORT.json...
 
-Merge partial shard reports written by `ccd_sweep --shard i/K --json ...`
-(or --shard-file) into one full-grid report, byte-identical to a
-single-process run of the same grid.
+Merge partial shard reports written by `ccd_sweep --shard-file SPEC --json
+...` into one full-grid report, byte-identical to a single-process run of
+the same grid.
 
 options:
   --json PATH          write the merged aggregate JSON report
@@ -48,15 +44,10 @@ options:
   --perf FILE          perf sidecar from one shard (repeatable); counter
                        totals SUM exactly, cell timings union disjointly
   --perf-out PATH      write the merged perf sidecar (needs --perf)
-  --checkpoint FILE    shard checkpoint to heartbeat-check (repeatable)
-  --stale-after SECS   flag checkpoints whose last heartbeat is SECS+
-                       older than the newest one seen (default 300)
   --quiet              suppress the ASCII summary
 
 Report merging and perf-sidecar merging are independent: either may run
-alone, and neither changes a byte of the other's output.  --checkpoint
-files are only heartbeat-inspected, never merged: a stale one means its
-worker likely died and its shard report will be missing or short.
+alone, and neither changes a byte of the other's output.
 )");
 }
 
@@ -79,48 +70,13 @@ bool write_file(const std::string& path, const std::string& content) {
   return true;
 }
 
-/// Last heartbeat in a checkpoint file: the max ts_ms over the header and
-/// every cell marker (markers may land out of ts order under concurrent
-/// completion, and resume rewrites replayed cells with fresh stamps).
-/// Also remembers the last completing worker for the stale report.
-struct Heartbeat {
-  std::uint64_t ts_ms = 0;
-  bool has_worker = false;
-  std::uint32_t worker = 0;
-};
-
-bool read_heartbeat(const std::string& path, Heartbeat& hb) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto flat = ccd::jsonu::FlatJson::parse(line);
-    if (!flat) continue;  // torn trailing line: skip, like resume does
-    const std::string* ts = flat->find("ts_ms");
-    if (!ts) continue;
-    char* end = nullptr;
-    const std::uint64_t ts_ms = std::strtoull(ts->c_str(), &end, 10);
-    if (!end || *end != '\0' || ts_ms < hb.ts_ms) continue;
-    hb.ts_ms = ts_ms;
-    if (const std::string* worker = flat->find("worker")) {
-      hb.has_worker = true;
-      hb.worker =
-          static_cast<std::uint32_t>(std::strtoul(worker->c_str(), &end, 10));
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path, csv_path, perf_out_path, dist_out_path;
-  std::uint64_t stale_after_secs = 300;
   bool quiet = false;
   std::vector<std::string> inputs;
   std::vector<std::string> perf_inputs;
-  std::vector<std::string> checkpoint_inputs;
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -129,8 +85,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (flag == "--json" || flag == "--csv" || flag == "--perf" ||
-        flag == "--perf-out" || flag == "--dist-out" ||
-        flag == "--checkpoint" || flag == "--stale-after") {
+        flag == "--perf-out" || flag == "--dist-out") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "ccd_merge: %s needs a value\n", flag.c_str());
         return 2;
@@ -144,15 +99,6 @@ int main(int argc, char** argv) {
         perf_inputs.push_back(value);
       } else if (flag == "--dist-out") {
         dist_out_path = value;
-      } else if (flag == "--checkpoint") {
-        checkpoint_inputs.push_back(value);
-      } else if (flag == "--stale-after") {
-        char* end = nullptr;
-        stale_after_secs = std::strtoull(value, &end, 10);
-        if (!end || *end != '\0') {
-          std::fprintf(stderr, "ccd_merge: bad --stale-after '%s'\n", value);
-          return 2;
-        }
       } else {
         perf_out_path = value;
       }
@@ -166,10 +112,9 @@ int main(int argc, char** argv) {
       inputs.push_back(flag);
     }
   }
-  if (inputs.empty() && perf_inputs.empty() && checkpoint_inputs.empty()) {
+  if (inputs.empty() && perf_inputs.empty()) {
     std::fprintf(stderr,
-                 "ccd_merge: no shard report, --perf sidecar, or "
-                 "--checkpoint files given\n");
+                 "ccd_merge: no shard report or --perf sidecar given\n");
     usage(stderr);
     return 2;
   }
@@ -183,38 +128,6 @@ int main(int argc, char** argv) {
                  "ccd_merge: --json/--csv/--dist-out merge shard REPORTS; "
                  "none were given\n");
     return 2;
-  }
-
-  // Heartbeat check: a shard whose checkpoint stopped advancing SECS
-  // before the most recent heartbeat across all checkpoints is flagged as
-  // stale -- its worker probably died and that shard's report is suspect.
-  if (!checkpoint_inputs.empty()) {
-    std::vector<Heartbeat> beats(checkpoint_inputs.size());
-    std::uint64_t newest_ms = 0;
-    for (std::size_t i = 0; i < checkpoint_inputs.size(); ++i) {
-      if (!read_heartbeat(checkpoint_inputs[i], beats[i])) {
-        std::fprintf(stderr, "ccd_merge: cannot read checkpoint %s\n",
-                     checkpoint_inputs[i].c_str());
-        return 2;
-      }
-      newest_ms = std::max(newest_ms, beats[i].ts_ms);
-    }
-    for (std::size_t i = 0; i < checkpoint_inputs.size(); ++i) {
-      const std::uint64_t age_ms = newest_ms - beats[i].ts_ms;
-      const bool stale = age_ms > stale_after_secs * 1000;
-      if (stale || !quiet) {
-        std::string who = beats[i].has_worker
-                              ? " (last worker " +
-                                    std::to_string(beats[i].worker) + ")"
-                              : "";
-        std::fprintf(stderr,
-                     "ccd_merge: checkpoint %s: last heartbeat %llu ms "
-                     "behind newest%s%s\n",
-                     checkpoint_inputs[i].c_str(),
-                     static_cast<unsigned long long>(age_ms), who.c_str(),
-                     stale ? " -- STALE" : "");
-      }
-    }
   }
 
   // Perf sidecars first: they are pure observation, so a failure here

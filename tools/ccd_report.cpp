@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "obs/report_inspect.hpp"
+#include "util/flat_json.hpp"
 
 namespace {
 
@@ -34,8 +35,8 @@ void usage(std::FILE* out) {
 
 commands:
   show FILE             render per-cell distributions of a report artifact
-                        (aggregate report, shard report v1/v2, ccd-dist-v1,
-                        or perf sidecar)
+                        (aggregate report, ccd-shard-report-v2,
+                        ccd-dist-v1, or perf sidecar)
     --cell N            show only cell N
     --metric NAME       show only this metric
     --tail-over X       also report the count/mass of samples > X
@@ -71,12 +72,6 @@ int fail(const std::string& message) {
 bool parse_double_arg(const char* text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text, &end);
-  return end && *end == '\0';
-}
-
-bool parse_u64_arg(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(text, &end, 10);
   return end && *end == '\0';
 }
 
@@ -116,9 +111,8 @@ int main(int argc, char** argv) {
     };
     if (flag == "--cell") {
       const char* v = need_value("--cell");
-      std::uint64_t cell = 0;
-      if (!v || !parse_u64_arg(v, &cell)) return fail("bad --cell value");
-      options.only_cell = cell;
+      options.only_cell = v ? ccd::jsonu::parse_u64(v) : std::nullopt;
+      if (!options.only_cell) return fail("bad --cell value");
     } else if (flag == "--metric") {
       const char* v = need_value("--metric");
       if (!v) return 2;

@@ -19,8 +19,7 @@
 // Sharded execution (recombine with ccd_merge):
 //   ccd_sweep --grid multihop --emit-shards 4 --shard-out shards/mh
 //   ccd_sweep --shard-file shards/mh-0-of-4.json --json part-0.json
-//   ccd_sweep --grid multihop --shard 1/4 --json part-1.json
-//             --checkpoint part-1.ckpt          # resumable with --resume
+//             --checkpoint part-0.ckpt          # resumable with --resume
 #include <unistd.h>
 
 #include <atomic>
@@ -29,10 +28,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <map>
-#include <mutex>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -47,6 +44,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/perf_sidecar.hpp"
 #include "obs/telemetry.hpp"
+#include "util/flat_json.hpp"
 
 namespace {
 
@@ -107,8 +105,6 @@ execution and output:
   --dist-out PATH      write full per-cell distributions (ccd-dist-v1);
                        inspect with ccd_report show/diff
   --quiet              suppress the ASCII summary and the live progress line
-  --stale-after SECS   live progress flags workers that have not completed
-                       a run for SECS seconds (default 300; 0 disables)
 
 observability (never changes report bytes; reports are byte-identical
 with or without these):
@@ -121,13 +117,12 @@ with or without these):
                        rounds/sec); full-run mode only
 
 sharded execution (recombine the partial reports with ccd_merge):
-  --emit-shards K      write K self-contained shard spec files and exit
+  --emit-shards K      write K self-contained shard spec files, spec i
+                       owning cells [i*N/K, (i+1)*N/K), and exit
   --shard-out PREFIX   spec file prefix for --emit-shards (default "shard");
                        files are PREFIX-<i>-of-<K>.json
-  --shard-mode M       contiguous|strided cell partition (default contiguous)
-  --shard i/K          run only shard i (0-based) of a K-way split of the
-                       assembled grid; --json writes a PARTIAL shard report
-  --shard-file PATH    run the shard described by a spec file; the file is
+  --shard-file PATH    worker mode: run the cells a spec file owns; --json
+                       writes a PARTIAL shard report.  The file is
                        self-contained, so grid/axis flags conflict with it
   --checkpoint PATH    (worker mode) append a per-cell completion marker to
                        PATH as each cell finishes
@@ -169,14 +164,13 @@ bool parse_uint_list(const std::string& arg, const char* what,
                      std::vector<T>& out) {
   out.clear();
   for (const std::string& tok : split_csv(arg)) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (!end || *end != '\0' || tok.empty()) {
+    const auto v = jsonu::parse_u64(tok, std::numeric_limits<T>::max());
+    if (!v) {
       std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what,
                    tok.c_str());
       return false;
     }
-    out.push_back(static_cast<T>(v));
+    out.push_back(static_cast<T>(*v));
   }
   return true;
 }
@@ -198,15 +192,12 @@ bool parse_double_list(const std::string& arg, const char* what,
 }
 
 bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
-  if (!arg || *arg == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (!end || *end != '\0' || arg[0] == '-') {
-    std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what,
-                 arg ? arg : "");
+  const auto v = jsonu::parse_u64(arg);
+  if (!v) {
+    std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what, arg);
     return false;
   }
-  out = v;
+  out = *v;
   return true;
 }
 
@@ -275,13 +266,6 @@ class ProgressPrinter {
     if (tty_) std::fputc('\n', stderr);
   }
 
-  /// Extra text appended to each progress line (e.g. stale-worker flags).
-  /// Set before the pool starts; called under the print window, so at most
-  /// one thread at a time.
-  void set_extra(std::function<std::string()> extra) {
-    extra_ = std::move(extra);
-  }
-
  private:
   void print(std::size_t done, std::size_t total, std::uint64_t now_ns) {
     const double secs = static_cast<double>(now_ns) * 1e-9;
@@ -290,11 +274,8 @@ class ProgressPrinter {
         (rate > 0 && done < total)
             ? static_cast<double>(total - done) / rate
             : 0.0;
-    const std::string extra = extra_ ? extra_() : std::string();
-    std::fprintf(stderr,
-                 "%sccd_sweep: %zu/%zu runs  %.1f runs/s  eta %.0fs%s%s",
-                 tty_ ? "\r" : "", done, total, rate, eta, extra.c_str(),
-                 tty_ ? "" : "\n");
+    std::fprintf(stderr, "%sccd_sweep: %zu/%zu runs  %.1f runs/s  eta %.0fs%s",
+                 tty_ ? "\r" : "", done, total, rate, eta, tty_ ? "" : "\n");
     if (tty_) std::fflush(stderr);
   }
 
@@ -302,41 +283,6 @@ class ProgressPrinter {
   std::atomic<std::uint64_t> last_print_ns_{0};
   std::atomic<std::size_t> total_{0};
   bool tty_;
-  std::function<std::string()> extra_;
-};
-
-/// Per-worker last-completion tracking behind the live progress line.  A
-/// worker that has not completed a run for --stale-after seconds while the
-/// sweep is still moving gets flagged: on a shared box that usually means
-/// the thread is starved or wedged on one pathological cell.
-class StaleWatch {
- public:
-  explicit StaleWatch(std::uint64_t stale_after_secs)
-      : stale_after_ns_(stale_after_secs * 1'000'000'000ull) {}
-
-  void note(std::uint32_t worker) {
-    std::lock_guard<std::mutex> lock(mu_);
-    last_ns_[worker] = timer_.elapsed_ns();
-  }
-
-  /// "  stale-workers:3,7" when any worker is overdue, else "".
-  std::string summary() {
-    const std::uint64_t now = timer_.elapsed_ns();
-    std::lock_guard<std::mutex> lock(mu_);
-    std::string stale;
-    for (const auto& [worker, last] : last_ns_) {
-      if (now - last <= stale_after_ns_) continue;
-      if (!stale.empty()) stale += ",";
-      stale += std::to_string(worker);
-    }
-    return stale.empty() ? stale : "  stale-workers:" + stale;
-  }
-
- private:
-  const std::uint64_t stale_after_ns_;
-  ccd::obs::RunTimer timer_;
-  std::mutex mu_;
-  std::map<std::uint32_t, std::uint64_t> last_ns_;
 };
 
 /// ccd-bench-v1: sweep throughput measured on real sweep runs, derived
@@ -365,34 +311,12 @@ std::string bench_throughput_json(const std::string& grid_name,
   return out;
 }
 
-/// "i/K" with 0 <= i < K.
-bool parse_shard_of(const std::string& arg, std::size_t& index,
-                    std::size_t& count) {
-  const std::size_t slash = arg.find('/');
-  if (slash == std::string::npos) return false;
-  std::uint64_t i = 0, k = 0;
-  if (!parse_u64_flag(arg.substr(0, slash).c_str(), "shard", i)) return false;
-  if (!parse_u64_flag(arg.substr(slash + 1).c_str(), "shard", k)) {
-    return false;
-  }
-  if (k == 0 || i >= k) {
-    std::fprintf(stderr,
-                 "ccd_sweep: --shard wants i/K with 0 <= i < K, got '%s'\n",
-                 arg.c_str());
-    return false;
-  }
-  index = static_cast<std::size_t>(i);
-  count = static_cast<std::size_t>(k);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string grid_name = "default";
   std::string json_path, csv_path, dist_path;
   std::string perf_path, trace_path, bench_path;
-  std::uint64_t stale_after_secs = 300;
   unsigned threads = 0;
   bool lanes = true;
   bool quiet = false;
@@ -402,9 +326,6 @@ int main(int argc, char** argv) {
   // would be silently ignored -- reject them instead.
   std::size_t emit_shards = 0;
   std::string shard_out = "shard";
-  ShardMode shard_mode = ShardMode::kContiguous;
-  bool have_shard = false;
-  std::size_t shard_index = 0, shard_count = 1;
   std::string shard_file, checkpoint_path;
   bool resume = false;
   bool grid_flags_used = false;
@@ -562,9 +483,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       ok = v != nullptr;
       if (ok) dist_path = v;
-    } else if (flag == "--stale-after") {
-      const char* v = next();
-      ok = v && parse_u64_flag(v, "stale-after", stale_after_secs);
     } else if (flag == "--perf-out") {
       const char* v = next();
       ok = v != nullptr;
@@ -590,22 +508,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       ok = v != nullptr;
       if (ok) shard_out = v;
-    } else if (flag == "--shard-mode") {
-      const char* v = next();
-      auto m = v ? parse_shard_mode(v) : std::nullopt;
-      ok = m.has_value() && *m != ShardMode::kExplicit;
-      if (!ok) {
-        std::fprintf(stderr,
-                     "ccd_sweep: bad shard-mode value '%s' (expected "
-                     "contiguous or strided; explicit specs are written by "
-                     "ccd_dispatch, not planned here)\n",
-                     v ? v : "");
-      }
-      if (ok) shard_mode = *m;
-    } else if (flag == "--shard") {
-      const char* v = next();
-      ok = v && parse_shard_of(v, shard_index, shard_count);
-      if (ok) have_shard = true;
     } else if (flag == "--shard-file") {
       const char* v = next();
       ok = v != nullptr;
@@ -632,28 +534,22 @@ int main(int argc, char** argv) {
                  "flags conflict with it\n");
     return 2;
   }
-  if (!shard_file.empty() && (have_shard || emit_shards > 0)) {
+  if (!shard_file.empty() && emit_shards > 0) {
     std::fprintf(stderr,
-                 "ccd_sweep: --shard-file conflicts with --shard and "
-                 "--emit-shards\n");
+                 "ccd_sweep: --shard-file conflicts with --emit-shards\n");
     return 2;
   }
-  if (emit_shards > 0 && have_shard) {
-    std::fprintf(stderr, "ccd_sweep: --emit-shards conflicts with --shard\n");
-    return 2;
-  }
-  if (have_rerun_cell &&
-      (have_shard || !shard_file.empty() || emit_shards > 0)) {
+  if (have_rerun_cell && (!shard_file.empty() || emit_shards > 0)) {
     std::fprintf(stderr,
                  "ccd_sweep: --rerun-cell conflicts with sharded execution "
                  "(it re-runs one cell of the assembled grid)\n");
     return 2;
   }
-  const bool worker_mode = have_shard || !shard_file.empty();
+  const bool worker_mode = !shard_file.empty();
   if (!worker_mode && (!checkpoint_path.empty() || resume)) {
     std::fprintf(stderr,
                  "ccd_sweep: --checkpoint/--resume only apply to worker "
-                 "mode (--shard or --shard-file)\n");
+                 "mode (--shard-file)\n");
     return 2;
   }
   if (resume && checkpoint_path.empty()) {
@@ -728,7 +624,7 @@ int main(int argc, char** argv) {
 
   if (emit_shards > 0) {
     const std::vector<ShardSpec> shards =
-        ShardPlanner::plan(grid, emit_shards, shard_mode);
+        ShardPlanner::plan(grid, emit_shards);
     for (const ShardSpec& spec : shards) {
       const std::string path = shard_out + "-" +
                                std::to_string(spec.shard_index) + "-of-" +
@@ -736,36 +632,30 @@ int main(int argc, char** argv) {
       if (!write_file(path, spec.to_json() + "\n")) return 1;
       if (!quiet) {
         std::fprintf(stderr, "ccd_sweep: wrote %s (%zu cells)\n",
-                     path.c_str(), spec.cell_indices().size());
+                     path.c_str(), spec.cells.size());
       }
     }
     return 0;
   }
 
   if (worker_mode) {
-    ShardSpec spec;
-    if (!shard_file.empty()) {
-      std::string text;
-      if (!read_file(shard_file, text)) {
-        std::fprintf(stderr, "ccd_sweep: cannot read %s\n",
-                     shard_file.c_str());
-        return 2;
-      }
-      std::string error;
-      auto parsed = ShardSpec::from_json(text, &error);
-      if (!parsed) {
-        std::fprintf(stderr, "ccd_sweep: %s: %s\n", shard_file.c_str(),
-                     error.c_str());
-        return 2;
-      }
-      spec = std::move(*parsed);
-      if (auto problem = spec.grid.validate()) {
-        std::fprintf(stderr, "ccd_sweep: %s: %s\n", shard_file.c_str(),
-                     problem->c_str());
-        return 2;
-      }
-    } else {
-      spec = ShardPlanner::plan(grid, shard_count, shard_mode)[shard_index];
+    std::string text;
+    if (!read_file(shard_file, text)) {
+      std::fprintf(stderr, "ccd_sweep: cannot read %s\n", shard_file.c_str());
+      return 2;
+    }
+    std::string error;
+    auto parsed = ShardSpec::from_json(text, &error);
+    if (!parsed) {
+      std::fprintf(stderr, "ccd_sweep: %s: %s\n", shard_file.c_str(),
+                   error.c_str());
+      return 2;
+    }
+    const ShardSpec spec = std::move(*parsed);
+    if (auto problem = spec.grid.validate()) {
+      std::fprintf(stderr, "ccd_sweep: %s: %s\n", shard_file.c_str(),
+                   problem->c_str());
+      return 2;
     }
     if (json_path.empty()) {
       std::fprintf(stderr,
@@ -789,24 +679,15 @@ int main(int argc, char** argv) {
       shard_options.sweep.perf = &perf;
     }
     ProgressPrinter progress;
-    StaleWatch stale_watch(stale_after_secs);
-    if (!quiet && stale_after_secs > 0) {
-      shard_options.sweep.on_record = [&stale_watch](const RunRecord& r) {
-        stale_watch.note(r.perf.worker);
-      };
-      progress.set_extra([&stale_watch] { return stale_watch.summary(); });
-    }
     if (!quiet) {
       shard_options.sweep.progress = [&progress](std::size_t done,
                                                  std::size_t total) {
         progress(done, total);
       };
       std::fprintf(stderr,
-                   "ccd_sweep: shard %zu/%zu (%s): %zu of %zu cells x %u "
-                   "seeds\n",
-                   spec.shard_index, spec.shard_count, to_string(spec.mode),
-                   spec.cell_indices().size(), spec.grid.num_cells(),
-                   spec.grid.seeds_per_cell);
+                   "ccd_sweep: shard %zu/%zu: %zu of %zu cells x %u seeds\n",
+                   spec.shard_index, spec.shard_count, spec.cells.size(),
+                   spec.grid.num_cells(), spec.grid.seeds_per_cell);
     }
     // Test/bench-only throttle: CCD_SWEEP_TEST_RUN_DELAY_MS sleeps after
     // every completed run, simulating slow hardware without touching a
@@ -818,15 +699,11 @@ int main(int argc, char** argv) {
       if (parse_u64_flag(delay_env, "CCD_SWEEP_TEST_RUN_DELAY_MS",
                          delay_ms) &&
           delay_ms > 0) {
-        auto inner = shard_options.sweep.on_record;
-        shard_options.sweep.on_record = [inner,
-                                         delay_ms](const RunRecord& r) {
-          if (inner) inner(r);
+        shard_options.sweep.on_record = [delay_ms](const RunRecord&) {
           std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
         };
       }
     }
-    std::string error;
     auto report = run_shard(spec, shard_options, &error);
     if (!quiet) progress.finish();
     if (!report) {
@@ -866,13 +743,6 @@ int main(int argc, char** argv) {
     options.perf = &perf;
   }
   ProgressPrinter progress;
-  StaleWatch stale_watch(stale_after_secs);
-  if (!quiet && stale_after_secs > 0) {
-    options.on_record = [&stale_watch](const RunRecord& r) {
-      stale_watch.note(r.perf.worker);
-    };
-    progress.set_extra([&stale_watch] { return stale_watch.summary(); });
-  }
   if (!quiet) {
     options.progress = [&progress](std::size_t done, std::size_t total) {
       progress(done, total);
