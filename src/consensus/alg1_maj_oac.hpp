@@ -15,7 +15,7 @@
 // every process received a strict majority of the proposal-round messages,
 // and majority sets intersect, so everyone received the SAME single value
 // (Lemma 5).  With only half completeness the intersection argument dies --
-// exactly the boundary Theorem 6 exploits (see bench_halfac_lowerbound).
+// exactly the boundary Theorem 6 exploits (see claim E7 in exp/claims.hpp).
 #pragma once
 
 #include "consensus/consensus_process.hpp"

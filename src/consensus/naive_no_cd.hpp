@@ -8,9 +8,9 @@
 // (some timeout is forced: without collision detection, silence and total
 // loss are indistinguishable, so waiting forever sacrifices termination).
 //
-// The bench bench_impossibility_nocd shows the dichotomy the theorem
-// formalizes: under a partitioned-then-healed execution (legal under ECF +
-// a leader election service) this protocol violates agreement, while the
+// Claim E6 (exp/claims.hpp) checks the dichotomy the theorem formalizes:
+// under a partitioned-then-healed execution (legal under ECF + a leader
+// election service) this protocol violates agreement, while the
 // paper's real algorithms, stripped of detector information (NoCD), simply
 // never terminate.  No protocol can win: the adversary composes two
 // decided executions into one.

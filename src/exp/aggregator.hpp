@@ -56,7 +56,7 @@ struct CellAggregate {
   Stats messages_per_node{Stats::Mode::kRawSamples};  ///< broadcasts / n
   Stats diameter;            ///< hop diameter, connected runs only
 
-  // Round-sync workload (the E13 substrate validation).  Rendered as a
+  // Round-sync workload (claim E13's substrate check).  Rendered as a
   // "sync" JSON block when present; the CSV column set is frozen (the
   // byte-stability contract of the named grids), so sync metrics live in
   // the JSON report only.

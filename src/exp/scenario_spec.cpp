@@ -561,7 +561,7 @@ std::optional<std::vector<CrashEvent>> generate_crash_schedule(
     // lowest id on ties.  Topologies without a cut vertex (ring, clique,
     // dense rgg) expand to the empty, failure-free schedule.
     //
-    // The topology is built once more here on top of run_multihop's own
+    // The topology is built once more here on top of run_scenario's own
     // construction -- a deliberate trade: generators stay (name, spec) ->
     // events with no executor coupling, and make_topology is deterministic
     // in the spec, so the two materializations agree by construction.

@@ -64,7 +64,7 @@ enum class DetectorKind : std::uint8_t {
 
 /// Behaviour INSIDE a detector-class envelope: where the class (DetectorKind)
 /// bounds what advice is legal, the policy picks the actual advice.  The
-/// policy ablation (bench_policy_ablation, "policies" grid) separates what
+/// policy ablation (claim E15, "policies" grid) separates what
 /// the class guarantees from what a particular detector happens to do.
 enum class PolicyKind : std::uint8_t {
   kTruthful,         ///< report exactly the ground truth (the strongest
@@ -126,7 +126,7 @@ enum class InitKind : std::uint8_t {
 
 /// Pre-CST environment shaping.  kCalm is the friendly setting (maximal
 /// contention advice, iid loss, all-deliver under contention); kChaotic is
-/// the adversarial setting the theorem benches use (random wake subsets,
+/// the adversarial setting the theorem claims use (random wake subsets,
 /// rotating post-CST activity, capture-effect loss).
 enum class ChaosKind : std::uint8_t { kCalm, kChaotic };
 
@@ -153,16 +153,16 @@ enum class WorkloadKind : std::uint8_t {
   kConsensus,        ///< Consensus via WorldFactory::make + run_consensus.
                      ///< Requires topology == kSingleHop.
   kFlood,            ///< CD-assisted flooding from node 0 until full
-                     ///< coverage (bench_multihop_broadcast's E14 shape).
+                     ///< coverage (claim E14's shape).
   kMis,              ///< Clusterhead election as a maximal independent set
                      ///< (Luby-style, detector-certified independence).
   kMisThenConsensus, ///< The deployment story end to end: elect
                      ///< clusterheads on the topology, then run single-hop
                      ///< consensus among the heads.
-  kRoundSync,        ///< Substrate validation (E13): the reference-broadcast
-                     ///< round synchronizer that turns drifting clocks into
-                     ///< the synchronized rounds every other workload
-                     ///< presupposes (Section 1.3).  Below the round
+  kRoundSync,        ///< Substrate validation (claim E13): the reference-
+                     ///< broadcast round synchronizer that turns drifting
+                     ///< clocks into the synchronized rounds every other
+                     ///< workload presupposes (Section 1.3).  Below the round
                      ///< abstraction, so it ignores topology/detector/cm
                      ///< axes; knobs: n, p_deliver (beacon delivery),
                      ///< sync_rho, sync_round_length.
@@ -224,8 +224,8 @@ struct ScenarioSpec {
   std::uint64_t id_space = 0;
   /// Round-sync workload knobs (workload == kRoundSync): max hardware
   /// clock rate deviation rho and round length L in seconds.  Beacon loss
-  /// is 1 - p_deliver; epoch, jitter and horizon are fixed at the E13
-  /// bench constants (1s, 10us, 60s).  Serialized only at non-default
+  /// is 1 - p_deliver; epoch, jitter and horizon are fixed at claim E13's
+  /// constants (1s, 10us, 60s).  Serialized only at non-default
   /// values (same byte-stability contract as id_space).
   double sync_rho = 1e-4;
   double sync_round_length = 0.05;
@@ -236,12 +236,14 @@ struct ScenarioSpec {
   /// Explicit deterministic crash schedule (fault == kScheduled).
   /// Serialized as a "crash_schedule" JSON array of
   /// {"round":R,"process":P,"point":"before-send"|"after-send"} objects.
-  std::vector<CrashEvent> crash_schedule;
+  /// (This and crash_schedule_name carry `{}` so designated initializers
+  /// may omit them without -Wmissing-field-initializers.)
+  std::vector<CrashEvent> crash_schedule{};
   /// Named schedule generator (see crash_schedule_names()); when set it
   /// takes precedence over the explicit list and is expanded
   /// deterministically from this spec's n / num_values at factory time,
   /// so a cell stays reproducible from its JSON alone.
-  std::string crash_schedule_name;
+  std::string crash_schedule_name{};
 
   /// Flat JSON object, stable key order; parse() inverts it exactly.
   std::string to_json() const;

@@ -151,7 +151,7 @@ std::optional<SweepGrid> SweepGrid::named(const std::string& name) {
     return grid;
   }
   if (name == "policies") {
-    // Detector-behaviour ablation (the bench_policy_ablation shape):
+    // Detector-behaviour ablation (claim E15's shape):
     // behaviour inside a class envelope vs the class itself.
     grid.algs = {AlgKind::kAlg1, AlgKind::kAlg2};
     grid.detectors = {DetectorKind::kOAC, DetectorKind::kMajOAC,

@@ -81,10 +81,7 @@ std::unique_ptr<AdvicePolicy> make_policy(const ScenarioSpec& spec) {
   return make_truthful_policy();
 }
 
-}  // namespace
-
-std::unique_ptr<ConsensusAlgorithm> WorldFactory::make_algorithm(
-    const ScenarioSpec& spec) {
+std::unique_ptr<ConsensusAlgorithm> make_algorithm(const ScenarioSpec& spec) {
   switch (spec.alg) {
     case AlgKind::kAlg1:
       return std::make_unique<Alg1Algorithm>();
@@ -93,7 +90,7 @@ std::unique_ptr<ConsensusAlgorithm> WorldFactory::make_algorithm(
     case AlgKind::kAlg3:
       return std::make_unique<Alg3Algorithm>(spec.num_values);
     case AlgKind::kAlg4:
-      // An explicit id_space sweeps |I| (the Section 7.3 crossover bench);
+      // An explicit id_space sweeps |I| (claim E4's Section 7.3 crossover);
       // 0 keeps the legacy roomy default.
       return std::make_unique<Alg4Algorithm>(
           spec.num_values,
@@ -107,8 +104,7 @@ std::unique_ptr<ConsensusAlgorithm> WorldFactory::make_algorithm(
   return std::make_unique<Alg1Algorithm>();
 }
 
-std::unique_ptr<ContentionManager> WorldFactory::make_cm(
-    const ScenarioSpec& spec) {
+std::unique_ptr<ContentionManager> make_cm(const ScenarioSpec& spec) {
   switch (spec.cm) {
     case CmKind::kNoCm:
       return std::make_unique<NoCm>();
@@ -136,14 +132,7 @@ std::unique_ptr<ContentionManager> WorldFactory::make_cm(
   return std::make_unique<NoCm>();
 }
 
-std::unique_ptr<OracleDetector> WorldFactory::make_detector(
-    const ScenarioSpec& spec) {
-  return std::make_unique<OracleDetector>(detector_spec(spec),
-                                          make_policy(spec));
-}
-
-std::unique_ptr<LossAdversary> WorldFactory::make_loss(
-    const ScenarioSpec& spec) {
+std::unique_ptr<LossAdversary> make_loss(const ScenarioSpec& spec) {
   const std::uint64_t seed = sub_seed(spec, kLossSalt);
   switch (spec.loss) {
     case LossKind::kNoLoss:
@@ -178,6 +167,30 @@ std::unique_ptr<LossAdversary> WorldFactory::make_loss(
   return std::make_unique<NoLoss>();
 }
 
+std::vector<Value> make_initial_values(const ScenarioSpec& spec) {
+  switch (spec.init) {
+    case InitKind::kRandom:
+      return random_initial_values(spec.n, spec.num_values,
+                                   sub_seed(spec, kInitSalt));
+    case InitKind::kSplit:
+      return split_initial_values(spec.n, 0,
+                                  spec.num_values > 1 ? spec.num_values - 1
+                                                      : 0);
+    case InitKind::kAllSame:
+      return std::vector<Value>(spec.n,
+                                spec.num_values > 1 ? spec.num_values - 1 : 0);
+  }
+  return std::vector<Value>(spec.n, 0);
+}
+
+}  // namespace
+
+std::unique_ptr<OracleDetector> WorldFactory::make_detector(
+    const ScenarioSpec& spec) {
+  return std::make_unique<OracleDetector>(detector_spec(spec),
+                                          make_policy(spec));
+}
+
 std::unique_ptr<FailureAdversary> WorldFactory::make_fault(
     const ScenarioSpec& spec) {
   switch (spec.fault) {
@@ -197,23 +210,6 @@ std::unique_ptr<FailureAdversary> WorldFactory::make_fault(
       return std::make_unique<ScheduledCrash>(resolved_crash_schedule(spec));
   }
   return std::make_unique<NoFailures>();
-}
-
-std::vector<Value> WorldFactory::make_initial_values(
-    const ScenarioSpec& spec) {
-  switch (spec.init) {
-    case InitKind::kRandom:
-      return random_initial_values(spec.n, spec.num_values,
-                                   sub_seed(spec, kInitSalt));
-    case InitKind::kSplit:
-      return split_initial_values(spec.n, 0,
-                                  spec.num_values > 1 ? spec.num_values - 1
-                                                      : 0);
-    case InitKind::kAllSame:
-      return std::vector<Value>(spec.n,
-                                spec.num_values > 1 ? spec.num_values - 1 : 0);
-  }
-  return std::vector<Value>(spec.n, 0);
 }
 
 Round WorldFactory::max_rounds(const ScenarioSpec& spec) {
@@ -310,7 +306,7 @@ ScenarioSpec WorldFactory::phase2_spec(const ScenarioSpec& spec,
 
 namespace {
 
-/// The E13 substrate workload: below the round abstraction entirely, so it
+/// Claim E13's substrate workload: below the round abstraction entirely, so it
 /// bypasses the engine and asks the reference-broadcast synchronizer
 /// whether synchronized rounds exist at all under this drift/loss regime.
 SyncSummary run_round_sync(const ScenarioSpec& spec) {
@@ -344,29 +340,6 @@ ScenarioOutcome WorldFactory::run_scenario(const ScenarioSpec& spec,
     return out;
   }
   return std::move(LaneExecutor::run_block({spec}, options).front());
-}
-
-MultihopSummary WorldFactory::run_multihop(const ScenarioSpec& spec) {
-  // Not multihop workloads: refuse loudly -- an indistinguishable empty
-  // summary would masquerade as a real run.  run_scenario routes these
-  // correctly (consensus now executes over ANY topology via the unified
-  // engine; round-sync sits below the round abstraction).
-  if (spec.workload == WorkloadKind::kConsensus) {
-    MultihopSummary out;
-    out.error = std::string("workload consensus invalid for topology ") +
-                to_string(spec.topology) +
-                " (use run_scenario, which executes consensus over any "
-                "topology through the one round engine)";
-    return out;
-  }
-  if (spec.workload == WorkloadKind::kRoundSync) {
-    MultihopSummary out;
-    out.error =
-        "workload round-sync has no multihop phase (use run_scenario; the "
-        "synchronizer sits below the round abstraction)";
-    return out;
-  }
-  return run_scenario(spec).mh;
 }
 
 }  // namespace ccd::exp

@@ -77,7 +77,7 @@ struct MultihopSummary {
   std::string error;
 };
 
-/// Result of one round-sync workload run (the E13 substrate validation):
+/// Result of one round-sync workload run (claim E13's substrate check):
 /// does the reference-broadcast synchronizer hold the round abstraction
 /// together at this drift rate / beacon loss / round length?
 struct SyncSummary {
@@ -123,17 +123,12 @@ class WorldFactory {
   /// Build the full single-hop system for a spec.
   static World make(const ScenarioSpec& spec);
 
-  /// The individual component factories, exposed so callers can assemble
-  /// hybrid worlds (e.g. a bench substituting its own adversary).
-  static std::unique_ptr<ConsensusAlgorithm> make_algorithm(
-      const ScenarioSpec& spec);
-  static std::unique_ptr<ContentionManager> make_cm(const ScenarioSpec& spec);
+  /// The detector and fault components alone, for callers that assemble
+  /// the rest of a world themselves (LaneExecutor's flood / MIS worlds).
   static std::unique_ptr<OracleDetector> make_detector(
       const ScenarioSpec& spec);
-  static std::unique_ptr<LossAdversary> make_loss(const ScenarioSpec& spec);
   static std::unique_ptr<FailureAdversary> make_fault(
       const ScenarioSpec& spec);
-  static std::vector<Value> make_initial_values(const ScenarioSpec& spec);
 
   /// Round budget for a run: spec.max_rounds when set, otherwise a bound
   /// generous enough for every algorithm at this |V| and CST.
@@ -149,7 +144,7 @@ class WorldFactory {
 
   /// Map the spec's loss adversary onto multihop link physics:
   ///   noloss       -> {1.0, 1.0}   perfect channel, capture always resolves
-  ///   ecf          -> {0.95, 0.05} harsh capture-effect regime (E14)
+  ///   ecf          -> {0.95, 0.05} harsh capture-effect regime (claim E14)
   ///   prob         -> {p_deliver, p_deliver/2}
   ///   unrestricted -> {0.5, 0.0}   lossy, contention never resolves
   static MhLinkModel make_link(const ScenarioSpec& spec);
@@ -173,14 +168,10 @@ class WorldFactory {
 
   /// Execute a spec, whatever its workload/topology: round-sync through
   /// the synchronizer, everything else as a one-spec LaneExecutor block.
-  /// THE entry point; run_one and --rerun-cell both land here.
+  /// THE entry point; run_one, --rerun-cell and a violated claim's spec
+  /// (ccd_claims) all land here.
   static ScenarioOutcome run_scenario(const ScenarioSpec& spec,
                                       const RunScenarioOptions& options = {});
-
-  /// Legacy multihop entry point: run_scenario's mh slice.  Requires
-  /// spec.workload to be a multihop workload (flood / mis /
-  /// mis-then-consensus); consensus and round-sync yield a keyed error.
-  static MultihopSummary run_multihop(const ScenarioSpec& spec);
 };
 
 }  // namespace ccd::exp

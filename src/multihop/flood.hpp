@@ -13,7 +13,7 @@
 // a node that hears +- but no message knows the message is circulating
 // nearby and keeps listening attentively (tracked as a statistic).
 //
-// bench_multihop_broadcast compares the two policies: under dense
+// Claim E14 (exp/claims.hpp) compares the two policies: under dense
 // topologies the collision feedback cuts completion time, reproducing the
 // paper's thesis -- receiver-side collision detection is a cheap, powerful
 // coordination primitive -- in the multihop setting it targets next.

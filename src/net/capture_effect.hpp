@@ -5,8 +5,8 @@
 // Single transmissions succeed per-receiver with probability
 // p_single_deliver, rising to certainty after r_cf when ecf is enabled.
 //
-// Used by robustness tests and the backoff-CM experiment (E11) to exercise
-// algorithms under "realistic" loss rather than worst-case loss.
+// Used by robustness tests and the backoff-CM claims (E11, exp/claims.hpp)
+// to exercise algorithms under "realistic" loss rather than worst-case loss.
 #pragma once
 
 #include "net/loss_adversary.hpp"

@@ -1,5 +1,5 @@
-// Minimal ASCII table printer so every bench binary can render the paper's
-// tables/series in a uniform, diffable format.
+// Minimal ASCII table printer so the claims table and the tools can render
+// the paper's tables/series in a uniform, diffable format.
 #pragma once
 
 #include <cstdint>

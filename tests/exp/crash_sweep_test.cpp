@@ -1,8 +1,7 @@
 // Crash faults as a first-class sweep dimension: schedule JSON round-trips
-// with keyed errors, named worst-case generators, the run_multihop fault
-// wiring (survivor-conditioned metrics, phase-2 skip, consensus-workload
-// refusal), grid validation, and thread-count invariance of faulted
-// multihop sweeps.
+// with keyed errors, named worst-case generators, the multihop fault wiring
+// of run_scenario (survivor-conditioned metrics, phase-2 skip), grid
+// validation, and thread-count invariance of faulted multihop sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,9 +189,9 @@ TEST(CrashScheduleGenerators, NamedGeneratorWinsOverExplicitList) {
             *generate_crash_schedule("source-dies", spec));
 }
 
-// ---- run_multihop fault wiring --------------------------------------------
+// ---- run_scenario multihop fault wiring -----------------------------------
 
-TEST(RunMultihopCrash, ScheduledCrashesLandAndConditionMetricsOnSurvivors) {
+TEST(RunScenarioCrash, ScheduledCrashesLandAndConditionMetricsOnSurvivors) {
   ScenarioSpec spec;
   spec.topology = TopologyKind::kLine;
   spec.workload = WorkloadKind::kMis;
@@ -202,7 +201,7 @@ TEST(RunMultihopCrash, ScheduledCrashesLandAndConditionMetricsOnSurvivors) {
   spec.crash_schedule_name = "leaf-then-die";
   spec.n = 8;
   spec.seed = 21;
-  const MultihopSummary s = WorldFactory::run_multihop(spec);
+  const MultihopSummary s = WorldFactory::run_scenario(spec).mh;
   EXPECT_TRUE(s.ran);
   EXPECT_TRUE(s.error.empty());
   EXPECT_EQ(s.crashes_applied, 7u);  // everyone but process 0
@@ -212,7 +211,7 @@ TEST(RunMultihopCrash, ScheduledCrashesLandAndConditionMetricsOnSurvivors) {
   EXPECT_LE(s.mis_size, 1u);
 }
 
-TEST(RunMultihopCrash, ReproducibleFromJsonSpecAlone) {
+TEST(RunScenarioCrash, ReproducibleFromJsonSpecAlone) {
   // The acceptance bar: a leaf-then-die cell re-run from nothing but its
   // serialized spec produces the identical execution.
   ScenarioSpec spec;
@@ -228,8 +227,8 @@ TEST(RunMultihopCrash, ReproducibleFromJsonSpecAlone) {
   auto parsed = ScenarioSpec::from_json(spec.to_json());
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(spec, *parsed);
-  const MultihopSummary a = WorldFactory::run_multihop(spec);
-  const MultihopSummary b = WorldFactory::run_multihop(*parsed);
+  const MultihopSummary a = WorldFactory::run_scenario(spec).mh;
+  const MultihopSummary b = WorldFactory::run_scenario(*parsed).mh;
   EXPECT_GT(a.crashes_applied, 0u);
   EXPECT_EQ(a.crashes_applied, b.crashes_applied);
   EXPECT_EQ(a.survivors, b.survivors);
@@ -240,7 +239,7 @@ TEST(RunMultihopCrash, ReproducibleFromJsonSpecAlone) {
   EXPECT_EQ(a.consensus.has_value(), b.consensus.has_value());
 }
 
-TEST(RunMultihopCrash, RandomCrashAppliesUnderTheFaultSeedStream) {
+TEST(RunScenarioCrash, RandomCrashAppliesUnderTheFaultSeedStream) {
   ScenarioSpec spec;
   spec.topology = TopologyKind::kRing;
   spec.workload = WorkloadKind::kFlood;
@@ -252,7 +251,7 @@ TEST(RunMultihopCrash, RandomCrashAppliesUnderTheFaultSeedStream) {
   std::uint64_t total = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     spec.seed = seed;
-    const MultihopSummary s = WorldFactory::run_multihop(spec);
+    const MultihopSummary s = WorldFactory::run_scenario(spec).mh;
     total += s.crashes_applied;
     EXPECT_EQ(s.survivors + s.crashes_applied, spec.n);
     // Coverage counts survivors only.
@@ -261,7 +260,7 @@ TEST(RunMultihopCrash, RandomCrashAppliesUnderTheFaultSeedStream) {
   EXPECT_GT(total, 0u);  // p=0.2 over 5 CST rounds x 16 nodes x 5 seeds
 }
 
-TEST(RunMultihopCrash, ZeroSurvivingHeadsSkipsPhaseTwoExplicitly) {
+TEST(RunScenarioCrash, ZeroSurvivingHeadsSkipsPhaseTwoExplicitly) {
   ScenarioSpec spec;
   spec.topology = TopologyKind::kLine;
   spec.workload = WorkloadKind::kMisThenConsensus;
@@ -272,7 +271,7 @@ TEST(RunMultihopCrash, ZeroSurvivingHeadsSkipsPhaseTwoExplicitly) {
   for (std::uint32_t p = 0; p < spec.n; ++p) {
     spec.crash_schedule.push_back({1, p, CrashPoint::kBeforeSend});
   }
-  const MultihopSummary s = WorldFactory::run_multihop(spec);
+  const MultihopSummary s = WorldFactory::run_scenario(spec).mh;
   EXPECT_TRUE(s.ran);
   EXPECT_EQ(s.survivors, 0u);
   EXPECT_EQ(s.mis_size, 0u);
@@ -282,20 +281,9 @@ TEST(RunMultihopCrash, ZeroSurvivingHeadsSkipsPhaseTwoExplicitly) {
   // A failure-free run of the same shape runs phase 2 and says so.
   spec.fault = FaultKind::kNone;
   spec.crash_schedule.clear();
-  const MultihopSummary ok = WorldFactory::run_multihop(spec);
+  const MultihopSummary ok = WorldFactory::run_scenario(spec).mh;
   EXPECT_FALSE(ok.phase2_skipped);
   EXPECT_TRUE(ok.consensus.has_value());
-}
-
-TEST(RunMultihop, ConsensusWorkloadIsAKeyedError) {
-  ScenarioSpec spec;
-  spec.topology = TopologyKind::kRing;
-  spec.workload = WorkloadKind::kConsensus;
-  const MultihopSummary s = WorldFactory::run_multihop(spec);
-  EXPECT_FALSE(s.ran);
-  EXPECT_NE(s.error.find("workload consensus invalid for topology ring"),
-            std::string::npos)
-      << s.error;
 }
 
 // ---- grid validation and sweeps -------------------------------------------

@@ -143,7 +143,7 @@ TEST(ScenarioSpecJson, ErrorNamesTheOffendingKeyAndValue) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST(RunMultihop, FloodCoversAConnectedLine) {
+TEST(RunScenarioMultihop, FloodCoversAConnectedLine) {
   ScenarioSpec spec;
   spec.topology = TopologyKind::kLine;
   spec.workload = WorkloadKind::kFlood;
@@ -151,7 +151,7 @@ TEST(RunMultihop, FloodCoversAConnectedLine) {
   spec.loss = LossKind::kNoLoss;
   spec.n = 8;
   spec.seed = 11;
-  const MultihopSummary s = WorldFactory::run_multihop(spec);
+  const MultihopSummary s = WorldFactory::run_scenario(spec).mh;
   EXPECT_TRUE(s.ran);
   EXPECT_TRUE(s.connected);
   EXPECT_EQ(s.diameter, 7u);
@@ -161,7 +161,7 @@ TEST(RunMultihop, FloodCoversAConnectedLine) {
   EXPECT_GT(s.messages_per_node, 0.0);
 }
 
-TEST(RunMultihop, MisIsIndependentAndMaximalWithAccurateDetector) {
+TEST(RunScenarioMultihop, MisIsIndependentAndMaximalWithAccurateDetector) {
   ScenarioSpec spec;
   spec.topology = TopologyKind::kGrid;
   spec.workload = WorkloadKind::kMis;
@@ -170,7 +170,7 @@ TEST(RunMultihop, MisIsIndependentAndMaximalWithAccurateDetector) {
   spec.n = 25;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     spec.seed = seed;
-    const MultihopSummary s = WorldFactory::run_multihop(spec);
+    const MultihopSummary s = WorldFactory::run_scenario(spec).mh;
     EXPECT_TRUE(s.mis_independent) << seed;
     EXPECT_TRUE(s.mis_maximal) << seed;
     EXPECT_GE(s.mis_size, 1u) << seed;
@@ -178,7 +178,7 @@ TEST(RunMultihop, MisIsIndependentAndMaximalWithAccurateDetector) {
   }
 }
 
-TEST(RunMultihop, MisThenConsensusRunsBothPhases) {
+TEST(RunScenarioMultihop, MisThenConsensusRunsBothPhases) {
   ScenarioSpec spec;
   spec.topology = TopologyKind::kRing;
   spec.workload = WorkloadKind::kMisThenConsensus;
@@ -186,7 +186,7 @@ TEST(RunMultihop, MisThenConsensusRunsBothPhases) {
   spec.loss = LossKind::kNoLoss;
   spec.n = 16;
   spec.seed = 3;
-  const MultihopSummary s = WorldFactory::run_multihop(spec);
+  const MultihopSummary s = WorldFactory::run_scenario(spec).mh;
   EXPECT_GE(s.mis_size, 1u);
   ASSERT_TRUE(s.consensus.has_value());
   EXPECT_TRUE(s.consensus->verdict.solved());

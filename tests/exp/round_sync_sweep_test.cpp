@@ -1,7 +1,7 @@
-// The round-sync workload (E13 as a sweepable grid) and the byte-stability
-// contract of the new ScenarioSpec knobs (id_space, sync_rho,
-// sync_round_length): omitted at their defaults, round-tripped exactly
-// otherwise.
+// The round-sync workload (claim E13 as a sweepable grid) and the
+// byte-stability contract of the new ScenarioSpec knobs (id_space,
+// sync_rho, sync_round_length): omitted at their defaults, round-tripped
+// exactly otherwise.
 #include <gtest/gtest.h>
 
 #include "exp/aggregator.hpp"
@@ -37,8 +37,8 @@ TEST(RoundSyncWorkload, RunsDeterministicallyAndAggregates) {
     EXPECT_FALSE(cell.sync_skew_us.empty());
     EXPECT_FALSE(cell.sync_bound_us.empty());
     EXPECT_FALSE(cell.sync_agreement.empty());
-    // The synchronizer's analytic bound must hold (it held in the direct
-    // E13 bench for every measured regime).
+    // The synchronizer's analytic bound must hold (claim E13 checks it
+    // for every measured regime).
     EXPECT_EQ(cell.sync_bound_violations, 0u);
     // The sync block reaches the JSON report.
   }
