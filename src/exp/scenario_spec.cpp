@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <limits>
 
 #include "util/flat_json.hpp"
@@ -442,12 +441,10 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
   auto read_double = [&](const char* key, double& field) {
     const std::string* raw = flat->find(key);
     if (!raw) return;
-    char* end = nullptr;
-    const double v = std::strtod(raw->c_str(), &end);
-    if (end && *end == '\0') {
-      field = v;
+    if (auto v = jsonu::parse_double(*raw)) {
+      field = *v;
     } else {
-      report(key, *raw, "a number");
+      report(key, *raw, "a finite number");
     }
   };
 

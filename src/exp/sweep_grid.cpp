@@ -77,6 +77,11 @@ std::optional<std::string> SweepGrid::validate() const {
   // with per-neighborhood collision semantics), so no topology constraint
   // remains.
 
+  if (!(base.p_deliver >= 0 && base.p_deliver <= 1)) {
+    return "bad value '" + jsonu::format_double(base.p_deliver) +
+           "' for key 'p_deliver' (expected a probability in [0, 1])";
+  }
+
   // Scheduled-crash cells must have a schedule to run, and every named
   // generator -- swept or set on the base -- must exist.
   const auto known = crash_schedule_names();

@@ -62,9 +62,10 @@ struct SweepGrid {
 
   /// Structural sanity: nullopt if the grid is well-formed, else a
   /// human-readable reason.  Catches the silent footguns: a `scheduled`
-  /// fault cell with no schedule to run, and unknown crash-schedule
-  /// generator names.  (Consensus x non-singlehop topology, rejected here
-  /// before the engine unification, is now a first-class cell.)
+  /// fault cell with no schedule to run, unknown crash-schedule
+  /// generator names, and a base p_deliver outside [0, 1].  (Consensus x
+  /// non-singlehop topology, rejected here before the engine unification,
+  /// is now a first-class cell.)
   std::optional<std::string> validate() const;
 
   /// Built-in grids: "smoke" (fast sanity), "default" (the broad

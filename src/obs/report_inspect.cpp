@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
@@ -23,13 +22,6 @@ namespace jsonu = ccd::jsonu;
 bool set_error(std::string* error, const std::string& message) {
   if (error) *error = message;
   return false;
-}
-
-bool parse_double_text(const std::string& raw, double* out) {
-  if (raw.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(raw.c_str(), &end);
-  return end && *end == '\0';
 }
 
 std::string fmt4(double d) {
@@ -119,10 +111,12 @@ bool metric_from_summary(const std::string& name, const std::string& raw,
                          Field{"p99", &MetricView::p99},
                          Field{"max", &MetricView::max}}) {
     const std::string* raw_v = flat->find(f.key);
-    if (!raw_v || !parse_double_text(*raw_v, &(out->*(f.member)))) {
+    const auto v = raw_v ? jsonu::parse_double(*raw_v) : std::nullopt;
+    if (!v) {
       return set_error(error, "metric '" + name + "' missing valid '" +
                                   f.key + "'");
     }
+    out->*(f.member) = *v;
   }
   return true;
 }
@@ -927,168 +921,111 @@ bool diff_traces(const std::string& a_json, const std::string& b_json,
 
 namespace {
 
+/// One ccd-bench-v2 entry as the gate sees it.  `median` is empty when the
+/// artifact's value is missing, non-numeric or non-finite.
 struct BenchEntry {
-  std::map<std::string, double> metrics;
-  std::set<std::string> gated;  ///< metrics the regression gate applies to
+  std::string unit;
+  std::optional<double> median;
+  std::optional<double> bound;
 };
 
-bool parse_bench_object(const std::string& raw,
-                        std::map<std::string, BenchEntry>* entries,
-                        std::string* error) {
-  auto flat = jsonu::FlatJson::parse(raw);
+/// Parse a ccd-bench-v2 artifact into name -> entry.  The baseline side is
+/// strict (finite medians, bounds in (0, 1]); the new side only needs each
+/// entry's name, so a broken median reaches the gate instead of an error.
+bool parse_bench(const std::string& json, bool baseline,
+                 std::map<std::string, BenchEntry>* entries,
+                 std::string* error) {
+  auto flat = jsonu::FlatJson::parse(json);
   if (!flat) return set_error(error, "bench artifact is not a JSON object");
   const std::string* format = flat->find("format");
-  if (!format || *format != "ccd-bench-v1") {
-    return set_error(error, "expected format ccd-bench-v1");
+  if (!format || *format != "ccd-bench-v2") {
+    return set_error(error, "expected format ccd-bench-v2");
   }
-  const std::string* bench = flat->find("bench");
-  if (!bench) return set_error(error, "missing 'bench'");
-  if (*bench == "sweep_throughput") {
-    const std::string* grid = flat->find("grid");
-    if (!grid) return set_error(error, "sweep_throughput missing 'grid'");
+  const std::string* items_raw = flat->find("entries");
+  auto items = items_raw ? jsonu::parse_array_items(*items_raw) : std::nullopt;
+  if (!items) return set_error(error, "'entries' is not a JSON array");
+  for (const std::string& item : *items) {
+    auto ef = jsonu::FlatJson::parse(item);
+    const std::string* name = ef ? ef->find("name") : nullptr;
+    if (!name) return set_error(error, "bench entry without a 'name'");
     BenchEntry entry;
-    for (const char* key : {"runs_per_sec", "rounds_per_sec"}) {
-      const std::string* v = flat->find(key);
-      double value = 0;
-      if (!v || !parse_double_text(*v, &value)) {
-        return set_error(error,
-                         std::string("sweep_throughput missing '") + key +
-                             "'");
-      }
-      entry.metrics[key] = value;
-      entry.gated.insert(key);
+    if (const std::string* unit = ef->find("unit")) entry.unit = *unit;
+    if (const std::string* median = ef->find("median")) {
+      entry.median = jsonu::parse_double(*median);
     }
-    (*entries)["sweep:" + *grid] = std::move(entry);
-    return true;
-  }
-  if (*bench == "engine_lanes") {
-    const std::string* items_raw = flat->find("entries");
-    if (!items_raw) return set_error(error, "engine_lanes missing 'entries'");
-    auto items = jsonu::parse_array_items(*items_raw);
-    if (!items) return set_error(error, "'entries' is not a JSON array");
-    for (const std::string& item : *items) {
-      auto ef = jsonu::FlatJson::parse(item);
-      if (!ef) {
-        return set_error(error, "engine_lanes entry is not a JSON object");
+    if (baseline) {
+      if (!entry.median) {
+        return set_error(error, "entry '" + *name + "' missing valid 'median'");
       }
-      const std::string* config = ef->find("config");
-      const std::string* n = ef->find("n");
-      if (!config || !n) {
-        return set_error(error, "engine_lanes entry missing config/n");
-      }
-      BenchEntry entry;
-      for (const char* key :
-           {"scalar_rounds_per_sec", "lane_rounds_per_sec", "speedup"}) {
-        const std::string* v = ef->find(key);
-        double value = 0;
-        if (!v || !parse_double_text(*v, &value)) {
-          return set_error(error,
-                           std::string("engine_lanes entry missing '") +
-                               key + "'");
+      if (const std::string* bound = ef->find("bound")) {
+        entry.bound = jsonu::parse_double(*bound);
+        if (!entry.bound || *entry.bound <= 0 || *entry.bound > 1) {
+          return set_error(error, "entry '" + *name + "' has bound '" +
+                                      *bound + "' outside (0, 1]");
         }
-        entry.metrics[key] = value;
+        if (*entry.median <= 0) {
+          return set_error(error, "gated entry '" + *name +
+                                      "' has a non-positive median");
+        }
       }
-      // Absolute rates are machine physics; the one-lane-vs-64-lane
-      // speedup is machine-relative and is what the gate watches.
-      entry.gated.insert("speedup");
-      (*entries)["lanes:" + *config + "/n" + *n] = std::move(entry);
     }
-    return true;
+    if (!entries->emplace(*name, std::move(entry)).second) {
+      return set_error(error, "duplicate entry '" + *name + "'");
+    }
   }
-  if (*bench == "dispatch_steal") {
-    const std::string* grid = flat->find("grid");
-    const std::string* workers = flat->find("workers");
-    if (!grid || !workers) {
-      return set_error(error, "dispatch_steal missing 'grid'/'workers'");
-    }
-    BenchEntry entry;
-    for (const char* key :
-         {"static_wall_ns", "dynamic_wall_ns", "speedup", "steals"}) {
-      const std::string* v = flat->find(key);
-      double value = 0;
-      if (!v || !parse_double_text(*v, &value)) {
-        return set_error(error,
-                         std::string("dispatch_steal missing '") + key + "'");
-      }
-      entry.metrics[key] = value;
-    }
-    // Absolute walls are machine physics; the dynamic-vs-static speedup is
-    // machine-relative and is what the gate watches.
-    entry.gated.insert("speedup");
-    (*entries)["dispatch:" + *grid + "/w" + *workers] = std::move(entry);
-    return true;
-  }
-  return set_error(error, "unknown bench kind '" + *bench + "'");
+  return true;
 }
 
-/// A bench artifact is a single ccd-bench-v1 object or a JSON array of
-/// them (the CI's BENCH_sweep_throughput.json).
-bool parse_bench_file(const std::string& json,
-                      std::map<std::string, BenchEntry>* entries,
-                      std::string* error) {
-  const std::size_t start = json.find_first_not_of(" \t\r\n");
-  if (start == std::string::npos) {
-    return set_error(error, "empty bench artifact");
-  }
-  if (json[start] == '[') {
-    auto items = jsonu::parse_array_items(json.substr(start));
-    if (!items) {
-      return set_error(error, "bench artifact array is malformed");
-    }
-    for (const std::string& item : *items) {
-      if (!parse_bench_object(item, entries, error)) return false;
-    }
-    return true;
-  }
-  return parse_bench_object(json.substr(start), entries, error);
+std::string fmt_g(double d) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6g", d);
+  return buf;
 }
 
 }  // namespace
 
 bool diff_bench(const std::string& old_json, const std::string& new_json,
-                double max_regress_pct, std::string* out, bool* regressed,
-                std::string* error) {
+                std::string* out, bool* regressed, std::string* error) {
   std::map<std::string, BenchEntry> old_entries, new_entries;
-  if (!parse_bench_file(old_json, &old_entries, error)) {
+  if (!parse_bench(old_json, true, &old_entries, error)) {
     if (error) *error = "old: " + *error;
     return false;
   }
-  if (!parse_bench_file(new_json, &new_entries, error)) {
+  if (!parse_bench(new_json, false, &new_entries, error)) {
     if (error) *error = "new: " + *error;
     return false;
   }
   *regressed = false;
-  for (const auto& [key, old_entry] : old_entries) {
-    auto it = new_entries.find(key);
-    if (it == new_entries.end()) {
-      *out += key + ": missing from new artifact (REGRESSION: benchmark "
-              "disappeared)\n";
-      *regressed = true;
+  for (const auto& [name, old_entry] : old_entries) {
+    *out += name + ": " + fmt_g(*old_entry.median) + " -> ";
+    const auto it = new_entries.find(name);
+    const bool present = it != new_entries.end();
+    const std::optional<double> now =
+        present ? it->second.median : std::nullopt;
+    if (!present) {
+      *out += "missing";
+    } else if (!now) {
+      *out += "not a finite number";
+    } else {
+      const double change = (*now - *old_entry.median) / *old_entry.median;
+      *out += fmt_g(*now) + " " + old_entry.unit + " (" +
+              (change >= 0 ? "+" : "") + fmt1(100.0 * change) + "%)";
+    }
+    if (!old_entry.bound) {
+      *out += " [not gated]\n";
       continue;
     }
-    for (const auto& [metric, old_value] : old_entry.metrics) {
-      auto mv = it->second.metrics.find(metric);
-      if (mv == it->second.metrics.end()) continue;
-      const double new_value = mv->second;
-      const double change_pct =
-          old_value != 0.0
-              ? (new_value - old_value) / old_value * 100.0
-              : 0.0;
-      const bool gate = old_entry.gated.count(metric) > 0;
-      const bool regression = gate && change_pct < -max_regress_pct;
-      *out += key + " " + metric + ": " + fmt1(old_value) + " -> " +
-              fmt1(new_value) + " (" + (change_pct >= 0 ? "+" : "") +
-              fmt1(change_pct) + "%)";
-      if (!gate) *out += " [not gated]";
-      if (regression) {
-        *out += "  REGRESSION (worse than -" + fmt1(max_regress_pct) + "%)";
-        *regressed = true;
-      }
-      *out += "\n";
+    // Every gated entry is a rate or a ratio: higher is better.
+    const double floor = *old_entry.median * (1.0 - *old_entry.bound);
+    *out += " [bound -" + fmt1(100.0 * *old_entry.bound) + "%]";
+    if (!now || *now < floor) {
+      *out += "  REGRESSION";
+      *regressed = true;
     }
+    *out += "\n";
   }
-  for (const auto& [key, entry] : new_entries) {
-    if (!old_entries.count(key)) *out += key + ": new benchmark\n";
+  for (const auto& [name, entry] : new_entries) {
+    if (!old_entries.count(name)) *out += name + ": new entry\n";
   }
   return true;
 }

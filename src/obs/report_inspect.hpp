@@ -13,10 +13,9 @@
 //   diff_traces    align two --rerun-cell ExecutionLog dumps
 //                  (ccd-cell-trace-v1) round by round: first divergent
 //                  round plus per-round view/advice/decision deltas.
-//   diff_bench     compare two ccd-bench-v1 files (sweep throughput or
-//                  lane bench; single object or the CI's JSON array) and
-//                  flag rate regressions past a threshold -- the CI bench
-//                  regression gate.
+//   diff_bench     compare two ccd-bench-v2 files (ccd_bench output)
+//                  entry by entry and flag medians that fall past the
+//                  baseline's bound -- the CI bench regression gate.
 //
 // Lives in obs/ (depends only on util/), so the layer DAG stays intact:
 // the inspector never needs the engine or the exp layer -- every input is
@@ -58,13 +57,13 @@ bool export_dist(const std::string& json, std::string* out,
 bool diff_traces(const std::string& a_json, const std::string& b_json,
                  std::string* out, bool* differs, std::string* error);
 
-/// Compare two ccd-bench-v1 artifacts.  Rate metrics dropping more than
-/// max_regress_pct percent from old to new set *regressed (the CI gate
-/// exits nonzero on it).  Entries are matched by grid name (sweep
-/// throughput) or config+n (lane bench); lane-bench absolute rates are
-/// reported but only the machine-relative speedup is gated.
+/// Compare two ccd-bench-v2 artifacts entry by entry (matched by name).
+/// A baseline entry with a `bound` is gated: *regressed is set when the new
+/// median is missing, not a finite number, or lower than the baseline
+/// median by more than the bound (a fraction in (0, 1]).  Entries without
+/// a bound are shown only.  Returns false with *error on malformed input,
+/// including a baseline bound outside (0, 1].
 bool diff_bench(const std::string& old_json, const std::string& new_json,
-                double max_regress_pct, std::string* out, bool* regressed,
-                std::string* error);
+                std::string* out, bool* regressed, std::string* error);
 
 }  // namespace ccd::obs

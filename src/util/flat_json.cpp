@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -200,12 +201,23 @@ std::optional<std::vector<double>> parse_double_array(const std::string& raw) {
   std::vector<double> out;
   out.reserve(items->size());
   for (const std::string& item : *items) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (!end || *end != '\0' || item.empty()) return std::nullopt;
-    out.push_back(v);
+    auto v = parse_double(item);
+    if (!v) return std::nullopt;
+    out.push_back(*v);
   }
   return out;
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  // from_chars takes no leading whitespace or '+', and chars_format::general
+  // stops at the 'x' of a hex prefix, which the stop check rejects.
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view text,

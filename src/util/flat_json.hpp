@@ -52,8 +52,13 @@ struct FlatJson {
 std::optional<std::vector<std::string>> parse_array_items(
     const std::string& raw);
 
-/// Array of unquoted numbers -> doubles; nullopt if any element is not a
-/// number.
+/// Strict finite double: the whole text is one std::from_chars decimal
+/// (optional '-', digits, fraction, exponent) -- no whitespace, no '+', no
+/// hex -- and the value is finite.  Every artifact reader and CLI flag
+/// parses doubles through here, so "nan" and "inf" never reach a report.
+std::optional<double> parse_double(std::string_view text);
+
+/// Array of parse_double values; nullopt on anything else.
 std::optional<std::vector<double>> parse_double_array(const std::string& raw);
 
 /// Strict unsigned decimal: one or more digits and nothing else -- no

@@ -295,23 +295,20 @@ TEST(ReaderFuzz, DistInspector) {
 
 TEST(ReaderFuzz, BenchDiff) {
   const std::string bench =
-      "[{\"format\":\"ccd-bench-v1\",\"bench\":\"sweep_throughput\","
-      "\"grid\":\"smoke\",\"threads\":4,\"runs\":18,\"wall_ns\":500583,"
-      "\"runs_per_sec\":35958.073,\"rounds\":180,"
-      "\"rounds_per_sec\":359580.729},"
-      "{\"format\":\"ccd-bench-v1\",\"bench\":\"engine_lanes\","
-      "\"lane_width\":64,\"rounds\":128,\"entries\":[{\"config\":"
-      "\"consensus_clique\",\"n\":16,\"scalar_rounds_per_sec\":2225293.6,"
-      "\"lane_rounds_per_sec\":2769735.9,\"speedup\":1.24}]},"
-      "{\"format\":\"ccd-bench-v1\",\"bench\":\"dispatch_steal\","
-      "\"grid\":\"smoke-cst8\",\"cells\":48,\"workers\":4,"
-      "\"slow_factor\":4,\"static_wall_ns\":3620626860,"
-      "\"dynamic_wall_ns\":1300928043,\"speedup\":2.783,\"steals\":6,"
-      "\"requeues\":0,\"duplicate_cells\":0,\"reports_identical\":true}]";
+      "{\"format\":\"ccd-bench-v2\",\"entries\":[\n"
+      " {\"name\":\"sweep.smoke.runs_per_s\",\"unit\":\"runs/s\","
+      "\"median\":84574.9,\"min\":25704.6,\"max\":90692.9,\"reps\":7,"
+      "\"bound\":0.90},\n"
+      " {\"name\":\"lanes.mis_grid.n16.scalar\",\"unit\":"
+      "\"world-rounds/s\",\"median\":1.44694e+06,\"min\":1.06775e+06,"
+      "\"max\":1.6106e+06,\"reps\":7},\n"
+      " {\"name\":\"dispatch.speedup\",\"unit\":\"x\",\"median\":2.72988,"
+      "\"min\":2.71497,\"max\":2.73506,\"reps\":3,\"bound\":0.25}\n]}\n";
   fuzz(bench, 8, [&](const std::string& text) {
     std::string out, error;
     bool regressed = false;
-    return obs::diff_bench(bench, text, 40, &out, &regressed, &error);
+    obs::diff_bench(text, bench, &out, &regressed, &error);
+    return obs::diff_bench(bench, text, &out, &regressed, &error);
   });
 }
 
@@ -340,6 +337,30 @@ TEST(StrictUnsigned, SpecBaseCountAbove32BitsIsRejected) {
   EXPECT_NE(error.find("bad value '4294967300' for key 'n'"),
             std::string::npos)
       << error;
+}
+
+TEST(StrictDouble, SpecBaseNanDeliveryProbabilityIsRejected) {
+  const std::string spec = ShardPlanner::plan(fuzz_grid(), 1)[0].to_json();
+  std::string error;
+  EXPECT_FALSE(ShardSpec::from_json(
+      replaced(spec, "\"p_deliver\":0.5", "\"p_deliver\":nan"), &error));
+  EXPECT_NE(error.find("bad value 'nan' for key 'p_deliver'"),
+            std::string::npos)
+      << error;
+}
+
+TEST(StrictDouble, GridNanDensityAndOutOfRangeDeliveryAreRejected) {
+  std::string error;
+  EXPECT_FALSE(SweepGrid::from_json("{\"densities\":[2,nan]}", &error));
+  EXPECT_NE(error.find("densities"), std::string::npos) << error;
+  SweepGrid grid = fuzz_grid();
+  grid.base.p_deliver = 7;
+  ASSERT_TRUE(grid.validate().has_value());
+  EXPECT_NE(grid.validate()->find("bad value '7' for key 'p_deliver'"),
+            std::string::npos)
+      << *grid.validate();
+  grid.base.p_deliver = 1;
+  EXPECT_FALSE(grid.validate().has_value());
 }
 
 TEST(StrictUnsigned, GridAxisAndSeedCountAbove32BitsAreRejected) {

@@ -174,80 +174,92 @@ TEST(ReportInspect, TraceDiffFindsFirstDivergentRound) {
 
 // ---- bench diff ------------------------------------------------------------
 
-std::string sweep_bench(double runs_per_sec) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof buffer,
-                "{\"format\":\"ccd-bench-v1\",\"bench\":\"sweep_throughput\","
-                "\"grid\":\"smoke\",\"threads\":4,\"runs\":18,"
-                "\"wall_ns\":1000,\"runs_per_sec\":%.3f,\"rounds\":100,"
-                "\"rounds_per_sec\":50000.000}",
-                runs_per_sec);
-  return buffer;
+/// A ccd-bench-v2 artifact with one gated ratio (the lane speedup), one
+/// ungated rate, and one gated sweep rate.  `speedup` is raw JSON text so
+/// tests can write non-numbers into it.
+std::string bench(const std::string& speedup, const char* bound = "0.25") {
+  return std::string(R"({"format":"ccd-bench-v2","entries":[)") +
+         R"({"name":"lanes.mis_grid.n16.speedup","unit":"x","median":)" +
+         speedup + R"(,"min":0.5,"max":3,"reps":7,"bound":)" + bound +
+         "},\n" +
+         R"({"name":"lanes.mis_grid.n16.scalar","unit":"world-rounds/s",)" +
+         R"("median":1000,"min":900,"max":1100,"reps":7},)" + "\n" +
+         R"({"name":"sweep.smoke.runs_per_s","unit":"runs/s",)" +
+         R"("median":50000,"min":40000,"max":60000,"reps":7,"bound":0.90}]})";
 }
 
-TEST(ReportInspect, BenchDiffGatesRegressions) {
-  std::string out, error;
-  bool regressed = true;
-  // 10% drop under a 20% gate: reported, not a regression.
-  ASSERT_TRUE(diff_bench(sweep_bench(1000.0), sweep_bench(900.0), 20.0, &out,
-                         &regressed, &error))
-      << error;
-  EXPECT_FALSE(regressed);
-  EXPECT_NE(out.find("runs_per_sec: 1000.0 -> 900.0 (-10.0%)"),
+/// bench-diff's verdict on baseline bench("2") against `fresh`:
+/// 1 = regression, 0 = pass, 2 = rejected input (the ccd_report exits).
+int gate(const std::string& fresh, std::string* out = nullptr) {
+  std::string text, error;
+  bool regressed = false;
+  if (!diff_bench(bench("2"), fresh, &text, &regressed, &error)) return 2;
+  if (out) *out = text;
+  return regressed ? 1 : 0;
+}
+
+TEST(ReportInspect, BenchDiffGateFiresPastTheBaselineBound) {
+  // Baseline median 2 at bound 0.25: the floor is 1.5.
+  std::string out;
+  EXPECT_EQ(gate(bench("1.4"), &out), 1) << out;  // 30% lower
+  EXPECT_NE(out.find("lanes.mis_grid.n16.speedup: 2 -> 1.4 x (-30.0%) "
+                     "[bound -25.0%]  REGRESSION"),
             std::string::npos)
       << out;
-
-  // 50% drop trips the gate.
-  out.clear();
-  ASSERT_TRUE(diff_bench(sweep_bench(1000.0), sweep_bench(500.0), 20.0, &out,
-                         &regressed, &error))
-      << error;
-  EXPECT_TRUE(regressed);
-  EXPECT_NE(out.find("REGRESSION"), std::string::npos) << out;
-
-  // Improvements never trip it.
-  out.clear();
-  ASSERT_TRUE(diff_bench(sweep_bench(1000.0), sweep_bench(5000.0), 20.0, &out,
-                         &regressed, &error))
-      << error;
-  EXPECT_FALSE(regressed);
+  EXPECT_EQ(gate(bench("1.6"), &out), 0) << out;  // 20% lower
+  EXPECT_EQ(out.find("REGRESSION"), std::string::npos) << out;
+  EXPECT_EQ(gate(bench("5"), &out), 0) << out;  // improvements never trip
 }
 
-TEST(ReportInspect, BenchDiffAcceptsArraysAndGatesLaneSpeedupOnly) {
-  // The CI's BENCH_sweep_throughput.json is a JSON array of bench objects.
-  auto bench_array = [](double runs_per_sec, const char* scalar_rate,
-                        const char* lane_rate) {
-    std::string out = "[";
-    out += sweep_bench(runs_per_sec);
-    out += ",\n ";
-    out += R"({"format":"ccd-bench-v1","bench":"engine_lanes",)";
-    out += R"("lane_width":64,"rounds":200,"entries":[)";
-    out += R"({"config":"consensus_clique","n":16,)";
-    out += std::string("\"scalar_rounds_per_sec\":") + scalar_rate + ",";
-    out += std::string("\"lane_rounds_per_sec\":") + lane_rate + ",";
-    out += R"("speedup":4.00}]}])";
-    return out;
-  };
-  const std::string old_array = bench_array(1000.0, "100000.0", "400000.0");
-  // New run: absolute lane rates halve (slower machine) but speedup holds;
-  // must NOT regress.
-  const std::string new_array = bench_array(950.0, "50000.0", "200000.0");
-  std::string out, error;
-  bool regressed = true;
-  ASSERT_TRUE(
-      diff_bench(old_array, new_array, 20.0, &out, &regressed, &error))
-      << error;
-  EXPECT_FALSE(regressed) << out;
-  EXPECT_NE(out.find("lanes:consensus_clique/n16"), std::string::npos) << out;
-  EXPECT_NE(out.find("[not gated]"), std::string::npos) << out;
+TEST(ReportInspect, BenchDiffCountsABrokenOrMissingMedianAsARegression) {
+  std::string out;
+  for (const char* broken : {"nan", "inf", "-inf", "\"fast\"", "1e999"}) {
+    EXPECT_EQ(gate(bench(broken), &out), 1) << broken << "\n" << out;
+    EXPECT_NE(out.find("not a finite number"), std::string::npos) << out;
+  }
+  // An entry without a median at all.
+  std::string no_median = bench("2");
+  no_median.replace(no_median.find(R"("median":2,)"), 11, "");
+  EXPECT_EQ(gate(no_median, &out), 1) << out;
+  // A gated entry that disappeared.
+  std::string gone = bench("2");
+  gone.replace(gone.find("n16.speedup"), 11, "n32.speedup");
+  EXPECT_EQ(gate(gone, &out), 1) << out;
+  EXPECT_NE(out.find("lanes.mis_grid.n16.speedup: 2 -> missing"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("lanes.mis_grid.n32.speedup: new entry"),
+            std::string::npos)
+      << out;
+}
 
-  // A benchmark disappearing from the new artifact IS gated.
-  out.clear();
-  ASSERT_TRUE(diff_bench(old_array, sweep_bench(1000.0), 20.0, &out,
-                         &regressed, &error))
+TEST(ReportInspect, BenchDiffShowsUngatedEntriesWithoutGating) {
+  std::string fresh = bench("2");
+  fresh.replace(fresh.find(R"("median":1000)"), 13, R"("median":10)");
+  std::string out;
+  EXPECT_EQ(gate(fresh, &out), 0) << out;
+  EXPECT_NE(out.find("lanes.mis_grid.n16.scalar: 1000 -> 10 world-rounds/s "
+                     "(-99.0%) [not gated]"),
+            std::string::npos)
+      << out;
+}
+
+TEST(ReportInspect, BenchDiffRejectsABaselineBoundOutsideZeroToOne) {
+  std::string text, error;
+  bool regressed = false;
+  for (const char* bound : {"0", "-0.25", "1.5", "nan", "25"}) {
+    EXPECT_FALSE(diff_bench(bench("2", bound), bench("2"), &text, &regressed,
+                            &error))
+        << bound;
+    EXPECT_NE(error.find("outside (0, 1]"), std::string::npos) << error;
+  }
+  EXPECT_TRUE(diff_bench(bench("2", "1"), bench("2"), &text, &regressed,
+                         &error))
       << error;
-  EXPECT_TRUE(regressed);
-  EXPECT_NE(out.find("disappeared"), std::string::npos) << out;
+  // The v1 kinds are gone.
+  EXPECT_FALSE(diff_bench(R"({"format":"ccd-bench-v1","bench":"x"})",
+                          bench("2"), &text, &regressed, &error));
+  EXPECT_NE(error.find("ccd-bench-v2"), std::string::npos) << error;
 }
 
 }  // namespace

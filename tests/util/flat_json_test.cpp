@@ -1,6 +1,6 @@
-// jsonu::parse_u64: the one strict unsigned parser every artifact reader
-// goes through.  One case per rejected input class, plus the accepted
-// edges.
+// jsonu::parse_u64 and jsonu::parse_double: the strict unsigned and
+// finite-double parsers every artifact reader and CLI flag goes through.
+// One case per rejected input class, plus the accepted edges.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,6 +63,50 @@ TEST(ParseU64Array, AppliesTheSameRules) {
   EXPECT_FALSE(parse_u64_array("[1,-2]"));
   EXPECT_FALSE(parse_u64_array("[1,18446744073709551616]"));
   EXPECT_FALSE(parse_u64_array("[4294967300]", kU32Max));
+}
+
+TEST(ParseDouble, AcceptsDecimalFractionAndExponentForms) {
+  EXPECT_EQ(parse_double("0"), 0.0);
+  EXPECT_EQ(parse_double("-2.5"), -2.5);
+  EXPECT_EQ(parse_double("0.125"), 0.125);
+  EXPECT_EQ(parse_double("1e3"), 1000.0);
+  EXPECT_EQ(parse_double("2.5E-1"), 0.25);
+  // Whatever format_double writes reads back exactly.
+  EXPECT_EQ(parse_double(format_double(0.1)), 0.1);
+}
+
+TEST(ParseDouble, RejectsNanAndInfinities) {
+  // strtod takes all of these, and "nan" once reached a report as
+  // "density":nan, which is not JSON.
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                           "1e999", "-1e999"}) {
+    EXPECT_FALSE(parse_double(text)) << text;
+  }
+}
+
+TEST(ParseDouble, RejectsHex) {
+  EXPECT_FALSE(parse_double("0x1p-1"));
+  EXPECT_FALSE(parse_double("0x10"));
+}
+
+TEST(ParseDouble, RejectsWhitespaceAndAPlusSign) {
+  EXPECT_FALSE(parse_double(" 1"));
+  EXPECT_FALSE(parse_double("1 "));
+  EXPECT_FALSE(parse_double("+1"));
+}
+
+TEST(ParseDouble, RejectsEmptyAndTrailingBytes) {
+  EXPECT_FALSE(parse_double(""));
+  EXPECT_FALSE(parse_double("-"));
+  EXPECT_FALSE(parse_double("1.5x"));
+  EXPECT_FALSE(parse_double(std::string_view("7\0", 2)));
+}
+
+TEST(ParseDoubleArray, AppliesTheSameRules) {
+  EXPECT_EQ(parse_double_array("[2,3.5]"), (std::vector<double>{2, 3.5}));
+  EXPECT_FALSE(parse_double_array("[2,nan]"));
+  EXPECT_FALSE(parse_double_array("[inf]"));
+  EXPECT_FALSE(parse_double_array("[+1]"));
 }
 
 TEST(FingerprintHex, RoundTripsAndRejectsOtherForms) {

@@ -26,7 +26,6 @@
 #include <sys/types.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -101,14 +100,12 @@ bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
 }
 
 bool parse_double_flag(const char* arg, const char* what, double& out) {
-  if (!arg || *arg == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(arg, &end);
-  if (!end || *end != '\0' || v < 0) {
+  const auto v = jsonu::parse_double(arg);
+  if (!v || *v < 0) {
     std::fprintf(stderr, "ccd_dispatch: bad %s value '%s'\n", what, arg);
     return false;
   }
-  out = v;
+  out = *v;
   return true;
 }
 

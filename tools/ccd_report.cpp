@@ -10,10 +10,11 @@
 //   trace-diff A B    align two `ccd_sweep --rerun-cell` dumps round by
 //                     round; prints the first divergent round and the
 //                     view/advice/decision deltas; exits 1 on divergence
-//   bench-diff OLD NEW [--max-regress PCT]
-//                     compare two ccd-bench-v1 artifacts; exits 1 when a
-//                     gated rate regressed past the threshold -- the CI
-//                     bench regression gate
+//   bench-diff OLD NEW
+//                     compare two ccd-bench-v2 artifacts (ccd_bench
+//                     output); exits 1 when a gated median fell past the
+//                     bound OLD records for it -- the CI bench regression
+//                     gate
 //
 // Everything here reads serialized artifacts only: no engine, no grid
 // execution, so inspection can never perturb what it inspects.
@@ -47,9 +48,10 @@ commands:
                         ccd-dist-v1
   trace-diff A B        round-by-round diff of two --rerun-cell trace
                         dumps; exit 1 on divergence
-  bench-diff OLD NEW    compare ccd-bench-v1 artifacts; exit 1 when a
-                        gated rate drops more than the threshold
-    --max-regress PCT   regression threshold in percent (default 20)
+  bench-diff OLD NEW    compare ccd-bench-v2 artifacts (ccd_bench --out);
+                        exit 1 when a gated median in NEW is missing, not
+                        finite, or below OLD's median by more than the
+                        bound OLD records for that entry
 
 exit codes: 0 ok / no difference, 1 difference or regression, 2 bad input.
 )");
@@ -67,12 +69,6 @@ bool read_file(const std::string& path, std::string& out) {
 int fail(const std::string& message) {
   std::fprintf(stderr, "ccd_report: %s\n", message.c_str());
   return 2;
-}
-
-bool parse_double_arg(const char* text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text, &end);
-  return end && *end == '\0';
 }
 
 bool parse_int_arg(const char* text, int* out) {
@@ -97,7 +93,6 @@ int main(int argc, char** argv) {
   }
 
   ccd::obs::InspectOptions options;
-  double max_regress_pct = 20.0;
   std::string out_path;
   std::vector<std::string> files;
   for (int i = 2; i < argc; ++i) {
@@ -119,11 +114,8 @@ int main(int argc, char** argv) {
       options.only_metric = v;
     } else if (flag == "--tail-over") {
       const char* v = need_value("--tail-over");
-      double threshold = 0;
-      if (!v || !parse_double_arg(v, &threshold)) {
-        return fail("bad --tail-over value");
-      }
-      options.tail_over = threshold;
+      options.tail_over = v ? ccd::jsonu::parse_double(v) : std::nullopt;
+      if (!options.tail_over) return fail("bad --tail-over value");
     } else if (flag == "--width") {
       const char* v = need_value("--width");
       if (!v || !parse_int_arg(v, &options.bar_width)) {
@@ -133,12 +125,6 @@ int main(int argc, char** argv) {
       const char* v = need_value("--max-bins");
       if (!v || !parse_int_arg(v, &options.max_bins)) {
         return fail("bad --max-bins value");
-      }
-    } else if (flag == "--max-regress") {
-      const char* v = need_value("--max-regress");
-      if (!v || !parse_double_arg(v, &max_regress_pct) ||
-          max_regress_pct < 0) {
-        return fail("bad --max-regress value");
       }
     } else if (flag == "--out") {
       const char* v = need_value("--out");
@@ -211,15 +197,13 @@ int main(int argc, char** argv) {
     std::string old_text, new_text, out;
     if (!load(files[0], &old_text) || !load(files[1], &new_text)) return 2;
     bool regressed = false;
-    if (!ccd::obs::diff_bench(old_text, new_text, max_regress_pct, &out,
-                              &regressed, &error)) {
+    if (!ccd::obs::diff_bench(old_text, new_text, &out, &regressed,
+                              &error)) {
       return fail(error);
     }
     std::fputs(out.c_str(), stdout);
     if (regressed) {
-      std::fprintf(stderr,
-                   "ccd_report: bench regression past --max-regress %.1f%%\n",
-                   max_regress_pct);
+      std::fprintf(stderr, "ccd_report: bench regression past a bound\n");
       return 1;
     }
     return 0;

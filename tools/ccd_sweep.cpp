@@ -82,8 +82,8 @@ scalar knobs:
   --grid-seed S        master seed (default: grid's)
   --chaos calm|chaotic pre-CST environment flavour
   --init random|split|same
-  --p-deliver P        delivery probability knob (round-sync: beacon
-                       delivery, loss = 1 - P)
+  --p-deliver P        delivery probability knob in [0, 1] (round-sync:
+                       beacon delivery, loss = 1 - P)
   --max-rounds N       per-run round cap (0 = auto)
   --sync-rho R         round-sync: max clock rate deviation (default 1e-4)
   --sync-round-length L  round-sync: round length in seconds (default 0.05)
@@ -113,8 +113,6 @@ with or without these):
                        utilization and queue-drain time
   --trace-out PATH     write a Chrome trace-event JSON of per-run worker
                        spans (open in chrome://tracing or ui.perfetto.dev)
-  --bench-out PATH     write a sweep-throughput benchmark JSON (runs/sec,
-                       rounds/sec); full-run mode only
 
 sharded execution (recombine the partial reports with ccd_merge):
   --emit-shards K      write K self-contained shard spec files, spec i
@@ -179,14 +177,13 @@ bool parse_double_list(const std::string& arg, const char* what,
                        std::vector<double>& out) {
   out.clear();
   for (const std::string& tok : split_csv(arg)) {
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (!end || *end != '\0' || tok.empty()) {
+    const auto v = jsonu::parse_double(tok);
+    if (!v) {
       std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what,
                    tok.c_str());
       return false;
     }
-    out.push_back(v);
+    out.push_back(*v);
   }
   return true;
 }
@@ -202,14 +199,12 @@ bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
 }
 
 bool parse_double_flag(const char* arg, const char* what, double& out) {
-  if (!arg || *arg == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(arg, &end);
-  if (!end || *end != '\0') {
+  const auto v = jsonu::parse_double(arg);
+  if (!v) {
     std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what, arg);
     return false;
   }
-  out = v;
+  out = *v;
   return true;
 }
 
@@ -285,38 +280,12 @@ class ProgressPrinter {
   bool tty_;
 };
 
-/// ccd-bench-v1: sweep throughput measured on real sweep runs, derived
-/// from the perf sidecar's counters (rounds) and wall clock.
-std::string bench_throughput_json(const std::string& grid_name,
-                                  const obs::SweepPerf& perf) {
-  const double secs = static_cast<double>(perf.wall_ns) * 1e-9;
-  auto per_sec = [&](std::uint64_t count) {
-    return secs > 0 ? static_cast<double>(count) / secs : 0.0;
-  };
-  char buffer[160];
-  std::string out = "{\"format\":\"ccd-bench-v1\"";
-  out += ",\"bench\":\"sweep_throughput\"";
-  out += ",\"grid\":\"" + grid_name + "\"";
-  out += ",\"threads\":" + std::to_string(perf.threads);
-  out += ",\"runs\":" + std::to_string(perf.runs);
-  out += ",\"wall_ns\":" + std::to_string(perf.wall_ns);
-  std::snprintf(buffer, sizeof buffer, ",\"runs_per_sec\":%.3f",
-                per_sec(perf.runs));
-  out += buffer;
-  out += ",\"rounds\":" + std::to_string(perf.counters.rounds);
-  std::snprintf(buffer, sizeof buffer, ",\"rounds_per_sec\":%.3f",
-                per_sec(perf.counters.rounds));
-  out += buffer;
-  out += "}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string grid_name = "default";
   std::string json_path, csv_path, dist_path;
-  std::string perf_path, trace_path, bench_path;
+  std::string perf_path, trace_path;
   unsigned threads = 0;
   bool lanes = true;
   bool quiet = false;
@@ -491,10 +460,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       ok = v != nullptr;
       if (ok) trace_path = v;
-    } else if (flag == "--bench-out") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) bench_path = v;
     } else if (flag == "--no-lanes") {
       lanes = false;
     } else if (flag == "--quiet") {
@@ -558,18 +523,12 @@ int main(int argc, char** argv) {
   }
   // Telemetry outputs measure pool executions; --rerun-cell and
   // --emit-shards never run a pool.
-  if ((!perf_path.empty() || !trace_path.empty() || !bench_path.empty()) &&
+  if ((!perf_path.empty() || !trace_path.empty()) &&
       (have_rerun_cell || emit_shards > 0)) {
     std::fprintf(stderr,
-                 "ccd_sweep: --perf-out/--trace-out/--bench-out measure a "
-                 "sweep execution; they conflict with --rerun-cell and "
+                 "ccd_sweep: --perf-out/--trace-out measure a sweep "
+                 "execution; they conflict with --rerun-cell and "
                  "--emit-shards\n");
-    return 2;
-  }
-  if (!bench_path.empty() && worker_mode) {
-    std::fprintf(stderr,
-                 "ccd_sweep: --bench-out measures a full-grid run; a shard "
-                 "worker's throughput is not the grid's\n");
     return 2;
   }
   if (!dist_path.empty() && (have_rerun_cell || emit_shards > 0)) {
@@ -692,8 +651,8 @@ int main(int argc, char** argv) {
     // Test/bench-only throttle: CCD_SWEEP_TEST_RUN_DELAY_MS sleeps after
     // every completed run, simulating slow hardware without touching a
     // byte of the report (on_record is pure observation).  ccd_dispatch's
-    // tests and ccd_dispatch_bench use it to fabricate slow/stalling
-    // workers deterministically.
+    // tests and ccd_bench use it to fabricate slow/stalling workers
+    // deterministically.
     if (const char* delay_env = std::getenv("CCD_SWEEP_TEST_RUN_DELAY_MS")) {
       std::uint64_t delay_ms = 0;
       if (parse_u64_flag(delay_env, "CCD_SWEEP_TEST_RUN_DELAY_MS",
@@ -739,7 +698,7 @@ int main(int argc, char** argv) {
   options.threads = threads;
   options.lanes = lanes;
   obs::SweepPerf perf;
-  if (!perf_path.empty() || !trace_path.empty() || !bench_path.empty()) {
+  if (!perf_path.empty() || !trace_path.empty()) {
     options.perf = &perf;
   }
   ProgressPrinter progress;
@@ -781,10 +740,6 @@ int main(int argc, char** argv) {
       !write_file(trace_path,
                   obs::sweep_trace_json(perf, 0, grid.seeds_per_cell) +
                       "\n")) {
-    return 1;
-  }
-  if (!bench_path.empty() &&
-      !write_file(bench_path, bench_throughput_json(grid_name, perf))) {
     return 1;
   }
   return 0;
