@@ -57,10 +57,22 @@ World make_world(const ConsensusAlgorithm& algorithm,
   return world;
 }
 
+RunSummary summarize_consensus(Round cst, const RunResult& result,
+                               const ExecutionLog& log,
+                               const std::vector<Value>& initial_values) {
+  RunSummary summary;
+  summary.result = result;
+  summary.verdict = check_consensus(log, initial_values);
+  summary.cst = cst;
+  if (cst != kNeverRound && summary.verdict.last_decision_round > cst) {
+    summary.rounds_after_cst = summary.verdict.last_decision_round - cst;
+  }
+  return summary;
+}
+
 RunSummary run_consensus(World world, Round max_rounds,
                          ExecutorOptions options, ExecutionLog* log_out,
                          obs::EngineCounters* counters_out) {
-  RunSummary summary;
   // Degenerate worlds (n = 0, missing components, everyone crashed in the
   // opening round) are legal inputs: the Executor substitutes neutral
   // components and exits empty worlds immediately, and the checker treats
@@ -68,15 +80,10 @@ RunSummary run_consensus(World world, Round max_rounds,
   // AFTER construction so it reflects the substituted components (NoLoss
   // has r_cf = 1; a null loss slot would otherwise read as "never").
   Executor executor(std::move(world), options);
-  summary.cst = executor.world().cst();
-  summary.result = executor.run(max_rounds);
-  summary.verdict =
-      check_consensus(executor.log(), executor.world().initial_values);
-  if (summary.cst != kNeverRound &&
-      summary.verdict.last_decision_round > summary.cst) {
-    summary.rounds_after_cst = summary.verdict.last_decision_round -
-                               summary.cst;
-  }
+  const Round cst = executor.world().cst();
+  const RunResult result = executor.run(max_rounds);
+  RunSummary summary = summarize_consensus(cst, result, executor.log(),
+                                           executor.world().initial_values);
   if (log_out) *log_out = executor.log();
   if (counters_out) counters_out->add(executor.engine().counters(0));
   return summary;

@@ -44,10 +44,16 @@ struct RunSummary {
   ConsensusVerdict verdict;
   Round cst = kNeverRound;
   /// Rounds needed beyond CST: last correct decision round minus CST,
-  /// clamped at 0 (decisions before CST count as 0); meaningless when the
-  /// world has no finite CST.
+  /// clamped at 0 (decisions before CST count as 0); 0 when the world has
+  /// no finite CST.
   Round rounds_after_cst = 0;
 };
+
+/// The epilogue every consensus runner shares: check `log` against the
+/// initial values and derive rounds_after_cst from `cst` and the verdict.
+RunSummary summarize_consensus(Round cst, const RunResult& result,
+                               const ExecutionLog& log,
+                               const std::vector<Value>& initial_values);
 
 /// Run to completion (or max_rounds) and verify.  `log_out`, when non-null,
 /// receives a copy of the full ExecutionLog (the --rerun-cell trace-capture

@@ -1,7 +1,7 @@
 // Claims: the paper's results as executable, gated predicates.
 //
-// experiments() is the claims table.  Each experiment E1-E15 (E12 is the
-// bench_sim_micro microbenchmark, which claims nothing) runs the setup its
+// experiments() is the claims table.  Each experiment E1-E15 (E12 is round
+// throughput, which ccd_bench measures and nothing claims) runs the setup its
 // paper claim calls for -- SweepGrids on the exp/ engine, or direct runs
 // where the measured quantity sits below the spec surface (lower-bound
 // compositions, detector envelopes, bare contention managers) -- prints

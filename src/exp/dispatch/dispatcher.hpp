@@ -7,8 +7,8 @@
 //
 //   * assignments are shard specs like any other (ShardPlanner::plan_cells
 //     names each batch's cells), so workers are plain `ccd_sweep
-//     --shard-file` invocations -- checkpoint writing, resume validation
-//     and report emission all unchanged;
+//     --shard-file` invocations -- checkpoint writing and report
+//     emission unchanged;
 //   * liveness is read from the workers' own checkpoint JSONL heartbeats
 //     (tail_checkpoint each poll tick); a batch whose heartbeat goes stale
 //     past stale_after has its unfinished cells re-queued (STOLEN) while

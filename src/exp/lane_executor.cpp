@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "consensus/checker.hpp"
+#include "consensus/harness.hpp"
 #include "engine/lane_engine.hpp"
 #include "multihop/flood.hpp"
 #include "multihop/mis.hpp"
@@ -64,16 +64,6 @@ EngineOptions engine_options(const RunScenarioOptions& options,
   return {options.capture_log, options.capture_log, stop_when_all_decided};
 }
 
-/// The RunSummary epilogue of a consensus lane: verdict from the lane's
-/// log, CST surplus accounting -- the same arithmetic as run_consensus.
-void finish_summary(RunSummary& s, const LaneEngine& eng, std::size_t l) {
-  s.result = eng.result(l);
-  s.verdict = check_consensus(eng.log(l), eng.world(l).initial_values);
-  if (s.cst != kNeverRound && s.verdict.last_decision_round > s.cst) {
-    s.rounds_after_cst = s.verdict.last_decision_round - s.cst;
-  }
-}
-
 void run_consensus_block(const std::vector<ScenarioSpec>& specs,
                          std::vector<ScenarioOutcome>& outs,
                          const RunScenarioOptions& options) {
@@ -100,7 +90,8 @@ void run_consensus_block(const std::vector<ScenarioSpec>& specs,
   eng.run(WorldFactory::max_rounds(head));
   for (std::size_t l = 0; l < specs.size(); ++l) {
     ScenarioOutcome& out = outs[l];
-    finish_summary(out.summary, eng, l);
+    out.summary = summarize_consensus(out.summary.cst, eng.result(l),
+                                      eng.log(l), eng.world(l).initial_values);
     out.counters.add(eng.counters(l));
     if (options.capture_log) out.log = eng.log(l);
     if (!singlehop) {

@@ -1,7 +1,7 @@
 // Shard checkpoint files: the JSONL stream a worker writes as cells
-// complete, read back by resume, by the dispatcher's per-tick liveness
-// probe (its steal signal), and by the dispatcher when it harvests a dead
-// worker's partial progress before re-queueing the rest of its batch.
+// complete, read back by the dispatcher's per-tick liveness probe (its
+// steal signal) and when it harvests a dead worker's partial progress
+// before re-queueing the rest of its batch.
 //
 // Layout: one header line ("ccd-shard-checkpoint-v1", grid fingerprint,
 // shard identity, wall-clock stamp) then one cell-aggregate line per
@@ -30,7 +30,7 @@ std::string checkpoint_header(const ShardSpec& shard);
 
 /// One completed cell as a checkpoint line: the cell aggregate with a
 /// ts_ms heartbeat spliced in before the closing brace.  The loader looks
-/// up known keys only, so the stamp never changes what a resume reads.
+/// up known keys only, so the stamp never changes the loaded aggregate.
 std::string checkpoint_cell_marker(const CellAggregate& cell);
 
 /// What a checkpoint file held when loaded.

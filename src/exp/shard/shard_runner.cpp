@@ -20,33 +20,19 @@ std::optional<ShardReport> run_shard(const ShardSpec& shard,
     return fail("shard grid has seeds_per_cell 0: no runs to execute");
   }
 
-  const std::vector<std::size_t>& owned = shard.cells;
-  std::map<std::size_t, CellAggregate> completed;
-  if (options.resume && !options.checkpoint_path.empty()) {
-    CheckpointContents contents;
-    if (!load_checkpoint(shard, options.checkpoint_path, &contents, error)) {
-      return std::nullopt;
-    }
-    completed = std::move(contents.cells);
-  }
-
-  // Remaining cells and their run indices.  Runs are enumerated in global
-  // run-index order, so the per-cell fold order matches a full-grid run.
+  // Run indices in global run-index order, so the per-cell fold order
+  // matches a full-grid run.
   const std::uint32_t spc = shard.grid.seeds_per_cell;
-  std::vector<std::size_t> remaining;
   std::vector<std::size_t> run_indices;
-  for (std::size_t c : owned) {
-    if (completed.count(c)) continue;
-    remaining.push_back(c);
+  for (std::size_t c : shard.cells) {
     for (std::uint32_t s = 0; s < spc; ++s) {
       run_indices.push_back(c * spc + s);
     }
   }
 
-  // The checkpoint is rewritten whole on open (header + every completed
-  // cell), not appended to: a torn final line from a crash would otherwise
-  // glue onto the next marker and poison the file for the resume after
-  // this one.  Rewriting also heals the torn line itself.
+  // The checkpoint is truncated on open, not appended to: a file left by
+  // an earlier worker on the same path must not leak its markers into
+  // this run's.
   std::ofstream checkpoint;
   if (!options.checkpoint_path.empty()) {
     checkpoint.open(options.checkpoint_path,
@@ -54,27 +40,22 @@ std::optional<ShardReport> run_shard(const ShardSpec& shard,
     if (!checkpoint) {
       return fail("cannot write checkpoint " + options.checkpoint_path);
     }
-    checkpoint << checkpoint_header(shard) << "\n";
-    for (const auto& [c, cell] : completed) {
-      (void)c;
-      checkpoint << checkpoint_cell_marker(cell) << "\n";
-    }
-    checkpoint << std::flush;
+    checkpoint << checkpoint_header(shard) << "\n" << std::flush;
   }
 
   // Per-cell completion tracking: when a cell's last seed lands, fold its
   // records (slot order = run order, so the fold is deterministic) and
   // emit the checkpoint marker.  The mutex serializes marker writes; cell
-  // ORDER in the file is completion order, which is fine -- resume keys by
+  // ORDER in the file is completion order, which is fine -- readers key by
   // cell index, and the report sorts below.
   std::map<std::size_t, std::vector<const RunRecord*>> slots;
   std::map<std::size_t, std::uint32_t> pending;
-  for (std::size_t c : remaining) {
+  for (std::size_t c : shard.cells) {
     slots[c].assign(spc, nullptr);
     pending[c] = spc;
   }
   std::mutex mu;
-  std::map<std::size_t, CellAggregate> fresh_cells;
+  std::map<std::size_t, CellAggregate> finished;
   SweepOptions sweep = options.sweep;
   sweep.on_record = [&](const RunRecord& record) {
     if (options.sweep.on_record) options.sweep.on_record(record);
@@ -89,7 +70,7 @@ std::optional<ShardReport> run_shard(const ShardSpec& shard,
       checkpoint << checkpoint_cell_marker(cell) << "\n"
                  << std::flush;
     }
-    fresh_cells[c] = std::move(cell);
+    finished[c] = std::move(cell);
   };
 
   // The records vector outlives the pool (slots hold pointers into it).
@@ -97,14 +78,9 @@ std::optional<ShardReport> run_shard(const ShardSpec& shard,
 
   ShardReport report;
   report.shard = shard;
-  report.cells.reserve(owned.size());
-  for (std::size_t c : owned) {
-    auto it = completed.find(c);
-    if (it != completed.end()) {
-      report.cells.push_back(std::move(it->second));
-    } else {
-      report.cells.push_back(std::move(fresh_cells.at(c)));
-    }
+  report.cells.reserve(shard.cells.size());
+  for (std::size_t c : shard.cells) {
+    report.cells.push_back(std::move(finished.at(c)));
   }
   // Stamp the memory-wall metric into the sidecar-to-be: how many bytes
   // the aggregator actually retained for this shard's cells.

@@ -1,13 +1,13 @@
 // Shard worker execution: run exactly one shard's cells under the global
 // hash(grid_seed, run_index) seed stream and produce its ShardReport, with
-// optional per-cell checkpoint markers for resume-after-crash.
+// optional per-cell checkpoint markers.
 //
 // The checkpoint file is append-only JSONL: a header line naming the grid
 // fingerprint and shard identity, then one cell-aggregate line per
-// COMPLETED cell, written the moment the cell's last seed finishes.  A
-// worker killed mid-shard restarts with resume = true, replays the
-// completed cells from the file (bit-identical -- samples are serialized
-// losslessly in fold order), and runs only the remainder.
+// COMPLETED cell, written the moment the cell's last seed finishes.  The
+// dispatcher tails it as the worker's heartbeat and, when a worker dies,
+// loads it to keep the finished cells (bit-identical -- samples are
+// serialized losslessly in fold order) and re-queues only the rest.
 #pragma once
 
 #include <optional>
@@ -21,12 +21,11 @@ namespace ccd::exp {
 struct ShardRunOptions {
   SweepOptions sweep;           ///< threads / record_views / progress
   std::string checkpoint_path;  ///< empty = no checkpointing
-  bool resume = false;          ///< load completed cells from the file first
 };
 
-/// Execute the shard and return its report (cells ascending).  nullopt on
-/// checkpoint I/O or validation failure (stale fingerprint, malformed
-/// lines) with a keyed message in *error; execution itself cannot fail.
+/// Execute the shard and return its report (cells ascending).  nullopt
+/// when the grid has no runs or the checkpoint cannot be written, with a
+/// keyed message in *error; execution itself cannot fail.
 std::optional<ShardReport> run_shard(const ShardSpec& shard,
                                      const ShardRunOptions& options = {},
                                      std::string* error = nullptr);

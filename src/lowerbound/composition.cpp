@@ -27,20 +27,14 @@ CompositionOutcome run_composition(const ConsensusAlgorithm& algorithm,
       std::make_unique<PartitionAdversary>(loss_opts),
       std::make_unique<NoFailures>(), config.id_base);
 
-  CompositionOutcome outcome;
-  outcome.summary.cst = world.cst();
-
+  const Round cst = world.cst();
   ExecutorOptions options;
   options.record_views = false;
   Executor executor(std::move(world), options);
-  outcome.summary.result = executor.run(config.max_rounds);
-  outcome.summary.verdict =
-      check_consensus(executor.log(), executor.world().initial_values);
-  if (outcome.summary.cst != kNeverRound &&
-      outcome.summary.verdict.last_decision_round > outcome.summary.cst) {
-    outcome.summary.rounds_after_cst =
-        outcome.summary.verdict.last_decision_round - outcome.summary.cst;
-  }
+  const RunResult result = executor.run(config.max_rounds);
+  CompositionOutcome outcome;
+  outcome.summary = summarize_consensus(cst, result, executor.log(),
+                                        executor.world().initial_values);
 
   for (const DecisionRecord& d : executor.log().decisions()) {
     if (d.process < n) {

@@ -87,8 +87,7 @@ struct PerfShardExec {
 };
 
 /// Per-cell run-time distribution (nearest-rank percentiles over the
-/// cell's seeds).  Cells a resumed worker replayed from a checkpoint were
-/// not re-executed and have no entry.
+/// cell's seeds).
 struct PerfCell {
   std::uint64_t cell_index = 0;
   std::uint64_t runs = 0;

@@ -779,50 +779,6 @@ bool diff_reports(const std::string& a_json, const std::string& b_json,
   return true;
 }
 
-bool export_dist(const std::string& json, std::string* out,
-                 std::string* error) {
-  ReportView view;
-  if (!parse_report(json, &view, error)) return false;
-  if (view.kind != "dist" && view.kind != "shard") {
-    return set_error(error,
-                     "export needs full distributions (a ccd-dist-v1 or "
-                     "shard-report input); a " +
-                         view.kind + " artifact only has summaries");
-  }
-  *out = "{\"format\":\"ccd-dist-v1\"";
-  for (const char* key :
-       {"grid_fingerprint", "grid_seed", "seeds_per_cell", "num_cells"}) {
-    auto it = view.header.find(key);
-    if (it == view.header.end()) continue;
-    *out += ",\"" + std::string(key) + "\":";
-    *out += key == std::string("grid_fingerprint")
-                ? "\"" + it->second + "\""
-                : it->second;
-  }
-  *out += ",\"cells\":[";
-  for (std::size_t i = 0; i < view.cells.size(); ++i) {
-    const CellView& cell = view.cells[i];
-    if (i > 0) *out += ",";
-    *out += "{\"cell\":" + std::to_string(cell.cell);
-    if (!cell.spec.empty()) *out += ",\"spec\":" + cell.spec;
-    auto runs = cell.counters.find("runs");
-    if (runs != cell.counters.end()) {
-      *out += ",\"runs\":" + std::to_string(runs->second);
-    }
-    *out += ",\"metrics\":{";
-    bool first = true;
-    for (const MetricView& m : cell.metrics) {
-      if (m.count == 0) continue;
-      if (!first) *out += ",";
-      first = false;
-      *out += "\"" + m.name + "\":" + stats_to_json(m.stats);
-    }
-    *out += "}}";
-  }
-  *out += "]}";
-  return true;
-}
-
 bool diff_traces(const std::string& a_json, const std::string& b_json,
                  std::string* out, bool* differs, std::string* error) {
   TraceDoc a, b;

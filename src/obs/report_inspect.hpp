@@ -9,7 +9,6 @@
 //                  report, or a perf sidecar.
 //   diff_reports   cell-by-cell, metric-by-metric comparison of two such
 //                  artifacts with keyed mismatch output.
-//   export_dist    canonicalize a dist/shard artifact into ccd-dist-v1.
 //   diff_traces    align two --rerun-cell ExecutionLog dumps
 //                  (ccd-cell-trace-v1) round by round: first divergent
 //                  round plus per-round view/advice/decision deltas.
@@ -46,10 +45,6 @@ bool render_report(const std::string& json, const InspectOptions& options,
 /// rendered mismatches (or a match summary) land in *out.
 bool diff_reports(const std::string& a_json, const std::string& b_json,
                   std::string* out, bool* differs, std::string* error);
-
-/// Re-emit a dist or shard-report artifact as canonical ccd-dist-v1.
-bool export_dist(const std::string& json, std::string* out,
-                 std::string* error);
 
 /// Round-by-round alignment of two ccd-cell-trace-v1 dumps.  Reports the
 /// first divergent round per run pair plus what diverged (broadcasters,

@@ -111,6 +111,39 @@ TEST(Harness, RunSummaryRoundsAfterCst) {
   EXPECT_LE(s.rounds_after_cst, 2u);
 }
 
+/// A two-process log where both decide `v`, the later one at `last`.
+ExecutionLog decided_log(Round first, Round last, Value v) {
+  ExecutionLog log(2, /*record_views=*/false);
+  log.record_decision(0, first, v);
+  log.record_decision(1, last, v);
+  return log;
+}
+
+TEST(Harness, SummarizeCountsADecisionBeforeCstAsZero) {
+  const RunSummary before =
+      summarize_consensus(10, {}, decided_log(3, 4, 7), {7, 7});
+  ASSERT_TRUE(before.verdict.solved());
+  EXPECT_EQ(before.cst, 10u);
+  EXPECT_EQ(before.verdict.last_decision_round, 4u);
+  EXPECT_EQ(before.rounds_after_cst, 0u);
+  // At CST it is still 0; past it, the surplus.
+  EXPECT_EQ(summarize_consensus(4, {}, decided_log(3, 4, 7), {7, 7})
+                .rounds_after_cst,
+            0u);
+  EXPECT_EQ(summarize_consensus(2, {}, decided_log(3, 4, 7), {7, 7})
+                .rounds_after_cst,
+            2u);
+}
+
+TEST(Harness, SummarizeLeavesZeroWithoutAFiniteCst) {
+  const RunSummary s =
+      summarize_consensus(kNeverRound, {}, decided_log(5, 9, 1), {1, 2});
+  ASSERT_TRUE(s.verdict.solved());
+  EXPECT_EQ(s.cst, kNeverRound);
+  EXPECT_EQ(s.verdict.last_decision_round, 9u);
+  EXPECT_EQ(s.rounds_after_cst, 0u);
+}
+
 TEST(Harness, MaxRoundsCapsNonTerminatingRuns) {
   Alg1Algorithm alg;
   WakeupService::Options ws;

@@ -15,6 +15,7 @@
 #include "exp/shard/checkpoint.hpp"
 #include "exp/shard/shard_plan.hpp"
 #include "exp/shard/shard_report.hpp"
+#include "exp/shard/shard_runner.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
 
@@ -80,6 +81,67 @@ TEST(CheckpointTest, RoundTripLoadsEveryCellBitIdentically) {
     // The marker splices heartbeat fields into the aggregate JSON; loading
     // must strip them back out to the worker's exact accumulator state.
     EXPECT_EQ(cell_aggregate_to_json(it->second),
+              cell_aggregate_to_json(cell));
+  }
+}
+
+TEST(CheckpointTest, RunShardStampsEveryLineAndLoadsBackItsReport) {
+  // The file a worker writes: every line carries the ts_ms heartbeat the
+  // dispatcher's steal reads, and loading it yields the worker's report.
+  // A stale file on the path is truncated, not appended to.
+  const SweepGrid grid = small_grid();
+  const ShardSpec shard = ShardPlanner::plan(grid, 2)[0];
+  TempFile file("ckpt_run_shard.jsonl");
+  file.write("stale line from an earlier worker\n");
+  ShardRunOptions options;
+  options.checkpoint_path = file.path;
+  std::string error;
+  auto report = run_shard(shard, options, &error);
+  ASSERT_TRUE(report.has_value()) << error;
+
+  std::ifstream in(file.path, std::ios::binary);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    EXPECT_NE(line.find("\"ts_ms\":"), std::string::npos) << line;
+  }
+  EXPECT_EQ(lines, 1 + shard.cells.size());  // header + one per cell
+
+  CheckpointContents contents;
+  ASSERT_TRUE(load_checkpoint(shard, file.path, &contents, &error)) << error;
+  ASSERT_EQ(contents.cells.size(), report->cells.size());
+  for (const CellAggregate& cell : report->cells) {
+    EXPECT_EQ(cell_aggregate_to_json(contents.cells.at(cell.cell_index)),
+              cell_aggregate_to_json(cell));
+  }
+}
+
+TEST(CheckpointTest, CheckpointWithoutHeartbeatsStillLoads) {
+  // ts_ms is optional on read: a file without it loads the same cells and
+  // reports no heartbeat.
+  const SweepGrid grid = small_grid();
+  const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
+  const auto cells = grid_cells(grid);
+  std::string text = valid_checkpoint(shard, cells, cells.size());
+  const std::string needle = ",\"ts_ms\":";
+  for (std::size_t at; (at = text.find(needle)) != std::string::npos;) {
+    std::size_t end = at + needle.size();
+    while (end < text.size() && text[end] >= '0' && text[end] <= '9') ++end;
+    text.erase(at, end - at);
+  }
+  ASSERT_EQ(text.find("ts_ms"), std::string::npos);
+  TempFile file("ckpt_no_heartbeat.jsonl");
+  file.write(text);
+
+  CheckpointContents contents;
+  std::string error;
+  ASSERT_TRUE(load_checkpoint(shard, file.path, &contents, &error)) << error;
+  EXPECT_FALSE(contents.torn_tail);
+  EXPECT_EQ(contents.last_ts_ms, 0u);
+  ASSERT_EQ(contents.cells.size(), cells.size());
+  for (const CellAggregate& cell : cells) {
+    EXPECT_EQ(cell_aggregate_to_json(contents.cells.at(cell.cell_index)),
               cell_aggregate_to_json(cell));
   }
 }

@@ -114,7 +114,7 @@ TEST(Claims, TableCoversTheFourteenExperiments) {
   std::set<std::string> ids;
   for (const Experiment& e : experiments()) ids.insert(e.id);
   EXPECT_EQ(ids.size(), 14u);
-  EXPECT_EQ(ids.count("E12"), 0u);  // bench_sim_micro: no claim to check
+  EXPECT_EQ(ids.count("E12"), 0u);  // round throughput: ccd_bench, no claim
   EXPECT_EQ(ids.count("E1"), 1u);
   EXPECT_EQ(ids.count("E15"), 1u);
 }

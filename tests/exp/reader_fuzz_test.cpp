@@ -285,12 +285,13 @@ TEST(ReaderFuzz, PerfSidecar) {
 
 TEST(ReaderFuzz, DistInspector) {
   const Artifacts& a = artifacts();
-  fuzz(cells_to_dist_json(a.grid, a.report.cells), 7,
-       [](const std::string& text) {
-         std::string out, error;
-         obs::export_dist(text, &out, &error);
-         return obs::render_report(text, {}, &out, &error);
-       });
+  const std::string dist = cells_to_dist_json(a.grid, a.report.cells);
+  fuzz(dist, 7, [&dist](const std::string& text) {
+    std::string out, error;
+    bool differs = false;
+    obs::diff_reports(dist, text, &out, &differs, &error);
+    return obs::render_report(text, {}, &out, &error);
+  });
 }
 
 TEST(ReaderFuzz, BenchDiff) {

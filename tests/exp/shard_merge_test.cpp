@@ -1,13 +1,10 @@
 // Sharded-execution subsystem tests: planner partition laws, shard
 // spec/report JSON round-trips, fingerprint-based stale-shard rejection,
-// checkpoint resume, exact Stats/aggregate merging, and the headline
-// guarantee -- ccd_merge over any K-way split of the named `multihop` grid
-// (432 cells) reproduces the single-process JSON and CSV BYTE-identically.
+// exact Stats/aggregate merging, and the headline guarantee -- ccd_merge
+// over any K-way split of the named `multihop` grid (432 cells) reproduces
+// the single-process JSON and CSV BYTE-identically.
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstdio>
-#include <fstream>
 #include <set>
 #include <string>
 
@@ -292,151 +289,6 @@ TEST(MergeShardReports, KeyedErrorsForMissingDuplicateAndForeignShards) {
     EXPECT_EQ(aggregates_to_json(merged->grid, merged->cells), full_json);
     EXPECT_EQ(aggregates_to_csv(merged->cells), full_csv);
   }
-}
-
-// ---- checkpoint / resume --------------------------------------------------
-
-TEST(ShardCheckpoint, ResumeAfterTruncationReproducesTheReport) {
-  const SweepGrid grid = small_grid();
-  const ShardSpec spec = ShardPlanner::plan(grid, 2)[0];
-  const std::string path = "shard_merge_test_resume.ckpt";
-
-  ShardRunOptions options;
-  options.checkpoint_path = path;
-  std::string error;
-  auto clean = run_shard(spec, options, &error);
-  ASSERT_TRUE(clean.has_value()) << error;
-
-  // Simulate a crash: keep the header, the first two complete markers, and
-  // one torn half-written line.
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_GE(lines.size(), 4u);  // header + >= 3 cells
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << lines[0] << "\n" << lines[1] << "\n" << lines[2] << "\n";
-    out << lines[3].substr(0, lines[3].size() / 2);  // torn write
-  }
-
-  options.resume = true;
-  auto resumed = run_shard(spec, options, &error);
-  ASSERT_TRUE(resumed.has_value()) << error;
-  EXPECT_EQ(resumed->to_json(), clean->to_json());
-
-  // Second crash cycle: the resume above must have REWRITTEN the file
-  // clean (torn line healed), so tearing it again and resuming again still
-  // works -- append-after-torn-line would glue markers together here.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string all((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << all.substr(0, all.size() - 7);  // tear the last marker again
-  }
-  auto resumed_twice = run_shard(spec, options, &error);
-  ASSERT_TRUE(resumed_twice.has_value()) << error;
-  EXPECT_EQ(resumed_twice->to_json(), clean->to_json());
-
-  // A checkpoint from another grid must be refused, not resumed past.
-  SweepGrid other = grid;
-  other.grid_seed += 7;
-  auto foreign = run_shard(ShardPlanner::plan(other, 2)[0], options, &error);
-  EXPECT_FALSE(foreign.has_value());
-  EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
-  std::remove(path.c_str());
-}
-
-// Strip a heartbeat field (",\"key\":<digits>") everywhere -- fabricates a
-// checkpoint written by the pre-telemetry format.
-std::string strip_field(std::string text, const std::string& key) {
-  const std::string needle = ",\"" + key + "\":";
-  std::size_t at;
-  while ((at = text.find(needle)) != std::string::npos) {
-    std::size_t end = at + needle.size();
-    while (end < text.size() && std::isdigit(text[end])) ++end;
-    text.erase(at, end - at);
-  }
-  return text;
-}
-
-TEST(ShardCheckpoint, HeartbeatFieldsStampedAndIgnoredOnResume) {
-  const SweepGrid grid = small_grid();
-  const ShardSpec spec = ShardPlanner::plan(grid, 2)[0];
-  const std::string path = "shard_merge_test_heartbeat.ckpt";
-  ShardRunOptions options;
-  options.checkpoint_path = path;
-  std::string error;
-  auto clean = run_shard(spec, options, &error);
-  ASSERT_TRUE(clean.has_value()) << error;
-
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_GE(lines.size(), 2u);
-  // Header and every cell marker carry a wall-clock heartbeat.
-  EXPECT_NE(lines[0].find("\"ts_ms\":"), std::string::npos) << lines[0];
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    EXPECT_NE(lines[i].find("\"ts_ms\":"), std::string::npos) << lines[i];
-  }
-
-  // Resume reads PAST the heartbeat fields: everything already complete,
-  // so the resumed report is byte-identical and nothing re-executes.
-  options.resume = true;
-  auto resumed = run_shard(spec, options, &error);
-  ASSERT_TRUE(resumed.has_value()) << error;
-  EXPECT_EQ(resumed->to_json(), clean->to_json());
-
-  // Rewritten (replayed) markers still carry ts_ms.
-  {
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);  // header
-    while (std::getline(in, line)) {
-      EXPECT_NE(line.find("\"ts_ms\":"), std::string::npos) << line;
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ShardCheckpoint, OldFormatCheckpointWithoutHeartbeatResumesCleanly) {
-  // Forward compatibility satellite: a checkpoint written BEFORE the
-  // heartbeat existed (no ts_ms anywhere) must resume exactly as a fresh
-  // one does -- the field is optional on read.
-  const SweepGrid grid = small_grid();
-  const ShardSpec spec = ShardPlanner::plan(grid, 2)[0];
-  const std::string path = "shard_merge_test_oldformat.ckpt";
-  ShardRunOptions options;
-  options.checkpoint_path = path;
-  std::string error;
-  auto clean = run_shard(spec, options, &error);
-  ASSERT_TRUE(clean.has_value()) << error;
-
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    text.assign((std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-  }
-  const std::string old_format = strip_field(text, "ts_ms");
-  ASSERT_NE(old_format, text);  // the strip actually removed fields
-  ASSERT_EQ(old_format.find("ts_ms"), std::string::npos);
-  {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << old_format;
-  }
-
-  options.resume = true;
-  auto resumed = run_shard(spec, options, &error);
-  ASSERT_TRUE(resumed.has_value()) << error;
-  EXPECT_EQ(resumed->to_json(), clean->to_json());
-  std::remove(path.c_str());
 }
 
 // ---- perf sidecar sharding ------------------------------------------------

@@ -18,8 +18,8 @@
 //
 // Examples:
 //   ccd_dispatch --grid multihop --workers 8 --json report.json
-//   ccd_dispatch --grid multihop --workers 4 --stale-after 5
-//                --work-dir /tmp/mh --csv report.csv --perf-out perf.json
+//   ccd_dispatch --grid multihop --workers 4 --work-dir /tmp/mh
+//                --csv report.csv --perf-out perf.json
 #include <unistd.h>
 
 #include <sys/stat.h>
@@ -53,6 +53,8 @@ Workers are plain `ccd_sweep --shard-file` invocations fed shard specs
 naming their cells; liveness is read from their checkpoint heartbeats, stale or
 crashed batches are re-queued, and the first completed copy of a cell
 wins.  The merged report is byte-identical to a single-process run.
+A batch is stale after 30 s without a heartbeat (polled every 50 ms); a
+cell assigned 10 times without completing aborts the dispatch.
 
 grid selection:
   --grid NAME          named grid (ccd_sweep --list-grids); default "default"
@@ -62,18 +64,11 @@ grid selection:
 
 dispatch:
   --workers N          worker process slots (default 4)
-  --stale-after SECS   heartbeat age before a batch's unfinished cells are
-                       stolen (default 30; fractions ok)
-  --poll-ms MS         scheduler poll interval (default 50)
-  --max-requeues N     abort if any cell is assigned N times without
-                       completing (default 10)
   --work-dir PATH      directory for per-batch spec/report/checkpoint
                        files (default ccd-dispatch-work; created if
                        missing; batch files are removed on success)
-  --keep-work          keep the per-batch files for debugging
   --worker-bin PATH    ccd_sweep binary (default: next to ccd_dispatch)
   --worker-threads N   threads per worker (default: the workers' default)
-  --no-lanes           pass --no-lanes through to workers
 
 output:
   --json PATH          write the merged aggregate JSON report
@@ -92,16 +87,6 @@ output:
 bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
   const auto v = jsonu::parse_u64(arg);
   if (!v) {
-    std::fprintf(stderr, "ccd_dispatch: bad %s value '%s'\n", what, arg);
-    return false;
-  }
-  out = *v;
-  return true;
-}
-
-bool parse_double_flag(const char* arg, const char* what, double& out) {
-  const auto v = jsonu::parse_double(arg);
-  if (!v || *v < 0) {
     std::fprintf(stderr, "ccd_dispatch: bad %s value '%s'\n", what, arg);
     return false;
   }
@@ -261,11 +246,9 @@ int main(int argc, char** argv) {
   std::string json_path, csv_path, dist_path, perf_path, ledger_path;
   DispatchOptions options;
   options.work_dir = "ccd-dispatch-work";
-  bool keep_work = false;
   bool quiet = false;
   std::uint64_t worker_threads = 0;
   bool have_worker_threads = false;
-  bool no_lanes = false;
 
   // First pass: the grid name, so overrides below start from it.
   for (int i = 1; i < argc; ++i) {
@@ -316,23 +299,10 @@ int main(int argc, char** argv) {
       std::uint64_t w = 0;
       ok = v && parse_u64_flag(v, "workers", w) && w >= 1 && w <= 1024;
       if (ok) options.workers = static_cast<std::size_t>(w);
-    } else if (flag == "--stale-after") {
-      const char* v = next();
-      ok = v && parse_double_flag(v, "stale-after", options.stale_after_secs);
-    } else if (flag == "--poll-ms") {
-      const char* v = next();
-      ok = v && parse_u64_flag(v, "poll-ms", options.poll_ms);
-    } else if (flag == "--max-requeues") {
-      const char* v = next();
-      std::uint64_t m = 0;
-      ok = v && parse_u64_flag(v, "max-requeues", m) && m >= 1;
-      if (ok) options.max_assignments_per_cell = static_cast<std::size_t>(m);
     } else if (flag == "--work-dir") {
       const char* v = next();
       ok = v != nullptr;
       if (ok) options.work_dir = v;
-    } else if (flag == "--keep-work") {
-      keep_work = true;
     } else if (flag == "--worker-bin") {
       const char* v = next();
       ok = v != nullptr;
@@ -342,8 +312,6 @@ int main(int argc, char** argv) {
       ok = v && parse_u64_flag(v, "worker-threads", worker_threads) &&
            worker_threads <= 4096;
       if (ok) have_worker_threads = true;
-    } else if (flag == "--no-lanes") {
-      no_lanes = true;
     } else if (flag == "--json") {
       const char* v = next();
       ok = v != nullptr;
@@ -392,7 +360,6 @@ int main(int argc, char** argv) {
     options.worker_args.push_back("--threads");
     options.worker_args.push_back(std::to_string(worker_threads));
   }
-  if (no_lanes) options.worker_args.push_back("--no-lanes");
   options.worker_perf = !perf_path.empty();
 
   DispatchProgressPrinter progress;
@@ -461,16 +428,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!keep_work) {
-    // Only our own per-batch files -- the work dir may be shared.
-    for (std::uint64_t id = 0; id < stats.batches; ++id) {
-      const std::string base =
-          options.work_dir + "/batch-" + std::to_string(id);
-      std::remove((base + ".spec.json").c_str());
-      std::remove((base + ".report.json").c_str());
-      std::remove((base + ".ckpt.jsonl").c_str());
-      std::remove((base + ".perf.json").c_str());
-    }
+  // Only our own per-batch files -- the work dir may be shared.
+  for (std::uint64_t id = 0; id < stats.batches; ++id) {
+    const std::string base = options.work_dir + "/batch-" + std::to_string(id);
+    std::remove((base + ".spec.json").c_str());
+    std::remove((base + ".report.json").c_str());
+    std::remove((base + ".ckpt.jsonl").c_str());
+    std::remove((base + ".perf.json").c_str());
   }
   return 0;
 }

@@ -3,10 +3,9 @@
 // Subcommands:
 //   show FILE         per-cell distribution view (histogram bars, exact
 //                     p50/p90/p99/p99.9, tail mass) of a report, shard
-//                     report, ccd-dist-v1 export, or perf sidecar
+//                     report, ccd-dist-v1 file, or perf sidecar
 //   diff A B          cell-by-cell keyed diff of two report artifacts;
 //                     exits 1 when they differ
-//   export FILE       canonicalize a dist/shard artifact into ccd-dist-v1
 //   trace-diff A B    align two `ccd_sweep --rerun-cell` dumps round by
 //                     round; prints the first divergent round and the
 //                     view/advice/decision deltas; exits 1 on divergence
@@ -44,8 +43,6 @@ commands:
     --width W           histogram bar width in characters (default 40)
     --max-bins B        coalesce histograms wider than B rows (default 24)
   diff A B              keyed cell-by-cell diff; exit 1 when they differ
-  export FILE --out F   rewrite a dist/shard artifact as canonical
-                        ccd-dist-v1
   trace-diff A B        round-by-round diff of two --rerun-cell trace
                         dumps; exit 1 on divergence
   bench-diff OLD NEW    compare ccd-bench-v2 artifacts (ccd_bench --out);
@@ -93,7 +90,6 @@ int main(int argc, char** argv) {
   }
 
   ccd::obs::InspectOptions options;
-  std::string out_path;
   std::vector<std::string> files;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -126,10 +122,6 @@ int main(int argc, char** argv) {
       if (!v || !parse_int_arg(v, &options.max_bins)) {
         return fail("bad --max-bins value");
       }
-    } else if (flag == "--out") {
-      const char* v = need_value("--out");
-      if (!v) return 2;
-      out_path = v;
     } else if (!flag.empty() && flag[0] == '-') {
       std::fprintf(stderr, "ccd_report: unknown flag '%s'\n", flag.c_str());
       usage(stderr);
@@ -172,23 +164,6 @@ int main(int argc, char** argv) {
     if (!ok) return fail(error);
     std::fputs(out.c_str(), stdout);
     return differs ? 1 : 0;
-  }
-  if (command == "export") {
-    if (files.size() != 1) return fail("export needs exactly one FILE");
-    std::string text, out;
-    if (!load(files[0], &text)) return 2;
-    if (!ccd::obs::export_dist(text, &out, &error)) {
-      return fail(files[0] + ": " + error);
-    }
-    out += "\n";
-    if (out_path.empty()) {
-      std::fputs(out.c_str(), stdout);
-    } else {
-      std::ofstream f(out_path, std::ios::binary);
-      if (!f) return fail("cannot write " + out_path);
-      f << out;
-    }
-    return 0;
   }
   if (command == "bench-diff") {
     if (files.size() != 2) {

@@ -19,7 +19,7 @@
 // Sharded execution (recombine with ccd_merge):
 //   ccd_sweep --grid multihop --emit-shards 4 --shard-out shards/mh
 //   ccd_sweep --shard-file shards/mh-0-of-4.json --json part-0.json
-//             --checkpoint part-0.ckpt          # resumable with --resume
+//             --checkpoint part-0.ckpt
 #include <unistd.h>
 
 #include <atomic>
@@ -124,8 +124,6 @@ sharded execution (recombine the partial reports with ccd_merge):
                        self-contained, so grid/axis flags conflict with it
   --checkpoint PATH    (worker mode) append a per-cell completion marker to
                        PATH as each cell finishes
-  --resume             (worker mode) skip cells already recorded in the
-                       --checkpoint file from a previous, interrupted run
 )");
 }
 
@@ -253,7 +251,7 @@ class ProgressPrinter {
 
   /// Final 100% line from the main thread once the pool has joined (the
   /// throttle may have swallowed the last per-run update).  No-op if the
-  /// pool never reported (e.g. a fully resumed shard with nothing to run).
+  /// pool never reported (e.g. a shard with nothing to run).
   void finish() {
     const std::size_t total = total_.load(std::memory_order_relaxed);
     if (total == 0) return;
@@ -296,7 +294,6 @@ int main(int argc, char** argv) {
   std::size_t emit_shards = 0;
   std::string shard_out = "shard";
   std::string shard_file, checkpoint_path;
-  bool resume = false;
   bool grid_flags_used = false;
 
   // Trace capture (--rerun-cell).
@@ -481,8 +478,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       ok = v != nullptr;
       if (ok) checkpoint_path = v;
-    } else if (flag == "--resume") {
-      resume = true;
     } else {
       std::fprintf(stderr, "ccd_sweep: unknown flag '%s'\n", flag.c_str());
       usage(stderr);
@@ -511,14 +506,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool worker_mode = !shard_file.empty();
-  if (!worker_mode && (!checkpoint_path.empty() || resume)) {
+  if (!worker_mode && !checkpoint_path.empty()) {
     std::fprintf(stderr,
-                 "ccd_sweep: --checkpoint/--resume only apply to worker "
-                 "mode (--shard-file)\n");
-    return 2;
-  }
-  if (resume && checkpoint_path.empty()) {
-    std::fprintf(stderr, "ccd_sweep: --resume needs --checkpoint PATH\n");
+                 "ccd_sweep: --checkpoint only applies to worker mode "
+                 "(--shard-file)\n");
     return 2;
   }
   // Telemetry outputs measure pool executions; --rerun-cell and
@@ -632,7 +623,6 @@ int main(int argc, char** argv) {
     shard_options.sweep.threads = threads;
     shard_options.sweep.lanes = lanes;
     shard_options.checkpoint_path = checkpoint_path;
-    shard_options.resume = resume;
     obs::SweepPerf perf;
     if (!perf_path.empty() || !trace_path.empty()) {
       shard_options.sweep.perf = &perf;
