@@ -8,8 +8,9 @@
 #include <cstdio>
 #include <iostream>
 
+#include "cd/oracle_detector.hpp"
+#include "engine/lane_engine.hpp"
 #include "multihop/flood.hpp"
-#include "multihop/mh_executor.hpp"
 
 int main() {
   using namespace ccd;
@@ -28,16 +29,27 @@ int main() {
     nodes.push_back(std::make_unique<FloodProcess>(o));
   }
 
-  MultihopExecutor ex(topo, std::move(nodes), DetectorSpec::ZeroAC(),
-                      make_truthful_policy(),
-                      /*link=*/{0.95, 0.1}, /*seed=*/4);
+  // One world on the round engine's multihop channel: capture-effect
+  // radio physics and per-neighbourhood collision detection.
+  EngineWorld world;
+  world.world.processes = std::move(nodes);
+  world.world.cd = std::make_unique<OracleDetector>(DetectorSpec::ZeroAC(),
+                                                    make_truthful_policy());
+  world.topology = topo;
+  world.channel = ChannelModel::kCapture;
+  world.scope = CollisionScope::kLocal;
+  world.link = {0.95, 0.1};
+  world.link_seed = 4;
+  EngineOptions options;
+  options.stop_when_all_decided = false;
+  LaneEngine ex(std::move(world), options);
 
   Round completed = 0;
   for (Round r = 1; r <= 2000; ++r) {
     ex.step();
     bool all = true;
     for (std::size_t i = 0; i < ex.size(); ++i) {
-      if (!static_cast<FloodProcess&>(ex.process(i)).has_message()) {
+      if (!static_cast<FloodProcess&>(ex.process(0, i)).has_message()) {
         all = false;
         break;
       }
@@ -59,7 +71,7 @@ int main() {
   for (std::size_t y = 0; y < height; ++y) {
     for (std::size_t x = 0; x < width; ++x) {
       const auto& node = static_cast<FloodProcess&>(
-          ex.process(y * width + x));
+          ex.process(0, y * width + x));
       std::printf("%5u", node.received_at());
     }
     std::printf("\n");

@@ -4,9 +4,10 @@
 // Section 3.3 crash adversary at both crash points -- over an arbitrary
 // Topology.  The paper's single-hop model is the clique special case; the
 // multihop extension its conclusion announces is every other graph.
-// sim::Executor and MultihopExecutor are one-lane adapters over this class
-// and every sweep workload runs on it, so there is exactly one
-// implementation of the round semantics.
+// sim::Executor is a one-lane adapter over this class, multihop worlds
+// drive it directly (ChannelModel::kCapture, CollisionScope::kLocal), and
+// every sweep workload runs on it, so there is exactly one implementation
+// of the round semantics.
 //
 // An engine holds 1..64 worlds ("lanes", one per seed of a sweep cell)
 // that advance in lockstep, sharing one round counter.  One lane is the

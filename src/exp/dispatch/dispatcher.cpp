@@ -42,7 +42,6 @@ struct Assignment {
   ShardSpec spec;
   std::uint64_t spawn_wall_ms = 0;  ///< heartbeat floor before first write
   std::uint64_t start_ns = 0;       ///< dispatcher-clock spawn instant
-  std::size_t done_per_tail = 0;    ///< cells completed per last tail
   bool stolen = false;              ///< at most one steal per assignment
 };
 
@@ -53,7 +52,6 @@ struct Slot {
   std::uint64_t batches = 0;
   std::uint64_t cells_won = 0;
   std::uint64_t restarts = 0;
-  bool stale_display = false;
 };
 
 }  // namespace
@@ -227,14 +225,12 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
         std::vector<std::size_t> tail_cells;
         std::uint64_t hb = 0;
         tail_checkpoint(a.ckpt_path, &tail_cells, &hb);
-        a.done_per_tail = tail_cells.size();
         const std::uint64_t last = std::max(hb, a.spawn_wall_ms);
         const std::uint64_t now = obs::wall_clock_ms();
         if (!a.stolen && now > last && now - last > stale_ms) {
           // Steal: re-queue the unfinished cells but leave the laggard
           // running -- it may still win some of them.
           a.stolen = true;
-          slot.stale_display = true;
           const std::set<std::size_t> fresh(tail_cells.begin(),
                                             tail_cells.end());
           std::size_t stolen_cells = 0;
@@ -288,7 +284,6 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
       stats.requeues += requeued;
       slot.handle = -1;
       slot.batch.reset();
-      slot.stale_display = false;
       worked = true;
     }
 
@@ -305,31 +300,8 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
       }
     }
 
-    if (options.on_progress) {
-      DispatchProgress p;
-      p.total_cells = n;
-      p.completed_cells = completed;
-      p.queued_cells = pending.size();
-      p.steals = stats.steals;
-      p.requeues = stats.requeues;
-      p.worker_restarts = stats.worker_restarts;
-      p.elapsed_ns = timer.elapsed_ns();
-      for (const Slot& slot : slots) {
-        DispatchSlotView view;
-        if (slot.handle != -1) {
-          view.state = slot.stale_display ? DispatchSlotView::State::kStale
-                                          : DispatchSlotView::State::kBusy;
-          view.batch_cells = slot.batch->cells.size();
-          view.batch_done = slot.batch->done_per_tail;
-          p.inflight_cells +=
-              slot.batch->cells.size() -
-              std::min(slot.batch->done_per_tail, slot.batch->cells.size());
-        }
-        view.cells_won = slot.cells_won;
-        view.restarts = slot.restarts;
-        p.slots.push_back(view);
-      }
-      options.on_progress(p);
+    if (options.progress) {
+      options.progress(completed * grid.seeds_per_cell, grid.num_runs());
     }
 
     if (!worked && completed < n) {

@@ -40,29 +40,6 @@
 
 namespace ccd::exp {
 
-/// Live view of one worker slot for the progress table.
-struct DispatchSlotView {
-  enum class State : std::uint8_t { kIdle, kBusy, kStale };
-  State state = State::kIdle;
-  std::size_t batch_cells = 0;   ///< cells in the current assignment
-  std::size_t batch_done = 0;    ///< of those, completed per the checkpoint
-  std::uint64_t cells_won = 0;   ///< lifetime cells this slot won
-  std::uint64_t restarts = 0;    ///< lifetime nonzero exits on this slot
-};
-
-/// Snapshot handed to on_progress once per poll iteration.
-struct DispatchProgress {
-  std::size_t total_cells = 0;
-  std::size_t completed_cells = 0;
-  std::size_t queued_cells = 0;    ///< waiting in the dispatcher's queue
-  std::size_t inflight_cells = 0;  ///< assigned to at least one live worker
-  std::uint64_t steals = 0;
-  std::uint64_t requeues = 0;
-  std::uint64_t worker_restarts = 0;
-  std::uint64_t elapsed_ns = 0;
-  std::vector<DispatchSlotView> slots;
-};
-
 struct DispatchOptions {
   std::size_t workers = 4;
   /// Heartbeat age (seconds) past which a batch's unfinished cells are
@@ -91,7 +68,10 @@ struct DispatchOptions {
   /// Process launcher; nullptr = a LocalProcessTransport owned by the
   /// call.  Tests inject failure-wrapping transports here.
   WorkerTransport* transport = nullptr;
-  std::function<void(const DispatchProgress&)> on_progress;
+  /// Called once per poll iteration with the runs of completed cells and
+  /// the grid's total runs -- SweepOptions::progress's shape.  `done`
+  /// never decreases and ends at grid.num_runs().
+  std::function<void(std::size_t done, std::size_t total)> progress;
 };
 
 /// Which assignment won each cell -- the exactly-once ledger.

@@ -7,7 +7,8 @@
 //
 // Specs are plain data: the cross-product machinery (SweepGrid) enumerates
 // them, the WorldFactory materializes them into a World (single-hop) or a
-// MultihopExecutor workload, and reports carry them as the row identity.
+// multihop workload on the round engine, and reports carry them as the
+// row identity.
 // Every spec round-trips through a flat JSON object so grids and results
 // are self-describing on disk.
 #pragma once
@@ -133,7 +134,8 @@ enum class ChaosKind : std::uint8_t { kCalm, kChaotic };
 /// Communication graph of a run (the multihop extension the paper's
 /// conclusion announces).  kSingleHop is the paper's model proper -- a
 /// clique driven by the Definition 11 executor; everything else runs on
-/// the MultihopExecutor with per-neighbourhood collision detection.
+/// the round engine's capture-effect channel with per-neighbourhood
+/// collision detection.
 enum class TopologyKind : std::uint8_t {
   kSingleHop,        ///< The paper's single-hop model (Section 3).
   kLine,             ///< Path graph: diameter n-1, the Omega(D) worst case

@@ -5,11 +5,12 @@
 // CellAggregate with its statistics in full -- {"h":[key,count,...]}
 // sparse histogram bins for integer-valued metrics, {"raw":[...]} sample
 // buffers (lossless shortest-round-trip doubles) for the real-valued
-// opt-ins -- not as pre-rendered summaries.  ccd_merge rebuilds every
-// Stats exactly (bin addition / add() replay) and hands the merged cells
-// to the same aggregates_to_json / aggregates_to_csv renderers ccd_sweep
-// uses.  The merged report is byte-identical to a single-process
-// full-grid run; a ctest target and a CI smoke step both enforce this.
+// opt-ins -- not as pre-rendered summaries.  `ccd_sweep --merge` rebuilds
+// every Stats exactly (bin addition / add() replay) and hands the merged
+// cells to the same aggregates_to_json / aggregates_to_csv renderers every
+// other ccd_sweep mode uses.  The merged report is byte-identical to a
+// single-process full-grid run; a ctest target and a CI smoke step both
+// enforce this.
 #pragma once
 
 #include <optional>

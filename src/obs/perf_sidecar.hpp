@@ -23,7 +23,7 @@
 //               "workers":[{"worker":w,"busy_ns":..,"runs":..},...]},...],
 //    "cells":[{"cell":c,"runs":S,"total_ns":..,"min_ns":..,"max_ns":..,
 //              "p50_ns":..,"p95_ns":..},...],
-//    "dispatch":{...}}          // ccd_dispatch event totals; optional on
+//    "dispatch":{...}}          // dispatcher event totals; optional on
 //                               // parse (only dispatcher-merged sidecars
 //                               // carry it)
 #pragma once
@@ -109,7 +109,7 @@ struct PerfDispatchSlot {
   std::uint64_t restarts = 0;       ///< nonzero exits charged to the slot
 };
 
-/// Work-stealing dispatcher event totals (ccd_dispatch).  Stamped by the
+/// Work-stealing dispatcher event totals (ccd_sweep --workers).  Stamped by the
 /// dispatcher onto the final merged sidecar only; merge_perf_sidecars
 /// DROPS dispatch sections rather than combining them -- a dispatch run
 /// has exactly one dispatcher, so "merging" two would fabricate a fleet
@@ -132,7 +132,7 @@ struct PerfSidecar {
   EngineCounters counters;
   std::vector<PerfShardExec> shards;
   std::vector<PerfCell> cells;  ///< ascending cell index
-  std::optional<PerfDispatch> dispatch;  ///< ccd_dispatch runs only
+  std::optional<PerfDispatch> dispatch;  ///< dispatcher runs only
 
   std::string to_json() const;
   static std::optional<PerfSidecar> from_json(const std::string& json,

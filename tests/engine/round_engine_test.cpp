@@ -2,8 +2,8 @@
 // (channel, scope) and their interaction with topology and crash points,
 // round recording, and the n = 0 world.  The byte-level equivalence with
 // the pre-refactor executors is pinned by exp/golden_report_test; the
-// adapter-level behaviour by the executor/mh_executor tests (which drive
-// the engine through sim::Executor / MultihopExecutor).
+// single-hop adapter by the executor test (sim::Executor) and the multihop
+// configuration by multihop/capture_channel_test.
 #include "engine/lane_engine.hpp"
 
 #include <gtest/gtest.h>

@@ -119,6 +119,13 @@ TEST(DispatchIntegrationTest, KilledAndStolenWorkersStillMergeByteIdentical) {
                         {"CCD_SWEEP_TEST_RUN_DELAY_MS=200"}};
   options.worker_perf = true;
   options.transport = &transport;
+  // Progress reports runs of completed cells: monotone even across the
+  // kill and the steal, ending at the grid's run count.
+  std::vector<std::size_t> progress_done;
+  options.progress = [&](std::size_t done, std::size_t total) {
+    EXPECT_EQ(total, grid->num_runs());
+    progress_done.push_back(done);
+  };
 
   std::string error;
   auto result = run_dispatch(*grid, options, &error);
@@ -129,6 +136,11 @@ TEST(DispatchIntegrationTest, KilledAndStolenWorkersStillMergeByteIdentical) {
   EXPECT_GE(result->stats.worker_restarts, 1u);
   EXPECT_GE(result->stats.steals, 1u);
   EXPECT_EQ(result->stats.workers, 4u);
+  ASSERT_FALSE(progress_done.empty());
+  for (std::size_t i = 1; i < progress_done.size(); ++i) {
+    EXPECT_LE(progress_done[i - 1], progress_done[i]) << "call " << i;
+  }
+  EXPECT_EQ(progress_done.back(), grid->num_runs());
 
   // ...and left no trace in the merged output.
   EXPECT_EQ(aggregates_to_json(result->merged.grid, result->merged.cells),

@@ -1,8 +1,8 @@
 // Sharded-execution subsystem tests: planner partition laws, shard
 // spec/report JSON round-trips, fingerprint-based stale-shard rejection,
-// exact Stats/aggregate merging, and the headline guarantee -- ccd_merge
-// over any K-way split of the named `multihop` grid (432 cells) reproduces
-// the single-process JSON and CSV BYTE-identically.
+// exact Stats/aggregate merging, and the headline guarantee -- a merge
+// (`ccd_sweep --merge`) over any K-way split of the named `multihop` grid
+// (432 cells) reproduces the single-process JSON and CSV BYTE-identically.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -297,7 +297,7 @@ TEST(PerfSidecarShards, FourShardMergeSumsToSingleProcessCounters) {
   // The sidecar acceptance criterion: a 4-shard split's merged sidecar has
   // counter totals EQUAL to the single-process sidecar's (determinism makes
   // the sum exact), covers every cell exactly once, and round-trips its
-  // merge through JSON the way ccd_merge --perf does.
+  // merge through JSON the way ccd_sweep --merge does.
   const SweepGrid grid = small_grid();
 
   obs::SweepPerf full_perf;

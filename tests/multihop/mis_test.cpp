@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "multihop/mh_executor.hpp"
+#include "cd/oracle_detector.hpp"
+#include "engine/lane_engine.hpp"
 
 namespace ccd {
 namespace {
@@ -22,14 +23,25 @@ MisRun run_mis(const Topology& topo, DetectorSpec spec,
     o.seed = seed * 1000 + i;
     procs.push_back(std::make_unique<MisProcess>(o));
   }
-  MultihopExecutor ex(topo, std::move(procs), spec, std::move(policy), link,
-                      seed);
+  // One lane on the multihop channel: capture-effect physics, local
+  // detector counts.
+  EngineWorld ew;
+  ew.world.processes = std::move(procs);
+  ew.world.cd = std::make_unique<OracleDetector>(spec, std::move(policy));
+  ew.topology = topo;
+  ew.channel = ChannelModel::kCapture;
+  ew.scope = CollisionScope::kLocal;
+  ew.link = link;
+  ew.link_seed = seed;
+  EngineOptions options;
+  options.stop_when_all_decided = false;
+  LaneEngine ex(std::move(ew), options);
   MisRun run;
   for (Round r = 1; r <= max_rounds; ++r) {
     ex.step();
     bool all = true;
     for (std::size_t i = 0; i < ex.size(); ++i) {
-      if (!static_cast<MisProcess&>(ex.process(i)).settled()) all = false;
+      if (!static_cast<MisProcess&>(ex.process(0, i)).settled()) all = false;
     }
     if (all) {
       run.all_settled = true;
@@ -38,7 +50,7 @@ MisRun run_mis(const Topology& topo, DetectorSpec spec,
     }
   }
   for (std::size_t i = 0; i < ex.size(); ++i) {
-    run.states.push_back(static_cast<MisProcess&>(ex.process(i)).state());
+    run.states.push_back(static_cast<MisProcess&>(ex.process(0, i)).state());
   }
   return run;
 }

@@ -18,8 +18,6 @@
 // Everything here reads serialized artifacts only: no engine, no grid
 // execution, so inspection can never perturb what it inspects.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -68,14 +66,6 @@ int fail(const std::string& message) {
   return 2;
 }
 
-bool parse_int_arg(const char* text, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (!end || *end != '\0' || v <= 0 || v > 4096) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -114,14 +104,14 @@ int main(int argc, char** argv) {
       if (!options.tail_over) return fail("bad --tail-over value");
     } else if (flag == "--width") {
       const char* v = need_value("--width");
-      if (!v || !parse_int_arg(v, &options.bar_width)) {
-        return fail("bad --width value");
-      }
+      const auto width = v ? ccd::jsonu::parse_u64(v, 4096) : std::nullopt;
+      if (!width || *width == 0) return fail("bad --width value");
+      options.bar_width = static_cast<int>(*width);
     } else if (flag == "--max-bins") {
       const char* v = need_value("--max-bins");
-      if (!v || !parse_int_arg(v, &options.max_bins)) {
-        return fail("bad --max-bins value");
-      }
+      const auto bins = v ? ccd::jsonu::parse_u64(v, 4096) : std::nullopt;
+      if (!bins || *bins == 0) return fail("bad --max-bins value");
+      options.max_bins = static_cast<int>(*bins);
     } else if (!flag.empty() && flag[0] == '-') {
       std::fprintf(stderr, "ccd_report: unknown flag '%s'\n", flag.c_str());
       usage(stderr);

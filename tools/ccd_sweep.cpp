@@ -1,25 +1,36 @@
-// ccd_sweep: batch experiment driver for the exp/ orchestration engine.
+// ccd_sweep: the sweep CLI of the exp/ orchestration engine.
 //
 // Runs a named grid (see SweepGrid::named) or an ad-hoc grid assembled
-// from axis flags, executes every cell x seed across a thread pool, and
-// emits per-cell aggregate statistics as an ASCII summary, JSON and/or
-// CSV.  Aggregates are a pure function of (grid, grid seed): the JSON
-// report is byte-identical at --threads 1 and --threads 8.
+// from axis flags and emits per-cell aggregate statistics as an ASCII
+// summary, JSON, CSV and/or full distributions.  A grid result comes from
+// one of three sources, and all three feed one output stage:
+//
+//   (default)        run_sweep: every cell x seed on an in-process pool
+//   --workers N      run_dispatch: a dynamic cell queue over N ccd_sweep
+//                    worker processes (heartbeat steal, crash harvest)
+//   --merge FILE...  merge_shard_reports over shard reports, plus any perf
+//                    sidecars among the inputs
+//
+// The three write the same bytes: aggregates are a pure function of
+// (grid, grid seed), whatever thread count, fleet or shard split produced
+// them.  Two more modes serve sharding by hand: --emit-shards K writes
+// shard spec files and --shard-file SPEC runs one as a worker.
 //
 // Examples:
 //   ccd_sweep --grid default --threads 8 --json report.json
 //   ccd_sweep --algs alg1,alg2 --detectors maj-oac,zero-oac --csts 5,20
 //             --n 4,16 --seeds 10 --csv sweep.csv
-//   ccd_sweep --grid multihop --threads 8 --json mh.json
 //   ccd_sweep --workloads flood --topologies rgg --densities 2,3,4
 //             --n 16,32,64 --seeds 5
 //   ccd_sweep --grid multihop --faults scheduled
 //             --crash-schedules leaf-then-die,source-dies
+//   ccd_sweep --grid multihop --workers 4 --threads 1 --json mh.json
 //
-// Sharded execution (recombine with ccd_merge):
+// Sharding by hand:
 //   ccd_sweep --grid multihop --emit-shards 4 --shard-out shards/mh
 //   ccd_sweep --shard-file shards/mh-0-of-4.json --json part-0.json
-//             --checkpoint part-0.ckpt
+//   ccd_sweep --merge --json merged.json part-*.json
+#include <stdlib.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -27,16 +38,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/aggregator.hpp"
+#include "exp/dispatch/dispatcher.hpp"
 #include "exp/shard/shard_plan.hpp"
+#include "exp/shard/shard_report.hpp"
 #include "exp/shard/shard_runner.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
@@ -50,9 +66,11 @@ namespace {
 
 using namespace ccd;
 using namespace ccd::exp;
+namespace fs = std::filesystem;
 
 void usage(std::FILE* out) {
   std::fprintf(out, R"(usage: ccd_sweep [options]
+       ccd_sweep --merge [options] FILE...
 
 grid selection:
   --grid NAME          named grid (--list-grids); default "default"
@@ -114,16 +132,37 @@ with or without these):
   --trace-out PATH     write a Chrome trace-event JSON of per-run worker
                        spans (open in chrome://tracing or ui.perfetto.dev)
 
-sharded execution (recombine the partial reports with ccd_merge):
+modes (at most one; without any, the grid runs in this process):
+  --workers N          run the grid on N ccd_sweep worker processes that
+                       pull cell batches from a dynamic queue; a batch
+                       without a checkpoint heartbeat for 30 s is stolen,
+                       a crashed one re-queued.  --threads passes through
+                       to every worker.  Batch files live in a private
+                       directory under $TMPDIR, removed on success and
+                       named in the error on failure
+  --worker-bin PATH    (--workers) worker binary (default: this ccd_sweep)
+  --ledger-out PATH    (--workers) write the cell -> winning-batch ledger
+                       (ccd-dispatch-ledger-v1)
+  --merge              every non-flag argument is an input file, classified
+                       by its "format": ccd-shard-report-v2 files (the
+                       --shard-file outputs) must cover one grid exactly
+                       once; ccd-perf-sidecar-v1 files of the same grid
+                       merge into --perf-out
   --emit-shards K      write K self-contained shard spec files, spec i
                        owning cells [i*N/K, (i+1)*N/K), and exit
-  --shard-out PREFIX   spec file prefix for --emit-shards (default "shard");
+  --shard-out PREFIX   (--emit-shards) spec file prefix (default "shard");
                        files are PREFIX-<i>-of-<K>.json
   --shard-file PATH    worker mode: run the cells a spec file owns; --json
-                       writes a PARTIAL shard report.  The file is
-                       self-contained, so grid/axis flags conflict with it
-  --checkpoint PATH    (worker mode) append a per-cell completion marker to
-                       PATH as each cell finishes
+                       (required) writes a PARTIAL shard report
+  --checkpoint PATH    (--shard-file) append a per-cell completion marker
+                       to PATH as each cell finishes
+
+Grid and axis flags apply to the run, --workers and --emit-shards modes;
+--json, --csv, --dist-out and --perf-out to run, --workers and --merge
+(--json, --dist-out and --perf-out also to --shard-file); --trace-out and
+--rerun-cell to the run mode only; --threads to run, --workers and
+--shard-file; --no-lanes to run and --shard-file.  Any other combination
+exits 2.
 )");
 }
 
@@ -278,27 +317,458 @@ class ProgressPrinter {
   bool tty_;
 };
 
+// ---- modes -----------------------------------------------------------------
+
+/// The one decision every invocation makes first: where its result comes
+/// from.  A mode flag selects its mode; kFlagModes says which modes accept
+/// each flag, so a flag outside its rows is refused with one message
+/// instead of a web of pairwise conflict checks.
+enum Mode : unsigned { kRun, kWorkers, kMerge, kEmitShards, kShardWorker };
+constexpr const char* kModeNames[] = {"run", "--workers", "--merge",
+                                      "--emit-shards", "--shard-file"};
+constexpr unsigned bit(Mode m) { return 1u << m; }
+constexpr unsigned kGridModes = bit(kRun) | bit(kWorkers) | bit(kEmitShards);
+constexpr unsigned kResultModes = bit(kRun) | bit(kWorkers) | bit(kMerge);
+
+const char* const kGridFlags[] = {
+    "--grid",      "--algs",      "--detectors",  "--policies",
+    "--cms",       "--losses",    "--faults",     "--crash-schedules",
+    "--n",         "--values",    "--csts",       "--topologies",
+    "--workloads", "--densities", "--seeds",      "--grid-seed",
+    "--chaos",     "--init",      "--p-deliver",  "--max-rounds",
+    "--sync-rho",  "--sync-round-length"};
+
+struct FlagModes {
+  const char* flag;
+  unsigned modes;
+};
+constexpr FlagModes kFlagModes[] = {
+    {"--threads", bit(kRun) | bit(kWorkers) | bit(kShardWorker)},
+    {"--no-lanes", bit(kRun) | bit(kShardWorker)},
+    {"--json", kResultModes | bit(kShardWorker)},
+    {"--csv", kResultModes},
+    {"--dist-out", kResultModes | bit(kShardWorker)},
+    {"--perf-out", kResultModes | bit(kShardWorker)},
+    {"--quiet", kResultModes | bit(kEmitShards) | bit(kShardWorker)},
+    {"--trace-out", bit(kRun)},
+    {"--rerun-cell", bit(kRun)},
+    {"--workers", bit(kWorkers)},
+    {"--worker-bin", bit(kWorkers)},
+    {"--ledger-out", bit(kWorkers)},
+    {"--merge", bit(kMerge)},
+    {"--emit-shards", bit(kEmitShards)},
+    {"--shard-out", bit(kEmitShards)},
+    {"--shard-file", bit(kShardWorker)},
+    {"--checkpoint", bit(kShardWorker)},
+};
+
+/// The flags that pick a mode.  The first one given wins; a second one
+/// then fails the mode check like any other flag outside its mode.
+constexpr std::pair<const char*, Mode> kModeFlags[] = {
+    {"--workers", kWorkers},
+    {"--merge", kMerge},
+    {"--emit-shards", kEmitShards},
+    {"--shard-file", kShardWorker}};
+
+Mode select_mode(const std::vector<std::string>& flags) {
+  for (const std::string& flag : flags) {
+    for (const auto& [name, mode] : kModeFlags) {
+      if (flag == name) return mode;
+    }
+  }
+  return kRun;
+}
+
+unsigned modes_accepting(const std::string& flag) {
+  for (const char* g : kGridFlags) {
+    if (flag == g) return kGridModes;
+  }
+  for (const FlagModes& entry : kFlagModes) {
+    if (flag == entry.flag) return entry.modes;
+  }
+  return 0;
+}
+
+struct Cli {
+  Mode mode = kRun;             ///< select_mode(flags)
+  std::vector<std::string> flags;   ///< every flag given, for the mode check
+  std::vector<std::string> inputs;  ///< non-flag arguments (--merge inputs)
+  std::string json_path, csv_path, dist_path, perf_path, trace_path;
+  unsigned threads = 0;
+  bool lanes = true;
+  bool quiet = false;
+  std::optional<std::size_t> rerun_cell;
+  std::size_t workers = 0;
+  std::string worker_bin, ledger_path;
+  std::size_t emit_shards = 0;
+  std::string shard_out = "shard";
+  std::string shard_file, checkpoint_path;
+};
+
+/// Flags whose value is stored verbatim.
+constexpr std::pair<const char*, std::string Cli::*> kTextFlags[] = {
+    {"--json", &Cli::json_path},
+    {"--csv", &Cli::csv_path},
+    {"--dist-out", &Cli::dist_path},
+    {"--perf-out", &Cli::perf_path},
+    {"--trace-out", &Cli::trace_path},
+    {"--worker-bin", &Cli::worker_bin},
+    {"--ledger-out", &Cli::ledger_path},
+    {"--shard-out", &Cli::shard_out},
+    {"--shard-file", &Cli::shard_file},
+    {"--checkpoint", &Cli::checkpoint_path}};
+
+/// A full-grid result plus its observation artifacts, whichever source
+/// produced it.
+struct Outcome {
+  MergeResult result;
+  std::optional<obs::PerfSidecar> perf;
+  std::string trace_json;
+};
+
+// ---- the three result sources ----------------------------------------------
+
+Outcome run_in_process(const Cli& cli, const SweepGrid& grid) {
+  SweepOptions options;
+  options.threads = cli.threads;
+  options.lanes = cli.lanes;
+  obs::SweepPerf perf;
+  if (!cli.perf_path.empty() || !cli.trace_path.empty()) {
+    options.perf = &perf;
+  }
+  ProgressPrinter progress;
+  if (!cli.quiet) {
+    options.progress = [&progress](std::size_t done, std::size_t total) {
+      progress(done, total);
+    };
+    std::fprintf(stderr, "ccd_sweep: %zu cells x %u seeds = %zu runs\n",
+                 grid.num_cells(), grid.seeds_per_cell, grid.num_runs());
+  }
+  const std::vector<RunRecord> records = run_sweep(grid, options);
+  if (!cli.quiet) progress.finish();
+
+  Outcome out;
+  out.result.grid = grid;
+  out.result.cells = aggregate(grid, records);
+  if (!cli.perf_path.empty()) {
+    // Memory-wall metric: what the aggregator's Stats actually retain for
+    // this grid (histogram bins, not raw samples).
+    perf.stats_bytes_retained = exp::stats_bytes_retained(out.result.cells);
+    out.perf = obs::build_perf_sidecar(grid.fingerprint(), 0, 1, perf);
+  }
+  if (!cli.trace_path.empty()) {
+    out.trace_json = obs::sweep_trace_json(perf, 0, grid.seeds_per_cell);
+  }
+  return out;
+}
+
+/// 0 with *out filled, else the exit code (an error is already printed).
+int run_on_workers(const Cli& cli, const SweepGrid& grid, Outcome* out) {
+  std::error_code ec;
+  const fs::path tmp = fs::temp_directory_path(ec);
+  std::string work_dir = (tmp / "ccd-sweep-XXXXXX").string();
+  if (ec || !::mkdtemp(work_dir.data())) {
+    std::fprintf(stderr,
+                 "ccd_sweep: cannot create a batch directory under the "
+                 "system temp dir (TMPDIR)\n");
+    return 2;
+  }
+  DispatchOptions options;
+  options.workers = cli.workers;
+  options.work_dir = work_dir;
+  options.worker_bin = cli.worker_bin.empty()
+                           ? fs::read_symlink("/proc/self/exe", ec).string()
+                           : cli.worker_bin;
+  options.worker_args = {"--threads", std::to_string(cli.threads)};
+  options.worker_perf = !cli.perf_path.empty();
+  ProgressPrinter progress;
+  if (!cli.quiet) {
+    options.progress = [&progress](std::size_t done, std::size_t total) {
+      progress(done, total);
+    };
+    std::fprintf(stderr,
+                 "ccd_sweep: %zu cells x %u seeds = %zu runs across %zu "
+                 "workers\n",
+                 grid.num_cells(), grid.seeds_per_cell, grid.num_runs(),
+                 cli.workers);
+  }
+
+  std::string error;
+  auto result = run_dispatch(grid, options, &error);
+  if (!cli.quiet) progress.finish();
+  if (!result) {
+    std::fprintf(stderr, "ccd_sweep: %s (batch files kept in %s)\n",
+                 error.c_str(), work_dir.c_str());
+    return 2;
+  }
+  fs::remove_all(work_dir, ec);
+
+  const obs::PerfDispatch& stats = result->stats;
+  if (!cli.quiet) {
+    std::fprintf(stderr,
+                 "ccd_sweep: %zu cells in %llu batches  steals=%llu "
+                 "requeues=%llu restarts=%llu duplicates=%llu  wall %.1fs\n",
+                 result->merged.cells.size(),
+                 static_cast<unsigned long long>(stats.batches),
+                 static_cast<unsigned long long>(stats.steals),
+                 static_cast<unsigned long long>(stats.requeues),
+                 static_cast<unsigned long long>(stats.worker_restarts),
+                 static_cast<unsigned long long>(stats.duplicate_cells),
+                 static_cast<double>(stats.wall_ns) * 1e-9);
+  }
+  if (!cli.ledger_path.empty() &&
+      !write_file(cli.ledger_path, ledger_to_json(result->ledger) + "\n")) {
+    return 1;
+  }
+  if (options.worker_perf && !result->perf) {
+    // Observation only: every worker that won cells crashed before
+    // writing a sidecar.  The report outputs are still exact.
+    std::fprintf(stderr,
+                 "ccd_sweep: no worker perf sidecars survived; skipping %s\n",
+                 cli.perf_path.c_str());
+  }
+  out->result = std::move(result->merged);
+  out->perf = std::move(result->perf);
+  return 0;
+}
+
+/// 0 with *out filled, else the exit code (an error is already printed).
+int merge_inputs(const Cli& cli, Outcome* out) {
+  std::vector<ShardReport> reports;
+  std::vector<obs::PerfSidecar> sidecars;
+  for (const std::string& path : cli.inputs) {
+    std::string text, error;
+    if (!read_file(path, text)) {
+      std::fprintf(stderr, "ccd_sweep: cannot read %s\n", path.c_str());
+      return 2;
+    }
+    const auto json = jsonu::FlatJson::parse(text);
+    const std::string* format = json ? json->find("format") : nullptr;
+    if (!format) {
+      error = "missing key 'format'";
+    } else if (*format == "ccd-shard-report-v2") {
+      if (auto report = ShardReport::from_json(text, &error)) {
+        reports.push_back(std::move(*report));
+        continue;
+      }
+    } else if (*format == "ccd-perf-sidecar-v1") {
+      if (auto sidecar = obs::PerfSidecar::from_json(text, &error)) {
+        sidecars.push_back(std::move(*sidecar));
+        continue;
+      }
+    } else {
+      error = "format '" + *format +
+              "' is neither ccd-shard-report-v2 nor ccd-perf-sidecar-v1";
+    }
+    std::fprintf(stderr, "ccd_sweep: %s: %s\n", path.c_str(), error.c_str());
+    return 2;
+  }
+  if (reports.empty()) {
+    std::fprintf(stderr,
+                 "ccd_sweep: --merge needs at least one ccd-shard-report-v2 "
+                 "input\n");
+    return 2;
+  }
+  if (!cli.perf_path.empty() && sidecars.empty()) {
+    std::fprintf(stderr,
+                 "ccd_sweep: --perf-out with --merge needs "
+                 "ccd-perf-sidecar-v1 inputs\n");
+    return 2;
+  }
+
+  std::string error;
+  auto merged = merge_shard_reports(reports, &error);
+  if (!merged) {
+    std::fprintf(stderr, "ccd_sweep: %s\n", error.c_str());
+    return 2;
+  }
+  if (!sidecars.empty()) {
+    out->perf = obs::merge_perf_sidecars(sidecars, &error);
+    if (!out->perf) {
+      std::fprintf(stderr, "ccd_sweep: %s\n", error.c_str());
+      return 2;
+    }
+    if (out->perf->grid_fingerprint != merged->grid.fingerprint()) {
+      std::fprintf(stderr,
+                   "ccd_sweep: perf sidecars describe a different grid than "
+                   "the shard reports (fingerprint mismatch)\n");
+      return 2;
+    }
+  }
+  if (!cli.quiet) {
+    std::fprintf(stderr,
+                 "ccd_sweep: merged %zu shard reports and %zu perf sidecars "
+                 "-> %zu cells\n",
+                 reports.size(), sidecars.size(), merged->cells.size());
+  }
+  out->result = std::move(*merged);
+  return 0;
+}
+
+/// The one output stage every result source feeds.
+int write_outputs(const Cli& cli, const Outcome& out) {
+  const MergeResult& r = out.result;
+  if (!cli.quiet) print_summary(std::cout, r.grid, r.cells);
+  if (!cli.json_path.empty() &&
+      !write_file(cli.json_path, aggregates_to_json(r.grid, r.cells))) {
+    return 1;
+  }
+  if (!cli.csv_path.empty() &&
+      !write_file(cli.csv_path, aggregates_to_csv(r.cells))) {
+    return 1;
+  }
+  if (!cli.dist_path.empty() &&
+      !write_file(cli.dist_path, cells_to_dist_json(r.grid, r.cells) + "\n")) {
+    return 1;
+  }
+  // Observation artifacts last: the report writes above are bytewise
+  // independent of everything below.
+  if (!cli.perf_path.empty() && out.perf &&
+      !write_file(cli.perf_path, out.perf->to_json() + "\n")) {
+    return 1;
+  }
+  if (!cli.trace_path.empty() &&
+      !write_file(cli.trace_path, out.trace_json + "\n")) {
+    return 1;
+  }
+  return 0;
+}
+
+// ---- the modes that produce no full-grid result ----------------------------
+
+int rerun(const Cli& cli, const SweepGrid& grid) {
+  const std::size_t cell = *cli.rerun_cell;
+  if (cell >= grid.num_cells()) {
+    std::fprintf(stderr,
+                 "ccd_sweep: --rerun-cell %zu out of range (grid has %zu "
+                 "cells)\n",
+                 cell, grid.num_cells());
+    return 2;
+  }
+  if (!cli.csv_path.empty() || !cli.dist_path.empty() ||
+      !cli.perf_path.empty() || !cli.trace_path.empty()) {
+    std::fprintf(stderr,
+                 "ccd_sweep: --rerun-cell writes one JSON trace dump; "
+                 "--csv, --dist-out, --perf-out and --trace-out do not "
+                 "apply\n");
+    return 2;
+  }
+  const std::vector<TracedRun> runs = rerun_cell(grid, cell);
+  const std::string dump = traced_runs_to_json(grid, cell, runs) + "\n";
+  if (!cli.json_path.empty()) {
+    if (!write_file(cli.json_path, dump)) return 1;
+  } else {
+    std::fwrite(dump.data(), 1, dump.size(), stdout);
+  }
+  if (!cli.quiet) {
+    std::fprintf(stderr,
+                 "ccd_sweep: traced cell %zu (%u runs, full views)%s%s\n",
+                 cell, grid.seeds_per_cell,
+                 cli.json_path.empty() ? "" : " -> ",
+                 cli.json_path.empty() ? "" : cli.json_path.c_str());
+  }
+  return 0;
+}
+
+int emit_shards(const Cli& cli, const SweepGrid& grid) {
+  for (const ShardSpec& spec : ShardPlanner::plan(grid, cli.emit_shards)) {
+    const std::string path = cli.shard_out + "-" +
+                             std::to_string(spec.shard_index) + "-of-" +
+                             std::to_string(spec.shard_count) + ".json";
+    if (!write_file(path, spec.to_json() + "\n")) return 1;
+    if (!cli.quiet) {
+      std::fprintf(stderr, "ccd_sweep: wrote %s (%zu cells)\n", path.c_str(),
+                   spec.cells.size());
+    }
+  }
+  return 0;
+}
+
+int run_shard_worker(const Cli& cli) {
+  std::string text;
+  if (!read_file(cli.shard_file, text)) {
+    std::fprintf(stderr, "ccd_sweep: cannot read %s\n",
+                 cli.shard_file.c_str());
+    return 2;
+  }
+  std::string error;
+  auto parsed = ShardSpec::from_json(text, &error);
+  if (!parsed) {
+    std::fprintf(stderr, "ccd_sweep: %s: %s\n", cli.shard_file.c_str(),
+                 error.c_str());
+    return 2;
+  }
+  const ShardSpec spec = std::move(*parsed);
+  if (auto problem = spec.grid.validate()) {
+    std::fprintf(stderr, "ccd_sweep: %s: %s\n", cli.shard_file.c_str(),
+                 problem->c_str());
+    return 2;
+  }
+  if (cli.json_path.empty()) {
+    std::fprintf(stderr,
+                 "ccd_sweep: worker mode emits a partial shard report; "
+                 "--json PATH is required\n");
+    return 2;
+  }
+  ShardRunOptions shard_options;
+  shard_options.sweep.threads = cli.threads;
+  shard_options.sweep.lanes = cli.lanes;
+  shard_options.checkpoint_path = cli.checkpoint_path;
+  obs::SweepPerf perf;
+  if (!cli.perf_path.empty()) shard_options.sweep.perf = &perf;
+  ProgressPrinter progress;
+  if (!cli.quiet) {
+    shard_options.sweep.progress = [&progress](std::size_t done,
+                                               std::size_t total) {
+      progress(done, total);
+    };
+    std::fprintf(stderr,
+                 "ccd_sweep: shard %zu/%zu: %zu of %zu cells x %u seeds\n",
+                 spec.shard_index, spec.shard_count, spec.cells.size(),
+                 spec.grid.num_cells(), spec.grid.seeds_per_cell);
+  }
+  // Test/bench-only throttle: CCD_SWEEP_TEST_RUN_DELAY_MS sleeps after
+  // every completed run, simulating slow hardware without touching a
+  // byte of the report (on_record is pure observation).  The dispatcher's
+  // tests and ccd_bench use it to fabricate slow/stalling workers
+  // deterministically.
+  if (const char* delay_env = std::getenv("CCD_SWEEP_TEST_RUN_DELAY_MS")) {
+    std::uint64_t delay_ms = 0;
+    if (parse_u64_flag(delay_env, "CCD_SWEEP_TEST_RUN_DELAY_MS", delay_ms) &&
+        delay_ms > 0) {
+      shard_options.sweep.on_record = [delay_ms](const RunRecord&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      };
+    }
+  }
+  auto report = run_shard(spec, shard_options, &error);
+  if (!cli.quiet) progress.finish();
+  if (!report) {
+    std::fprintf(stderr, "ccd_sweep: %s\n", error.c_str());
+    return 2;
+  }
+  if (!write_file(cli.json_path, report->to_json())) return 1;
+  if (!cli.dist_path.empty() &&
+      !write_file(cli.dist_path,
+                  cells_to_dist_json(spec.grid, report->cells) + "\n")) {
+    return 1;
+  }
+  if (!cli.perf_path.empty()) {
+    const obs::PerfSidecar sidecar = obs::build_perf_sidecar(
+        spec.grid_fingerprint, spec.shard_index, spec.shard_count, perf);
+    if (!write_file(cli.perf_path, sidecar.to_json() + "\n")) return 1;
+  }
+  if (!cli.quiet) {
+    std::fprintf(stderr, "ccd_sweep: wrote shard report %s (%zu cells)\n",
+                 cli.json_path.c_str(), report->cells.size());
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string grid_name = "default";
-  std::string json_path, csv_path, dist_path;
-  std::string perf_path, trace_path;
-  unsigned threads = 0;
-  bool lanes = true;
-  bool quiet = false;
-
-  // Sharded-execution state.  `grid_flags_used` guards --shard-file: the
-  // spec file fully determines the grid, so grid-shaping flags alongside it
-  // would be silently ignored -- reject them instead.
-  std::size_t emit_shards = 0;
-  std::string shard_out = "shard";
-  std::string shard_file, checkpoint_path;
-  bool grid_flags_used = false;
-
-  // Trace capture (--rerun-cell).
-  bool have_rerun_cell = false;
-  std::size_t rerun_cell_index = 0;
 
   // First pass: find the grid so axis flags can override it.
   for (int i = 1; i < argc; ++i) {
@@ -326,8 +796,19 @@ int main(int argc, char** argv) {
   }
   SweepGrid grid = *maybe_grid;
 
+  Cli cli;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    if (flag.empty() || flag[0] != '-') {
+      cli.inputs.push_back(flag);
+      continue;
+    }
+    if (modes_accepting(flag) == 0) {
+      std::fprintf(stderr, "ccd_sweep: unknown flag '%s'\n", flag.c_str());
+      usage(stderr);
+      return 2;
+    }
+    cli.flags.push_back(flag);
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "ccd_sweep: %s needs a value\n", flag.c_str());
@@ -335,18 +816,16 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    static const char* const kGridFlags[] = {
-        "--grid",      "--algs",      "--detectors",       "--policies",
-        "--cms",       "--losses",    "--faults",          "--crash-schedules",
-        "--n",         "--values",    "--csts",            "--topologies",
-        "--workloads", "--densities", "--seeds",           "--grid-seed",
-        "--chaos",     "--init",      "--p-deliver",       "--max-rounds",
-        "--sync-rho",  "--sync-round-length"};
-    for (const char* g : kGridFlags) {
-      if (flag == g) grid_flags_used = true;
+    std::string Cli::*text = nullptr;
+    for (const auto& [name, member] : kTextFlags) {
+      if (flag == name) text = member;
     }
     bool ok = true;
-    if (flag == "--grid") {
+    if (text) {
+      const char* v = next();
+      ok = v != nullptr;
+      if (ok) cli.*text = v;
+    } else if (flag == "--grid") {
       ok = next() != nullptr;  // consumed in the first pass
     } else if (flag == "--algs") {
       const char* v = next();
@@ -428,108 +907,51 @@ int main(int argc, char** argv) {
       const char* v = next();
       std::uint64_t cell = 0;
       ok = v && parse_u64_flag(v, "rerun-cell", cell);
-      if (ok) {
-        have_rerun_cell = true;
-        rerun_cell_index = static_cast<std::size_t>(cell);
-      }
+      if (ok) cli.rerun_cell = static_cast<std::size_t>(cell);
     } else if (flag == "--threads") {
       const char* v = next();
       std::uint64_t t = 0;
       ok = v && parse_u64_flag(v, "threads", t) && t <= 4096;
-      if (ok) threads = static_cast<unsigned>(t);
-    } else if (flag == "--json") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) json_path = v;
-    } else if (flag == "--csv") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) csv_path = v;
-    } else if (flag == "--dist-out") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) dist_path = v;
-    } else if (flag == "--perf-out") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) perf_path = v;
-    } else if (flag == "--trace-out") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) trace_path = v;
+      if (ok) cli.threads = static_cast<unsigned>(t);
     } else if (flag == "--no-lanes") {
-      lanes = false;
+      cli.lanes = false;
     } else if (flag == "--quiet") {
-      quiet = true;
+      cli.quiet = true;
+    } else if (flag == "--workers") {
+      const char* v = next();
+      std::uint64_t w = 0;
+      ok = v && parse_u64_flag(v, "workers", w) && w >= 1 && w <= 1024;
+      if (ok) cli.workers = static_cast<std::size_t>(w);
     } else if (flag == "--emit-shards") {
       const char* v = next();
       std::uint64_t k = 0;
       ok = v && parse_u64_flag(v, "emit-shards", k) && k >= 1 && k <= 65536;
-      if (ok) emit_shards = static_cast<std::size_t>(k);
-    } else if (flag == "--shard-out") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) shard_out = v;
-    } else if (flag == "--shard-file") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) shard_file = v;
-    } else if (flag == "--checkpoint") {
-      const char* v = next();
-      ok = v != nullptr;
-      if (ok) checkpoint_path = v;
-    } else {
-      std::fprintf(stderr, "ccd_sweep: unknown flag '%s'\n", flag.c_str());
-      usage(stderr);
-      return 2;
+      if (ok) cli.emit_shards = static_cast<std::size_t>(k);
     }
     if (!ok) return 2;
   }
 
-  // Mode exclusivity: emit / worker / full-run are distinct modes, and the
-  // spec-file worker must own the grid alone.
-  if (!shard_file.empty() && grid_flags_used) {
+  cli.mode = select_mode(cli.flags);
+  for (const std::string& flag : cli.flags) {
+    if ((modes_accepting(flag) & bit(cli.mode)) == 0) {
+      std::fprintf(stderr, "ccd_sweep: %s does not apply in %s mode\n",
+                   flag.c_str(), kModeNames[cli.mode]);
+      return 2;
+    }
+  }
+  if (cli.mode == kMerge) {
+    if (cli.inputs.empty()) {
+      std::fprintf(stderr, "ccd_sweep: --merge needs input files\n");
+      return 2;
+    }
+  } else if (!cli.inputs.empty()) {
     std::fprintf(stderr,
-                 "ccd_sweep: --shard-file is self-contained; grid and axis "
-                 "flags conflict with it\n");
+                 "ccd_sweep: unexpected argument '%s' (input files need "
+                 "--merge)\n",
+                 cli.inputs.front().c_str());
     return 2;
   }
-  if (!shard_file.empty() && emit_shards > 0) {
-    std::fprintf(stderr,
-                 "ccd_sweep: --shard-file conflicts with --emit-shards\n");
-    return 2;
-  }
-  if (have_rerun_cell && (!shard_file.empty() || emit_shards > 0)) {
-    std::fprintf(stderr,
-                 "ccd_sweep: --rerun-cell conflicts with sharded execution "
-                 "(it re-runs one cell of the assembled grid)\n");
-    return 2;
-  }
-  const bool worker_mode = !shard_file.empty();
-  if (!worker_mode && !checkpoint_path.empty()) {
-    std::fprintf(stderr,
-                 "ccd_sweep: --checkpoint only applies to worker mode "
-                 "(--shard-file)\n");
-    return 2;
-  }
-  // Telemetry outputs measure pool executions; --rerun-cell and
-  // --emit-shards never run a pool.
-  if ((!perf_path.empty() || !trace_path.empty()) &&
-      (have_rerun_cell || emit_shards > 0)) {
-    std::fprintf(stderr,
-                 "ccd_sweep: --perf-out/--trace-out measure a sweep "
-                 "execution; they conflict with --rerun-cell and "
-                 "--emit-shards\n");
-    return 2;
-  }
-  if (!dist_path.empty() && (have_rerun_cell || emit_shards > 0)) {
-    std::fprintf(stderr,
-                 "ccd_sweep: --dist-out writes aggregated distributions; it "
-                 "conflicts with --rerun-cell and --emit-shards\n");
-    return 2;
-  }
-
-  if (shard_file.empty()) {
+  if (bit(cli.mode) & kGridModes) {
     if (grid.seeds_per_cell == 0 || grid.num_cells() == 0) {
       std::fprintf(stderr, "ccd_sweep: empty grid\n");
       return 2;
@@ -540,197 +962,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (have_rerun_cell) {
-    if (rerun_cell_index >= grid.num_cells()) {
-      std::fprintf(stderr,
-                   "ccd_sweep: --rerun-cell %zu out of range (grid has %zu "
-                   "cells)\n",
-                   rerun_cell_index, grid.num_cells());
-      return 2;
-    }
-    if (!csv_path.empty()) {
-      std::fprintf(stderr,
-                   "ccd_sweep: --rerun-cell emits a JSON trace dump, not a "
-                   "CSV report\n");
-      return 2;
-    }
-    const std::vector<TracedRun> runs = rerun_cell(grid, rerun_cell_index);
-    const std::string dump =
-        traced_runs_to_json(grid, rerun_cell_index, runs) + "\n";
-    if (!json_path.empty()) {
-      if (!write_file(json_path, dump)) return 1;
-    } else {
-      std::fwrite(dump.data(), 1, dump.size(), stdout);
-    }
-    if (!quiet) {
-      std::fprintf(stderr,
-                   "ccd_sweep: traced cell %zu (%u runs, full views)%s%s\n",
-                   rerun_cell_index, grid.seeds_per_cell,
-                   json_path.empty() ? "" : " -> ",
-                   json_path.empty() ? "" : json_path.c_str());
-    }
-    return 0;
+  Outcome outcome;
+  switch (cli.mode) {
+    case kEmitShards:
+      return emit_shards(cli, grid);
+    case kShardWorker:
+      return run_shard_worker(cli);
+    case kRun:
+      if (cli.rerun_cell) return rerun(cli, grid);
+      outcome = run_in_process(cli, grid);
+      break;
+    case kWorkers:
+      if (int status = run_on_workers(cli, grid, &outcome)) return status;
+      break;
+    case kMerge:
+      if (int status = merge_inputs(cli, &outcome)) return status;
+      break;
   }
-
-  if (emit_shards > 0) {
-    const std::vector<ShardSpec> shards =
-        ShardPlanner::plan(grid, emit_shards);
-    for (const ShardSpec& spec : shards) {
-      const std::string path = shard_out + "-" +
-                               std::to_string(spec.shard_index) + "-of-" +
-                               std::to_string(spec.shard_count) + ".json";
-      if (!write_file(path, spec.to_json() + "\n")) return 1;
-      if (!quiet) {
-        std::fprintf(stderr, "ccd_sweep: wrote %s (%zu cells)\n",
-                     path.c_str(), spec.cells.size());
-      }
-    }
-    return 0;
-  }
-
-  if (worker_mode) {
-    std::string text;
-    if (!read_file(shard_file, text)) {
-      std::fprintf(stderr, "ccd_sweep: cannot read %s\n", shard_file.c_str());
-      return 2;
-    }
-    std::string error;
-    auto parsed = ShardSpec::from_json(text, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "ccd_sweep: %s: %s\n", shard_file.c_str(),
-                   error.c_str());
-      return 2;
-    }
-    const ShardSpec spec = std::move(*parsed);
-    if (auto problem = spec.grid.validate()) {
-      std::fprintf(stderr, "ccd_sweep: %s: %s\n", shard_file.c_str(),
-                   problem->c_str());
-      return 2;
-    }
-    if (json_path.empty()) {
-      std::fprintf(stderr,
-                   "ccd_sweep: worker mode emits a partial shard report; "
-                   "--json PATH is required\n");
-      return 2;
-    }
-    if (!csv_path.empty()) {
-      std::fprintf(stderr,
-                   "ccd_sweep: --csv is a full-grid output; merge the shard "
-                   "reports with ccd_merge --csv instead\n");
-      return 2;
-    }
-    ShardRunOptions shard_options;
-    shard_options.sweep.threads = threads;
-    shard_options.sweep.lanes = lanes;
-    shard_options.checkpoint_path = checkpoint_path;
-    obs::SweepPerf perf;
-    if (!perf_path.empty() || !trace_path.empty()) {
-      shard_options.sweep.perf = &perf;
-    }
-    ProgressPrinter progress;
-    if (!quiet) {
-      shard_options.sweep.progress = [&progress](std::size_t done,
-                                                 std::size_t total) {
-        progress(done, total);
-      };
-      std::fprintf(stderr,
-                   "ccd_sweep: shard %zu/%zu: %zu of %zu cells x %u seeds\n",
-                   spec.shard_index, spec.shard_count, spec.cells.size(),
-                   spec.grid.num_cells(), spec.grid.seeds_per_cell);
-    }
-    // Test/bench-only throttle: CCD_SWEEP_TEST_RUN_DELAY_MS sleeps after
-    // every completed run, simulating slow hardware without touching a
-    // byte of the report (on_record is pure observation).  ccd_dispatch's
-    // tests and ccd_bench use it to fabricate slow/stalling workers
-    // deterministically.
-    if (const char* delay_env = std::getenv("CCD_SWEEP_TEST_RUN_DELAY_MS")) {
-      std::uint64_t delay_ms = 0;
-      if (parse_u64_flag(delay_env, "CCD_SWEEP_TEST_RUN_DELAY_MS",
-                         delay_ms) &&
-          delay_ms > 0) {
-        shard_options.sweep.on_record = [delay_ms](const RunRecord&) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-        };
-      }
-    }
-    auto report = run_shard(spec, shard_options, &error);
-    if (!quiet) progress.finish();
-    if (!report) {
-      std::fprintf(stderr, "ccd_sweep: %s\n", error.c_str());
-      return 2;
-    }
-    if (!write_file(json_path, report->to_json())) return 1;
-    if (!dist_path.empty() &&
-        !write_file(dist_path,
-                    cells_to_dist_json(spec.grid, report->cells) + "\n")) {
-      return 1;
-    }
-    if (!perf_path.empty()) {
-      const obs::PerfSidecar sidecar = obs::build_perf_sidecar(
-          spec.grid_fingerprint, spec.shard_index, spec.shard_count, perf);
-      if (!write_file(perf_path, sidecar.to_json() + "\n")) return 1;
-    }
-    if (!trace_path.empty() &&
-        !write_file(trace_path,
-                    obs::sweep_trace_json(perf, spec.shard_index,
-                                          spec.grid.seeds_per_cell) +
-                        "\n")) {
-      return 1;
-    }
-    if (!quiet) {
-      std::fprintf(stderr, "ccd_sweep: wrote shard report %s (%zu cells)\n",
-                   json_path.c_str(), report->cells.size());
-    }
-    return 0;
-  }
-
-  SweepOptions options;
-  options.threads = threads;
-  options.lanes = lanes;
-  obs::SweepPerf perf;
-  if (!perf_path.empty() || !trace_path.empty()) {
-    options.perf = &perf;
-  }
-  ProgressPrinter progress;
-  if (!quiet) {
-    options.progress = [&progress](std::size_t done, std::size_t total) {
-      progress(done, total);
-    };
-    std::fprintf(stderr, "ccd_sweep: %zu cells x %u seeds = %zu runs\n",
-                 grid.num_cells(), grid.seeds_per_cell, grid.num_runs());
-  }
-
-  const std::vector<RunRecord> records = run_sweep(grid, options);
-  if (!quiet) progress.finish();
-  const std::vector<CellAggregate> cells = aggregate(grid, records);
-  // Memory-wall metric for the sidecar: what the aggregator's Stats
-  // actually retain for this grid (histogram bins, not raw samples).
-  perf.stats_bytes_retained = exp::stats_bytes_retained(cells);
-
-  if (!quiet) print_summary(std::cout, grid, cells);
-  if (!json_path.empty() &&
-      !write_file(json_path, aggregates_to_json(grid, cells))) {
-    return 1;
-  }
-  if (!csv_path.empty() && !write_file(csv_path, aggregates_to_csv(cells))) {
-    return 1;
-  }
-  if (!dist_path.empty() &&
-      !write_file(dist_path, cells_to_dist_json(grid, cells) + "\n")) {
-    return 1;
-  }
-  // Observation artifacts last: the report writes above are bytewise
-  // independent of everything below.
-  if (!perf_path.empty()) {
-    const obs::PerfSidecar sidecar =
-        obs::build_perf_sidecar(grid.fingerprint(), 0, 1, perf);
-    if (!write_file(perf_path, sidecar.to_json() + "\n")) return 1;
-  }
-  if (!trace_path.empty() &&
-      !write_file(trace_path,
-                  obs::sweep_trace_json(perf, 0, grid.seeds_per_cell) +
-                      "\n")) {
-    return 1;
-  }
-  return 0;
+  return write_outputs(cli, outcome);
 }
