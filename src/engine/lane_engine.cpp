@@ -107,7 +107,6 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
   recv_count_.resize(lanes_);
   local_c_.resize(lanes_);
   sent_msg_.resize(lanes_);
-  recv_.resize(lanes_);
   counters_.resize(lanes_);
   decided_value_.resize(lanes_);
   total_broadcasts_.assign(lanes_, 0);
@@ -150,7 +149,6 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     recv_count_[l].assign(n_, 0);
     local_c_[l].assign(n_, 0);
     sent_msg_[l].resize(n_);
-    recv_[l].resize(n_);
     decided_value_[l].assign(n_, kNoValue);
 
     std::uint64_t* alive = alive_pw_.data() + lane_base(l);  // n = 0: empty
@@ -163,6 +161,8 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     }
   }
   if (worlds_[0].channel == ChannelModel::kMatrix) delivery_.reset(n_, false);
+  recv_off_.assign(n_, 0);
+  hear_.assign(words_, 0);
   if (options_.record_rounds) receivers_.assign(words_, 0);
   // n = 0: no process can ever send, decide or crash; every lane is done
   // before its first round.
@@ -188,7 +188,7 @@ bool LaneEngine::all_correct_decided(std::size_t l) const {
   return true;
 }
 
-void LaneEngine::note_halt_state(std::size_t l, std::size_t i) {
+inline void LaneEngine::note_halt_state(std::size_t l, std::size_t i) {
   // Called only for live processes, whose participating flag is !halted.
   const bool h = worlds_[l].world.processes[i]->halted();
   std::uint64_t& word = halted_pw_[lane_base(l) + i / 64];
@@ -229,29 +229,22 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
   World& w = worlds_[l].world;
   const std::uint64_t* sent = &sent_pw_[lane_base(l)];
   const std::uint64_t* part = &participating_pw_[lane_base(l)];
-  std::vector<std::uint32_t>& rc = recv_count_[l];
-  std::fill(rc.begin(), rc.end(), 0);
 
   const bool all = w.loss->always_delivers();
   if (all) {
     // Loss-free clique: every participating receiver observes the SAME
     // multiset -- every broadcast, self-delivery included -- so build and
-    // sort it once and let C_r hand each receiver the shared view (the
-    // same bytes as a per-receiver copy, sorted).
-    shared_recv_.clear();
+    // sort it once at offset 0 and point every receiver at it (the same
+    // bytes as a per-receiver copy, sorted).
     for (std::size_t sw = 0; sw < words_; ++sw) {
       for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
-        shared_recv_.push_back(sent_msg_[l][j]);
+        recv_buf_.push_back(sent_msg_[l][j]);
       });
     }
-    std::sort(shared_recv_.begin(), shared_recv_.end());
-    recv_shared_ = true;
-    const auto count = static_cast<std::uint32_t>(shared_recv_.size());
+    std::sort(recv_buf_.begin(), recv_buf_.end());
     for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(part[wdx], wdx * 64, [&](std::size_t i) {
-        rc[i] = count;
-        counters_[l].messages_delivered += count;
-      });
+      for_each_bit(part[wdx], wdx * 64,
+                   [&](std::size_t i) { close_multiset(l, i, 0); });
     }
     return;
   }
@@ -276,18 +269,16 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
   // of the sent words are ever visited (no O(n) sender scan per receiver).
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     for_each_bit(part[wdx], wdx * 64, [&](std::size_t i) {
-      std::vector<Message>& in = recv_[l][i];
-      in.clear();
+      const std::size_t off = recv_buf_.size();
       for (std::size_t sw = 0; sw < words_; ++sw) {
         for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
           if (delivery_.delivered(i, j)) {
-            in.push_back(sent_msg_[l][j]);
+            recv_buf_.push_back(sent_msg_[l][j]);
           }
         });
       }
-      if (in.size() > 1) std::sort(in.begin(), in.end());
-      rc[i] = static_cast<std::uint32_t>(in.size());
-      counters_[l].messages_delivered += rc[i];
+      std::sort(recv_buf_.begin() + off, recv_buf_.end());
+      close_multiset(l, i, off);
     });
   }
 }
@@ -295,10 +286,7 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
 void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
   World& w = worlds_[l].world;
   const std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
-  std::vector<std::uint32_t>& rc = recv_count_[l];
   std::vector<std::uint32_t>& lc = local_c_[l];
-  std::fill(rc.begin(), rc.end(), 0);
   std::fill(lc.begin(), lc.end(), 0);
 
   const bool all = w.loss->always_delivers();
@@ -315,27 +303,26 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
   // Ground-truth contention c_i is counted over the neighborhood whether or
   // not anything was delivered; the adversary's matrix is masked by
   // adjacency.  Set-bit order is ascending neighbour order.
+  const std::uint64_t* hear = receivers_in_range(l);
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
-      std::vector<Message>& in = recv_[l][i];
-      in.clear();
+    for_each_bit(hear[wdx], wdx * 64, [&](std::size_t i) {
+      const std::size_t off = recv_buf_.size();
       std::uint32_t c = 0;
       if ((sent[i / 64] >> (i % 64)) & 1u) {
-        ++c;                              // own broadcast counts toward c_i
-        in.push_back(sent_msg_[l][i]);    // and is always self-delivered
+        ++c;                                  // own broadcast counts toward c_i
+        recv_buf_.push_back(sent_msg_[l][i]);  // and is always self-delivered
       }
       const std::uint64_t* adj = adj_row(l, i);
       for (std::size_t sw = 0; sw < words_; ++sw) {
         for_each_bit(sent[sw] & adj[sw], sw * 64, [&](std::size_t j) {
           ++c;
           if (all || delivery_.delivered(i, j)) {
-            in.push_back(sent_msg_[l][j]);
+            recv_buf_.push_back(sent_msg_[l][j]);
           }
         });
       }
-      if (in.size() > 1) std::sort(in.begin(), in.end());
-      rc[i] = static_cast<std::uint32_t>(in.size());
-      counters_[l].messages_delivered += rc[i];
+      std::sort(recv_buf_.begin() + off, recv_buf_.end());
+      close_multiset(l, i, off);
       lc[i] = c;
     });
   }
@@ -343,22 +330,21 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
 
 void LaneEngine::deliver_capture(std::size_t l) {
   const std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
   const MhLinkModel& link = worlds_[l].link;
   Rng& rng = link_rng_[l];
-  std::vector<std::uint32_t>& rc = recv_count_[l];
   std::vector<std::uint32_t>& lc = local_c_[l];
-  std::fill(rc.begin(), rc.end(), 0);
   std::fill(lc.begin(), lc.end(), 0);
 
-  // Receivers ascending, dead skipped WITHOUT consuming randomness, so the
-  // lane's link RNG stream depends on its world alone.  The captured
-  // neighbour is the k-th broadcasting neighbour in ascending order: the
-  // k-th set bit of `sent & adjacency`.
+  // Receivers ascending; dead and out-of-range receivers are skipped
+  // WITHOUT consuming randomness (an in-range receiver with no
+  // broadcasting neighbour draws none either), so the lane's link RNG
+  // stream depends on its world alone.  The captured neighbour is the k-th
+  // broadcasting neighbour in ascending order: the k-th set bit of
+  // `sent & adjacency`.
+  const std::uint64_t* hear = receivers_in_range(l);
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
-      std::vector<Message>& in = recv_[l][i];
-      in.clear();
+    for_each_bit(hear[wdx], wdx * 64, [&](std::size_t i) {
+      const std::size_t off = recv_buf_.size();
       const std::uint64_t* adj = adj_row(l, i);
       std::uint32_t heard = 0;  // broadcasting neighbours
       for (std::size_t sw = 0; sw < words_; ++sw) {
@@ -367,24 +353,60 @@ void LaneEngine::deliver_capture(std::size_t l) {
       std::uint32_t c = heard;
       if ((sent[i / 64] >> (i % 64)) & 1u) {
         ++c;
-        in.push_back(sent_msg_[l][i]);
+        recv_buf_.push_back(sent_msg_[l][i]);
       }
       if (heard == 1) {
         if (rng.chance(link.p_single)) {
-          in.push_back(sent_msg_[l][nth_set_bit(sent, adj, 0)]);
+          recv_buf_.push_back(sent_msg_[l][nth_set_bit(sent, adj, 0)]);
         }
       } else if (heard > 1) {
         if (rng.chance(link.p_capture)) {
           const std::size_t j = nth_set_bit(sent, adj, rng.below(heard));
-          in.push_back(sent_msg_[l][j]);
+          recv_buf_.push_back(sent_msg_[l][j]);
         }
       }
-      if (in.size() > 1) std::sort(in.begin(), in.end());
-      rc[i] = static_cast<std::uint32_t>(in.size());
-      counters_[l].messages_delivered += rc[i];
+      // At most two messages (own + captured): one compare-swap sorts them.
+      if (recv_buf_.size() - off == 2 && recv_buf_[off + 1] < recv_buf_[off]) {
+        std::swap(recv_buf_[off], recv_buf_[off + 1]);
+      }
+      close_multiset(l, i, off);
       lc[i] = c;
     });
   }
+}
+
+const std::uint64_t* LaneEngine::receivers_in_range(std::size_t l) {
+  // Adjacency is symmetric, so i hears some sender iff i sent or i lies in
+  // a sender's row: O(broadcasters * words) instead of a scan of every
+  // live receiver's row.
+  const std::uint64_t* sent = &sent_pw_[lane_base(l)];
+  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
+  std::copy(sent, sent + words_, hear_.begin());
+  for (std::size_t sw = 0; sw < words_; ++sw) {
+    for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
+      const std::uint64_t* adj = adj_row(l, j);
+      for (std::size_t wdx = 0; wdx < words_; ++wdx) hear_[wdx] |= adj[wdx];
+    });
+  }
+  for (std::size_t wdx = 0; wdx < words_; ++wdx) hear_[wdx] &= alive[wdx];
+  return hear_.data();
+}
+
+void LaneEngine::close_multiset(std::size_t l, std::size_t i,
+                                std::size_t off) {
+  const auto count = static_cast<std::uint32_t>(recv_buf_.size() - off);
+  recv_off_[i] = off;
+  recv_count_[l][i] = count;
+  counters_[l].messages_delivered += count;
+}
+
+std::span<const Message> LaneEngine::received(std::size_t l,
+                                              std::size_t i) const {
+  // A receiver delivery never visited this round has count 0 and a stale
+  // offset: it reads the empty multiset.
+  const std::uint32_t count = recv_count_[l][i];
+  if (count == 0) return {};
+  return {recv_buf_.data() + recv_off_[i], count};
 }
 
 void LaneEngine::lane_round(std::size_t l, Round r) {
@@ -450,8 +472,10 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
     if (local) commit_crashes(l, r);
   }
 
-  // N_r: receive multisets.
-  recv_shared_ = false;
+  // N_r: receive multisets, appended to recv_buf_ in receiver order; a
+  // receiver delivery does not visit keeps count 0.
+  recv_buf_.clear();
+  std::fill(recv_count_[l].begin(), recv_count_[l].end(), 0);
   if (worlds_[0].channel == ChannelModel::kMatrix) {
     if (local) {
       deliver_matrix_local(l, r);
@@ -512,9 +536,8 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
       takers = part[wdx] & ~crash_b;
     }
     for_each_bit(takers, wdx * 64, [&](std::size_t i) {
-      w.processes[i]->on_receive(
-          r, recv_shared_ ? shared_recv_ : recv_[l][i], cd_advice_[l][i],
-          cm_advice_[l][i]);
+      w.processes[i]->on_receive(r, received(l, i), cd_advice_[l][i],
+                                 cm_advice_[l][i]);
       note_halt_state(l, i);
       if (decided_value_[l][i] == kNoValue && w.processes[i]->decided()) {
         decided_value_[l][i] = w.processes[i]->decision();
@@ -542,7 +565,8 @@ void LaneEngine::record_round(std::size_t l, const std::uint64_t* receivers) {
       RoundView& view = views[i];
       if (sent[i / 64] & bit) view.sent = sent_msg_[l][i];
       if (receivers[i / 64] & bit) {
-        view.received = recv_shared_ ? shared_recv_ : recv_[l][i];
+        const std::span<const Message> in = received(l, i);
+        view.received.assign(in.begin(), in.end());
       }
       view.cd = cd_advice_[l][i];
       view.cm = cm_advice_[l][i];

@@ -62,6 +62,13 @@
 //    l's alive / decided flag.  Which lanes still have an undecided
 //    correct process is one AND-NOT per process for all 64 seeds at once.
 //
+// Receive multisets N_r[i] are not stored per lane or per receiver: each
+// lane-round appends them, in ascending receiver order, to ONE flat
+// engine-wide buffer, and receiver i reads a span of its count
+// (recv_count_[l][i], kept per lane for the detector and the accessors)
+// from its offset.  A receiver delivery skips has count 0 and so reads
+// the empty multiset by construction -- never an earlier round's.
+//
 // Determinism: each lane owns its OWN component objects (cm / cd / loss /
 // fault / processes / link RNG) and the engine calls them in a fixed order
 // with fixed arguments, so every RNG stream advances identically whatever
@@ -74,6 +81,10 @@
 //  * senders are iterated as set bits, never scanned; a capture receiver
 //    picks its captured neighbour straight from the set bits of
 //    `sent & adjacency`;
+//  * kLocal delivery visits only live receivers in range of a sender
+//    (`sent` OR the senders' adjacency rows); a receiver out of range
+//    keeps zero counts, draws no link randomness and reaches no adversary,
+//    so skipping it is unobservable;
 //  * round and view recording is opt-in (EngineOptions); sweeps record
 //    neither -- reports read only decisions and crashes;
 //  * halt state is mirrored in the halted word, refreshed only inside the
@@ -95,6 +106,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "multihop/topology.hpp"
@@ -245,6 +257,9 @@ class LaneEngine {
   void deliver_matrix_global(std::size_t l, Round r);
   void deliver_matrix_local(std::size_t l, Round r);
   void deliver_capture(std::size_t l);
+  const std::uint64_t* receivers_in_range(std::size_t l);
+  void close_multiset(std::size_t l, std::size_t i, std::size_t off);
+  std::span<const Message> received(std::size_t l, std::size_t i) const;
   void note_halt_state(std::size_t l, std::size_t i);
   void record_round(std::size_t l, const std::uint64_t* receivers);
 
@@ -284,8 +299,7 @@ class LaneEngine {
   std::vector<std::vector<CdAdvice>> cd_advice_;
   std::vector<std::vector<std::uint32_t>> recv_count_;
   std::vector<std::vector<std::uint32_t>> local_c_;
-  std::vector<std::vector<Message>> sent_msg_;          // [l][i], sent bit = valid
-  std::vector<std::vector<std::vector<Message>>> recv_;  // [l][i] multisets
+  std::vector<std::vector<Message>> sent_msg_;  // [l][i], sent bit = valid
 
   // Per-lane tallies.
   std::vector<obs::EngineCounters> counters_;
@@ -300,13 +314,18 @@ class LaneEngine {
 
   // Shared scratch (consumed within one lane's round).
   DeliveryMatrix delivery_;
-  /// Loss-free clique fast path: with a statically-all-delivering loss
-  /// model every participating receiver observes the SAME multiset, so
-  /// deliver_matrix_global builds it once here and C_r hands every
-  /// on_receive this shared view instead of a per-receiver copy.  Valid
-  /// only within the lane_round that set recv_shared_.
-  std::vector<Message> shared_recv_;
-  bool recv_shared_ = false;
+  /// N_r of the lane-round in progress: every visited receiver's sorted
+  /// multiset, appended in ascending receiver order.  Receiver i's is the
+  /// recv_count_[l][i] messages from recv_off_[i]; a receiver delivery
+  /// did not visit has count 0 and reads the empty multiset whatever its
+  /// stale offset.  Loss-free cliques store the one multiset every
+  /// participant observes once, at offset 0.  Grows to one round's
+  /// deliveries; cleared, not freed, per lane-round.
+  std::vector<Message> recv_buf_;
+  std::vector<std::size_t> recv_off_;
+  /// kLocal delivery: the live receivers in range of a sender this round
+  /// (sent | the senders' adjacency rows), the only ones it visits.
+  std::vector<std::uint64_t> hear_;
   /// record_rounds only: the round's receivers, snapshotted at delivery
   /// (a kGlobal after-send crasher received, but is dead by record time).
   std::vector<std::uint64_t> receivers_;

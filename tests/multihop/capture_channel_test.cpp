@@ -9,6 +9,7 @@
 #include "engine/lane_engine.hpp"
 #include "fault/failure_adversary.hpp"
 #include "multihop/flood.hpp"
+#include "net/probabilistic_loss.hpp"
 
 namespace ccd {
 namespace {
@@ -135,6 +136,77 @@ TEST(CaptureChannel, InterferenceWithoutReceptionIsDetected) {
   for (int i = 0; i < 5; ++i) ex.step();
   EXPECT_EQ(ex.last_cd(0, 1), CdAdvice::kCollision);
   EXPECT_EQ(ex.last_receive_count(0, 1), 0u);
+}
+
+// ---- silent rounds ------------------------------------------------------
+
+/// Talks in round 1 only (when `talker`); keeps every multiset it receives.
+class RecorderProcess final : public Process {
+ public:
+  explicit RecorderProcess(bool talker) : talker_(talker) {}
+  std::optional<Message> on_send(Round r, CmAdvice) override {
+    if (talker_ && r == 1) return Message{Message::Kind::kPayload, 7, 0};
+    return std::nullopt;
+  }
+  void on_receive(Round, std::span<const Message> received, CdAdvice,
+                  CmAdvice) override {
+    received_.emplace_back(received.begin(), received.end());
+  }
+  std::vector<std::vector<Message>> received_;  ///< index 0 is round 1
+
+ private:
+  bool talker_;
+};
+
+/// Line 0-1-2 where node 0 talks in round 1 and nobody talks in round 2:
+/// node 1 hears node 0, then no one.  Round 2's delivery need not visit
+/// node 1 at all, and whatever it skips must read as the EMPTY multiset --
+/// never node 1's round-1 message.
+void expect_silent_round_is_empty(ChannelModel channel,
+                                  std::unique_ptr<LossAdversary> loss) {
+  EngineWorld ew;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ew.world.processes.push_back(std::make_unique<RecorderProcess>(i == 0));
+  }
+  ew.world.loss = std::move(loss);
+  ew.topology = Topology::line(3);
+  ew.channel = channel;
+  ew.scope = CollisionScope::kLocal;
+  ew.link = {1.0, 1.0};
+  ew.link_seed = 5;
+  EngineOptions options;
+  options.record_rounds = true;
+  options.record_views = true;
+  options.stop_when_all_decided = false;
+  LaneEngine ex(std::move(ew), options);
+  const auto& p1 = static_cast<RecorderProcess&>(ex.process(0, 1));
+
+  ex.step();  // round 1: node 1 hears node 0
+  ASSERT_EQ(ex.last_receive_count(0, 1), 1u);
+  ASSERT_EQ(p1.received_.size(), 1u);
+  EXPECT_EQ(p1.received_[0].size(), 1u);
+
+  ex.step();  // round 2: silence
+  ASSERT_EQ(p1.received_.size(), 2u);
+  EXPECT_TRUE(p1.received_[1].empty());
+  EXPECT_EQ(ex.last_receive_count(0, 1), 0u);
+  const ProcessView& view = ex.log(0).view(1);
+  ASSERT_EQ(view.rounds.size(), 2u);
+  EXPECT_EQ(view.rounds[0].received.size(), 1u);
+  EXPECT_TRUE(view.rounds[1].received.empty());
+}
+
+TEST(SilentRound, CaptureReceiverReadsAnEmptyMultiset) {
+  expect_silent_round_is_empty(ChannelModel::kCapture, nullptr);
+}
+
+TEST(SilentRound, LossyMatrixLocalReceiverReadsAnEmptyMultiset) {
+  // p_deliver = 1 delivers every link, but through the adversary's matrix
+  // (ProbabilisticLoss never claims always_delivers).
+  ProbabilisticLoss::Options lossy;
+  lossy.p_deliver = 1.0;
+  expect_silent_round_is_empty(ChannelModel::kMatrix,
+                               std::make_unique<ProbabilisticLoss>(lossy));
 }
 
 // ---- crash failures -----------------------------------------------------
