@@ -10,8 +10,8 @@ OracleDetector::OracleDetector(DetectorSpec spec,
   assert(policy_ != nullptr);
 }
 
-CdAdvice OracleDetector::advise_local(Round round, ProcessId i,
-                                      std::uint32_t c, std::uint32_t t) {
+CdAdvice OracleDetector::resolve(Round round, ProcessId i, std::uint32_t c,
+                                 std::uint32_t t) {
   const bool pm_forced = spec_.collision_forced(c, t);
   const bool null_forced = spec_.null_forced(round, c, t);
   // The two forced sets are disjoint: completeness only forces when t < c
@@ -36,8 +36,17 @@ void OracleDetector::advise(Round round, std::uint32_t c,
   // per-process resolution applied with the same c everywhere.
   out.resize(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
-    out[i] = advise_local(round, static_cast<ProcessId>(i), c, t[i]);
+    out[i] = resolve(round, static_cast<ProcessId>(i), c, t[i]);
   }
+}
+
+void OracleDetector::advise_local(Round round, BitView alive,
+                                  const std::vector<std::uint32_t>& c,
+                                  const std::vector<std::uint32_t>& t,
+                                  std::vector<CdAdvice>& out) {
+  alive.for_each([&](std::size_t i) {
+    out[i] = resolve(round, static_cast<ProcessId>(i), c[i], t[i]);
+  });
 }
 
 bool cd_trace_legal(const DetectorSpec& spec, const TransmissionTrace& tt,

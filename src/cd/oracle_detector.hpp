@@ -17,6 +17,7 @@
 #include "cd/policies.hpp"
 #include "model/traces.hpp"
 #include "model/types.hpp"
+#include "util/bitwords.hpp"
 
 namespace ccd {
 
@@ -29,18 +30,26 @@ class OracleDetector {
   void advise(Round round, std::uint32_t c, const std::vector<std::uint32_t>& t,
               std::vector<CdAdvice>& out);
 
-  /// Advice for ONE process from its local neighborhood counts: the same
-  /// forced-report/free-choice resolution as advise(), evaluated on
-  /// (c_i, t_i).  This is how the round engine's per-neighborhood scope
-  /// (CollisionScope::kLocal) consults the detector -- the class envelope
-  /// is identical, only the scope of c changes.
-  CdAdvice advise_local(Round round, ProcessId i, std::uint32_t c,
-                        std::uint32_t t);
+  /// Advice from local neighborhood counts, for every process in `alive`
+  /// (ascending; alive.size() is n): out[i] from (c[i], t[i]) by the same
+  /// forced-report/free-choice resolution as advise().  Entries of
+  /// processes outside `alive` are left as they are.  This is how the
+  /// round engine's per-neighborhood scope (CollisionScope::kLocal)
+  /// consults the detector -- the class envelope is identical, only the
+  /// scope of c changes.
+  void advise_local(Round round, BitView alive,
+                    const std::vector<std::uint32_t>& c,
+                    const std::vector<std::uint32_t>& t,
+                    std::vector<CdAdvice>& out);
 
   const DetectorSpec& spec() const { return spec_; }
   const AdvicePolicy& policy() const { return *policy_; }
 
  private:
+  /// One process's advice from (c, t): forced reports first, the policy's
+  /// choice otherwise.
+  CdAdvice resolve(Round round, ProcessId i, std::uint32_t c, std::uint32_t t);
+
   DetectorSpec spec_;
   std::unique_ptr<AdvicePolicy> policy_;
 };

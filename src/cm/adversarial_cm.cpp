@@ -10,20 +10,20 @@ ScriptedCm::ScriptedCm(std::vector<std::vector<CmAdvice>> script,
   assert(!script_.empty());
 }
 
-void ScriptedCm::advise(Round round, const std::vector<bool>& alive,
+void ScriptedCm::advise(Round round, BitView participating,
                         std::vector<CmAdvice>& out) {
   const std::size_t idx =
       round - 1 < script_.size() ? round - 1 : script_.size() - 1;
   out = script_[idx];
-  out.resize(alive.size(), CmAdvice::kPassive);
+  out.resize(participating.size(), CmAdvice::kPassive);
 }
 
 TwoGroupMaxLs::TwoGroupMaxLs(std::uint32_t split, Round k)
     : split_(split), k_(k) {}
 
-void TwoGroupMaxLs::advise(Round round, const std::vector<bool>& alive,
+void TwoGroupMaxLs::advise(Round round, BitView participating,
                            std::vector<CmAdvice>& out) {
-  const auto n = alive.size();
+  const auto n = participating.size();
   out.assign(n, CmAdvice::kPassive);
   if (n == 0) return;
   out[0] = CmAdvice::kActive;

@@ -26,7 +26,7 @@ class ScriptedCm final : public ContentionManager {
   /// script replay the final entry.
   ScriptedCm(std::vector<std::vector<CmAdvice>> script, Round stabilization);
 
-  void advise(Round round, const std::vector<bool>& alive,
+  void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return stabilization_; }
   const char* name() const override { return "ScriptedCm"; }
@@ -42,7 +42,7 @@ class TwoGroupMaxLs final : public ContentionManager {
   /// round k both group minima (0 and split) are active; afterwards only 0.
   TwoGroupMaxLs(std::uint32_t split, Round k);
 
-  void advise(Round round, const std::vector<bool>& alive,
+  void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return k_ + 1; }
   const char* name() const override { return "TwoGroupMaxLs"; }

@@ -31,9 +31,8 @@ class BackoffCm final : public ContentionManager {
 
   explicit BackoffCm(Options opts);
 
-  void advise(Round round, const std::vector<bool>& alive,
+  void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
-  void observe(Round round, std::uint32_t broadcasters) override;
 
   /// No a-priori bound; stabilization is emergent.
   Round stabilization_round() const override { return kNeverRound; }
@@ -48,7 +47,6 @@ class BackoffCm final : public ContentionManager {
   Options opts_;
   Rng rng_;
   std::vector<std::uint32_t> window_;
-  std::vector<bool> last_active_;
   std::uint32_t locked_process_ = kNoLock;
   Round locked_round_ = kNeverRound;
 

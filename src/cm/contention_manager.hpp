@@ -14,14 +14,15 @@
 // The formal definition deliberately decouples the manager from the
 // execution ("oblivious" traces); concrete implementations such as backoff
 // protocols monitor the channel.  We support both: advise() receives the
-// alive mask and managers may use observe() feedback, while scripted
-// adversarial managers ignore them.
+// set of participating processes and managers may use observe() feedback,
+// while scripted adversarial managers ignore them.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "model/types.hpp"
+#include "util/bitwords.hpp"
 
 namespace ccd {
 
@@ -30,18 +31,17 @@ class ContentionManager {
   virtual ~ContentionManager() = default;
 
   /// Produce advice for round r (out is resized to the process count by the
-  /// executor).  `alive[i]` is false once i has crashed; practical services
-  /// adapt, formal adversarial ones may ignore it.
-  virtual void advise(Round round, const std::vector<bool>& alive,
+  /// executor).  `participating` is the round's participants: the processes
+  /// neither crashed nor halted, as bit words (participating.size() is n,
+  /// bits at or above n are zero).  Practical services adapt to it, formal
+  /// adversarial ones may ignore it.
+  virtual void advise(Round round, BitView participating,
                       std::vector<CmAdvice>& out) = 0;
 
   /// Channel feedback after the round's broadcasts: how many processes
   /// actually transmitted.  Concrete managers (backoff) use this; the
   /// default ignores it.
-  virtual void observe(Round round, std::uint32_t broadcasters) {
-    (void)round;
-    (void)broadcasters;
-  }
+  virtual void observe(Round /*round*/, std::uint32_t /*broadcasters*/) {}
 
   /// The stabilization round r_wake / r_lead this manager guarantees, used
   /// by the harness to compute CST (Definition 20).  kNeverRound when the

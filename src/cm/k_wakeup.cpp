@@ -4,9 +4,9 @@ namespace ccd {
 
 KWakeupService::KWakeupService(Options options) : options_(options) {}
 
-void KWakeupService::advise(Round round, const std::vector<bool>& alive,
+void KWakeupService::advise(Round round, BitView participating,
                             std::vector<CmAdvice>& out) {
-  const std::size_t n = alive.size();
+  const std::size_t n = participating.size();
   out.assign(n, CmAdvice::kPassive);
   if (round < options_.r_wake) {
     out.assign(n, CmAdvice::kActive);

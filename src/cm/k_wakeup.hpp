@@ -21,7 +21,7 @@ class KWakeupService final : public ContentionManager {
 
   explicit KWakeupService(Options options);
 
-  void advise(Round round, const std::vector<bool>& alive,
+  void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return options_.r_wake; }
   const char* name() const override { return "KWakeupService"; }

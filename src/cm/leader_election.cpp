@@ -3,11 +3,11 @@
 namespace ccd {
 
 namespace {
-std::uint32_t lowest_alive(const std::vector<bool>& alive) {
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (alive[i]) return static_cast<std::uint32_t>(i);
-  }
-  return LeaderElectionService::Options::kNoLeader;
+std::uint32_t lowest_participant(BitView participating) {
+  const std::size_t first = participating.first();
+  return first < participating.size()
+             ? static_cast<std::uint32_t>(first)
+             : LeaderElectionService::Options::kNoLeader;
 }
 }  // namespace
 
@@ -15,9 +15,9 @@ LeaderElectionService::LeaderElectionService(Options opts) : opts_(opts) {
   leader_ = opts_.leader;
 }
 
-void LeaderElectionService::advise(Round round, const std::vector<bool>& alive,
+void LeaderElectionService::advise(Round round, BitView participating,
                                    std::vector<CmAdvice>& out) {
-  const auto n = alive.size();
+  const auto n = participating.size();
   out.assign(n, CmAdvice::kPassive);
 
   if (round < opts_.r_lead) {
@@ -25,10 +25,12 @@ void LeaderElectionService::advise(Round round, const std::vector<bool>& alive,
     return;
   }
 
-  if (leader_ == Options::kNoLeader) leader_ = lowest_alive(alive);
-  if (leader_ != Options::kNoLeader && leader_ < n && !alive[leader_] &&
-      opts_.adapt_on_crash) {
-    leader_ = lowest_alive(alive);
+  if (leader_ == Options::kNoLeader) {
+    leader_ = lowest_participant(participating);
+  }
+  if (leader_ != Options::kNoLeader && leader_ < n &&
+      !participating.test(leader_) && opts_.adapt_on_crash) {
+    leader_ = lowest_participant(participating);
   }
   if (leader_ != Options::kNoLeader && leader_ < n) {
     out[leader_] = CmAdvice::kActive;

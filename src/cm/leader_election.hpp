@@ -32,7 +32,7 @@ class LeaderElectionService final : public ContentionManager {
 
   explicit LeaderElectionService(Options opts);
 
-  void advise(Round round, const std::vector<bool>& alive,
+  void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return opts_.r_lead; }
   const char* name() const override { return "LeaderElectionService"; }

@@ -2,9 +2,9 @@
 
 namespace ccd {
 
-void NoCm::advise(Round /*round*/, const std::vector<bool>& alive,
+void NoCm::advise(Round /*round*/, BitView participating,
                   std::vector<CmAdvice>& out) {
-  out.assign(alive.size(), CmAdvice::kActive);
+  out.assign(participating.size(), CmAdvice::kActive);
 }
 
 }  // namespace ccd

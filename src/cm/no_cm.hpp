@@ -10,7 +10,7 @@ namespace ccd {
 
 class NoCm final : public ContentionManager {
  public:
-  void advise(Round round, const std::vector<bool>& alive,
+  void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return kNeverRound; }
   const char* name() const override { return "NoCM"; }

@@ -4,9 +4,9 @@ namespace ccd {
 
 WakeupService::WakeupService(Options opts) : opts_(opts), rng_(opts.seed) {}
 
-void WakeupService::advise(Round round, const std::vector<bool>& alive,
+void WakeupService::advise(Round round, BitView participating,
                            std::vector<CmAdvice>& out) {
-  const auto n = alive.size();
+  const auto n = participating.size();
   out.assign(n, CmAdvice::kPassive);
 
   if (round < opts_.r_wake) {
@@ -17,6 +17,7 @@ void WakeupService::advise(Round round, const std::vector<bool>& alive,
       case PreStabilization::kAllPassive:
         break;
       case PreStabilization::kRandomSubset:
+        // One coin per process, participating or not.
         for (std::size_t i = 0; i < n; ++i) {
           if (rng_.chance(0.5)) out[i] = CmAdvice::kActive;
         }
@@ -31,28 +32,15 @@ void WakeupService::advise(Round round, const std::vector<bool>& alive,
   // Stabilized: exactly one process is advised active.
   switch (opts_.post) {
     case PostStabilization::kMinAlive: {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (alive[i]) {
-          out[i] = CmAdvice::kActive;
-          return;
-        }
-      }
-      break;  // all crashed: advising nobody is vacuously fine
+      // Nobody participating: advising nobody is vacuously fine.
+      const std::size_t first = participating.first();
+      if (first < n) out[first] = CmAdvice::kActive;
+      break;
     }
     case PostStabilization::kRotateAlive: {
-      std::uint32_t alive_count = 0;
-      for (bool a : alive) alive_count += a ? 1 : 0;
-      if (alive_count == 0) break;
-      std::uint32_t skip = rotate_cursor_ % alive_count;
-      ++rotate_cursor_;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!alive[i]) continue;
-        if (skip == 0) {
-          out[i] = CmAdvice::kActive;
-          return;
-        }
-        --skip;
-      }
+      const std::uint32_t count = participating.count();
+      if (count == 0) break;
+      out[participating.nth(rotate_cursor_++ % count)] = CmAdvice::kActive;
       break;
     }
     case PostStabilization::kFixedMin: {

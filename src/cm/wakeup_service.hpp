@@ -38,7 +38,7 @@ class WakeupService final : public ContentionManager {
 
   explicit WakeupService(Options opts);
 
-  void advise(Round round, const std::vector<bool>& alive,
+  void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return opts_.r_wake; }
   const char* name() const override { return "WakeupService"; }

@@ -1,7 +1,6 @@
 #include "engine/lane_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "cm/no_cm.hpp"
@@ -18,47 +17,13 @@ namespace {
   return true;
 }
 
-/// Iterate the set bits of `word` (ascending), calling fn(bit_index).
-template <typename Fn>
-inline void for_each_bit(std::uint64_t word, std::size_t base, Fn&& fn) {
-  while (word) {
-    fn(base + static_cast<std::size_t>(std::countr_zero(word)));
-    word &= word - 1;
-  }
-}
-
-/// Set bits of `word`.  A SWAR count rather than std::popcount: the build
-/// targets baseline x86-64 (no -mpopcnt), where std::popcount becomes a
-/// libgcc call.
-inline std::uint32_t bit_count(std::uint64_t word) {
-  word -= (word >> 1) & 0x5555555555555555ull;
-  word = (word & 0x3333333333333333ull) + ((word >> 2) & 0x3333333333333333ull);
-  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0full;
-  return static_cast<std::uint32_t>((word * 0x0101010101010101ull) >> 56);
-}
-
-/// Index of the k-th (0-based, ascending) set bit of the row `a & b`; k
-/// must be below the row's bit count (the scan stops at that bit).
-inline std::size_t nth_set_bit(const std::uint64_t* a, const std::uint64_t* b,
-                               std::uint64_t k) {
-  for (std::size_t w = 0;; ++w) {
-    std::uint64_t word = a[w] & b[w];
-    const std::uint32_t count = bit_count(word);
-    if (k < count) {
-      for (; k > 0; --k) word &= word - 1;
-      return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-    }
-    k -= count;
-  }
-}
-
 }  // namespace
 
 LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     : lanes_(worlds.size()), options_(options), worlds_(std::move(worlds)) {
   assert(lanes_ >= 1 && lanes_ <= kLaneWidth);
   n_ = worlds_[0].world.processes.size();
-  words_ = (n_ + 63) / 64;
+  words_ = word_count(n_);
   local_ = worlds_[0].scope == CollisionScope::kLocal;
   adj_base_.resize(lanes_);
   for (std::size_t l = 0; l < lanes_; ++l) {
@@ -98,10 +63,6 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
   alive_lw_.assign(n_, all_lanes);
   decided_lw_.assign(n_, 0);
 
-  alive_vb_.resize(lanes_);
-  participating_vb_.resize(lanes_);
-  sent_vb_.resize(lanes_);
-  crash_mask_vb_.resize(lanes_);
   cm_advice_.resize(lanes_);
   cd_advice_.resize(lanes_);
   recv_count_.resize(lanes_);
@@ -140,10 +101,6 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
                                  w.initial_values[i]);
     }
 
-    alive_vb_[l].assign(n_, true);
-    participating_vb_[l].assign(n_, false);
-    sent_vb_[l].assign(n_, false);
-    crash_mask_vb_[l].assign(n_, false);
     cd_advice_[l].assign(n_, CdAdvice::kNull);
     cm_advice_[l].reserve(n_);
     recv_count_[l].assign(n_, 0);
@@ -151,16 +108,16 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     sent_msg_[l].resize(n_);
     decided_value_[l].assign(n_, kNoValue);
 
-    std::uint64_t* alive = alive_pw_.data() + lane_base(l);  // n = 0: empty
-    std::uint64_t* halted = halted_pw_.data() + lane_base(l);
+    // n = 0: empty rows (data(), not operator[] on an empty vector).
+    std::span<std::uint64_t> alive(alive_pw_.data() + lane_base(l), words_);
+    std::span<std::uint64_t> halted(halted_pw_.data() + lane_base(l), words_);
     for (std::size_t i = 0; i < n_; ++i) {
-      alive[i / 64] |= std::uint64_t{1} << (i % 64);
-      const bool h = w.processes[i]->halted();
-      if (h) halted[i / 64] |= std::uint64_t{1} << (i % 64);
-      participating_vb_[l][i] = !h;
+      set_bit(alive, i);
+      if (w.processes[i]->halted()) set_bit(halted, i);
     }
   }
-  if (worlds_[0].channel == ChannelModel::kMatrix) delivery_.reset(n_, false);
+  if (worlds_[0].channel == ChannelModel::kMatrix) delivery_.reset(n_);
+  crash_.assign(words_, 0);
   recv_off_.assign(n_, 0);
   hear_.assign(words_, 0);
   if (options_.record_rounds) receivers_.assign(words_, 0);
@@ -189,39 +146,32 @@ bool LaneEngine::all_correct_decided(std::size_t l) const {
 }
 
 inline void LaneEngine::note_halt_state(std::size_t l, std::size_t i) {
-  // Called only for live processes, whose participating flag is !halted.
   const bool h = worlds_[l].world.processes[i]->halted();
   std::uint64_t& word = halted_pw_[lane_base(l) + i / 64];
   const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-  if (h == ((word & bit) != 0)) return;
-  word ^= bit;
-  participating_vb_[l][i] = !h;
+  if (h != ((word & bit) != 0)) word ^= bit;
 }
 
 void LaneEngine::commit_crashes(std::size_t l, Round r) {
-  // Consumes the marks, so the mask is all-false again whenever no hook's
-  // marks are pending.
-  std::vector<bool>& mask = crash_mask_vb_[l];
+  // Consumes the marks, so the crash row is zero again whenever no hook's
+  // marks are pending.  Marks of dead processes are dropped.
   const std::uint64_t lane_bit = std::uint64_t{1} << l;
   std::uint64_t* alive = &alive_pw_[lane_base(l)];
   std::uint64_t* part = &participating_pw_[lane_base(l)];
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (!mask[i]) continue;
-    mask[i] = false;
-    if (alive_vb_[l][i]) {
-      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-      alive[i / 64] &= ~bit;
-      part[i / 64] &= ~bit;
+  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
+    const std::uint64_t hit = crash_[wdx] & alive[wdx];
+    crash_[wdx] = 0;
+    alive[wdx] &= ~hit;
+    part[wdx] &= ~hit;
+    for_each_bit(hit, wdx * 64, [&](std::size_t i) {
       alive_lw_[i] &= ~lane_bit;
-      alive_vb_[l][i] = false;
-      participating_vb_[l][i] = false;
       // kLocal: a dead radio's detector advice reads kNull from now on
       // (kGlobal's oracle advises every process each round).
       if (local_) cd_advice_[l][i] = CdAdvice::kNull;
       --num_alive_[l];
       ++crashes_applied_[l];
       logs_[l].record_crash(static_cast<ProcessId>(i), r);
-    }
+    });
   }
 }
 
@@ -251,19 +201,9 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
 
   // The adversary contract: a reset matrix in, delivery decisions out,
   // self-delivery enforced afterwards (Definition 11, constraint 5).
-  {
-    std::vector<bool>& sv = sent_vb_[l];
-    sv.assign(n_, false);
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(sent[wdx], wdx * 64, [&](std::size_t j) { sv[j] = true; });
-    }
-    delivery_.reset(n_, false);
-    w.loss->decide_delivery(r, sv, delivery_);
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(sent[wdx], wdx * 64,
-                   [&](std::size_t j) { delivery_.set(j, j, true); });
-    }
-  }
+  delivery_.reset(n_);
+  w.loss->decide_delivery(r, view(sent), delivery_);
+  view(sent).for_each([&](std::size_t j) { delivery_.set(j, j, true); });
 
   // Clique: the receiver set is the participation mask, and only set bits
   // of the sent words are ever visited (no O(n) sender scan per receiver).
@@ -291,13 +231,8 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
 
   const bool all = w.loss->always_delivers();
   if (!all) {
-    std::vector<bool>& sv = sent_vb_[l];
-    sv.assign(n_, false);
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(sent[wdx], wdx * 64, [&](std::size_t j) { sv[j] = true; });
-    }
-    delivery_.reset(n_, false);
-    w.loss->decide_delivery(r, sv, delivery_);
+    delivery_.reset(n_);
+    w.loss->decide_delivery(r, view(sent), delivery_);
   }
 
   // Ground-truth contention c_i is counted over the neighborhood whether or
@@ -324,6 +259,7 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
       std::sort(recv_buf_.begin() + off, recv_buf_.end());
       close_multiset(l, i, off);
       lc[i] = c;
+      if (c >= 2) ++counters_[l].collisions;
     });
   }
 }
@@ -371,6 +307,7 @@ void LaneEngine::deliver_capture(std::size_t l) {
       }
       close_multiset(l, i, off);
       lc[i] = c;
+      if (c >= 2) ++counters_[l].collisions;
     });
   }
 }
@@ -419,16 +356,14 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   // flags are event-maintained (crash commits, halt memoization), so the
   // snapshot is W word ops instead of n virtual halted() probes.
   std::uint64_t* part = &participating_pw_[lane_base(l)];
-  {
-    const std::uint64_t* alive = &alive_pw_[lane_base(l)];
-    const std::uint64_t* halted = &halted_pw_[lane_base(l)];
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      part[wdx] = alive[wdx] & ~halted[wdx];
-    }
+  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
+  const std::uint64_t* halted = &halted_pw_[lane_base(l)];
+  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
+    part[wdx] = alive[wdx] & ~halted[wdx];
   }
 
   // W_r: contention advice.
-  w.cm->advise(r, participating_vb_[l], cm_advice_[l]);
+  w.cm->advise(r, view(part), cm_advice_[l]);
   cm_advice_[l].resize(n_, CmAdvice::kPassive);
   ++ctr.cm_advice_calls;
 
@@ -438,7 +373,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   // Crash point A (kBeforeSend): marked processes are silent from round r
   // on.
   if (faults) {
-    w.fault->crash_before_send(r, alive_vb_[l], crash_mask_vb_[l]);
+    w.fault->crash_before_send(r, view(alive), crash_);
     const std::uint64_t pre = crashes_applied_[l];
     commit_crashes(l, r);
     ctr.crashes_before_send += crashes_applied_[l] - pre;
@@ -468,7 +403,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   // crasher's round-r view still forms.
   const std::uint64_t pre_b = crashes_applied_[l];
   if (faults) {
-    w.fault->crash_after_send(r, alive_vb_[l], crash_mask_vb_[l]);
+    w.fault->crash_after_send(r, view(alive), crash_);
     if (local) commit_crashes(l, r);
   }
 
@@ -487,54 +422,34 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   }
   if (options_.record_rounds) {
     // kGlobal delivers to the participants; kLocal to every live process.
-    const std::uint64_t* receivers =
-        local ? &alive_pw_[lane_base(l)] : part;
+    const std::uint64_t* receivers = local ? alive : part;
     std::copy(receivers, receivers + words_, receivers_.begin());
   }
 
   ctr.messages_sent += bc;
 
   // D_r: collision detector advice -- one global oracle call on a clique,
-  // per-neighborhood (c_i, t_i) otherwise.
+  // per-neighborhood (c_i, t_i) for every live process otherwise (delivery
+  // counted the local collisions).
   if (!local) {
     w.cd->advise(r, bc, recv_count_[l], cd_advice_[l]);
     ++ctr.cd_advice_calls;
     if (bc >= 2) ++ctr.collisions;
   } else {
-    const std::uint64_t* alive = &alive_pw_[lane_base(l)];
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
-        cd_advice_[l][i] = w.cd->advise_local(r, static_cast<ProcessId>(i),
-                                              local_c_[l][i],
-                                              recv_count_[l][i]);
-        ++ctr.cd_advice_calls;
-        if (local_c_[l][i] >= 2) ++ctr.collisions;
-      });
-    }
+    w.cd->advise_local(r, view(alive), local_c_[l], recv_count_[l],
+                       cd_advice_[l]);
+    ctr.cd_advice_calls += num_alive_[l];
   }
   w.cm->observe(r, bc);
 
   // C_r: transitions (skipped for processes crashing this round).  kLocal
   // consults the LIVE halted flag (a process that halted inside its own
   // on_send takes no transition); kGlobal uses the round-start snapshot
-  // minus this round's after-send crashers.
+  // minus this round's after-send crash marks (zero outside the window).
   const std::uint64_t lane_bit = std::uint64_t{1} << l;
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    std::uint64_t takers;
-    if (local) {
-      takers = alive_pw_[lane_base(l) + wdx] &
-               ~halted_pw_[lane_base(l) + wdx];
-    } else {
-      std::uint64_t crash_b = 0;
-      if (faults) {
-        const std::vector<bool>& mask = crash_mask_vb_[l];
-        const std::size_t hi = std::min(n_, (wdx + 1) * 64);
-        for (std::size_t i = wdx * 64; i < hi; ++i) {
-          if (mask[i]) crash_b |= std::uint64_t{1} << (i % 64);
-        }
-      }
-      takers = part[wdx] & ~crash_b;
-    }
+    const std::uint64_t takers = local ? alive[wdx] & ~halted[wdx]
+                                       : part[wdx] & ~crash_[wdx];
     for_each_bit(takers, wdx * 64, [&](std::size_t i) {
       w.processes[i]->on_receive(r, received(l, i), cd_advice_[l][i],
                                  cm_advice_[l][i]);

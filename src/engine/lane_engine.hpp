@@ -38,7 +38,8 @@
 //               count degenerates to c).
 //      kLocal:  per-neighborhood counts c_i = |{j broadcasting : j == i or
 //               j ~ i}| with advice from the same DetectorSpec envelope
-//               evaluated per receiver (OracleDetector::advise_local).
+//               evaluated per live process, in one batched call
+//               (OracleDetector::advise_local).
 //
 // Crash-point visibility follows the scope: kGlobal keeps the literal
 // Definition 11 reading (an after-send crasher's round-r view N_r[i] still
@@ -52,11 +53,17 @@
 // Layout is struct-of-arrays in BOTH directions:
 //
 //  * process words -- per lane, the alive / halted / participating / sent
-//    flags over processes, and each adjacency row, are packed ceil(n/64)
-//    `uint64_t`s wide (adjacency is [lane][i][word]).  The delivery loops
-//    iterate SET BITS of `sent & adjacency_row(i)` instead of scanning all
-//    n senders per receiver, so clique delivery costs O(broadcasters *
-//    n / 64) word operations, not O(n^2).
+//    sets over processes, the crash marks and each adjacency row are word
+//    rows (util/bitwords.hpp): ceil(n/64) `uint64_t`s, bits at or above n
+//    always zero (adjacency is [lane][i][word]).  They are the only form
+//    of a process set: the adversary seams read them as BitViews (W_r's
+//    participants, the crash hooks' live set, the loss adversary's
+//    senders, kLocal D_r's live set) and write crash marks into one shared
+//    word row, and the loss adversary's DeliveryMatrix is one receiver
+//    word row per sender.  The delivery loops iterate SET BITS of
+//    `sent & adjacency_row(i)` instead of scanning all n senders per
+//    receiver, so clique delivery costs O(broadcasters * n / 64) word
+//    operations, not O(n^2).
 //
 //  * lane words -- per process, one `uint64_t` whose bit l mirrors lane
 //    l's alive / decided flag.  Which lanes still have an undecided
@@ -77,7 +84,7 @@
 // pins this, and pins both against hashes frozen from the retired scalar
 // engine).  Per-round cost follows events rather than n:
 //
-//  * bitmask words replace vector<bool> scans (masks, termination);
+//  * masks and termination are word operations, not per-process scans;
 //  * senders are iterated as set bits, never scanned; a capture receiver
 //    picks its captured neighbour straight from the set bits of
 //    `sent & adjacency`;
@@ -92,9 +99,12 @@
 //    written only when it flips;
 //  * NoLoss (LossAdversary::always_delivers) skips the delivery matrix
 //    entirely -- it is stateless and RNG-free, so skipping it is
-//    unobservable;
+//    unobservable; any other adversary gets a zeroed word matrix and the
+//    sent set, and delivery reads only the sender rows;
 //  * both crash points run only inside the adversary's crash window,
-//    r <= FailureAdversary::last_crash_round().
+//    r <= FailureAdversary::last_crash_round(); a commit walks the set
+//    bits of `crash & alive`, and kGlobal's C_r masks the after-send marks
+//    straight out of the participants' words.
 //
 // Divergence rule: lanes share the round counter but not a fate.  A lane
 // that terminates (all correct processes decided, or the caller retires it)
@@ -113,6 +123,7 @@
 #include "obs/telemetry.hpp"
 #include "sim/execution_log.hpp"
 #include "sim/world.hpp"
+#include "util/bitwords.hpp"
 #include "util/rng.hpp"
 
 namespace ccd {
@@ -249,6 +260,7 @@ class LaneEngine {
 
  private:
   std::size_t lane_base(std::size_t l) const { return l * words_; }
+  BitView view(const std::uint64_t* row) const { return {{row, words_}, n_}; }
   const std::uint64_t* adj_row(std::size_t l, std::size_t i) const {
     return &adj_[adj_base_[l] + i * words_];
   }
@@ -289,12 +301,7 @@ class LaneEngine {
   std::vector<std::uint64_t> alive_lw_;
   std::vector<std::uint64_t> decided_lw_;
 
-  // Per-lane vectors handed to components (alive/participating are
-  // event-maintained, not rebuilt per round).
-  std::vector<std::vector<bool>> alive_vb_;
-  std::vector<std::vector<bool>> participating_vb_;
-  std::vector<std::vector<bool>> sent_vb_;
-  std::vector<std::vector<bool>> crash_mask_vb_;
+  // Per-lane, per-process advice and counts.
   std::vector<std::vector<CmAdvice>> cm_advice_;
   std::vector<std::vector<CdAdvice>> cd_advice_;
   std::vector<std::vector<std::uint32_t>> recv_count_;
@@ -314,6 +321,11 @@ class LaneEngine {
 
   // Shared scratch (consumed within one lane's round).
   DeliveryMatrix delivery_;
+  /// Crash marks of the failure hooks.  Every lane-round commits (and so
+  /// zeroes) its own marks before the next lane-round runs: before-send
+  /// marks at once, after-send marks after C_r (kGlobal) or before N_r
+  /// (kLocal).
+  std::vector<std::uint64_t> crash_;
   /// N_r of the lane-round in progress: every visited receiver's sorted
   /// multiset, appended in ascending receiver order.  Receiver i's is the
   /// recv_count_[l][i] messages from recv_off_[i]; a receiver delivery

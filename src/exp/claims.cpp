@@ -19,6 +19,7 @@
 #include "net/ecf_adversary.hpp"
 #include "net/unrestricted_loss.hpp"
 #include "util/bitcodec.hpp"
+#include "util/bitwords.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/value_bst.hpp"
@@ -1046,8 +1047,8 @@ std::vector<Claim> e10_gap(std::ostream& os) {
 std::vector<Claim> e11_backoff(std::ostream& os) {
   os << "=== E11: realizing the wake-up service with randomized "
         "backoff (Section 1.3) ===\n\n";
-  // The lock-in probe observes cm.stabilized_at() on a bare alive-vector,
-  // below the World layer: there is no run to sweep.
+  // The lock-in probe observes cm.stabilized_at() on a bare participant
+  // set, below the World layer: there is no run to sweep.
   os << "--- backoff lock-in time vs n (rounds until exactly one "
         "process stays active) ---\n";
   AsciiTable table({"n", "median", "p90", "max", "seeds"});
@@ -1057,7 +1058,7 @@ std::vector<Claim> e11_backoff(std::ostream& os) {
     Stats& lock = locks.emplace_back();
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       BackoffCm cm(BackoffCm::Options{.seed = seed});
-      std::vector<bool> alive(n, true);
+      const BitSet alive(n, /*all=*/true);
       std::vector<CmAdvice> advice;
       for (Round r = 1; r <= 5000 && cm.stabilized_at() == kNeverRound; ++r) {
         cm.advise(r, alive, advice);

@@ -9,46 +9,41 @@ ScheduledCrash::ScheduledCrash(std::vector<CrashEvent> events)
   }
 }
 
-void ScheduledCrash::crash_before_send(Round round,
-                                       const std::vector<bool>& alive,
-                                       std::vector<bool>& out) {
+void ScheduledCrash::mark(Round round, CrashPoint point, BitView alive,
+                          std::span<std::uint64_t> crash) const {
   for (const CrashEvent& e : events_) {
-    if (e.round == round && e.point == CrashPoint::kBeforeSend &&
-        e.process < alive.size() && alive[e.process]) {
-      out[e.process] = true;
+    if (e.round == round && e.point == point && e.process < alive.size() &&
+        alive.test(e.process)) {
+      set_bit(crash, e.process);
     }
   }
 }
 
-void ScheduledCrash::crash_after_send(Round round,
-                                      const std::vector<bool>& alive,
-                                      std::vector<bool>& out) {
-  for (const CrashEvent& e : events_) {
-    if (e.round == round && e.point == CrashPoint::kAfterSend &&
-        e.process < alive.size() && alive[e.process]) {
-      out[e.process] = true;
-    }
-  }
+void ScheduledCrash::crash_before_send(Round round, BitView alive,
+                                       std::span<std::uint64_t> crash) {
+  mark(round, CrashPoint::kBeforeSend, alive, crash);
+}
+
+void ScheduledCrash::crash_after_send(Round round, BitView alive,
+                                      std::span<std::uint64_t> crash) {
+  mark(round, CrashPoint::kAfterSend, alive, crash);
 }
 
 RandomCrash::RandomCrash(Options opts) : opts_(opts), rng_(opts.seed) {}
 
-void RandomCrash::crash_before_send(Round round,
-                                    const std::vector<bool>& alive,
-                                    std::vector<bool>& out) {
+void RandomCrash::crash_before_send(Round round, BitView alive,
+                                    std::span<std::uint64_t> crash) {
   if (round > opts_.stop_after) return;
-  std::uint32_t alive_count = 0;
-  for (bool a : alive) alive_count += a ? 1 : 0;
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (!alive[i] || alive_count <= 1 || crashes_ >= opts_.max_crashes) {
-      continue;
-    }
+  // Dead processes draw nothing.
+  std::uint32_t alive_count = alive.count();
+  alive.for_each([&](std::size_t i) {
+    if (alive_count <= 1 || crashes_ >= opts_.max_crashes) return;
     if (rng_.chance(opts_.p)) {
-      out[i] = true;
+      set_bit(crash, i);
       ++crashes_;
       --alive_count;
     }
-  }
+  });
 }
 
 }  // namespace ccd

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/types.hpp"
+#include "util/bitwords.hpp"
 #include "util/rng.hpp"
 
 namespace ccd {
@@ -33,24 +35,17 @@ class FailureAdversary {
  public:
   virtual ~FailureAdversary() = default;
 
-  /// Mark processes to crash before round `round`'s sends.  `out` arrives
-  /// all-false with one slot per process; only currently-alive slots are
-  /// honoured.
-  virtual void crash_before_send(Round round, const std::vector<bool>& alive,
-                                 std::vector<bool>& out) {
-    (void)round;
-    (void)alive;
-    (void)out;
-  }
+  /// Mark processes to crash before round `round`'s sends by setting their
+  /// bits in `crash` (set_bit).  `alive` is the set of live processes
+  /// (alive.size() is n); `crash` arrives zeroed, word_count(n) words, and
+  /// only bits below n may be set.  Marks of dead processes are ignored.
+  virtual void crash_before_send(Round /*round*/, BitView /*alive*/,
+                                 std::span<std::uint64_t> /*crash*/) {}
 
   /// Mark processes to crash after round `round`'s sends (their message is
-  /// delivered, their transition is skipped).
-  virtual void crash_after_send(Round round, const std::vector<bool>& alive,
-                                std::vector<bool>& out) {
-    (void)round;
-    (void)alive;
-    (void)out;
-  }
+  /// delivered, their transition is skipped); same contract.
+  virtual void crash_after_send(Round /*round*/, BitView /*alive*/,
+                                std::span<std::uint64_t> /*crash*/) {}
 
   /// Upper bound on the last round in which this adversary crashes anyone;
   /// 0 when failure-free.  Used for "after failures cease" accounting
@@ -73,14 +68,17 @@ class ScheduledCrash final : public FailureAdversary {
  public:
   explicit ScheduledCrash(std::vector<CrashEvent> events);
 
-  void crash_before_send(Round round, const std::vector<bool>& alive,
-                         std::vector<bool>& out) override;
-  void crash_after_send(Round round, const std::vector<bool>& alive,
-                        std::vector<bool>& out) override;
+  void crash_before_send(Round round, BitView alive,
+                         std::span<std::uint64_t> crash) override;
+  void crash_after_send(Round round, BitView alive,
+                        std::span<std::uint64_t> crash) override;
   Round last_crash_round() const override { return last_round_; }
   const char* name() const override { return "ScheduledCrash"; }
 
  private:
+  void mark(Round round, CrashPoint point, BitView alive,
+            std::span<std::uint64_t> crash) const;
+
   std::vector<CrashEvent> events_;
   Round last_round_ = 0;
 };
@@ -99,8 +97,8 @@ class RandomCrash final : public FailureAdversary {
 
   explicit RandomCrash(Options opts);
 
-  void crash_before_send(Round round, const std::vector<bool>& alive,
-                         std::vector<bool>& out) override;
+  void crash_before_send(Round round, BitView alive,
+                         std::span<std::uint64_t> crash) override;
   Round last_crash_round() const override { return opts_.stop_after; }
   const char* name() const override { return "RandomCrash"; }
 

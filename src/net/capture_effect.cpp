@@ -5,17 +5,13 @@ namespace ccd {
 CaptureEffectLoss::CaptureEffectLoss(Options opts)
     : opts_(opts), rng_(opts.seed) {}
 
-void CaptureEffectLoss::decide_delivery(Round round,
-                                        const std::vector<bool>& sent,
+void CaptureEffectLoss::decide_delivery(Round round, BitView sent,
                                         DeliveryMatrix& out) {
-  broadcasters_.clear();
-  for (std::size_t j = 0; j < sent.size(); ++j) {
-    if (sent[j]) broadcasters_.push_back(static_cast<std::uint32_t>(j));
-  }
-  if (broadcasters_.empty()) return;
+  const std::uint32_t c = sent.count();
+  if (c == 0) return;
 
-  if (broadcasters_.size() == 1) {
-    const std::uint32_t j = broadcasters_.front();
+  if (c == 1) {
+    const std::size_t j = sent.first();
     const bool guaranteed = opts_.r_cf != kNeverRound && round >= opts_.r_cf;
     for (std::size_t i = 0; i < sent.size(); ++i) {
       if (guaranteed || rng_.chance(opts_.p_single_deliver)) {
@@ -26,11 +22,7 @@ void CaptureEffectLoss::decide_delivery(Round round,
   }
 
   // Contention: each receiver captures at most one transmission.
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    if (rng_.chance(opts_.p_capture)) {
-      out.set(i, broadcasters_[rng_.below(broadcasters_.size())], true);
-    }
-  }
+  out.deliver_captured(sent, opts_.p_capture, rng_);
 }
 
 }  // namespace ccd

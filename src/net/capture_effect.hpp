@@ -26,7 +26,7 @@ class CaptureEffectLoss final : public LossAdversary {
 
   explicit CaptureEffectLoss(Options opts);
 
-  void decide_delivery(Round round, const std::vector<bool>& sent,
+  void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return opts_.r_cf; }
   const char* name() const override { return "CaptureEffectLoss"; }
@@ -34,7 +34,6 @@ class CaptureEffectLoss final : public LossAdversary {
  private:
   Options opts_;
   Rng rng_;
-  std::vector<std::uint32_t> broadcasters_;
 };
 
 }  // namespace ccd

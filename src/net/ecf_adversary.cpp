@@ -4,49 +4,14 @@ namespace ccd {
 
 EcfAdversary::EcfAdversary(Options opts) : opts_(opts), rng_(opts.seed) {}
 
-void EcfAdversary::fill_random(const std::vector<bool>& sent,
-                               DeliveryMatrix& out) {
-  const std::size_t n = sent.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!sent[j]) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == j || rng_.chance(opts_.p_deliver)) out.set(i, j, true);
-    }
-  }
-}
-
-void EcfAdversary::fill_capture(const std::vector<bool>& sent,
-                                DeliveryMatrix& out) {
-  broadcasters_.clear();
-  for (std::size_t j = 0; j < sent.size(); ++j) {
-    if (sent[j]) broadcasters_.push_back(static_cast<std::uint32_t>(j));
-  }
-  if (broadcasters_.empty()) return;
-  // Each receiver independently captures one random transmission with
-  // probability p_deliver (the capture effect of Section 1.1 [71]); the
-  // rest of the simultaneous transmissions are lost at that receiver.
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    if (rng_.chance(opts_.p_deliver)) {
-      const std::uint32_t j =
-          broadcasters_[rng_.below(broadcasters_.size())];
-      out.set(i, j, true);
-    }
-  }
-}
-
-void EcfAdversary::decide_delivery(Round round, const std::vector<bool>& sent,
+void EcfAdversary::decide_delivery(Round round, BitView sent,
                                    DeliveryMatrix& out) {
-  const std::size_t n = sent.size();
-  std::uint32_t c = 0;
-  for (bool s : sent) c += s ? 1 : 0;
+  const std::uint32_t c = sent.count();
   if (c == 0) return;
 
   if (round >= opts_.r_cf && c == 1) {
     // ECF obligation: the lone broadcaster is heard by everyone.
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!sent[j]) continue;
-      for (std::size_t i = 0; i < n; ++i) out.set(i, j, true);
-    }
+    out.deliver_to_all(sent);
     return;
   }
 
@@ -55,10 +20,10 @@ void EcfAdversary::decide_delivery(Round round, const std::vector<bool>& sent,
       case PreMode::kDropOthers:
         return;  // self-delivery is enforced by the executor
       case PreMode::kRandom:
-        fill_random(sent, out);
+        out.deliver_iid(sent, opts_.p_deliver, rng_);
         return;
       case PreMode::kCapture:
-        fill_capture(sent, out);
+        out.deliver_captured(sent, opts_.p_deliver, rng_);
         return;
     }
     return;
@@ -69,16 +34,13 @@ void EcfAdversary::decide_delivery(Round round, const std::vector<bool>& sent,
     case ContentionMode::kOwnOnly:
       return;
     case ContentionMode::kRandom:
-      fill_random(sent, out);
+      out.deliver_iid(sent, opts_.p_deliver, rng_);
       return;
     case ContentionMode::kCapture:
-      fill_capture(sent, out);
+      out.deliver_captured(sent, opts_.p_deliver, rng_);
       return;
     case ContentionMode::kDeliverAll:
-      for (std::size_t j = 0; j < n; ++j) {
-        if (!sent[j]) continue;
-        for (std::size_t i = 0; i < n; ++i) out.set(i, j, true);
-      }
+      out.deliver_to_all(sent);
       return;
   }
 }

@@ -37,18 +37,14 @@ class EcfAdversary final : public LossAdversary {
 
   explicit EcfAdversary(Options opts);
 
-  void decide_delivery(Round round, const std::vector<bool>& sent,
+  void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return opts_.r_cf; }
   const char* name() const override { return "EcfAdversary"; }
 
  private:
-  void fill_random(const std::vector<bool>& sent, DeliveryMatrix& out);
-  void fill_capture(const std::vector<bool>& sent, DeliveryMatrix& out);
-
   Options opts_;
   Rng rng_;
-  std::vector<std::uint32_t> broadcasters_;  // scratch
 };
 
 }  // namespace ccd

@@ -16,36 +16,58 @@
 #include <vector>
 
 #include "model/types.hpp"
+#include "util/bitwords.hpp"
+#include "util/rng.hpp"
 
 namespace ccd {
 
-/// Row-major n x n boolean matrix; entry (receiver, sender).
+/// Delivery decisions of one round: for each sender j, the word row of
+/// receivers that get j's message (bit i of row j = entry (i, j)).  n rows
+/// of word_count(n) words; bits at or above n stay zero.
 class DeliveryMatrix {
  public:
-  void reset(std::size_t n, bool value);
+  /// n x n, nothing delivered.
+  void reset(std::size_t n);
   bool delivered(std::size_t receiver, std::size_t sender) const {
-    return bits_[receiver * n_ + sender];
+    return receivers(sender).test(receiver);
   }
   void set(std::size_t receiver, std::size_t sender, bool value) {
-    bits_[receiver * n_ + sender] = value;
+    std::uint64_t& word = bits_[sender * words_ + receiver / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (receiver % 64);
+    word = value ? word | bit : word & ~bit;
   }
-  std::size_t size() const { return n_; }
+  /// Every process receives the message of every sender in `senders`.
+  void deliver_to_all(BitView senders);
+  /// iid links: for each sender j ascending, each receiver i ascending
+  /// gets j's message with probability p -- one draw per (i, j), i != j;
+  /// the self entry is set without a draw.
+  void deliver_iid(BitView senders, double p, Rng& rng);
+  /// Capture effect (Section 1.1 [71]): each receiver i ascending, with
+  /// probability p, gets the message of one sender drawn uniformly from
+  /// `senders` (nonempty) and loses the others.
+  void deliver_captured(BitView senders, double p, Rng& rng);
+  /// The receivers of `sender`'s message.
+  BitView receivers(std::size_t sender) const {
+    return {{bits_.data() + sender * words_, words_}, n_};
+  }
 
  private:
   std::size_t n_ = 0;
-  std::vector<bool> bits_;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> bits_;  // [sender][receiver word]
 };
 
 class LossAdversary {
  public:
   virtual ~LossAdversary() = default;
 
-  /// Decide delivery for round `round`.  `sent[j]` is true iff process j
-  /// broadcast (crashed processes never have sent[j] set).  `out` arrives
-  /// reset to all-false; set (i, j) for every message of j that i receives.
-  /// Self-delivery for senders is enforced by the executor afterwards, so
-  /// adversaries need not (but may) set the diagonal.
-  virtual void decide_delivery(Round round, const std::vector<bool>& sent,
+  /// Decide delivery for round `round`.  `sent` holds the processes that
+  /// broadcast (crashed processes are never in it); sent.size() is n.
+  /// `out` arrives reset to nothing-delivered; set (i, j) for every message
+  /// of j that i receives, only for j in `sent` (the executor reads no
+  /// other row).  Self-delivery for senders is enforced by the executor
+  /// afterwards, so adversaries need not (but may) set the diagonal.
+  virtual void decide_delivery(Round round, BitView sent,
                                DeliveryMatrix& out) = 0;
 
   /// The r_cf posited by eventual collision freedom, or kNeverRound if this

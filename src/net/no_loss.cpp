@@ -2,13 +2,9 @@
 
 namespace ccd {
 
-void NoLoss::decide_delivery(Round /*round*/, const std::vector<bool>& sent,
+void NoLoss::decide_delivery(Round /*round*/, BitView sent,
                              DeliveryMatrix& out) {
-  const std::size_t n = sent.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!sent[j]) continue;
-    for (std::size_t i = 0; i < n; ++i) out.set(i, j, true);
-  }
+  out.deliver_to_all(sent);
 }
 
 }  // namespace ccd

@@ -9,7 +9,7 @@ namespace ccd {
 
 class NoLoss final : public LossAdversary {
  public:
-  void decide_delivery(Round round, const std::vector<bool>& sent,
+  void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return 1; }
   bool always_delivers() const override { return true; }

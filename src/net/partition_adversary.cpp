@@ -5,12 +5,12 @@ namespace ccd {
 PartitionAdversary::PartitionAdversary(Options opts) : opts_(opts) {}
 
 void PartitionAdversary::deliver_within_group(std::size_t lo, std::size_t hi,
-                                              const std::vector<bool>& sent,
+                                              BitView sent,
                                               DeliveryMatrix& out) const {
   std::size_t broadcasters = 0;
   std::size_t lone = lo;
   for (std::size_t j = lo; j < hi; ++j) {
-    if (sent[j]) {
+    if (sent.test(j)) {
       ++broadcasters;
       lone = j;
     }
@@ -22,15 +22,11 @@ void PartitionAdversary::deliver_within_group(std::size_t lo, std::size_t hi,
   // broadcasters == 0: nothing to deliver.
 }
 
-void PartitionAdversary::decide_delivery(Round round,
-                                         const std::vector<bool>& sent,
+void PartitionAdversary::decide_delivery(Round round, BitView sent,
                                          DeliveryMatrix& out) {
   const std::size_t n = sent.size();
   if (round >= opts_.heal_round) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!sent[j]) continue;
-      for (std::size_t i = 0; i < n; ++i) out.set(i, j, true);
-    }
+    out.deliver_to_all(sent);
     return;
   }
   const std::size_t split = opts_.split < n ? opts_.split : n;

@@ -25,7 +25,7 @@ class PartitionAdversary final : public LossAdversary {
 
   explicit PartitionAdversary(Options opts);
 
-  void decide_delivery(Round round, const std::vector<bool>& sent,
+  void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
 
   /// ECF holds iff the partition eventually heals.
@@ -33,8 +33,7 @@ class PartitionAdversary final : public LossAdversary {
   const char* name() const override { return "PartitionAdversary"; }
 
  private:
-  void deliver_within_group(std::size_t lo, std::size_t hi,
-                            const std::vector<bool>& sent,
+  void deliver_within_group(std::size_t lo, std::size_t hi, BitView sent,
                             DeliveryMatrix& out) const;
 
   Options opts_;

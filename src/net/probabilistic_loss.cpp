@@ -5,22 +5,15 @@ namespace ccd {
 ProbabilisticLoss::ProbabilisticLoss(Options opts)
     : opts_(opts), rng_(opts.seed) {}
 
-void ProbabilisticLoss::decide_delivery(Round round,
-                                        const std::vector<bool>& sent,
+void ProbabilisticLoss::decide_delivery(Round round, BitView sent,
                                         DeliveryMatrix& out) {
-  const std::size_t n = sent.size();
-  std::uint32_t c = 0;
-  for (bool s : sent) c += s ? 1 : 0;
-  const bool ecf_now =
-      opts_.r_cf != kNeverRound && round >= opts_.r_cf && c == 1;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!sent[j]) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == j || ecf_now || rng_.chance(opts_.p_deliver)) {
-        out.set(i, j, true);
-      }
-    }
+  if (opts_.r_cf != kNeverRound && round >= opts_.r_cf && sent.count() == 1) {
+    out.deliver_to_all(sent);  // ECF: the lone broadcaster, no draws
+    return;
   }
+  // Every receiver draws, in range of the sender or not: the stream does
+  // not depend on the topology the engine masks the matrix with.
+  out.deliver_iid(sent, opts_.p_deliver, rng_);
 }
 
 }  // namespace ccd

@@ -19,7 +19,7 @@ class ProbabilisticLoss final : public LossAdversary {
 
   explicit ProbabilisticLoss(Options opts);
 
-  void decide_delivery(Round round, const std::vector<bool>& sent,
+  void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return opts_.r_cf; }
   const char* name() const override { return "ProbabilisticLoss"; }

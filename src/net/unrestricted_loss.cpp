@@ -5,17 +5,10 @@ namespace ccd {
 UnrestrictedLoss::UnrestrictedLoss(Options opts)
     : opts_(opts), rng_(opts.seed) {}
 
-void UnrestrictedLoss::decide_delivery(Round /*round*/,
-                                       const std::vector<bool>& sent,
+void UnrestrictedLoss::decide_delivery(Round /*round*/, BitView sent,
                                        DeliveryMatrix& out) {
   if (opts_.mode == Mode::kDropOthers) return;  // only self-delivery survives
-  const std::size_t n = sent.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!sent[j]) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == j || rng_.chance(opts_.p_deliver)) out.set(i, j, true);
-    }
-  }
+  out.deliver_iid(sent, opts_.p_deliver, rng_);
 }
 
 }  // namespace ccd

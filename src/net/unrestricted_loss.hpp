@@ -25,7 +25,7 @@ class UnrestrictedLoss final : public LossAdversary {
 
   explicit UnrestrictedLoss(Options opts);
 
-  void decide_delivery(Round round, const std::vector<bool>& sent,
+  void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return kNeverRound; }
   const char* name() const override { return "UnrestrictedLoss"; }

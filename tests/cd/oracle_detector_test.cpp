@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/bitwords.hpp"
+
 namespace ccd {
 namespace {
 
@@ -175,6 +177,65 @@ TEST_P(PolicyEnvelope, AllAdviceLegal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyEnvelope, ::testing::Range(0, 6));
+
+/// Records which processes it was asked about; always answers null.
+class RecordingPolicy final : public AdvicePolicy {
+ public:
+  explicit RecordingPolicy(std::vector<ProcessId>* asked) : asked_(asked) {}
+  CdAdvice choose(Round, ProcessId i, std::uint32_t, std::uint32_t) override {
+    asked_->push_back(i);
+    return CdAdvice::kNull;
+  }
+  const char* name() const override { return "recording"; }
+
+ private:
+  std::vector<ProcessId>* asked_;
+};
+
+TEST(OracleDetector, AdviseLocalAsksOncePerLiveProcessAscending) {
+  // n = 65: the live set straddles the word boundary.  Under NoAcc with
+  // t == c every choice is free, so the policy sees each live process once,
+  // in ascending order, and no dead entry is written.
+  std::vector<ProcessId> asked;
+  OracleDetector det(DetectorSpec::NoAcc(),
+                     std::make_unique<RecordingPolicy>(&asked));
+  BitSet alive(65);
+  for (std::size_t i : {0u, 3u, 63u, 64u}) alive.set(i);
+  const std::vector<std::uint32_t> c(65, 1);
+  const std::vector<std::uint32_t> t(65, 1);
+  std::vector<CdAdvice> out(65, CdAdvice::kCollision);
+  det.advise_local(1, alive, c, t, out);
+  EXPECT_EQ(asked, (std::vector<ProcessId>{0, 3, 63, 64}));
+  for (std::size_t i = 0; i < 65; ++i) {
+    EXPECT_EQ(out[i], alive.test(i) ? CdAdvice::kNull : CdAdvice::kCollision)
+        << "process " << i;
+  }
+}
+
+TEST(OracleDetector, AdviseLocalOverEveryoneEqualsGlobalAdvise) {
+  // One per-process resolution for both scopes: with every process live and
+  // c_i = c, the batched local call and the global call agree draw for draw.
+  for (std::size_t n : {64u, 65u, 130u}) {
+    OracleDetector global(DetectorSpec::MajOAC(5),
+                          std::make_unique<RandomLegalPolicy>(7));
+    OracleDetector local(DetectorSpec::MajOAC(5),
+                         std::make_unique<RandomLegalPolicy>(7));
+    const BitSet everyone(n, true);
+    for (Round r = 1; r <= 8; ++r) {
+      const std::uint32_t c = r % 4;
+      std::vector<std::uint32_t> t(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        t[i] = static_cast<std::uint32_t>(i % (c + 1));
+      }
+      std::vector<CdAdvice> want;
+      global.advise(r, c, t, want);
+      std::vector<CdAdvice> got(n, CdAdvice::kNull);
+      local.advise_local(r, everyone, std::vector<std::uint32_t>(n, c), t,
+                         got);
+      EXPECT_EQ(got, want) << "n " << n << " round " << r;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ccd

@@ -5,6 +5,8 @@
 #include "cm/leader_election.hpp"
 #include "cm/no_cm.hpp"
 #include "cm/wakeup_service.hpp"
+#include "util/bitwords.hpp"
+#include "util/rng.hpp"
 
 namespace ccd {
 namespace {
@@ -17,7 +19,7 @@ std::uint32_t active_count(const std::vector<CmAdvice>& advice) {
 
 TEST(NoCm, EveryoneActiveAlways) {
   NoCm cm;
-  std::vector<bool> alive(5, true);
+  BitSet alive(5, true);
   std::vector<CmAdvice> advice;
   for (Round r = 1; r <= 20; ++r) {
     cm.advise(r, alive, advice);
@@ -31,7 +33,7 @@ TEST(WakeupService, ExactlyOneActiveAfterRwake) {
   opts.r_wake = 10;
   opts.pre = WakeupService::PreStabilization::kAllActive;
   WakeupService cm(opts);
-  std::vector<bool> alive(6, true);
+  BitSet alive(6, true);
   std::vector<CmAdvice> advice;
   for (Round r = 1; r <= 50; ++r) {
     cm.advise(r, alive, advice);
@@ -48,7 +50,7 @@ TEST(WakeupService, RotationIsWsButNotLs) {
   opts.r_wake = 1;
   opts.post = WakeupService::PostStabilization::kRotateAlive;
   WakeupService cm(opts);
-  std::vector<bool> alive(3, true);
+  BitSet alive(3, true);
   std::vector<CmAdvice> advice;
   std::vector<int> chosen;
   for (Round r = 1; r <= 6; ++r) {
@@ -66,11 +68,11 @@ TEST(WakeupService, MinAliveAdaptsToCrashes) {
   WakeupService::Options opts;
   opts.r_wake = 1;
   WakeupService cm(opts);
-  std::vector<bool> alive = {true, true, true};
+  BitSet alive = {true, true, true};
   std::vector<CmAdvice> advice;
   cm.advise(1, alive, advice);
   EXPECT_EQ(advice[0], CmAdvice::kActive);
-  alive[0] = false;
+  alive.set(0, false);
   cm.advise(2, alive, advice);
   EXPECT_EQ(advice[0], CmAdvice::kPassive);
   EXPECT_EQ(advice[1], CmAdvice::kActive);
@@ -81,7 +83,7 @@ TEST(WakeupService, FixedMinIgnoresCrashes) {
   opts.r_wake = 1;
   opts.post = WakeupService::PostStabilization::kFixedMin;
   WakeupService cm(opts);
-  std::vector<bool> alive = {false, true};
+  BitSet alive = {false, true};
   std::vector<CmAdvice> advice;
   cm.advise(5, alive, advice);
   // Legal per the formal WS definition, deadly for liveness: the dead
@@ -95,7 +97,7 @@ TEST(WakeupService, AllPassivePreStabilization) {
   opts.r_wake = 4;
   opts.pre = WakeupService::PreStabilization::kAllPassive;
   WakeupService cm(opts);
-  std::vector<bool> alive(4, true);
+  BitSet alive(4, true);
   std::vector<CmAdvice> advice;
   for (Round r = 1; r <= 3; ++r) {
     cm.advise(r, alive, advice);
@@ -107,7 +109,7 @@ TEST(LeaderElection, SameLeaderForever) {
   LeaderElectionService::Options opts;
   opts.r_lead = 5;
   LeaderElectionService cm(opts);
-  std::vector<bool> alive(4, true);
+  BitSet alive(4, true);
   std::vector<CmAdvice> advice;
   for (Round r = 5; r <= 30; ++r) {
     cm.advise(r, alive, advice);
@@ -122,11 +124,11 @@ TEST(LeaderElection, ReelectsOnCrashWhenAdaptive) {
   opts.r_lead = 1;
   opts.adapt_on_crash = true;
   LeaderElectionService cm(opts);
-  std::vector<bool> alive = {true, true};
+  BitSet alive = {true, true};
   std::vector<CmAdvice> advice;
   cm.advise(1, alive, advice);
   EXPECT_EQ(cm.current_leader(), 0u);
-  alive[0] = false;
+  alive.set(0, false);
   cm.advise(2, alive, advice);
   EXPECT_EQ(cm.current_leader(), 1u);
   EXPECT_EQ(advice[1], CmAdvice::kActive);
@@ -137,10 +139,10 @@ TEST(LeaderElection, StrictVariantKeepsDeadLeader) {
   opts.r_lead = 1;
   opts.adapt_on_crash = false;
   LeaderElectionService cm(opts);
-  std::vector<bool> alive = {true, true};
+  BitSet alive = {true, true};
   std::vector<CmAdvice> advice;
   cm.advise(1, alive, advice);
-  alive[0] = false;
+  alive.set(0, false);
   cm.advise(2, alive, advice);
   EXPECT_EQ(advice[0], CmAdvice::kActive);  // formally legal LS behaviour
   EXPECT_EQ(advice[1], CmAdvice::kPassive);
@@ -151,7 +153,7 @@ TEST(ScriptedCm, ReplaysScriptThenLastEntry) {
       {CmAdvice::kActive, CmAdvice::kActive},
       {CmAdvice::kPassive, CmAdvice::kActive}};
   ScriptedCm cm(script, 2);
-  std::vector<bool> alive(2, true);
+  BitSet alive(2, true);
   std::vector<CmAdvice> advice;
   cm.advise(1, alive, advice);
   EXPECT_EQ(active_count(advice), 2u);
@@ -163,7 +165,7 @@ TEST(ScriptedCm, ReplaysScriptThenLastEntry) {
 
 TEST(TwoGroupMaxLs, TwoMinimaThenOne) {
   TwoGroupMaxLs cm(/*split=*/3, /*k=*/4);
-  std::vector<bool> alive(6, true);
+  BitSet alive(6, true);
   std::vector<CmAdvice> advice;
   for (Round r = 1; r <= 4; ++r) {
     cm.advise(r, alive, advice);
@@ -179,7 +181,7 @@ TEST(TwoGroupMaxLs, TwoMinimaThenOne) {
 
 TEST(BackoffCm, EventuallyLocksOntoOneProcess) {
   BackoffCm cm(BackoffCm::Options{.seed = 5});
-  std::vector<bool> alive(16, true);
+  BitSet alive(16, true);
   std::vector<CmAdvice> advice;
   Round r = 1;
   for (; r <= 2000; ++r) {
@@ -203,7 +205,7 @@ TEST(BackoffCm, EventuallyLocksOntoOneProcess) {
 
 TEST(BackoffCm, RelocksAfterLeaderCrash) {
   BackoffCm cm(BackoffCm::Options{.seed = 6});
-  std::vector<bool> alive(8, true);
+  BitSet alive(8, true);
   std::vector<CmAdvice> advice;
   Round r = 1;
   for (; r <= 2000 && cm.stabilized_at() == kNeverRound; ++r) {
@@ -216,7 +218,7 @@ TEST(BackoffCm, RelocksAfterLeaderCrash) {
     if (advice[i] == CmAdvice::kActive) locked = i;
   }
   ASSERT_GE(locked, 0);
-  alive[locked] = false;
+  alive.set(locked, false);
   bool relocked = false;
   for (Round rr = r + 1; rr <= r + 2000; ++rr) {
     cm.advise(rr, alive, advice);
@@ -232,6 +234,30 @@ TEST(BackoffCm, RelocksAfterLeaderCrash) {
     }
   }
   EXPECT_TRUE(relocked);
+}
+
+TEST(BackoffCm, AdvisesOnlyParticipantsAtTheWordBoundary) {
+  // n = 64 and 65: never an active non-participant, and advice for exactly
+  // the n processes (nothing at or above n).
+  for (std::size_t n : {64u, 65u}) {
+    BackoffCm cm(BackoffCm::Options{.seed = 8, .initial_window = 2});
+    Rng rng(0xc0ffu + n);
+    std::vector<CmAdvice> advice;
+    for (Round r = 1; r <= 200; ++r) {
+      BitSet participating(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        participating.set(i, rng.chance(0.6));
+      }
+      cm.advise(r, participating, advice);
+      ASSERT_EQ(advice.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (advice[i] == CmAdvice::kActive) {
+          EXPECT_TRUE(participating.test(i))
+              << "n " << n << " round " << r << " process " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

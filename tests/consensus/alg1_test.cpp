@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cd/oracle_detector.hpp"
+#include "cm/no_cm.hpp"
 #include "cm/wakeup_service.hpp"
 #include "consensus/alg1_maj_oac.hpp"
 #include "consensus/harness.hpp"
@@ -12,6 +13,7 @@
 #include "lowerbound/composition.hpp"
 #include "net/capture_effect.hpp"
 #include "net/ecf_adversary.hpp"
+#include "scripted_drop_loss.hpp"
 
 namespace ccd {
 namespace {
@@ -172,6 +174,30 @@ TEST(Alg1, SameAdversaryIsHarmlessWithMajorityCompleteness) {
   // No decision can precede the heal: the groups are indistinguishable
   // from their solo executions until round k.
   EXPECT_GT(outcome.summary.verdict.first_decision_round, config.k);
+}
+
+TEST(Alg1, VetoOnTwoValuesKeepsAgreementUnderMajorityLoss) {
+  // The hand tape for a veto rule that fires only on three or more distinct
+  // proposals.  n = 3, |V| = 2: A and C propose 1, B proposes 0, everyone
+  // active.  In round 1 B's message is lost at A and at C, who hear 2 of 3
+  // messages -- maj-completeness lets a prefer-null detector stay silent --
+  // and adopt 1; B hears both values.  Only B's veto in round 2 stops A and
+  // C from deciding 1 while B keeps 0 (the minimum) and decides it later.
+  Alg1Algorithm alg;
+  const ScriptedDropLoss::Drop drops[] = {{1, 0, 1}, {1, 2, 1}};
+  World world = make_world(
+      alg, {1, 0, 1}, std::make_unique<NoCm>(),
+      std::make_unique<OracleDetector>(DetectorSpec::MajOAC(1),
+                                       make_prefer_null_policy()),
+      std::make_unique<ScriptedDropLoss>(
+          std::vector<ScriptedDropLoss::Drop>(std::begin(drops),
+                                              std::end(drops)),
+          /*r_cf=*/2),
+      std::make_unique<NoFailures>());
+  const RunSummary summary = run_consensus(std::move(world), 40);
+  EXPECT_TRUE(summary.verdict.agreement);
+  EXPECT_TRUE(summary.verdict.strong_validity);
+  EXPECT_TRUE(summary.verdict.termination);
 }
 
 TEST(Alg1, NeverTerminatesWithNoCdDetector) {

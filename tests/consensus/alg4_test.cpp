@@ -11,40 +11,10 @@
 #include "fault/failure_adversary.hpp"
 #include "net/ecf_adversary.hpp"
 #include "net/no_loss.hpp"
+#include "scripted_drop_loss.hpp"
 
 namespace ccd {
 namespace {
-
-/// Perfect channel except for an explicit per-round drop list; r_cf is the
-/// round after the last drop, so ECF holds.
-class ScriptedDropLoss final : public LossAdversary {
- public:
-  struct Drop {
-    Round round;
-    std::uint32_t receiver;
-    std::uint32_t sender;
-  };
-  ScriptedDropLoss(std::vector<Drop> drops, Round r_cf)
-      : drops_(std::move(drops)), r_cf_(r_cf) {}
-
-  void decide_delivery(Round round, const std::vector<bool>& sent,
-                       DeliveryMatrix& out) override {
-    const std::size_t n = sent.size();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!sent[j]) continue;
-      for (std::size_t i = 0; i < n; ++i) out.set(i, j, true);
-    }
-    for (const Drop& d : drops_) {
-      if (d.round == round) out.set(d.receiver, d.sender, false);
-    }
-  }
-  Round r_cf() const override { return r_cf_; }
-  const char* name() const override { return "ScriptedDropLoss"; }
-
- private:
-  std::vector<Drop> drops_;
-  Round r_cf_;
-};
 
 World alg4_world(const Alg4Algorithm& alg, std::vector<Value> initials,
                  std::unique_ptr<LossAdversary> loss,

@@ -9,6 +9,7 @@
 #include "fault/failure_adversary.hpp"
 #include "net/ecf_adversary.hpp"
 #include "sim/executor.hpp"
+#include "util/bitwords.hpp"
 
 namespace ccd {
 namespace {
@@ -91,7 +92,7 @@ TEST(KWakeupService, RotationScheduleIsFair) {
   opts.r_wake = 1;
   opts.k = 3;
   KWakeupService cm(opts);
-  std::vector<bool> alive(4, true);
+  const BitSet alive(4, true);
   std::vector<CmAdvice> advice;
   std::vector<int> windows(4, 0);
   for (Round r = 1; r <= 24; ++r) {  // two full rotations
@@ -115,7 +116,7 @@ TEST(KWakeupService, NonRepeatingVariantGoesQuiet) {
   opts.k = 1;
   opts.repeat = false;
   KWakeupService cm(opts);
-  std::vector<bool> alive(3, true);
+  const BitSet alive(3, true);
   std::vector<CmAdvice> advice;
   cm.advise(4, alive, advice);  // past the 3-round rotation
   for (CmAdvice a : advice) EXPECT_EQ(a, CmAdvice::kPassive);

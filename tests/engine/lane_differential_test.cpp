@@ -434,6 +434,193 @@ TEST(LaneDifferential, RandomSpecsLaneVsScalarByteIdentical) {
   }
 }
 
+/// The two-word table: worlds of 65, 100 and 130 processes, where every
+/// process set spans two or three words and the last one is partial.
+/// Clique/kGlobal consensus sweeps each loss kind, contention manager and
+/// fault (a scheduled crash hits process 64, bit 0 of word 1); consensus
+/// on line, grid and rgg runs kMatrix/kLocal; flood and MIS run kCapture.
+/// Algorithm, detector and policy cycle with the row index.
+std::vector<ScenarioSpec> two_word_specs() {
+  std::vector<ScenarioSpec> specs;
+  for (std::uint32_t n : {65u, 100u, 130u}) {
+    ScenarioSpec base;
+    base.n = n;
+    base.num_values = 4;
+    base.cst_target = 4;
+    base.p_deliver = 0.6;
+    base.crash_p = 0.05;
+    base.max_rounds = 40;
+    for (LossKind loss : {LossKind::kNoLoss, LossKind::kEcf,
+                          LossKind::kProbabilistic, LossKind::kUnrestricted}) {
+      for (ChaosKind chaos : {ChaosKind::kCalm, ChaosKind::kChaotic}) {
+        ScenarioSpec spec = base;
+        spec.loss = loss;
+        spec.chaos = chaos;
+        specs.push_back(spec);
+      }
+    }
+    for (CmKind cm : {CmKind::kNoCm, CmKind::kWakeup, CmKind::kLeader,
+                      CmKind::kBackoff}) {
+      ScenarioSpec spec = base;
+      spec.cm = cm;
+      spec.loss = LossKind::kProbabilistic;
+      specs.push_back(spec);
+    }
+    ScenarioSpec random_crash = base;
+    random_crash.fault = FaultKind::kRandomCrash;
+    specs.push_back(random_crash);
+    ScenarioSpec scheduled = base;
+    scheduled.fault = FaultKind::kScheduled;
+    scheduled.crash_schedule = {{2, 64, CrashPoint::kAfterSend},
+                                {3, n - 1, CrashPoint::kBeforeSend},
+                                {3, 0, CrashPoint::kAfterSend},
+                                {5, 63, CrashPoint::kBeforeSend}};
+    specs.push_back(scheduled);
+    for (TopologyKind topo : {TopologyKind::kLine, TopologyKind::kGrid,
+                              TopologyKind::kRandomGeometric}) {
+      ScenarioSpec spec = base;
+      spec.topology = topo;
+      spec.loss = LossKind::kProbabilistic;
+      spec.fault = FaultKind::kRandomCrash;
+      specs.push_back(spec);
+      spec.loss = LossKind::kEcf;
+      spec.fault = FaultKind::kScheduled;
+      spec.crash_schedule_name = "min-vertex-cut";
+      specs.push_back(spec);
+      for (WorkloadKind workload : {WorkloadKind::kFlood, WorkloadKind::kMis}) {
+        ScenarioSpec mh = base;
+        mh.topology = topo;
+        mh.workload = workload;
+        mh.fault = workload == WorkloadKind::kFlood ? FaultKind::kRandomCrash
+                                                    : FaultKind::kNone;
+        specs.push_back(mh);
+      }
+    }
+  }
+  constexpr AlgKind kAlgs[] = {AlgKind::kAlg1, AlgKind::kAlg2, AlgKind::kAlg3,
+                               AlgKind::kAlg4, AlgKind::kNaive};
+  constexpr DetectorKind kDetectors[] = {
+      DetectorKind::kMajOAC, DetectorKind::kZeroOAC, DetectorKind::kAC,
+      DetectorKind::kHalfAC, DetectorKind::kNoCd,    DetectorKind::kOAC,
+      DetectorKind::kNoAcc};
+  constexpr PolicyKind kPolicies[] = {
+      PolicyKind::kTruthful,      PolicyKind::kPreferNull,
+      PolicyKind::kPreferCollision, PolicyKind::kSpurious,
+      PolicyKind::kFlakyMajority, PolicyKind::kRandomLegal};
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    specs[k].alg = kAlgs[k % std::size(kAlgs)];
+    specs[k].detector = kDetectors[k % std::size(kDetectors)];
+    specs[k].policy = kPolicies[k % std::size(kPolicies)];
+  }
+  return specs;
+}
+
+// FNV-1a of each two_word_specs() cell's JSON report, CSV report and
+// per-run counters (3 seeds, grid_seed 0x2b0d), captured from the engine
+// as it stood before the adversary seams took bit words (when it still
+// handed them vector<bool> copies of its masks).
+constexpr Frozen kFrozenTwoWord[] = {
+    {0xa5eefcd6d7a3db1eull, 0x743a5efd7660b0c0ull, 0x3436e8286c0c9b95ull},
+    {0xfd59741117a3a02full, 0x140adf8d0dd3bbc3ull, 0xdebbaa9bfe550b26ull},
+    {0x1df138294df3fac5ull, 0xaa64a01cb4837049ull, 0x18cf7e22516f2158ull},
+    {0x4d79794768d6fc4bull, 0x6c49d46d2f8ce1d3ull, 0xd65a36e0f1b17c1cull},
+    {0x0e2f56334a4af635ull, 0x69d588321381025full, 0x3a159a6a572ffd07ull},
+    {0x0d0b119a7e9a8615ull, 0xd846e67d845523f1ull, 0xc6f56bb9001fcc2dull},
+    {0xb78b90342269d743ull, 0xfddd766967ead5e7ull, 0xb98ee118e60fae72ull},
+    {0x03fd056fac1b7ea7ull, 0x4a5283fab96129e4ull, 0x5d79a8f92af4e422ull},
+    {0x9ac9958813a09345ull, 0xc20d2d3e1828efd7ull, 0x16e3a18801ca5de2ull},
+    {0x77f639df5867eb36ull, 0x08c5511017b1cab6ull, 0x3a159a6a572ffd07ull},
+    {0x65dbbc4dc9e08bf2ull, 0x72624a4f39051b34ull, 0x3d5e5b55551fa1abull},
+    {0x49af79966b196bdaull, 0x19142ef567a48126ull, 0xf54509afb646b765ull},
+    {0x94c2064ef2857fc4ull, 0xdea05ee702f1b044ull, 0x64d0934ab696bc5aull},
+    {0xc8c8dbde73a6d8d7ull, 0xe5e0a81be8700ec5ull, 0x2c7c290e441e7cbbull},
+    {0xd6202c39d334d949ull, 0x6efe4beeeb531521ull, 0xd295a5cd712b8290ull},
+    {0xe525b8454a80890bull, 0x4f5034bad671daaaull, 0x44050410b39e6446ull},
+    {0x11cea053e8dcc229ull, 0x8df2c4d14018b95full, 0xb273d94fc4c1f648ull},
+    {0x8933c1c6e829aaf6ull, 0xb7410aa47946c68bull, 0x9a683d9542dbb8d7ull},
+    {0x4a483a17079cc780ull, 0xfdff86ed809d05e4ull, 0xd9c0f42172c668a5ull},
+    {0x89396cd35915a27bull, 0x37162e1ddaf57c14ull, 0x2e7b676f01ea8d6aull},
+    {0x15012dcb7b281a17ull, 0xa4e8ce5bedc726dcull, 0x4c0fb5aef7f69130ull},
+    {0x1aa6ccbeed6d513cull, 0x1e77c036a932e02bull, 0xa220bd9d15f12f3bull},
+    {0xd59285ea9f1116a5ull, 0x5ea8654ede8c6a70ull, 0x52835fd292674b20ull},
+    {0x0b495dbf29d06b7cull, 0xe5f8cdca087017edull, 0x24bb0ae9fe59e83cull},
+    {0x4516d831c629c7dfull, 0xbe846035778381c3ull, 0x30818635b8fe0273ull},
+    {0xfd45038faa3a5319ull, 0x7a6cfd2664a18426ull, 0x682e32477084ca19ull},
+    {0xba7a16508243267dull, 0x2cb5d20d1fd67a2full, 0x240fa392f4156232ull},
+    {0x86fb0e3fb113418bull, 0x381be5e2a3ce2a5cull, 0x7b78c0e0f2d81a7full},
+    {0x84dda78f0ff88ed5ull, 0x65e9a6f144237d3aull, 0xde5124e5cbe6dda5ull},
+    {0x72b104f8aa62d389ull, 0x3053af16b492333bull, 0xd81e0ec12a4eb54aull},
+    {0x6bdf2cd5d7fe5ea9ull, 0x5d51ed31e06d73d9ull, 0x2d1d4567bb6e9b21ull},
+    {0x9a77c862067776d9ull, 0x12f1f194e3191cc6ull, 0xdec19143a6c52280ull},
+    {0xae9eceb14546b35cull, 0x412526218454cdbbull, 0x2fe3804d6bc5cac2ull},
+    {0x53baa377d846d322ull, 0x4d927c795863fdb4ull, 0x503430f24c6f579eull},
+    {0x7387a2d67f00ba89ull, 0xc9d1704711e3bd7full, 0xf8538adb51c16c67ull},
+    {0xe7d0235ad7be57b4ull, 0x72b95ee7ddfc017cull, 0x2d1d4567bb6e9b21ull},
+    {0x48793f4665cff69bull, 0xeac5e35d20f68f64ull, 0xa18023ebdf91acdeull},
+    {0x9ec228a4f5abc141ull, 0xa9e19c14025c721aull, 0xf845ded90d0cba08ull},
+    {0x34d4f04386820c4eull, 0x917c01cd1d6595c0ull, 0x196accfbd3a367e7ull},
+    {0x1210597ca85500f3ull, 0x8fdafc3ddb3e4a46ull, 0xf8538adb51c16c67ull},
+    {0x19519d39f77e425eull, 0xb59fcbed7f2fe04bull, 0xe004e82e2453af5eull},
+    {0xf1a691b83fc9ea6full, 0x1a350aa3d1966a89ull, 0x51e4c1dd49e11089ull},
+    {0x7766d6355f8eef72ull, 0xcadec8b0f70f9749ull, 0x393e3387ffb9a3daull},
+    {0x0eb97caab5cc3829ull, 0x1728bd7b7ae354d5ull, 0xf3e6bb9521506ca6ull},
+    {0xd29b667bd13dfd28ull, 0x6101af65a6ac1fbaull, 0x93794e59eb4437a3ull},
+    {0x6c01415e68e59521ull, 0x6c45f829ceb6ac72ull, 0x18ccc953d11fabdaull},
+    {0x6b5f677ebf85e2a3ull, 0x8ea6ce9b3f365f3bull, 0x9f0027f55c25c043ull},
+    {0x4baa4afd5a5a31a1ull, 0xebaf7e640e7a2916ull, 0x82be4f0ff9daa330ull},
+    {0x603d77718d6ab722ull, 0xe9e3ba6be320e9a3ull, 0x93f82f6d4817cd0aull},
+    {0x18c2b0ea6c33dac8ull, 0xacbee5cbc66dec8full, 0x7aa5e17d6c0b5eb1ull},
+    {0x8d0bbd8e81dab6e5ull, 0x8700cbb411078ee1ull, 0xd72699e9f28f047full},
+    {0xde6160416f9f0359ull, 0xab647ac102a5e920ull, 0x0ce39e3a71687d67ull},
+    {0x7b56221509aaafe0ull, 0xb615c0c2d5e2f2e6ull, 0x4da8898da7931b2aull},
+    {0x46c3f1c12f883a07ull, 0xb15442600e6546edull, 0xabf3f20dd930dba7ull},
+    {0xbcb86d8a28d3bb64ull, 0x84aa78d62689ac7full, 0xfe13a7361534d9a3ull},
+    {0xd5bd2617fc37fbf8ull, 0xf22f13c7883a2733ull, 0x48bd04873be7e40bull},
+    {0xa7ccc98569812853ull, 0xbbc10af73e94ccf7ull, 0xdeccf46231991116ull},
+    {0x021142f006dc8a1dull, 0xf185cb7b7908c540ull, 0x5fa50ef04be5906cull},
+    {0xfdf600bbee439d31ull, 0x55eb6b49a80b9d33ull, 0x8755c7538855d896ull},
+    {0xb39466a7438bcad5ull, 0x0a2da1f4bd20e47eull, 0x2d00e8e01d9956caull},
+    {0xe79f01b0471c3948ull, 0x360914f2db5c6a20ull, 0x1986f528f57a3cceull},
+    {0x3d0b1cd3dd36eb05ull, 0x67f9f9ec9caa909dull, 0xdeccf46231991116ull},
+    {0x13502a22454d1658ull, 0xda14e86fcdaf4b0full, 0x5fa50ef04be5906cull},
+    {0x7913a30424651234ull, 0xb36374ae5d45d5faull, 0x49900b6cb859ed01ull},
+    {0x8a33c85c11e83189ull, 0x101bbe86f349e9f6ull, 0x38381680b9e2c50dull},
+    {0x349a41e065cf1adfull, 0xacfdfeaffc8cd32eull, 0xb10c6ce07b1b816eull},
+    {0x4158a0d4f99fa486ull, 0x1c23eb835d17125cull, 0x0becde7f8d6654c4ull},
+    {0x52aabba104528c15ull, 0x2bc49bedab8439e4ull, 0x1c2e43d031a1e5a9ull},
+    {0xff65321e7307b21aull, 0xc5267bf7a0a49db1ull, 0xbe712fe8cd57c6b2ull},
+    {0x0b8b3185fa882e90ull, 0xa4edb03d7c8545e9ull, 0xbe172d371e580471ull},
+    {0xdde040fb6f38c21aull, 0x13de89f74c29d474ull, 0x1557666595a1d9baull},
+    {0x5aac58826d8cccecull, 0x8bc4cfc4c629283bull, 0x5bc7da1d1a8f87ebull},
+    {0xc0d51a72869cadd1ull, 0x0bc874ca4e245d22ull, 0xb4818f840a054765ull},
+    {0x8b725eaa526843eaull, 0x2577330541da0b89ull, 0x8140717b517b14adull},
+    {0x54177c2839a35bafull, 0x81d79235d1b3de7aull, 0x9f816cb581c21753ull},
+    {0x7e99a290fcfbacd8ull, 0x19aebe4921cd104bull, 0xe84c5c249f92e366ull},
+    {0x64d827c372b530f0ull, 0x22e5b029d040800bull, 0x21ebf028f6e27538ull},
+    {0x9990bf11d7d4afe2ull, 0x7056c61f4f22e0d2ull, 0x3c0aaaa081c61aadull},
+};
+
+TEST(LaneDifferential, TwoWordWorldsMatchFrozenReference) {
+  const std::vector<ScenarioSpec> specs = two_word_specs();
+  ASSERT_EQ(specs.size(), std::size(kFrozenTwoWord));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SweepGrid grid;
+    grid.base = specs[i];
+    grid.seeds_per_cell = 3;
+    grid.grid_seed = 0x2b0d;
+    ASSERT_FALSE(grid.validate().has_value())
+        << *grid.validate() << "\nspec: " << grid.base.to_json();
+    const SweepResult result = run(grid, /*lanes=*/true, 1);
+    const Frozen got{fnv1a(result.json), fnv1a(result.csv),
+                     fnv1a(result.counters)};
+    EXPECT_EQ(got, kFrozenTwoWord[i])
+        << "two-word spec " << i << " drifted from the frozen reference; "
+        << "got {" << hex(got.json) << ", " << hex(got.csv) << ", "
+        << hex(got.counters) << "}\n"
+        << grid.base.to_json();
+  }
+}
+
 TEST(LaneDifferential, NamedGridsLaneVsScalarByteIdentical) {
   // The shipped grids end to end -- including the 432-cell multihop grid
   // and the loss-on-topology composition -- through real multi-threaded
