@@ -58,6 +58,7 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
 
   alive_pw_.assign(lanes_ * words_, 0);
   halted_pw_.assign(lanes_ * words_, 0);
+  dormant_pw_.assign(lanes_ * words_, 0);
   participating_pw_.assign(lanes_ * words_, 0);
   sent_pw_.assign(lanes_ * words_, 0);
   alive_lw_.assign(n_, all_lanes);
@@ -111,9 +112,12 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     // n = 0: empty rows (data(), not operator[] on an empty vector).
     std::span<std::uint64_t> alive(alive_pw_.data() + lane_base(l), words_);
     std::span<std::uint64_t> halted(halted_pw_.data() + lane_base(l), words_);
+    std::span<std::uint64_t> dormant(dormant_pw_.data() + lane_base(l),
+                                     words_);
     for (std::size_t i = 0; i < n_; ++i) {
       set_bit(alive, i);
       if (w.processes[i]->halted()) set_bit(halted, i);
+      if (w.processes[i]->dormant()) set_bit(dormant, i);
     }
   }
   if (worlds_[0].channel == ChannelModel::kMatrix) delivery_.reset(n_);
@@ -145,11 +149,23 @@ bool LaneEngine::all_correct_decided(std::size_t l) const {
   return true;
 }
 
-inline void LaneEngine::note_halt_state(std::size_t l, std::size_t i) {
-  const bool h = worlds_[l].world.processes[i]->halted();
-  std::uint64_t& word = halted_pw_[lane_base(l) + i / 64];
+inline void LaneEngine::note_flags(std::size_t l, std::size_t i) {
+  // Both mirrors in one refresh; a word is written only when its bit flips.
+  const Process& p = *worlds_[l].world.processes[i];
+  const std::size_t wdx = lane_base(l) + i / 64;
   const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-  if (h != ((word & bit) != 0)) word ^= bit;
+  if (p.halted() != ((halted_pw_[wdx] & bit) != 0)) halted_pw_[wdx] ^= bit;
+  if (p.dormant() != ((dormant_pw_[wdx] & bit) != 0)) dormant_pw_[wdx] ^= bit;
+}
+
+std::size_t LaneEngine::num_awake(std::size_t l) const {
+  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
+  const std::uint64_t* dormant = &dormant_pw_[lane_base(l)];
+  std::size_t count = 0;
+  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
+    count += bit_count(alive[wdx] & ~dormant[wdx]);
+  }
+  return count;
 }
 
 void LaneEngine::commit_crashes(std::size_t l, Round r) {
@@ -380,13 +396,16 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   }
 
   // M_r: message assignments.  Senders land as set bits; the message slot
-  // is valid iff the bit is (no per-round optional churn).
+  // is valid iff the bit is (no per-round optional churn).  Dormant
+  // processes send nothing by contract and are not asked; they stay in
+  // `part`, so W_r above saw the same participants.
   std::uint64_t* sent = &sent_pw_[lane_base(l)];
   std::fill(sent, sent + words_, 0);
   std::uint32_t& bc = broadcaster_count_[l];
   bc = 0;
+  const std::uint64_t* dormant = &dormant_pw_[lane_base(l)];
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    for_each_bit(part[wdx], wdx * 64, [&](std::size_t i) {
+    for_each_bit(part[wdx] & ~dormant[wdx], wdx * 64, [&](std::size_t i) {
       std::optional<Message> m = w.processes[i]->on_send(r, cm_advice_[l][i]);
       if (m.has_value()) {
         sent_msg_[l][i] = *m;
@@ -394,7 +413,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
         ++bc;
         ++total_broadcasts_[l];
       }
-      note_halt_state(l, i);
+      note_flags(l, i);
     });
   }
 
@@ -444,16 +463,20 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
 
   // C_r: transitions (skipped for processes crashing this round).  kLocal
   // consults the LIVE halted flag (a process that halted inside its own
-  // on_send takes no transition); kGlobal uses the round-start snapshot
-  // minus this round's after-send crash marks (zero outside the window).
+  // on_send takes no transition) and skips dormant processes out of range
+  // of every sender: they received nothing, so by contract their step is
+  // a no-op.  kGlobal uses the round-start snapshot minus this round's
+  // after-send crash marks (zero outside the window); it delivers to every
+  // participant, so dormancy skips nothing there.
   const std::uint64_t lane_bit = std::uint64_t{1} << l;
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    const std::uint64_t takers = local ? alive[wdx] & ~halted[wdx]
-                                       : part[wdx] & ~crash_[wdx];
+    const std::uint64_t takers =
+        local ? alive[wdx] & ~halted[wdx] & (~dormant[wdx] | hear_[wdx])
+              : part[wdx] & ~crash_[wdx];
     for_each_bit(takers, wdx * 64, [&](std::size_t i) {
       w.processes[i]->on_receive(r, received(l, i), cd_advice_[l][i],
                                  cm_advice_[l][i]);
-      note_halt_state(l, i);
+      note_flags(l, i);
       if (decided_value_[l][i] == kNoValue && w.processes[i]->decided()) {
         decided_value_[l][i] = w.processes[i]->decision();
         decided_lw_[i] |= lane_bit;

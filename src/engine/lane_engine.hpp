@@ -52,18 +52,18 @@
 //
 // Layout is struct-of-arrays in BOTH directions:
 //
-//  * process words -- per lane, the alive / halted / participating / sent
-//    sets over processes, the crash marks and each adjacency row are word
-//    rows (util/bitwords.hpp): ceil(n/64) `uint64_t`s, bits at or above n
-//    always zero (adjacency is [lane][i][word]).  They are the only form
-//    of a process set: the adversary seams read them as BitViews (W_r's
-//    participants, the crash hooks' live set, the loss adversary's
-//    senders, kLocal D_r's live set) and write crash marks into one shared
-//    word row, and the loss adversary's DeliveryMatrix is one receiver
-//    word row per sender.  The delivery loops iterate SET BITS of
-//    `sent & adjacency_row(i)` instead of scanning all n senders per
-//    receiver, so clique delivery costs O(broadcasters * n / 64) word
-//    operations, not O(n^2).
+//  * process words -- per lane, the alive / halted / dormant /
+//    participating / sent sets over processes, the crash marks and each
+//    adjacency row are word rows (util/bitwords.hpp): ceil(n/64)
+//    `uint64_t`s, bits at or above n always zero (adjacency is
+//    [lane][i][word]).  They are the only form of a process set: the
+//    adversary seams read them as BitViews (W_r's participants, the crash
+//    hooks' live set, the loss adversary's senders, kLocal D_r's live
+//    set) and write crash marks into one shared word row, and the loss
+//    adversary's DeliveryMatrix is one receiver word row per sender.  The
+//    delivery loops iterate SET BITS of `sent & adjacency_row(i)` instead
+//    of scanning all n senders per receiver, so clique delivery costs
+//    O(broadcasters * n / 64) word operations, not O(n^2).
 //
 //  * lane words -- per process, one `uint64_t` whose bit l mirrors lane
 //    l's alive / decided flag.  Which lanes still have an undecided
@@ -94,9 +94,15 @@
 //    so skipping it is unobservable;
 //  * round and view recording is opt-in (EngineOptions); sweeps record
 //    neither -- reports read only decisions and crashes;
-//  * halt state is mirrored in the halted word, refreshed only inside the
-//    process's own on_send/on_receive (the one place it can change) and
-//    written only when it flips;
+//  * halt and dormant state are mirrored in the halted and dormant words,
+//    refreshed together only inside the process's own on_send/on_receive
+//    (the one place either can change) and written only when a bit flips;
+//  * dormant processes (Process::dormant(): a flood node without the
+//    message, a dominated MIS node) cost nothing while they hear nothing:
+//    M_r never calls their on_send, and kLocal's C_r skips them unless
+//    they are in range of a sender.  They stay participants, so W_r's
+//    view is unchanged, and D_r still advises every live process, so the
+//    detector's RNG stream and the recorded views are too;
 //  * NoLoss (LossAdversary::always_delivers) skips the delivery matrix
 //    entirely -- it is stateless and RNG-free, so skipping it is
 //    unobservable; any other adversary gets a zeroed word matrix and the
@@ -218,6 +224,8 @@ class LaneEngine {
     return (alive_lw_[i] >> l) & 1u;
   }
   std::size_t num_alive(std::size_t l) const { return num_alive_[l]; }
+  /// Live processes of lane l that are not dormant (Process::dormant()).
+  std::size_t num_awake(std::size_t l) const;
   /// Crashes the failure adversary actually landed (alive targets only).
   std::uint64_t crashes_applied(std::size_t l) const {
     return crashes_applied_[l];
@@ -272,7 +280,7 @@ class LaneEngine {
   const std::uint64_t* receivers_in_range(std::size_t l);
   void close_multiset(std::size_t l, std::size_t i, std::size_t off);
   std::span<const Message> received(std::size_t l, std::size_t i) const;
-  void note_halt_state(std::size_t l, std::size_t i);
+  void note_flags(std::size_t l, std::size_t i);
   void record_round(std::size_t l, const std::uint64_t* receivers);
 
   std::size_t lanes_ = 0;
@@ -294,6 +302,7 @@ class LaneEngine {
   // Process words, per lane ([lanes][words_], flattened).
   std::vector<std::uint64_t> alive_pw_;
   std::vector<std::uint64_t> halted_pw_;
+  std::vector<std::uint64_t> dormant_pw_;
   std::vector<std::uint64_t> participating_pw_;  // round-start snapshot
   std::vector<std::uint64_t> sent_pw_;
 

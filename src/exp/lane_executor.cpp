@@ -192,20 +192,14 @@ void run_flood_block(const std::vector<ScenarioSpec>& specs,
   std::vector<Round> quiesce;
   LaneEngine eng =
       make_capture_lanes(specs, outs, quiesce, /*mis=*/false, options);
-  const std::size_t n = eng.size();
   for (Round r = 1; r <= budget && eng.active_mask(); ++r) {
     eng.step();
     for (std::size_t l = 0; l < specs.size(); ++l) {
       if (!eng.lane_active(l)) continue;
       // Coverage is over survivors: a copy held only by the dead serves
-      // nobody.
-      std::size_t covered = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (eng.alive(l, i) &&
-            static_cast<FloodProcess&>(eng.process(l, i)).has_message()) {
-          ++covered;
-        }
-      }
+      // nobody.  A flood process is awake exactly while it holds the
+      // message.
+      const std::size_t covered = eng.num_awake(l);
       outs[l].mh.covered = covered;
       if (eng.num_alive(l) > 0 && covered == eng.num_alive(l) &&
           r >= quiesce[l]) {

@@ -45,6 +45,18 @@ class Process {
   /// deciding).  The executor stops invoking a halted process.
   bool halted() const { return halted_; }
 
+  /// A dormant process promises two things while the flag is set: on_send
+  /// returns nullopt and changes nothing, and on_receive with an EMPTY
+  /// multiset leaves its state unchanged whatever the detector and
+  /// contention advice.  The engine
+  /// relies on the promise to skip those calls: it never asks a dormant
+  /// process to send, and under per-neighbourhood delivery it steps one
+  /// only in rounds where it is in range of a broadcaster.  The flag may
+  /// change only inside the process's own on_send/on_receive (where the
+  /// engine refreshes its mirror), so a silent round cannot wake it.  Like
+  /// halted(), a plain field read.
+  bool dormant() const { return dormant_; }
+
  protected:
   /// Enter the decide state for v (idempotent; first decision wins, which
   /// matches the automaton formalization where decide states absorb).
@@ -56,10 +68,12 @@ class Process {
   }
 
   void halt() { halted_ = true; }
+  void set_dormant(bool dormant) { dormant_ = dormant; }
 
  private:
   bool decided_ = false;
   bool halted_ = false;
+  bool dormant_ = false;
   Value decision_ = kNoValue;
 };
 

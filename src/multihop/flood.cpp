@@ -9,7 +9,9 @@ FloodProcess::FloodProcess(Options options)
       rng_(options.seed),
       has_message_(options.is_source),
       received_at_(options.is_source ? 0 : kNeverRound),
-      p_current_(options.p_broadcast) {}
+      p_current_(options.p_broadcast) {
+  set_dormant(!has_message_);
+}
 
 std::optional<Message> FloodProcess::on_send(Round round, CmAdvice /*cm*/) {
   if (!has_message_) return std::nullopt;
@@ -25,13 +27,14 @@ void FloodProcess::on_receive(Round round, std::span<const Message> received,
   if (!has_message_) {
     // The payload scan is only needed while we are still listening for the
     // message; holders take this branch never again, keeping their
-    // per-round receive cost independent of the multiset size.
+    // per-round receive cost independent of the multiset size.  A round
+    // without the payload changes nothing, whatever the advice: the
+    // dormant promise.
     if (count_kind(received, Message::Kind::kPayload) > 0) {
       has_message_ = true;
       received_at_ = round;
       holding_since_ = round;
-    } else if (cd == CdAdvice::kCollision) {
-      ++proximity_hints_;
+      set_dormant(false);
     }
     return;
   }

@@ -9,9 +9,9 @@
 //   * kCdBackoff- additionally HALVE the broadcast probability after any
 //                 round in which the local detector reported a collision
 //                 (local congestion), and recover slowly on quiet rounds.
-// The zero-complete detector also serves as a progress hint for receivers:
-// a node that hears +- but no message knows the message is circulating
-// nearby and keeps listening attentively (tracked as a statistic).
+// A node without the message only listens: it is dormant (Process::
+// dormant()) until the payload arrives, so the engine skips its silent
+// rounds.
 //
 // Claim E14 (exp/claims.hpp) compares the two policies: under dense
 // topologies the collision feedback cuts completion time, reproducing the
@@ -45,9 +45,6 @@ class FloodProcess final : public Process {
 
   bool has_message() const { return has_message_; }
   Round received_at() const { return received_at_; }
-  /// Rounds in which the detector reported +- while this node had nothing:
-  /// the "message is near" hint.
-  std::uint32_t proximity_hints() const { return proximity_hints_; }
 
  private:
   Options options_;
@@ -56,7 +53,6 @@ class FloodProcess final : public Process {
   Round received_at_;
   Round holding_since_ = 0;
   double p_current_;
-  std::uint32_t proximity_hints_ = 0;
 };
 
 }  // namespace ccd

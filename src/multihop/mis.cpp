@@ -33,6 +33,9 @@ std::optional<Message> MisProcess::on_send(Round round, CmAdvice /*cm*/) {
 
 void MisProcess::on_receive(Round round, std::span<const Message> received,
                             CdAdvice cd, CmAdvice /*cm*/) {
+  // A dominated node has exited: it never sends again, so nothing it could
+  // update here (its backoff probability) is ever read.
+  if (state_ == State::kDominated) return;
   if (is_candidacy_round(round)) {
     // Count candidacy marks from OTHERS (a broadcaster always hears its
     // own mark back).
@@ -66,6 +69,9 @@ void MisProcess::on_receive(Round round, std::span<const Message> received,
   // proves a broadcasting neighbour -- which can only be a head.
   if (head_mark || cd == CdAdvice::kCollision) {
     state_ = State::kDominated;
+    // Forget the phase's candidacy so on_send's reset is a no-op too.
+    candidate_this_phase_ = false;
+    set_dormant(true);
   }
 }
 

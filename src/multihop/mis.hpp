@@ -9,7 +9,9 @@
 //   announce round: freshly and previously elected heads broadcast a head
 //     mark; an undecided node that receives a head mark -- or a collision
 //     report, which with an ACCURATE detector proves a broadcasting (i.e.
-//     head) neighbour exists -- becomes dominated and exits.
+//     head) neighbour exists -- becomes dominated and exits: it is dormant
+//     (Process::dormant()) from then on, so the engine skips its rounds
+//     unless a neighbour broadcasts.
 //
 // The paper's thesis in miniature: with a COMPLETE and accurate detector a
 // candidate becomes head only if it heard nothing in its candidacy round,

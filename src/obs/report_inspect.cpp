@@ -955,16 +955,17 @@ bool diff_bench(const std::string& old_json, const std::string& new_json,
   for (const auto& [name, old_entry] : old_entries) {
     *out += name + ": " + fmt_g(*old_entry.median) + " -> ";
     const auto it = new_entries.find(name);
-    const bool present = it != new_entries.end();
-    const std::optional<double> now =
-        present ? it->second.median : std::nullopt;
-    if (!present) {
+    // `now` is a plain double, read only where `have_now` holds.
+    const bool have_now =
+        it != new_entries.end() && it->second.median.has_value();
+    const double now = have_now ? *it->second.median : 0.0;
+    if (it == new_entries.end()) {
       *out += "missing";
-    } else if (!now) {
+    } else if (!have_now) {
       *out += "not a finite number";
     } else {
-      const double change = (*now - *old_entry.median) / *old_entry.median;
-      *out += fmt_g(*now) + " " + old_entry.unit + " (" +
+      const double change = (now - *old_entry.median) / *old_entry.median;
+      *out += fmt_g(now) + " " + old_entry.unit + " (" +
               (change >= 0 ? "+" : "") + fmt1(100.0 * change) + "%)";
     }
     if (!old_entry.bound) {
@@ -974,7 +975,7 @@ bool diff_bench(const std::string& old_json, const std::string& new_json,
     // Every gated entry is a rate or a ratio: higher is better.
     const double floor = *old_entry.median * (1.0 - *old_entry.bound);
     *out += " [bound -" + fmt1(100.0 * *old_entry.bound) + "%]";
-    if (!now || *now < floor) {
+    if (!have_now || now < floor) {
       *out += "  REGRESSION";
       *regressed = true;
     }

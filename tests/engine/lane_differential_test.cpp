@@ -621,6 +621,157 @@ TEST(LaneDifferential, TwoWordWorldsMatchFrozenReference) {
   }
 }
 
+/// The dormant table: the workloads whose processes go dormant (flood
+/// nodes without the message, dominated MIS nodes) under every detector
+/// shape of a silent round -- ac and zero-ac (null forced), nocd
+/// (collision forced), noacc, and oac / zero-oac with a late CST (advice
+/// the policy chooses) -- and four policies.  Rows are workload x detector
+/// x policy; topology, fault and n cycle Latin-square style, so every
+/// workload x detector pair meets every topology, fault kind and n.  The
+/// budgets are the default 200 + 40n, so floods that a crash partitioned
+/// idle for hundreds of rounds.
+std::vector<ScenarioSpec> dormant_specs() {
+  constexpr WorkloadKind kWorkloads[] = {WorkloadKind::kFlood,
+                                         WorkloadKind::kMis,
+                                         WorkloadKind::kMisThenConsensus};
+  constexpr DetectorKind kDetectors[] = {
+      DetectorKind::kAC,    DetectorKind::kZeroAC, DetectorKind::kNoCd,
+      DetectorKind::kNoAcc, DetectorKind::kOAC,    DetectorKind::kZeroOAC};
+  constexpr PolicyKind kPolicies[] = {
+      PolicyKind::kTruthful, PolicyKind::kRandomLegal,
+      PolicyKind::kPreferCollision, PolicyKind::kSpurious};
+  constexpr TopologyKind kTopologies[] = {
+      TopologyKind::kLine, TopologyKind::kRing, TopologyKind::kGrid,
+      TopologyKind::kRandomGeometric};
+  constexpr FaultKind kFaults[] = {FaultKind::kNone, FaultKind::kRandomCrash,
+                                   FaultKind::kScheduled};
+  constexpr std::uint32_t kNs[] = {16, 33, 65};
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t w = 0; w < std::size(kWorkloads); ++w) {
+    for (std::size_t d = 0; d < std::size(kDetectors); ++d) {
+      for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+        ScenarioSpec spec;
+        spec.workload = kWorkloads[w];
+        spec.detector = kDetectors[d];
+        spec.policy = kPolicies[p];
+        spec.alg = AlgKind::kAlg2;
+        spec.topology = kTopologies[(2 * w + d + p) % 4];
+        spec.fault = kFaults[(w + d + p) % 3];
+        spec.n = kNs[(w + 2 * d + p) % 3];
+        spec.crash_p = 0.05;
+        if (spec.fault == FaultKind::kScheduled) {
+          spec.crash_schedule_name = "min-vertex-cut";
+        }
+        if (spec.detector == DetectorKind::kOAC ||
+            spec.detector == DetectorKind::kZeroOAC) {
+          spec.cst_target = 60;
+        }
+        specs.push_back(spec);
+      }
+    }
+  }
+  return specs;
+}
+
+// FNV-1a of each dormant_specs() cell's JSON report, CSV report and
+// per-run counters (3 seeds, grid_seed 0xd0a7), captured from the engine
+// as it stood before it skipped dormant processes.
+constexpr Frozen kFrozenDormant[] = {
+    {0xe926ad496761b156ull, 0xd9e3a0335faaae84ull, 0x06e44ca29f1f390full},
+    {0x77dda66d7bf4fa1dull, 0x9371b840555c3e8eull, 0xc85152da1f2f3e32ull},
+    {0xbc2b40de501f2e20ull, 0xf2ae0d185407a80bull, 0x97cad805c5480842ull},
+    {0xa8937469d1bd6839ull, 0xa2cd10789d997144ull, 0xa4380375899072ffull},
+    {0x4fbbe998a728f768ull, 0x82cd2a9c2dd0de2bull, 0xef7071cac6bd9615ull},
+    {0xf181f72b55142991ull, 0x79971ce63f8cb8eaull, 0x011132a5448635f2ull},
+    {0x96bc7db5417a260cull, 0x7c70b643cb581e4aull, 0xa8b75b8c7d7b093dull},
+    {0xdaf55e352a001a9eull, 0x17a1eeb023c5d4c4ull, 0x2f6d5f6d0a746cc3ull},
+    {0x654ed5999c76c9e9ull, 0x6688e0e7d2790418ull, 0x08152eae1a850ba9ull},
+    {0x406e2c6655c74016ull, 0x7fcea58cb0047abaull, 0xf67edce609738290ull},
+    {0xa67a4e75f9309ee6ull, 0xedcd047a9e23a1a4ull, 0x13b41029b5b81505ull},
+    {0x4e5c4bf50fa52cd3ull, 0xb4a1ce7bb3bcdb93ull, 0x00e558cbdf907569ull},
+    {0x81533170fd4eb69dull, 0xda9bdc411efef498ull, 0xa4380375899072ffull},
+    {0xcb2e10599554e238ull, 0x7395ae4e8234a10bull, 0x2c72b528f8bf30d7ull},
+    {0x852886de06b42d3eull, 0x1ff79af5712d19ceull, 0x0cee668ddb776c4cull},
+    {0x9c993937ae706438ull, 0xe36c1653c0faa371ull, 0xc7877392fe259544ull},
+    {0x564c161f9435f2b5ull, 0x326915a357966457ull, 0x29e8166847c44eceull},
+    {0xe515366bd2b1abfcull, 0xfa1a1bceca1a2a08ull, 0xd578b3cdbc7e247aull},
+    {0x610d350bc6837f4dull, 0xebefeb3f3a906e86ull, 0x25464017a6bc8543ull},
+    {0x3d2dbbc09b73a2f4ull, 0xf73f3fd04a12a6cdull, 0x63f561df6a4ac7d4ull},
+    {0xc710ca6125056c3cull, 0x40d24bf11af03c9full, 0x252729fe455aee0eull},
+    {0x72984f8010bf5f3full, 0x5dfe58f41ecc6190ull, 0x30852b7910f7cca9ull},
+    {0xf039c2fae0d57568ull, 0xe00a94005452ff02ull, 0x90c6a76186cd6837ull},
+    {0x1a7d983e50e25813ull, 0x006e24c05ae101cbull, 0x12e807fe57d4ca34ull},
+    {0x9b0611a6e328cc34ull, 0x4169cc7fd55fd267ull, 0x50a647af63dda064ull},
+    {0xdfafeba3d1c44092ull, 0x23634d83986caf08ull, 0x19457d5f5db3c5f6ull},
+    {0x056825e61f68905bull, 0x1fbdb3cd40f3fe11ull, 0xe48476824c59e000ull},
+    {0x2b199a0d59a95ad6ull, 0xa3905209c51998bbull, 0x7a9c69cfc3f87da0ull},
+    {0x72d6af8529810836ull, 0xb8e11efd484b7e52ull, 0x426a662fd84df74full},
+    {0xf62748d58222cf69ull, 0x2e6ab7d7ba68538eull, 0x046a7accab5be086ull},
+    {0x273d3cfa8677fa5cull, 0xcc457c4ecd8e9408ull, 0x596395632bec1fb2ull},
+    {0x7331cb66c5bcce0dull, 0xe7feb80d793af5e7ull, 0x8c7539ce2884e150ull},
+    {0x017710b1094ed180ull, 0xbb7c114e19d94ac2ull, 0x8a232ab4fca4129cull},
+    {0x6e45a24eb94468e6ull, 0x815c314358fe2f63ull, 0x193c1b2d97d74e00ull},
+    {0xd5d9b3da7a09c02dull, 0x13ff0f9580426987ull, 0x41ab68d199b0bf47ull},
+    {0x8608f8a6ebe1c594ull, 0xf42048659c62c798ull, 0xb1495a978f742655ull},
+    {0x24806ad948656212ull, 0x8e3a6d35642be5f7ull, 0x7a9c69cfc3f87da0ull},
+    {0xab37186d7a8eb5deull, 0x548234947cf86a7full, 0x89010360b9252c35ull},
+    {0xb399b24f6b2f6528ull, 0xb40433d8db3ea0efull, 0x06d62f30cacefdbcull},
+    {0x7ebb0035ea7ddafaull, 0xebd5c0458d9af7f9ull, 0xf05f91b9cb83661dull},
+    {0x6066370d1ccfbc1aull, 0x44ff49ef2f2453d0ull, 0x8c7539ce2884e150ull},
+    {0x0128ddfed9193e7eull, 0x5ee77438e67cb5f6ull, 0x2b9aee4fe00f8e04ull},
+    {0xf149b6e50cad64c6ull, 0xe047a6f1aa4c4ee4ull, 0xe2a7e85c23b22afcull},
+    {0x96899440f263f4eeull, 0xba2a9c0fce77cc17ull, 0xe76a40bae0cd7ddcull},
+    {0x086b5bd4f24efcf5ull, 0x9e11962af5a31342ull, 0xaffec64ed8221e26ull},
+    {0x4b541cd341633542ull, 0xf628f74dd3b7e9beull, 0x52ea15fae0f9993eull},
+    {0x46b8265d23e7f860ull, 0x8b108820ab725e16ull, 0x0bdb66e4e42fe4d9ull},
+    {0x7b5aec3ab16b7a08ull, 0x2c8110a73c14794full, 0xde51be339b30d56aull},
+    {0x6c00ca19af6878e8ull, 0x9dac0beb2ceb2c6aull, 0x5e5e1ad77d7d39c3ull},
+    {0x26f1bcfe28e5b52eull, 0x3a80c017b5151de2ull, 0x846b574cbb4c0154ull},
+    {0x0ccf63c0bb467524ull, 0x4675a55730f47a2full, 0x2b4adddac20ed95eull},
+    {0x84af0580e025d09cull, 0x4e20e5840b462714ull, 0x58607248e488bc06ull},
+    {0x7f30b410bae0f80eull, 0x6478a0ff0ca6660eull, 0xd79f096126e35ad5ull},
+    {0x8c856acbb884609eull, 0x08de273df59e29e0ull, 0xe748403283f1e394ull},
+    {0x506ba71997dbb77cull, 0x8335b44a2f526fcaull, 0xfdedabdcb2a6e8afull},
+    {0x568c83a8af052be3ull, 0x01c1e2109d4b47ffull, 0x7ee323a94dd8ec36ull},
+    {0x24e8c3ae07491b02ull, 0xdcbb774ff1e73f78ull, 0xe68618f18f9882a8ull},
+    {0xd8dab7954fa20122ull, 0x250e6effe523c751ull, 0x8f82be7927537d09ull},
+    {0x9a24ad94d02b4a6eull, 0x8e63c9eccaece723ull, 0x8a232ab4fca4129cull},
+    {0x629df6338d1e3f46ull, 0xf4e49858f8e0612cull, 0x193c1b2d97d74e00ull},
+    {0x0cc7a65b024f006eull, 0x536c2c9fbf240bd9ull, 0x58607248e488bc06ull},
+    {0x26332b5fa03aa0d0ull, 0x71c8b65dd80c868eull, 0x1a24666b50823e7cull},
+    {0xed31167fbea6e710ull, 0x5ab7eeb82dba2efdull, 0xfc1e62e5aca812fdull},
+    {0xeeba9c2862fdd94full, 0x60c4798ec245140eull, 0x7e3c23f941e27698ull},
+    {0x38986a1d57ecacbfull, 0x1c8aa412c617de6cull, 0x35422a413d204a95ull},
+    {0xb772953f36aace81ull, 0xbad7f30e3bffb744ull, 0x66f22bf5f5f9c32aull},
+    {0x1cef0a1a5f64e7a5ull, 0x0bf1a2f666eea79cull, 0x62b28eac242efea7ull},
+    {0x07f8d5ef0a190e9dull, 0x451389ab4d10beb5ull, 0xaf8d5c989a4cdc1bull},
+    {0x2bd3a1d0e75bbccdull, 0xaaa61462fb79dbbfull, 0x7ac38390a6f93ccaull},
+    {0xb5aea375daa924cfull, 0xb9a98db2d9822fa5ull, 0xec13a432aec1d26eull},
+    {0x32a1e5d9206a0b17ull, 0x76d678514843b0aeull, 0xb1495a978f742655ull},
+    {0x493fbe8730966423ull, 0xc22441b1b64d341full, 0x8dfc0d123d59584dull},
+};
+
+TEST(LaneDifferential, DormantWorldsMatchFrozenReference) {
+  const std::vector<ScenarioSpec> specs = dormant_specs();
+  ASSERT_EQ(specs.size(), std::size(kFrozenDormant));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SweepGrid grid;
+    grid.base = specs[i];
+    grid.seeds_per_cell = 3;
+    grid.grid_seed = 0xd0a7;
+    ASSERT_FALSE(grid.validate().has_value())
+        << *grid.validate() << "\nspec: " << grid.base.to_json();
+    const SweepResult result = run(grid, /*lanes=*/true, 1);
+    const Frozen got{fnv1a(result.json), fnv1a(result.csv),
+                     fnv1a(result.counters)};
+    EXPECT_EQ(got, kFrozenDormant[i])
+        << "dormant spec " << i << " drifted from the frozen reference; "
+        << "got {" << hex(got.json) << ", " << hex(got.csv) << ", "
+        << hex(got.counters) << "}\n"
+        << grid.base.to_json();
+  }
+}
+
 TEST(LaneDifferential, NamedGridsLaneVsScalarByteIdentical) {
   // The shipped grids end to end -- including the 432-cell multihop grid
   // and the loss-on-topology composition -- through real multi-threaded

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cm/no_cm.hpp"
 #include "consensus/alg2_zero_oac.hpp"
 #include "consensus/harness.hpp"
@@ -230,6 +232,117 @@ TEST(Engine, LocalScopeCrashedProcessReadsNullAdvice) {
   EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kNull);
   engine.step();
   EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kNull);
+}
+
+/// A process that honours the dormant contract and logs the rounds the
+/// engine calls it in.  Awake, it talks every `period` rounds (0: never);
+/// a dormant one optionally wakes on its first non-empty multiset and
+/// then talks every round.
+class SleeperProcess final : public Process {
+ public:
+  SleeperProcess(bool dormant, bool wakes, Round period)
+      : wakes_(wakes), period_(period) {
+    set_dormant(dormant);
+  }
+  std::optional<Message> on_send(Round r, CmAdvice) override {
+    sends.push_back(r);
+    if (period_ != 0 && (r - 1) % period_ == 0) {
+      return Message{Message::Kind::kPayload, 1, 0};
+    }
+    return std::nullopt;
+  }
+  void on_receive(Round r, std::span<const Message> received, CdAdvice,
+                  CmAdvice) override {
+    receives.push_back(r);
+    if (dormant() && wakes_ && !received.empty()) {
+      set_dormant(false);
+      period_ = 1;
+    }
+  }
+  std::vector<Round> sends;
+  std::vector<Round> receives;
+
+ private:
+  bool wakes_;
+  Round period_;
+};
+
+std::vector<Round> rounds(Round from, Round to, Round stride = 1) {
+  std::vector<Round> out;
+  for (Round r = from; r <= to; r += stride) out.push_back(r);
+  return out;
+}
+
+EngineWorld sleeper_world(Topology topo, ChannelModel channel,
+                          CollisionScope scope, bool wakes, Round period) {
+  EngineWorld ew = beacon_world(std::move(topo), {}, channel, scope);
+  ew.world.processes.push_back(
+      std::make_unique<SleeperProcess>(false, false, period));
+  for (std::size_t i = 1; i < ew.topology.size(); ++i) {
+    ew.world.processes.push_back(
+        std::make_unique<SleeperProcess>(true, wakes, 0));
+  }
+  return ew;
+}
+
+const SleeperProcess& sleeper(LaneEngine& engine, std::size_t i) {
+  return static_cast<const SleeperProcess&>(engine.process(0, i));
+}
+
+TEST(Engine, LocalScopeStepsDormantProcessesOnlyInRangeOfASender) {
+  // Line 0-1-2-3, process 0 talks in odd rounds, 1..3 stay dormant.  No
+  // dormant process is ever asked to send; process 1 (0's neighbour) is
+  // stepped in exactly the rounds 0 talks, 2 and 3 never.  The awake
+  // process is stepped every round.
+  for (ChannelModel channel : {ChannelModel::kCapture, ChannelModel::kMatrix}) {
+    LaneEngine engine(sleeper_world(Topology::line(4), channel,
+                                    CollisionScope::kLocal, false, 2),
+                      quiet_options());
+    for (int r = 0; r < 6; ++r) engine.step();
+    EXPECT_EQ(sleeper(engine, 0).sends, rounds(1, 6));
+    EXPECT_EQ(sleeper(engine, 0).receives, rounds(1, 6));
+    EXPECT_EQ(sleeper(engine, 1).receives, rounds(1, 5, 2));
+    for (std::size_t i = 1; i < 4; ++i) {
+      EXPECT_TRUE(sleeper(engine, i).sends.empty()) << i;
+    }
+    EXPECT_TRUE(sleeper(engine, 2).receives.empty());
+    EXPECT_TRUE(sleeper(engine, 3).receives.empty());
+    EXPECT_EQ(engine.num_awake(0), 1u);
+    EXPECT_EQ(engine.total_broadcasts(0), 3u);
+  }
+}
+
+TEST(Engine, GlobalScopeStepsEveryDormantParticipant) {
+  // kGlobal delivers to every participant, so dormant processes take
+  // every transition -- but still are never asked to send.
+  LaneEngine engine(sleeper_world(Topology::clique(4), ChannelModel::kMatrix,
+                                  CollisionScope::kGlobal, false, 2),
+                    quiet_options());
+  for (int r = 0; r < 6; ++r) engine.step();
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(sleeper(engine, i).receives, rounds(1, 6)) << i;
+  }
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_TRUE(sleeper(engine, i).sends.empty()) << i;
+  }
+  EXPECT_EQ(engine.num_awake(0), 1u);
+}
+
+TEST(Engine, DormantProcessWakesInTheRoundItReceives) {
+  // A relay down line 0-1-2-3 on reliable links: process k is first in
+  // range of a sender (k - 1, awake since round k - 1) in round k, wakes
+  // there, and is asked to send from round k + 1 on.
+  LaneEngine engine(sleeper_world(Topology::line(4), ChannelModel::kCapture,
+                                  CollisionScope::kLocal, true, 1),
+                    quiet_options());
+  for (Round r = 1; r <= 6; ++r) {
+    engine.step();
+    EXPECT_EQ(engine.num_awake(0), std::min<std::size_t>(r + 1, 4)) << r;
+  }
+  for (Round k = 1; k < 4; ++k) {
+    EXPECT_EQ(sleeper(engine, k).receives, rounds(k, 6)) << k;
+    EXPECT_EQ(sleeper(engine, k).sends, rounds(k + 1, 6)) << k;
+  }
 }
 
 }  // namespace

@@ -387,5 +387,66 @@ TEST(Flood, CompletionGrowsWithDiameter) {
   EXPECT_LT(median_completion(4), median_completion(24));
 }
 
+TEST(Flood, DormantExactlyWhileItLacksTheMessage) {
+  // Direct calls: a listener is dormant and its silent rounds change
+  // nothing whatever the advice -- a non-payload message included; the
+  // payload wakes it in the round it arrives.
+  FloodProcess::Options o;
+  FloodProcess listener(o);
+  o.is_source = true;
+  EXPECT_FALSE(FloodProcess(o).dormant());
+  const Message vote{Message::Kind::kVote, 1, 0};
+  for (Round r = 1; r <= 4; ++r) {
+    for (CmAdvice cm : {CmAdvice::kActive, CmAdvice::kPassive}) {
+      EXPECT_FALSE(listener.on_send(r, cm).has_value());
+      for (CdAdvice cd : {CdAdvice::kNull, CdAdvice::kCollision}) {
+        listener.on_receive(r, {}, cd, cm);
+        listener.on_receive(r, std::span<const Message>(&vote, 1), cd, cm);
+        EXPECT_TRUE(listener.dormant());
+        EXPECT_FALSE(listener.has_message());
+      }
+    }
+  }
+  const Message payload{Message::Kind::kPayload, 1, 0};
+  listener.on_receive(5, std::span<const Message>(&payload, 1),
+                      CdAdvice::kNull, CmAdvice::kActive);
+  EXPECT_FALSE(listener.dormant());
+  EXPECT_TRUE(listener.has_message());
+  EXPECT_EQ(listener.received_at(), 5u);
+}
+
+TEST(Flood, EngineSeesHoldersAwakeFromTheirReceiveRound) {
+  // On the engine: every round, a process is dormant iff it lacks the
+  // message, the engine's awake count is the holder count, and a holder
+  // woke in exactly the round it received the payload.
+  std::vector<std::unique_ptr<Process>> procs;
+  for (std::size_t i = 0; i < 12; ++i) {
+    FloodProcess::Options o;
+    o.is_source = i == 0;
+    o.fresh_rounds = 400;
+    o.seed = 7000 + i;
+    procs.push_back(std::make_unique<FloodProcess>(o));
+  }
+  LaneEngine ex =
+      make_capture_engine(Topology::grid(4, 3), std::move(procs), {0.9, 0.5},
+                          7);
+  std::vector<Round> woke(ex.size(), kNeverRound);
+  woke[0] = 0;
+  for (Round r = 1; r <= 400; ++r) {
+    ex.step();
+    std::size_t holders = 0;
+    for (std::size_t i = 0; i < ex.size(); ++i) {
+      const auto& p = static_cast<const FloodProcess&>(ex.process(0, i));
+      EXPECT_EQ(p.dormant(), !p.has_message()) << "process " << i;
+      if (!p.has_message()) continue;
+      ++holders;
+      if (woke[i] == kNeverRound) woke[i] = r;
+      EXPECT_EQ(p.received_at(), woke[i]) << "process " << i;
+    }
+    EXPECT_EQ(ex.num_awake(0), holders) << "round " << r;
+  }
+  EXPECT_EQ(ex.num_awake(0), ex.size());  // the grid is connected
+}
+
 }  // namespace
 }  // namespace ccd

@@ -41,7 +41,11 @@ MisRun run_mis(const Topology& topo, DetectorSpec spec,
     ex.step();
     bool all = true;
     for (std::size_t i = 0; i < ex.size(); ++i) {
-      if (!static_cast<MisProcess&>(ex.process(0, i)).settled()) all = false;
+      const auto& p = static_cast<const MisProcess&>(ex.process(0, i));
+      if (!p.settled()) all = false;
+      // Dormant iff dominated, every round of every run.
+      EXPECT_EQ(p.dormant(), p.state() == MisProcess::State::kDominated)
+          << "process " << i << " round " << r;
     }
     if (all) {
       run.all_settled = true;
@@ -145,6 +149,52 @@ TEST(Mis, IsolatedNodesAlwaysBecomeHeads) {
                              make_truthful_policy(), {0.9, 0.3}, 7);
   ASSERT_TRUE(run.all_settled);
   for (auto s : run.states) EXPECT_EQ(s, MisProcess::State::kHead);
+}
+
+TEST(Mis, DominatedNodeIsDormantAndInert) {
+  // Round 2 is an announce round: a head mark dominates an undecided node.
+  MisProcess p(MisProcess::Options{});
+  EXPECT_FALSE(p.dormant());
+  const Message head{Message::Kind::kLeaderValue, 0, 2};
+  const Message candidacy{Message::Kind::kVote, 0, 1};
+  p.on_receive(2, std::span<const Message>(&head, 1), CdAdvice::kNull,
+               CmAdvice::kActive);
+  ASSERT_EQ(p.state(), MisProcess::State::kDominated);
+  EXPECT_TRUE(p.dormant());
+  // From then on neither call returns or changes anything, over both
+  // round parities and every advice -- marks received included.
+  const std::vector<std::vector<Message>> multisets = {
+      {}, {candidacy}, {head}, {candidacy, head}};
+  for (Round r = 3; r <= 10; ++r) {
+    for (CmAdvice cm : {CmAdvice::kActive, CmAdvice::kPassive}) {
+      EXPECT_FALSE(p.on_send(r, cm).has_value()) << "round " << r;
+      for (CdAdvice cd : {CdAdvice::kNull, CdAdvice::kCollision}) {
+        for (const std::vector<Message>& in : multisets) {
+          p.on_receive(r, in, cd, cm);
+          EXPECT_EQ(p.state(), MisProcess::State::kDominated);
+          EXPECT_TRUE(p.dormant());
+          EXPECT_FALSE(p.decided());
+          EXPECT_FALSE(p.halted());
+        }
+      }
+    }
+  }
+}
+
+TEST(Mis, HeadsAndUndecidedNodesStayAwake) {
+  // A lone candidate that hears silence becomes head: not dormant (it
+  // marks its neighbourhood every announce round).
+  MisProcess::Options o;
+  o.p_candidate = 1.0;
+  MisProcess p(o);
+  ASSERT_TRUE(p.on_send(1, CmAdvice::kActive).has_value());
+  EXPECT_FALSE(p.dormant());
+  const Message own{Message::Kind::kVote, 0, 1};
+  p.on_receive(1, std::span<const Message>(&own, 1), CdAdvice::kNull,
+               CmAdvice::kActive);
+  ASSERT_EQ(p.state(), MisProcess::State::kHead);
+  EXPECT_FALSE(p.dormant());
+  EXPECT_TRUE(p.on_send(2, CmAdvice::kActive).has_value());
 }
 
 TEST(Mis, ZeroCompletenessAlonePermitsAdjacentHeads) {
