@@ -1,8 +1,9 @@
 #include "exp/aggregator.hpp"
 
-#include <cstdio>
 #include <ostream>
 
+#include "util/flat_json.hpp"
+#include "util/numfmt.hpp"
 #include "util/table.hpp"
 
 namespace ccd::exp {
@@ -11,53 +12,59 @@ namespace {
 
 // One fixed numeric format everywhere so reports are diffable and the
 // thread-invariance guarantee extends to the rendered bytes.
-std::string fmt(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", d);
-  return buf;
+void append_fixed4(std::string& out, double d) {
+  numfmt::append_fixed(out, d, 4);
 }
 
-void append_stats_json(std::string& out, const char* key, const Stats& s) {
-  out += "\"";
+std::string fixed4(double d) { return numfmt::fixed(d, 4); }
+
+/// Append `,"key":value` for an integer member.
+void append_member(std::string& out, const char* key, std::uint64_t value) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  numfmt::append_int(out, value);
+}
+
+void append_summary_json(std::string& out, const char* key, const Stats& s) {
+  out += ",\"";
   out += key;
   out += "\":";
   if (s.empty()) {
     out += "null";
     return;
   }
-  out += "{\"count\":" + std::to_string(s.count());
-  out += ",\"min\":" + fmt(s.min());
-  out += ",\"mean\":" + fmt(s.mean());
-  out += ",\"p50\":" + fmt(s.percentile(50));
-  out += ",\"p99\":" + fmt(s.percentile(99));
-  out += ",\"max\":" + fmt(s.max());
-  out += "}";
+  out += "{\"count\":";
+  numfmt::append_int(out, s.count());
+  out += ",\"min\":";
+  append_fixed4(out, s.min());
+  out += ",\"mean\":";
+  append_fixed4(out, s.mean());
+  out += ",\"p50\":";
+  append_fixed4(out, s.percentile(50));
+  out += ",\"p99\":";
+  append_fixed4(out, s.percentile(99));
+  out += ",\"max\":";
+  append_fixed4(out, s.max());
+  out += '}';
 }
 
 // (append-style throughout: chained std::string operator+ trips a GCC 12
 // -Wrestrict false positive in optimized builds)
-void append_stats_csv(std::string& out, const Stats& s) {
+void append_summary_csv(std::string& out, const Stats& s) {
   if (s.empty()) {
     out += ",,,,";  // min,mean,p50,p99,max all empty
     return;
   }
-  out += fmt(s.min());
-  out += ",";
-  out += fmt(s.mean());
-  out += ",";
-  out += fmt(s.percentile(50));
-  out += ",";
-  out += fmt(s.percentile(99));
-  out += ",";
-  out += fmt(s.max());
-}
-
-// Same 16-hex-digit rendering exp/shard uses for grid fingerprints.
-std::string fp_hex(std::uint64_t fp) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
+  append_fixed4(out, s.min());
+  out += ',';
+  append_fixed4(out, s.mean());
+  out += ',';
+  append_fixed4(out, s.percentile(50));
+  out += ',';
+  append_fixed4(out, s.percentile(99));
+  out += ',';
+  append_fixed4(out, s.max());
 }
 
 }  // namespace
@@ -93,29 +100,32 @@ std::uint64_t stats_bytes_retained(const std::vector<CellAggregate>& cells) {
 
 std::string cells_to_dist_json(const SweepGrid& grid,
                                const std::vector<CellAggregate>& cells) {
-  std::string out = "{\"format\":\"ccd-dist-v1\"";
-  out += ",\"grid_fingerprint\":\"" + fp_hex(grid.fingerprint()) + "\"";
-  out += ",\"grid_seed\":" + std::to_string(grid.grid_seed);
-  out += ",\"seeds_per_cell\":" + std::to_string(grid.seeds_per_cell);
-  out += ",\"num_cells\":" + std::to_string(grid.num_cells());
+  std::string out = "{\"format\":\"ccd-dist-v1\",\"grid_fingerprint\":\"";
+  out += jsonu::fingerprint_to_hex(grid.fingerprint());
+  out += '"';
+  append_member(out, "grid_seed", grid.grid_seed);
+  append_member(out, "seeds_per_cell", grid.seeds_per_cell);
+  append_member(out, "num_cells", grid.num_cells());
   out += ",\"cells\":[";
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const CellAggregate& cell = cells[c];
-    if (c > 0) out += ",";
-    out += "{\"cell\":" + std::to_string(cell.cell_index);
-    out += ",\"spec\":" + cell.spec.cell_key();
-    out += ",\"runs\":" + std::to_string(cell.runs);
+    if (c > 0) out += ',';
+    out += "{\"cell\":";
+    numfmt::append_int(out, cell.cell_index);
+    out += ",\"spec\":";
+    cell.spec.append_cell_key(out);
+    append_member(out, "runs", cell.runs);
     out += ",\"metrics\":{";
     bool first = true;
     for (const CellStatsField& f : cell_stats_fields()) {
       const Stats& s = cell.*(f.member);
       if (s.empty()) continue;
-      if (!first) out += ",";
+      if (!first) out += ',';
       first = false;
-      out += "\"";
+      out += '"';
       out += f.name;
       out += "\":";
-      out += stats_to_json(s);
+      append_stats_json(out, s);
     }
     out += "}}";
   }
@@ -245,68 +255,55 @@ std::vector<CellAggregate> aggregate(const SweepGrid& grid,
 
 std::string aggregates_to_json(const SweepGrid& grid,
                                const std::vector<CellAggregate>& cells) {
-  std::string out = "{";
-  out += "\"grid_seed\":" + std::to_string(grid.grid_seed);
-  out += ",\"seeds_per_cell\":" + std::to_string(grid.seeds_per_cell);
-  out += ",\"num_cells\":" + std::to_string(grid.num_cells());
-  out += ",\"num_runs\":" + std::to_string(grid.num_runs());
+  std::string out = "{\"grid_seed\":";
+  numfmt::append_int(out, grid.grid_seed);
+  append_member(out, "seeds_per_cell", grid.seeds_per_cell);
+  append_member(out, "num_cells", grid.num_cells());
+  append_member(out, "num_runs", grid.num_runs());
   out += ",\"cells\":[";
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const CellAggregate& cell = cells[c];
-    if (c > 0) out += ",";
-    out += "{\"cell\":" + std::to_string(cell.cell_index);
-    out += ",\"spec\":" + cell.spec.cell_key();
-    out += ",\"runs\":" + std::to_string(cell.runs);
-    out += ",\"solved\":" + std::to_string(cell.solved);
-    out += ",\"agreement_failures\":" +
-           std::to_string(cell.agreement_failures);
-    out += ",\"validity_failures\":" + std::to_string(cell.validity_failures);
-    out += ",\"termination_failures\":" +
-           std::to_string(cell.termination_failures);
-    out += ",\"crashed_processes\":" + std::to_string(cell.crashed_processes);
-    out += ",";
-    append_stats_json(out, "decision_round", cell.decision_round);
-    out += ",";
-    append_stats_json(out, "rounds_after_cst", cell.rounds_after_cst);
-    out += ",";
-    append_stats_json(out, "rounds_executed", cell.rounds_executed);
+    if (c > 0) out += ',';
+    out += "{\"cell\":";
+    numfmt::append_int(out, cell.cell_index);
+    out += ",\"spec\":";
+    cell.spec.append_cell_key(out);
+    append_member(out, "runs", cell.runs);
+    append_member(out, "solved", cell.solved);
+    append_member(out, "agreement_failures", cell.agreement_failures);
+    append_member(out, "validity_failures", cell.validity_failures);
+    append_member(out, "termination_failures", cell.termination_failures);
+    append_member(out, "crashed_processes", cell.crashed_processes);
+    append_summary_json(out, "decision_round", cell.decision_round);
+    append_summary_json(out, "rounds_after_cst", cell.rounds_after_cst);
+    append_summary_json(out, "rounds_executed", cell.rounds_executed);
     if (cell.mh_runs > 0) {
-      out += ",\"mh\":{\"runs\":" + std::to_string(cell.mh_runs);
-      out += ",\"disconnected\":" + std::to_string(cell.disconnected);
-      out += ",\"full_coverage\":" + std::to_string(cell.full_coverage);
-      out += ",\"mis_violations\":" + std::to_string(cell.mis_violations);
-      out += ",\"crashes_applied\":" +
-             std::to_string(cell.mh_crashes_applied);
-      out += ",\"phase2_skipped\":" + std::to_string(cell.phase2_skipped);
-      out += ",";
-      append_stats_json(out, "surviving_fraction", cell.surviving_fraction);
-      out += ",";
-      append_stats_json(out, "coverage_rounds", cell.coverage_rounds);
-      out += ",";
-      append_stats_json(out, "coverage_fraction", cell.coverage_fraction);
-      out += ",";
-      append_stats_json(out, "mis_size", cell.mis_size);
-      out += ",";
-      append_stats_json(out, "mis_settle_round", cell.mis_settle_round);
-      out += ",";
-      append_stats_json(out, "messages_per_node", cell.messages_per_node);
-      out += ",";
-      append_stats_json(out, "diameter", cell.diameter);
-      out += "}";
+      out += ",\"mh\":{\"runs\":";
+      numfmt::append_int(out, cell.mh_runs);
+      append_member(out, "disconnected", cell.disconnected);
+      append_member(out, "full_coverage", cell.full_coverage);
+      append_member(out, "mis_violations", cell.mis_violations);
+      append_member(out, "crashes_applied", cell.mh_crashes_applied);
+      append_member(out, "phase2_skipped", cell.phase2_skipped);
+      append_summary_json(out, "surviving_fraction", cell.surviving_fraction);
+      append_summary_json(out, "coverage_rounds", cell.coverage_rounds);
+      append_summary_json(out, "coverage_fraction", cell.coverage_fraction);
+      append_summary_json(out, "mis_size", cell.mis_size);
+      append_summary_json(out, "mis_settle_round", cell.mis_settle_round);
+      append_summary_json(out, "messages_per_node", cell.messages_per_node);
+      append_summary_json(out, "diameter", cell.diameter);
+      out += '}';
     }
     if (cell.sync_runs > 0) {
-      out += ",\"sync\":{\"runs\":" + std::to_string(cell.sync_runs);
-      out += ",\"bound_violations\":" +
-             std::to_string(cell.sync_bound_violations);
-      out += ",";
-      append_stats_json(out, "skew_us", cell.sync_skew_us);
-      out += ",";
-      append_stats_json(out, "bound_us", cell.sync_bound_us);
-      out += ",";
-      append_stats_json(out, "agreement", cell.sync_agreement);
-      out += "}";
+      out += ",\"sync\":{\"runs\":";
+      numfmt::append_int(out, cell.sync_runs);
+      append_member(out, "bound_violations", cell.sync_bound_violations);
+      append_summary_json(out, "skew_us", cell.sync_skew_us);
+      append_summary_json(out, "bound_us", cell.sync_bound_us);
+      append_summary_json(out, "agreement", cell.sync_agreement);
+      out += '}';
     }
-    out += "}";
+    out += '}';
   }
   out += "]}";
   return out;
@@ -328,25 +325,16 @@ std::string aggregates_to_csv(const std::vector<CellAggregate>& cells) {
       "surviving_fraction_mean\n";
   for (const CellAggregate& cell : cells) {
     const ScenarioSpec& s = cell.spec;
-    out += std::to_string(cell.cell_index);
-    out += ",";
-    out += to_string(s.alg);
-    out += ",";
-    out += to_string(s.detector);
-    out += ",";
-    out += to_string(s.policy);
-    out += ",";
-    out += to_string(s.cm);
-    out += ",";
-    out += to_string(s.loss);
-    out += ",";
-    out += to_string(s.fault);
-    out += ",";
-    out += to_string(s.workload);
-    out += ",";
-    out += to_string(s.topology);
-    out += ",";
-    out += fmt(s.density);
+    numfmt::append_int(out, cell.cell_index);
+    for (const char* token :
+         {to_string(s.alg), to_string(s.detector), to_string(s.policy),
+          to_string(s.cm), to_string(s.loss), to_string(s.fault),
+          to_string(s.workload), to_string(s.topology)}) {
+      out += ',';
+      out += token;
+    }
+    out += ',';
+    append_fixed4(out, s.density);
     for (std::uint64_t v :
          {static_cast<std::uint64_t>(s.n), s.num_values,
           static_cast<std::uint64_t>(s.cst_target),
@@ -356,13 +344,13 @@ std::string aggregates_to_csv(const std::vector<CellAggregate>& cells) {
           static_cast<std::uint64_t>(cell.validity_failures),
           static_cast<std::uint64_t>(cell.termination_failures),
           static_cast<std::uint64_t>(cell.crashed_processes)}) {
-      out += ",";
-      out += std::to_string(v);
+      out += ',';
+      numfmt::append_int(out, v);
     }
-    out += ",";
-    append_stats_csv(out, cell.decision_round);
-    out += ",";
-    append_stats_csv(out, cell.rounds_after_cst);
+    out += ',';
+    append_summary_csv(out, cell.decision_round);
+    out += ',';
+    append_summary_csv(out, cell.rounds_after_cst);
     for (std::uint64_t v :
          {static_cast<std::uint64_t>(cell.mh_runs),
           static_cast<std::uint64_t>(cell.disconnected),
@@ -370,17 +358,17 @@ std::string aggregates_to_csv(const std::vector<CellAggregate>& cells) {
           static_cast<std::uint64_t>(cell.mis_violations),
           static_cast<std::uint64_t>(cell.mh_crashes_applied),
           static_cast<std::uint64_t>(cell.phase2_skipped)}) {
-      out += ",";
-      out += std::to_string(v);
+      out += ',';
+      numfmt::append_int(out, v);
     }
     for (const Stats* st :
          {&cell.coverage_rounds, &cell.coverage_fraction, &cell.mis_size,
           &cell.mis_settle_round, &cell.messages_per_node, &cell.diameter,
           &cell.surviving_fraction}) {
-      out += ",";
-      if (!st->empty()) out += fmt(st->mean());
+      out += ',';
+      if (!st->empty()) append_fixed4(out, st->mean());
     }
-    out += "\n";
+    out += '\n';
   }
   return out;
 }
@@ -471,10 +459,10 @@ void print_summary(std::ostream& os, const SweepGrid& grid,
                 cell.agreement_failures,
                 cell.decision_round.empty()
                     ? std::string("-")
-                    : fmt(cell.decision_round.mean()),
+                    : fixed4(cell.decision_round.mean()),
                 cell.rounds_after_cst.empty()
                     ? std::string("-")
-                    : fmt(cell.rounds_after_cst.max()));
+                    : fixed4(cell.rounds_after_cst.max()));
     }
     table.print(os);
   }
@@ -490,22 +478,22 @@ void print_summary(std::ostream& os, const SweepGrid& grid,
       table.add(
           cell.cell_index, to_string(cell.spec.workload),
           to_string(cell.spec.topology), to_string(cell.spec.loss),
-          to_string(cell.spec.fault), cell.spec.n, fmt(cell.spec.density),
+          to_string(cell.spec.fault), cell.spec.n, fixed4(cell.spec.density),
           flood ? std::to_string(cell.full_coverage) + "/" +
                       std::to_string(cell.mh_runs)
                 : std::string("-"),
           cell.coverage_rounds.empty() ? std::string("-")
-                                       : fmt(cell.coverage_rounds.mean()),
+                                       : fixed4(cell.coverage_rounds.mean()),
           cell.mis_size.empty() ? std::string("-")
-                                : fmt(cell.mis_size.mean()),
+                                : fixed4(cell.mis_size.mean()),
           cell.messages_per_node.empty()
               ? std::string("-")
-              : fmt(cell.messages_per_node.mean()),
+              : fixed4(cell.messages_per_node.mean()),
           cell.surviving_fraction.empty()
               ? std::string("-")
-              : fmt(cell.surviving_fraction.mean()),
+              : fixed4(cell.surviving_fraction.mean()),
           cell.diameter.empty() ? std::string("-")
-                                : fmt(cell.diameter.mean()));
+                                : fixed4(cell.diameter.mean()));
     }
     table.print(os);
   }
@@ -516,14 +504,14 @@ void print_summary(std::ostream& os, const SweepGrid& grid,
     for (const CellAggregate& cell : cells) {
       if (cell.sync_runs == 0) continue;
       table.add(cell.cell_index, cell.spec.n, cell.spec.sync_rho,
-                fmt(cell.spec.sync_round_length),
+                fixed4(cell.spec.sync_round_length),
                 cell.sync_skew_us.empty() ? std::string("-")
-                                          : fmt(cell.sync_skew_us.max()),
+                                          : fixed4(cell.sync_skew_us.max()),
                 cell.sync_bound_us.empty() ? std::string("-")
-                                           : fmt(cell.sync_bound_us.max()),
+                                           : fixed4(cell.sync_bound_us.max()),
                 cell.sync_agreement.empty()
                     ? std::string("-")
-                    : fmt(cell.sync_agreement.min()),
+                    : fixed4(cell.sync_agreement.min()),
                 cell.sync_bound_violations);
     }
     table.print(os);

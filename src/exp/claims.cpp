@@ -1,7 +1,6 @@
 #include "exp/claims.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -20,6 +19,7 @@
 #include "net/unrestricted_loss.hpp"
 #include "util/bitcodec.hpp"
 #include "util/bitwords.hpp"
+#include "util/numfmt.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/value_bst.hpp"
@@ -28,11 +28,7 @@ namespace ccd::exp {
 
 namespace {
 
-std::string num(double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", x);
-  return buf;
-}
+std::string num(double x) { return numfmt::general(x, 6); }
 
 // "" when value <= bound; otherwise "<what> <value> > <bound>".
 std::string over(const char* what, double value, double bound) {
@@ -1304,12 +1300,11 @@ std::vector<Claim> e15_policy_ablation(std::ostream& os) {
       const Sweep s = sweep(grid);
       for (const CellAggregate& cell : s.cells) {
         const bool ok = bound(s.runs_of(cell.cell_index)).pass;
-        char buf[64];
-        std::snprintf(
-            buf, sizeof buf, "%.0f %s",
+        std::string text = numfmt::fixed(
             cell.rounds_after_cst.empty() ? -1.0 : cell.rounds_after_cst.max(),
-            ok ? "ok" : "VIOLATED");
-        cells[{cell.spec.policy, cell.spec.detector}] = buf;
+            0);
+        text += ok ? " ok" : " VIOLATED";
+        cells[{cell.spec.policy, cell.spec.detector}] = std::move(text);
       }
       append(runs, s);
     }

@@ -8,13 +8,13 @@
 #include "exp/world_factory.hpp"
 #include "multihop/topology.hpp"
 #include "util/bitcodec.hpp"
+#include "util/numfmt.hpp"
 
 namespace ccd::exp {
 
 namespace {
 
 using jsonu::FlatJson;
-using jsonu::format_double;
 using jsonu::skip_quoted;
 
 template <typename E>
@@ -320,72 +320,91 @@ std::optional<WorkloadKind> parse_workload(const std::string& s) {
                         WorkloadKind::kRoundSync});
 }
 
-std::string ScenarioSpec::to_json() const {
-  std::string out = "{";
+namespace {
+
+/// The spec's JSON with `seed` in place of spec.seed: to_json() and
+/// cell_key() differ only there.
+void append_spec_json(std::string& out, const ScenarioSpec& spec,
+                      std::uint64_t seed) {
+  out += '{';
   auto str = [&](const char* key, const char* value) {
-    out += "\"";
+    out += '"';
     out += key;
     out += "\":\"";
     out += value;
     out += "\",";
   };
-  auto num = [&](const char* key, const std::string& value) {
-    out += "\"";
-    out += key;
+  auto key = [&](const char* name) {
+    out += '"';
+    out += name;
     out += "\":";
-    out += value;
-    out += ",";
   };
-  str("alg", to_string(alg));
-  str("detector", to_string(detector));
-  str("policy", to_string(policy));
-  str("cm", to_string(cm));
-  str("loss", to_string(loss));
-  str("fault", to_string(fault));
+  auto uint = [&](const char* name, std::uint64_t value) {
+    key(name);
+    numfmt::append_int(out, value);
+    out += ',';
+  };
+  auto real = [&](const char* name, double value) {
+    key(name);
+    numfmt::append_shortest(out, value);
+    out += ',';
+  };
+  str("alg", to_string(spec.alg));
+  str("detector", to_string(spec.detector));
+  str("policy", to_string(spec.policy));
+  str("cm", to_string(spec.cm));
+  str("loss", to_string(spec.loss));
+  str("fault", to_string(spec.fault));
   // The schedule members are omitted when empty so pre-existing specs (and
   // their cell keys) keep their exact bytes.
-  if (!crash_schedule.empty()) {
+  if (!spec.crash_schedule.empty()) {
     out += "\"crash_schedule\":[";
-    for (const CrashEvent& e : crash_schedule) {
-      out += "{\"round\":" + std::to_string(e.round);
-      out += ",\"process\":" + std::to_string(e.process);
+    for (const CrashEvent& e : spec.crash_schedule) {
+      out += "{\"round\":";
+      numfmt::append_int(out, e.round);
+      out += ",\"process\":";
+      numfmt::append_int(out, e.process);
       out += ",\"point\":\"";
       out += to_string(e.point);
       out += "\"},";
     }
     out.back() = ']';
-    out += ",";
+    out += ',';
   }
-  if (!crash_schedule_name.empty()) {
-    str("crash_schedule_name", crash_schedule_name.c_str());
+  if (!spec.crash_schedule_name.empty()) {
+    str("crash_schedule_name", spec.crash_schedule_name.c_str());
   }
-  str("init", to_string(init));
-  str("chaos", to_string(chaos));
-  str("topology", to_string(topology));
-  str("workload", to_string(workload));
-  num("n", std::to_string(n));
-  num("num_values", std::to_string(num_values));
-  num("cst_target", std::to_string(cst_target));
-  num("p_deliver", format_double(p_deliver));
-  num("spurious_p", format_double(spurious_p));
-  num("crash_p", format_double(crash_p));
-  num("density", format_double(density));
+  str("init", to_string(spec.init));
+  str("chaos", to_string(spec.chaos));
+  str("topology", to_string(spec.topology));
+  str("workload", to_string(spec.workload));
+  uint("n", spec.n);
+  uint("num_values", spec.num_values);
+  uint("cst_target", spec.cst_target);
+  real("p_deliver", spec.p_deliver);
+  real("spurious_p", spec.spurious_p);
+  real("crash_p", spec.crash_p);
+  real("density", spec.density);
   // Later-PR knobs are omitted at their defaults so pre-existing specs
   // (and their cell keys) keep their exact bytes -- the same contract as
   // the crash-schedule members above.
-  if (id_space != 0) num("id_space", std::to_string(id_space));
-  {
-    const ScenarioSpec defaults;
-    if (sync_rho != defaults.sync_rho) {
-      num("sync_rho", format_double(sync_rho));
-    }
-    if (sync_round_length != defaults.sync_round_length) {
-      num("sync_round_length", format_double(sync_round_length));
-    }
+  if (spec.id_space != 0) uint("id_space", spec.id_space);
+  if (spec.sync_rho != ScenarioSpec::kDefaultSyncRho) {
+    real("sync_rho", spec.sync_rho);
   }
-  num("max_rounds", std::to_string(max_rounds));
-  num("seed", std::to_string(seed));
+  if (spec.sync_round_length != ScenarioSpec::kDefaultSyncRoundLength) {
+    real("sync_round_length", spec.sync_round_length);
+  }
+  uint("max_rounds", spec.max_rounds);
+  uint("seed", seed);
   out.back() = '}';
+}
+
+}  // namespace
+
+std::string ScenarioSpec::to_json() const {
+  std::string out;
+  append_spec_json(out, *this, seed);
   return out;
 }
 
@@ -505,9 +524,13 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
 }
 
 std::string ScenarioSpec::cell_key() const {
-  ScenarioSpec normalized = *this;
-  normalized.seed = 0;
-  return normalized.to_json();
+  std::string out;
+  append_cell_key(out);
+  return out;
+}
+
+void ScenarioSpec::append_cell_key(std::string& out) const {
+  append_spec_json(out, *this, 0);
 }
 
 std::vector<std::string> crash_schedule_names() {

@@ -229,8 +229,10 @@ struct ScenarioSpec {
   /// is 1 - p_deliver; epoch, jitter and horizon are fixed at claim E13's
   /// constants (1s, 10us, 60s).  Serialized only at non-default
   /// values (same byte-stability contract as id_space).
-  double sync_rho = 1e-4;
-  double sync_round_length = 0.05;
+  static constexpr double kDefaultSyncRho = 1e-4;
+  static constexpr double kDefaultSyncRoundLength = 0.05;
+  double sync_rho = kDefaultSyncRho;
+  double sync_round_length = kDefaultSyncRoundLength;
   Round max_rounds = 0;            ///< 0 = derive from algorithm + cst
   std::uint64_t seed = 1;          ///< run seed; all component RNG streams
                                    ///< derive from it
@@ -259,6 +261,8 @@ struct ScenarioSpec {
   /// Identity of the grid CELL this run belongs to: the spec with the seed
   /// normalized out.  Equal cell keys = same parameter combination.
   std::string cell_key() const;
+  /// cell_key() appended in place (the report renderers' form).
+  void append_cell_key(std::string& out) const;
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "util/flat_json.hpp"
+#include "util/numfmt.hpp"
 
 namespace ccd::exp {
 
@@ -12,15 +13,18 @@ bool ShardSpec::owns_cell(std::size_t cell) const {
 }
 
 std::string ShardSpec::to_json() const {
-  std::string out = "{\"format\":\"ccd-shard-spec-v1\"";
-  out += ",\"shard_index\":" + std::to_string(shard_index);
-  out += ",\"shard_count\":" + std::to_string(shard_count);
-  out += ",\"grid_fingerprint\":\"" + fingerprint_to_hex(grid_fingerprint);
-  out += "\",\"grid\":" + grid.to_json();
+  std::string out = "{\"format\":\"ccd-shard-spec-v1\",\"shard_index\":";
+  numfmt::append_int(out, shard_index);
+  out += ",\"shard_count\":";
+  numfmt::append_int(out, shard_count);
+  out += ",\"grid_fingerprint\":\"";
+  out += fingerprint_to_hex(grid_fingerprint);
+  out += "\",\"grid\":";
+  out += grid.to_json();
   out += ",\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(cells[i]);
+    if (i > 0) out += ',';
+    numfmt::append_int(out, cells[i]);
   }
   out += "]}";
   return out;

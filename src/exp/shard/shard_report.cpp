@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "util/flat_json.hpp"
+#include "util/numfmt.hpp"
 
 namespace ccd::exp {
 
@@ -51,14 +52,14 @@ std::string render_ranges(const std::vector<std::size_t>& cells) {
   return out;
 }
 
-}  // namespace
-
-std::string cell_aggregate_to_json(const CellAggregate& cell) {
-  std::string out = "{\"cell\":" + std::to_string(cell.cell_index);
+void append_cell_aggregate_json(std::string& out, const CellAggregate& cell) {
+  out += "{\"cell\":";
+  numfmt::append_int(out, cell.cell_index);
   for (const CounterField& f : kCounters) {
     out += ",\"";
     out += f.key;
-    out += "\":" + std::to_string(cell.*(f.member));
+    out += "\":";
+    numfmt::append_int(out, cell.*(f.member));
   }
   for (const CellStatsField& f : cell_stats_fields()) {
     out += ",\"";
@@ -67,9 +68,16 @@ std::string cell_aggregate_to_json(const CellAggregate& cell) {
     // v2 encoding: {"h":[key,count,...]} for histogram-mode statistics
     // (the common case -- every count-like metric), {"raw":[...]} for the
     // real-valued opt-ins.  Both are exact.
-    out += stats_to_json(cell.*(f.member));
+    append_stats_json(out, cell.*(f.member));
   }
-  out += "}";
+  out += '}';
+}
+
+}  // namespace
+
+std::string cell_aggregate_to_json(const CellAggregate& cell) {
+  std::string out;
+  append_cell_aggregate_json(out, cell);
   return out;
 }
 
@@ -120,23 +128,24 @@ std::optional<CellAggregate> cell_aggregate_from_json(const SweepGrid& grid,
 }
 
 std::string ShardReport::to_json() const {
-  std::string out = "{\"format\":\"ccd-shard-report-v2\"";
-  out += ",\"shard_index\":" + std::to_string(shard.shard_index);
-  out += ",\"shard_count\":" + std::to_string(shard.shard_count);
-  out += ",\"grid_fingerprint\":\"" +
-         fingerprint_to_hex(shard.grid_fingerprint);
-  out += "\",\"grid\":" + shard.grid.to_json();
+  std::string out = "{\"format\":\"ccd-shard-report-v2\",\"shard_index\":";
+  numfmt::append_int(out, shard.shard_index);
+  out += ",\"shard_count\":";
+  numfmt::append_int(out, shard.shard_count);
+  out += ",\"grid_fingerprint\":\"";
+  out += fingerprint_to_hex(shard.grid_fingerprint);
+  out += "\",\"grid\":";
+  out += shard.grid.to_json();
   // "cell_list" because "cells" already carries the aggregates below.
   out += ",\"cell_list\":[";
   for (std::size_t i = 0; i < shard.cells.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(shard.cells[i]);
+    if (i > 0) out += ',';
+    numfmt::append_int(out, shard.cells[i]);
   }
-  out += "]";
-  out += ",\"cells\":[";
+  out += "],\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) out += ",";
-    out += cell_aggregate_to_json(cells[i]);
+    if (i > 0) out += ',';
+    append_cell_aggregate_json(out, cells[i]);
   }
   out += "]}";
   return out;

@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "util/flat_json.hpp"
+#include "util/numfmt.hpp"
 #include "util/rng.hpp"
 
 namespace ccd::exp {
@@ -282,7 +283,7 @@ void append_uint_axis(std::string& out, const char* key,
   out += "\":[";
   for (std::size_t i = 0; i < axis.size(); ++i) {
     if (i > 0) out += ",";
-    out += std::to_string(axis[i]);
+    numfmt::append_int(out, axis[i]);
   }
   out += "],";
 }
@@ -293,10 +294,12 @@ std::string SweepGrid::to_json() const {
   // Fixed key order; every axis present even when empty.  This exact byte
   // sequence is the fingerprint() preimage, so the order is part of the
   // shard-compatibility contract -- do not reorder.
-  std::string out = "{";
-  out += "\"grid_seed\":" + std::to_string(grid_seed);
-  out += ",\"seeds_per_cell\":" + std::to_string(seeds_per_cell);
-  out += ",\"base\":" + base.to_json();
+  std::string out = "{\"grid_seed\":";
+  numfmt::append_int(out, grid_seed);
+  out += ",\"seeds_per_cell\":";
+  numfmt::append_int(out, seeds_per_cell);
+  out += ",\"base\":";
+  out += base.to_json();
   out += ",";
   append_enum_axis(out, "algs", algs);
   append_enum_axis(out, "detectors", detectors);
@@ -311,7 +314,7 @@ std::string SweepGrid::to_json() const {
   out += "\"densities\":[";
   for (std::size_t i = 0; i < densities.size(); ++i) {
     if (i > 0) out += ",";
-    out += jsonu::format_double(densities[i]);
+    numfmt::append_shortest(out, densities[i]);
   }
   out += "],";
   append_enum_axis(out, "workloads", workloads);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <deque>
 
+#include "util/bitwords.hpp"
+
 namespace ccd {
 
 void Topology::add_edge(std::size_t a, std::size_t b) {
@@ -93,44 +95,83 @@ std::size_t Topology::max_degree() const {
   return best;
 }
 
-std::vector<std::uint32_t> Topology::bfs(std::size_t from) const {
-  std::vector<std::uint32_t> dist(size(), kUnreachable);
-  std::deque<std::uint32_t> queue;
-  dist[from] = 0;
-  queue.push_back(static_cast<std::uint32_t>(from));
-  while (!queue.empty()) {
-    const std::uint32_t u = queue.front();
-    queue.pop_front();
-    for (std::uint32_t v : adjacency_[u]) {
-      if (dist[v] == kUnreachable) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
+namespace {
+
+/// Breadth-first search over adjacency bit rows: a level's frontier
+/// expands as the OR of its nodes' rows, so one level costs one row per
+/// frontier node rather than one visit per edge.  The buffers are reused
+/// across searches, so diameter() allocates once for all n of them.
+class RowBfs {
+ public:
+  explicit RowBfs(const std::vector<std::vector<std::uint32_t>>& adjacency)
+      : n_(adjacency.size()),
+        words_(word_count(n_)),
+        rows_(n_ * words_, 0),
+        visited_(words_),
+        frontier_(words_),
+        next_(words_) {
+    for (std::size_t u = 0; u < n_; ++u) {
+      std::uint64_t* row = &rows_[u * words_];
+      for (std::uint32_t v : adjacency[u]) row[v / 64] |= bit(v);
     }
   }
-  return dist;
-}
+
+  /// Hop count from `from` to `to`; with to == n, to the farthest node
+  /// (the eccentricity).  kUnreachable if that node is never reached.
+  std::uint32_t levels(std::size_t from, std::size_t to) {
+    std::fill(visited_.begin(), visited_.end(), 0);
+    std::fill(frontier_.begin(), frontier_.end(), 0);
+    visited_[from / 64] = frontier_[from / 64] = bit(from);
+    std::size_t reached = 1;
+    std::uint32_t depth = 0;
+    auto arrived = [&] {
+      return to < n_ ? (visited_[to / 64] & bit(to)) != 0 : reached == n_;
+    };
+    while (!arrived()) {
+      std::fill(next_.begin(), next_.end(), 0);
+      for (std::size_t w = 0; w < words_; ++w) {
+        for_each_bit(frontier_[w], w * 64, [&](std::size_t u) {
+          const std::uint64_t* row = &rows_[u * words_];
+          for (std::size_t x = 0; x < words_; ++x) next_[x] |= row[x];
+        });
+      }
+      std::size_t fresh = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        next_[w] &= ~visited_[w];
+        visited_[w] |= next_[w];
+        fresh += bit_count(next_[w]);
+      }
+      if (fresh == 0) return Topology::kUnreachable;
+      reached += fresh;
+      frontier_.swap(next_);
+      ++depth;
+    }
+    return depth;
+  }
+
+ private:
+  static std::uint64_t bit(std::size_t i) {
+    return std::uint64_t{1} << (i % 64);
+  }
+
+  std::size_t n_, words_;
+  std::vector<std::uint64_t> rows_;  ///< n_ rows of words_ words
+  std::vector<std::uint64_t> visited_, frontier_, next_;
+};
+
+}  // namespace
 
 std::uint32_t Topology::distance(std::size_t from, std::size_t to) const {
-  return bfs(from)[to];
+  return RowBfs(adjacency_).levels(from, to);
 }
 
 bool Topology::connected() const {
-  if (size() == 0) return true;
-  const auto dist = bfs(0);
-  return std::none_of(dist.begin(), dist.end(), [](std::uint32_t d) {
-    return d == kUnreachable;
-  });
+  return size() == 0 ||
+         RowBfs(adjacency_).levels(0, size()) != kUnreachable;
 }
 
 std::uint32_t Topology::eccentricity(std::size_t from) const {
-  const auto dist = bfs(from);
-  std::uint32_t worst = 0;
-  for (std::uint32_t d : dist) {
-    if (d == kUnreachable) return kUnreachable;
-    worst = std::max(worst, d);
-  }
-  return worst;
+  return RowBfs(adjacency_).levels(from, size());
 }
 
 std::vector<std::uint32_t> Topology::articulation_points() const {
@@ -456,9 +497,10 @@ std::vector<std::uint32_t> Topology::min_vertex_cut(
 }
 
 std::uint32_t Topology::diameter() const {
+  RowBfs bfs(adjacency_);
   std::uint32_t worst = 0;
   for (std::size_t i = 0; i < size(); ++i) {
-    const std::uint32_t e = eccentricity(i);
+    const std::uint32_t e = bfs.levels(i, size());
     if (e == kUnreachable) return kUnreachable;
     worst = std::max(worst, e);
   }

@@ -88,7 +88,6 @@ class Topology {
  private:
   explicit Topology(std::size_t n) : adjacency_(n) {}
   void add_edge(std::size_t a, std::size_t b);
-  std::vector<std::uint32_t> bfs(std::size_t from) const;
 
   std::vector<std::vector<std::uint32_t>> adjacency_;
 };

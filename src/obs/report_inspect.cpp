@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "util/flat_json.hpp"
 #include "util/histogram.hpp"
+#include "util/numfmt.hpp"
 #include "util/stats.hpp"
 
 namespace ccd::obs {
@@ -24,22 +24,11 @@ bool set_error(std::string* error, const std::string& message) {
   return false;
 }
 
-std::string fmt4(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", d);
-  return buf;
-}
-
-std::string fmt1(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.1f", d);
-  return buf;
-}
-
 std::string pct_of(std::uint64_t part, std::uint64_t whole) {
   if (whole == 0) return "0.0%";
-  return fmt1(100.0 * static_cast<double>(part) /
-              static_cast<double>(whole)) +
+  return numfmt::fixed(100.0 * static_cast<double>(part) /
+                           static_cast<double>(whole),
+                       1) +
          "%";
 }
 
@@ -397,17 +386,17 @@ void render_metric(const MetricView& m, const InspectOptions& options,
     *out += "  (empty)\n";
     return;
   }
-  *out += "  min=" + fmt4(m.min);
-  *out += " p50=" + fmt4(m.p50);
+  *out += "  min=" + numfmt::fixed(m.min, 4);
+  *out += " p50=" + numfmt::fixed(m.p50, 4);
   if (m.full) {
-    *out += " p90=" + fmt4(m.stats.percentile(90));
+    *out += " p90=" + numfmt::fixed(m.stats.percentile(90), 4);
   }
-  *out += " p99=" + fmt4(m.p99);
+  *out += " p99=" + numfmt::fixed(m.p99, 4);
   if (m.full) {
-    *out += " p99.9=" + fmt4(m.stats.percentile(99.9));
+    *out += " p99.9=" + numfmt::fixed(m.stats.percentile(99.9), 4);
   }
-  *out += " max=" + fmt4(m.max);
-  *out += " mean=" + fmt4(m.mean);
+  *out += " max=" + numfmt::fixed(m.max, 4);
+  *out += " mean=" + numfmt::fixed(m.mean, 4);
   *out += "\n";
   if (!m.full) return;
   if (m.stats.histogram_active()) {
@@ -504,8 +493,9 @@ bool diff_metric(std::uint64_t cell, const MetricView& a, const MetricView& b,
     const double av = a.*(f.member), bv = b.*(f.member);
     if (a.count == 0 || b.count == 0) break;
     if (av != bv) {
-      *out += key + f.name + ": " + fmt4(av) + " -> " + fmt4(bv) +
-              " (delta " + fmt4(bv - av) + ")\n";
+      *out += key + f.name + ": " + numfmt::fixed(av, 4) + " -> " +
+              numfmt::fixed(bv, 4) + " (delta " + numfmt::fixed(bv - av, 4) +
+              ")\n";
       differs = true;
     }
   }
@@ -932,12 +922,6 @@ bool parse_bench(const std::string& json, bool baseline,
   return true;
 }
 
-std::string fmt_g(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", d);
-  return buf;
-}
-
 }  // namespace
 
 bool diff_bench(const std::string& old_json, const std::string& new_json,
@@ -953,7 +937,7 @@ bool diff_bench(const std::string& old_json, const std::string& new_json,
   }
   *regressed = false;
   for (const auto& [name, old_entry] : old_entries) {
-    *out += name + ": " + fmt_g(*old_entry.median) + " -> ";
+    *out += name + ": " + numfmt::general(*old_entry.median, 6) + " -> ";
     const auto it = new_entries.find(name);
     // `now` is a plain double, read only where `have_now` holds.
     const bool have_now =
@@ -965,8 +949,9 @@ bool diff_bench(const std::string& old_json, const std::string& new_json,
       *out += "not a finite number";
     } else {
       const double change = (now - *old_entry.median) / *old_entry.median;
-      *out += fmt_g(now) + " " + old_entry.unit + " (" +
-              (change >= 0 ? "+" : "") + fmt1(100.0 * change) + "%)";
+      *out += numfmt::general(now, 6) + " " + old_entry.unit + " (" +
+              (change >= 0 ? "+" : "") + numfmt::fixed(100.0 * change, 1) +
+              "%)";
     }
     if (!old_entry.bound) {
       *out += " [not gated]\n";
@@ -974,7 +959,7 @@ bool diff_bench(const std::string& old_json, const std::string& new_json,
     }
     // Every gated entry is a rate or a ratio: higher is better.
     const double floor = *old_entry.median * (1.0 - *old_entry.bound);
-    *out += " [bound -" + fmt1(100.0 * *old_entry.bound) + "%]";
+    *out += " [bound -" + numfmt::fixed(100.0 * *old_entry.bound, 1) + "%]";
     if (!have_now || now < floor) {
       *out += "  REGRESSION";
       *regressed = true;

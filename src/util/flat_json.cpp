@@ -3,19 +3,15 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "util/numfmt.hpp"
 
 namespace ccd::jsonu {
 
 std::string format_double(double d) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
-    if (std::strtod(buf, nullptr) == d) break;
-  }
-  return buf;
+  std::string out;
+  numfmt::append_shortest(out, d);
+  return out;
 }
 
 bool skip_quoted(const std::string& text, std::size_t& i) {
@@ -272,12 +268,12 @@ std::optional<std::uint64_t> fingerprint_from_hex(std::string_view s) {
 }
 
 void append_double_array(std::string& out, const std::vector<double>& xs) {
-  out += "[";
+  out += '[';
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += format_double(xs[i]);
+    if (i > 0) out += ',';
+    numfmt::append_shortest(out, xs[i]);
   }
-  out += "]";
+  out += ']';
 }
 
 std::string quote(const std::string& s) {

@@ -20,8 +20,8 @@
 
 namespace ccd::jsonu {
 
-/// Shortest %g form that strtod parses back to the same double: try
-/// increasing precision until the round trip is exact.  Keeps emitted JSON
+/// numfmt::append_shortest as a string: the shortest %.{P}g form that
+/// std::from_chars parses back to the same double.  Keeps emitted JSON
 /// both readable ("0.5", not "0.50000000000000000") and lossless -- the
 /// byte-identical merge guarantee leans on this exactness.
 std::string format_double(double d);
@@ -81,7 +81,7 @@ std::optional<std::vector<std::uint64_t>> parse_u64_array(
 std::string fingerprint_to_hex(std::uint64_t fp);
 std::optional<std::uint64_t> fingerprint_from_hex(std::string_view s);
 
-/// Append `[a,b,...]` rendering doubles via format_double.
+/// Append `[a,b,...]` rendering doubles via numfmt::append_shortest.
 void append_double_array(std::string& out, const std::vector<double>& xs);
 
 /// JSON string escaping for the few places we emit caller-supplied text

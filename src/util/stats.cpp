@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "util/flat_json.hpp"
+#include "util/numfmt.hpp"
 
 namespace ccd {
 namespace {
@@ -193,17 +194,16 @@ double Stats::percentile(double p) const {
 
 // ---- serialization ---------------------------------------------------------
 
-std::string stats_to_json(const Stats& s) {
-  std::string out;
+void append_stats_json(std::string& out, const Stats& s) {
   if (s.histogram_active()) {
     out += "{\"h\":[";
     bool first = true;
     for (const auto& [key, cnt] : s.histogram().bins()) {
       if (!first) out += ',';
       first = false;
-      out += std::to_string(key);
+      numfmt::append_int(out, key);
       out += ',';
-      out += std::to_string(cnt);
+      numfmt::append_int(out, cnt);
     }
     out += "]}";
   } else {
@@ -211,6 +211,11 @@ std::string stats_to_json(const Stats& s) {
     jsonu::append_double_array(out, s.samples());
     out += '}';
   }
+}
+
+std::string stats_to_json(const Stats& s) {
+  std::string out;
+  append_stats_json(out, s);
   return out;
 }
 

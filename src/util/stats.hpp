@@ -118,6 +118,8 @@ class Stats {
 /// (bins ascending, counts > 0) or {"raw":[x0,x1,...]} for raw mode
 /// (insertion order, shortest round-trip doubles).
 std::string stats_to_json(const Stats& s);
+/// stats_to_json appended in place (the report renderers' form).
+void append_stats_json(std::string& out, const Stats& s);
 
 /// Rebuilds a Stats serialized by stats_to_json.  Folds into `*into`
 /// (freshly constructed, in the mode the writer's accumulator had).

@@ -1,9 +1,10 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "util/numfmt.hpp"
 
 namespace ccd {
 
@@ -15,11 +16,7 @@ void AsciiTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-std::string AsciiTable::to_cell(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3g", d);
-  return buf;
-}
+std::string AsciiTable::to_cell(double d) { return numfmt::general(d, 3); }
 
 void AsciiTable::print(std::ostream& os) const {
   std::vector<std::size_t> widths(headers_.size());

@@ -7,9 +7,15 @@
 // discipline, aggregation order or rendering shows up here as a hash
 // mismatch.
 //
-// To regenerate after an INTENTIONAL report change:
+// The ccd-dist-v1 hashes (full distributions, raw-sample doubles in their
+// shortest round-trip form) were captured from the printf-based number
+// formatters, immediately before every report number moved to util's
+// <charconv> formatters.
+//
+// To regenerate after an INTENTIONAL report change, run
 //   ccd_sweep --grid <name> --threads 8 --quiet --json g.json --csv g.csv
-// and FNV-1a-64 the files (same function as SweepGrid::fingerprint).
+// with --dist-out g.dist.json, and FNV-1a-64 the files (same function as
+// SweepGrid::fingerprint), without the dist file's trailing newline.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,6 +43,7 @@ struct Golden {
   const char* grid;
   std::uint64_t json_hash;
   std::uint64_t csv_hash;
+  std::uint64_t dist_hash;
 };
 
 // smoke, crash and multihop: captured from the pre-RoundEngine
@@ -46,10 +53,14 @@ struct Golden {
 // lanes-on/off and thread-count checks below both run the changed code,
 // so only a frozen hash catches a behaviour change there.
 constexpr Golden kGoldens[] = {
-    {"smoke", 0xf0957afa21205b0eull, 0x1a460b776478edb5ull},
-    {"crash", 0x5db396db7e9114ceull, 0x78c449f2f7bd594full},
-    {"multihop", 0x3662e9ebcf7db391ull, 0x54b9c7f514e5570dull},
-    {"mhloss", 0x9df3343a563033dcull, 0x09eda35ce79684abull},
+    {"smoke", 0xf0957afa21205b0eull, 0x1a460b776478edb5ull,
+     0xf3ace2064ba86b5dull},
+    {"crash", 0x5db396db7e9114ceull, 0x78c449f2f7bd594full,
+     0x08a267bdd63ea5aeull},
+    {"multihop", 0x3662e9ebcf7db391ull, 0x54b9c7f514e5570dull,
+     0x3be759a4cf8de8b9ull},
+    {"mhloss", 0x9df3343a563033dcull, 0x09eda35ce79684abull,
+     0xf820ab4ad172f794ull},
 };
 
 TEST(GoldenReports, EngineReproducesPreRefactorReportsByteIdentically) {
@@ -68,6 +79,9 @@ TEST(GoldenReports, EngineReproducesPreRefactorReportsByteIdentically) {
           << " (lanes=" << lanes << ")";
       EXPECT_EQ(fnv1a(aggregates_to_csv(cells)), golden.csv_hash)
           << golden.grid << ".csv drifted from the pre-refactor bytes"
+          << " (lanes=" << lanes << ")";
+      EXPECT_EQ(fnv1a(cells_to_dist_json(*grid, cells)), golden.dist_hash)
+          << golden.grid << ".dist.json drifted from the frozen bytes"
           << " (lanes=" << lanes << ")";
     }
   }

@@ -2,8 +2,67 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <vector>
+
 namespace ccd {
 namespace {
+
+/// The queue BFS the bit-row search replaced: hop distances from `from`,
+/// kUnreachable where it never arrives.
+std::vector<std::uint32_t> reference_bfs(const Topology& t, std::size_t from) {
+  std::vector<std::uint32_t> dist(t.size(), Topology::kUnreachable);
+  std::deque<std::uint32_t> queue;
+  dist[from] = 0;
+  queue.push_back(static_cast<std::uint32_t>(from));
+  while (!queue.empty()) {
+    const std::uint32_t u = queue.front();
+    queue.pop_front();
+    for (std::uint32_t v : t.neighbors(u)) {
+      if (dist[v] == Topology::kUnreachable) {
+        dist[v] = dist[u] + 1;
+        queue.push_back(v);
+      }
+    }
+  }
+  return dist;
+}
+
+/// connected(), eccentricity(i), diameter() and distance() against the
+/// queue BFS, the way the replaced code derived each of them.
+void expect_bfs_matches_reference(const Topology& t, const char* what) {
+  const std::size_t n = t.size();
+  SCOPED_TRACE(::testing::Message() << what << " n=" << n);
+  std::uint32_t diameter = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<std::uint32_t> dist = reference_bfs(t, i);
+    const bool reaches_all =
+        std::find(dist.begin(), dist.end(), Topology::kUnreachable) ==
+        dist.end();
+    const std::uint32_t ecc =
+        reaches_all ? *std::max_element(dist.begin(), dist.end())
+                    : Topology::kUnreachable;
+    ASSERT_EQ(t.eccentricity(i), ecc) << "from " << i;
+    if (diameter != Topology::kUnreachable) {
+      diameter = ecc == Topology::kUnreachable ? ecc : std::max(diameter, ecc);
+    }
+    if (i == 0) {
+      ASSERT_EQ(t.connected(), reaches_all);
+    }
+    // Every target from the first and last node; one from the others.
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == 0 || i + 1 == n || j == (i * 7 + 3) % n) {
+        ASSERT_EQ(t.distance(i, j), dist[j]) << i << " -> " << j;
+      }
+    }
+  }
+  ASSERT_EQ(t.diameter(), diameter);
+  if (n == 0) {
+    ASSERT_TRUE(t.connected());
+  }
+}
 
 TEST(Topology, CliqueEveryoneAdjacent) {
   const Topology t = Topology::clique(5);
@@ -73,6 +132,43 @@ TEST(Topology, GridNCoversExactlyNNodes) {
   EXPECT_TRUE(partial.adjacent(4, 7));
   EXPECT_FALSE(partial.adjacent(5, 7));
   EXPECT_EQ(partial.degree(7), 2u);
+}
+
+TEST(Topology, BitRowSearchMatchesQueueBfsOnEveryShippedShape) {
+  for (std::size_t n = 0; n <= 70; ++n) {
+    expect_bfs_matches_reference(Topology::clique(n), "clique");
+    expect_bfs_matches_reference(Topology::line(n), "line");
+    expect_bfs_matches_reference(Topology::ring(n), "ring");
+    expect_bfs_matches_reference(Topology::grid_n(n), "grid_n");
+  }
+  for (std::size_t w = 1; w <= 8; ++w) {
+    for (std::size_t h = 1; h <= 8; ++h) {
+      expect_bfs_matches_reference(Topology::grid(w, h), "grid");
+    }
+  }
+}
+
+TEST(Topology, BitRowSearchMatchesQueueBfsOnRandomGeometricDraws) {
+  // Radii from a quarter to twice the connectivity threshold, so both
+  // connected and split graphs come up, at sizes that fill one, two and
+  // three bit words (65 and 130 end one bit into their last word).
+  std::size_t draws = 0, split = 0;
+  for (std::size_t n : {2, 5, 17, 33, 63, 64, 65, 100, 128, 129, 130}) {
+    const double threshold =
+        std::sqrt(std::log(static_cast<double>(n)) /
+                  (3.14159265358979323846 * static_cast<double>(n)));
+    for (std::uint64_t seed = 0; seed < 190; ++seed) {
+      const double radius = threshold * (0.25 + 1.75 * (seed % 19) / 18.0);
+      const Topology t = Topology::random_geometric(n, radius, seed);
+      expect_bfs_matches_reference(t, "rgg");
+      if (::testing::Test::HasFatalFailure()) return;
+      ++draws;
+      split += !t.connected();
+    }
+  }
+  EXPECT_GE(draws, 2000u);
+  EXPECT_GT(split, 0u);
+  EXPECT_LT(split, draws);
 }
 
 TEST(Topology, SingletonAndEmpty) {
