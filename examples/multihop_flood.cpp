@@ -35,7 +35,7 @@ int main() {
   world.world.processes = std::move(nodes);
   world.world.cd = std::make_unique<OracleDetector>(DetectorSpec::ZeroAC(),
                                                     make_truthful_policy());
-  world.topology = topo;
+  world.topology = std::make_shared<const Topology>(topo);
   world.channel = ChannelModel::kCapture;
   world.scope = CollisionScope::kLocal;
   world.link = {0.95, 0.1};

@@ -13,6 +13,7 @@ ConsensusVerdict check_consensus(const ExecutionLog& log,
   for (const CrashRecord& c : log.crashes()) crashed[c.process] = true;
 
   std::vector<Value> decision(n, kNoValue);
+  verdict.decided_values.reserve(log.decisions().size());
   for (const DecisionRecord& d : log.decisions()) {
     decision[d.process] = d.value;
     if (d.round < verdict.first_decision_round) {

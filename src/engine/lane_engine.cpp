@@ -19,34 +19,57 @@ namespace {
 
 }  // namespace
 
+LaneEngine::Lane::Lane(std::size_t n, bool local, bool record_views,
+                       std::uint64_t seed)
+    : cd_advice(n, CdAdvice::kNull),
+      recv_count(n, 0),
+      local_c(local ? n : 0, 0),
+      sent_msg(n),
+      decided_value(n, kNoValue),
+      num_alive(n),
+      link_rng(seed),
+      log(n, record_views) {
+  cm_advice.reserve(n);
+}
+
 LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     : lanes_(worlds.size()), options_(options), worlds_(std::move(worlds)) {
   assert(lanes_ >= 1 && lanes_ <= kLaneWidth);
   n_ = worlds_[0].world.processes.size();
   words_ = word_count(n_);
   local_ = worlds_[0].scope == CollisionScope::kLocal;
-  adj_base_.resize(lanes_);
+  assert(local_ || worlds_[0].channel == ChannelModel::kMatrix);
+  lane_.reserve(lanes_);
   for (std::size_t l = 0; l < lanes_; ++l) {
-    [[maybe_unused]] const EngineWorld& ew = worlds_[l];
+    const EngineWorld& ew = worlds_[l];
     assert(ew.world.processes.size() == n_);
-    assert(ew.topology.size() == n_);
     assert(ew.channel == worlds_[0].channel);
     assert(ew.scope == worlds_[0].scope);
-    assert(ew.scope == CollisionScope::kLocal || is_clique(ew.topology));
     assert(ew.world.initial_values.empty() ||
            ew.world.initial_values.size() == n_);
+    lane_.emplace_back(n_, local_,
+                       options_.record_rounds && options_.record_views,
+                       ew.link_seed);
+    if (!local_) {
+      // kGlobal reads no graph; one given must be the clique.
+      assert(!ew.topology ||
+             (ew.topology->size() == n_ && is_clique(*ew.topology)));
+      continue;
+    }
+    assert(ew.topology && ew.topology->size() == n_);
     // A lane on the same graph as the previous lane reads that lane's rows
     // (a fixed shape is one graph for the whole block), which keeps large
     // blocks' adjacency in cache.
-    if (l > 0 && ew.topology == worlds_[l - 1].topology) {
-      adj_base_[l] = adj_base_[l - 1];
+    if (l > 0 && (ew.topology == worlds_[l - 1].topology ||
+                  *ew.topology == *worlds_[l - 1].topology)) {
+      lane_[l].adj_base = lane_[l - 1].adj_base;
       continue;
     }
-    adj_base_[l] = adj_.size();
+    lane_[l].adj_base = adj_.size();
     adj_.resize(adj_.size() + n_ * words_, 0);
     for (std::size_t i = 0; i < n_; ++i) {
-      std::uint64_t* row = &adj_[adj_base_[l] + i * words_];
-      for (std::uint32_t j : ew.topology.neighbors(i)) {
+      std::uint64_t* row = &adj_[lane_[l].adj_base + i * words_];
+      for (std::uint32_t j : ew.topology->neighbors(i)) {
         row[j / 64] |= std::uint64_t{1} << (j % 64);
       }
     }
@@ -54,31 +77,31 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
 
   active_ = lanes_ == kLaneWidth ? ~std::uint64_t{0}
                                  : (std::uint64_t{1} << lanes_) - 1;
-  const std::uint64_t all_lanes = active_;
 
-  alive_pw_.assign(lanes_ * words_, 0);
-  halted_pw_.assign(lanes_ * words_, 0);
-  dormant_pw_.assign(lanes_ * words_, 0);
-  participating_pw_.assign(lanes_ * words_, 0);
-  sent_pw_.assign(lanes_ * words_, 0);
-  alive_lw_.assign(n_, all_lanes);
-  decided_lw_.assign(n_, 0);
-
-  cm_advice_.resize(lanes_);
-  cd_advice_.resize(lanes_);
-  recv_count_.resize(lanes_);
-  local_c_.resize(lanes_);
-  sent_msg_.resize(lanes_);
-  counters_.resize(lanes_);
-  decided_value_.resize(lanes_);
-  total_broadcasts_.assign(lanes_, 0);
-  crashes_applied_.assign(lanes_, 0);
-  last_crash_round_.resize(lanes_);
-  num_alive_.assign(lanes_, n_);
-  broadcaster_count_.assign(lanes_, 0);
-  results_.resize(lanes_);
-  logs_.reserve(lanes_);
-  link_rng_.reserve(lanes_);
+  // One buffer for every word row: five process-word rows per lane, two
+  // lane words per process, then the crash marks, kLocal's in-range
+  // receivers and record_rounds' receivers snapshot.
+  const std::size_t rows = lanes_ * words_;
+  words_buf_.assign(5 * rows + 2 * n_ + words_ + (local_ ? words_ : 0) +
+                        (options_.record_rounds ? words_ : 0),
+                    0);
+  std::uint64_t* next = words_buf_.data();
+  auto take = [&next](std::size_t count) {
+    std::uint64_t* row = next;
+    next += count;
+    return row;
+  };
+  alive_pw_ = take(rows);
+  halted_pw_ = take(rows);
+  dormant_pw_ = take(rows);
+  participating_pw_ = take(rows);
+  sent_pw_ = take(rows);
+  alive_lw_ = take(n_);
+  decided_lw_ = take(n_);
+  crash_ = take(words_);
+  hear_ = take(local_ ? words_ : 0);
+  receivers_ = take(options_.record_rounds ? words_ : 0);
+  std::fill(alive_lw_, alive_lw_ + n_, active_);
 
   for (std::size_t l = 0; l < lanes_; ++l) {
     World& w = worlds_[l].world;
@@ -93,38 +116,23 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     }
     if (!w.loss) w.loss = std::make_unique<NoLoss>();
     if (!w.fault) w.fault = std::make_unique<NoFailures>();
-    last_crash_round_[l] = w.fault->last_crash_round();
-
-    link_rng_.emplace_back(worlds_[l].link_seed);
-    logs_.emplace_back(n_, options_.record_rounds && options_.record_views);
+    lane_[l].last_crash_round = w.fault->last_crash_round();
     for (std::size_t i = 0; i < w.initial_values.size(); ++i) {
-      logs_[l].set_initial_value(static_cast<ProcessId>(i),
-                                 w.initial_values[i]);
+      lane_[l].log.set_initial_value(static_cast<ProcessId>(i),
+                                     w.initial_values[i]);
     }
 
-    cd_advice_[l].assign(n_, CdAdvice::kNull);
-    cm_advice_[l].reserve(n_);
-    recv_count_[l].assign(n_, 0);
-    local_c_[l].assign(n_, 0);
-    sent_msg_[l].resize(n_);
-    decided_value_[l].assign(n_, kNoValue);
-
-    // n = 0: empty rows (data(), not operator[] on an empty vector).
-    std::span<std::uint64_t> alive(alive_pw_.data() + lane_base(l), words_);
-    std::span<std::uint64_t> halted(halted_pw_.data() + lane_base(l), words_);
-    std::span<std::uint64_t> dormant(dormant_pw_.data() + lane_base(l),
-                                     words_);
+    std::span<std::uint64_t> alive(alive_pw_ + lane_base(l), words_);
+    std::span<std::uint64_t> halted(halted_pw_ + lane_base(l), words_);
+    std::span<std::uint64_t> dormant(dormant_pw_ + lane_base(l), words_);
     for (std::size_t i = 0; i < n_; ++i) {
       set_bit(alive, i);
       if (w.processes[i]->halted()) set_bit(halted, i);
       if (w.processes[i]->dormant()) set_bit(dormant, i);
     }
   }
-  if (worlds_[0].channel == ChannelModel::kMatrix) delivery_.reset(n_);
-  crash_.assign(words_, 0);
+  recv_buf_.reserve(n_);
   recv_off_.assign(n_, 0);
-  hear_.assign(words_, 0);
-  if (options_.record_rounds) receivers_.assign(words_, 0);
   // n = 0: no process can ever send, decide or crash; every lane is done
   // before its first round.
   if (n_ == 0) {
@@ -159,8 +167,8 @@ inline void LaneEngine::note_flags(std::size_t l, std::size_t i) {
 }
 
 std::size_t LaneEngine::num_awake(std::size_t l) const {
-  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
-  const std::uint64_t* dormant = &dormant_pw_[lane_base(l)];
+  const std::uint64_t* alive = alive_pw_ + lane_base(l);
+  const std::uint64_t* dormant = dormant_pw_ + lane_base(l);
   std::size_t count = 0;
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     count += bit_count(alive[wdx] & ~dormant[wdx]);
@@ -172,8 +180,9 @@ void LaneEngine::commit_crashes(std::size_t l, Round r) {
   // Consumes the marks, so the crash row is zero again whenever no hook's
   // marks are pending.  Marks of dead processes are dropped.
   const std::uint64_t lane_bit = std::uint64_t{1} << l;
-  std::uint64_t* alive = &alive_pw_[lane_base(l)];
-  std::uint64_t* part = &participating_pw_[lane_base(l)];
+  Lane& lane = lane_[l];
+  std::uint64_t* alive = alive_pw_ + lane_base(l);
+  std::uint64_t* part = participating_pw_ + lane_base(l);
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     const std::uint64_t hit = crash_[wdx] & alive[wdx];
     crash_[wdx] = 0;
@@ -183,18 +192,19 @@ void LaneEngine::commit_crashes(std::size_t l, Round r) {
       alive_lw_[i] &= ~lane_bit;
       // kLocal: a dead radio's detector advice reads kNull from now on
       // (kGlobal's oracle advises every process each round).
-      if (local_) cd_advice_[l][i] = CdAdvice::kNull;
-      --num_alive_[l];
-      ++crashes_applied_[l];
-      logs_[l].record_crash(static_cast<ProcessId>(i), r);
+      if (local_) lane.cd_advice[i] = CdAdvice::kNull;
+      --lane.num_alive;
+      ++lane.crashes_applied;
+      lane.log.record_crash(static_cast<ProcessId>(i), r);
     });
   }
 }
 
 void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
   World& w = worlds_[l].world;
-  const std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  const std::uint64_t* part = &participating_pw_[lane_base(l)];
+  const std::vector<Message>& msg = lane_[l].sent_msg;
+  const std::uint64_t* sent = sent_pw_ + lane_base(l);
+  const std::uint64_t* part = participating_pw_ + lane_base(l);
 
   const bool all = w.loss->always_delivers();
   if (all) {
@@ -204,7 +214,7 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
     // bytes as a per-receiver copy, sorted).
     for (std::size_t sw = 0; sw < words_; ++sw) {
       for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
-        recv_buf_.push_back(sent_msg_[l][j]);
+        recv_buf_.push_back(msg[j]);
       });
     }
     std::sort(recv_buf_.begin(), recv_buf_.end());
@@ -228,9 +238,7 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
       const std::size_t off = recv_buf_.size();
       for (std::size_t sw = 0; sw < words_; ++sw) {
         for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
-          if (delivery_.delivered(i, j)) {
-            recv_buf_.push_back(sent_msg_[l][j]);
-          }
+          if (delivery_.delivered(i, j)) recv_buf_.push_back(msg[j]);
         });
       }
       std::sort(recv_buf_.begin() + off, recv_buf_.end());
@@ -241,8 +249,10 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
 
 void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
   World& w = worlds_[l].world;
-  const std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  std::vector<std::uint32_t>& lc = local_c_[l];
+  Lane& lane = lane_[l];
+  const std::vector<Message>& msg = lane.sent_msg;
+  const std::uint64_t* sent = sent_pw_ + lane_base(l);
+  std::vector<std::uint32_t>& lc = lane.local_c;
   std::fill(lc.begin(), lc.end(), 0);
 
   const bool all = w.loss->always_delivers();
@@ -260,31 +270,31 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
       const std::size_t off = recv_buf_.size();
       std::uint32_t c = 0;
       if ((sent[i / 64] >> (i % 64)) & 1u) {
-        ++c;                                  // own broadcast counts toward c_i
-        recv_buf_.push_back(sent_msg_[l][i]);  // and is always self-delivered
+        ++c;                          // own broadcast counts toward c_i
+        recv_buf_.push_back(msg[i]);  // and is always self-delivered
       }
       const std::uint64_t* adj = adj_row(l, i);
       for (std::size_t sw = 0; sw < words_; ++sw) {
         for_each_bit(sent[sw] & adj[sw], sw * 64, [&](std::size_t j) {
           ++c;
-          if (all || delivery_.delivered(i, j)) {
-            recv_buf_.push_back(sent_msg_[l][j]);
-          }
+          if (all || delivery_.delivered(i, j)) recv_buf_.push_back(msg[j]);
         });
       }
       std::sort(recv_buf_.begin() + off, recv_buf_.end());
       close_multiset(l, i, off);
       lc[i] = c;
-      if (c >= 2) ++counters_[l].collisions;
+      if (c >= 2) ++lane.counters.collisions;
     });
   }
 }
 
 void LaneEngine::deliver_capture(std::size_t l) {
-  const std::uint64_t* sent = &sent_pw_[lane_base(l)];
+  Lane& lane = lane_[l];
+  const std::vector<Message>& msg = lane.sent_msg;
+  const std::uint64_t* sent = sent_pw_ + lane_base(l);
   const MhLinkModel& link = worlds_[l].link;
-  Rng& rng = link_rng_[l];
-  std::vector<std::uint32_t>& lc = local_c_[l];
+  Rng& rng = lane.link_rng;
+  std::vector<std::uint32_t>& lc = lane.local_c;
   std::fill(lc.begin(), lc.end(), 0);
 
   // Receivers ascending; dead and out-of-range receivers are skipped
@@ -305,16 +315,16 @@ void LaneEngine::deliver_capture(std::size_t l) {
       std::uint32_t c = heard;
       if ((sent[i / 64] >> (i % 64)) & 1u) {
         ++c;
-        recv_buf_.push_back(sent_msg_[l][i]);
+        recv_buf_.push_back(msg[i]);
       }
       if (heard == 1) {
         if (rng.chance(link.p_single)) {
-          recv_buf_.push_back(sent_msg_[l][nth_set_bit(sent, adj, 0)]);
+          recv_buf_.push_back(msg[nth_set_bit(sent, adj, 0)]);
         }
       } else if (heard > 1) {
         if (rng.chance(link.p_capture)) {
           const std::size_t j = nth_set_bit(sent, adj, rng.below(heard));
-          recv_buf_.push_back(sent_msg_[l][j]);
+          recv_buf_.push_back(msg[j]);
         }
       }
       // At most two messages (own + captured): one compare-swap sorts them.
@@ -323,7 +333,7 @@ void LaneEngine::deliver_capture(std::size_t l) {
       }
       close_multiset(l, i, off);
       lc[i] = c;
-      if (c >= 2) ++counters_[l].collisions;
+      if (c >= 2) ++lane.counters.collisions;
     });
   }
 }
@@ -332,9 +342,9 @@ const std::uint64_t* LaneEngine::receivers_in_range(std::size_t l) {
   // Adjacency is symmetric, so i hears some sender iff i sent or i lies in
   // a sender's row: O(broadcasters * words) instead of a scan of every
   // live receiver's row.
-  const std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
-  std::copy(sent, sent + words_, hear_.begin());
+  const std::uint64_t* sent = sent_pw_ + lane_base(l);
+  const std::uint64_t* alive = alive_pw_ + lane_base(l);
+  std::copy(sent, sent + words_, hear_);
   for (std::size_t sw = 0; sw < words_; ++sw) {
     for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
       const std::uint64_t* adj = adj_row(l, j);
@@ -342,76 +352,78 @@ const std::uint64_t* LaneEngine::receivers_in_range(std::size_t l) {
     });
   }
   for (std::size_t wdx = 0; wdx < words_; ++wdx) hear_[wdx] &= alive[wdx];
-  return hear_.data();
+  return hear_;
 }
 
 void LaneEngine::close_multiset(std::size_t l, std::size_t i,
                                 std::size_t off) {
   const auto count = static_cast<std::uint32_t>(recv_buf_.size() - off);
   recv_off_[i] = off;
-  recv_count_[l][i] = count;
-  counters_[l].messages_delivered += count;
+  lane_[l].recv_count[i] = count;
+  lane_[l].counters.messages_delivered += count;
 }
 
 std::span<const Message> LaneEngine::received(std::size_t l,
                                               std::size_t i) const {
   // A receiver delivery never visited this round has count 0 and a stale
   // offset: it reads the empty multiset.
-  const std::uint32_t count = recv_count_[l][i];
+  const std::uint32_t count = lane_[l].recv_count[i];
   if (count == 0) return {};
   return {recv_buf_.data() + recv_off_[i], count};
 }
 
 void LaneEngine::lane_round(std::size_t l, Round r) {
   World& w = worlds_[l].world;
+  Lane& lane = lane_[l];
   const bool local = local_;
-  obs::EngineCounters& ctr = counters_[l];
+  obs::EngineCounters& ctr = lane.counters;
   ++ctr.rounds;
 
   // Participation snapshot for this round: alive and not halted.  Both
   // flags are event-maintained (crash commits, halt memoization), so the
   // snapshot is W word ops instead of n virtual halted() probes.
-  std::uint64_t* part = &participating_pw_[lane_base(l)];
-  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
-  const std::uint64_t* halted = &halted_pw_[lane_base(l)];
+  std::uint64_t* part = participating_pw_ + lane_base(l);
+  const std::uint64_t* alive = alive_pw_ + lane_base(l);
+  const std::uint64_t* halted = halted_pw_ + lane_base(l);
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     part[wdx] = alive[wdx] & ~halted[wdx];
   }
 
   // W_r: contention advice.
-  w.cm->advise(r, view(part), cm_advice_[l]);
-  cm_advice_[l].resize(n_, CmAdvice::kPassive);
+  w.cm->advise(r, view(part), lane.cm_advice);
+  lane.cm_advice.resize(n_, CmAdvice::kPassive);
   ++ctr.cm_advice_calls;
 
   // Both crash points run only inside the lane's crash window.
-  const bool faults = r <= last_crash_round_[l];
+  const bool faults = r <= lane.last_crash_round;
+  const std::span<std::uint64_t> crash(crash_, words_);
 
   // Crash point A (kBeforeSend): marked processes are silent from round r
   // on.
   if (faults) {
-    w.fault->crash_before_send(r, view(alive), crash_);
-    const std::uint64_t pre = crashes_applied_[l];
+    w.fault->crash_before_send(r, view(alive), crash);
+    const std::uint64_t pre = lane.crashes_applied;
     commit_crashes(l, r);
-    ctr.crashes_before_send += crashes_applied_[l] - pre;
+    ctr.crashes_before_send += lane.crashes_applied - pre;
   }
 
   // M_r: message assignments.  Senders land as set bits; the message slot
   // is valid iff the bit is (no per-round optional churn).  Dormant
   // processes send nothing by contract and are not asked; they stay in
   // `part`, so W_r above saw the same participants.
-  std::uint64_t* sent = &sent_pw_[lane_base(l)];
+  std::uint64_t* sent = sent_pw_ + lane_base(l);
   std::fill(sent, sent + words_, 0);
-  std::uint32_t& bc = broadcaster_count_[l];
+  std::uint32_t& bc = lane.broadcaster_count;
   bc = 0;
-  const std::uint64_t* dormant = &dormant_pw_[lane_base(l)];
+  const std::uint64_t* dormant = dormant_pw_ + lane_base(l);
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
     for_each_bit(part[wdx] & ~dormant[wdx], wdx * 64, [&](std::size_t i) {
-      std::optional<Message> m = w.processes[i]->on_send(r, cm_advice_[l][i]);
+      std::optional<Message> m = w.processes[i]->on_send(r, lane.cm_advice[i]);
       if (m.has_value()) {
-        sent_msg_[l][i] = *m;
+        lane.sent_msg[i] = *m;
         sent[wdx] |= std::uint64_t{1} << (i % 64);
         ++bc;
-        ++total_broadcasts_[l];
+        ++lane.total_broadcasts;
       }
       note_flags(l, i);
     });
@@ -420,16 +432,16 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   // Crash point B (kAfterSend): the round-r message is out, the transition
   // is not taken.  kLocal commits immediately; kGlobal defers so the
   // crasher's round-r view still forms.
-  const std::uint64_t pre_b = crashes_applied_[l];
+  const std::uint64_t pre_b = lane.crashes_applied;
   if (faults) {
-    w.fault->crash_after_send(r, view(alive), crash_);
+    w.fault->crash_after_send(r, view(alive), crash);
     if (local) commit_crashes(l, r);
   }
 
   // N_r: receive multisets, appended to recv_buf_ in receiver order; a
   // receiver delivery does not visit keeps count 0.
   recv_buf_.clear();
-  std::fill(recv_count_[l].begin(), recv_count_[l].end(), 0);
+  std::fill(lane.recv_count.begin(), lane.recv_count.end(), 0);
   if (worlds_[0].channel == ChannelModel::kMatrix) {
     if (local) {
       deliver_matrix_local(l, r);
@@ -442,7 +454,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   if (options_.record_rounds) {
     // kGlobal delivers to the participants; kLocal to every live process.
     const std::uint64_t* receivers = local ? alive : part;
-    std::copy(receivers, receivers + words_, receivers_.begin());
+    std::copy(receivers, receivers + words_, receivers_);
   }
 
   ctr.messages_sent += bc;
@@ -451,13 +463,13 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   // per-neighborhood (c_i, t_i) for every live process otherwise (delivery
   // counted the local collisions).
   if (!local) {
-    w.cd->advise(r, bc, recv_count_[l], cd_advice_[l]);
+    w.cd->advise(r, bc, lane.recv_count, lane.cd_advice);
     ++ctr.cd_advice_calls;
     if (bc >= 2) ++ctr.collisions;
   } else {
-    w.cd->advise_local(r, view(alive), local_c_[l], recv_count_[l],
-                       cd_advice_[l]);
-    ctr.cd_advice_calls += num_alive_[l];
+    w.cd->advise_local(r, view(alive), lane.local_c, lane.recv_count,
+                       lane.cd_advice);
+    ctr.cd_advice_calls += lane.num_alive;
   }
   w.cm->observe(r, bc);
 
@@ -474,44 +486,45 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
         local ? alive[wdx] & ~halted[wdx] & (~dormant[wdx] | hear_[wdx])
               : part[wdx] & ~crash_[wdx];
     for_each_bit(takers, wdx * 64, [&](std::size_t i) {
-      w.processes[i]->on_receive(r, received(l, i), cd_advice_[l][i],
-                                 cm_advice_[l][i]);
+      w.processes[i]->on_receive(r, received(l, i), lane.cd_advice[i],
+                                 lane.cm_advice[i]);
       note_flags(l, i);
-      if (decided_value_[l][i] == kNoValue && w.processes[i]->decided()) {
-        decided_value_[l][i] = w.processes[i]->decision();
+      if (lane.decided_value[i] == kNoValue && w.processes[i]->decided()) {
+        lane.decided_value[i] = w.processes[i]->decision();
         decided_lw_[i] |= lane_bit;
-        logs_[l].record_decision(static_cast<ProcessId>(i), r,
-                                 decided_value_[l][i]);
+        lane.log.record_decision(static_cast<ProcessId>(i), r,
+                                 lane.decided_value[i]);
       }
     });
   }
   if (!local && faults) commit_crashes(l, r);
-  ctr.crashes_after_send += crashes_applied_[l] - pre_b;
-  if (options_.record_rounds) record_round(l, receivers_.data());
+  ctr.crashes_after_send += lane.crashes_applied - pre_b;
+  if (options_.record_rounds) record_round(l, receivers_);
 }
 
 void LaneEngine::record_round(std::size_t l, const std::uint64_t* receivers) {
+  Lane& lane = lane_[l];
   TransmissionRound tr;
-  tr.broadcaster_count = broadcaster_count_[l];
-  tr.receive_count = recv_count_[l];
+  tr.broadcaster_count = lane.broadcaster_count;
+  tr.receive_count = lane.recv_count;
   std::vector<RoundView> views;
-  if (logs_[l].views_recorded()) {
+  if (lane.log.views_recorded()) {
     views.resize(n_);
-    const std::uint64_t* sent = &sent_pw_[lane_base(l)];
+    const std::uint64_t* sent = sent_pw_ + lane_base(l);
     for (std::size_t i = 0; i < n_; ++i) {
       const std::uint64_t bit = std::uint64_t{1} << (i % 64);
       RoundView& view = views[i];
-      if (sent[i / 64] & bit) view.sent = sent_msg_[l][i];
+      if (sent[i / 64] & bit) view.sent = lane.sent_msg[i];
       if (receivers[i / 64] & bit) {
         const std::span<const Message> in = received(l, i);
         view.received.assign(in.begin(), in.end());
       }
-      view.cd = cd_advice_[l][i];
-      view.cm = cm_advice_[l][i];
+      view.cd = lane.cd_advice[i];
+      view.cm = lane.cm_advice[i];
       view.crashed = !alive(l, i);
     }
   }
-  logs_[l].push_round(std::move(tr), cd_advice_[l], cm_advice_[l],
+  lane.log.push_round(std::move(tr), lane.cd_advice, lane.cm_advice,
                       std::move(views));
 }
 
@@ -522,16 +535,16 @@ void LaneEngine::step() {
 
 void LaneEngine::retire(std::size_t l) {
   assert(lane_active(l));
-  RunResult& result = results_[l];
+  RunResult& result = lane_[l].result;
   result.rounds_executed = round_;
   result.all_correct_decided = all_correct_decided(l);
   result.last_decision_round = 0;
-  for (const DecisionRecord& d : logs_[l].decisions()) {
+  for (const DecisionRecord& d : lane_[l].log.decisions()) {
     if (alive(l, d.process) && d.round > result.last_decision_round) {
       result.last_decision_round = d.round;
     }
   }
-  result.num_crashed = static_cast<std::uint32_t>(n_ - num_alive_[l]);
+  result.num_crashed = static_cast<std::uint32_t>(n_ - lane_[l].num_alive);
   active_ &= ~(std::uint64_t{1} << l);
 }
 

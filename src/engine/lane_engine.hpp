@@ -12,10 +12,12 @@
 // An engine holds 1..64 worlds ("lanes", one per seed of a sweep cell)
 // that advance in lockstep, sharing one round counter.  One lane is the
 // single-world engine; a sweep block of up to 64 seeds batches its
-// bookkeeping.  Each lane reads its own adjacency bitmask rows, so the
-// lanes of a cell may run on different graphs (a random-geometric
-// topology is drawn per seed); lanes on an identical graph share one copy
-// of the rows.
+// bookkeeping.  Under kLocal each lane reads its own adjacency bitmask
+// rows, so the lanes of a cell may run on different graphs (a
+// random-geometric topology is drawn per seed); lanes on an identical
+// graph share one copy of the rows.  kGlobal reads no graph at all: its
+// topology is the clique over the lane's processes, and the engine builds
+// no rows for it.
 //
 // Two orthogonal configuration axes (per EngineWorld, equal across lanes):
 //
@@ -29,13 +31,15 @@
 //      kCapture: per-neighborhood capture-effect physics (MhLinkModel): a
 //                lone broadcasting neighbor arrives with p_single; under
 //                contention each receiver independently captures at most
-//                one neighbor with p_capture.
+//                one neighbor with p_capture.  Neighborhood physics needs
+//                the kLocal scope.
 //
 //  * CollisionScope -- what a collision detector sees.
 //      kGlobal: the single-hop Definition 6 oracle: one global broadcaster
 //               count c, advice for every process from OracleDetector::
 //               advise (clique topologies only -- on a clique the local
-//               count degenerates to c).
+//               count degenerates to c).  Delivery is the participation
+//               mask, so no adjacency is read or built.
 //      kLocal:  per-neighborhood counts c_i = |{j broadcasting : j == i or
 //               j ~ i}| with advice from the same DetectorSpec envelope
 //               evaluated per live process, in one batched call
@@ -50,31 +54,48 @@
 // "C_r[i] = fail"; the difference is only where the corpse is still
 // observable.
 //
-// Layout is struct-of-arrays in BOTH directions:
+// Layout is struct-of-arrays in BOTH directions, one allocation per
+// concern:
 //
 //  * process words -- per lane, the alive / halted / dormant /
-//    participating / sent sets over processes, the crash marks and each
-//    adjacency row are word rows (util/bitwords.hpp): ceil(n/64)
-//    `uint64_t`s, bits at or above n always zero (adjacency is
-//    [lane][i][word]).  They are the only form of a process set: the
-//    adversary seams read them as BitViews (W_r's participants, the crash
-//    hooks' live set, the loss adversary's senders, kLocal D_r's live
-//    set) and write crash marks into one shared word row, and the loss
-//    adversary's DeliveryMatrix is one receiver word row per sender.  The
-//    delivery loops iterate SET BITS of `sent & adjacency_row(i)` instead
-//    of scanning all n senders per receiver, so clique delivery costs
-//    O(broadcasters * n / 64) word operations, not O(n^2).
+//    participating / sent sets over processes, the crash marks and (kLocal
+//    only) each adjacency row are word rows (util/bitwords.hpp):
+//    ceil(n/64) `uint64_t`s, bits at or above n always zero (adjacency is
+//    [lane][i][word]).  Every word row but adjacency, and every lane word,
+//    lives in one buffer; the hot loops hoist each row's per-lane base
+//    pointer.  They are the only form of a process set: the adversary
+//    seams read them as BitViews (W_r's participants, the crash hooks'
+//    live set, the loss adversary's senders, kLocal D_r's live set) and
+//    write crash marks into one shared word row, and the loss adversary's
+//    DeliveryMatrix is one receiver word row per sender.  The delivery
+//    loops iterate SET BITS of `sent` (masked by `adjacency_row(i)` under
+//    kLocal) instead of scanning all n senders per receiver, so clique
+//    delivery costs O(broadcasters * n / 64) word operations, not O(n^2).
 //
 //  * lane words -- per process, one `uint64_t` whose bit l mirrors lane
 //    l's alive / decided flag.  Which lanes still have an undecided
 //    correct process is one AND-NOT per process for all 64 seeds at once.
 //
+//  * per-lane state -- one Lane struct per lane holds its per-process
+//    advice, counts, sent messages and decisions, its tallies (counters,
+//    broadcasts, crashes, crash window, survivors, result), its link RNG
+//    and its log.  kLocal-only scratch (local counts c_i, the in-range
+//    receivers) and the loss adversary's delivery matrix exist only where
+//    that scope or channel reads them: a single-hop engine allocates no
+//    kLocal scratch, and a loss-free one no matrix either.
+//
 // Receive multisets N_r[i] are not stored per lane or per receiver: each
 // lane-round appends them, in ascending receiver order, to ONE flat
-// engine-wide buffer, and receiver i reads a span of its count
-// (recv_count_[l][i], kept per lane for the detector and the accessors)
-// from its offset.  A receiver delivery skips has count 0 and so reads
-// the empty multiset by construction -- never an earlier round's.
+// engine-wide buffer, and receiver i reads a span of its count (the
+// lane's recv_count[i], kept per lane for the detector and the
+// accessors) from its offset.  A receiver delivery skips has count 0
+// and so reads the empty multiset by construction -- never an earlier
+// round's.
+//
+// A run allocates nothing per round once every buffer has reached its
+// round size: the flat receive buffer starts with room for one loss-free
+// clique round, the log reserves one decision per process, and the
+// algorithms count distinct values in place (distinct_values).
 //
 // Determinism: each lane owns its OWN component objects (cm / cd / loss /
 // fault / processes / link RNG) and the engine calls them in a fixed order
@@ -103,10 +124,13 @@
 //    they are in range of a sender.  They stay participants, so W_r's
 //    view is unchanged, and D_r still advises every live process, so the
 //    detector's RNG stream and the recorded views are too;
+//  * kGlobal delivery reads no adjacency: the receivers are the
+//    participants and the senders the set bits of `sent`;
 //  * NoLoss (LossAdversary::always_delivers) skips the delivery matrix
 //    entirely -- it is stateless and RNG-free, so skipping it is
-//    unobservable; any other adversary gets a zeroed word matrix and the
-//    sent set, and delivery reads only the sender rows;
+//    unobservable, and an engine whose lanes all deliver everything
+//    never allocates the matrix; any other adversary gets a zeroed word
+//    matrix and the sent set, and delivery reads only the sender rows;
 //  * both crash points run only inside the adversary's crash window,
 //    r <= FailureAdversary::last_crash_round(); a commit walks the set
 //    bits of `crash & alive`, and kGlobal's C_r masks the after-send marks
@@ -122,6 +146,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -150,8 +175,10 @@ enum class CollisionScope : std::uint8_t { kGlobal, kLocal };
 /// communication graph and the channel/detector-scope configuration.
 struct EngineWorld {
   World world;          ///< processes + cm/cd/loss/fault (null = neutral)
-  /// Communication graph; Topology::clique(n) recovers single-hop.
-  Topology topology = Topology::clique(0);
+  /// kLocal's communication graph; lanes may share one.  kGlobal reads
+  /// none (its graph is the clique over the processes), so single-hop
+  /// callers leave it null; one given under kGlobal must be that clique.
+  std::shared_ptr<const Topology> topology;
   ChannelModel channel = ChannelModel::kMatrix;
   CollisionScope scope = CollisionScope::kGlobal;
   MhLinkModel link;     ///< kCapture physics; ignored by kMatrix
@@ -184,7 +211,8 @@ inline constexpr std::size_t kLaneWidth = 64;
 class LaneEngine {
  public:
   /// All worlds must agree on process count, channel and scope; each keeps
-  /// its own topology, components, link model and link_seed.
+  /// its own topology, components, link model and link_seed.  kCapture
+  /// needs kLocal.
   /// 1 <= worlds.size() <= kLaneWidth.
   explicit LaneEngine(std::vector<EngineWorld> worlds,
                       EngineOptions options = {});
@@ -194,7 +222,10 @@ class LaneEngine {
   std::size_t lanes() const { return lanes_; }
   std::size_t size() const { return n_; }
   Round current_round() const { return round_; }
-  const Topology& topology(std::size_t l) const { return worlds_[l].topology; }
+  /// Lane l's graph; kLocal lanes only (a kGlobal lane may carry none).
+  const Topology& topology(std::size_t l) const {
+    return *worlds_[l].topology;
+  }
 
   /// Advance every active lane exactly one round (lockstep).
   void step();
@@ -214,7 +245,7 @@ class LaneEngine {
   void retire(std::size_t l);
 
   /// Valid after the lane retired (or run() returned).
-  const RunResult& result(std::size_t l) const { return results_[l]; }
+  const RunResult& result(std::size_t l) const { return lane_[l].result; }
 
   const World& world(std::size_t l) const { return worlds_[l].world; }
   Process& process(std::size_t l, std::size_t i) {
@@ -223,27 +254,27 @@ class LaneEngine {
   bool alive(std::size_t l, std::size_t i) const {
     return (alive_lw_[i] >> l) & 1u;
   }
-  std::size_t num_alive(std::size_t l) const { return num_alive_[l]; }
+  std::size_t num_alive(std::size_t l) const { return lane_[l].num_alive; }
   /// Live processes of lane l that are not dormant (Process::dormant()).
   std::size_t num_awake(std::size_t l) const;
   /// Crashes the failure adversary actually landed (alive targets only).
   std::uint64_t crashes_applied(std::size_t l) const {
-    return crashes_applied_[l];
+    return lane_[l].crashes_applied;
   }
   /// Broadcasts attempted over all executed rounds (the per-node energy
   /// budget of the Section 1.1 literature).
   std::uint64_t total_broadcasts(std::size_t l) const {
-    return total_broadcasts_[l];
+    return lane_[l].total_broadcasts;
   }
   bool decided(std::size_t l, std::size_t i) const {
-    return decided_value_[l][i] != kNoValue;
+    return lane_[l].decided_value[i] != kNoValue;
   }
   Value decision(std::size_t l, std::size_t i) const {
-    return decided_value_[l][i];
+    return lane_[l].decided_value[i];
   }
   /// True iff every non-crashed process of lane l has decided.
   bool all_correct_decided(std::size_t l) const;
-  const ExecutionLog& log(std::size_t l) const { return logs_[l]; }
+  const ExecutionLog& log(std::size_t l) const { return lane_[l].log; }
 
   /// Telemetry tallies for lane l's execution so far.  Plain engine-local
   /// increments (no atomics in the hot loop) and -- like the execution
@@ -251,26 +282,52 @@ class LaneEngine {
   /// deterministic and shard merges sum them exactly.  Never feeds the
   /// Aggregator: reports stay byte-identical with telemetry on or off.
   const obs::EngineCounters& counters(std::size_t l) const {
-    return counters_[l];
+    return lane_[l].counters;
   }
 
   /// Lane l's observations of process i in the last executed round.
   std::uint32_t last_receive_count(std::size_t l, std::size_t i) const {
-    return recv_count_[l][i];
+    return lane_[l].recv_count[i];
   }
   /// c_i: the global broadcaster count under kGlobal.
   std::uint32_t last_local_broadcasters(std::size_t l, std::size_t i) const {
-    return local_ ? local_c_[l][i] : broadcaster_count_[l];
+    return local_ ? lane_[l].local_c[i] : lane_[l].broadcaster_count;
   }
   CdAdvice last_cd(std::size_t l, std::size_t i) const {
-    return cd_advice_[l][i];
+    return lane_[l].cd_advice[i];
   }
 
  private:
+  /// Everything the engine keeps per lane besides its word rows.
+  struct Lane {
+    Lane(std::size_t n, bool local, bool record_views, std::uint64_t seed);
+
+    // Per-process advice, counts, messages and decisions ([i]).
+    std::vector<CmAdvice> cm_advice;
+    std::vector<CdAdvice> cd_advice;
+    std::vector<std::uint32_t> recv_count;
+    std::vector<std::uint32_t> local_c;  // kLocal only (empty otherwise)
+    std::vector<Message> sent_msg;       // sent bit = valid
+    std::vector<Value> decided_value;
+
+    // Tallies.
+    obs::EngineCounters counters;
+    std::uint64_t total_broadcasts = 0;
+    std::uint64_t crashes_applied = 0;
+    Round last_crash_round = 0;  // the crash window
+    std::size_t num_alive = 0;
+    std::uint32_t broadcaster_count = 0;
+    RunResult result;
+
+    std::size_t adj_base = 0;  // kLocal: this lane's rows start here
+    Rng link_rng;
+    ExecutionLog log;
+  };
+
   std::size_t lane_base(std::size_t l) const { return l * words_; }
   BitView view(const std::uint64_t* row) const { return {{row, words_}, n_}; }
   const std::uint64_t* adj_row(std::size_t l, std::size_t i) const {
-    return &adj_[adj_base_[l] + i * words_];
+    return &adj_[lane_[l].adj_base + i * words_];
   }
   void commit_crashes(std::size_t l, Round r);
   void lane_round(std::size_t l, Round r);
@@ -292,64 +349,51 @@ class LaneEngine {
   std::uint64_t active_ = 0;
 
   std::vector<EngineWorld> worlds_;
-  std::vector<Rng> link_rng_;
+  std::vector<Lane> lane_;
 
-  // Adjacency bit rows per lane (row i = neighbors of i), [lane][i][word]
-  // by address; lanes on an identical graph share one copy.
+  // kLocal adjacency bit rows per lane (row i = neighbors of i),
+  // [lane][i][word] by address; lanes on an identical graph share one copy.
+  // Empty under kGlobal.
   std::vector<std::uint64_t> adj_;
-  std::vector<std::size_t> adj_base_;  // lane l's rows start here
 
+  // Every word row and lane word, in one buffer (words_buf_); the members
+  // below point into it.
+  std::vector<std::uint64_t> words_buf_;
   // Process words, per lane ([lanes][words_], flattened).
-  std::vector<std::uint64_t> alive_pw_;
-  std::vector<std::uint64_t> halted_pw_;
-  std::vector<std::uint64_t> dormant_pw_;
-  std::vector<std::uint64_t> participating_pw_;  // round-start snapshot
-  std::vector<std::uint64_t> sent_pw_;
-
+  std::uint64_t* alive_pw_ = nullptr;
+  std::uint64_t* halted_pw_ = nullptr;
+  std::uint64_t* dormant_pw_ = nullptr;
+  std::uint64_t* participating_pw_ = nullptr;  // round-start snapshot
+  std::uint64_t* sent_pw_ = nullptr;
   // Lane words, per process (bit l = lane l).
-  std::vector<std::uint64_t> alive_lw_;
-  std::vector<std::uint64_t> decided_lw_;
-
-  // Per-lane, per-process advice and counts.
-  std::vector<std::vector<CmAdvice>> cm_advice_;
-  std::vector<std::vector<CdAdvice>> cd_advice_;
-  std::vector<std::vector<std::uint32_t>> recv_count_;
-  std::vector<std::vector<std::uint32_t>> local_c_;
-  std::vector<std::vector<Message>> sent_msg_;  // [l][i], sent bit = valid
-
-  // Per-lane tallies.
-  std::vector<obs::EngineCounters> counters_;
-  std::vector<ExecutionLog> logs_;
-  std::vector<std::vector<Value>> decided_value_;
-  std::vector<std::uint64_t> total_broadcasts_;
-  std::vector<std::uint64_t> crashes_applied_;
-  std::vector<Round> last_crash_round_;  // each lane's crash window
-  std::vector<std::size_t> num_alive_;
-  std::vector<std::uint32_t> broadcaster_count_;
-  std::vector<RunResult> results_;
-
-  // Shared scratch (consumed within one lane's round).
-  DeliveryMatrix delivery_;
-  /// Crash marks of the failure hooks.  Every lane-round commits (and so
-  /// zeroes) its own marks before the next lane-round runs: before-send
-  /// marks at once, after-send marks after C_r (kGlobal) or before N_r
-  /// (kLocal).
-  std::vector<std::uint64_t> crash_;
-  /// N_r of the lane-round in progress: every visited receiver's sorted
-  /// multiset, appended in ascending receiver order.  Receiver i's is the
-  /// recv_count_[l][i] messages from recv_off_[i]; a receiver delivery
-  /// did not visit has count 0 and reads the empty multiset whatever its
-  /// stale offset.  Loss-free cliques store the one multiset every
-  /// participant observes once, at offset 0.  Grows to one round's
-  /// deliveries; cleared, not freed, per lane-round.
-  std::vector<Message> recv_buf_;
-  std::vector<std::size_t> recv_off_;
+  std::uint64_t* alive_lw_ = nullptr;
+  std::uint64_t* decided_lw_ = nullptr;
+  /// Crash marks of the failure hooks ([words_]).  Every lane-round commits
+  /// (and so zeroes) its own marks before the next lane-round runs:
+  /// before-send marks at once, after-send marks after C_r (kGlobal) or
+  /// before N_r (kLocal).
+  std::uint64_t* crash_ = nullptr;
   /// kLocal delivery: the live receivers in range of a sender this round
   /// (sent | the senders' adjacency rows), the only ones it visits.
-  std::vector<std::uint64_t> hear_;
+  /// kLocal only.
+  std::uint64_t* hear_ = nullptr;
   /// record_rounds only: the round's receivers, snapshotted at delivery
   /// (a kGlobal after-send crasher received, but is dead by record time).
-  std::vector<std::uint64_t> receivers_;
+  std::uint64_t* receivers_ = nullptr;
+
+  // Shared scratch (consumed within one lane's round).
+  /// The loss adversary's matrix; sized only once a lane's adversary
+  /// drops messages (a loss-free lane never asks for it).
+  DeliveryMatrix delivery_;
+  /// N_r of the lane-round in progress: every visited receiver's sorted
+  /// multiset, appended in ascending receiver order.  Receiver i's is the
+  /// recv_count[i] messages from recv_off_[i]; a receiver delivery did
+  /// not visit has count 0 and reads the empty multiset whatever its
+  /// stale offset.  Loss-free cliques store the one multiset every
+  /// participant observes once, at offset 0.  Reserved for n messages,
+  /// grows to one round's deliveries; cleared, not freed, per lane-round.
+  std::vector<Message> recv_buf_;
+  std::vector<std::size_t> recv_off_;
 };
 
 }  // namespace ccd

@@ -1,6 +1,7 @@
 #include "exp/lane_executor.hpp"
 
 #include <cassert>
+#include <memory>
 
 #include "consensus/harness.hpp"
 #include "engine/lane_engine.hpp"
@@ -27,25 +28,23 @@ namespace {
 
 /// A lane's graph with its diameter (0 when disconnected).
 struct LaneGraph {
-  Topology topology;
+  std::shared_ptr<const Topology> topology;
   std::uint32_t diameter = 0;
   bool connected = false;
 };
 
 /// One graph per spec.  A random-geometric graph is drawn from the spec's
 /// seed, so each lane builds its own; every other shape is the same for
-/// all seeds and is built (and its diameter taken) once.  Diameters are
-/// only taken when `measure` is set (single-hop consensus reports no graph
-/// metrics).
-std::vector<LaneGraph> lane_graphs(const std::vector<ScenarioSpec>& specs,
-                                   bool measure) {
-  auto build = [measure](const ScenarioSpec& spec) {
-    LaneGraph g{WorldFactory::make_topology(spec)};
-    if (measure) {
-      const std::uint32_t d = g.topology.diameter();
-      g.connected = d != Topology::kUnreachable;
-      g.diameter = g.connected ? d : 0;
-    }
+/// all seeds and is built (and its diameter taken) once, every lane
+/// sharing that one graph.  Single-hop consensus builds none: kGlobal reads
+/// no graph and reports no graph metrics.
+std::vector<LaneGraph> lane_graphs(const std::vector<ScenarioSpec>& specs) {
+  auto build = [](const ScenarioSpec& spec) {
+    LaneGraph g{
+        std::make_shared<const Topology>(WorldFactory::make_topology(spec))};
+    const std::uint32_t d = g.topology->diameter();
+    g.connected = d != Topology::kUnreachable;
+    g.diameter = g.connected ? d : 0;
     return g;
   };
   std::vector<LaneGraph> graphs;
@@ -69,14 +68,15 @@ void run_consensus_block(const std::vector<ScenarioSpec>& specs,
                          const RunScenarioOptions& options) {
   const ScenarioSpec& head = specs[0];
   const bool singlehop = head.topology == TopologyKind::kSingleHop;
-  std::vector<LaneGraph> graphs = lane_graphs(specs, !singlehop);
+  std::vector<LaneGraph> graphs;
+  if (!singlehop) graphs = lane_graphs(specs);
 
   std::vector<EngineWorld> worlds;
   worlds.reserve(specs.size());
   for (std::size_t l = 0; l < specs.size(); ++l) {
     EngineWorld ew;
     ew.world = WorldFactory::make(specs[l]);
-    ew.topology = std::move(graphs[l].topology);
+    if (!singlehop) ew.topology = std::move(graphs[l].topology);
     ew.channel = ChannelModel::kMatrix;
     ew.scope = singlehop ? CollisionScope::kGlobal : CollisionScope::kLocal;
     worlds.push_back(std::move(ew));
@@ -118,7 +118,7 @@ LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
                               std::vector<Round>& quiesce, bool mis,
                               const RunScenarioOptions& options) {
   const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
-  std::vector<LaneGraph> graphs = lane_graphs(specs, /*measure=*/true);
+  std::vector<LaneGraph> graphs = lane_graphs(specs);
   for (std::size_t l = 0; l < specs.size(); ++l) {
     outs[l].mh.ran = true;
     outs[l].mh.connected = graphs[l].connected;
@@ -129,7 +129,7 @@ LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
   quiesce.reserve(specs.size());
   for (std::size_t l = 0; l < specs.size(); ++l) {
     const ScenarioSpec& spec = specs[l];
-    const std::size_t n = graphs[l].topology.size();
+    const std::size_t n = graphs[l].topology->size();
     const std::uint64_t proc_base = WorldFactory::mh_proc_seed(spec);
     EngineWorld ew;
     ew.world.processes.reserve(n);

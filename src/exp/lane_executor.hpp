@@ -16,7 +16,8 @@
 //                         seed-dependent)
 //
 // A random-geometric graph is drawn per seed, so each lane builds its own
-// graph and diameter; fixed shapes build once.  run_block(specs)[k] is a
+// graph and diameter; fixed shapes build once and every lane shares it.
+// Single-hop consensus builds no graph (kGlobal reads none).  run_block(specs)[k] is a
 // function of specs[k] alone -- block size and company never change a
 // byte -- so SweepRunner's partition (and --no-lanes, which makes every
 // block one spec) leaves reports, perf-sidecar counter totals and golden

@@ -4,15 +4,34 @@
 
 namespace ccd {
 
-std::vector<Value> unique_values(std::span<const Message> received,
-                                 Message::Kind kind) {
-  std::vector<Value> out;
-  out.reserve(received.size());
+DistinctValues distinct_values(std::span<const Message> received,
+                               Message::Kind kind) {
+  // Sorted input: the values of one kind are nondecreasing, so every
+  // change of value is a new one.
+  DistinctValues out;
+  bool sorted = true;
+  Value last = 0;
   for (const Message& m : received) {
-    if (m.kind == kind) out.push_back(m.value);
+    if (m.kind != kind) continue;
+    if (out.count == 0 || m.value != last) {
+      if (out.count > 0 && m.value < last) sorted = false;
+      ++out.count;
+      out.min = std::min(out.min, m.value);
+      last = m.value;
+    }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  if (sorted) return out;
+  // Unsorted input: count each value at its first occurrence.
+  out.count = 0;
+  for (std::size_t a = 0; a < received.size(); ++a) {
+    if (received[a].kind != kind) continue;
+    bool first = true;
+    for (std::size_t b = 0; b < a && first; ++b) {
+      first = received[b].kind != kind ||
+              received[b].value != received[a].value;
+    }
+    out.count += first;
+  }
   return out;
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "model/types.hpp"
 
@@ -34,11 +33,20 @@ struct Message {
   friend auto operator<=>(const Message&, const Message&) = default;
 };
 
-/// SET(M) of the paper's preliminaries: the distinct values appearing in a
-/// receive multiset, restricted to messages of the given kind.  Sorted
-/// ascending, so front() is the min{} the algorithms take.
-std::vector<Value> unique_values(std::span<const Message> received,
-                                 Message::Kind kind);
+/// SET(M) of the paper's preliminaries, as the algorithms read it: how
+/// many distinct values the messages of one kind in a receive multiset
+/// carry, and the least of them (the min{} the algorithms adopt).
+struct DistinctValues {
+  std::size_t count = 0;
+  Value min = kNoValue;  ///< kNoValue when count is 0
+};
+
+/// |SET| and min over the messages of `kind` in `received`, without
+/// allocating.  Exact for any order; on a sorted multiset (the engine
+/// delivers every N_r[i] sorted) it is one pass, otherwise a quadratic
+/// recount.
+DistinctValues distinct_values(std::span<const Message> received,
+                               Message::Kind kind);
 
 /// Count messages of a given kind in a receive multiset.
 std::size_t count_kind(std::span<const Message> received, Message::Kind kind);

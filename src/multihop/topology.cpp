@@ -16,11 +16,15 @@ void Topology::add_edge(std::size_t a, std::size_t b) {
 }
 
 Topology Topology::clique(std::size_t n) {
+  // Each row is every other node, ascending: one exact allocation per row.
   Topology t(n);
   for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) t.add_edge(a, b);
+    std::vector<std::uint32_t>& row = t.adjacency_[a];
+    row.reserve(n - 1);
+    for (std::size_t b = 0; b < n; ++b) {
+      if (b != a) row.push_back(static_cast<std::uint32_t>(b));
+    }
   }
-  for (auto& adj : t.adjacency_) std::sort(adj.begin(), adj.end());
   return t;
 }
 

@@ -7,6 +7,8 @@ namespace ccd {
 ExecutionLog::ExecutionLog(std::size_t num_processes, bool record_views)
     : num_processes_(num_processes), record_views_(record_views) {
   if (record_views_) views_.resize(num_processes);
+  // A process decides at most once.
+  decisions_.reserve(num_processes);
 }
 
 void ExecutionLog::set_initial_value(ProcessId i, Value v) {

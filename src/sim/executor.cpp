@@ -6,9 +6,7 @@ Executor::Executor(World world, ExecutorOptions options)
     : engine_(
           [&] {
             EngineWorld ew;
-            const std::size_t n = world.processes.size();
             ew.world = std::move(world);
-            ew.topology = Topology::clique(n);
             ew.channel = ChannelModel::kMatrix;
             ew.scope = CollisionScope::kGlobal;
             return ew;

@@ -1,7 +1,8 @@
 // Synchronous single-hop round executor: the paper's Definition 11 model
 // proper, as a one-lane adapter over the topology-aware LaneEngine with
 //
-//   topology = Topology::clique(n)   (single hop: everyone hears everyone)
+//   topology = the clique over the processes (single hop: everyone hears
+//              everyone; the engine reads no graph for it)
 //   channel  = ChannelModel::kMatrix (the Section 3.2 loss adversary)
 //   scope    = CollisionScope::kGlobal (one oracle, global broadcaster
 //                                       count)

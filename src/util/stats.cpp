@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
+#include <string_view>
 
 #include "util/flat_json.hpp"
 #include "util/numfmt.hpp"
@@ -235,12 +238,82 @@ bool fail(std::string* error, const char* what) {
   return false;
 }
 
+/// The canonical form append_stats_json writes, `<head>n,n,...]}` with no
+/// whitespace, read in place: item(token) runs for each array element
+/// until it returns false.  False when `text` is not of that form or an
+/// item refused its token.
+template <typename Item>
+bool canonical_items(std::string_view text, std::string_view head,
+                     Item&& item) {
+  if (!text.starts_with(head) || !text.ends_with("]}")) return false;
+  std::string_view body =
+      text.substr(head.size(), text.size() - head.size() - 2);
+  if (body.empty()) return true;
+  while (true) {
+    const std::size_t comma = body.find(',');
+    if (!item(body.substr(0, comma))) return false;
+    if (comma == std::string_view::npos) return true;
+    body.remove_prefix(comma + 1);
+  }
+}
+
+/// A histogram key as parse_i64 reads it, for the tokens both accept
+/// (`-?[0-9]+` in range); nullopt sends the text down the general path.
+std::optional<std::int64_t> canonical_key(std::string_view token) {
+  std::int64_t v = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, v, 10);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return v;
+}
+
 }  // namespace
 
 bool stats_from_json(std::string_view raw, Stats* into, std::string* error) {
   std::size_t start = raw.find_first_not_of(" \t\r\n");
   if (start == std::string_view::npos) return fail(error, "stats: empty");
-  auto obj = jsonu::FlatJson::parse(std::string(raw.substr(start)));
+  const std::string_view text = raw.substr(start);
+
+  // Fast path: the two shapes append_stats_json writes, read straight off
+  // the text.  A first pass checks every token, so the statistic is only
+  // touched when the general path below would accept the text and fold in
+  // the same values; anything else takes the general path, which owns
+  // every error.
+  constexpr std::string_view kBins = "{\"h\":[";
+  constexpr std::string_view kSamples = "{\"raw\":[";
+  std::size_t tokens = 0;
+  const bool bins = canonical_items(text, kBins, [&](std::string_view t) {
+    return tokens++ % 2 == 0 ? canonical_key(t).has_value()
+                             : jsonu::parse_u64(t).has_value();
+  });
+  if (bins && tokens % 2 == 0) {
+    if (!into->histogram_active()) {
+      return fail(error, "stats: histogram bins for a raw-sample statistic");
+    }
+    std::int64_t key = 0;
+    bool count = false;
+    canonical_items(text, kBins, [&](std::string_view t) {
+      if (count) {
+        into->add_bin(key, *jsonu::parse_u64(t));
+      } else {
+        key = *canonical_key(t);
+      }
+      count = !count;
+      return true;
+    });
+    return true;
+  }
+  if (canonical_items(text, kSamples, [](std::string_view t) {
+        return jsonu::parse_double(t).has_value();
+      })) {
+    canonical_items(text, kSamples, [into](std::string_view t) {
+      into->add(*jsonu::parse_double(t));
+      return true;
+    });
+    return true;
+  }
+
+  auto obj = jsonu::FlatJson::parse(std::string(text));
   if (!obj) return fail(error, "stats: not an object");
   if (const std::string* h = obj->find("h")) {
     // Only a histogram-mode accumulator takes bins: a raw-mode one would

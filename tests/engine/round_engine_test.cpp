@@ -50,7 +50,7 @@ EngineWorld beacon_world(Topology topo, std::vector<bool> talk,
   ew.world.cd = std::make_unique<OracleDetector>(DetectorSpec::ZeroAC(),
                                                  make_truthful_policy());
   ew.world.fault = std::move(fault);
-  ew.topology = std::move(topo);
+  ew.topology = std::make_shared<const Topology>(std::move(topo));
   ew.channel = channel;
   ew.scope = scope;
   ew.link = {1.0, 1.0};
@@ -94,7 +94,7 @@ TEST(Engine, GlobalAndLocalScopeAgreeOnACliqueDeterministically) {
                               DetectorSpec::ZeroAC(), make_truthful_policy()),
                           std::make_unique<NoLoss>(),
                           std::make_unique<NoFailures>());
-    ew.topology = Topology::clique(6);
+    ew.topology = std::make_shared<const Topology>(Topology::clique(6));
     ew.channel = ChannelModel::kMatrix;
     ew.scope = scope;
     return LaneEngine(std::move(ew), EngineOptions{});
@@ -278,7 +278,7 @@ EngineWorld sleeper_world(Topology topo, ChannelModel channel,
   EngineWorld ew = beacon_world(std::move(topo), {}, channel, scope);
   ew.world.processes.push_back(
       std::make_unique<SleeperProcess>(false, false, period));
-  for (std::size_t i = 1; i < ew.topology.size(); ++i) {
+  for (std::size_t i = 1; i < ew.topology->size(); ++i) {
     ew.world.processes.push_back(
         std::make_unique<SleeperProcess>(true, wakes, 0));
   }

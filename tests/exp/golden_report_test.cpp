@@ -1,6 +1,7 @@
 // Golden-report equivalence: the engine unification's acceptance
-// gate.  The smoke, crash, multihop and mhloss named grids must emit JSON
-// and CSV reports BYTE-identical to frozen output -- the first three
+// gate.  The smoke, crash, multihop and mhloss named grids (and multihop
+// at n = 15) must emit JSON, CSV and dist reports BYTE-identical to frozen
+// output -- the first three
 // hashes below were captured from the dual-executor implementation
 // (sim::Executor + MultihopExecutor as separate classes) immediately
 // before the engine landed, so any drift in round semantics, RNG stream
@@ -14,11 +15,13 @@
 //
 // To regenerate after an INTENTIONAL report change, run
 //   ccd_sweep --grid <name> --threads 8 --quiet --json g.json --csv g.csv
-// with --dist-out g.dist.json, and FNV-1a-64 the files (same function as
-// SweepGrid::fingerprint), without the dist file's trailing newline.
+// with --dist-out g.dist.json (and --n <n> for an entry that sets n), and
+// FNV-1a-64 the files (same function as SweepGrid::fingerprint), without
+// the dist file's trailing newline.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 
 #include "exp/aggregator.hpp"
@@ -44,7 +47,21 @@ struct Golden {
   std::uint64_t json_hash;
   std::uint64_t csv_hash;
   std::uint64_t dist_hash;
+  std::uint32_t n = 0;  ///< nonzero: the grid's ns axis becomes {n}
 };
+
+/// The entry's name in failure messages: the grid, plus "@n<n>" if set.
+std::string label(const Golden& golden) {
+  std::string out = golden.grid;
+  if (golden.n != 0) out += "@n" + std::to_string(golden.n);
+  return out;
+}
+
+std::optional<SweepGrid> golden_grid(const Golden& golden) {
+  auto grid = SweepGrid::named(golden.grid);
+  if (grid && golden.n != 0) grid->ns = {golden.n};
+  return grid;
+}
 
 // smoke, crash and multihop: captured from the pre-RoundEngine
 // implementation.  mhloss (lossy kMatrix delivery over
@@ -61,6 +78,14 @@ constexpr Golden kGoldens[] = {
      0x3be759a4cf8de8b9ull},
     {"mhloss", 0x9df3343a563033dcull, 0x09eda35ce79684abull,
      0xf820ab4ad172f794ull},
+    // multihop at n = 15: raw samples such as messages_per_node = k/15
+    // need 16-17 significant digits, and the raw sample 10 renders as the
+    // one-digit "1e+01" (three digits would read "10"), so the dist hash
+    // pins both ends of the shortest round-trip search; every sample of
+    // the shipped grids fits in 8 digits.  Captured from the engine
+    // before single-hop runs stopped allocating per round.
+    {"multihop", 0x24c9d573384de382ull, 0xbd5b585c2c9c11a4ull,
+     0xd5927d81bcbb521eull, 15},
 };
 
 TEST(GoldenReports, EngineReproducesPreRefactorReportsByteIdentically) {
@@ -68,20 +93,20 @@ TEST(GoldenReports, EngineReproducesPreRefactorReportsByteIdentically) {
   // one-lane blocks -- must reproduce the pre-refactor bytes.
   for (const bool lanes : {true, false}) {
     for (const Golden& golden : kGoldens) {
-      auto grid = SweepGrid::named(golden.grid);
-      ASSERT_TRUE(grid.has_value()) << golden.grid;
+      auto grid = golden_grid(golden);
+      ASSERT_TRUE(grid.has_value()) << label(golden);
       SweepOptions options;
       options.threads = 4;  // determinism must not depend on thread count
       options.lanes = lanes;
       const auto cells = aggregate(*grid, run_sweep(*grid, options));
       EXPECT_EQ(fnv1a(aggregates_to_json(*grid, cells)), golden.json_hash)
-          << golden.grid << ".json drifted from the pre-refactor bytes"
+          << label(golden) << ".json drifted from the pre-refactor bytes"
           << " (lanes=" << lanes << ")";
       EXPECT_EQ(fnv1a(aggregates_to_csv(cells)), golden.csv_hash)
-          << golden.grid << ".csv drifted from the pre-refactor bytes"
+          << label(golden) << ".csv drifted from the pre-refactor bytes"
           << " (lanes=" << lanes << ")";
       EXPECT_EQ(fnv1a(cells_to_dist_json(*grid, cells)), golden.dist_hash)
-          << golden.grid << ".dist.json drifted from the frozen bytes"
+          << label(golden) << ".dist.json drifted from the frozen bytes"
           << " (lanes=" << lanes << ")";
     }
   }
@@ -94,8 +119,8 @@ TEST(GoldenReports, TelemetryNeverPerturbsReportBytes) {
   // must reproduce the telemetry-off report bytes exactly.
   obs::Telemetry::global().reset();
   for (const Golden& golden : kGoldens) {
-    auto grid = SweepGrid::named(golden.grid);
-    ASSERT_TRUE(grid.has_value()) << golden.grid;
+    auto grid = golden_grid(golden);
+    ASSERT_TRUE(grid.has_value()) << label(golden);
     obs::SweepPerf perf;
     std::atomic<std::size_t> progress_calls{0};
     SweepOptions options;
@@ -106,9 +131,9 @@ TEST(GoldenReports, TelemetryNeverPerturbsReportBytes) {
     };
     const auto cells = aggregate(*grid, run_sweep(*grid, options));
     EXPECT_EQ(fnv1a(aggregates_to_json(*grid, cells)), golden.json_hash)
-        << golden.grid << ".json perturbed by telemetry";
+        << label(golden) << ".json perturbed by telemetry";
     EXPECT_EQ(fnv1a(aggregates_to_csv(cells)), golden.csv_hash)
-        << golden.grid << ".csv perturbed by telemetry";
+        << label(golden) << ".csv perturbed by telemetry";
 
     // ...and telemetry actually observed the execution: every run timed
     // and attributed, counters live, progress fired once per run.

@@ -2,29 +2,87 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace ccd {
 namespace {
 
-TEST(Message, UniqueValuesSortedAndDeduped) {
+TEST(Message, DistinctValuesCountsAndTakesTheMin) {
+  // Unsorted input: the count is exact and min is the least value.
   std::vector<Message> recv = {
       {Message::Kind::kEstimate, 5, 0}, {Message::Kind::kEstimate, 2, 0},
       {Message::Kind::kEstimate, 5, 0}, {Message::Kind::kVeto, 0, 0},
       {Message::Kind::kEstimate, 9, 0}};
-  const auto values = unique_values(recv, Message::Kind::kEstimate);
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_EQ(values[0], 2u);  // front() is the min the algorithms take
-  EXPECT_EQ(values[1], 5u);
-  EXPECT_EQ(values[2], 9u);
+  const DistinctValues values = distinct_values(recv, Message::Kind::kEstimate);
+  EXPECT_EQ(values.count, 3u);
+  EXPECT_EQ(values.min, 2u);  // the min the algorithms take
+  // The engine's sorted form of the same multiset reads the same.
+  std::sort(recv.begin(), recv.end());
+  const DistinctValues sorted = distinct_values(recv, Message::Kind::kEstimate);
+  EXPECT_EQ(sorted.count, 3u);
+  EXPECT_EQ(sorted.min, 2u);
 }
 
-TEST(Message, UniqueValuesFiltersByKind) {
+TEST(Message, DistinctValuesFiltersByKind) {
   std::vector<Message> recv = {{Message::Kind::kLeaderValue, 7, 0},
                                {Message::Kind::kEstimate, 3, 0}};
-  EXPECT_EQ(unique_values(recv, Message::Kind::kLeaderValue),
-            std::vector<Value>{7});
-  EXPECT_EQ(unique_values(recv, Message::Kind::kEstimate),
-            std::vector<Value>{3});
-  EXPECT_TRUE(unique_values(recv, Message::Kind::kVote).empty());
+  const DistinctValues leader =
+      distinct_values(recv, Message::Kind::kLeaderValue);
+  EXPECT_EQ(leader.count, 1u);
+  EXPECT_EQ(leader.min, 7u);
+  const DistinctValues estimate =
+      distinct_values(recv, Message::Kind::kEstimate);
+  EXPECT_EQ(estimate.count, 1u);
+  EXPECT_EQ(estimate.min, 3u);
+  EXPECT_EQ(distinct_values(recv, Message::Kind::kVote).count, 0u);
+}
+
+TEST(Message, DistinctValuesMixedKindsUnsorted) {
+  // Other kinds interleaved with the counted one, values out of order,
+  // tags that differ on equal values: only (kind, value) matters.
+  const std::vector<Message> recv = {
+      {Message::Kind::kEstimate, 4, 1}, {Message::Kind::kVeto, 0, 0},
+      {Message::Kind::kLeaderValue, 1, 0}, {Message::Kind::kEstimate, 4, 7},
+      {Message::Kind::kEstimate, 3, 0}, {Message::Kind::kLeaderValue, 1, 2},
+      {Message::Kind::kVeto, 0, 0}, {Message::Kind::kEstimate, 6, 0},
+      {Message::Kind::kEstimate, 3, 9}};
+  const DistinctValues est = distinct_values(recv, Message::Kind::kEstimate);
+  EXPECT_EQ(est.count, 3u);
+  EXPECT_EQ(est.min, 3u);
+  const DistinctValues lead =
+      distinct_values(recv, Message::Kind::kLeaderValue);
+  EXPECT_EQ(lead.count, 1u);
+  EXPECT_EQ(lead.min, 1u);
+  // A descent seen only after a run of equal values still counts exactly.
+  const std::vector<Message> late = {{Message::Kind::kEstimate, 2, 0},
+                                     {Message::Kind::kEstimate, 2, 0},
+                                     {Message::Kind::kEstimate, 1, 0},
+                                     {Message::Kind::kEstimate, 2, 0}};
+  const DistinctValues l = distinct_values(late, Message::Kind::kEstimate);
+  EXPECT_EQ(l.count, 2u);
+  EXPECT_EQ(l.min, 1u);
+}
+
+TEST(Message, DistinctValuesPastOneWord) {
+  // n >= 65 senders: every count from one value to all-distinct, sorted
+  // and reversed.
+  for (const std::size_t n : {65u, 100u, 130u}) {
+    for (const std::size_t distinct : {std::size_t{1}, std::size_t{2}, n}) {
+      std::vector<Message> recv;
+      for (std::size_t i = 0; i < n; ++i) {
+        recv.push_back({Message::Kind::kEstimate, 10 + i % distinct, 0});
+      }
+      std::sort(recv.begin(), recv.end());
+      DistinctValues v = distinct_values(recv, Message::Kind::kEstimate);
+      EXPECT_EQ(v.count, distinct) << n;
+      EXPECT_EQ(v.min, 10u) << n;
+      std::reverse(recv.begin(), recv.end());
+      v = distinct_values(recv, Message::Kind::kEstimate);
+      EXPECT_EQ(v.count, distinct) << n;
+      EXPECT_EQ(v.min, 10u) << n;
+    }
+  }
 }
 
 TEST(Message, CountKind) {
@@ -38,7 +96,9 @@ TEST(Message, CountKind) {
 
 TEST(Message, EmptyMultiset) {
   std::vector<Message> recv;
-  EXPECT_TRUE(unique_values(recv, Message::Kind::kEstimate).empty());
+  const DistinctValues none = distinct_values(recv, Message::Kind::kEstimate);
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_EQ(none.min, kNoValue);
   EXPECT_EQ(count_kind(recv, Message::Kind::kVeto), 0u);
 }
 

@@ -46,7 +46,7 @@ LaneEngine make_capture_engine(Topology topo,
   ew.world.cd = std::make_unique<OracleDetector>(DetectorSpec::ZeroAC(),
                                                  make_truthful_policy());
   ew.world.fault = std::move(fault);
-  ew.topology = std::move(topo);
+  ew.topology = std::make_shared<const Topology>(std::move(topo));
   ew.channel = ChannelModel::kCapture;
   ew.scope = CollisionScope::kLocal;
   ew.link = link;
@@ -169,7 +169,7 @@ void expect_silent_round_is_empty(ChannelModel channel,
     ew.world.processes.push_back(std::make_unique<RecorderProcess>(i == 0));
   }
   ew.world.loss = std::move(loss);
-  ew.topology = Topology::line(3);
+  ew.topology = std::make_shared<const Topology>(Topology::line(3));
   ew.channel = channel;
   ew.scope = CollisionScope::kLocal;
   ew.link = {1.0, 1.0};

@@ -28,7 +28,7 @@ MisRun run_mis(const Topology& topo, DetectorSpec spec,
   EngineWorld ew;
   ew.world.processes = std::move(procs);
   ew.world.cd = std::make_unique<OracleDetector>(spec, std::move(policy));
-  ew.topology = topo;
+  ew.topology = std::make_shared<const Topology>(topo);
   ew.channel = ChannelModel::kCapture;
   ew.scope = CollisionScope::kLocal;
   ew.link = link;

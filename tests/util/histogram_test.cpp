@@ -220,6 +220,48 @@ TEST(StatsHistogram, BadHistogramCountsRejected) {
   }
 }
 
+/// The canonical spellings stats_to_json writes are read in place; every
+/// other spelling goes through the general object parser.  Both must read
+/// the same values, and near-canonical malformed text keeps its errors.
+TEST(StatsHistogram, CanonicalAndGeneralSpellingsReadAlike) {
+  auto read = [](const char* text, std::string* error) {
+    Stats s;
+    const bool ok = stats_from_json(text, &s, error);
+    return ok ? stats_to_json(s) : std::string("rejected");
+  };
+  std::string error;
+  for (const char* same :
+       {"{\"h\":[-2,1,4,2]}", " \n{\"h\":[-2,1,4,2]}",
+        "{\"h\": [-2, 1, 4, 2]}", "{\"h\":[-2,1,4,2]} ",
+        "{\"raw\":[0.5],\"h\":[-2,1,4,2]}", "{\"h\":[-2,1,+4,2]}",
+        "{\"h\":[-2,1,004,2]}"}) {
+    EXPECT_EQ(read(same, &error), "{\"h\":[-2,1,4,2]}")
+        << same << ": " << error;
+  }
+  EXPECT_EQ(read("{\"raw\":[0.5,4]}", &error), "{\"raw\":[0.5,4]}");
+  EXPECT_EQ(read("{ \"raw\" : [0.5 ,4] }", &error), "{\"raw\":[0.5,4]}");
+  EXPECT_EQ(read("{\"h\":[]}", &error), "{\"h\":[]}");
+  EXPECT_EQ(read("{\"raw\":[]}", &error), "{\"h\":[]}");  // no samples
+
+  const std::pair<const char*, const char*> bad[] = {
+      {"{\"h\":[1,2,3]}", "bad histogram array"},
+      {"{\"h\":[1,2]", "not an object"},
+      {"{\"h\":[1,2]}x", "not an object"},
+      {"{\"h\":[1,2],}", "not an object"},
+      {"{\"h\":[1,,2]}", "bad histogram array"},
+      {"{\"h\":[1.5,2]}", "bad histogram bin"},
+      {"{\"h\":[9223372036854775808,1]}", "bad histogram bin"},
+      {"{\"raw\":[0.5,nan]}", "bad raw sample array"},
+      {"{\"raw\":[0.5,]}", "bad raw sample array"},
+      {"{\"hh\":[1,2]}", "missing h/raw member"},
+  };
+  for (const auto& [text, why] : bad) {
+    error.clear();
+    EXPECT_EQ(read(text, &error), "rejected") << text;
+    EXPECT_NE(error.find(why), std::string::npos) << text << ": " << error;
+  }
+}
+
 /// Out-of-window and signed-zero values must demote rather than corrupt
 /// the integer key space.
 TEST(StatsHistogram, EdgeValuesDemote) {

@@ -130,7 +130,6 @@ EngineWorld consensus_clique(std::size_t n, std::uint64_t seed) {
                             make_truthful_policy()),
                         std::make_unique<NoLoss>(),
                         std::make_unique<NoFailures>());
-  ew.topology = Topology::clique(n);
   ew.channel = ChannelModel::kMatrix;
   ew.scope = CollisionScope::kGlobal;
   return ew;
@@ -151,7 +150,6 @@ EngineWorld saturated_clique(std::size_t n, std::uint64_t seed) {
                                                  make_truthful_policy());
   ew.world.loss = std::make_unique<NoLoss>();
   ew.world.fault = std::make_unique<NoFailures>();
-  ew.topology = Topology::clique(n);
   ew.channel = ChannelModel::kMatrix;
   ew.scope = CollisionScope::kGlobal;
   return ew;
@@ -166,7 +164,7 @@ EngineWorld mis_grid(std::size_t n, std::uint64_t seed) {
   }
   ew.world.cd = std::make_unique<OracleDetector>(DetectorSpec::ZeroAC(),
                                                  make_truthful_policy());
-  ew.topology = Topology::grid_n(n);
+  ew.topology = std::make_shared<const Topology>(Topology::grid_n(n));
   ew.channel = ChannelModel::kCapture;
   ew.scope = CollisionScope::kLocal;
   ew.link = {0.9, 0.3};
