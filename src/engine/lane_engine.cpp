@@ -131,7 +131,17 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
       if (w.processes[i]->dormant()) set_bit(dormant, i);
     }
   }
-  recv_buf_.reserve(n_);
+  // A loss-free clique round shares one multiset of at most n broadcasts;
+  // a lossy one gives each of up to n receivers its own, n^2 messages at
+  // most, reserved up front up to n = 64 (larger engines grow on demand
+  // rather than reserve a worst case the CMs rarely reach).
+  const bool lossy_clique =
+      !local_ && std::any_of(worlds_.begin(), worlds_.end(),
+                             [](const EngineWorld& ew) {
+                               return !ew.world.loss->always_delivers();
+                             });
+  constexpr std::size_t kLossyReserveCap = 64 * 64;
+  recv_buf_.reserve(lossy_clique ? std::min(n_ * n_, kLossyReserveCap) : n_);
   recv_off_.assign(n_, 0);
   // n = 0: no process can ever send, decide or crash; every lane is done
   // before its first round.

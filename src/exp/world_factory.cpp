@@ -81,27 +81,29 @@ std::unique_ptr<AdvicePolicy> make_policy(const ScenarioSpec& spec) {
   return make_truthful_policy();
 }
 
-std::unique_ptr<ConsensusAlgorithm> make_algorithm(const ScenarioSpec& spec) {
+/// build(algorithm) on spec's algorithm object, which lives on the stack:
+/// it only instantiates the processes.
+template <typename Build>
+World with_algorithm(const ScenarioSpec& spec, const Build& build) {
   switch (spec.alg) {
     case AlgKind::kAlg1:
-      return std::make_unique<Alg1Algorithm>();
+      return build(Alg1Algorithm());
     case AlgKind::kAlg2:
-      return std::make_unique<Alg2Algorithm>(spec.num_values);
+      return build(Alg2Algorithm(spec.num_values));
     case AlgKind::kAlg3:
-      return std::make_unique<Alg3Algorithm>(spec.num_values);
+      return build(Alg3Algorithm(spec.num_values));
     case AlgKind::kAlg4:
       // An explicit id_space sweeps |I| (claim E4's Section 7.3 crossover);
       // 0 keeps the legacy roomy default.
-      return std::make_unique<Alg4Algorithm>(
+      return build(Alg4Algorithm(
           spec.num_values,
           /*id_space_size=*/spec.id_space != 0
               ? spec.id_space
-              : std::max<std::uint64_t>(64, 2 * spec.n));
+              : std::max<std::uint64_t>(64, 2 * spec.n)));
     case AlgKind::kNaive:
-      return std::make_unique<NaiveNoCdAlgorithm>(
-          /*patience=*/spec.cst_target + 8);
+      return build(NaiveNoCdAlgorithm(/*patience=*/spec.cst_target + 8));
   }
-  return std::make_unique<Alg1Algorithm>();
+  return build(Alg1Algorithm());
 }
 
 std::unique_ptr<ContentionManager> make_cm(const ScenarioSpec& spec) {
@@ -222,10 +224,11 @@ Round WorldFactory::max_rounds(const ScenarioSpec& spec) {
 }
 
 World WorldFactory::make(const ScenarioSpec& spec) {
-  auto algorithm = make_algorithm(spec);
-  return ccd::make_world(*algorithm, make_initial_values(spec), make_cm(spec),
-                         make_detector(spec), make_loss(spec),
-                         make_fault(spec));
+  return with_algorithm(spec, [&](const ConsensusAlgorithm& algorithm) {
+    return ccd::make_world(algorithm, make_initial_values(spec), make_cm(spec),
+                           make_detector(spec), make_loss(spec),
+                           make_fault(spec));
+  });
 }
 
 // --- multihop path ---------------------------------------------------------

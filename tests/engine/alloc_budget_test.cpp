@@ -65,22 +65,22 @@ Counted run_counted(const ScenarioSpec& spec) {
 
 TEST(AllocBudget, SingleHopRunPerAlgorithm) {
   // Per run: the one-spec block and its outcome (2), the engine's world
-  // list (1), the world (12: four processes and their vector, the
-  // initial values, cm, detector and its policy, loss, fault, and the
-  // algorithm factory), the engine (10: the lane struct, its five
-  // per-process vectors and the log's decision list, the word buffer,
-  // the receive buffer and its offsets), the first lossy round (the
-  // delivery matrix, and the receive buffer growing to a lossy round's
-  // size) and the verdict (3).
+  // list (1), the world (11: four processes and their vector, the
+  // initial values, cm, detector and its policy, loss and fault; the
+  // algorithm object lives on the stack), the engine (10: the lane
+  // struct, its five per-process vectors and the log's decision list,
+  // the word buffer, the receive buffer -- reserved at a lossy round's
+  // size -- and its offsets), the first lossy round (the delivery
+  // matrix) and the verdict (3).
   struct Budget {
     AlgKind alg;
     std::size_t allocations;
   };
-  constexpr Budget kBudgets[] = {{AlgKind::kAlg1, 31},
-                                 {AlgKind::kAlg2, 31},
-                                 {AlgKind::kAlg3, 30},
-                                 {AlgKind::kAlg4, 31},
-                                 {AlgKind::kNaive, 31}};
+  constexpr Budget kBudgets[] = {{AlgKind::kAlg1, 28},
+                                 {AlgKind::kAlg2, 28},
+                                 {AlgKind::kAlg3, 28},
+                                 {AlgKind::kAlg4, 28},
+                                 {AlgKind::kNaive, 28}};
   for (const Budget& budget : kBudgets) {
     const Counted c = run_counted(single_hop(budget.alg, 32));
     EXPECT_GT(c.rounds, 0u) << to_string(budget.alg);

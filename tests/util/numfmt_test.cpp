@@ -162,6 +162,77 @@ TEST(NumFmt, HugeValuesRenderInFull) {
   EXPECT_EQ(max.substr(0, 17), "17976931348623157");
 }
 
+TEST(NumFmt, FastPathBoundariesMatchPrintf) {
+  // The edges of the integer fast paths, each with one ulp either side,
+  // against snprintf and the verbatim loop.
+  const std::vector<double> edges = {
+      // %.4f ties at the fifth decimal round half to even.
+      0.03125, 1.03125, -2.46875, 0.00005, -0.00005,
+      // Decade carries: %.4f's 10.0000, %.1g's 1e+01, %.6g's 100000.
+      9.99995, 9.5, 99999.95, -9.99995, 0.000099999,
+      // Both sides of the shortest path's 1e-5 and 1e15 and of %.4f's
+      // q = 2^64 (|d| * 10^4 = 2^64 near 1844674407370955.1616).
+      1e-5, -1e-5, 1e15, -1e15, 999999999999999.9, 1844674407370955.1616,
+      -1844674407370955.1616,
+      // 15 significant digits against 16 and 17.
+      1.23456789012345, 1.234567890123456, 123456789012345.6,
+      987654321098765.4, 0.1 + 0.2, 1.0 / 15.0, 7.0 / 15.0, 2.0 / 3.0,
+      // The spec doubles every wide_grid report carries.
+      0.6, 0.4, 0.02, 2.5,
+      // Zeros, subnormals and the rounding-to-zero side of %.4f.
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(), 1e-310,
+      -1e-310, std::numeric_limits<double>::min(), 0.00004999, -0.00001};
+  for (double d : edges) {
+    for (double x : {std::nextafter(d, -kInf), d, std::nextafter(d, kInf)}) {
+      EXPECT_TRUE(matches_printf(x, /*exact_reference=*/true)) << x;
+    }
+  }
+  EXPECT_EQ(fixed(0.03125, 4), "0.0312");
+  EXPECT_EQ(fixed(1.03125, 4), "1.0312");
+  EXPECT_EQ(fixed(-2.46875, 4), "-2.4688");
+  EXPECT_EQ(fixed(9.99995, 4), "10.0000");
+  EXPECT_EQ(fixed(-0.0, 4), "-0.0000");
+  EXPECT_EQ(fixed(-0.00001, 4), "-0.0000");
+  EXPECT_EQ(general(9.5, 1), "1e+01");
+  EXPECT_EQ(jsonu::format_double(99999.95), "99999.95");
+  EXPECT_EQ(jsonu::format_double(1.0 / 15.0), "0.06666666666666667");
+  // The fixed path's precisions 0..9 against printf at a tie and a carry.
+  for (int precision = 0; precision <= 9; ++precision) {
+    for (double d : {0.5, 2.5, 0.03125, 9.99999999995, -0.0, 1e-310}) {
+      EXPECT_EQ(fixed(d, precision), printf_fixed(d, precision))
+          << d << " at " << precision;
+    }
+  }
+}
+
+TEST(NumFmt, ShortDecimalsAndFastRangeMatchPrintf) {
+  // Random doubles across the shortest path's 1e-5..1e15, and decimals of
+  // 1 to 17 significant digits q * 10^t (the values reports carry): most
+  // take the integer fast paths, the 16- and 17-digit ones fall back.
+  Rng rng(0x73686f72);
+  std::vector<double> values(400'000);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i % 2 == 0) {
+      const double mantissa =
+          1.0 + static_cast<double>(rng() >> 12) * 0x1p-52;
+      const int exponent = static_cast<int>(rng() % 68) - 17;
+      values[i] = std::ldexp(mantissa, exponent);
+    } else {
+      const int digits = 1 + static_cast<int>(rng() % 17);
+      const auto q = static_cast<double>(
+          rng() % static_cast<std::uint64_t>(std::pow(10.0, digits)));
+      const int t = static_cast<int>(rng() % 25) - 20;
+      values[i] = t >= 0 ? q * std::pow(10.0, t) : q / std::pow(10.0, -t);
+    }
+    if (rng() % 2 == 0) values[i] = -values[i];
+  }
+  EXPECT_TRUE(all_of_on_four_threads(
+      static_cast<std::int64_t>(values.size()), [&](std::int64_t i) {
+        return matches_printf(values[static_cast<std::size_t>(i)],
+                              /*exact_reference=*/i % 64 == 0);
+      }));
+}
+
 TEST(NumFmt, GeneralAndIntegerFormsMatchPrintf) {
   Rng rng(0x6e756d66);
   for (int i = 0; i < 20000; ++i) {

@@ -15,6 +15,14 @@
 //                 consensus_clique  loss-free single-hop consensus
 //                 saturated_clique  every process broadcasts every round
 //                 mis_grid          MIS over the capture channel
+//   numfmt.*    values/s of the report formatters over the numbers one
+//               perfbench wide_grid pass renders (its 4,800 single-hop
+//               cells at seed 1): numfmt::append_fixed(·, 4) against plain
+//               std::to_chars(fixed, 4), and numfmt::append_shortest
+//               against the charconv search it keeps as its fallback.  The
+//               arms run interleaved, the order alternating each rep, and
+//               must render the same bytes (exit 2 otherwise).  Their
+//               ratio is machine-relative: bound 0.25.
 //   dispatch.*  the same 48-cell grid on 4 worker processes, where every
 //               run sleeps 75 ms via CCD_SWEEP_TEST_RUN_DELAY_MS and worker
 //               0's runs sleep 4x that: static `--emit-shards 4` specs
@@ -29,7 +37,10 @@
 //
 // Usage: ccd_bench --out PATH
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -37,6 +48,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,6 +69,7 @@
 #include "net/no_loss.hpp"
 #include "obs/perf_sidecar.hpp"
 #include "obs/telemetry.hpp"
+#include "util/numfmt.hpp"
 
 namespace {
 
@@ -236,6 +249,181 @@ void bench_lanes(std::vector<Entry>* entries) {
       entries->push_back(std::move(speedup));
     }
   }
+}
+
+// ---- numfmt -----------------------------------------------------------------
+
+constexpr int kNumfmtReps = 7;
+constexpr int kNumfmtPasses = 8;  ///< passes over the mix per timed arm
+
+/// perfbench's wide_grid workload at seed 1: every algorithm, detector,
+/// policy, CM and loss adversary of the single-hop model, one seed per
+/// cell at n = 4.
+SweepGrid wide_grid() {
+  SweepGrid grid = *SweepGrid::named("default");
+  grid.algs = {AlgKind::kAlg1, AlgKind::kAlg2, AlgKind::kAlg3, AlgKind::kAlg4,
+               AlgKind::kNaive};
+  grid.detectors = {DetectorKind::kAC,      DetectorKind::kMajAC,
+                    DetectorKind::kHalfAC,  DetectorKind::kZeroAC,
+                    DetectorKind::kOAC,     DetectorKind::kMajOAC,
+                    DetectorKind::kHalfOAC, DetectorKind::kZeroOAC,
+                    DetectorKind::kNoCd,    DetectorKind::kNoAcc};
+  grid.policies = {PolicyKind::kTruthful,        PolicyKind::kPreferNull,
+                   PolicyKind::kPreferCollision, PolicyKind::kSpurious,
+                   PolicyKind::kFlakyMajority,   PolicyKind::kRandomLegal};
+  grid.cms = {CmKind::kNoCm, CmKind::kWakeup, CmKind::kLeader,
+              CmKind::kBackoff};
+  grid.losses = {LossKind::kNoLoss, LossKind::kEcf, LossKind::kProbabilistic,
+                 LossKind::kUnrestricted};
+  grid.csts = {3};
+  grid.value_spaces = {2};
+  grid.base.n = 4;
+  grid.base.max_rounds = 32;
+  grid.seeds_per_cell = 1;
+  grid.grid_seed = 1;
+  return grid;
+}
+
+/// The numbers of a report text: a number with exactly four decimals and
+/// no exponent was rendered %.4f, any other with a point or an exponent
+/// is a shortest form (integers come from append_int and are skipped).
+struct NumberMix {
+  std::vector<double> fixed4, shortest;
+};
+
+NumberMix report_numbers(const std::string& text) {
+  NumberMix mix;
+  std::size_t end = 0;
+  for (std::size_t start; (start = text.find_first_of("-0123456789", end)) !=
+                          std::string::npos;) {
+    end = std::min(text.find_first_not_of("0123456789.eE+-", start),
+                   text.size());
+    const char before = start > 0 ? text[start - 1] : ' ';
+    if (std::isalnum(static_cast<unsigned char>(before)) || before == '_' ||
+        before == '-' || before == '.') {
+      continue;  // part of a name such as "p50" or "random-legal"
+    }
+    const std::string_view token(text.data() + start, end - start);
+    const std::size_t point = token.find('.');
+    const bool exponent = token.find_first_of("eE") != std::string_view::npos;
+    double value = 0;
+    const char* const last = token.data() + token.size();
+    const auto parsed = std::from_chars(token.data(), last, value);
+    if ((point == std::string_view::npos && !exponent) ||
+        parsed.ec != std::errc() || parsed.ptr != last) {
+      continue;
+    }
+    const bool four = !exponent && token.size() - point - 1 == 4;
+    (four ? mix.fixed4 : mix.shortest).push_back(value);
+  }
+  return mix;
+}
+
+/// %.4f through plain <charconv>: the fixed arm's reference.
+void to_chars_fixed4(std::string& out, double d) {
+  char buf[400];
+  const auto result =
+      std::to_chars(buf, buf + sizeof buf, d, std::chars_format::fixed, 4);
+  out.append(buf, static_cast<std::size_t>(result.ptr - buf));
+}
+
+/// The charconv shortest-form search (the first %.{P}g, from the shortest
+/// scientific form's digit count up, that from_chars parses back to d):
+/// the shortest arm's reference.
+void charconv_shortest(std::string& out, double d) {
+  if (std::isfinite(d)) {
+    char buf[32];
+    char* const end = buf + sizeof buf;
+    const char* const sci =
+        std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
+    int digits = 0;
+    for (const char* p = buf; p != sci && *p != 'e'; ++p) {
+      digits += *p >= '0' && *p <= '9';
+    }
+    for (int precision = std::max(digits, 1); precision <= 17; ++precision) {
+      const char* const stop =
+          std::to_chars(buf, end, d, std::chars_format::general, precision)
+              .ptr;
+      double back = 0;
+      const auto parsed = std::from_chars(buf, stop, back);
+      if (parsed.ec == std::errc() && back == d) {
+        out.append(buf, static_cast<std::size_t>(stop - buf));
+        return;
+      }
+    }
+  }
+  ccd::numfmt::append_general(out, d, 17);
+}
+
+using Format = void (*)(std::string&, double);
+
+/// Values/s of kNumfmtPasses passes of `format` over `values`; `out`
+/// holds the last pass's text.
+double format_arm(Format format, const std::vector<double>& values,
+                  std::string* out) {
+  obs::RunTimer timer;
+  for (int pass = 0; pass < kNumfmtPasses; ++pass) {
+    out->clear();
+    for (const double v : values) format(*out, v);
+  }
+  return per_sec(static_cast<double>(values.size()) * kNumfmtPasses,
+                 timer.elapsed_ns());
+}
+
+/// 0 on success; 2 when an arm's text differs from its reference's.
+int bench_numfmt(std::vector<Entry>* entries) {
+  const SweepGrid grid = wide_grid();
+  SweepOptions options;
+  options.threads = 4;
+  const std::vector<CellAggregate> cells =
+      aggregate(grid, run_sweep(grid, options));
+  const NumberMix mix = report_numbers(aggregates_to_json(grid, cells) +
+                                       aggregates_to_csv(cells) +
+                                       cells_to_dist_json(grid, cells));
+  struct Family {
+    const char* name;
+    const char* reference_name;
+    const std::vector<double>* values;
+    Format numfmt;
+    Format reference;
+  };
+  const Family families[] = {
+      {"fixed4", "to_chars", &mix.fixed4,
+       [](std::string& out, double d) { ccd::numfmt::append_fixed(out, d, 4); },
+       to_chars_fixed4},
+      {"shortest", "search", &mix.shortest, ccd::numfmt::append_shortest,
+       charconv_shortest}};
+  for (const Family& family : families) {
+    const std::string prefix = std::string("numfmt.") + family.name;
+    Entry fast{prefix + ".numfmt", "values/s"};
+    Entry reference{prefix + "." + family.reference_name, "values/s"};
+    Entry speedup{prefix + ".speedup", "x", kRelativeBound};
+    for (int rep = 0; rep < kNumfmtReps; ++rep) {
+      std::string fast_text, reference_text;
+      double f = 0, r = 0;
+      for (const bool numfmt : {rep % 2 == 0, rep % 2 == 1}) {
+        if (numfmt) {
+          f = format_arm(family.numfmt, *family.values, &fast_text);
+        } else {
+          r = format_arm(family.reference, *family.values, &reference_text);
+        }
+      }
+      if (fast_text != reference_text) {
+        std::fprintf(stderr, "ccd_bench: %s renders differently from %s\n",
+                     prefix.c_str(), family.reference_name);
+        return 2;
+      }
+      fast.samples.push_back(f);
+      reference.samples.push_back(r);
+      speedup.samples.push_back(r > 0 ? f / r : 0.0);
+    }
+    std::fprintf(stderr, "ccd_bench: %s done (%zu values)\n", prefix.c_str(),
+                 family.values->size());
+    entries->push_back(std::move(fast));
+    entries->push_back(std::move(reference));
+    entries->push_back(std::move(speedup));
+  }
+  return 0;
 }
 
 // ---- dispatch ---------------------------------------------------------------
@@ -461,6 +649,7 @@ int main(int argc, char** argv) {
   obs::RunTimer timer;
   bench_sweeps(&entries);
   bench_lanes(&entries);
+  if (bench_numfmt(&entries) != 0) return 2;
   const int status = bench_dispatch(&entries);
   if (status == 2) return 2;
 
