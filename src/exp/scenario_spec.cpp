@@ -1,7 +1,6 @@
 #include "exp/scenario_spec.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <limits>
 
 #include "util/flat_json.hpp"
@@ -15,10 +14,9 @@ namespace ccd::exp {
 namespace {
 
 using jsonu::FlatJson;
-using jsonu::skip_quoted;
 
 template <typename E>
-std::optional<E> parse_enum(const std::string& s,
+std::optional<E> parse_enum(std::string_view s,
                             std::initializer_list<E> all) {
   for (E e : all) {
     if (s == to_string(e)) return e;
@@ -32,51 +30,24 @@ std::optional<E> parse_enum(const std::string& s,
 // rejected (a typo like "proces" must not silently yield process 0), and
 // round/process are required.
 std::optional<std::vector<CrashEvent>> parse_crash_schedule(
-    const std::string& raw, std::string* error) {
-  auto fail = [&](const std::string& message)
-      -> std::optional<std::vector<CrashEvent>> {
-    if (error) *error = message;
+    std::string_view raw, std::string* error) {
+  const std::size_t start = raw.find_first_not_of(" \t\n\v\f\r");
+  if (start == std::string_view::npos || raw[start] != '[') {
+    if (error) *error = "crash_schedule must be a JSON array";
     return std::nullopt;
-  };
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < raw.size() && std::isspace(static_cast<unsigned char>(raw[i]))) {
-      ++i;
-    }
-  };
-  skip_ws();
-  if (i >= raw.size() || raw[i] != '[') {
-    return fail("crash_schedule must be a JSON array");
   }
-  ++i;
   std::vector<CrashEvent> events;
-  skip_ws();
-  if (i < raw.size() && raw[i] == ']') return events;  // empty schedule
-  while (true) {
-    skip_ws();
-    const std::size_t entry = events.size();
-    auto entry_tag = [&] {
-      return "crash_schedule[" + std::to_string(entry) + "]";
+  std::string entry_error;
+  if (jsonu::for_each_item(raw, [&](std::string_view item) {
+    const std::string tag =
+        "crash_schedule[" + std::to_string(events.size()) + "]";
+    auto fail = [&](const std::string& message) {
+      entry_error = message;
+      return false;
     };
-    if (i >= raw.size() || raw[i] != '{') {
-      return fail(entry_tag() + " must be an object");
-    }
-    // Events hold no nested structure, so the entry ends at the next '}'
-    // outside a string.
-    std::size_t end = i;
-    while (end < raw.size() && raw[end] != '}') {
-      if (raw[end] == '"') {
-        if (!skip_quoted(raw, end)) {
-          return fail(entry_tag() + " is malformed");
-        }
-        continue;
-      }
-      ++end;
-    }
-    if (end >= raw.size()) return fail(entry_tag() + " is malformed");
-    auto flat = FlatJson::parse(raw.substr(i, end - i + 1));
-    if (!flat) return fail(entry_tag() + " is malformed");
-    i = end + 1;
+    if (!item.starts_with('{')) return fail(tag + " must be an object");
+    auto flat = FlatJson::parse(item);
+    if (!flat) return fail(tag + " is malformed");
 
     CrashEvent event;
     bool have_round = false, have_process = false;
@@ -85,8 +56,9 @@ std::optional<std::vector<CrashEvent>> parse_crash_schedule(
         const auto v = jsonu::parse_u64(
             value, std::numeric_limits<std::uint32_t>::max());
         if (!v) {
-          return fail("bad value '" + value + "' for key '" + key + "' in " +
-                      entry_tag() + " (expected an unsigned 32-bit integer)");
+          return fail("bad value '" + std::string(value) + "' for key '" +
+                      std::string(key) + "' in " + tag +
+                      " (expected an unsigned 32-bit integer)");
         }
         if (key == "round") {
           event.round = static_cast<Round>(*v);
@@ -98,33 +70,28 @@ std::optional<std::vector<CrashEvent>> parse_crash_schedule(
       } else if (key == "point") {
         auto point = parse_crash_point(value);
         if (!point) {
-          return fail("bad value '" + value + "' for key 'point' in " +
-                      entry_tag() + " (expected before-send or after-send)");
+          return fail("bad value '" + std::string(value) +
+                      "' for key 'point' in " + tag +
+                      " (expected before-send or after-send)");
         }
         event.point = *point;
       } else {
-        return fail("unknown key '" + key + "' in " + entry_tag() +
+        return fail("unknown key '" + std::string(key) + "' in " + tag +
                     " (expected round, process, point)");
       }
     }
-    if (!have_round) return fail(entry_tag() + " missing key 'round'");
-    if (!have_process) return fail(entry_tag() + " missing key 'process'");
+    if (!have_round) return fail(tag + " missing key 'round'");
+    if (!have_process) return fail(tag + " missing key 'process'");
     events.push_back(event);
-
-    skip_ws();
-    if (i < raw.size() && raw[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < raw.size() && raw[i] == ']') {
-      ++i;
-      skip_ws();
-      if (i != raw.size()) break;  // trailing junk
-      return events;
-    }
-    break;
+    return true;
+  })) {
+    return events;
   }
-  return fail("crash_schedule array is malformed");
+  if (error) {
+    *error = entry_error.empty() ? "crash_schedule array is malformed"
+                                 : entry_error;
+  }
+  return std::nullopt;
 }
 
 /// Shared shape of the topology-cut generators: every vertex in `victims`
@@ -154,7 +121,7 @@ const char* to_string(CrashPoint p) {
   return "?";
 }
 
-std::optional<CrashPoint> parse_crash_point(const std::string& s) {
+std::optional<CrashPoint> parse_crash_point(std::string_view s) {
   return parse_enum(s, {CrashPoint::kBeforeSend, CrashPoint::kAfterSend});
 }
 
@@ -265,12 +232,12 @@ const char* to_string(WorkloadKind k) {
   return "?";
 }
 
-std::optional<AlgKind> parse_alg(const std::string& s) {
+std::optional<AlgKind> parse_alg(std::string_view s) {
   return parse_enum(s, {AlgKind::kAlg1, AlgKind::kAlg2, AlgKind::kAlg3,
                         AlgKind::kAlg4, AlgKind::kNaive});
 }
 
-std::optional<DetectorKind> parse_detector(const std::string& s) {
+std::optional<DetectorKind> parse_detector(std::string_view s) {
   return parse_enum(
       s, {DetectorKind::kAC, DetectorKind::kMajAC, DetectorKind::kHalfAC,
           DetectorKind::kZeroAC, DetectorKind::kOAC, DetectorKind::kMajOAC,
@@ -278,43 +245,43 @@ std::optional<DetectorKind> parse_detector(const std::string& s) {
           DetectorKind::kNoAcc});
 }
 
-std::optional<PolicyKind> parse_policy(const std::string& s) {
+std::optional<PolicyKind> parse_policy(std::string_view s) {
   return parse_enum(s, {PolicyKind::kTruthful, PolicyKind::kPreferNull,
                         PolicyKind::kPreferCollision, PolicyKind::kSpurious,
                         PolicyKind::kFlakyMajority, PolicyKind::kRandomLegal});
 }
 
-std::optional<CmKind> parse_cm(const std::string& s) {
+std::optional<CmKind> parse_cm(std::string_view s) {
   return parse_enum(
       s, {CmKind::kNoCm, CmKind::kWakeup, CmKind::kLeader, CmKind::kBackoff});
 }
 
-std::optional<LossKind> parse_loss(const std::string& s) {
+std::optional<LossKind> parse_loss(std::string_view s) {
   return parse_enum(s, {LossKind::kNoLoss, LossKind::kEcf,
                         LossKind::kProbabilistic, LossKind::kUnrestricted});
 }
 
-std::optional<FaultKind> parse_fault(const std::string& s) {
+std::optional<FaultKind> parse_fault(std::string_view s) {
   return parse_enum(s, {FaultKind::kNone, FaultKind::kRandomCrash,
                         FaultKind::kScheduled});
 }
 
-std::optional<InitKind> parse_init(const std::string& s) {
+std::optional<InitKind> parse_init(std::string_view s) {
   return parse_enum(s, {InitKind::kRandom, InitKind::kSplit,
                         InitKind::kAllSame});
 }
 
-std::optional<ChaosKind> parse_chaos(const std::string& s) {
+std::optional<ChaosKind> parse_chaos(std::string_view s) {
   return parse_enum(s, {ChaosKind::kCalm, ChaosKind::kChaotic});
 }
 
-std::optional<TopologyKind> parse_topology(const std::string& s) {
+std::optional<TopologyKind> parse_topology(std::string_view s) {
   return parse_enum(s, {TopologyKind::kSingleHop, TopologyKind::kLine,
                         TopologyKind::kRing, TopologyKind::kGrid,
                         TopologyKind::kRandomGeometric});
 }
 
-std::optional<WorkloadKind> parse_workload(const std::string& s) {
+std::optional<WorkloadKind> parse_workload(std::string_view s) {
   return parse_enum(s, {WorkloadKind::kConsensus, WorkloadKind::kFlood,
                         WorkloadKind::kMis, WorkloadKind::kMisThenConsensus,
                         WorkloadKind::kRoundSync});
@@ -408,11 +375,11 @@ std::string ScenarioSpec::to_json() const {
   return out;
 }
 
-std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json) {
+std::optional<ScenarioSpec> ScenarioSpec::from_json(std::string_view json) {
   return from_json(json, nullptr);
 }
 
-std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
+std::optional<ScenarioSpec> ScenarioSpec::from_json(std::string_view json,
                                                     std::string* error) {
   auto fail = [&](const std::string& message) -> std::optional<ScenarioSpec> {
     if (error) *error = message;
@@ -426,17 +393,17 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
   bool ok = true;
   // First failure wins: report the offending key AND the rejected value so
   // a hand-written spec file is debuggable from the message alone.
-  auto report = [&](const char* key, const std::string& raw,
+  auto report = [&](const char* key, std::string_view raw,
                     const char* expected) {
     if (ok && error) {
-      *error = std::string("bad value '") + raw + "' for key '" + key +
+      *error = "bad value '" + std::string(raw) + "' for key '" + key +
                "' (expected " + expected + ")";
     }
     ok = false;
   };
   auto read_enum = [&](const char* key, auto parse_fn, auto& field,
                        const char* expected) {
-    const std::string* raw = flat->find(key);
+    const auto raw = flat->find(key);
     if (!raw) return;  // absent members keep their default
     auto parsed = parse_fn(*raw);
     if (parsed) {
@@ -449,7 +416,7 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
   // their field: "n":4294967300 is an error, not n = 4.
   auto read_uint = [&](const char* key, auto& field) {
     using T = std::remove_reference_t<decltype(field)>;
-    const std::string* raw = flat->find(key);
+    const auto raw = flat->find(key);
     if (!raw) return;
     if (auto v = jsonu::parse_u64(*raw, std::numeric_limits<T>::max())) {
       field = static_cast<T>(*v);
@@ -458,7 +425,7 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
     }
   };
   auto read_double = [&](const char* key, double& field) {
-    const std::string* raw = flat->find(key);
+    const auto raw = flat->find(key);
     if (!raw) return;
     if (auto v = jsonu::parse_double(*raw)) {
       field = *v;
@@ -476,7 +443,7 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
             "noloss, ecf, prob or unrestricted");
   read_enum("fault", parse_fault, spec.fault,
             "none, random-crash or scheduled");
-  if (const std::string* raw = flat->find("crash_schedule")) {
+  if (const auto raw = flat->find("crash_schedule")) {
     std::string schedule_error;
     auto events = parse_crash_schedule(*raw, &schedule_error);
     if (events) {
@@ -486,12 +453,12 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
       ok = false;
     }
   }
-  if (const std::string* raw = flat->find("crash_schedule_name")) {
+  if (const auto raw = flat->find("crash_schedule_name")) {
     // A typo'd generator name must not silently expand to an empty
     // schedule (a failure-free run masquerading as a faulted one).
     const auto known = crash_schedule_names();
     if (std::find(known.begin(), known.end(), *raw) != known.end()) {
-      spec.crash_schedule_name = *raw;
+      spec.crash_schedule_name = std::string(*raw);
     } else {
       std::string expected = "a known generator:";
       for (const std::string& name : known) {

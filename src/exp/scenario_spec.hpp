@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/failure_adversary.hpp"
@@ -171,7 +172,7 @@ enum class WorkloadKind : std::uint8_t {
 };
 
 const char* to_string(CrashPoint p);  ///< "before-send" / "after-send"
-std::optional<CrashPoint> parse_crash_point(const std::string& s);
+std::optional<CrashPoint> parse_crash_point(std::string_view s);
 
 const char* to_string(AlgKind k);
 const char* to_string(DetectorKind k);
@@ -184,16 +185,16 @@ const char* to_string(ChaosKind k);
 const char* to_string(TopologyKind k);
 const char* to_string(WorkloadKind k);
 
-std::optional<AlgKind> parse_alg(const std::string& s);
-std::optional<DetectorKind> parse_detector(const std::string& s);
-std::optional<PolicyKind> parse_policy(const std::string& s);
-std::optional<CmKind> parse_cm(const std::string& s);
-std::optional<LossKind> parse_loss(const std::string& s);
-std::optional<FaultKind> parse_fault(const std::string& s);
-std::optional<InitKind> parse_init(const std::string& s);
-std::optional<ChaosKind> parse_chaos(const std::string& s);
-std::optional<TopologyKind> parse_topology(const std::string& s);
-std::optional<WorkloadKind> parse_workload(const std::string& s);
+std::optional<AlgKind> parse_alg(std::string_view s);
+std::optional<DetectorKind> parse_detector(std::string_view s);
+std::optional<PolicyKind> parse_policy(std::string_view s);
+std::optional<CmKind> parse_cm(std::string_view s);
+std::optional<LossKind> parse_loss(std::string_view s);
+std::optional<FaultKind> parse_fault(std::string_view s);
+std::optional<InitKind> parse_init(std::string_view s);
+std::optional<ChaosKind> parse_chaos(std::string_view s);
+std::optional<TopologyKind> parse_topology(std::string_view s);
+std::optional<WorkloadKind> parse_workload(std::string_view s);
 
 struct ScenarioSpec {
   AlgKind alg = AlgKind::kAlg1;
@@ -251,11 +252,11 @@ struct ScenarioSpec {
 
   /// Flat JSON object, stable key order; parse() inverts it exactly.
   std::string to_json() const;
-  static std::optional<ScenarioSpec> from_json(const std::string& json);
+  static std::optional<ScenarioSpec> from_json(std::string_view json);
   /// As above; on failure, if `error` is non-null it receives a one-line
   /// message naming the offending key and value (hand-written spec files
   /// should be debuggable from the message alone).
-  static std::optional<ScenarioSpec> from_json(const std::string& json,
+  static std::optional<ScenarioSpec> from_json(std::string_view json,
                                                std::string* error);
 
   /// Identity of the grid CELL this run belongs to: the spec with the seed

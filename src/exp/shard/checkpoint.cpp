@@ -13,7 +13,7 @@ namespace {
 
 /// ts_ms from an already-parsed checkpoint line, 0 if absent/bad.
 std::uint64_t heartbeat_of(const jsonu::FlatJson& flat) {
-  const std::string* ts = flat.find("ts_ms");
+  const auto ts = flat.find("ts_ms");
   return ts ? jsonu::parse_u64(*ts).value_or(0) : 0;
 }
 
@@ -66,7 +66,7 @@ bool load_checkpoint(const ShardSpec& shard, const std::string& path,
       }
       return false;
     }
-    const std::string* format = flat->find("format");
+    const auto format = flat->find("format");
     if (!format || *format != "ccd-shard-checkpoint-v1") {
       if (error) {
         *error = "checkpoint " + path +
@@ -75,11 +75,11 @@ bool load_checkpoint(const ShardSpec& shard, const std::string& path,
       }
       return false;
     }
-    const std::string* fp = flat->find("grid_fingerprint");
+    const auto fp = flat->find("grid_fingerprint");
     if (!fp || *fp != fingerprint_to_hex(shard.grid_fingerprint)) {
       if (error) {
         *error = "checkpoint " + path + ": grid fingerprint " +
-                 (fp ? *fp : std::string("<missing>")) +
+                 std::string(fp.value_or("<missing>")) +
                  " does not match this shard's grid " +
                  fingerprint_to_hex(shard.grid_fingerprint) +
                  " (stale checkpoint from another grid?)";
@@ -92,8 +92,12 @@ bool load_checkpoint(const ShardSpec& shard, const std::string& path,
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::string cell_error;
-    auto cell = cell_aggregate_from_json(shard.grid, line, &cell_error);
+    // One parse per marker: the cell aggregate and its ts_ms heartbeat.
+    auto flat = jsonu::FlatJson::parse(line);
+    std::string cell_error = "cell aggregate is not a flat JSON object";
+    auto cell = flat ? cell_aggregate_from_members(shard.grid, *flat,
+                                                   &cell_error)
+                     : std::nullopt;
     if (!cell) {
       // A final partial line is the expected crash artifact; only the LAST
       // line gets that amnesty.
@@ -117,9 +121,7 @@ bool load_checkpoint(const ShardSpec& shard, const std::string& path,
       }
       return false;
     }
-    if (auto flat = jsonu::FlatJson::parse(line)) {
-      out->last_ts_ms = std::max(out->last_ts_ms, heartbeat_of(*flat));
-    }
+    out->last_ts_ms = std::max(out->last_ts_ms, heartbeat_of(*flat));
     out->cells[cell->cell_index] = std::move(*cell);
   }
   return true;
@@ -138,7 +140,7 @@ bool tail_checkpoint(const std::string& path,
     auto flat = jsonu::FlatJson::parse(line);
     if (!flat) continue;  // mid-append torn line: skip, it will heal
     if (last_ts_ms) *last_ts_ms = std::max(*last_ts_ms, heartbeat_of(*flat));
-    const std::string* cell_raw = flat->find("cell");
+    const auto cell_raw = flat->find("cell");
     if (!cell_raw || !cells_done) continue;
     if (auto c = jsonu::parse_u64(*cell_raw,
                                   std::numeric_limits<std::size_t>::max())) {

@@ -37,7 +37,7 @@ std::optional<ShardSpec> ShardSpec::from_json(const std::string& json,
     if (error) *error = "shard spec is not a flat JSON object";
     return std::nullopt;
   }
-  const std::string* format = flat->find("format");
+  const auto format = flat->find("format");
   if (!format || *format != "ccd-shard-spec-v1") {
     if (error) {
       *error = "missing or unknown \"format\" (expected ccd-shard-spec-v1)";
@@ -57,10 +57,10 @@ std::optional<ShardSpec> ShardSpec::from_members(const jsonu::FlatJson& flat,
 
   ShardSpec spec;
   auto read_size = [&](const char* key, std::size_t& field) {
-    const std::string* raw = flat.find(key);
+    const auto raw = flat.find(key);
     if (!raw) return std::string("missing key '") + key + "'";
     auto v = jsonu::parse_u64(*raw, std::numeric_limits<std::size_t>::max());
-    if (!v) return "bad value '" + *raw + "' for key '" + key + "'";
+    if (!v) return "bad value '" + std::string(*raw) + "' for key '" + key + "'";
     field = static_cast<std::size_t>(*v);
     return std::string();
   };
@@ -72,16 +72,16 @@ std::optional<ShardSpec> ShardSpec::from_members(const jsonu::FlatJson& flat,
   }
   if (spec.shard_count == 0) return fail("shard_count must be >= 1");
 
-  const std::string* fp_raw = flat.find("grid_fingerprint");
+  const auto fp_raw = flat.find("grid_fingerprint");
   if (!fp_raw) return fail("missing key 'grid_fingerprint'");
   auto fp = fingerprint_from_hex(*fp_raw);
   if (!fp) {
-    return fail("bad value '" + *fp_raw +
+    return fail("bad value '" + std::string(*fp_raw) +
                 "' for key 'grid_fingerprint' (expected 16 hex digits)");
   }
   spec.grid_fingerprint = *fp;
 
-  const std::string* grid_raw = flat.find("grid");
+  const auto grid_raw = flat.find("grid");
   if (!grid_raw) return fail("missing key 'grid'");
   std::string grid_error;
   auto grid = SweepGrid::from_json(*grid_raw, &grid_error);
@@ -92,7 +92,7 @@ std::optional<ShardSpec> ShardSpec::from_members(const jsonu::FlatJson& flat,
   // travels with.  A spec whose grid was edited after planning (or planned
   // by an incompatible build) is refused here, before any cell runs.
   if (spec.grid.fingerprint() != spec.grid_fingerprint) {
-    return fail("grid fingerprint mismatch: file says " + *fp_raw +
+    return fail("grid fingerprint mismatch: file says " + std::string(*fp_raw) +
                 " but the embedded grid hashes to " +
                 fingerprint_to_hex(spec.grid.fingerprint()) +
                 " (stale or hand-edited shard spec?)");
@@ -100,31 +100,35 @@ std::optional<ShardSpec> ShardSpec::from_members(const jsonu::FlatJson& flat,
 
   // Ownership is the list alone, so a spec without one is refused rather
   // than guessed at.
-  const std::string* cells_raw = flat.find(cells_key);
+  const auto cells_raw = flat.find(cells_key);
   if (!cells_raw) {
     return fail(std::string("missing key '") + cells_key +
                 "' (the owned cell list)");
   }
-  auto items = jsonu::parse_array_items(*cells_raw);
-  if (!items) {
-    return fail(std::string("'") + cells_key + "' is not a JSON array");
-  }
-  spec.cells.reserve(items->size());
-  for (const std::string& item : *items) {
-    auto c = jsonu::parse_u64(item);
-    if (!c) {
-      return fail("bad cell '" + item + "' in '" + cells_key + "'");
-    }
-    if (*c >= spec.grid.num_cells()) {
-      return fail("cell " + item + " out of range (grid has " +
-                  std::to_string(spec.grid.num_cells()) + " cells)");
-    }
-    if (!spec.cells.empty() && spec.cells.back() >= *c) {
-      return fail(std::string("'") + cells_key +
-                  "' must be strictly ascending (saw " +
-                  std::to_string(spec.cells.back()) + " then " + item + ")");
-    }
-    spec.cells.push_back(static_cast<std::size_t>(*c));
+  std::string cell_error;
+  if (!jsonu::for_each_item(*cells_raw, [&](std::string_view item) {
+        auto c = jsonu::parse_u64(item);
+        if (!c) {
+          cell_error = "bad cell '" + std::string(item) + "' in '" +
+                       cells_key + "'";
+        } else if (*c >= spec.grid.num_cells()) {
+          cell_error = "cell " + std::string(item) +
+                       " out of range (grid has " +
+                       std::to_string(spec.grid.num_cells()) + " cells)";
+        } else if (!spec.cells.empty() && spec.cells.back() >= *c) {
+          cell_error = std::string("'") + cells_key +
+                       "' must be strictly ascending (saw " +
+                       std::to_string(spec.cells.back()) + " then " +
+                       std::string(item) + ")";
+        } else {
+          spec.cells.push_back(static_cast<std::size_t>(*c));
+          return true;
+        }
+        return false;
+      })) {
+    return fail(cell_error.empty()
+                    ? std::string("'") + cells_key + "' is not a JSON array"
+                    : cell_error);
   }
   return spec;
 }

@@ -82,20 +82,29 @@ std::string cell_aggregate_to_json(const CellAggregate& cell) {
 }
 
 std::optional<CellAggregate> cell_aggregate_from_json(const SweepGrid& grid,
-                                                      const std::string& json,
+                                                      std::string_view json,
                                                       std::string* error) {
+  auto flat = jsonu::FlatJson::parse(json);
+  if (!flat) {
+    if (error) *error = "cell aggregate is not a flat JSON object";
+    return std::nullopt;
+  }
+  return cell_aggregate_from_members(grid, *flat, error);
+}
+
+std::optional<CellAggregate> cell_aggregate_from_members(
+    const SweepGrid& grid, const jsonu::FlatJson& flat, std::string* error) {
   auto fail = [&](const std::string& message)
       -> std::optional<CellAggregate> {
     if (error) *error = message;
     return std::nullopt;
   };
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) return fail("cell aggregate is not a flat JSON object");
-
-  const std::string* cell_raw = flat->find("cell");
+  const auto cell_raw = flat.find("cell");
   if (!cell_raw) return fail("cell aggregate missing key 'cell'");
   const auto c = jsonu::parse_u64(*cell_raw);
-  if (!c) return fail("bad value '" + *cell_raw + "' for key 'cell'");
+  if (!c) {
+    return fail("bad value '" + std::string(*cell_raw) + "' for key 'cell'");
+  }
   if (*c >= grid.num_cells()) {
     return fail("cell " + std::to_string(*c) + " out of range (grid has " +
                 std::to_string(grid.num_cells()) + " cells)");
@@ -104,16 +113,19 @@ std::optional<CellAggregate> cell_aggregate_from_json(const SweepGrid& grid,
   CellAggregate cell =
       empty_cell_aggregate(grid, static_cast<std::size_t>(*c));
   for (const CounterField& f : kCounters) {
-    const std::string* raw = flat->find(f.key);
+    const auto raw = flat.find(f.key);
     if (!raw) return fail(std::string("cell aggregate missing key '") +
                           f.key + "'");
     const auto v =
         jsonu::parse_u64(*raw, std::numeric_limits<std::size_t>::max());
-    if (!v) return fail("bad value '" + *raw + "' for key '" + f.key + "'");
+    if (!v) {
+      return fail("bad value '" + std::string(*raw) + "' for key '" + f.key +
+                  "'");
+    }
     cell.*(f.member) = static_cast<std::size_t>(*v);
   }
   for (const CellStatsField& f : cell_stats_fields()) {
-    const std::string* raw = flat->find(f.name);
+    const auto raw = flat.find(f.name);
     if (!raw) return fail(std::string("cell aggregate missing key '") +
                           f.name + "'");
     // Histogram bins install by count addition; raw buffers replay via
@@ -159,7 +171,7 @@ std::optional<ShardReport> ShardReport::from_json(const std::string& json,
   };
   auto flat = jsonu::FlatJson::parse(json);
   if (!flat) return fail("shard report is not a flat JSON object");
-  const std::string* format = flat->find("format");
+  const auto format = flat->find("format");
   if (!format || *format != "ccd-shard-report-v2") {
     return fail(
         "missing or unknown \"format\" (expected ccd-shard-report-v2)");
@@ -172,19 +184,23 @@ std::optional<ShardReport> ShardReport::from_json(const std::string& json,
   if (!spec) return std::nullopt;
   report.shard = std::move(*spec);
 
-  const std::string* cells_raw = flat->find("cells");
+  const auto cells_raw = flat->find("cells");
   if (!cells_raw) return fail("missing key 'cells'");
-  auto items = jsonu::parse_array_items(*cells_raw);
-  if (!items) return fail("'cells' is not a JSON array");
-  report.cells.reserve(items->size());
-  for (std::size_t i = 0; i < items->size(); ++i) {
-    std::string cell_error;
-    auto cell =
-        cell_aggregate_from_json(report.shard.grid, (*items)[i], &cell_error);
-    if (!cell) {
-      return fail("cells[" + std::to_string(i) + "]: " + cell_error);
-    }
-    report.cells.push_back(std::move(*cell));
+  report.cells.reserve(report.shard.cells.size());
+  std::string cell_error;
+  if (!jsonu::for_each_item(*cells_raw, [&](std::string_view item) {
+        auto cell =
+            cell_aggregate_from_json(report.shard.grid, item, &cell_error);
+        if (!cell) {
+          cell_error = "cells[" + std::to_string(report.cells.size()) +
+                       "]: " + cell_error;
+          return false;
+        }
+        report.cells.push_back(std::move(*cell));
+        return true;
+      })) {
+    return fail(cell_error.empty() ? "'cells' is not a JSON array"
+                                   : cell_error);
   }
   return report;
 }

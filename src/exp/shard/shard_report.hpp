@@ -15,6 +15,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/aggregator.hpp"
@@ -42,8 +43,12 @@ std::string cell_aggregate_to_json(const CellAggregate& cell);
 /// Inverse; the spec member is NOT serialized (cell identity is derived
 /// from the grid at merge time), so `grid` supplies it.
 std::optional<CellAggregate> cell_aggregate_from_json(const SweepGrid& grid,
-                                                      const std::string& json,
+                                                      std::string_view json,
                                                       std::string* error);
+/// The same from an already-parsed object, whose other members (a
+/// checkpoint marker's ts_ms) are ignored.
+std::optional<CellAggregate> cell_aggregate_from_members(
+    const SweepGrid& grid, const jsonu::FlatJson& flat, std::string* error);
 
 struct MergeResult {
   SweepGrid grid;

@@ -323,7 +323,7 @@ std::string SweepGrid::to_json() const {
   return out;
 }
 
-std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
+std::optional<SweepGrid> SweepGrid::from_json(std::string_view json,
                                               std::string* error) {
   auto fail = [&](const std::string& message) -> std::optional<SweepGrid> {
     if (error) *error = message;
@@ -340,26 +340,28 @@ std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
     ok = false;
   };
   auto read_enum_axis = [&](const char* key, auto parse_fn, auto& axis) {
-    const std::string* raw = flat->find(key);
+    const auto raw = flat->find(key);
     if (!raw) return;  // absent axis stays empty
-    auto items = jsonu::parse_array_items(*raw);
-    if (!items) {
-      report(std::string("axis '") + key + "' is not a JSON array");
-      return;
-    }
     axis.clear();
-    for (const std::string& item : *items) {
-      auto parsed = parse_fn(item);
-      if (!parsed) {
-        report("bad value '" + item + "' for axis '" + key + "'");
-        return;
-      }
-      axis.push_back(*parsed);
+    bool bad_item = false;
+    if (!jsonu::for_each_item(*raw, [&](std::string_view item) {
+          auto parsed = parse_fn(item);
+          if (parsed) {
+            axis.push_back(*parsed);
+          } else {
+            bad_item = true;
+            report("bad value '" + std::string(item) + "' for axis '" + key +
+                   "'");
+          }
+          return parsed.has_value();
+        }) &&
+        !bad_item) {
+      report(std::string("axis '") + key + "' is not a JSON array");
     }
   };
   auto read_uint_axis = [&](const char* key, auto& axis) {
     using T = typename std::remove_reference_t<decltype(axis)>::value_type;
-    const std::string* raw = flat->find(key);
+    const auto raw = flat->find(key);
     if (!raw) return;
     auto items =
         jsonu::parse_u64_array(*raw, std::numeric_limits<T>::max());
@@ -382,10 +384,12 @@ std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
     bool known = false;
     for (const char* k : known_keys) known = known || key == k;
     // A typo'd axis name must not silently sweep nothing.
-    if (!known) return fail("unknown key '" + key + "' in grid JSON");
+    if (!known) {
+      return fail("unknown key '" + std::string(key) + "' in grid JSON");
+    }
   }
 
-  if (const std::string* raw = flat->find("base")) {
+  if (const auto raw = flat->find("base")) {
     std::string base_error;
     auto base = ScenarioSpec::from_json(*raw, &base_error);
     if (base) {
@@ -394,18 +398,19 @@ std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
       report("base: " + base_error);
     }
   }
-  if (const std::string* raw = flat->find("grid_seed")) {
+  if (const auto raw = flat->find("grid_seed")) {
     if (auto v = jsonu::parse_u64(*raw)) {
       grid.grid_seed = *v;
     } else {
-      report("bad value '" + *raw + "' for key 'grid_seed'");
+      report("bad value '" + std::string(*raw) + "' for key 'grid_seed'");
     }
   }
-  if (const std::string* raw = flat->find("seeds_per_cell")) {
+  if (const auto raw = flat->find("seeds_per_cell")) {
     if (auto v = jsonu::parse_u64(*raw, ~0u)) {
       grid.seeds_per_cell = static_cast<std::uint32_t>(*v);
     } else {
-      report("bad value '" + *raw + "' for key 'seeds_per_cell'");
+      report("bad value '" + std::string(*raw) +
+             "' for key 'seeds_per_cell'");
     }
   }
   read_enum_axis("algs", parse_alg, grid.algs);
@@ -418,7 +423,7 @@ std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
   read_uint_axis("value_spaces", grid.value_spaces);
   read_uint_axis("csts", grid.csts);
   read_enum_axis("topologies", parse_topology, grid.topologies);
-  if (const std::string* raw = flat->find("densities")) {
+  if (const auto raw = flat->find("densities")) {
     auto items = jsonu::parse_double_array(*raw);
     if (items) {
       grid.densities = *items;
@@ -427,11 +432,12 @@ std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
     }
   }
   read_enum_axis("workloads", parse_workload, grid.workloads);
-  if (const std::string* raw = flat->find("crash_schedules")) {
-    auto items = jsonu::parse_array_items(*raw);
-    if (items) {
-      grid.crash_schedules = *items;  // names validated by validate()
-    } else {
+  if (const auto raw = flat->find("crash_schedules")) {
+    grid.crash_schedules.clear();  // names validated by validate()
+    if (!jsonu::for_each_item(*raw, [&](std::string_view name) {
+          grid.crash_schedules.emplace_back(name);
+          return true;
+        })) {
       report("axis 'crash_schedules' is not a JSON array");
     }
   }

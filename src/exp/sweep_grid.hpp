@@ -82,7 +82,7 @@ struct SweepGrid {
   /// from_json inverts it exactly; shard specs and shard reports embed this
   /// so a shard file is runnable and mergeable on its own.
   std::string to_json() const;
-  static std::optional<SweepGrid> from_json(const std::string& json,
+  static std::optional<SweepGrid> from_json(std::string_view json,
                                             std::string* error = nullptr);
 
   /// FNV-1a over the canonical JSON: the shard-compatibility fingerprint.

@@ -21,7 +21,7 @@ constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 bool need_u64(const jsonu::FlatJson& flat, const char* key, std::uint64_t& out,
               std::string* error, const char* where,
               std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  const std::string* raw = flat.find(key);
+  const auto raw = flat.find(key);
   if (!raw) {
     if (error) {
       *error = std::string(where) + " missing key '" + key + "'";
@@ -31,7 +31,7 @@ bool need_u64(const jsonu::FlatJson& flat, const char* key, std::uint64_t& out,
   const auto v = jsonu::parse_u64(*raw, max);
   if (!v) {
     if (error) {
-      *error = std::string("bad value '") + *raw + "' for key '" + key +
+      *error = "bad value '" + std::string(*raw) + "' for key '" + key +
                "' in " + where;
     }
     return false;
@@ -53,7 +53,7 @@ void append_counters(std::string& out, const EngineCounters& counters) {
   out += "}";
 }
 
-bool parse_counters(const std::string& raw, EngineCounters& counters,
+bool parse_counters(std::string_view raw, EngineCounters& counters,
                     std::string* error) {
   auto flat = jsonu::FlatJson::parse(raw);
   if (!flat) {
@@ -158,18 +158,19 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
   };
   auto flat = jsonu::FlatJson::parse(json);
   if (!flat) return fail("perf sidecar is not a flat JSON object");
-  const std::string* format = flat->find("format");
+  const auto format = flat->find("format");
   if (!format || *format != "ccd-perf-sidecar-v1") {
     return fail(
         "missing or unknown \"format\" (expected ccd-perf-sidecar-v1)");
   }
 
   PerfSidecar sidecar;
-  const std::string* fp_raw = flat->find("grid_fingerprint");
+  const auto fp_raw = flat->find("grid_fingerprint");
   if (!fp_raw) return fail("missing key 'grid_fingerprint'");
   auto fp = fingerprint_from_hex(*fp_raw);
   if (!fp) {
-    return fail("bad value '" + *fp_raw + "' for key 'grid_fingerprint'");
+    return fail("bad value '" + std::string(*fp_raw) +
+                "' for key 'grid_fingerprint'");
   }
   sidecar.grid_fingerprint = *fp;
   if (!need_u64(*flat, "runs", sidecar.runs, error, "perf sidecar")) {
@@ -181,75 +182,92 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
                 error, "perf sidecar")) {
     return std::nullopt;
   }
-  const std::string* counters_raw = flat->find("counters");
+  const auto counters_raw = flat->find("counters");
   if (!counters_raw) return fail("missing key 'counters'");
   if (!parse_counters(*counters_raw, sidecar.counters, error)) {
     return std::nullopt;
   }
 
-  const std::string* shards_raw = flat->find("shards");
+  // Array members of objects with per-element keyed errors: a failed
+  // element has already set *error.
+  auto walk_objects = [&](std::string_view raw, const std::string& name,
+                          const std::string& where, auto&& read) {
+    std::size_t i = 0;
+    if (jsonu::for_each_item(raw, [&](std::string_view item) {
+          const std::string at = where + "[" + std::to_string(i++) + "]";
+          auto obj = jsonu::FlatJson::parse(item);
+          if (!obj) fail(at + " is not a flat JSON object");
+          return obj && read(*obj, at);
+        })) {
+      return true;
+    }
+    if (i == 0) fail(name + " is not a JSON array");  // visited nothing
+    return false;
+  };
+
+  const auto shards_raw = flat->find("shards");
   if (!shards_raw) return fail("missing key 'shards'");
-  auto shard_items = jsonu::parse_array_items(*shards_raw);
-  if (!shard_items) return fail("'shards' is not a JSON array");
-  for (std::size_t i = 0; i < shard_items->size(); ++i) {
-    const std::string where = "shards[" + std::to_string(i) + "]";
-    auto sf = jsonu::FlatJson::parse((*shard_items)[i]);
-    if (!sf) return fail(where + " is not a flat JSON object");
+  if (!walk_objects(*shards_raw, "'shards'", "shards",
+                    [&](const jsonu::FlatJson& sf, const std::string& where) {
     PerfShardExec s;
     std::uint64_t threads = 0;
-    if (!need_u64(*sf, "shard_index", s.shard_index, error, where.c_str()) ||
-        !need_u64(*sf, "shard_count", s.shard_count, error, where.c_str()) ||
-        !need_u64(*sf, "wall_ns", s.wall_ns, error, where.c_str()) ||
-        !need_u64(*sf, "drain_ns", s.drain_ns, error, where.c_str()) ||
-        !need_u64(*sf, "threads", threads, error, where.c_str(), kU32Max) ||
-        !need_u64(*sf, "runs", s.runs, error, where.c_str())) {
-      return std::nullopt;
+    if (!need_u64(sf, "shard_index", s.shard_index, error, where.c_str()) ||
+        !need_u64(sf, "shard_count", s.shard_count, error, where.c_str()) ||
+        !need_u64(sf, "wall_ns", s.wall_ns, error, where.c_str()) ||
+        !need_u64(sf, "drain_ns", s.drain_ns, error, where.c_str()) ||
+        !need_u64(sf, "threads", threads, error, where.c_str(), kU32Max) ||
+        !need_u64(sf, "runs", s.runs, error, where.c_str())) {
+      return false;
     }
     s.threads = static_cast<std::uint32_t>(threads);
-    const std::string* workers_raw = sf->find("workers");
-    if (!workers_raw) return fail(where + " missing key 'workers'");
-    auto worker_items = jsonu::parse_array_items(*workers_raw);
-    if (!worker_items) return fail(where + ".workers is not a JSON array");
-    for (std::size_t w = 0; w < worker_items->size(); ++w) {
-      const std::string wwhere = where + ".workers[" + std::to_string(w) + "]";
-      auto wf = jsonu::FlatJson::parse((*worker_items)[w]);
-      if (!wf) return fail(wwhere + " is not a flat JSON object");
+    const auto workers_raw = sf.find("workers");
+    if (!workers_raw) {
+      fail(where + " missing key 'workers'");
+      return false;
+    }
+    if (!walk_objects(*workers_raw, where + ".workers", where + ".workers",
+                      [&](const jsonu::FlatJson& wf, const std::string& wwhere) {
       PerfWorker pw;
       std::uint64_t id = 0;
-      if (!need_u64(*wf, "worker", id, error, wwhere.c_str(), kU32Max) ||
-          !need_u64(*wf, "busy_ns", pw.busy_ns, error, wwhere.c_str()) ||
-          !need_u64(*wf, "runs", pw.runs, error, wwhere.c_str())) {
-        return std::nullopt;
+      if (!need_u64(wf, "worker", id, error, wwhere.c_str(), kU32Max) ||
+          !need_u64(wf, "busy_ns", pw.busy_ns, error, wwhere.c_str()) ||
+          !need_u64(wf, "runs", pw.runs, error, wwhere.c_str())) {
+        return false;
       }
       pw.worker = static_cast<std::uint32_t>(id);
       s.workers.push_back(pw);
+      return true;
+    })) {
+      return false;
     }
     sidecar.shards.push_back(std::move(s));
+    return true;
+  })) {
+    return std::nullopt;
   }
 
-  const std::string* cells_raw = flat->find("cells");
+  const auto cells_raw = flat->find("cells");
   if (!cells_raw) return fail("missing key 'cells'");
-  auto cell_items = jsonu::parse_array_items(*cells_raw);
-  if (!cell_items) return fail("'cells' is not a JSON array");
-  for (std::size_t i = 0; i < cell_items->size(); ++i) {
-    const std::string where = "cells[" + std::to_string(i) + "]";
-    auto cf = jsonu::FlatJson::parse((*cell_items)[i]);
-    if (!cf) return fail(where + " is not a flat JSON object");
+  if (!walk_objects(*cells_raw, "'cells'", "cells",
+                    [&](const jsonu::FlatJson& cf, const std::string& where) {
     PerfCell c;
-    if (!need_u64(*cf, "cell", c.cell_index, error, where.c_str()) ||
-        !need_u64(*cf, "runs", c.runs, error, where.c_str()) ||
-        !need_u64(*cf, "total_ns", c.total_ns, error, where.c_str()) ||
-        !need_u64(*cf, "min_ns", c.min_ns, error, where.c_str()) ||
-        !need_u64(*cf, "max_ns", c.max_ns, error, where.c_str()) ||
-        !need_u64(*cf, "p50_ns", c.p50_ns, error, where.c_str()) ||
-        !need_u64(*cf, "p95_ns", c.p95_ns, error, where.c_str())) {
-      return std::nullopt;
+    if (!need_u64(cf, "cell", c.cell_index, error, where.c_str()) ||
+        !need_u64(cf, "runs", c.runs, error, where.c_str()) ||
+        !need_u64(cf, "total_ns", c.total_ns, error, where.c_str()) ||
+        !need_u64(cf, "min_ns", c.min_ns, error, where.c_str()) ||
+        !need_u64(cf, "max_ns", c.max_ns, error, where.c_str()) ||
+        !need_u64(cf, "p50_ns", c.p50_ns, error, where.c_str()) ||
+        !need_u64(cf, "p95_ns", c.p95_ns, error, where.c_str())) {
+      return false;
     }
     sidecar.cells.push_back(c);
+    return true;
+  })) {
+    return std::nullopt;
   }
 
   // Optional: only dispatcher-merged sidecars carry dispatch totals.
-  if (const std::string* dispatch_raw = flat->find("dispatch")) {
+  if (const auto dispatch_raw = flat->find("dispatch")) {
     auto df = jsonu::FlatJson::parse(*dispatch_raw);
     if (!df) return fail("'dispatch' is not a flat JSON object");
     PerfDispatch d;
@@ -264,27 +282,26 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
         !need_u64(*df, "wall_ns", d.wall_ns, error, "'dispatch'")) {
       return std::nullopt;
     }
-    const std::string* slots_raw = df->find("slots");
+    const auto slots_raw = df->find("slots");
     if (!slots_raw) return fail("'dispatch' missing key 'slots'");
-    auto slot_items = jsonu::parse_array_items(*slots_raw);
-    if (!slot_items) return fail("'dispatch'.slots is not a JSON array");
-    for (std::size_t i = 0; i < slot_items->size(); ++i) {
-      const std::string where = "dispatch.slots[" + std::to_string(i) + "]";
-      auto sf = jsonu::FlatJson::parse((*slot_items)[i]);
-      if (!sf) return fail(where + " is not a flat JSON object");
+    if (!walk_objects(*slots_raw, "'dispatch'.slots", "dispatch.slots",
+                      [&](const jsonu::FlatJson& sf, const std::string& where) {
       PerfDispatchSlot s;
       std::uint64_t slot_id = 0;
-      if (!need_u64(*sf, "slot", slot_id, error, where.c_str()) ||
-          !need_u64(*sf, "batches", s.batches, error, where.c_str()) ||
-          !need_u64(*sf, "cells", s.cells, error, where.c_str()) ||
-          !need_u64(*sf, "busy_ns", s.busy_ns, error, where.c_str()) ||
-          !need_u64(*sf, "busy_permille", s.busy_permille, error,
+      if (!need_u64(sf, "slot", slot_id, error, where.c_str()) ||
+          !need_u64(sf, "batches", s.batches, error, where.c_str()) ||
+          !need_u64(sf, "cells", s.cells, error, where.c_str()) ||
+          !need_u64(sf, "busy_ns", s.busy_ns, error, where.c_str()) ||
+          !need_u64(sf, "busy_permille", s.busy_permille, error,
                     where.c_str()) ||
-          !need_u64(*sf, "restarts", s.restarts, error, where.c_str())) {
-        return std::nullopt;
+          !need_u64(sf, "restarts", s.restarts, error, where.c_str())) {
+        return false;
       }
       s.slot = static_cast<std::uint32_t>(slot_id);
       d.slots.push_back(s);
+      return true;
+    })) {
+      return std::nullopt;
     }
     sidecar.dispatch = std::move(d);
   }

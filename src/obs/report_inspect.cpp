@@ -75,8 +75,24 @@ MetricView metric_from_stats(std::string name, Stats stats) {
   return m;
 }
 
+/// Walk the array text `raw`: visit(item, i) for each element until it
+/// returns false (having set *error); `not_array` is the error for a
+/// malformed array.
+template <typename Visit>
+bool walk_array(std::string_view raw, const std::string& not_array,
+                std::string* error, Visit&& visit) {
+  std::size_t i = 0;
+  if (jsonu::for_each_item(raw, [&](std::string_view item) {
+        return visit(item, i++);
+      })) {
+    return true;
+  }
+  // A malformed array visits nothing.
+  return i > 0 ? false : set_error(error, not_array);
+}
+
 /// Parse a {"count":..,"min":..,...} summary object (aggregate reports).
-bool metric_from_summary(const std::string& name, const std::string& raw,
+bool metric_from_summary(const std::string& name, std::string_view raw,
                          MetricView* out, std::string* error) {
   auto flat = jsonu::FlatJson::parse(raw);
   if (!flat) {
@@ -84,7 +100,7 @@ bool metric_from_summary(const std::string& name, const std::string& raw,
   }
   out->name = name;
   out->full = false;
-  const std::string* count_raw = flat->find("count");
+  const auto count_raw = flat->find("count");
   const auto count = count_raw ? jsonu::parse_u64(*count_raw) : std::nullopt;
   if (!count) {
     return set_error(error, "metric '" + name + "' missing valid 'count'");
@@ -99,7 +115,7 @@ bool metric_from_summary(const std::string& name, const std::string& raw,
                          Field{"p50", &MetricView::p50},
                          Field{"p99", &MetricView::p99},
                          Field{"max", &MetricView::max}}) {
-    const std::string* raw_v = flat->find(f.key);
+    const auto raw_v = flat->find(f.key);
     const auto v = raw_v ? jsonu::parse_double(*raw_v) : std::nullopt;
     if (!v) {
       return set_error(error, "metric '" + name + "' missing valid '" +
@@ -112,16 +128,16 @@ bool metric_from_summary(const std::string& name, const std::string& raw,
 
 /// Hoist an aggregate report's nested stats block ("mh"/"sync") into
 /// prefixed counters and metrics.
-bool hoist_summary_block(const std::string& prefix, const std::string& raw,
+bool hoist_summary_block(const std::string& prefix, std::string_view raw,
                          CellView* cell, std::string* error) {
   auto flat = jsonu::FlatJson::parse(raw);
   if (!flat) {
     return set_error(error, "'" + prefix + "' is not a JSON object");
   }
   for (const auto& [key, value] : flat->members) {
-    const std::string name = prefix + "." + key;
+    const std::string name = prefix + "." + std::string(key);
     if (value == "null") continue;  // empty stats
-    if (!value.empty() && value[0] == '{') {
+    if (value.starts_with('{')) {
       MetricView m;
       if (!metric_from_summary(name, value, &m, error)) return false;
       cell->metrics.push_back(std::move(m));
@@ -134,28 +150,28 @@ bool hoist_summary_block(const std::string& prefix, const std::string& raw,
   return true;
 }
 
-bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
+bool parse_dist_cells(std::string_view cells_raw, bool shard_layout,
                       ReportView* view, std::string* error) {
-  auto items = jsonu::parse_array_items(cells_raw);
-  if (!items) return set_error(error, "'cells' is not a JSON array");
-  for (std::size_t i = 0; i < items->size(); ++i) {
+  if (!walk_array(cells_raw, "'cells' is not a JSON array", error,
+                  [&](std::string_view item, std::size_t i) {
     const std::string where = "cells[" + std::to_string(i) + "]";
-    auto flat = jsonu::FlatJson::parse((*items)[i]);
+    auto flat = jsonu::FlatJson::parse(item);
     if (!flat) return set_error(error, where + " is not a JSON object");
     CellView cell;
-    const std::string* cell_raw = flat->find("cell");
+    const auto cell_raw = flat->find("cell");
     const auto index = cell_raw ? jsonu::parse_u64(*cell_raw) : std::nullopt;
     if (!index) return set_error(error, where + " missing valid 'cell'");
     cell.cell = *index;
-    if (const std::string* spec = flat->find("spec")) cell.spec = *spec;
+    if (const auto spec = flat->find("spec")) cell.spec = *spec;
     if (shard_layout) {
       // Shard cell: every member other than the index is either a counter
       // (plain integer) or a statistic ({"h":..} or {"raw":..} object).
       // A checkpoint's ts_ms heartbeat parses as a counter, which is fine
       // for display.
-      for (const auto& [key, value] : flat->members) {
+      for (const auto& [member, value] : flat->members) {
+        const std::string key(member);
         if (key == "cell") continue;
-        if (!value.empty() && value[0] == '{') {
+        if (value.starts_with('{')) {
           Stats stats;
           std::string stats_error;
           if (!stats_from_json(value, &stats, &stats_error)) {
@@ -171,10 +187,10 @@ bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
         cell.counters[key] = *v;
       }
     } else {
-      if (const std::string* runs = flat->find("runs")) {
+      if (const auto runs = flat->find("runs")) {
         if (auto v = jsonu::parse_u64(*runs)) cell.counters["runs"] = *v;
       }
-      const std::string* metrics_raw = flat->find("metrics");
+      const auto metrics_raw = flat->find("metrics");
       if (!metrics_raw) {
         return set_error(error, where + " missing 'metrics'");
       }
@@ -182,7 +198,8 @@ bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
       if (!metrics) {
         return set_error(error, where + ".metrics is not a JSON object");
       }
-      for (const auto& [key, value] : metrics->members) {
+      for (const auto& [member, value] : metrics->members) {
+        const std::string key(member);
         Stats stats;
         std::string stats_error;
         if (!stats_from_json(value, &stats, &stats_error)) {
@@ -198,6 +215,9 @@ bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
                 return a.name < b.name;
               });
     view->cells.push_back(std::move(cell));
+    return true;
+  })) {
+    return false;
   }
   std::sort(view->cells.begin(), view->cells.end(),
             [](const CellView& a, const CellView& b) {
@@ -206,20 +226,20 @@ bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
   return true;
 }
 
-bool parse_aggregate_cells(const std::string& cells_raw, ReportView* view,
+bool parse_aggregate_cells(std::string_view cells_raw, ReportView* view,
                            std::string* error) {
-  auto items = jsonu::parse_array_items(cells_raw);
-  if (!items) return set_error(error, "'cells' is not a JSON array");
-  for (std::size_t i = 0; i < items->size(); ++i) {
+  return walk_array(cells_raw, "'cells' is not a JSON array", error,
+                    [&](std::string_view item, std::size_t i) {
     const std::string where = "cells[" + std::to_string(i) + "]";
-    auto flat = jsonu::FlatJson::parse((*items)[i]);
+    auto flat = jsonu::FlatJson::parse(item);
     if (!flat) return set_error(error, where + " is not a JSON object");
     CellView cell;
-    const std::string* cell_raw = flat->find("cell");
+    const auto cell_raw = flat->find("cell");
     const auto index = cell_raw ? jsonu::parse_u64(*cell_raw) : std::nullopt;
     if (!index) return set_error(error, where + " missing valid 'cell'");
     cell.cell = *index;
-    for (const auto& [key, value] : flat->members) {
+    for (const auto& [member, value] : flat->members) {
+      const std::string key(member);
       if (key == "cell") continue;
       if (key == "spec") {
         cell.spec = value;
@@ -230,7 +250,7 @@ bool parse_aggregate_cells(const std::string& cells_raw, ReportView* view,
         continue;
       }
       if (value == "null") continue;  // empty stats
-      if (!value.empty() && value[0] == '{') {
+      if (value.starts_with('{')) {
         MetricView m;
         if (!metric_from_summary(key, value, &m, error)) return false;
         cell.metrics.push_back(std::move(m));
@@ -247,24 +267,24 @@ bool parse_aggregate_cells(const std::string& cells_raw, ReportView* view,
                 return a.name < b.name;
               });
     view->cells.push_back(std::move(cell));
-  }
-  return true;
+    return true;
+  });
 }
 
-bool parse_sidecar_cells(const std::string& cells_raw, ReportView* view,
+bool parse_sidecar_cells(std::string_view cells_raw, ReportView* view,
                          std::string* error) {
-  auto items = jsonu::parse_array_items(cells_raw);
-  if (!items) return set_error(error, "'cells' is not a JSON array");
-  for (std::size_t i = 0; i < items->size(); ++i) {
+  return walk_array(cells_raw, "'cells' is not a JSON array", error,
+                    [&](std::string_view item, std::size_t i) {
     const std::string where = "cells[" + std::to_string(i) + "]";
-    auto flat = jsonu::FlatJson::parse((*items)[i]);
+    auto flat = jsonu::FlatJson::parse(item);
     if (!flat) return set_error(error, where + " is not a JSON object");
     CellView cell;
-    const std::string* cell_raw = flat->find("cell");
+    const auto cell_raw = flat->find("cell");
     const auto index = cell_raw ? jsonu::parse_u64(*cell_raw) : std::nullopt;
     if (!index) return set_error(error, where + " missing valid 'cell'");
     cell.cell = *index;
-    for (const auto& [key, value] : flat->members) {
+    for (const auto& [member, value] : flat->members) {
+      const std::string key(member);
       if (key == "cell") continue;
       const auto v = jsonu::parse_u64(value);
       if (!v) {
@@ -273,8 +293,8 @@ bool parse_sidecar_cells(const std::string& cells_raw, ReportView* view,
       cell.counters[key] = *v;
     }
     view->cells.push_back(std::move(cell));
-  }
-  return true;
+    return true;
+  });
 }
 
 /// Parse any supported report artifact into the unified view.
@@ -285,18 +305,17 @@ bool parse_report(const std::string& json, ReportView* view,
     return set_error(error, "input is not a JSON object (report, shard "
                             "report, dist, or perf sidecar expected)");
   }
-  const std::string* format = flat->find("format");
-  const std::string kind =
+  const auto format = flat->find("format");
+  const std::string_view kind =
       format ? *format
-             : (flat->find("grid_seed") && flat->find("cells")
-                    ? std::string("aggregate")
-                    : std::string());
+             : (flat->find("grid_seed") && flat->find("cells") ? "aggregate"
+                                                                : "");
   for (const char* key :
        {"grid_fingerprint", "grid_seed", "seeds_per_cell", "num_cells",
         "num_runs", "shard_index", "shard_count"}) {
-    if (const std::string* v = flat->find(key)) view->header[key] = *v;
+    if (const auto v = flat->find(key)) view->header[key] = *v;
   }
-  const std::string* cells_raw = flat->find("cells");
+  const auto cells_raw = flat->find("cells");
   if (!cells_raw) return set_error(error, "missing 'cells'");
 
   if (kind == "ccd-dist-v1") {
@@ -314,7 +333,7 @@ bool parse_report(const std::string& json, ReportView* view,
   if (kind == "ccd-perf-sidecar-v1") {
     view->kind = "sidecar";
     for (const char* key : {"runs", "stats_bytes_retained"}) {
-      if (const std::string* v = flat->find(key)) {
+      if (const auto v = flat->find(key)) {
         if (auto n = jsonu::parse_u64(*v)) view->totals[key] = *n;
       }
     }
@@ -322,7 +341,7 @@ bool parse_report(const std::string& json, ReportView* view,
   }
   return set_error(error,
                    "unrecognized artifact" +
-                       (format ? " format '" + *format + "'"
+                       (format ? " format '" + std::string(*format) + "'"
                                : std::string(" (no 'format' member and not "
                                              "an aggregate report)")));
 }
@@ -556,102 +575,107 @@ bool parse_trace(const std::string& json, const char* label, TraceDoc* doc,
   if (!flat) {
     return set_error(error, std::string(label) + ": not a JSON object");
   }
-  const std::string* format = flat->find("format");
+  const auto format = flat->find("format");
   if (!format || *format != "ccd-cell-trace-v1") {
     return set_error(error, std::string(label) +
                                 ": expected format ccd-cell-trace-v1 (a "
                                 "ccd_sweep --rerun-cell dump)");
   }
-  if (const std::string* cell = flat->find("cell")) {
+  if (const auto cell = flat->find("cell")) {
     if (auto v = jsonu::parse_u64(*cell)) doc->cell = *v;
   }
-  const std::string* runs_raw = flat->find("runs");
+  const auto runs_raw = flat->find("runs");
   if (!runs_raw) return set_error(error, std::string(label) + ": no 'runs'");
-  auto items = jsonu::parse_array_items(*runs_raw);
-  if (!items) {
-    return set_error(error, std::string(label) + ": 'runs' is not an array");
-  }
-  for (std::size_t i = 0; i < items->size(); ++i) {
+  return walk_array(*runs_raw, std::string(label) + ": 'runs' is not an array",
+                    error, [&](std::string_view item, std::size_t i) {
     const std::string where =
         std::string(label) + ".runs[" + std::to_string(i) + "]";
-    auto rf = jsonu::FlatJson::parse((*items)[i]);
+    auto rf = jsonu::FlatJson::parse(item);
     if (!rf) return set_error(error, where + " is not a JSON object");
     TraceRun run;
-    if (const std::string* v = rf->find("run_index")) {
+    if (const auto v = rf->find("run_index")) {
       if (auto n = jsonu::parse_u64(*v)) run.run_index = *n;
     }
-    if (const std::string* v = rf->find("seed")) {
+    if (const auto v = rf->find("seed")) {
       if (auto n = jsonu::parse_u64(*v)) run.seed = *n;
     }
-    if (const std::string* v = rf->find("solved")) run.solved = *v;
-    if (const std::string* log_raw = rf->find("log")) {
+    if (const auto v = rf->find("solved")) run.solved = *v;
+    if (const auto log_raw = rf->find("log")) {
       run.has_log = true;
       auto lf = jsonu::FlatJson::parse(*log_raw);
       if (!lf) return set_error(error, where + ".log is not a JSON object");
-      if (const std::string* v = lf->find("decisions")) run.decisions = *v;
-      if (const std::string* v = lf->find("crashes")) run.crashes = *v;
-      const std::string* rounds_raw = lf->find("rounds");
+      if (const auto v = lf->find("decisions")) run.decisions = *v;
+      if (const auto v = lf->find("crashes")) run.crashes = *v;
+      const auto rounds_raw = lf->find("rounds");
       if (!rounds_raw) {
         return set_error(error, where + ".log missing 'rounds'");
       }
-      auto round_items = jsonu::parse_array_items(*rounds_raw);
-      if (!round_items) {
-        return set_error(error, where + ".log.rounds is not an array");
-      }
-      for (const std::string& round_raw : *round_items) {
+      if (!walk_array(*rounds_raw, where + ".log.rounds is not an array",
+                      error, [&](std::string_view round_raw, std::size_t) {
         auto rr = jsonu::FlatJson::parse(round_raw);
         if (!rr) {
           return set_error(error, where + ".log.rounds element is not an "
                                           "object");
         }
         TraceRound round;
-        if (const std::string* v = rr->find("round")) {
+        if (const auto v = rr->find("round")) {
           if (auto n = jsonu::parse_u64(*v)) round.round = *n;
         }
-        if (const std::string* v = rr->find("broadcasters")) {
-          round.broadcasters = *v;
-        }
-        if (const std::string* v = rr->find("receive_counts")) {
+        if (const auto v = rr->find("broadcasters")) round.broadcasters = *v;
+        if (const auto v = rr->find("receive_counts")) {
           round.receive_counts = *v;
         }
-        if (const std::string* v = rr->find("cd")) round.cd = *v;
-        if (const std::string* v = rr->find("cm")) round.cm = *v;
-        if (const std::string* v = rr->find("views")) round.views = *v;
+        if (const auto v = rr->find("cd")) round.cd = *v;
+        if (const auto v = rr->find("cm")) round.cm = *v;
+        if (const auto v = rr->find("views")) round.views = *v;
         run.rounds.push_back(std::move(round));
+        return true;
+      })) {
+        return false;
       }
     }
     doc->runs.push_back(std::move(run));
-  }
-  return true;
+    return true;
+  });
 }
 
 /// "p2=v1@r5, p0=v1@r6" rendering of a decisions/crashes array.
 std::string render_events(const std::string& raw) {
-  auto items = jsonu::parse_array_items(raw);
-  if (!items) return raw;
-  if (items->empty()) return "(none)";
   std::string out;
-  for (const std::string& item : *items) {
+  std::size_t events = 0;
+  const bool array = jsonu::for_each_item(raw, [&](std::string_view item) {
     auto flat = jsonu::FlatJson::parse(item);
-    if (!flat) return raw;
+    if (!flat) return false;
+    ++events;
     if (!out.empty()) out += ", ";
-    if (const std::string* p = flat->find("process")) out += "p" + *p;
-    if (const std::string* v = flat->find("value")) out += "=v" + *v;
-    if (const std::string* r = flat->find("round")) out += "@r" + *r;
-  }
-  return out;
+    if (const auto p = flat->find("process")) out += "p" + std::string(*p);
+    if (const auto v = flat->find("value")) out += "=v" + std::string(*v);
+    if (const auto r = flat->find("round")) out += "@r" + std::string(*r);
+    return true;
+  });
+  if (!array) return raw;
+  return events == 0 ? "(none)" : out;
 }
 
 /// First process whose per-round view differs; -1 when equal or opaque.
 int first_view_divergence(const std::string& a, const std::string& b) {
-  auto av = jsonu::parse_array_items(a);
-  auto bv = jsonu::parse_array_items(b);
-  if (!av || !bv) return -1;
-  const std::size_t n = std::min(av->size(), bv->size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((*av)[i] != (*bv)[i]) return static_cast<int>(i);
+  // Copies: an escaped string's decoded view lives only for its visit.
+  std::vector<std::string> av, bv;
+  auto into = [](std::vector<std::string>& items) {
+    return [&items](std::string_view item) {
+      items.emplace_back(item);
+      return true;
+    };
+  };
+  if (!jsonu::for_each_item(a, into(av)) ||
+      !jsonu::for_each_item(b, into(bv))) {
+    return -1;
   }
-  if (av->size() != bv->size()) return static_cast<int>(n);
+  const std::size_t n = std::min(av.size(), bv.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (av[i] != bv[i]) return static_cast<int>(i);
+  }
+  if (av.size() != bv.size()) return static_cast<int>(n);
   return -1;
 }
 
@@ -883,43 +907,44 @@ bool parse_bench(const std::string& json, bool baseline,
                  std::string* error) {
   auto flat = jsonu::FlatJson::parse(json);
   if (!flat) return set_error(error, "bench artifact is not a JSON object");
-  const std::string* format = flat->find("format");
+  const auto format = flat->find("format");
   if (!format || *format != "ccd-bench-v2") {
     return set_error(error, "expected format ccd-bench-v2");
   }
-  const std::string* items_raw = flat->find("entries");
-  auto items = items_raw ? jsonu::parse_array_items(*items_raw) : std::nullopt;
-  if (!items) return set_error(error, "'entries' is not a JSON array");
-  for (const std::string& item : *items) {
+  const auto items_raw = flat->find("entries");
+  return walk_array(items_raw.value_or(""), "'entries' is not a JSON array",
+                    error, [&](std::string_view item, std::size_t) {
     auto ef = jsonu::FlatJson::parse(item);
-    const std::string* name = ef ? ef->find("name") : nullptr;
-    if (!name) return set_error(error, "bench entry without a 'name'");
+    const auto found = ef ? ef->find("name") : std::nullopt;
+    if (!found) return set_error(error, "bench entry without a 'name'");
+    const std::string name(*found);
     BenchEntry entry;
-    if (const std::string* unit = ef->find("unit")) entry.unit = *unit;
-    if (const std::string* median = ef->find("median")) {
+    if (const auto unit = ef->find("unit")) entry.unit = *unit;
+    if (const auto median = ef->find("median")) {
       entry.median = jsonu::parse_double(*median);
     }
     if (baseline) {
       if (!entry.median) {
-        return set_error(error, "entry '" + *name + "' missing valid 'median'");
+        return set_error(error, "entry '" + name + "' missing valid 'median'");
       }
-      if (const std::string* bound = ef->find("bound")) {
+      if (const auto bound = ef->find("bound")) {
         entry.bound = jsonu::parse_double(*bound);
         if (!entry.bound || *entry.bound <= 0 || *entry.bound > 1) {
-          return set_error(error, "entry '" + *name + "' has bound '" +
-                                      *bound + "' outside (0, 1]");
+          return set_error(error, "entry '" + name + "' has bound '" +
+                                      std::string(*bound) +
+                                      "' outside (0, 1]");
         }
         if (*entry.median <= 0) {
-          return set_error(error, "gated entry '" + *name +
+          return set_error(error, "gated entry '" + name +
                                       "' has a non-positive median");
         }
       }
     }
-    if (!entries->emplace(*name, std::move(entry)).second) {
-      return set_error(error, "duplicate entry '" + *name + "'");
+    if (!entries->emplace(name, std::move(entry)).second) {
+      return set_error(error, "duplicate entry '" + name + "'");
     }
-  }
-  return true;
+    return true;
+  });
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "util/flat_json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -14,7 +15,7 @@ std::string format_double(double d) {
   return out;
 }
 
-bool skip_quoted(const std::string& text, std::size_t& i) {
+bool skip_quoted(std::string_view text, std::size_t& i) {
   ++i;
   while (i < text.size() && text[i] != '"') {
     if (text[i] == '\\' && i + 1 < text.size()) ++i;
@@ -27,181 +28,190 @@ bool skip_quoted(const std::string& text, std::size_t& i) {
 
 namespace {
 
-/// Capture balanced `open`...`close` raw text starting at `i` (which must
-/// point at `open`); strings inside are skipped whole.  Returns the raw
-/// text including the delimiters and advances `i` past the closer, or
-/// nullopt on unbalanced input.
-std::optional<std::string> capture_balanced(const std::string& text,
-                                            std::size_t& i, char open,
-                                            char close) {
-  const std::size_t start = i;
+void skip_ws(std::string_view text, std::size_t& i) {
+  while (i < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[i]))) {
+    ++i;
+  }
+}
+
+/// Advance `i` past the balanced `open`...`close` text starting at `i`
+/// (which must point at `open`); strings inside are skipped whole.  False
+/// on unbalanced input.
+bool skip_balanced(std::string_view text, std::size_t& i, char open,
+                   char close) {
   int depth = 0;
   while (i < text.size()) {
     if (text[i] == '"') {
-      if (!skip_quoted(text, i)) return std::nullopt;
+      if (!skip_quoted(text, i)) return false;
       continue;
     }
     if (text[i] == open) {
       ++depth;
-    } else if (text[i] == close) {
-      if (--depth == 0) {
-        ++i;  // consume the closer
-        return text.substr(start, i - start);
-      }
+    } else if (text[i] == close && --depth == 0) {
+      ++i;  // consume the closer
+      return true;
     }
     ++i;
   }
-  return std::nullopt;  // unbalanced
+  return false;
+}
+
+/// One value starting at `i`, which a bare token ends at ',', `closer` or
+/// whitespace: a string (its text between the quotes, `escaped` when it
+/// holds a backslash), a balanced array or object, or a bare token.  False
+/// on malformed input.
+bool scan_value(std::string_view text, std::size_t& i, char closer,
+                std::string_view& value, bool& escaped) {
+  const std::size_t start = i;
+  escaped = false;
+  if (i < text.size() && text[i] == '"') {
+    if (!skip_quoted(text, i)) return false;
+    value = text.substr(start + 1, i - start - 2);
+    escaped = value.find('\\') != std::string_view::npos;
+    return true;
+  }
+  if (i < text.size() && (text[i] == '[' || text[i] == '{')) {
+    const bool array = text[i] == '[';
+    if (!skip_balanced(text, i, array ? '[' : '{', array ? ']' : '}')) {
+      return false;
+    }
+  } else {
+    while (i < text.size() && text[i] != ',' && text[i] != closer &&
+           !std::isspace(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    if (i == start) return false;
+  }
+  value = text.substr(start, i - start);
+  return true;
+}
+
+/// The text of a string that holds backslashes, each replaced by the byte
+/// after it.
+void decode_into(std::string_view escaped, std::string& out) {
+  out.clear();
+  for (std::size_t i = 0; i < escaped.size(); ++i) {
+    if (escaped[i] == '\\') ++i;  // scan_value saw a byte after each one
+    out += escaped[i];
+  }
+}
+
+/// `text` as one `open`...`close` container, whitespace allowed around
+/// it and its elements: element(i) reads one element starting at `i` and
+/// advances past it.  False on malformed input or a false element().
+template <typename Element>
+bool scan_container(std::string_view text, char open, char close,
+                    Element&& element) {
+  std::size_t i = 0;
+  skip_ws(text, i);
+  if (i >= text.size() || text[i] != open) return false;
+  ++i;
+  skip_ws(text, i);
+  bool more = i >= text.size() || text[i] != close;
+  while (more) {
+    skip_ws(text, i);
+    if (!element(i)) return false;
+    skip_ws(text, i);
+    more = i < text.size() && text[i] == ',';
+    if (!more && (i >= text.size() || text[i] != close)) return false;
+    if (more) ++i;
+  }
+  ++i;  // consume the closer
+  skip_ws(text, i);
+  return i == text.size();  // no trailing junk
+}
+
+/// Array of parse(item) values; nullopt on anything else.
+template <typename T, typename Parse>
+std::optional<std::vector<T>> parse_array(std::string_view raw, Parse parse) {
+  std::vector<T> out;
+  if (!for_each_item(raw, [&](std::string_view item) {
+        const std::optional<T> v = parse(item);
+        if (v) out.push_back(*v);
+        return v.has_value();
+      })) {
+    return std::nullopt;
+  }
+  return out;
 }
 
 }  // namespace
 
-std::optional<FlatJson> FlatJson::parse(const std::string& text) {
+std::optional<FlatJson> FlatJson::parse(std::string_view text) {
   FlatJson out;
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
+  // A key or string value with escapes is read from a decoded copy.
+  auto decoded = [&out](std::string_view view, bool escaped) {
+    if (!escaped) return view;
+    out.decoded_.push_back(std::make_unique<std::string>());
+    decode_into(view, *out.decoded_.back());
+    return std::string_view(*out.decoded_.back());
+  };
+  auto member = [&](std::size_t& i) {
+    std::string_view key, value;
+    bool escaped = false;
+    if (i >= text.size() || text[i] != '"' ||
+        !scan_value(text, i, '}', key, escaped)) {
+      return false;
     }
-  };
-  auto parse_string = [&]() -> std::optional<std::string> {
-    if (i >= text.size() || text[i] != '"') return std::nullopt;
+    key = decoded(key, escaped);
+    skip_ws(text, i);
+    if (i >= text.size() || text[i] != ':') return false;
     ++i;
-    std::string s;
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\' && i + 1 < text.size()) ++i;  // unescape
-      s += text[i++];
-    }
-    if (i >= text.size()) return std::nullopt;
-    ++i;  // closing quote
-    return s;
-  };
-  skip_ws();
-  if (i >= text.size() || text[i] != '{') return std::nullopt;
-  ++i;
-  auto finish = [&]() -> std::optional<FlatJson> {
-    ++i;  // consume '}'
-    skip_ws();
-    if (i != text.size()) return std::nullopt;  // trailing junk
-    return out;
-  };
-  skip_ws();
-  if (i < text.size() && text[i] == '}') return finish();  // empty object
-  while (true) {
-    skip_ws();
-    auto key = parse_string();
-    if (!key) return std::nullopt;
-    skip_ws();
-    if (i >= text.size() || text[i] != ':') return std::nullopt;
-    ++i;
-    skip_ws();
-    if (i < text.size() && text[i] == '"') {
-      auto value = parse_string();
-      if (!value) return std::nullopt;
-      out.members[*key] = *value;
-    } else if (i < text.size() && text[i] == '[') {
-      auto raw = capture_balanced(text, i, '[', ']');
-      if (!raw) return std::nullopt;
-      out.members[*key] = *raw;
-    } else if (i < text.size() && text[i] == '{') {
-      auto raw = capture_balanced(text, i, '{', '}');
-      if (!raw) return std::nullopt;
-      out.members[*key] = *raw;
+    skip_ws(text, i);
+    if (!scan_value(text, i, '}', value, escaped)) return false;
+    value = decoded(value, escaped);
+    // Sorted insert; a repeated key takes the later value.
+    auto at = std::lower_bound(
+        out.members.begin(), out.members.end(), key,
+        [](const Member& m, std::string_view k) { return m.key < k; });
+    if (at != out.members.end() && at->key == key) {
+      at->value = value;
     } else {
-      std::size_t start = i;
-      while (i < text.size() && text[i] != ',' && text[i] != '}' &&
-             !std::isspace(static_cast<unsigned char>(text[i]))) {
-        ++i;
-      }
-      if (i == start) return std::nullopt;
-      out.members[*key] = text.substr(start, i - start);
+      out.members.insert(at, Member{key, value});
     }
-    skip_ws();
-    if (i < text.size() && text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < text.size() && text[i] == '}') return finish();
-    return std::nullopt;
-  }
-}
-
-std::optional<std::vector<std::string>> parse_array_items(
-    const std::string& raw) {
-  std::vector<std::string> items;
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < raw.size() && std::isspace(static_cast<unsigned char>(raw[i]))) {
-      ++i;
-    }
+    return true;
   };
-  skip_ws();
-  if (i >= raw.size() || raw[i] != '[') return std::nullopt;
-  ++i;
-  skip_ws();
-  if (i < raw.size() && raw[i] == ']') {
-    ++i;
-    skip_ws();
-    if (i != raw.size()) return std::nullopt;  // trailing junk
-    return items;
-  }
-  while (true) {
-    skip_ws();
-    if (i >= raw.size()) return std::nullopt;
-    if (raw[i] == '"') {
-      std::string s;
-      ++i;
-      while (i < raw.size() && raw[i] != '"') {
-        if (raw[i] == '\\' && i + 1 < raw.size()) ++i;
-        s += raw[i++];
-      }
-      if (i >= raw.size()) return std::nullopt;
-      ++i;
-      items.push_back(std::move(s));
-    } else if (raw[i] == '{') {
-      auto obj = capture_balanced(raw, i, '{', '}');
-      if (!obj) return std::nullopt;
-      items.push_back(std::move(*obj));
-    } else if (raw[i] == '[') {
-      auto arr = capture_balanced(raw, i, '[', ']');
-      if (!arr) return std::nullopt;
-      items.push_back(std::move(*arr));
-    } else {
-      const std::size_t start = i;
-      while (i < raw.size() && raw[i] != ',' && raw[i] != ']' &&
-             !std::isspace(static_cast<unsigned char>(raw[i]))) {
-        ++i;
-      }
-      if (i == start) return std::nullopt;
-      items.push_back(raw.substr(start, i - start));
-    }
-    skip_ws();
-    if (i < raw.size() && raw[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < raw.size() && raw[i] == ']') {
-      ++i;
-      skip_ws();
-      if (i != raw.size()) return std::nullopt;  // trailing junk
-      return items;
-    }
-    return std::nullopt;
-  }
-}
-
-std::optional<std::vector<double>> parse_double_array(const std::string& raw) {
-  auto items = parse_array_items(raw);
-  if (!items) return std::nullopt;
-  std::vector<double> out;
-  out.reserve(items->size());
-  for (const std::string& item : *items) {
-    auto v = parse_double(item);
-    if (!v) return std::nullopt;
-    out.push_back(*v);
-  }
+  if (!scan_container(text, '{', '}', member)) return std::nullopt;
   return out;
+}
+
+std::optional<std::string_view> FlatJson::find(std::string_view key) const {
+  auto at = std::lower_bound(
+      members.begin(), members.end(), key,
+      [](const Member& m, std::string_view k) { return m.key < k; });
+  if (at == members.end() || at->key != key) return std::nullopt;
+  return at->value;
+}
+
+namespace detail {
+
+bool walk_items(std::string_view raw,
+                bool (*visit)(void* ctx, std::string_view item), void* ctx) {
+  // The first pass checks the whole array, the second visits.
+  std::string decoded;
+  for (const bool visiting : {false, true}) {
+    if (!scan_container(raw, '[', ']', [&](std::size_t& i) {
+          std::string_view item;
+          bool escaped = false;
+          if (!scan_value(raw, i, ']', item, escaped)) return false;
+          if (!visiting) return true;
+          if (escaped) {
+            decode_into(item, decoded);
+            item = decoded;
+          }
+          return visit(ctx, item);
+        })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace detail
+
+std::optional<std::vector<double>> parse_double_array(std::string_view raw) {
+  return parse_array<double>(raw, parse_double);
 }
 
 std::optional<double> parse_double(std::string_view text) {
@@ -228,17 +238,9 @@ std::optional<std::uint64_t> parse_u64(std::string_view text,
 }
 
 std::optional<std::vector<std::uint64_t>> parse_u64_array(
-    const std::string& raw, std::uint64_t max) {
-  auto items = parse_array_items(raw);
-  if (!items) return std::nullopt;
-  std::vector<std::uint64_t> out;
-  out.reserve(items->size());
-  for (const std::string& item : *items) {
-    auto v = parse_u64(item, max);
-    if (!v) return std::nullopt;
-    out.push_back(*v);
-  }
-  return out;
+    std::string_view raw, std::uint64_t max) {
+  return parse_array<std::uint64_t>(
+      raw, [max](std::string_view item) { return parse_u64(item, max); });
 }
 
 std::string fingerprint_to_hex(std::uint64_t fp) {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <string_view>
 
@@ -224,45 +222,19 @@ std::string stats_to_json(const Stats& s) {
 
 namespace {
 
-bool parse_i64(const std::string& text, std::int64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 bool fail(std::string* error, const char* what) {
   if (error) *error = what;
   return false;
 }
 
-/// The canonical form append_stats_json writes, `<head>n,n,...]}` with no
-/// whitespace, read in place: item(token) runs for each array element
-/// until it returns false.  False when `text` is not of that form or an
-/// item refused its token.
-template <typename Item>
-bool canonical_items(std::string_view text, std::string_view head,
-                     Item&& item) {
-  if (!text.starts_with(head) || !text.ends_with("]}")) return false;
-  std::string_view body =
-      text.substr(head.size(), text.size() - head.size() - 2);
-  if (body.empty()) return true;
-  while (true) {
-    const std::size_t comma = body.find(',');
-    if (!item(body.substr(0, comma))) return false;
-    if (comma == std::string_view::npos) return true;
-    body.remove_prefix(comma + 1);
-  }
-}
-
-/// A histogram key as parse_i64 reads it, for the tokens both accept
-/// (`-?[0-9]+` in range); nullopt sends the text down the general path.
-std::optional<std::int64_t> canonical_key(std::string_view token) {
+/// A histogram key: an optional sign and decimal digits ("+4" and "004"
+/// read as 4), in int64 range.
+std::optional<std::int64_t> parse_key(std::string_view text) {
+  // from_chars takes '-' but not '+'; "+-4" keeps its '+' and fails.
+  if (text.starts_with('+') && !text.starts_with("+-")) text.remove_prefix(1);
   std::int64_t v = 0;
-  const char* end = token.data() + token.size();
-  const auto [stop, ec] = std::from_chars(token.data(), end, v, 10);
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v, 10);
   if (ec != std::errc() || stop != end) return std::nullopt;
   return v;
 }
@@ -270,72 +242,39 @@ std::optional<std::int64_t> canonical_key(std::string_view token) {
 }  // namespace
 
 bool stats_from_json(std::string_view raw, Stats* into, std::string* error) {
-  std::size_t start = raw.find_first_not_of(" \t\r\n");
-  if (start == std::string_view::npos) return fail(error, "stats: empty");
-  const std::string_view text = raw.substr(start);
-
-  // Fast path: the two shapes append_stats_json writes, read straight off
-  // the text.  A first pass checks every token, so the statistic is only
-  // touched when the general path below would accept the text and fold in
-  // the same values; anything else takes the general path, which owns
-  // every error.
-  constexpr std::string_view kBins = "{\"h\":[";
-  constexpr std::string_view kSamples = "{\"raw\":[";
-  std::size_t tokens = 0;
-  const bool bins = canonical_items(text, kBins, [&](std::string_view t) {
-    return tokens++ % 2 == 0 ? canonical_key(t).has_value()
-                             : jsonu::parse_u64(t).has_value();
-  });
-  if (bins && tokens % 2 == 0) {
-    if (!into->histogram_active()) {
-      return fail(error, "stats: histogram bins for a raw-sample statistic");
-    }
-    std::int64_t key = 0;
-    bool count = false;
-    canonical_items(text, kBins, [&](std::string_view t) {
-      if (count) {
-        into->add_bin(key, *jsonu::parse_u64(t));
-      } else {
-        key = *canonical_key(t);
-      }
-      count = !count;
-      return true;
-    });
-    return true;
+  if (raw.find_first_not_of(" \t\r\n") == std::string_view::npos) {
+    return fail(error, "stats: empty");
   }
-  if (canonical_items(text, kSamples, [](std::string_view t) {
-        return jsonu::parse_double(t).has_value();
-      })) {
-    canonical_items(text, kSamples, [into](std::string_view t) {
-      into->add(*jsonu::parse_double(t));
-      return true;
-    });
-    return true;
-  }
-
-  auto obj = jsonu::FlatJson::parse(std::string(text));
+  auto obj = jsonu::FlatJson::parse(raw);
   if (!obj) return fail(error, "stats: not an object");
-  if (const std::string* h = obj->find("h")) {
+  if (const auto h = obj->find("h")) {
     // Only a histogram-mode accumulator takes bins: a raw-mode one would
     // expand each count into that many samples.
     if (!into->histogram_active()) {
       return fail(error, "stats: histogram bins for a raw-sample statistic");
     }
-    auto items = jsonu::parse_array_items(*h);
-    if (!items || items->size() % 2 != 0) {
+    std::size_t tokens = 0;
+    bool bad_bin = false;
+    std::int64_t key = 0;
+    const bool array = jsonu::for_each_item(*h, [&](std::string_view t) {
+      if (tokens++ % 2 == 0) {
+        const auto k = parse_key(t);
+        bad_bin = bad_bin || !k;
+        key = k.value_or(0);
+      } else if (const auto count = jsonu::parse_u64(t)) {
+        if (!bad_bin) into->add_bin(key, *count);
+      } else {
+        bad_bin = true;
+      }
+      return true;
+    });
+    if (!array || tokens % 2 != 0) {
       return fail(error, "stats: bad histogram array");
     }
-    for (std::size_t i = 0; i < items->size(); i += 2) {
-      std::int64_t key = 0;
-      const auto cnt = jsonu::parse_u64((*items)[i + 1]);
-      if (!parse_i64((*items)[i], &key) || !cnt) {
-        return fail(error, "stats: bad histogram bin");
-      }
-      into->add_bin(key, *cnt);
-    }
+    if (bad_bin) return fail(error, "stats: bad histogram bin");
     return true;
   }
-  if (const std::string* r = obj->find("raw")) {
+  if (const auto r = obj->find("raw")) {
     auto xs = jsonu::parse_double_array(*r);
     if (!xs) return fail(error, "stats: bad raw sample array");
     for (double x : *xs) into->add(x);

@@ -124,7 +124,8 @@ void append_stats_json(std::string& out, const Stats& s);
 /// Rebuilds a Stats serialized by stats_to_json.  Folds into `*into`
 /// (freshly constructed, in the mode the writer's accumulator had).
 /// Returns false and sets *error (if non-null) on malformed input, and on
-/// histogram bins for a raw-mode `*into`.
+/// histogram bins for a raw-mode `*into`; `*into` is then to be dropped
+/// (it may hold the bins before a bad one).
 bool stats_from_json(std::string_view raw, Stats* into, std::string* error);
 
 }  // namespace ccd

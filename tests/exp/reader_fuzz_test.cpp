@@ -1,7 +1,8 @@
 // Deterministic mutation fuzz over the artifact readers: FlatJson::parse,
 // ShardSpec::from_json, ShardReport::from_json, load_checkpoint /
-// tail_checkpoint, stats_from_json, PerfSidecar::from_json, and the
-// ccd_report inspector's dist and bench readers.
+// tail_checkpoint, stats_from_json, PerfSidecar::from_json,
+// ScenarioSpec::from_json with a crash schedule, and the ccd_report
+// inspector's dist, trace and bench readers.
 //
 // Each reader gets a valid artifact, every prefix of it (the torn-write
 // family), and a fixed set of hash(seed, i)-driven mutants: byte flips,
@@ -24,6 +25,7 @@
 #include "exp/shard/shard_plan.hpp"
 #include "exp/shard/shard_report.hpp"
 #include "exp/shard/shard_runner.hpp"
+#include "exp/trace_capture.hpp"
 #include "exp/sweep_grid.hpp"
 #include "obs/perf_sidecar.hpp"
 #include "obs/report_inspect.hpp"
@@ -275,6 +277,9 @@ TEST(ReaderFuzz, Stats) {
   ASSERT_NE(flood, nullptr);
   fuzz(stats_to_json(flood->rounds_executed), 4, read);
   fuzz(stats_to_json(flood->coverage_fraction), 5, read);
+  // rounds_executed is empty in a flood cell; coverage_rounds holds bins.
+  ASSERT_FALSE(flood->coverage_rounds.empty());
+  fuzz(stats_to_json(flood->coverage_rounds), 11, read);
 }
 
 TEST(ReaderFuzz, PerfSidecar) {
@@ -291,6 +296,47 @@ TEST(ReaderFuzz, DistInspector) {
     bool differs = false;
     obs::diff_reports(dist, text, &out, &differs, &error);
     return obs::render_report(text, {}, &out, &error);
+  });
+}
+
+/// A spec with a two-event crash schedule, the one array of objects a
+/// ScenarioSpec carries.
+ScenarioSpec scheduled_spec() {
+  ScenarioSpec spec = fuzz_grid().spec_for_run(0);
+  spec.fault = FaultKind::kScheduled;
+  spec.crash_schedule = {{2, 0, CrashPoint::kBeforeSend},
+                         {3, 1, CrashPoint::kAfterSend}};
+  return spec;
+}
+
+TEST(ReaderFuzz, ScenarioSpecCrashSchedule) {
+  const ScenarioSpec valid = scheduled_spec();
+  ASSERT_EQ(ScenarioSpec::from_json(valid.to_json())->crash_schedule,
+            valid.crash_schedule);
+  // An accepted spec re-encodes to a fixed point.
+  fuzz(valid.to_json(), 9, [](const std::string& text) {
+    auto spec = ScenarioSpec::from_json(text);
+    if (spec) {
+      const std::string once = spec->to_json();
+      auto again = ScenarioSpec::from_json(once);
+      EXPECT_TRUE(again.has_value()) << once;
+      if (again) {
+        EXPECT_EQ(again->to_json(), once);
+      }
+    }
+    return spec.has_value();
+  });
+}
+
+TEST(ReaderFuzz, TraceInspector) {
+  const SweepGrid grid = fuzz_grid();
+  const std::string trace =
+      traced_runs_to_json(grid, 0, rerun_cell(grid, 0));
+  fuzz(trace, 10, [&trace](const std::string& text) {
+    std::string out, error;
+    bool differs = false;
+    obs::diff_traces(text, trace, &out, &differs, &error);
+    return obs::diff_traces(trace, text, &out, &differs, &error);
   });
 }
 

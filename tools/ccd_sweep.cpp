@@ -543,7 +543,7 @@ int merge_inputs(const Cli& cli, Outcome* out) {
       return 2;
     }
     const auto json = jsonu::FlatJson::parse(text);
-    const std::string* format = json ? json->find("format") : nullptr;
+    const auto format = json ? json->find("format") : std::nullopt;
     if (!format) {
       error = "missing key 'format'";
     } else if (*format == "ccd-shard-report-v2") {
@@ -557,7 +557,7 @@ int merge_inputs(const Cli& cli, Outcome* out) {
         continue;
       }
     } else {
-      error = "format '" + *format +
+      error = "format '" + std::string(*format) +
               "' is neither ccd-shard-report-v2 nor ccd-perf-sidecar-v1";
     }
     std::fprintf(stderr, "ccd_sweep: %s: %s\n", path.c_str(), error.c_str());
