@@ -5,7 +5,9 @@
 # outputs must cmp equal.  A faulted grid (an axis flag the worker fleet
 # must carry) runs in process and on --workers 2, and the fleet's private
 # batch directory must be gone afterwards.  --merge refuses a shard subset
-# and a file that is neither a shard report nor a perf sidecar (exit 2).
+# and a file that is neither a shard report nor a perf sidecar (exit 2);
+# for a non-JSON input, an input without "format" and one with an unknown
+# format the exact error line is pinned too.
 #
 # usage: ccd_sweep_modes.sh PATH/TO/ccd_sweep
 set -eu
@@ -50,4 +52,23 @@ test -z "$(ls -A tmp)"
 exits_2 "$sweep" --merge --quiet --json subset.json part-0.json part-2.json
 exits_2 "$sweep" --merge --quiet part-0.json part-1.json part-2.json \
   run-dist.json
+
+# rejects FILE LINE: --merge of part-0.json and FILE exits 2, and its
+# stderr is exactly LINE.
+rejects() {
+  status=0
+  "$sweep" --merge --quiet part-0.json "$1" 2>err.txt || status=$?
+  if [ "$status" -ne 2 ] || [ "$(cat err.txt)" != "$2" ]; then
+    echo "--merge $1: expected exit 2 and '$2', got $status:" >&2
+    cat err.txt >&2
+    exit 1
+  fi
+}
+printf 'not json' > not-json.txt
+rejects not-json.txt "ccd_sweep: not-json.txt: missing key 'format'"
+printf '{"cells":[]}' > no-format.json
+rejects no-format.json "ccd_sweep: no-format.json: missing key 'format'"
+printf '{"format":"ccd-shard-report-v1"}' > old-format.json
+rejects old-format.json "ccd_sweep: old-format.json: format \
+'ccd-shard-report-v1' is neither ccd-shard-report-v2 nor ccd-perf-sidecar-v1"
 echo "ccd_sweep_modes: run, --workers and --merge outputs identical"
