@@ -40,16 +40,14 @@ int main() {
   world.scope = CollisionScope::kLocal;
   world.link = {0.95, 0.1};
   world.link_seed = 4;
-  EngineOptions options;
-  options.stop_when_all_decided = false;
-  LaneEngine ex(std::move(world), options);
+  LaneEngine ex(std::move(world));
 
   Round completed = 0;
   for (Round r = 1; r <= 2000; ++r) {
     ex.step();
     bool all = true;
     for (std::size_t i = 0; i < ex.size(); ++i) {
-      if (!static_cast<FloodProcess&>(ex.process(0, i)).has_message()) {
+      if (!static_cast<FloodProcess&>(ex.process(i)).has_message()) {
         all = false;
         break;
       }
@@ -71,7 +69,7 @@ int main() {
   for (std::size_t y = 0; y < height; ++y) {
     for (std::size_t x = 0; x < width; ++x) {
       const auto& node = static_cast<FloodProcess&>(
-          ex.process(0, y * width + x));
+          ex.process(y * width + x));
       std::printf("%5u", node.received_at());
     }
     std::printf("\n");

@@ -71,21 +71,21 @@ RunSummary summarize_consensus(Round cst, const RunResult& result,
 }
 
 RunSummary run_consensus(World world, Round max_rounds,
-                         ExecutorOptions options, ExecutionLog* log_out,
+                         EngineOptions options, ExecutionLog* log_out,
                          obs::EngineCounters* counters_out) {
   // Degenerate worlds (n = 0, missing components, everyone crashed in the
-  // opening round) are legal inputs: the Executor substitutes neutral
+  // opening round) are legal inputs: the engine substitutes neutral
   // components and exits empty worlds immediately, and the checker treats
   // a world with no correct process as vacuously terminated.  CST is read
   // AFTER construction so it reflects the substituted components (NoLoss
   // has r_cf = 1; a null loss slot would otherwise read as "never").
-  Executor executor(std::move(world), options);
-  const Round cst = executor.world().cst();
-  const RunResult result = executor.run(max_rounds);
-  RunSummary summary = summarize_consensus(cst, result, executor.log(),
-                                           executor.world().initial_values);
-  if (log_out) *log_out = executor.log();
-  if (counters_out) counters_out->add(executor.engine().counters(0));
+  LaneEngine engine(std::move(world), options);
+  const Round cst = engine.world().cst();
+  const RunResult result = engine.run(max_rounds);
+  RunSummary summary = summarize_consensus(cst, result, engine.log(),
+                                           engine.world().initial_values);
+  if (log_out) *log_out = engine.log();
+  if (counters_out) counters_out->add(engine.counters());
   return summary;
 }
 

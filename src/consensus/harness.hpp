@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "consensus/checker.hpp"
+#include "engine/lane_engine.hpp"
 #include "model/process.hpp"
-#include "sim/executor.hpp"
 #include "sim/world.hpp"
 
 namespace ccd {
@@ -55,14 +55,16 @@ RunSummary summarize_consensus(Round cst, const RunResult& result,
                                const ExecutionLog& log,
                                const std::vector<Value>& initial_values);
 
-/// Run to completion (or max_rounds) and verify.  `log_out`, when non-null,
-/// receives a copy of the full ExecutionLog (the --rerun-cell trace-capture
-/// path); sweeps leave it null.  `counters_out`, when non-null, receives
-/// the engine's telemetry tallies ADDED onto whatever it already holds
-/// (multi-phase callers accumulate across phases); pure observation --
-/// the run itself is unchanged.
+/// Run to completion (or max_rounds) on a single-hop engine (kMatrix x
+/// kGlobal) and verify; rounds and views are recorded unless `options`
+/// says otherwise.  `log_out`, when non-null, receives a copy of the full
+/// ExecutionLog.  `counters_out`, when non-null, receives the engine's
+/// telemetry tallies ADDED onto whatever it already holds (multi-phase
+/// callers accumulate across phases); pure observation -- the run itself
+/// is unchanged.
 RunSummary run_consensus(World world, Round max_rounds,
-                         ExecutorOptions options = {},
+                         EngineOptions options = {.record_rounds = true,
+                                                 .record_views = true},
                          ExecutionLog* log_out = nullptr,
                          obs::EngineCounters* counters_out = nullptr);
 

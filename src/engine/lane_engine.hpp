@@ -1,25 +1,18 @@
 // LaneEngine: THE round executor.  One engine drives Definition 11's round
 // structure -- W_r contention advice, M_r message assignment, N_r receive
 // multisets, D_r collision-detector advice, C_r transitions, with the
-// Section 3.3 crash adversary at both crash points -- over an arbitrary
-// Topology.  The paper's single-hop model is the clique special case; the
-// multihop extension its conclusion announces is every other graph.
-// sim::Executor is a one-lane adapter over this class, multihop worlds
-// drive it directly (ChannelModel::kCapture, CollisionScope::kLocal), and
-// every sweep workload runs on it, so there is exactly one implementation
-// of the round semantics.
+// Section 3.3 crash adversary at both crash points -- for one world over
+// an arbitrary Topology.  The paper's single-hop model is the clique
+// special case; the multihop extension its conclusion announces is every
+// other graph.  The consensus harness, the lower-bound constructions and
+// every sweep workload construct it directly, so there is exactly one
+// implementation of the round semantics.
 //
-// An engine holds 1..64 worlds ("lanes", one per seed of a sweep cell)
-// that advance in lockstep, sharing one round counter.  One lane is the
-// single-world engine; a sweep block of up to 64 seeds batches its
-// bookkeeping.  Under kLocal each lane reads its own adjacency bitmask
-// rows, so the lanes of a cell may run on different graphs (a
-// random-geometric topology is drawn per seed); lanes on an identical
-// graph share one copy of the rows.  kGlobal reads no graph at all: its
-// topology is the clique over the lane's processes, and the engine builds
-// no rows for it.
+// Under kLocal the engine reads the world's adjacency bitmask rows.
+// kGlobal reads no graph at all: its topology is the clique over the
+// processes, and the engine builds no rows for it.
 //
-// Two orthogonal configuration axes (per EngineWorld, equal across lanes):
+// Two orthogonal configuration axes (per EngineWorld):
 //
 //  * ChannelModel -- who decides message loss.
 //      kMatrix:  a LossAdversary fills a (receiver, sender) delivery
@@ -54,56 +47,49 @@
 // "C_r[i] = fail"; the difference is only where the corpse is still
 // observable.
 //
-// Layout is struct-of-arrays in BOTH directions, one allocation per
-// concern:
+// Layout is struct-of-arrays, one allocation per concern:
 //
-//  * process words -- per lane, the alive / halted / dormant /
-//    participating / sent sets over processes, the crash marks and (kLocal
-//    only) each adjacency row are word rows (util/bitwords.hpp):
-//    ceil(n/64) `uint64_t`s, bits at or above n always zero (adjacency is
-//    [lane][i][word]).  Every word row but adjacency, and every lane word,
-//    lives in one buffer; the hot loops hoist each row's per-lane base
-//    pointer.  They are the only form of a process set: the adversary
-//    seams read them as BitViews (W_r's participants, the crash hooks'
-//    live set, the loss adversary's senders, kLocal D_r's live set) and
-//    write crash marks into one shared word row, and the loss adversary's
-//    DeliveryMatrix is one receiver word row per sender.  The delivery
-//    loops iterate SET BITS of `sent` (masked by `adjacency_row(i)` under
-//    kLocal) instead of scanning all n senders per receiver, so clique
-//    delivery costs O(broadcasters * n / 64) word operations, not O(n^2).
+//  * process words -- the alive / halted / dormant / participating / sent
+//    / decided sets over processes, the crash marks and (kLocal only) each
+//    adjacency row are word rows (util/bitwords.hpp): ceil(n/64)
+//    `uint64_t`s, bits at or above n always zero.  Every word row but
+//    adjacency lives in one buffer.  They are the only form of a process
+//    set: the adversary seams read them as BitViews (W_r's participants,
+//    the crash hooks' live set, the loss adversary's senders, kLocal D_r's
+//    live set) and write crash marks into one word row, and the loss
+//    adversary's DeliveryMatrix is one receiver word row per sender.  The
+//    delivery loops iterate SET BITS of `sent` (masked by the adjacency row
+//    under kLocal) instead of scanning all n senders per receiver, so
+//    clique delivery costs O(broadcasters * n / 64) word operations, not
+//    O(n^2).  Whether every correct process decided is one AND-NOT per
+//    word.
 //
-//  * lane words -- per process, one `uint64_t` whose bit l mirrors lane
-//    l's alive / decided flag.  Which lanes still have an undecided
-//    correct process is one AND-NOT per process for all 64 seeds at once.
+//  * per-process state -- advice, counts, sent messages and decisions, one
+//    vector each, plus the tallies (counters, broadcasts, crashes, crash
+//    window, survivors), the link RNG and the log.  kLocal-only scratch
+//    (local counts c_i, the in-range receivers) and the loss adversary's
+//    delivery matrix exist only where that scope or channel reads them: a
+//    single-hop engine allocates no kLocal scratch, and a loss-free one no
+//    matrix either.
 //
-//  * per-lane state -- one Lane struct per lane holds its per-process
-//    advice, counts, sent messages and decisions, its tallies (counters,
-//    broadcasts, crashes, crash window, survivors, result), its link RNG
-//    and its log.  kLocal-only scratch (local counts c_i, the in-range
-//    receivers) and the loss adversary's delivery matrix exist only where
-//    that scope or channel reads them: a single-hop engine allocates no
-//    kLocal scratch, and a loss-free one no matrix either.
-//
-// Receive multisets N_r[i] are not stored per lane or per receiver: each
-// lane-round appends them, in ascending receiver order, to ONE flat
-// engine-wide buffer, and receiver i reads a span of its count (the
-// lane's recv_count[i], kept per lane for the detector and the
-// accessors) from its offset.  A receiver delivery skips has count 0
-// and so reads the empty multiset by construction -- never an earlier
-// round's.
+// Receive multisets N_r[i] are not stored per receiver: each round appends
+// them, in ascending receiver order, to ONE flat buffer, and receiver i
+// reads a span of its count (recv_count[i], kept for the detector and the
+// accessors) from its offset.  A receiver delivery skips has count 0 and
+// so reads the empty multiset by construction -- never an earlier round's.
 //
 // A run allocates nothing per round once every buffer has reached its
 // round size: the flat receive buffer starts with room for one loss-free
 // clique round, the log reserves one decision per process, and the
 // algorithms count distinct values in place (distinct_values).
 //
-// Determinism: each lane owns its OWN component objects (cm / cd / loss /
+// Determinism: the world owns its component objects (cm / cd / loss /
 // fault / processes / link RNG) and the engine calls them in a fixed order
-// with fixed arguments, so every RNG stream advances identically whatever
-// lanes share a block -- a lane's execution, log and EngineCounters are
-// the same as that world run alone (tests/engine/lane_differential_test.cpp
-// pins this, and pins both against hashes frozen from the retired scalar
-// engine).  Per-round cost follows events rather than n:
+// with fixed arguments, so an execution, its log and its EngineCounters
+// are a function of the EngineWorld alone
+// (tests/engine/lane_differential_test.cpp pins them against hashes frozen
+// from the retired scalar engine).  Per-round cost follows events rather
+// than n:
 //
 //  * masks and termination are word operations, not per-process scans;
 //  * senders are iterated as set bits, never scanned; a capture receiver
@@ -128,21 +114,20 @@
 //    participants and the senders the set bits of `sent`;
 //  * NoLoss (LossAdversary::always_delivers) skips the delivery matrix
 //    entirely -- it is stateless and RNG-free, so skipping it is
-//    unobservable, and an engine whose lanes all deliver everything
-//    never allocates the matrix; any other adversary gets a zeroed word
-//    matrix and the sent set, and delivery reads only the sender rows;
+//    unobservable, and a loss-free engine never allocates the matrix; any
+//    other adversary gets a zeroed word matrix and the sent set, and
+//    delivery reads only the sender rows;
 //  * both crash points run only inside the adversary's crash window,
 //    r <= FailureAdversary::last_crash_round(); a commit walks the set
 //    bits of `crash & alive`, and kGlobal's C_r masks the after-send marks
 //    straight out of the participants' words.
 //
-// Divergence rule: lanes share the round counter but not a fate.  A lane
-// that terminates (all correct processes decided, or the caller retires it)
-// drops out of the active mask and is never stepped again; the remaining
-// lanes keep advancing.  Worlds without processes (n = 0) start retired:
-// there is nothing to step, and every process is vacuously decided.
-// Worlds whose process count diverges per seed (phase-2 consensus among a
-// seed-dependent head count) run as one-lane engines.
+// Termination: run() stops stepping once every correct process decided
+// (stop_when_all_decided) or the round budget is spent; a workload with
+// its own completion condition (the flood / MIS budget loops) simply stops
+// calling step().  result() reads the state the engine stopped in.  A
+// world without processes (n = 0) is done before its first round: run()
+// never steps it, and the budget loops skip it.
 #pragma once
 
 #include <cstdint>
@@ -171,13 +156,13 @@ struct MhLinkModel {
 enum class ChannelModel : std::uint8_t { kMatrix, kCapture };
 enum class CollisionScope : std::uint8_t { kGlobal, kLocal };
 
-/// Everything one lane drives: the paper's "system" (World) plus the
+/// Everything one engine drives: the paper's "system" (World) plus the
 /// communication graph and the channel/detector-scope configuration.
 struct EngineWorld {
   World world;          ///< processes + cm/cd/loss/fault (null = neutral)
-  /// kLocal's communication graph; lanes may share one.  kGlobal reads
-  /// none (its graph is the clique over the processes), so single-hop
-  /// callers leave it null; one given under kGlobal must be that clique.
+  /// kLocal's communication graph.  kGlobal reads none (its graph is the
+  /// clique over the processes), so single-hop callers leave it null; one
+  /// given under kGlobal must be that clique.
   std::shared_ptr<const Topology> topology;
   ChannelModel channel = ChannelModel::kMatrix;
   CollisionScope scope = CollisionScope::kGlobal;
@@ -186,15 +171,12 @@ struct EngineWorld {
 };
 
 struct EngineOptions {
-  /// Record per-round traces (transmission/cd/cm) in every lane's log.
-  /// Decisions and crashes are always recorded.  Off = the mode sweeps
-  /// run in.
+  /// Record per-round traces (transmission/cd/cm) in the log.  Decisions
+  /// and crashes are always recorded.  Off = the mode sweeps run in.
   bool record_rounds = false;
   /// Also record per-process views (needs record_rounds).
   bool record_views = false;
-  /// run(): retire a lane as soon as every non-crashed process decided.
-  /// Callers driving step() directly (flood / MIS budget loops) retire
-  /// lanes themselves.
+  /// run(): stop as soon as every non-crashed process decided.
   bool stop_when_all_decided = true;
 };
 
@@ -205,173 +187,125 @@ struct RunResult {
   std::uint32_t num_crashed = 0;
 };
 
-/// Max lanes per engine: one bit of a uint64_t lane word per seed.
+/// Max runs per sweep block: SweepRunner hands LaneExecutor::run_block at
+/// most this many seeds of one cell.
 inline constexpr std::size_t kLaneWidth = 64;
 
 class LaneEngine {
  public:
-  /// All worlds must agree on process count, channel and scope; each keeps
-  /// its own topology, components, link model and link_seed.  kCapture
-  /// needs kLocal.
-  /// 1 <= worlds.size() <= kLaneWidth.
-  explicit LaneEngine(std::vector<EngineWorld> worlds,
-                      EngineOptions options = {});
-  /// The single-world engine: one lane.
+  /// kCapture needs kLocal.
   explicit LaneEngine(EngineWorld world, EngineOptions options = {});
+  /// The single-hop engine: `world` over the clique, kMatrix x kGlobal.
+  explicit LaneEngine(World world, EngineOptions options = {});
 
-  std::size_t lanes() const { return lanes_; }
   std::size_t size() const { return n_; }
   Round current_round() const { return round_; }
-  /// Lane l's graph; kLocal lanes only (a kGlobal lane may carry none).
-  const Topology& topology(std::size_t l) const {
-    return *worlds_[l].topology;
-  }
+  /// The graph; kLocal worlds only (a kGlobal world may carry none).
+  const Topology& topology() const { return *world_.topology; }
 
-  /// Advance every active lane exactly one round (lockstep).
+  /// Advance exactly one round.
   void step();
 
-  /// Step until every lane retired (all correct processes decided, when
-  /// stop_when_all_decided) or max_rounds elapsed; the stop condition is
-  /// evaluated before each step.  Retires every lane, so result(l) is
-  /// valid afterwards.
-  void run(Round max_rounds);
+  /// Step until every correct process decided (when stop_when_all_decided)
+  /// or max_rounds elapsed; the stop condition is evaluated before each
+  /// step.  Returns result().
+  RunResult run(Round max_rounds);
 
-  /// Lanes still being stepped (bit l = lane l).
-  std::uint64_t active_mask() const { return active_; }
-  bool lane_active(std::size_t l) const { return (active_ >> l) & 1u; }
+  /// The run so far: rounds executed, decisions of the correct processes,
+  /// crashes.
+  RunResult result() const;
 
-  /// Stop stepping a lane and snapshot its RunResult (budget loops call
-  /// this when a lane meets its workload-specific completion condition).
-  void retire(std::size_t l);
-
-  /// Valid after the lane retired (or run() returned).
-  const RunResult& result(std::size_t l) const { return lane_[l].result; }
-
-  const World& world(std::size_t l) const { return worlds_[l].world; }
-  Process& process(std::size_t l, std::size_t i) {
-    return *worlds_[l].world.processes[i];
-  }
-  bool alive(std::size_t l, std::size_t i) const {
-    return (alive_lw_[i] >> l) & 1u;
-  }
-  std::size_t num_alive(std::size_t l) const { return lane_[l].num_alive; }
-  /// Live processes of lane l that are not dormant (Process::dormant()).
-  std::size_t num_awake(std::size_t l) const;
+  const World& world() const { return world_.world; }
+  Process& process(std::size_t i) { return *world_.world.processes[i]; }
+  bool alive(std::size_t i) const { return (alive_[i / 64] >> (i % 64)) & 1u; }
+  std::size_t num_alive() const { return num_alive_; }
+  /// Live processes that are not dormant (Process::dormant()).
+  std::size_t num_awake() const;
   /// Crashes the failure adversary actually landed (alive targets only).
-  std::uint64_t crashes_applied(std::size_t l) const {
-    return lane_[l].crashes_applied;
-  }
+  std::uint64_t crashes_applied() const { return crashes_applied_; }
   /// Broadcasts attempted over all executed rounds (the per-node energy
   /// budget of the Section 1.1 literature).
-  std::uint64_t total_broadcasts(std::size_t l) const {
-    return lane_[l].total_broadcasts;
-  }
-  bool decided(std::size_t l, std::size_t i) const {
-    return lane_[l].decided_value[i] != kNoValue;
-  }
-  Value decision(std::size_t l, std::size_t i) const {
-    return lane_[l].decided_value[i];
-  }
-  /// True iff every non-crashed process of lane l has decided.
-  bool all_correct_decided(std::size_t l) const;
-  const ExecutionLog& log(std::size_t l) const { return lane_[l].log; }
+  std::uint64_t total_broadcasts() const { return total_broadcasts_; }
+  bool decided(std::size_t i) const { return decided_value_[i] != kNoValue; }
+  Value decision(std::size_t i) const { return decided_value_[i]; }
+  /// True iff every non-crashed process has decided.
+  bool all_correct_decided() const;
+  const ExecutionLog& log() const { return log_; }
 
-  /// Telemetry tallies for lane l's execution so far.  Plain engine-local
+  /// Telemetry tallies for the execution so far.  Plain engine-local
   /// increments (no atomics in the hot loop) and -- like the execution
   /// itself -- a pure function of the EngineWorld, so counter totals are
   /// deterministic and shard merges sum them exactly.  Never feeds the
   /// Aggregator: reports stay byte-identical with telemetry on or off.
-  const obs::EngineCounters& counters(std::size_t l) const {
-    return lane_[l].counters;
-  }
+  const obs::EngineCounters& counters() const { return counters_; }
 
-  /// Lane l's observations of process i in the last executed round.
-  std::uint32_t last_receive_count(std::size_t l, std::size_t i) const {
-    return lane_[l].recv_count[i];
+  /// Observations of process i in the last executed round.
+  std::uint32_t last_receive_count(std::size_t i) const {
+    return recv_count_[i];
   }
   /// c_i: the global broadcaster count under kGlobal.
-  std::uint32_t last_local_broadcasters(std::size_t l, std::size_t i) const {
-    return local_ ? lane_[l].local_c[i] : lane_[l].broadcaster_count;
+  std::uint32_t last_local_broadcasters(std::size_t i) const {
+    return local_ ? local_c_[i] : broadcaster_count_;
   }
-  CdAdvice last_cd(std::size_t l, std::size_t i) const {
-    return lane_[l].cd_advice[i];
-  }
+  CdAdvice last_cd(std::size_t i) const { return cd_advice_[i]; }
 
  private:
-  /// Everything the engine keeps per lane besides its word rows.
-  struct Lane {
-    Lane(std::size_t n, bool local, bool record_views, std::uint64_t seed);
-
-    // Per-process advice, counts, messages and decisions ([i]).
-    std::vector<CmAdvice> cm_advice;
-    std::vector<CdAdvice> cd_advice;
-    std::vector<std::uint32_t> recv_count;
-    std::vector<std::uint32_t> local_c;  // kLocal only (empty otherwise)
-    std::vector<Message> sent_msg;       // sent bit = valid
-    std::vector<Value> decided_value;
-
-    // Tallies.
-    obs::EngineCounters counters;
-    std::uint64_t total_broadcasts = 0;
-    std::uint64_t crashes_applied = 0;
-    Round last_crash_round = 0;  // the crash window
-    std::size_t num_alive = 0;
-    std::uint32_t broadcaster_count = 0;
-    RunResult result;
-
-    std::size_t adj_base = 0;  // kLocal: this lane's rows start here
-    Rng link_rng;
-    ExecutionLog log;
-  };
-
-  std::size_t lane_base(std::size_t l) const { return l * words_; }
   BitView view(const std::uint64_t* row) const { return {{row, words_}, n_}; }
-  const std::uint64_t* adj_row(std::size_t l, std::size_t i) const {
-    return &adj_[lane_[l].adj_base + i * words_];
+  const std::uint64_t* adj_row(std::size_t i) const {
+    return &adj_[i * words_];
   }
-  void commit_crashes(std::size_t l, Round r);
-  void lane_round(std::size_t l, Round r);
-  void deliver_matrix_global(std::size_t l, Round r);
-  void deliver_matrix_local(std::size_t l, Round r);
-  void deliver_capture(std::size_t l);
-  const std::uint64_t* receivers_in_range(std::size_t l);
-  void close_multiset(std::size_t l, std::size_t i, std::size_t off);
-  std::span<const Message> received(std::size_t l, std::size_t i) const;
-  void note_flags(std::size_t l, std::size_t i);
-  void record_round(std::size_t l, const std::uint64_t* receivers);
+  void commit_crashes(Round r);
+  void deliver_matrix_global(Round r);
+  void deliver_matrix_local(Round r);
+  void deliver_capture();
+  const std::uint64_t* receivers_in_range();
+  void close_multiset(std::size_t i, std::size_t off);
+  std::span<const Message> received(std::size_t i) const;
+  void note_flags(std::size_t i);
+  void record_round();
 
-  std::size_t lanes_ = 0;
   std::size_t n_ = 0;
-  std::size_t words_ = 0;  ///< process words per lane row: ceil(n/64)
+  std::size_t words_ = 0;  ///< words per process row: ceil(n/64)
   EngineOptions options_;
   bool local_ = false;     ///< CollisionScope::kLocal
   Round round_ = 0;
-  std::uint64_t active_ = 0;
+  EngineWorld world_;
 
-  std::vector<EngineWorld> worlds_;
-  std::vector<Lane> lane_;
+  // Per-process advice, counts, messages and decisions ([i]).
+  std::vector<CmAdvice> cm_advice_;
+  std::vector<CdAdvice> cd_advice_;
+  std::vector<std::uint32_t> recv_count_;
+  std::vector<std::uint32_t> local_c_;  // kLocal only (empty otherwise)
+  std::vector<Message> sent_msg_;       // sent bit = valid
+  std::vector<Value> decided_value_;
 
-  // kLocal adjacency bit rows per lane (row i = neighbors of i),
-  // [lane][i][word] by address; lanes on an identical graph share one copy.
-  // Empty under kGlobal.
+  // Tallies.
+  obs::EngineCounters counters_;
+  std::uint64_t total_broadcasts_ = 0;
+  std::uint64_t crashes_applied_ = 0;
+  Round last_crash_round_ = 0;  // the crash window
+  std::size_t num_alive_ = 0;
+  std::uint32_t broadcaster_count_ = 0;
+
+  Rng link_rng_;
+  ExecutionLog log_;
+
+  // kLocal adjacency bit rows (row i = neighbors of i), [i][word] by
+  // address.  Empty under kGlobal.
   std::vector<std::uint64_t> adj_;
 
-  // Every word row and lane word, in one buffer (words_buf_); the members
-  // below point into it.
+  // Every other word row, in one buffer (words_buf_); the members below
+  // point into it.
   std::vector<std::uint64_t> words_buf_;
-  // Process words, per lane ([lanes][words_], flattened).
-  std::uint64_t* alive_pw_ = nullptr;
-  std::uint64_t* halted_pw_ = nullptr;
-  std::uint64_t* dormant_pw_ = nullptr;
-  std::uint64_t* participating_pw_ = nullptr;  // round-start snapshot
-  std::uint64_t* sent_pw_ = nullptr;
-  // Lane words, per process (bit l = lane l).
-  std::uint64_t* alive_lw_ = nullptr;
-  std::uint64_t* decided_lw_ = nullptr;
-  /// Crash marks of the failure hooks ([words_]).  Every lane-round commits
-  /// (and so zeroes) its own marks before the next lane-round runs:
-  /// before-send marks at once, after-send marks after C_r (kGlobal) or
-  /// before N_r (kLocal).
+  std::uint64_t* alive_ = nullptr;
+  std::uint64_t* halted_ = nullptr;
+  std::uint64_t* dormant_ = nullptr;
+  std::uint64_t* participating_ = nullptr;  // round-start snapshot
+  std::uint64_t* sent_ = nullptr;
+  std::uint64_t* decided_ = nullptr;
+  /// Crash marks of the failure hooks.  Every round commits (and so
+  /// zeroes) its marks: before-send marks at once, after-send marks after
+  /// C_r (kGlobal) or before N_r (kLocal).
   std::uint64_t* crash_ = nullptr;
   /// kLocal delivery: the live receivers in range of a sender this round
   /// (sent | the senders' adjacency rows), the only ones it visits.
@@ -381,17 +315,16 @@ class LaneEngine {
   /// (a kGlobal after-send crasher received, but is dead by record time).
   std::uint64_t* receivers_ = nullptr;
 
-  // Shared scratch (consumed within one lane's round).
-  /// The loss adversary's matrix; sized only once a lane's adversary
-  /// drops messages (a loss-free lane never asks for it).
+  /// The loss adversary's matrix; sized only once the adversary drops
+  /// messages (a loss-free world never asks for it).
   DeliveryMatrix delivery_;
-  /// N_r of the lane-round in progress: every visited receiver's sorted
+  /// N_r of the round in progress: every visited receiver's sorted
   /// multiset, appended in ascending receiver order.  Receiver i's is the
-  /// recv_count[i] messages from recv_off_[i]; a receiver delivery did
+  /// recv_count_[i] messages from recv_off_[i]; a receiver delivery did
   /// not visit has count 0 and reads the empty multiset whatever its
   /// stale offset.  Loss-free cliques store the one multiset every
   /// participant observes once, at offset 0.  Reserved for n messages,
-  /// grows to one round's deliveries; cleared, not freed, per lane-round.
+  /// grows to one round's deliveries; cleared, not freed, per round.
   std::vector<Message> recv_buf_;
   std::vector<std::size_t> recv_off_;
 };

@@ -56,7 +56,7 @@ struct DispatchOptions {
   /// Worker binary (a ccd_sweep build).
   std::string worker_bin;
   /// Extra argv appended to every worker invocation (e.g. "--threads",
-  /// "2", "--no-lanes").
+  /// "2").
   std::vector<std::string> worker_args;
   /// Per-slot extra environment (KEY=VALUE), indexed by slot; slots past
   /// the vector get none.  Every worker additionally gets

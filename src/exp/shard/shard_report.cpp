@@ -165,13 +165,21 @@ std::string ShardReport::to_json() const {
 
 std::optional<ShardReport> ShardReport::from_json(const std::string& json,
                                                   std::string* error) {
+  const auto flat = jsonu::FlatJson::parse(json);
+  if (!flat) {
+    if (error) *error = "shard report is not a flat JSON object";
+    return std::nullopt;
+  }
+  return from_members(*flat, error);
+}
+
+std::optional<ShardReport> ShardReport::from_members(
+    const jsonu::FlatJson& flat, std::string* error) {
   auto fail = [&](const std::string& message) -> std::optional<ShardReport> {
     if (error) *error = message;
     return std::nullopt;
   };
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) return fail("shard report is not a flat JSON object");
-  const auto format = flat->find("format");
+  const auto format = flat.find("format");
   if (!format || *format != "ccd-shard-report-v2") {
     return fail(
         "missing or unknown \"format\" (expected ccd-shard-report-v2)");
@@ -180,11 +188,11 @@ std::optional<ShardReport> ShardReport::from_json(const std::string& json,
   // The report header doubles as a shard spec, owned cells in
   // "cell_list".
   ShardReport report;
-  auto spec = ShardSpec::from_members(*flat, "cell_list", error);
+  auto spec = ShardSpec::from_members(flat, "cell_list", error);
   if (!spec) return std::nullopt;
   report.shard = std::move(*spec);
 
-  const auto cells_raw = flat->find("cells");
+  const auto cells_raw = flat.find("cells");
   if (!cells_raw) return fail("missing key 'cells'");
   report.cells.reserve(report.shard.cells.size());
   std::string cell_error;

@@ -34,6 +34,9 @@ struct ShardReport {
   std::string to_json() const;
   static std::optional<ShardReport> from_json(const std::string& json,
                                               std::string* error = nullptr);
+  /// The same from an already-parsed object (format checked too).
+  static std::optional<ShardReport> from_members(const jsonu::FlatJson& flat,
+                                                 std::string* error);
 };
 
 /// One cell's aggregate as a flat JSON object (counters + per-statistic

@@ -33,12 +33,13 @@ namespace {
 /// regardless of scheduling.
 ///
 /// With options.lanes, a block is a maximal run of consecutive slots whose
-/// GLOBAL run indices are consecutive within one lane-eligible cell (up to
-/// kLaneWidth of them) -- those execute in lockstep through one
+/// GLOBAL run indices are consecutive within one engine-eligible cell (up
+/// to kLaneWidth of them) -- those execute through one
 /// LaneExecutor::run_block.  Everything else (round-sync, strided shard
 /// index sets, the S mod 64 cell remainder when it lands alone) is a
 /// 1-run block through run_one.  The partition only affects scheduling
-/// granularity; record CONTENT is byte-identical either way.
+/// granularity and graph reuse; record CONTENT is byte-identical either
+/// way.
 template <typename IndexOf>
 std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
                                 const SweepOptions& options,
@@ -110,8 +111,7 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
         std::vector<ScenarioOutcome> outcomes =
             LaneExecutor::run_block(specs);
         // Per-run wall time is observational only (sidecar percentiles);
-        // the honest per-run figure for a lockstep block is the amortized
-        // cost.
+        // a block's per-run figure is its amortized cost.
         const std::uint64_t wall_each = timer.elapsed_ns() / blk.count;
         for (std::size_t k = 0; k < blk.count; ++k) {
           RunRecord& rec = records[blk.first + k];

@@ -2,12 +2,15 @@
 // threads.
 //
 // Scheduling is a shared atomic work counter (each worker claims the next
-// unclaimed run index), which is work-stealing in effect: fast runs drain
-// more indices, a slow cell never stalls the pool.  Determinism does not
-// depend on scheduling at all -- each run's World derives every RNG stream
-// from hash(grid_seed, run_index), and results land in a pre-sized vector
-// slot owned by the run index -- so the full result vector is bit-identical
-// at any thread count.
+// unclaimed block of runs), which is work-stealing in effect: fast runs
+// drain more blocks, a slow cell never stalls the pool.  A block is up to
+// kLaneWidth consecutive seeds of one cell, run one world at a time through
+// LaneExecutor::run_block, which builds a fixed-shape cell's graph once per
+// block.  Determinism does not depend on scheduling or on the partition at
+// all -- each run's World derives every RNG stream from hash(grid_seed,
+// run_index), and results land in a pre-sized vector slot owned by the
+// run index -- so the full result vector is bit-identical at any thread
+// count.
 #pragma once
 
 #include <atomic>
@@ -51,14 +54,12 @@ struct RunRecord {
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 1;
-  /// Batch eligible runs into lane blocks: workers claim BLOCKS of
-  /// consecutive run indices within one cell (up to 64 seeds in lockstep
-  /// on one LaneEngine) instead of single runs.  Records are
-  /// byte-identical either way -- LaneExecutor::run_block(specs)[k]
-  /// depends on specs[k] alone -- so this is purely a throughput switch
-  /// (`--no-lanes` in ccd_sweep makes every block one run).  Round-sync
-  /// specs and non-consecutive index sets (strided shards) are 1-run
-  /// blocks either way.
+  /// Workers claim BLOCKS of consecutive run indices within one cell (up
+  /// to kLaneWidth seeds, one LaneExecutor::run_block) instead of single
+  /// runs; false makes every block one run.  Records are byte-identical
+  /// either way -- run_block(specs)[k] depends on specs[k] alone.
+  /// Round-sync specs and non-consecutive index sets (strided shards) are
+  /// 1-run blocks either way.
   bool lanes = true;
   /// Invoked after each completed run with the number finished so far.
   /// Called from worker threads; must be thread-safe.  May be empty.

@@ -32,23 +32,21 @@ AlphaResult run_alpha(const ConsensusAlgorithm& algorithm, std::size_t n,
       std::make_unique<PartitionAdversary>(loss_opts),
       std::make_unique<NoFailures>(), id_base);
 
-  ExecutorOptions options;
-  options.record_views = false;
-  options.stop_when_all_decided = false;  // keep the full bbc prefix
-  Executor executor(std::move(world), options);
-  for (Round r = 0; r < rounds; ++r) executor.step();
+  // Stepped, not run: the full bbc prefix is kept past every decision.
+  LaneEngine engine(std::move(world), {.record_rounds = true});
+  for (Round r = 0; r < rounds; ++r) engine.step();
 
   AlphaResult result;
-  result.bbc = executor.log().transmission().basic_broadcast_sequence(rounds);
+  result.bbc = engine.log().transmission().basic_broadcast_sequence(rounds);
   result.all_decided = true;
   for (ProcessId i = 0; i < n; ++i) {
-    if (!executor.decided(i)) {
+    if (!engine.decided(i)) {
       result.all_decided = false;
     } else {
-      result.decided_value = executor.decision(i);
+      result.decided_value = engine.decision(i);
     }
   }
-  for (const DecisionRecord& d : executor.log().decisions()) {
+  for (const DecisionRecord& d : engine.log().decisions()) {
     if (d.round > result.last_decision_round) {
       result.last_decision_round = d.round;
     }
@@ -68,27 +66,24 @@ BetaResult run_beta(const ConsensusAlgorithm& algorithm, std::size_t n,
       std::make_unique<UnrestrictedLoss>(loss_opts),
       std::make_unique<NoFailures>());
 
-  ExecutorOptions options;
-  options.record_views = false;
-  options.stop_when_all_decided = false;
-  Executor executor(std::move(world), options);
-  for (Round r = 0; r < rounds; ++r) executor.step();
+  LaneEngine engine(std::move(world), {.record_rounds = true});
+  for (Round r = 0; r < rounds; ++r) engine.step();
 
   BetaResult result;
   result.binary_broadcast.reserve(rounds);
   for (Round r = 1; r <= rounds; ++r) {
     result.binary_broadcast.push_back(
-        executor.log().transmission().at(r).broadcaster_count > 0);
+        engine.log().transmission().at(r).broadcaster_count > 0);
   }
   result.all_decided = true;
   for (ProcessId i = 0; i < n; ++i) {
-    if (!executor.decided(i)) {
+    if (!engine.decided(i)) {
       result.all_decided = false;
     } else {
-      result.decided_value = executor.decision(i);
+      result.decided_value = engine.decision(i);
     }
   }
-  for (const DecisionRecord& d : executor.log().decisions()) {
+  for (const DecisionRecord& d : engine.log().decisions()) {
     if (d.round > result.last_decision_round) {
       result.last_decision_round = d.round;
     }

@@ -16,9 +16,9 @@
 #include <optional>
 #include <vector>
 
+#include "engine/lane_engine.hpp"
 #include "model/process.hpp"
 #include "model/traces.hpp"
-#include "sim/executor.hpp"
 
 namespace ccd {
 

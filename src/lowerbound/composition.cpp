@@ -2,9 +2,9 @@
 
 #include "cd/oracle_detector.hpp"
 #include "cm/adversarial_cm.hpp"
+#include "engine/lane_engine.hpp"
 #include "fault/failure_adversary.hpp"
 #include "net/partition_adversary.hpp"
-#include "sim/executor.hpp"
 
 namespace ccd {
 
@@ -28,15 +28,13 @@ CompositionOutcome run_composition(const ConsensusAlgorithm& algorithm,
       std::make_unique<NoFailures>(), config.id_base);
 
   const Round cst = world.cst();
-  ExecutorOptions options;
-  options.record_views = false;
-  Executor executor(std::move(world), options);
-  const RunResult result = executor.run(config.max_rounds);
+  LaneEngine engine(std::move(world), {.record_rounds = true});
+  const RunResult result = engine.run(config.max_rounds);
   CompositionOutcome outcome;
-  outcome.summary = summarize_consensus(cst, result, executor.log(),
-                                        executor.world().initial_values);
+  outcome.summary = summarize_consensus(cst, result, engine.log(),
+                                        engine.world().initial_values);
 
-  for (const DecisionRecord& d : executor.log().decisions()) {
+  for (const DecisionRecord& d : engine.log().decisions()) {
     if (d.process < n) {
       outcome.group_a_value = d.value;
       if (d.round > outcome.group_a_last_decision) {

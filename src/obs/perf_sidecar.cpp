@@ -152,20 +152,28 @@ std::string PerfSidecar::to_json() const {
 
 std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
                                                   std::string* error) {
+  const auto flat = jsonu::FlatJson::parse(json);
+  if (!flat) {
+    if (error) *error = "perf sidecar is not a flat JSON object";
+    return std::nullopt;
+  }
+  return from_members(*flat, error);
+}
+
+std::optional<PerfSidecar> PerfSidecar::from_members(
+    const jsonu::FlatJson& flat, std::string* error) {
   auto fail = [&](const std::string& message) -> std::optional<PerfSidecar> {
     if (error) *error = message;
     return std::nullopt;
   };
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) return fail("perf sidecar is not a flat JSON object");
-  const auto format = flat->find("format");
+  const auto format = flat.find("format");
   if (!format || *format != "ccd-perf-sidecar-v1") {
     return fail(
         "missing or unknown \"format\" (expected ccd-perf-sidecar-v1)");
   }
 
   PerfSidecar sidecar;
-  const auto fp_raw = flat->find("grid_fingerprint");
+  const auto fp_raw = flat.find("grid_fingerprint");
   if (!fp_raw) return fail("missing key 'grid_fingerprint'");
   auto fp = fingerprint_from_hex(*fp_raw);
   if (!fp) {
@@ -173,16 +181,16 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
                 "' for key 'grid_fingerprint'");
   }
   sidecar.grid_fingerprint = *fp;
-  if (!need_u64(*flat, "runs", sidecar.runs, error, "perf sidecar")) {
+  if (!need_u64(flat, "runs", sidecar.runs, error, "perf sidecar")) {
     return std::nullopt;
   }
   // Optional: sidecars written before the histogram-stats work lack it.
-  if (flat->find("stats_bytes_retained") &&
-      !need_u64(*flat, "stats_bytes_retained", sidecar.stats_bytes_retained,
+  if (flat.find("stats_bytes_retained") &&
+      !need_u64(flat, "stats_bytes_retained", sidecar.stats_bytes_retained,
                 error, "perf sidecar")) {
     return std::nullopt;
   }
-  const auto counters_raw = flat->find("counters");
+  const auto counters_raw = flat.find("counters");
   if (!counters_raw) return fail("missing key 'counters'");
   if (!parse_counters(*counters_raw, sidecar.counters, error)) {
     return std::nullopt;
@@ -205,7 +213,7 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
     return false;
   };
 
-  const auto shards_raw = flat->find("shards");
+  const auto shards_raw = flat.find("shards");
   if (!shards_raw) return fail("missing key 'shards'");
   if (!walk_objects(*shards_raw, "'shards'", "shards",
                     [&](const jsonu::FlatJson& sf, const std::string& where) {
@@ -246,7 +254,7 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
     return std::nullopt;
   }
 
-  const auto cells_raw = flat->find("cells");
+  const auto cells_raw = flat.find("cells");
   if (!cells_raw) return fail("missing key 'cells'");
   if (!walk_objects(*cells_raw, "'cells'", "cells",
                     [&](const jsonu::FlatJson& cf, const std::string& where) {
@@ -267,7 +275,7 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
   }
 
   // Optional: only dispatcher-merged sidecars carry dispatch totals.
-  if (const auto dispatch_raw = flat->find("dispatch")) {
+  if (const auto dispatch_raw = flat.find("dispatch")) {
     auto df = jsonu::FlatJson::parse(*dispatch_raw);
     if (!df) return fail("'dispatch' is not a flat JSON object");
     PerfDispatch d;

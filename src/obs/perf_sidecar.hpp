@@ -35,6 +35,10 @@
 
 #include "obs/telemetry.hpp"
 
+namespace ccd::jsonu {
+class FlatJson;
+}  // namespace ccd::jsonu
+
 namespace ccd::obs {
 
 /// One run's span on one worker, relative to the sweep's epoch.  The raw
@@ -137,6 +141,9 @@ struct PerfSidecar {
   std::string to_json() const;
   static std::optional<PerfSidecar> from_json(const std::string& json,
                                               std::string* error = nullptr);
+  /// The same from an already-parsed object (format checked too).
+  static std::optional<PerfSidecar> from_members(const jsonu::FlatJson& flat,
+                                                 std::string* error);
 };
 
 /// Reduce one pool execution's SweepPerf into a sidecar: group spans by

@@ -1,5 +1,5 @@
 // World: one environment + algorithm instantiation (a "system" in the
-// paper's Definition 10), ready to be driven by the Executor.
+// paper's Definition 10), ready to be driven by the round engine.
 #pragma once
 
 #include <memory>

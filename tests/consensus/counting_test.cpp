@@ -6,9 +6,9 @@
 #include "cm/k_wakeup.hpp"
 #include "cm/leader_election.hpp"
 #include "consensus/counting.hpp"
+#include "engine/lane_engine.hpp"
 #include "fault/failure_adversary.hpp"
 #include "net/ecf_adversary.hpp"
-#include "sim/executor.hpp"
 #include "util/bitwords.hpp"
 
 namespace ccd {
@@ -31,13 +31,10 @@ World counting_world(std::size_t n, std::unique_ptr<ContentionManager> cm) {
 }
 
 std::vector<std::uint64_t> run_counting(World world, Round rounds) {
-  ExecutorOptions options;
-  options.record_views = false;
-  options.stop_when_all_decided = false;
-  Executor executor(std::move(world), options);
-  for (Round r = 0; r < rounds; ++r) executor.step();
+  LaneEngine engine(std::move(world));
+  for (Round r = 0; r < rounds; ++r) engine.step();
   std::vector<std::uint64_t> counts;
-  for (const auto& p : executor.world().processes) {
+  for (const auto& p : engine.world().processes) {
     counts.push_back(static_cast<const CountingProcess&>(*p).count());
   }
   return counts;

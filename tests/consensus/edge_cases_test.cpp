@@ -48,7 +48,7 @@ TEST(EdgeCases, EmptyWorldIsVacuouslySolved) {
 
 TEST(EdgeCases, EmptyWorldWithoutEarlyStopDoesNotSpin) {
   Alg2Algorithm alg(16);
-  ExecutorOptions options;
+  EngineOptions options;
   options.stop_when_all_decided = false;
   auto s = run_consensus(ecf_world(alg, {}, std::make_unique<NoFailures>()),
                          1000, options);
@@ -57,7 +57,7 @@ TEST(EdgeCases, EmptyWorldWithoutEarlyStopDoesNotSpin) {
 }
 
 TEST(EdgeCases, WorldWithMissingComponentsGetsNeutralDefaults) {
-  // A caller-assembled World may omit components; the Executor substitutes
+  // A caller-assembled World may omit components; the engine substitutes
   // NoCM / NoCD / NoLoss / NoFailures instead of dereferencing null.
   Alg1Algorithm alg;
   World world;

@@ -1,17 +1,17 @@
-// Lanes on/off differential property test: the engine's batching
-// acceptance gate.  A seeded random-ScenarioSpec generator draws specs
-// across every axis the engine executes (topology x workload x channel x
-// scope x fault x CM/CD x loss x policy x chaos), builds a single-cell
-// sweep around each, and runs it with lanes ON (blocks of up to 64 seeds)
-// and lanes OFF (one-lane blocks).  The two result sets must be
-// indistinguishable, and equal to the reference frozen from the deleted
-// scalar engine:
+// Block partition differential property test.  A seeded
+// random-ScenarioSpec generator draws specs across every axis the engine
+// executes (topology x workload x channel x scope x fault x CM/CD x loss x
+// policy x chaos), builds a single-cell sweep around each, and runs it
+// with SweepOptions::lanes ON (blocks of up to 64 seeds, one graph per
+// fixed-shape block) and OFF (one-run blocks).  The two result sets must
+// be indistinguishable, and equal to the reference frozen from the
+// deleted scalar engine:
 //
 //   * the JSON and CSV reports are byte-identical, and
 //   * every run's EngineCounters are exactly equal
 //
-// -- i.e. a batched lane is not "statistically equivalent", it is the SAME
-// execution.  Any divergence in RNG stream discipline, component call
+// -- i.e. a run inside a block is not "statistically equivalent", it is
+// the SAME execution.  Any divergence in RNG stream discipline, component call
 // order, crash-point semantics, delivery multiset order, termination
 // accounting or counter increment sites shows up here as a spec JSON the
 // failure message prints verbatim for replay.

@@ -1,11 +1,11 @@
-// Tail and degenerate-shape coverage for the lane path: cell sizes that
-// land exactly on, just under, and just over the 64-lane block width;
+// Tail and degenerate-shape coverage for sweep blocks: cell sizes that
+// land exactly on, just under, and just over the 64-seed block width;
 // n = 0 blocks; schedules that crash EVERY process; and cells
 // where a single survivor must still decide.  Each case runs the sweep
-// with lanes on and off and demands byte-identical reports plus exactly
-// equal per-run EngineCounters -- the same contract as the differential
-// test, aimed at the boundaries where block partitioning and lane
-// retirement logic could plausibly diverge.
+// with blocks (SweepOptions::lanes) on and off and demands byte-identical
+// reports plus exactly equal per-run EngineCounters -- the same contract
+// as the differential test, aimed at the boundaries where block
+// partitioning and per-block graph reuse could plausibly diverge.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -68,8 +68,8 @@ SweepGrid base_grid(std::uint32_t seeds_per_cell) {
 }
 
 TEST(LaneTail, BlockBoundaryCellSizes) {
-  // 1 (single-lane block), 63/64 (just under / exactly one full block),
-  // 65 (full block + 1-lane tail), 130 (two full blocks + 2-lane tail).
+  // 1 (one-run block), 63/64 (just under / exactly one full block),
+  // 65 (full block + 1-run tail), 130 (two full blocks + 2-run tail).
   for (std::uint32_t seeds : {1u, 63u, 64u, 65u, 130u}) {
     SweepGrid grid = base_grid(seeds);
     ASSERT_FALSE(grid.validate().has_value());
@@ -80,7 +80,7 @@ TEST(LaneTail, BlockBoundaryCellSizes) {
 
 TEST(LaneTail, TailStraddlesCellsAndAxes) {
   // Two axes x 65 seeds: every cell contributes a full block plus a
-  // 1-lane tail, and blocks must never bridge a cell boundary.
+  // 1-run tail, and blocks must never bridge a cell boundary.
   SweepGrid grid = base_grid(65);
   grid.detectors = {DetectorKind::kAC, DetectorKind::kNoCd};
   grid.topologies = {TopologyKind::kSingleHop, TopologyKind::kRing};
@@ -89,7 +89,7 @@ TEST(LaneTail, TailStraddlesCellsAndAxes) {
 }
 
 TEST(LaneTail, EmptyWorldRunsThroughTheEngine) {
-  // n = 0 is an 8-lane block of worlds that are done before round 1.
+  // n = 0 is an 8-seed block of worlds that are done before round 1.
   SweepGrid grid = base_grid(8);
   grid.base.n = 0;
   grid.base.fault = FaultKind::kNone;
@@ -105,7 +105,7 @@ TEST(LaneTail, EmptyWorldRunsThroughTheEngine) {
 
 TEST(LaneTail, AllProcessesCrash) {
   // Every process is scheduled to die -- a mix of both crash points --
-  // so lanes reach zero survivors and must retire with a lone lane's
+  // so worlds reach zero survivors and must end with a lone run's
   // exact counters and (empty) decision set.
   SweepGrid grid = base_grid(65);
   grid.base.fault = FaultKind::kScheduled;
@@ -180,7 +180,7 @@ std::string describe(const RunRecord& r) {
   return out;
 }
 
-/// Each lane of a laned sweep must equal the one-run run_one of its index,
+/// Each run of a blocked sweep must equal the one-run run_one of its index,
 /// record and counters alike.
 void expect_lanes_match_run_one(const SweepGrid& grid, const char* what) {
   SweepOptions options;
@@ -196,9 +196,9 @@ void expect_lanes_match_run_one(const SweepGrid& grid, const char* what) {
 }
 
 TEST(LaneTail, RandomGeometricLanesEachRunTheirOwnGraph) {
-  // Twelve seeds of one rgg cell form one lane block, but each seed draws
+  // Twelve seeds of one rgg cell form one block, but each seed draws
   // its own graph.  Density 0.5 sits below the connectivity threshold, so
-  // some lanes stay disconnected even after the factory's retries.
+  // some graphs stay disconnected even after the factory's retries.
   SweepGrid grid;
   grid.base.n = 24;
   grid.base.topology = TopologyKind::kRandomGeometric;
@@ -251,8 +251,8 @@ TEST(LaneTail, ConsensusOnRandomGeometricLanes) {
 
 TEST(LaneTail, StridedSubsetDegradesToOneRunBlocks) {
   // run_subset with a stride breaks global-index consecutiveness, so the
-  // lane partition must fall back to 1-run blocks -- and still match the
-  // lanes-off run byte for byte.
+  // block partition must fall back to 1-run blocks -- and still match the
+  // blocks-off run byte for byte.
   SweepGrid grid = base_grid(64);
   std::vector<std::size_t> indices;
   for (std::size_t j = 0; j < grid.num_runs(); j += 2) indices.push_back(j);

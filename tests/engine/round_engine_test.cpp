@@ -1,9 +1,9 @@
-// Round engine semantics, on a one-lane LaneEngine: the configuration axes
-// (channel, scope) and their interaction with topology and crash points,
-// round recording, and the n = 0 world.  The byte-level equivalence with
-// the pre-refactor executors is pinned by exp/golden_report_test; the
-// single-hop adapter by the executor test (sim::Executor) and the multihop
-// configuration by multihop/capture_channel_test.
+// Round engine semantics: the configuration axes (channel, scope) and
+// their interaction with topology and crash points, round recording, and
+// the n = 0 world.  The byte-level equivalence with the pre-refactor
+// executors is pinned by exp/golden_report_test; the single-hop
+// configuration by sim/executor_test and the multihop configuration by
+// multihop/capture_channel_test.
 #include "engine/lane_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -72,13 +72,13 @@ TEST(Engine, MatrixChannelMasksDeliveryByAdjacency) {
                          ChannelModel::kMatrix, CollisionScope::kLocal);
   LaneEngine engine(std::move(ew), quiet_options());
   engine.step();
-  EXPECT_EQ(engine.last_receive_count(0, 0), 1u);  // self-delivery
-  EXPECT_EQ(engine.last_local_broadcasters(0, 0), 1u);
-  EXPECT_EQ(engine.last_receive_count(0, 1), 1u);
-  EXPECT_EQ(engine.last_local_broadcasters(0, 1), 1u);
-  EXPECT_EQ(engine.last_receive_count(0, 2), 0u);
-  EXPECT_EQ(engine.last_local_broadcasters(0, 2), 0u);
-  EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kNull);
+  EXPECT_EQ(engine.last_receive_count(0), 1u);  // self-delivery
+  EXPECT_EQ(engine.last_local_broadcasters(0), 1u);
+  EXPECT_EQ(engine.last_receive_count(1), 1u);
+  EXPECT_EQ(engine.last_local_broadcasters(1), 1u);
+  EXPECT_EQ(engine.last_receive_count(2), 0u);
+  EXPECT_EQ(engine.last_local_broadcasters(2), 0u);
+  EXPECT_EQ(engine.last_cd(2), CdAdvice::kNull);
 }
 
 TEST(Engine, GlobalAndLocalScopeAgreeOnACliqueDeterministically) {
@@ -103,14 +103,14 @@ TEST(Engine, GlobalAndLocalScopeAgreeOnACliqueDeterministically) {
   LaneEngine local = build(CollisionScope::kLocal);
   global.run(500);
   local.run(500);
-  const RunResult& rg = global.result(0);
-  const RunResult& rl = local.result(0);
+  const RunResult& rg = global.result();
+  const RunResult& rl = local.result();
   EXPECT_TRUE(rg.all_correct_decided);
   EXPECT_EQ(rg.all_correct_decided, rl.all_correct_decided);
   EXPECT_EQ(rg.rounds_executed, rl.rounds_executed);
   EXPECT_EQ(rg.last_decision_round, rl.last_decision_round);
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(global.decision(0, i), local.decision(0, i)) << i;
+    EXPECT_EQ(global.decision(i), local.decision(i)) << i;
   }
 }
 
@@ -128,12 +128,12 @@ TEST(Engine, AfterSendCrashVisibilityFollowsScope) {
     auto ew = beacon_world(Topology::clique(2), {true, false},
                            ChannelModel::kMatrix, scope, crash0());
     LaneEngine engine(std::move(ew), quiet_options());
-    auto& crasher = static_cast<BeaconProcess&>(engine.process(0, 0));
-    auto& survivor = static_cast<BeaconProcess&>(engine.process(0, 1));
+    auto& crasher = static_cast<BeaconProcess&>(engine.process(0));
+    auto& survivor = static_cast<BeaconProcess&>(engine.process(1));
     engine.step();
-    EXPECT_FALSE(engine.alive(0, 0));
-    EXPECT_EQ(engine.num_alive(0), 1u);
-    EXPECT_EQ(engine.crashes_applied(0), 1u);
+    EXPECT_FALSE(engine.alive(0));
+    EXPECT_EQ(engine.num_alive(), 1u);
+    EXPECT_EQ(engine.crashes_applied(), 1u);
     // The round-1 message went out either way (Definition 11: the message
     // derives from the pre-crash state)...
     EXPECT_EQ(survivor.last_count_, 1u);
@@ -142,9 +142,9 @@ TEST(Engine, AfterSendCrashVisibilityFollowsScope) {
     EXPECT_EQ(crasher.transitions_, 0u);
     // Scope-dependent: does the crasher's round-1 view still form?
     if (scope == CollisionScope::kGlobal) {
-      EXPECT_EQ(engine.last_receive_count(0, 0), 1u);  // self-delivery
+      EXPECT_EQ(engine.last_receive_count(0), 1u);  // self-delivery
     } else {
-      EXPECT_EQ(engine.last_receive_count(0, 0), 0u);  // out of the channel
+      EXPECT_EQ(engine.last_receive_count(0), 0u);  // out of the channel
     }
   }
 }
@@ -155,21 +155,18 @@ TEST(Engine, CaptureChannelCountsBroadcastsAndKeepsTopology) {
   ew.link_seed = 42;
   LaneEngine engine(std::move(ew), quiet_options());
   for (int r = 0; r < 3; ++r) engine.step();
-  EXPECT_EQ(engine.total_broadcasts(0), 6u);  // 2 talkers x 3 rounds
-  EXPECT_EQ(engine.topology(0).size(), 5u);
+  EXPECT_EQ(engine.total_broadcasts(), 6u);  // 2 talkers x 3 rounds
+  EXPECT_EQ(engine.topology().size(), 5u);
   EXPECT_EQ(engine.current_round(), 3u);
-  EXPECT_FALSE(engine.all_correct_decided(0));  // beacons never decide
+  EXPECT_FALSE(engine.all_correct_decided());  // beacons never decide
 }
 
 TEST(Engine, RecordsRoundsOnlyWhenAsked) {
   auto make = [](bool record_rounds) {
     auto ew = beacon_world(Topology::clique(3), {true, false, false},
                            ChannelModel::kMatrix, CollisionScope::kGlobal);
-    EngineOptions options;
-    options.record_views = record_rounds;
-    options.record_rounds = record_rounds;
-    options.stop_when_all_decided = false;
-    return LaneEngine(std::move(ew), options);
+    return LaneEngine(std::move(ew), {.record_rounds = record_rounds,
+                                      .record_views = record_rounds});
   };
   LaneEngine quiet = make(false);
   LaneEngine logged = make(true);
@@ -177,38 +174,31 @@ TEST(Engine, RecordsRoundsOnlyWhenAsked) {
     quiet.step();
     logged.step();
   }
-  EXPECT_EQ(quiet.log(0).num_rounds(), 0u);
-  EXPECT_FALSE(quiet.log(0).views_recorded());
-  EXPECT_EQ(logged.log(0).num_rounds(), 4u);
-  EXPECT_EQ(logged.log(0).transmission().at(2).broadcaster_count, 1u);
-  ASSERT_TRUE(logged.log(0).views_recorded());
+  EXPECT_EQ(quiet.log().num_rounds(), 0u);
+  EXPECT_FALSE(quiet.log().views_recorded());
+  EXPECT_EQ(logged.log().num_rounds(), 4u);
+  EXPECT_EQ(logged.log().transmission().at(2).broadcaster_count, 1u);
+  ASSERT_TRUE(logged.log().views_recorded());
   // Views: the talker's send, and everyone's copy of it.
-  const RoundView& talker = logged.log(0).view(0).rounds.at(1);
+  const RoundView& talker = logged.log().view(0).rounds.at(1);
   ASSERT_TRUE(talker.sent.has_value());
   EXPECT_EQ(talker.sent->value, 7u);
-  EXPECT_EQ(logged.log(0).view(2).rounds.at(1).received.size(), 1u);
-  EXPECT_FALSE(logged.log(0).view(2).rounds.at(1).sent.has_value());
+  EXPECT_EQ(logged.log().view(2).rounds.at(1).received.size(), 1u);
+  EXPECT_FALSE(logged.log().view(2).rounds.at(1).sent.has_value());
 }
 
 TEST(Engine, EmptyWorldIsDoneBeforeItsFirstRound) {
   // n = 0: nothing can send, decide or crash; every process is vacuously
-  // decided, so run() returns at once -- also without stop_when_all_decided
-  // and on a multi-lane engine.
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
-    std::vector<EngineWorld> worlds(lanes);
-    LaneEngine engine(std::move(worlds), quiet_options());
-    EXPECT_EQ(engine.size(), 0u);
-    EXPECT_EQ(engine.active_mask(), 0u);
-    engine.run(100);
-    EXPECT_EQ(engine.current_round(), 0u);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      EXPECT_TRUE(engine.result(l).all_correct_decided);
-      EXPECT_EQ(engine.result(l).rounds_executed, 0u);
-      EXPECT_EQ(engine.result(l).num_crashed, 0u);
-      EXPECT_TRUE(engine.all_correct_decided(l));
-      EXPECT_EQ(engine.counters(l), obs::EngineCounters{});
-    }
-  }
+  // decided, so run() returns at once -- also without stop_when_all_decided.
+  LaneEngine engine(EngineWorld{}, quiet_options());
+  EXPECT_EQ(engine.size(), 0u);
+  const RunResult result = engine.run(100);
+  EXPECT_EQ(engine.current_round(), 0u);
+  EXPECT_TRUE(result.all_correct_decided);
+  EXPECT_EQ(result.rounds_executed, 0u);
+  EXPECT_EQ(result.num_crashed, 0u);
+  EXPECT_TRUE(engine.all_correct_decided());
+  EXPECT_EQ(engine.counters(), obs::EngineCounters{});
 }
 
 TEST(Engine, LocalScopeCrashedProcessReadsNullAdvice) {
@@ -224,14 +214,14 @@ TEST(Engine, LocalScopeCrashedProcessReadsNullAdvice) {
   ew.link = {1.0, 0.0};
   LaneEngine engine(std::move(ew), quiet_options());
   engine.step();
-  EXPECT_EQ(engine.last_local_broadcasters(0, 2), 2u);
-  EXPECT_EQ(engine.last_receive_count(0, 2), 0u);
-  EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kCollision);
+  EXPECT_EQ(engine.last_local_broadcasters(2), 2u);
+  EXPECT_EQ(engine.last_receive_count(2), 0u);
+  EXPECT_EQ(engine.last_cd(2), CdAdvice::kCollision);
   engine.step();
-  EXPECT_FALSE(engine.alive(0, 2));
-  EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kNull);
+  EXPECT_FALSE(engine.alive(2));
+  EXPECT_EQ(engine.last_cd(2), CdAdvice::kNull);
   engine.step();
-  EXPECT_EQ(engine.last_cd(0, 2), CdAdvice::kNull);
+  EXPECT_EQ(engine.last_cd(2), CdAdvice::kNull);
 }
 
 /// A process that honours the dormant contract and logs the rounds the
@@ -286,7 +276,7 @@ EngineWorld sleeper_world(Topology topo, ChannelModel channel,
 }
 
 const SleeperProcess& sleeper(LaneEngine& engine, std::size_t i) {
-  return static_cast<const SleeperProcess&>(engine.process(0, i));
+  return static_cast<const SleeperProcess&>(engine.process(i));
 }
 
 TEST(Engine, LocalScopeStepsDormantProcessesOnlyInRangeOfASender) {
@@ -307,8 +297,8 @@ TEST(Engine, LocalScopeStepsDormantProcessesOnlyInRangeOfASender) {
     }
     EXPECT_TRUE(sleeper(engine, 2).receives.empty());
     EXPECT_TRUE(sleeper(engine, 3).receives.empty());
-    EXPECT_EQ(engine.num_awake(0), 1u);
-    EXPECT_EQ(engine.total_broadcasts(0), 3u);
+    EXPECT_EQ(engine.num_awake(), 1u);
+    EXPECT_EQ(engine.total_broadcasts(), 3u);
   }
 }
 
@@ -325,7 +315,7 @@ TEST(Engine, GlobalScopeStepsEveryDormantParticipant) {
   for (std::size_t i = 1; i < 4; ++i) {
     EXPECT_TRUE(sleeper(engine, i).sends.empty()) << i;
   }
-  EXPECT_EQ(engine.num_awake(0), 1u);
+  EXPECT_EQ(engine.num_awake(), 1u);
 }
 
 TEST(Engine, DormantProcessWakesInTheRoundItReceives) {
@@ -337,7 +327,7 @@ TEST(Engine, DormantProcessWakesInTheRoundItReceives) {
                     quiet_options());
   for (Round r = 1; r <= 6; ++r) {
     engine.step();
-    EXPECT_EQ(engine.num_awake(0), std::min<std::size_t>(r + 1, 4)) << r;
+    EXPECT_EQ(engine.num_awake(), std::min<std::size_t>(r + 1, 4)) << r;
   }
   for (Round k = 1; k < 4; ++k) {
     EXPECT_EQ(sleeper(engine, k).receives, rounds(k, 6)) << k;

@@ -89,8 +89,8 @@ constexpr Golden kGoldens[] = {
 };
 
 TEST(GoldenReports, EngineReproducesPreRefactorReportsByteIdentically) {
-  // Both partitions -- lane blocks of up to 64 seeds (the default) and
-  // one-lane blocks -- must reproduce the pre-refactor bytes.
+  // Both partitions -- blocks of up to 64 seeds (the default) and one-run
+  // blocks -- must reproduce the pre-refactor bytes.
   for (const bool lanes : {true, false}) {
     for (const Golden& golden : kGoldens) {
       auto grid = golden_grid(golden);

@@ -195,8 +195,8 @@ TEST(TraceCapture, DumpsMatchTheFrozenScalarReference) {
 }
 
 TEST(TraceCapture, LaneBlockLogsMatchTheFrozenScalarReference) {
-  // The cell's seeds recorded together in one lane block: lockstep
-  // recording must reproduce every lane's one-run log byte for byte.
+  // The cell's seeds recorded together in one sweep block: block
+  // recording must reproduce every seed's one-run log byte for byte.
   RunScenarioOptions capture;
   capture.capture_log = true;
   for (const FrozenCell& cell : frozen_cells()) {

@@ -12,16 +12,16 @@
 #include "consensus/alg1_maj_oac.hpp"
 #include "consensus/alg2_zero_oac.hpp"
 #include "consensus/harness.hpp"
+#include "engine/lane_engine.hpp"
 #include "fault/failure_adversary.hpp"
 #include "model/indistinguishability.hpp"
 #include "net/partition_adversary.hpp"
-#include "sim/executor.hpp"
 
 namespace ccd {
 namespace {
 
 /// Solo alpha_P(v) with |P| = n, recording views.
-Executor make_alpha_executor(const ConsensusAlgorithm& alg, std::size_t n,
+LaneEngine make_alpha_engine(const ConsensusAlgorithm& alg, std::size_t n,
                              Value v) {
   PartitionAdversary::Options loss;
   loss.split = static_cast<std::uint32_t>(n);
@@ -39,14 +39,13 @@ Executor make_alpha_executor(const ConsensusAlgorithm& alg, std::size_t n,
                                        make_truthful_policy()),
       std::make_unique<PartitionAdversary>(loss),
       std::make_unique<NoFailures>());
-  ExecutorOptions options;
-  options.stop_when_all_decided = false;
-  return Executor(std::move(world), options);
+  return LaneEngine(std::move(world),
+                    {.record_rounds = true, .record_views = true});
 }
 
 /// Composed gamma over groups of size n with values (va, vb), half-AC
 /// prefer-null detector, partition through round k.
-Executor make_gamma_executor(const ConsensusAlgorithm& alg, std::size_t n,
+LaneEngine make_gamma_engine(const ConsensusAlgorithm& alg, std::size_t n,
                              Value va, Value vb, Round k) {
   std::vector<Value> initials(2 * n, va);
   for (std::size_t i = n; i < 2 * n; ++i) initials[i] = vb;
@@ -60,16 +59,15 @@ Executor make_gamma_executor(const ConsensusAlgorithm& alg, std::size_t n,
                                        make_prefer_null_policy()),
       std::make_unique<PartitionAdversary>(loss),
       std::make_unique<NoFailures>());
-  ExecutorOptions options;
-  options.stop_when_all_decided = false;
-  return Executor(std::move(world), options);
+  return LaneEngine(std::move(world),
+                    {.record_rounds = true, .record_views = true});
 }
 
 void check_lemma23(const ConsensusAlgorithm& alg, std::size_t n, Value va,
                    Value vb, Round k) {
-  Executor alpha_a = make_alpha_executor(alg, n, va);
-  Executor alpha_b = make_alpha_executor(alg, n, vb);
-  Executor gamma = make_gamma_executor(alg, n, va, vb, k);
+  LaneEngine alpha_a = make_alpha_engine(alg, n, va);
+  LaneEngine alpha_b = make_alpha_engine(alg, n, vb);
+  LaneEngine gamma = make_gamma_engine(alg, n, va, vb, k);
   for (Round r = 0; r < k; ++r) {
     alpha_a.step();
     alpha_b.step();
@@ -120,7 +118,7 @@ TEST(Lemma23, Theorem6Consequence) {
   // agreement: Algorithm 1 decides by round 2 < k in its alphas, so gamma
   // must contain both decisions.
   Alg1Algorithm alg;
-  Executor gamma = make_gamma_executor(alg, 4, 3, 9, 10);
+  LaneEngine gamma = make_gamma_engine(alg, 4, 3, 9, 10);
   for (Round r = 0; r < 10; ++r) gamma.step();
   const auto verdict =
       check_consensus(gamma.log(), gamma.world().initial_values);
@@ -134,8 +132,8 @@ TEST(Lemma23, ViewsDivergeAfterTheHeal) {
   // Algorithm 2 and values that keep it cycling.)
   Alg2Algorithm alg(16);
   const Round k = 4;
-  Executor alpha = make_alpha_executor(alg, 4, 0b0101);
-  Executor gamma = make_gamma_executor(alg, 4, 0b0101, 0b0100, k);
+  LaneEngine alpha = make_alpha_engine(alg, 4, 0b0101);
+  LaneEngine gamma = make_gamma_engine(alg, 4, 0b0101, 0b0100, k);
   for (Round r = 0; r < k + 6; ++r) {
     alpha.step();
     gamma.step();

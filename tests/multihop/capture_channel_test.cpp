@@ -1,5 +1,5 @@
-// The multihop configuration of the round engine -- a one-lane LaneEngine
-// on the capture-effect channel (ChannelModel::kCapture) with
+// The multihop configuration of the round engine -- a LaneEngine on the
+// capture-effect channel (ChannelModel::kCapture) with
 // per-neighbourhood collision detection (CollisionScope::kLocal): local
 // broadcaster counts, capture, zero completeness, the clique degenerating
 // to single-hop semantics, crash points, and flooding on top of it.
@@ -51,9 +51,7 @@ LaneEngine make_capture_engine(Topology topo,
   ew.scope = CollisionScope::kLocal;
   ew.link = link;
   ew.link_seed = seed;
-  EngineOptions options;
-  options.stop_when_all_decided = false;
-  return LaneEngine(std::move(ew), options);
+  return LaneEngine(std::move(ew));
 }
 
 LaneEngine make_beacon_engine(Topology topo, std::vector<bool> talk,
@@ -70,12 +68,12 @@ TEST(CaptureChannel, LoneNeighborDeliveredOnReliableLinks) {
   auto ex = make_beacon_engine(Topology::line(3), {true, false, false},
                                {1.0, 1.0});
   ex.step();
-  EXPECT_EQ(ex.last_local_broadcasters(0, 1), 1u);
-  EXPECT_EQ(ex.last_receive_count(0, 1), 1u);
-  EXPECT_EQ(ex.last_cd(0, 1), CdAdvice::kNull);
-  EXPECT_EQ(ex.last_local_broadcasters(0, 2), 0u);
-  EXPECT_EQ(ex.last_receive_count(0, 2), 0u);
-  EXPECT_EQ(ex.last_cd(0, 2), CdAdvice::kNull);
+  EXPECT_EQ(ex.last_local_broadcasters(1), 1u);
+  EXPECT_EQ(ex.last_receive_count(1), 1u);
+  EXPECT_EQ(ex.last_cd(1), CdAdvice::kNull);
+  EXPECT_EQ(ex.last_local_broadcasters(2), 0u);
+  EXPECT_EQ(ex.last_receive_count(2), 0u);
+  EXPECT_EQ(ex.last_cd(2), CdAdvice::kNull);
 }
 
 TEST(CaptureChannel, ContentionCapturesAtMostOne) {
@@ -85,11 +83,11 @@ TEST(CaptureChannel, ContentionCapturesAtMostOne) {
                                {1.0, 1.0});
   for (int i = 0; i < 20; ++i) {
     ex.step();
-    EXPECT_EQ(ex.last_local_broadcasters(0, 1), 2u);
-    EXPECT_EQ(ex.last_receive_count(0, 1), 1u);
+    EXPECT_EQ(ex.last_local_broadcasters(1), 2u);
+    EXPECT_EQ(ex.last_receive_count(1), 1u);
     // Lost one of two: zero completeness forces nothing, truthful policy
     // reports the loss.
-    EXPECT_EQ(ex.last_cd(0, 1), CdAdvice::kCollision);
+    EXPECT_EQ(ex.last_cd(1), CdAdvice::kCollision);
   }
 }
 
@@ -99,18 +97,18 @@ TEST(CaptureChannel, ZeroCompletenessForcedOnTotalLocalLoss) {
   auto ex = make_beacon_engine(Topology::line(3), {true, false, true},
                                {1.0, 0.0});
   ex.step();
-  EXPECT_EQ(ex.last_receive_count(0, 1), 0u);
-  EXPECT_EQ(ex.last_cd(0, 1), CdAdvice::kCollision);
+  EXPECT_EQ(ex.last_receive_count(1), 0u);
+  EXPECT_EQ(ex.last_cd(1), CdAdvice::kCollision);
 }
 
 TEST(CaptureChannel, SelfDeliveryForBroadcasters) {
   auto ex = make_beacon_engine(Topology::line(2), {true, true}, {1.0, 0.0});
   ex.step();
   // Each broadcaster hears at least itself.
-  EXPECT_GE(ex.last_receive_count(0, 0), 1u);
-  EXPECT_GE(ex.last_receive_count(0, 1), 1u);
+  EXPECT_GE(ex.last_receive_count(0), 1u);
+  EXPECT_GE(ex.last_receive_count(1), 1u);
   // Own broadcast counts toward the local c.
-  EXPECT_EQ(ex.last_local_broadcasters(0, 0), 2u);
+  EXPECT_EQ(ex.last_local_broadcasters(0), 2u);
 }
 
 TEST(CaptureChannel, CliqueMatchesSingleHopSemantics) {
@@ -121,9 +119,9 @@ TEST(CaptureChannel, CliqueMatchesSingleHopSemantics) {
                                {1.0, 1.0});
   ex.step();
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(ex.last_local_broadcasters(0, i), 1u);
-    EXPECT_EQ(ex.last_receive_count(0, i), 1u);
-    EXPECT_EQ(ex.last_cd(0, i), CdAdvice::kNull);
+    EXPECT_EQ(ex.last_local_broadcasters(i), 1u);
+    EXPECT_EQ(ex.last_receive_count(i), 1u);
+    EXPECT_EQ(ex.last_cd(i), CdAdvice::kNull);
   }
 }
 
@@ -134,8 +132,8 @@ TEST(CaptureChannel, InterferenceWithoutReceptionIsDetected) {
   auto ex = make_beacon_engine(Topology::grid(3, 1), {true, false, true},
                                {1.0, 0.0});
   for (int i = 0; i < 5; ++i) ex.step();
-  EXPECT_EQ(ex.last_cd(0, 1), CdAdvice::kCollision);
-  EXPECT_EQ(ex.last_receive_count(0, 1), 0u);
+  EXPECT_EQ(ex.last_cd(1), CdAdvice::kCollision);
+  EXPECT_EQ(ex.last_receive_count(1), 0u);
 }
 
 // ---- silent rounds ------------------------------------------------------
@@ -174,23 +172,19 @@ void expect_silent_round_is_empty(ChannelModel channel,
   ew.scope = CollisionScope::kLocal;
   ew.link = {1.0, 1.0};
   ew.link_seed = 5;
-  EngineOptions options;
-  options.record_rounds = true;
-  options.record_views = true;
-  options.stop_when_all_decided = false;
-  LaneEngine ex(std::move(ew), options);
-  const auto& p1 = static_cast<RecorderProcess&>(ex.process(0, 1));
+  LaneEngine ex(std::move(ew), {.record_rounds = true, .record_views = true});
+  const auto& p1 = static_cast<RecorderProcess&>(ex.process(1));
 
   ex.step();  // round 1: node 1 hears node 0
-  ASSERT_EQ(ex.last_receive_count(0, 1), 1u);
+  ASSERT_EQ(ex.last_receive_count(1), 1u);
   ASSERT_EQ(p1.received_.size(), 1u);
   EXPECT_EQ(p1.received_[0].size(), 1u);
 
   ex.step();  // round 2: silence
   ASSERT_EQ(p1.received_.size(), 2u);
   EXPECT_TRUE(p1.received_[1].empty());
-  EXPECT_EQ(ex.last_receive_count(0, 1), 0u);
-  const ProcessView& view = ex.log(0).view(1);
+  EXPECT_EQ(ex.last_receive_count(1), 0u);
+  const ProcessView& view = ex.log().view(1);
   ASSERT_EQ(view.rounds.size(), 2u);
   EXPECT_EQ(view.rounds[0].received.size(), 1u);
   EXPECT_TRUE(view.rounds[1].received.empty());
@@ -230,19 +224,19 @@ TEST(CaptureChannelCrash, BeforeSendCrashFiresAtTheExactRound) {
       {{/*round=*/3, /*process=*/2, CrashPoint::kBeforeSend}});
   for (Round r = 1; r <= 2; ++r) {
     ex.step();
-    EXPECT_EQ(ex.last_local_broadcasters(0, 1), 3u) << "round " << r;
-    EXPECT_TRUE(ex.alive(0, 2));
-    EXPECT_EQ(ex.crashes_applied(0), 0u);
+    EXPECT_EQ(ex.last_local_broadcasters(1), 3u) << "round " << r;
+    EXPECT_TRUE(ex.alive(2));
+    EXPECT_EQ(ex.crashes_applied(), 0u);
   }
   ex.step();  // round 3: the crash lands before the send
-  EXPECT_EQ(ex.last_local_broadcasters(0, 1), 2u);
-  EXPECT_FALSE(ex.alive(0, 2));
-  EXPECT_EQ(ex.num_alive(0), 2u);
-  EXPECT_EQ(ex.crashes_applied(0), 1u);
+  EXPECT_EQ(ex.last_local_broadcasters(1), 2u);
+  EXPECT_FALSE(ex.alive(2));
+  EXPECT_EQ(ex.num_alive(), 2u);
+  EXPECT_EQ(ex.crashes_applied(), 1u);
   // Dead processes receive nothing and get no further advice.
-  EXPECT_EQ(ex.last_receive_count(0, 2), 0u);
-  EXPECT_EQ(ex.last_local_broadcasters(0, 2), 0u);
-  EXPECT_EQ(ex.last_cd(0, 2), CdAdvice::kNull);
+  EXPECT_EQ(ex.last_receive_count(2), 0u);
+  EXPECT_EQ(ex.last_local_broadcasters(2), 0u);
+  EXPECT_EQ(ex.last_cd(2), CdAdvice::kNull);
 }
 
 TEST(CaptureChannelCrash, AfterSendCrashDeliversTheFinalMessage) {
@@ -253,21 +247,21 @@ TEST(CaptureChannelCrash, AfterSendCrashDeliversTheFinalMessage) {
       Topology::line(3), {true, true, true},
       {{/*round=*/2, /*process=*/0, CrashPoint::kAfterSend}});
   ex.step();  // round 1
-  auto& p0 = static_cast<BeaconProcess&>(ex.process(0, 0));
+  auto& p0 = static_cast<BeaconProcess&>(ex.process(0));
   const std::size_t count_after_round1 = p0.last_count_;
   EXPECT_GE(count_after_round1, 1u);  // own broadcast self-delivers
 
   ex.step();  // round 2: message out, then death
-  EXPECT_FALSE(ex.alive(0, 0));
-  EXPECT_EQ(ex.crashes_applied(0), 1u);
+  EXPECT_FALSE(ex.alive(0));
+  EXPECT_EQ(ex.crashes_applied(), 1u);
   // The dying broadcast still counted toward node 1's local c...
-  EXPECT_EQ(ex.last_local_broadcasters(0, 1), 3u);
+  EXPECT_EQ(ex.last_local_broadcasters(1), 3u);
   // ...but node 0 skipped its round-2 transition: its last observation is
   // still the round-1 one.
   EXPECT_EQ(p0.last_count_, count_after_round1);
 
   ex.step();  // round 3: dead nodes drop out of c entirely
-  EXPECT_EQ(ex.last_local_broadcasters(0, 1), 2u);
+  EXPECT_EQ(ex.last_local_broadcasters(1), 2u);
 }
 
 TEST(CaptureChannelCrash, DeadNeighborsLeaveTheBroadcasterCount) {
@@ -278,12 +272,12 @@ TEST(CaptureChannelCrash, DeadNeighborsLeaveTheBroadcasterCount) {
       Topology::line(3), {true, true, true},
       {{1, 0, CrashPoint::kBeforeSend}, {1, 2, CrashPoint::kBeforeSend}});
   ex.step();
-  EXPECT_EQ(ex.num_alive(0), 1u);
-  EXPECT_EQ(ex.crashes_applied(0), 2u);
+  EXPECT_EQ(ex.num_alive(), 1u);
+  EXPECT_EQ(ex.crashes_applied(), 2u);
   ex.step();
-  EXPECT_EQ(ex.last_local_broadcasters(0, 1), 1u);
-  EXPECT_EQ(ex.last_receive_count(0, 1), 1u);  // self-delivery only
-  EXPECT_EQ(ex.last_cd(0, 1), CdAdvice::kNull);
+  EXPECT_EQ(ex.last_local_broadcasters(1), 1u);
+  EXPECT_EQ(ex.last_receive_count(1), 1u);  // self-delivery only
+  EXPECT_EQ(ex.last_cd(1), CdAdvice::kNull);
 }
 
 TEST(CaptureChannelCrash, EventsForDeadOrOutOfRangeProcessesAreIgnored) {
@@ -294,10 +288,10 @@ TEST(CaptureChannelCrash, EventsForDeadOrOutOfRangeProcessesAreIgnored) {
        {1, 9, CrashPoint::kBeforeSend}});  // out of range: ignored
   ex.step();
   ex.step();
-  EXPECT_EQ(ex.crashes_applied(0), 1u);
-  EXPECT_EQ(ex.num_alive(0), 1u);
-  EXPECT_FALSE(ex.alive(0, 0));
-  EXPECT_TRUE(ex.alive(0, 1));
+  EXPECT_EQ(ex.crashes_applied(), 1u);
+  EXPECT_EQ(ex.num_alive(), 1u);
+  EXPECT_FALSE(ex.alive(0));
+  EXPECT_TRUE(ex.alive(1));
 }
 
 TEST(CaptureChannelCrash, NoAdversaryMatchesNoFailuresByteForByte) {
@@ -311,8 +305,8 @@ TEST(CaptureChannelCrash, NoAdversaryMatchesNoFailuresByteForByte) {
     a.step();
     b.step();
     for (std::size_t p = 0; p < 3; ++p) {
-      ASSERT_EQ(a.last_receive_count(0, p), b.last_receive_count(0, p));
-      ASSERT_EQ(a.last_cd(0, p), b.last_cd(0, p));
+      ASSERT_EQ(a.last_receive_count(p), b.last_receive_count(p));
+      ASSERT_EQ(a.last_cd(p), b.last_cd(p));
     }
   }
 }
@@ -341,7 +335,7 @@ FloodRun run_flood(const Topology& topo, FloodPolicy policy, Round max_rounds,
     ex.step();
     bool all = true;
     for (std::size_t i = 0; i < ex.size(); ++i) {
-      if (!static_cast<FloodProcess&>(ex.process(0, i)).has_message()) {
+      if (!static_cast<FloodProcess&>(ex.process(i)).has_message()) {
         all = false;
       }
     }
@@ -436,16 +430,16 @@ TEST(Flood, EngineSeesHoldersAwakeFromTheirReceiveRound) {
     ex.step();
     std::size_t holders = 0;
     for (std::size_t i = 0; i < ex.size(); ++i) {
-      const auto& p = static_cast<const FloodProcess&>(ex.process(0, i));
+      const auto& p = static_cast<const FloodProcess&>(ex.process(i));
       EXPECT_EQ(p.dormant(), !p.has_message()) << "process " << i;
       if (!p.has_message()) continue;
       ++holders;
       if (woke[i] == kNeverRound) woke[i] = r;
       EXPECT_EQ(p.received_at(), woke[i]) << "process " << i;
     }
-    EXPECT_EQ(ex.num_awake(0), holders) << "round " << r;
+    EXPECT_EQ(ex.num_awake(), holders) << "round " << r;
   }
-  EXPECT_EQ(ex.num_awake(0), ex.size());  // the grid is connected
+  EXPECT_EQ(ex.num_awake(), ex.size());  // the grid is connected
 }
 
 }  // namespace

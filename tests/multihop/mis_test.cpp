@@ -33,15 +33,13 @@ MisRun run_mis(const Topology& topo, DetectorSpec spec,
   ew.scope = CollisionScope::kLocal;
   ew.link = link;
   ew.link_seed = seed;
-  EngineOptions options;
-  options.stop_when_all_decided = false;
-  LaneEngine ex(std::move(ew), options);
+  LaneEngine ex(std::move(ew));
   MisRun run;
   for (Round r = 1; r <= max_rounds; ++r) {
     ex.step();
     bool all = true;
     for (std::size_t i = 0; i < ex.size(); ++i) {
-      const auto& p = static_cast<const MisProcess&>(ex.process(0, i));
+      const auto& p = static_cast<const MisProcess&>(ex.process(i));
       if (!p.settled()) all = false;
       // Dormant iff dominated, every round of every run.
       EXPECT_EQ(p.dormant(), p.state() == MisProcess::State::kDominated)
@@ -54,7 +52,7 @@ MisRun run_mis(const Topology& topo, DetectorSpec spec,
     }
   }
   for (std::size_t i = 0; i < ex.size(); ++i) {
-    run.states.push_back(static_cast<MisProcess&>(ex.process(0, i)).state());
+    run.states.push_back(static_cast<MisProcess&>(ex.process(i)).state());
   }
   return run;
 }

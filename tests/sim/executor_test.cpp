@@ -1,6 +1,9 @@
-#include "sim/executor.hpp"
-
+// The single-hop configuration of the round engine (kMatrix x kGlobal,
+// the paper's Definition 11 model proper): self-delivery, crash points,
+// halting, decision and trace recording.
 #include <gtest/gtest.h>
+
+#include "engine/lane_engine.hpp"
 
 #include "cd/oracle_detector.hpp"
 #include "cm/no_cm.hpp"
@@ -88,7 +91,13 @@ World chatty_world(std::size_t n, std::unique_ptr<LossAdversary> loss,
   return w;
 }
 
-TEST(Executor, SelfDeliveryEnforcedUnderTotalLoss) {
+/// The single-hop engine, recording rounds and views.
+LaneEngine single_hop(World world) {
+  return LaneEngine(std::move(world),
+                    {.record_rounds = true, .record_views = true});
+}
+
+TEST(SingleHopEngine, SelfDeliveryEnforcedUnderTotalLoss) {
   auto world = chatty_world(
       3,
       std::make_unique<UnrestrictedLoss>(UnrestrictedLoss::Options{
@@ -98,7 +107,7 @@ TEST(Executor, SelfDeliveryEnforcedUnderTotalLoss) {
   for (auto& p : world.processes) {
     procs.push_back(static_cast<ChattyProcess*>(p.get()));
   }
-  Executor ex(std::move(world));
+  LaneEngine ex = single_hop(std::move(world));
   ex.step();
   for (ChattyProcess* p : procs) {
     EXPECT_EQ(p->last_received(), 1);  // exactly its own message
@@ -107,14 +116,14 @@ TEST(Executor, SelfDeliveryEnforcedUnderTotalLoss) {
   }
 }
 
-TEST(Executor, PerfectChannelDeliversAll) {
+TEST(SingleHopEngine, PerfectChannelDeliversAll) {
   auto world = chatty_world(4, std::make_unique<NoLoss>(),
                             std::make_unique<NoFailures>());
   std::vector<ChattyProcess*> procs;
   for (auto& p : world.processes) {
     procs.push_back(static_cast<ChattyProcess*>(p.get()));
   }
-  Executor ex(std::move(world));
+  LaneEngine ex = single_hop(std::move(world));
   ex.step();
   for (ChattyProcess* p : procs) {
     EXPECT_EQ(p->last_received(), 4);
@@ -122,14 +131,14 @@ TEST(Executor, PerfectChannelDeliversAll) {
   }
 }
 
-TEST(Executor, CrashBeforeSendSilencesImmediately) {
+TEST(SingleHopEngine, CrashBeforeSendSilencesImmediately) {
   auto world = chatty_world(
       2, std::make_unique<NoLoss>(),
       std::make_unique<ScheduledCrash>(std::vector<CrashEvent>{
           {1, 0, CrashPoint::kBeforeSend}}));
   auto* survivor = static_cast<ChattyProcess*>(world.processes[1].get());
   auto* victim = static_cast<ChattyProcess*>(world.processes[0].get());
-  Executor ex(std::move(world));
+  LaneEngine ex = single_hop(std::move(world));
   ex.step();
   EXPECT_EQ(victim->sends(), 0);
   EXPECT_EQ(survivor->last_received(), 1);  // only its own message
@@ -138,14 +147,14 @@ TEST(Executor, CrashBeforeSendSilencesImmediately) {
   EXPECT_EQ(ex.log().crashes()[0].round, 1u);
 }
 
-TEST(Executor, CrashAfterSendLetsFinalMessageOut) {
+TEST(SingleHopEngine, CrashAfterSendLetsFinalMessageOut) {
   auto world = chatty_world(
       2, std::make_unique<NoLoss>(),
       std::make_unique<ScheduledCrash>(std::vector<CrashEvent>{
           {1, 0, CrashPoint::kAfterSend}}));
   auto* survivor = static_cast<ChattyProcess*>(world.processes[1].get());
   auto* victim = static_cast<ChattyProcess*>(world.processes[0].get());
-  Executor ex(std::move(world));
+  LaneEngine ex = single_hop(std::move(world));
   ex.step();
   // The formal Definition 11 semantics: the round-r message goes out...
   EXPECT_EQ(victim->sends(), 1);
@@ -157,7 +166,7 @@ TEST(Executor, CrashAfterSendLetsFinalMessageOut) {
   EXPECT_EQ(survivor->last_received(), 1);
 }
 
-TEST(Executor, HaltedProcessesGoSilent) {
+TEST(SingleHopEngine, HaltedProcessesGoSilent) {
   World w;
   w.processes.push_back(std::make_unique<TimerDecider>(7, 2));
   w.processes.push_back(std::make_unique<TimerDecider>(8, 5));
@@ -168,7 +177,7 @@ TEST(Executor, HaltedProcessesGoSilent) {
   w.loss = std::make_unique<NoLoss>();
   w.fault = std::make_unique<NoFailures>();
   auto* first = static_cast<TimerDecider*>(w.processes[0].get());
-  Executor ex(std::move(w));
+  LaneEngine ex = single_hop(std::move(w));
   for (int i = 0; i < 5; ++i) ex.step();
   EXPECT_EQ(first->sends(), 2);  // halted at end of round 2
   EXPECT_TRUE(ex.decided(0));
@@ -176,7 +185,7 @@ TEST(Executor, HaltedProcessesGoSilent) {
   EXPECT_TRUE(ex.all_correct_decided());
 }
 
-TEST(Executor, DecisionsRecordedOnce) {
+TEST(SingleHopEngine, DecisionsRecordedOnce) {
   World w;
   w.processes.push_back(std::make_unique<TimerDecider>(3, 1));
   w.initial_values = {3};
@@ -185,14 +194,14 @@ TEST(Executor, DecisionsRecordedOnce) {
                                           make_truthful_policy());
   w.loss = std::make_unique<NoLoss>();
   w.fault = std::make_unique<NoFailures>();
-  Executor ex(std::move(w));
+  LaneEngine ex = single_hop(std::move(w));
   for (int i = 0; i < 4; ++i) ex.step();
   ASSERT_EQ(ex.log().decisions().size(), 1u);
   EXPECT_EQ(ex.log().decisions()[0].round, 1u);
   EXPECT_EQ(ex.log().decisions()[0].value, 3u);
 }
 
-TEST(Executor, RunStopsWhenAllDecided) {
+TEST(SingleHopEngine, RunStopsWhenAllDecided) {
   World w;
   w.processes.push_back(std::make_unique<TimerDecider>(1, 4));
   w.initial_values = {1};
@@ -201,17 +210,17 @@ TEST(Executor, RunStopsWhenAllDecided) {
                                           make_truthful_policy());
   w.loss = std::make_unique<NoLoss>();
   w.fault = std::make_unique<NoFailures>();
-  Executor ex(std::move(w));
+  LaneEngine ex = single_hop(std::move(w));
   RunResult result = ex.run(100);
   EXPECT_TRUE(result.all_correct_decided);
   EXPECT_EQ(result.last_decision_round, 4u);
   EXPECT_LE(result.rounds_executed, 5u);
 }
 
-TEST(Executor, RecordedTracesSatisfyModelInvariants) {
+TEST(SingleHopEngine, RecordedTracesSatisfyModelInvariants) {
   auto world = chatty_world(3, std::make_unique<NoLoss>(),
                             std::make_unique<NoFailures>());
-  Executor ex(std::move(world));
+  LaneEngine ex = single_hop(std::move(world));
   for (int i = 0; i < 10; ++i) ex.step();
   const ExecutionLog& log = ex.log();
   // Receive counts never exceed broadcaster counts (Definition 11 c.4) and
@@ -226,10 +235,10 @@ TEST(Executor, RecordedTracesSatisfyModelInvariants) {
       cd_trace_legal(DetectorSpec::AC(), log.transmission(), log.cd_trace()));
 }
 
-TEST(Executor, ViewsMatchProcessObservations) {
+TEST(SingleHopEngine, ViewsMatchProcessObservations) {
   auto world = chatty_world(2, std::make_unique<NoLoss>(),
                             std::make_unique<NoFailures>());
-  Executor ex(std::move(world));
+  LaneEngine ex = single_hop(std::move(world));
   ex.step();
   const ProcessView& view = ex.log().view(0);
   ASSERT_EQ(view.rounds.size(), 1u);

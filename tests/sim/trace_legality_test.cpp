@@ -11,13 +11,13 @@
 #include "cm/wakeup_service.hpp"
 #include "consensus/alg2_zero_oac.hpp"
 #include "consensus/harness.hpp"
+#include "engine/lane_engine.hpp"
 #include "fault/failure_adversary.hpp"
 #include "net/capture_effect.hpp"
 #include "net/ecf_adversary.hpp"
 #include "net/partition_adversary.hpp"
 #include "net/probabilistic_loss.hpp"
 #include "net/unrestricted_loss.hpp"
-#include "sim/executor.hpp"
 
 namespace ccd {
 namespace {
@@ -93,12 +93,11 @@ TEST_P(LegalitySweep, ExecutionSatisfiesModelConstraints) {
       make_loss(p.loss_kind, p.seed * 13),
       std::make_unique<RandomCrash>(crash));
 
-  ExecutorOptions options;
-  options.stop_when_all_decided = false;
-  Executor executor(std::move(world), options);
+  LaneEngine engine(std::move(world),
+                    {.record_rounds = true, .record_views = true});
   const Round rounds = 40;
-  for (Round r = 0; r < rounds; ++r) executor.step();
-  const ExecutionLog& log = executor.log();
+  for (Round r = 0; r < rounds; ++r) engine.step();
+  const ExecutionLog& log = engine.log();
 
   // Constraint 4 (integrity / no duplication): receive counts bounded by
   // broadcaster counts.
@@ -170,11 +169,9 @@ TEST(TraceLegality, NoiseLemmaHoldsOnRecordedTraces) {
       std::make_unique<OracleDetector>(DetectorSpec::ZeroOAC(5),
                                        make_prefer_null_policy()),
       std::make_unique<EcfAdversary>(ecf), std::make_unique<NoFailures>());
-  ExecutorOptions options;
-  options.stop_when_all_decided = false;
-  Executor executor(std::move(world), options);
-  for (Round r = 0; r < 30; ++r) executor.step();
-  const ExecutionLog& log = executor.log();
+  LaneEngine engine(std::move(world), {.record_rounds = true});
+  for (Round r = 0; r < 30; ++r) engine.step();
+  const ExecutionLog& log = engine.log();
   for (Round r = 1; r <= 30; ++r) {
     const auto& tr = log.transmission().at(r);
     if (tr.broadcaster_count == 0) continue;

@@ -7,7 +7,8 @@
 # batch directory must be gone afterwards.  --merge refuses a shard subset
 # and a file that is neither a shard report nor a perf sidecar (exit 2);
 # for a non-JSON input, an input without "format" and one with an unknown
-# format the exact error line is pinned too.
+# format the exact error line is pinned too (exits_2 keeps stderr in
+# err.txt).
 #
 # usage: ccd_sweep_modes.sh PATH/TO/ccd_sweep
 set -eu
@@ -25,7 +26,7 @@ same() {
 }
 exits_2() {
   status=0
-  "$@" 2>/dev/null || status=$?
+  "$@" 2>err.txt || status=$?
   if [ "$status" -ne 2 ]; then
     echo "expected exit 2, got $status: $*" >&2
     exit 1
@@ -53,22 +54,15 @@ exits_2 "$sweep" --merge --quiet --json subset.json part-0.json part-2.json
 exits_2 "$sweep" --merge --quiet part-0.json part-1.json part-2.json \
   run-dist.json
 
-# rejects FILE LINE: --merge of part-0.json and FILE exits 2, and its
-# stderr is exactly LINE.
-rejects() {
-  status=0
-  "$sweep" --merge --quiet part-0.json "$1" 2>err.txt || status=$?
-  if [ "$status" -ne 2 ] || [ "$(cat err.txt)" != "$2" ]; then
-    echo "--merge $1: expected exit 2 and '$2', got $status:" >&2
-    cat err.txt >&2
-    exit 1
-  fi
-}
-printf 'not json' > not-json.txt
-rejects not-json.txt "ccd_sweep: not-json.txt: missing key 'format'"
-printf '{"cells":[]}' > no-format.json
-rejects no-format.json "ccd_sweep: no-format.json: missing key 'format'"
-printf '{"format":"ccd-shard-report-v1"}' > old-format.json
-rejects old-format.json "ccd_sweep: old-format.json: format \
-'ccd-shard-report-v1' is neither ccd-shard-report-v2 nor ccd-perf-sidecar-v1"
+# Inputs that are no kind of --merge input, and the exact error of each.
+printf 'not json' > bad-1.txt
+printf '{"cells":[]}' > bad-2.json
+printf '{"format":"ccd-shard-report-v1"}' > bad-3.json
+for bad in bad-1.txt bad-2.json; do
+  exits_2 "$sweep" --merge --quiet part-0.json "$bad"
+  test "$(cat err.txt)" = "ccd_sweep: $bad: missing key 'format'"
+done
+exits_2 "$sweep" --merge --quiet part-0.json bad-3.json
+test "$(cat err.txt)" = "ccd_sweep: bad-3.json: format 'ccd-shard-report-v1' \
+is neither ccd-shard-report-v2 nor ccd-perf-sidecar-v1"
 echo "ccd_sweep_modes: run, --workers and --merge outputs identical"

@@ -7,11 +7,12 @@
 //   sweep.*     in-process run_sweep of the smoke and multihop grids at 4
 //               threads: runs/s and rounds/s.  Absolute rates cross
 //               machines, so their bound is 0.90.
-//   lanes.*     world-rounds/s of the same worlds on fresh one-lane
-//               engines ("scalar") and on 64-lane LaneEngines ("lane"),
-//               for three engine shapes at n = 16/64/256.  The two arms
-//               run interleaved, the order alternating each rep.  Their
-//               ratio is machine-relative: bound 0.25.
+//   engine.*    world-rounds/s of fresh one-world engines for three
+//               engine shapes at n = 16/64/256 (shown, not gated), and
+//               each one's `.rel`: its rate over the consensus_clique
+//               n = 16 rate of the same rep.  The shapes run in one pass
+//               per rep, the order reversing each rep.  The ratio is
+//               machine-relative: bound 0.25.
 //                 consensus_clique  loss-free single-hop consensus
 //                 saturated_clique  every process broadcasts every round
 //                 mis_grid          MIS over the capture channel
@@ -125,10 +126,10 @@ void bench_sweeps(std::vector<Entry>* entries) {
   }
 }
 
-// ---- lanes ------------------------------------------------------------------
+// ---- engine -----------------------------------------------------------------
 
-constexpr int kLaneReps = 7;
-constexpr Round kLaneRounds = 128;
+constexpr int kEngineReps = 7;
+constexpr Round kEngineRounds = 128;
 
 EngineWorld consensus_clique(std::size_t n, std::uint64_t seed) {
   Alg2Algorithm alg(1 << 16);
@@ -187,68 +188,61 @@ EngineWorld mis_grid(std::size_t n, std::uint64_t seed) {
 
 using MakeWorld = EngineWorld (*)(std::size_t, std::uint64_t);
 
-/// World-rounds/s of 256/n batches of 64 worlds (seeds from seed0 on; the
-/// batch count keeps every shape's timed region near the n = 256 one),
-/// stepped kLaneRounds rounds each, every world on its own one-lane engine
-/// or each batch on one 64-lane engine.  World construction is timed on
-/// both arms.
-double lane_arm(MakeWorld make, std::size_t n, std::uint64_t seed0,
-                bool batched) {
-  EngineOptions options;
-  options.stop_when_all_decided = false;
-  const std::size_t batches = 256 / n;
+/// World-rounds/s of 16384/n one-world engines (seeds from seed0 on; the
+/// count keeps every shape's timed region near the n = 256 one), each
+/// built and stepped kEngineRounds rounds.  World construction is timed.
+double engine_rate(MakeWorld make, std::size_t n, std::uint64_t seed0) {
+  const std::size_t worlds = 16384 / n;
   obs::RunTimer timer;
-  for (std::size_t b = 0; b < batches; ++b) {
-    const std::uint64_t first = seed0 + b * kLaneWidth;
-    if (batched) {
-      std::vector<EngineWorld> worlds;
-      worlds.reserve(kLaneWidth);
-      for (std::size_t l = 0; l < kLaneWidth; ++l) {
-        worlds.push_back(make(n, first + l));
-      }
-      LaneEngine engine(std::move(worlds), options);
-      for (Round r = 0; r < kLaneRounds; ++r) engine.step();
-    } else {
-      for (std::size_t l = 0; l < kLaneWidth; ++l) {
-        LaneEngine engine(make(n, first + l), options);
-        for (Round r = 0; r < kLaneRounds; ++r) engine.step();
-      }
-    }
+  for (std::size_t k = 0; k < worlds; ++k) {
+    LaneEngine engine(make(n, seed0 + k));
+    for (Round r = 0; r < kEngineRounds; ++r) engine.step();
   }
-  return per_sec(static_cast<double>(batches * kLaneWidth * kLaneRounds),
+  return per_sec(static_cast<double>(worlds * kEngineRounds),
                  timer.elapsed_ns());
 }
 
-void bench_lanes(std::vector<Entry>* entries) {
+void bench_engine(std::vector<Entry>* entries) {
   struct Shape {
     const char* name;
     MakeWorld make;
   };
+  struct Config {
+    Shape shape;
+    std::size_t n;
+  };
+  std::vector<Config> configs;
   for (const Shape& shape : {Shape{"consensus_clique", consensus_clique},
                              Shape{"saturated_clique", saturated_clique},
                              Shape{"mis_grid", mis_grid}}) {
-    for (const std::size_t n : {16, 64, 256}) {
-      const std::string prefix =
-          std::string("lanes.") + shape.name + ".n" + std::to_string(n);
-      Entry scalar{prefix + ".scalar", "world-rounds/s"};
-      Entry lane{prefix + ".lane", "world-rounds/s"};
-      Entry speedup{prefix + ".speedup", "x", kRelativeBound};
-      for (int rep = 0; rep < kLaneReps; ++rep) {
-        const std::uint64_t seed0 = 4096 * static_cast<std::uint64_t>(rep);
-        double s = 0, l = 0;
-        for (const bool batched : {rep % 2 == 1, rep % 2 == 0}) {
-          (batched ? l : s) = lane_arm(shape.make, n, seed0, batched);
-        }
-        scalar.samples.push_back(s);
-        lane.samples.push_back(l);
-        speedup.samples.push_back(s > 0 ? l / s : 0.0);
-      }
-      std::fprintf(stderr, "ccd_bench: %s done\n", prefix.c_str());
-      entries->push_back(std::move(scalar));
-      entries->push_back(std::move(lane));
-      entries->push_back(std::move(speedup));
+    for (const std::size_t n : {16, 64, 256}) configs.push_back({shape, n});
+  }
+  // rates[c][rep]; configs[0], consensus_clique at n = 16, is the
+  // reference every .rel divides by.
+  std::vector<std::vector<double>> rates(configs.size());
+  for (int rep = 0; rep < kEngineReps; ++rep) {
+    const std::uint64_t seed0 = 4096 * static_cast<std::uint64_t>(rep);
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      const std::size_t c = rep % 2 == 0 ? k : configs.size() - 1 - k;
+      rates[c].push_back(
+          engine_rate(configs[c].shape.make, configs[c].n, seed0));
     }
   }
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const std::string name = std::string("engine.") + configs[c].shape.name +
+                             ".n" + std::to_string(configs[c].n);
+    Entry rate{name, "world-rounds/s"};
+    rate.samples = rates[c];
+    entries->push_back(std::move(rate));
+    if (c == 0) continue;  // the reference over itself is 1
+    Entry rel{name + ".rel", "x", kRelativeBound};
+    for (int rep = 0; rep < kEngineReps; ++rep) {
+      const double ref = rates[0][rep];
+      rel.samples.push_back(ref > 0 ? rates[c][rep] / ref : 0.0);
+    }
+    entries->push_back(std::move(rel));
+  }
+  std::fprintf(stderr, "ccd_bench: engine done\n");
 }
 
 // ---- numfmt -----------------------------------------------------------------
@@ -648,7 +642,7 @@ int main(int argc, char** argv) {
   std::vector<Entry> entries;
   obs::RunTimer timer;
   bench_sweeps(&entries);
-  bench_lanes(&entries);
+  bench_engine(&entries);
   if (bench_numfmt(&entries) != 0) return 2;
   const int status = bench_dispatch(&entries);
   if (status == 2) return 2;

@@ -2,8 +2,8 @@
 // whole reproduction leans on.
 //
 // Every guarantee this repo ships -- byte-identical reports at any thread
-// count, the obs/ no-perturbation invariant, lanes on/off equivalence --
-// rests on source-level discipline that runtime differential tests catch
+// count, shard or block partition, and the obs/ no-perturbation invariant
+// -- rests on source-level discipline that runtime differential tests catch
 // only after the fact.  This tool enforces the discipline statically, on
 // every commit, with file:line keyed diagnostics:
 //

@@ -114,10 +114,6 @@ trace capture:
 
 execution and output:
   --threads N          worker threads (0 = hardware concurrency; default 0)
-  --no-lanes           run every run alone on a one-lane engine instead of
-                       batching up to 64 seeds of a cell per engine
-                       (reports are byte-identical either way; this is
-                       purely a throughput switch)
   --json PATH          write aggregate JSON report
   --csv PATH           write per-cell CSV
   --dist-out PATH      write full per-cell distributions (ccd-dist-v1);
@@ -161,8 +157,7 @@ Grid and axis flags apply to the run, --workers and --emit-shards modes;
 --json, --csv, --dist-out and --perf-out to run, --workers and --merge
 (--json, --dist-out and --perf-out also to --shard-file); --trace-out and
 --rerun-cell to the run mode only; --threads to run, --workers and
---shard-file; --no-lanes to run and --shard-file.  Any other combination
-exits 2.
+--shard-file.  Any other combination exits 2.
 )");
 }
 
@@ -344,7 +339,6 @@ struct FlagModes {
 };
 constexpr FlagModes kFlagModes[] = {
     {"--threads", bit(kRun) | bit(kWorkers) | bit(kShardWorker)},
-    {"--no-lanes", bit(kRun) | bit(kShardWorker)},
     {"--json", kResultModes | bit(kShardWorker)},
     {"--csv", kResultModes},
     {"--dist-out", kResultModes | bit(kShardWorker)},
@@ -395,7 +389,6 @@ struct Cli {
   std::vector<std::string> inputs;  ///< non-flag arguments (--merge inputs)
   std::string json_path, csv_path, dist_path, perf_path, trace_path;
   unsigned threads = 0;
-  bool lanes = true;
   bool quiet = false;
   std::optional<std::size_t> rerun_cell;
   std::size_t workers = 0;
@@ -431,7 +424,6 @@ struct Outcome {
 Outcome run_in_process(const Cli& cli, const SweepGrid& grid) {
   SweepOptions options;
   options.threads = cli.threads;
-  options.lanes = cli.lanes;
   obs::SweepPerf perf;
   if (!cli.perf_path.empty() || !cli.trace_path.empty()) {
     options.perf = &perf;
@@ -547,12 +539,12 @@ int merge_inputs(const Cli& cli, Outcome* out) {
     if (!format) {
       error = "missing key 'format'";
     } else if (*format == "ccd-shard-report-v2") {
-      if (auto report = ShardReport::from_json(text, &error)) {
+      if (auto report = ShardReport::from_members(*json, &error)) {
         reports.push_back(std::move(*report));
         continue;
       }
     } else if (*format == "ccd-perf-sidecar-v1") {
-      if (auto sidecar = obs::PerfSidecar::from_json(text, &error)) {
+      if (auto sidecar = obs::PerfSidecar::from_members(*json, &error)) {
         sidecars.push_back(std::move(*sidecar));
         continue;
       }
@@ -712,7 +704,6 @@ int run_shard_worker(const Cli& cli) {
   }
   ShardRunOptions shard_options;
   shard_options.sweep.threads = cli.threads;
-  shard_options.sweep.lanes = cli.lanes;
   shard_options.checkpoint_path = cli.checkpoint_path;
   obs::SweepPerf perf;
   if (!cli.perf_path.empty()) shard_options.sweep.perf = &perf;
@@ -913,8 +904,6 @@ int main(int argc, char** argv) {
       std::uint64_t t = 0;
       ok = v && parse_u64_flag(v, "threads", t) && t <= 4096;
       if (ok) cli.threads = static_cast<unsigned>(t);
-    } else if (flag == "--no-lanes") {
-      cli.lanes = false;
     } else if (flag == "--quiet") {
       cli.quiet = true;
     } else if (flag == "--workers") {
