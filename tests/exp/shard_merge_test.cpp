@@ -187,6 +187,87 @@ TEST(SweepGridJson, NamedGridsRoundTripExactly) {
     EXPECT_EQ(parsed->fingerprint(), grid.fingerprint()) << name;
     EXPECT_EQ(parsed->to_json(), grid.to_json()) << name;
   }
+  // A round trip alone passes a reordered key or a respelled name; the
+  // fingerprints pin the canonical bytes every shard artifact carries.
+  const std::pair<const char*, std::uint64_t> frozen[] = {
+      {"smoke", 0x802bf2f9382fc05dull},    {"default", 0x23d73bc5cb5c0ea4ull},
+      {"policies", 0xc65ec3a748c78d04ull}, {"crash", 0x8ad41796fe3a87d2ull},
+      {"multihop", 0xea88e7472a5ba18full}, {"mhloss", 0xc1d6863b8e94f3d1ull}};
+  for (const auto& [name, fingerprint] : frozen) {
+    EXPECT_EQ(SweepGrid::named(name)->fingerprint(), fingerprint) << name;
+  }
+}
+
+TEST(SweepGridJson, EveryAxisValueHasFrozenBytes) {
+  // Every enum axis lists every value its name table knows, so each
+  // spelling (and the key order around it) is pinned.
+  SweepGrid grid;
+  grid.algs = {AlgKind::kAlg1, AlgKind::kAlg2, AlgKind::kAlg3, AlgKind::kAlg4,
+               AlgKind::kNaive};
+  grid.detectors = {DetectorKind::kAC,      DetectorKind::kMajAC,
+                    DetectorKind::kHalfAC,  DetectorKind::kZeroAC,
+                    DetectorKind::kOAC,     DetectorKind::kMajOAC,
+                    DetectorKind::kHalfOAC, DetectorKind::kZeroOAC,
+                    DetectorKind::kNoCd,    DetectorKind::kNoAcc};
+  grid.policies = {PolicyKind::kTruthful,        PolicyKind::kPreferNull,
+                   PolicyKind::kPreferCollision, PolicyKind::kSpurious,
+                   PolicyKind::kFlakyMajority,   PolicyKind::kRandomLegal};
+  grid.cms = {CmKind::kNoCm, CmKind::kWakeup, CmKind::kLeader,
+              CmKind::kBackoff};
+  grid.losses = {LossKind::kNoLoss, LossKind::kEcf, LossKind::kProbabilistic,
+                 LossKind::kUnrestricted};
+  grid.faults = {FaultKind::kNone, FaultKind::kRandomCrash,
+                 FaultKind::kScheduled};
+  grid.ns = {1, 4294967295u};
+  grid.value_spaces = {2, 18446744073709551615ull};
+  grid.csts = {0, 7};
+  grid.topologies = {TopologyKind::kSingleHop, TopologyKind::kLine,
+                     TopologyKind::kRing, TopologyKind::kGrid,
+                     TopologyKind::kRandomGeometric};
+  grid.densities = {0.5, 2.0, 3.25};
+  grid.workloads = {WorkloadKind::kConsensus, WorkloadKind::kFlood,
+                    WorkloadKind::kMis, WorkloadKind::kMisThenConsensus,
+                    WorkloadKind::kRoundSync};
+  grid.crash_schedules = {"leaf-then-die", "source-dies",
+                          "articulation-point", "all-cut-vertices",
+                          "min-vertex-cut"};
+  grid.base.init = InitKind::kAllSame;
+  grid.base.chaos = ChaosKind::kChaotic;
+  grid.base.crash_schedule = {{3, 1, CrashPoint::kBeforeSend},
+                              {4, 0, CrashPoint::kAfterSend}};
+  EXPECT_EQ(grid.fingerprint(), 0x007f7d9310b5d237ull) << grid.to_json();
+  auto parsed = SweepGrid::from_json(grid.to_json());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, grid);
+}
+
+TEST(SweepGridJson, CellNumberingIsFrozen) {
+  // Two values on every axis: 2^13 cells, whose order is the on-disk cell
+  // numbering.  FNV-1a over every cell key, in cell order, pins which
+  // axis each mixed-radix digit drives.
+  SweepGrid grid;
+  grid.algs = {AlgKind::kAlg2, AlgKind::kNaive};
+  grid.detectors = {DetectorKind::kZeroAC, DetectorKind::kNoAcc};
+  grid.policies = {PolicyKind::kSpurious, PolicyKind::kTruthful};
+  grid.cms = {CmKind::kLeader, CmKind::kNoCm};
+  grid.losses = {LossKind::kUnrestricted, LossKind::kEcf};
+  grid.faults = {FaultKind::kScheduled, FaultKind::kNone};
+  grid.ns = {5, 9};
+  grid.value_spaces = {3, 64};
+  grid.csts = {2, 11};
+  grid.topologies = {TopologyKind::kRing, TopologyKind::kRandomGeometric};
+  grid.densities = {2.5, 3.75};
+  grid.workloads = {WorkloadKind::kMis, WorkloadKind::kRoundSync};
+  grid.crash_schedules = {"source-dies", "min-vertex-cut"};
+  ASSERT_EQ(grid.num_cells(), 8192u);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t c = 0; c < grid.num_cells(); ++c) {
+    for (unsigned char ch : grid.spec_for_cell(c).cell_key()) {
+      h ^= ch;
+      h *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(h, 0xcf0b69076c5bd4e5ull);
 }
 
 TEST(SweepGridJson, RejectsTyposWithKeyedErrors) {
