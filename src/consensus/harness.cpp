@@ -71,8 +71,7 @@ RunSummary summarize_consensus(Round cst, const RunResult& result,
 }
 
 RunSummary run_consensus(World world, Round max_rounds,
-                         EngineOptions options, ExecutionLog* log_out,
-                         obs::EngineCounters* counters_out) {
+                         EngineOptions options) {
   // Degenerate worlds (n = 0, missing components, everyone crashed in the
   // opening round) are legal inputs: the engine substitutes neutral
   // components and exits empty worlds immediately, and the checker treats
@@ -82,11 +81,8 @@ RunSummary run_consensus(World world, Round max_rounds,
   LaneEngine engine(std::move(world), options);
   const Round cst = engine.world().cst();
   const RunResult result = engine.run(max_rounds);
-  RunSummary summary = summarize_consensus(cst, result, engine.log(),
-                                           engine.world().initial_values);
-  if (log_out) *log_out = engine.log();
-  if (counters_out) counters_out->add(engine.counters());
-  return summary;
+  return summarize_consensus(cst, result, engine.log(),
+                             engine.world().initial_values);
 }
 
 }  // namespace ccd

@@ -56,16 +56,9 @@ RunSummary summarize_consensus(Round cst, const RunResult& result,
                                const std::vector<Value>& initial_values);
 
 /// Run to completion (or max_rounds) on a single-hop engine (kMatrix x
-/// kGlobal) and verify; rounds and views are recorded unless `options`
-/// says otherwise.  `log_out`, when non-null, receives a copy of the full
-/// ExecutionLog.  `counters_out`, when non-null, receives the engine's
-/// telemetry tallies ADDED onto whatever it already holds (multi-phase
-/// callers accumulate across phases); pure observation -- the run itself
-/// is unchanged.
+/// kGlobal) and verify.  The checker reads only decisions and crashes,
+/// which the engine always records, so by default no rounds or views are.
 RunSummary run_consensus(World world, Round max_rounds,
-                         EngineOptions options = {.record_rounds = true,
-                                                 .record_views = true},
-                         ExecutionLog* log_out = nullptr,
-                         obs::EngineCounters* counters_out = nullptr);
+                         EngineOptions options = {});
 
 }  // namespace ccd

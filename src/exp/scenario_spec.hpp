@@ -13,14 +13,19 @@
 // are self-describing on disk.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "fault/failure_adversary.hpp"
 #include "model/types.hpp"
+#include "util/flat_json.hpp"
+#include "util/numfmt.hpp"
 
 namespace ccd::exp {
 
@@ -171,30 +176,144 @@ enum class WorkloadKind : std::uint8_t {
                      ///< sync_rho, sync_round_length.
 };
 
-const char* to_string(CrashPoint p);  ///< "before-send" / "after-send"
-std::optional<CrashPoint> parse_crash_point(std::string_view s);
+/// One entry of a spec enum's name table.
+template <typename E>
+struct EnumName {
+  E value;
+  const char* name;
+};
 
-const char* to_string(AlgKind k);
-const char* to_string(DetectorKind k);
-const char* to_string(PolicyKind k);
-const char* to_string(CmKind k);
-const char* to_string(LossKind k);
-const char* to_string(FaultKind k);
-const char* to_string(InitKind k);
-const char* to_string(ChaosKind k);
-const char* to_string(TopologyKind k);
-const char* to_string(WorkloadKind k);
+/// Each spec enum's name table, in enumerator order: the one place its
+/// spellings are written.  Spec and grid JSON, reports, ccd_sweep's flags
+/// and --help, and the readers' "expected ..." errors all read them here.
+template <typename E>
+struct NameTable {};
 
-std::optional<AlgKind> parse_alg(std::string_view s);
-std::optional<DetectorKind> parse_detector(std::string_view s);
-std::optional<PolicyKind> parse_policy(std::string_view s);
-std::optional<CmKind> parse_cm(std::string_view s);
-std::optional<LossKind> parse_loss(std::string_view s);
-std::optional<FaultKind> parse_fault(std::string_view s);
-std::optional<InitKind> parse_init(std::string_view s);
-std::optional<ChaosKind> parse_chaos(std::string_view s);
-std::optional<TopologyKind> parse_topology(std::string_view s);
-std::optional<WorkloadKind> parse_workload(std::string_view s);
+template <>
+struct NameTable<CrashPoint> {
+  static constexpr EnumName<CrashPoint> names[] = {
+      {CrashPoint::kBeforeSend, "before-send"},
+      {CrashPoint::kAfterSend, "after-send"}};
+};
+template <>
+struct NameTable<AlgKind> {
+  static constexpr EnumName<AlgKind> names[] = {
+      {AlgKind::kAlg1, "alg1"}, {AlgKind::kAlg2, "alg2"},
+      {AlgKind::kAlg3, "alg3"}, {AlgKind::kAlg4, "alg4"},
+      {AlgKind::kNaive, "naive"}};
+};
+template <>
+struct NameTable<DetectorKind> {
+  static constexpr EnumName<DetectorKind> names[] = {
+      {DetectorKind::kAC, "ac"},          {DetectorKind::kMajAC, "maj-ac"},
+      {DetectorKind::kHalfAC, "half-ac"}, {DetectorKind::kZeroAC, "zero-ac"},
+      {DetectorKind::kOAC, "oac"},        {DetectorKind::kMajOAC, "maj-oac"},
+      {DetectorKind::kHalfOAC, "half-oac"},
+      {DetectorKind::kZeroOAC, "zero-oac"},
+      {DetectorKind::kNoCd, "nocd"},      {DetectorKind::kNoAcc, "noacc"}};
+};
+template <>
+struct NameTable<PolicyKind> {
+  static constexpr EnumName<PolicyKind> names[] = {
+      {PolicyKind::kTruthful, "truthful"},
+      {PolicyKind::kPreferNull, "prefer-null"},
+      {PolicyKind::kPreferCollision, "prefer-collision"},
+      {PolicyKind::kSpurious, "spurious"},
+      {PolicyKind::kFlakyMajority, "flaky-majority"},
+      {PolicyKind::kRandomLegal, "random-legal"}};
+};
+template <>
+struct NameTable<CmKind> {
+  static constexpr EnumName<CmKind> names[] = {
+      {CmKind::kNoCm, "nocm"}, {CmKind::kWakeup, "wakeup"},
+      {CmKind::kLeader, "leader"}, {CmKind::kBackoff, "backoff"}};
+};
+template <>
+struct NameTable<LossKind> {
+  static constexpr EnumName<LossKind> names[] = {
+      {LossKind::kNoLoss, "noloss"}, {LossKind::kEcf, "ecf"},
+      {LossKind::kProbabilistic, "prob"},
+      {LossKind::kUnrestricted, "unrestricted"}};
+};
+template <>
+struct NameTable<FaultKind> {
+  static constexpr EnumName<FaultKind> names[] = {
+      {FaultKind::kNone, "none"},
+      {FaultKind::kRandomCrash, "random-crash"},
+      {FaultKind::kScheduled, "scheduled"}};
+};
+template <>
+struct NameTable<InitKind> {
+  static constexpr EnumName<InitKind> names[] = {
+      {InitKind::kRandom, "random"}, {InitKind::kSplit, "split"},
+      {InitKind::kAllSame, "same"}};
+};
+template <>
+struct NameTable<ChaosKind> {
+  static constexpr EnumName<ChaosKind> names[] = {
+      {ChaosKind::kCalm, "calm"}, {ChaosKind::kChaotic, "chaotic"}};
+};
+template <>
+struct NameTable<TopologyKind> {
+  static constexpr EnumName<TopologyKind> names[] = {
+      {TopologyKind::kSingleHop, "singlehop"},
+      {TopologyKind::kLine, "line"},
+      {TopologyKind::kRing, "ring"},
+      {TopologyKind::kGrid, "grid"},
+      {TopologyKind::kRandomGeometric, "rgg"}};
+};
+template <>
+struct NameTable<WorkloadKind> {
+  static constexpr EnumName<WorkloadKind> names[] = {
+      {WorkloadKind::kConsensus, "consensus"},
+      {WorkloadKind::kFlood, "flood"},
+      {WorkloadKind::kMis, "mis"},
+      {WorkloadKind::kMisThenConsensus, "mis-then-consensus"},
+      {WorkloadKind::kRoundSync, "round-sync"}};
+};
+
+template <typename E>
+concept NamedEnum = requires { NameTable<E>::names; };
+
+/// `E`'s name table, checked to run in enumerator order.
+template <NamedEnum E>
+constexpr const auto& names_of() {
+  constexpr auto in_order = [] {
+    std::size_t i = 0;
+    for (const EnumName<E>& entry : NameTable<E>::names) {
+      if (static_cast<std::size_t>(entry.value) != i++) return false;
+    }
+    return true;
+  };
+  static_assert(in_order(), "name table out of enumerator order");
+  return NameTable<E>::names;
+}
+
+/// The name of `value`: an index into its table.
+template <NamedEnum E>
+constexpr const char* to_string(E value) {
+  return names_of<E>()[static_cast<std::size_t>(value)].name;
+}
+
+/// The value called `name`, if its table has one.
+template <NamedEnum E>
+std::optional<E> parse_enum(std::string_view name) {
+  for (const auto& [value, spelled] : names_of<E>()) {
+    if (name == spelled) return value;
+  }
+  return std::nullopt;
+}
+
+/// A table's names joined by `sep`: "," for --help, ", " for errors.
+template <typename Table>
+std::string join_names(const Table& table, const char* sep) {
+  std::string out;
+  for (const auto& entry : table) {
+    if (!out.empty()) out += sep;
+    out += entry.name;
+  }
+  return out;
+}
 
 struct ScenarioSpec {
   AlgKind alg = AlgKind::kAlg1;
@@ -244,8 +363,8 @@ struct ScenarioSpec {
   /// (This and crash_schedule_name carry `{}` so designated initializers
   /// may omit them without -Wmissing-field-initializers.)
   std::vector<CrashEvent> crash_schedule{};
-  /// Named schedule generator (see crash_schedule_names()); when set it
-  /// takes precedence over the explicit list and is expanded
+  /// Named schedule generator (see crash_schedule_generators()); when set
+  /// it takes precedence over the explicit list and is expanded
   /// deterministically from this spec's n / num_values at factory time,
   /// so a cell stays reproducible from its JSON alone.
   std::string crash_schedule_name{};
@@ -255,7 +374,8 @@ struct ScenarioSpec {
   static std::optional<ScenarioSpec> from_json(std::string_view json);
   /// As above; on failure, if `error` is non-null it receives a one-line
   /// message naming the offending key and value (hand-written spec files
-  /// should be debuggable from the message alone).
+  /// should be debuggable from the message alone).  A member the reader
+  /// does not know is an error: a typo must not leave a default in place.
   static std::optional<ScenarioSpec> from_json(std::string_view json,
                                                std::string* error);
 
@@ -268,7 +388,14 @@ struct ScenarioSpec {
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
-/// Named worst-case crash-schedule generators, sweepable as a grid axis:
+/// A named worst-case crash-schedule generator: (spec) -> events, a pure
+/// function of the spec's n / num_values / topology.
+struct CrashScheduleGenerator {
+  const char* name;
+  std::vector<CrashEvent> (*generate)(const ScenarioSpec& spec);
+};
+
+/// The generators, sweepable as a grid axis:
 ///   "leaf-then-die" -- Theorem 3's shape: each crasher participates for
 ///       one "lead everyone to a BST leaf" window (ceil(lg|V|)+1 rounds),
 ///       broadcasts once more, then dies (kAfterSend); processes n-1 down
@@ -290,15 +417,80 @@ struct ScenarioSpec {
 ///       is the generator that stops 2-connected topologies from running
 ///       failure-free under the single-cut generators.  Empty on cliques
 ///       (no vertex cut at all).
-std::vector<std::string> crash_schedule_names();
+std::span<const CrashScheduleGenerator> crash_schedule_generators();
 
-/// Expand a named generator against a spec's n / num_values; nullopt for
-/// unknown names.  Deterministic: same (name, spec) -> same events.
+/// The generator called `name`, or nullptr.
+const CrashScheduleGenerator* find_crash_schedule(std::string_view name);
+
+/// Expand a named generator against a spec; nullopt for unknown names.
+/// Deterministic: same (name, spec) -> same events.
 std::optional<std::vector<CrashEvent>> generate_crash_schedule(
-    const std::string& name, const ScenarioSpec& spec);
+    std::string_view name, const ScenarioSpec& spec);
 
 /// The schedule a kScheduled fault actually runs: the named generator when
 /// crash_schedule_name is set, else the explicit crash_schedule list.
 std::vector<CrashEvent> resolved_crash_schedule(const ScenarioSpec& spec);
+
+/// How a value of type T reads from one JSON member, array item or CLI
+/// token, how it writes to JSON, and what a reader error says it expected.
+/// The spec reader, the grid reader and ccd_sweep's axis flags share these.
+template <typename T>
+struct Codec;
+
+template <NamedEnum E>
+struct Codec<E> {
+  static std::optional<E> parse(std::string_view s) {
+    return parse_enum<E>(s);
+  }
+  static void append(std::string& out, E value) {
+    out += '"';
+    out += to_string(value);
+    out += '"';
+  }
+  static std::string expected() {
+    return "one of " + join_names(names_of<E>(), ", ");
+  }
+};
+
+/// Bounded by T: "4294967300" is an error for a 32-bit field, not 4.
+template <std::unsigned_integral T>
+struct Codec<T> {
+  static std::optional<T> parse(std::string_view s) {
+    const auto v = jsonu::parse_u64(s, std::numeric_limits<T>::max());
+    if (!v) return std::nullopt;
+    return static_cast<T>(*v);
+  }
+  static void append(std::string& out, T value) {
+    numfmt::append_int(out, value);
+  }
+  static std::string expected() { return "an unsigned integer in range"; }
+};
+
+/// Finite only: "nan" and "inf" never reach a report.
+template <>
+struct Codec<double> {
+  static std::optional<double> parse(std::string_view s) {
+    return jsonu::parse_double(s);
+  }
+  static void append(std::string& out, double value) {
+    numfmt::append_shortest(out, value);
+  }
+  static std::string expected() { return "a finite number"; }
+};
+
+/// Crash-schedule generator names.  Any string reads: the spec reader and
+/// SweepGrid::validate check that it names a generator.
+template <>
+struct Codec<std::string> {
+  static std::optional<std::string> parse(std::string_view s) {
+    return std::string(s);
+  }
+  static void append(std::string& out, const std::string& value) {
+    jsonu::append_quoted(out, value);
+  }
+  static std::string expected() {
+    return "one of " + join_names(crash_schedule_generators(), ", ");
+  }
+};
 
 }  // namespace ccd::exp

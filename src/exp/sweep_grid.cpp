@@ -1,7 +1,6 @@
 #include "exp/sweep_grid.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <type_traits>
 
 #include "util/flat_json.hpp"
@@ -17,46 +16,30 @@ std::size_t radix(const std::vector<T>& axis) {
   return axis.empty() ? 1 : axis.size();
 }
 
-/// Peel one mixed-radix digit off `index` and apply the axis value (if the
-/// axis is non-empty) to `field`.
-template <typename T, typename F>
-void apply_axis(std::size_t& index, const std::vector<T>& axis, F& field) {
-  const std::size_t r = radix(axis);
-  const std::size_t digit = index % r;
-  index /= r;
-  if (!axis.empty()) field = static_cast<F>(axis[digit]);
-}
-
 }  // namespace
 
 std::size_t SweepGrid::num_cells() const {
-  return radix(algs) * radix(detectors) * radix(policies) * radix(cms) *
-         radix(losses) * radix(faults) * radix(ns) * radix(value_spaces) *
-         radix(csts) * radix(topologies) * radix(densities) *
-         radix(workloads) * radix(crash_schedules);
+  std::size_t cells = 1;
+  for_each_axis([&](const auto& axis) { cells *= radix(this->*axis.values); });
+  return cells;
 }
 
 ScenarioSpec SweepGrid::spec_for_cell(std::size_t cell_index) const {
+  // Digit d of the cell index is the value position on the axis whose
+  // digit is d; an empty axis has radix 1 and keeps the base value.
+  std::size_t stride[kNumAxes + 1] = {1};
+  for_each_axis([&](const auto& axis) {
+    stride[axis.digit + 1] = radix(this->*axis.values);
+  });
+  for (std::size_t d = 1; d <= kNumAxes; ++d) stride[d] *= stride[d - 1];
+
   ScenarioSpec spec = base;
-  std::size_t index = cell_index;
-  // Innermost axis first; the order here fixes the enumeration order and is
-  // part of the on-disk cell numbering, so do not reorder casually.  (The
-  // multihop axes sit innermost of the new digits / outermost overall so
-  // that grids without them keep their PR-1 cell numbering: an empty axis
-  // has radix 1 and peels nothing.)
-  apply_axis(index, csts, spec.cst_target);
-  apply_axis(index, value_spaces, spec.num_values);
-  apply_axis(index, ns, spec.n);
-  apply_axis(index, faults, spec.fault);
-  apply_axis(index, losses, spec.loss);
-  apply_axis(index, cms, spec.cm);
-  apply_axis(index, policies, spec.policy);
-  apply_axis(index, detectors, spec.detector);
-  apply_axis(index, algs, spec.alg);
-  apply_axis(index, densities, spec.density);
-  apply_axis(index, topologies, spec.topology);
-  apply_axis(index, workloads, spec.workload);
-  apply_axis(index, crash_schedules, spec.crash_schedule_name);
+  for_each_axis([&](const auto& axis) {
+    const auto& values = this->*axis.values;
+    if (values.empty()) return;
+    spec.*axis.field =
+        values[cell_index / stride[axis.digit] % values.size()];
+  });
   spec.seed = 0;
   return spec;
 }
@@ -85,27 +68,18 @@ std::optional<std::string> SweepGrid::validate() const {
 
   // Scheduled-crash cells must have a schedule to run, and every named
   // generator -- swept or set on the base -- must exist.
-  const auto known = crash_schedule_names();
-  auto known_name = [&](const std::string& name) {
-    return std::find(known.begin(), known.end(), name) != known.end();
+  auto unknown = [](const std::string& name, const char* what) {
+    return "bad value '" + name + "' for " + what + " (expected " +
+           Codec<std::string>::expected() + ")";
   };
-  std::string known_list;
-  for (const std::string& name : known) {
-    if (!known_list.empty()) known_list += ", ";
-    known_list += name;
-  }
   for (const std::string& name : crash_schedules) {
-    if (!known_name(name)) {
-      return "bad value '" + name +
-             "' for axis 'crash_schedules' (known generators: " + known_list +
-             ")";
+    if (!find_crash_schedule(name)) {
+      return unknown(name, "axis 'crash_schedules'");
     }
   }
   if (!base.crash_schedule_name.empty() &&
-      !known_name(base.crash_schedule_name)) {
-    return "bad value '" + base.crash_schedule_name +
-           "' for key 'crash_schedule_name' (known generators: " +
-           known_list + ")";
+      !find_crash_schedule(base.crash_schedule_name)) {
+    return unknown(base.crash_schedule_name, "key 'crash_schedule_name'");
   }
   const bool any_scheduled =
       faults.empty() ? base.fault == FaultKind::kScheduled
@@ -246,50 +220,6 @@ std::vector<std::string> SweepGrid::grid_names() {
   return {"smoke", "default", "policies", "crash", "multihop", "mhloss"};
 }
 
-namespace {
-
-template <typename T>
-void append_enum_axis(std::string& out, const char* key,
-                      const std::vector<T>& axis) {
-  out += "\"";
-  out += key;
-  out += "\":[";
-  for (std::size_t i = 0; i < axis.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"";
-    out += to_string(axis[i]);
-    out += "\"";
-  }
-  out += "],";
-}
-
-void append_string_axis(std::string& out, const char* key,
-                        const std::vector<std::string>& axis) {
-  out += "\"";
-  out += key;
-  out += "\":[";
-  for (std::size_t i = 0; i < axis.size(); ++i) {
-    if (i > 0) out += ",";
-    out += jsonu::quote(axis[i]);
-  }
-  out += "],";
-}
-
-template <typename T>
-void append_uint_axis(std::string& out, const char* key,
-                      const std::vector<T>& axis) {
-  out += "\"";
-  out += key;
-  out += "\":[";
-  for (std::size_t i = 0; i < axis.size(); ++i) {
-    if (i > 0) out += ",";
-    numfmt::append_int(out, axis[i]);
-  }
-  out += "],";
-}
-
-}  // namespace
-
 std::string SweepGrid::to_json() const {
   // Fixed key order; every axis present even when empty.  This exact byte
   // sequence is the fingerprint() preimage, so the order is part of the
@@ -300,26 +230,18 @@ std::string SweepGrid::to_json() const {
   numfmt::append_int(out, seeds_per_cell);
   out += ",\"base\":";
   out += base.to_json();
-  out += ",";
-  append_enum_axis(out, "algs", algs);
-  append_enum_axis(out, "detectors", detectors);
-  append_enum_axis(out, "policies", policies);
-  append_enum_axis(out, "cms", cms);
-  append_enum_axis(out, "losses", losses);
-  append_enum_axis(out, "faults", faults);
-  append_uint_axis(out, "ns", ns);
-  append_uint_axis(out, "value_spaces", value_spaces);
-  append_uint_axis(out, "csts", csts);
-  append_enum_axis(out, "topologies", topologies);
-  out += "\"densities\":[";
-  for (std::size_t i = 0; i < densities.size(); ++i) {
-    if (i > 0) out += ",";
-    numfmt::append_shortest(out, densities[i]);
-  }
-  out += "],";
-  append_enum_axis(out, "workloads", workloads);
-  append_string_axis(out, "crash_schedules", crash_schedules);
-  out.back() = '}';
+  for_each_axis([&](const auto& axis) {
+    out += ",\"";
+    out += axis.key;
+    out += "\":[";
+    for (const auto& value : this->*axis.values) {
+      Codec<std::remove_cvref_t<decltype(value)>>::append(out, value);
+      out += ',';
+    }
+    if (out.back() == ',') out.pop_back();
+    out += ']';
+  });
+  out += '}';
   return out;
 }
 
@@ -332,63 +254,22 @@ std::optional<SweepGrid> SweepGrid::from_json(std::string_view json,
   auto flat = jsonu::FlatJson::parse(json);
   if (!flat) return fail("grid is not a flat JSON object");
 
-  SweepGrid grid;
-  bool ok = true;
-  std::string first_error;
-  auto report = [&](const std::string& message) {
-    if (ok) first_error = message;
-    ok = false;
-  };
-  auto read_enum_axis = [&](const char* key, auto parse_fn, auto& axis) {
-    const auto raw = flat->find(key);
-    if (!raw) return;  // absent axis stays empty
-    axis.clear();
-    bool bad_item = false;
-    if (!jsonu::for_each_item(*raw, [&](std::string_view item) {
-          auto parsed = parse_fn(item);
-          if (parsed) {
-            axis.push_back(*parsed);
-          } else {
-            bad_item = true;
-            report("bad value '" + std::string(item) + "' for axis '" + key +
-                   "'");
-          }
-          return parsed.has_value();
-        }) &&
-        !bad_item) {
-      report(std::string("axis '") + key + "' is not a JSON array");
-    }
-  };
-  auto read_uint_axis = [&](const char* key, auto& axis) {
-    using T = typename std::remove_reference_t<decltype(axis)>::value_type;
-    const auto raw = flat->find(key);
-    if (!raw) return;
-    auto items =
-        jsonu::parse_u64_array(*raw, std::numeric_limits<T>::max());
-    if (!items) {
-      report(std::string("axis '") + key +
-             "' must be an array of unsigned integers");
-      return;
-    }
-    axis.clear();
-    for (std::uint64_t v : *items) axis.push_back(static_cast<T>(v));
-  };
-
-  static const char* const known_keys[] = {
-      "grid_seed", "seeds_per_cell", "base",       "algs",
-      "detectors", "policies",       "cms",        "losses",
-      "faults",    "ns",             "value_spaces", "csts",
-      "topologies", "densities",     "workloads",  "crash_schedules"};
   for (const auto& [key, value] : flat->members) {
     (void)value;
-    bool known = false;
-    for (const char* k : known_keys) known = known || key == k;
+    bool known = key == "grid_seed" || key == "seeds_per_cell" ||
+                 key == "base";
+    for_each_axis([&](const auto& axis) { known = known || key == axis.key; });
     // A typo'd axis name must not silently sweep nothing.
     if (!known) {
       return fail("unknown key '" + std::string(key) + "' in grid JSON");
     }
   }
 
+  SweepGrid grid;
+  std::string first_error;
+  auto report = [&](const std::string& message) {
+    if (first_error.empty()) first_error = message;
+  };
   if (const auto raw = flat->find("base")) {
     std::string base_error;
     auto base = ScenarioSpec::from_json(*raw, &base_error);
@@ -413,36 +294,20 @@ std::optional<SweepGrid> SweepGrid::from_json(std::string_view json,
              "' for key 'seeds_per_cell'");
     }
   }
-  read_enum_axis("algs", parse_alg, grid.algs);
-  read_enum_axis("detectors", parse_detector, grid.detectors);
-  read_enum_axis("policies", parse_policy, grid.policies);
-  read_enum_axis("cms", parse_cm, grid.cms);
-  read_enum_axis("losses", parse_loss, grid.losses);
-  read_enum_axis("faults", parse_fault, grid.faults);
-  read_uint_axis("ns", grid.ns);
-  read_uint_axis("value_spaces", grid.value_spaces);
-  read_uint_axis("csts", grid.csts);
-  read_enum_axis("topologies", parse_topology, grid.topologies);
-  if (const auto raw = flat->find("densities")) {
-    auto items = jsonu::parse_double_array(*raw);
-    if (items) {
-      grid.densities = *items;
-    } else {
-      report("axis 'densities' must be an array of numbers");
-    }
-  }
-  read_enum_axis("workloads", parse_workload, grid.workloads);
-  if (const auto raw = flat->find("crash_schedules")) {
-    grid.crash_schedules.clear();  // names validated by validate()
-    if (!jsonu::for_each_item(*raw, [&](std::string_view name) {
-          grid.crash_schedules.emplace_back(name);
-          return true;
+  for_each_axis([&](const auto& axis) {
+    const auto raw = flat->find(axis.key);
+    if (!raw || !first_error.empty()) return;  // absent axis stays empty
+    std::string item_error;
+    if (!jsonu::for_each_item(*raw, [&](std::string_view item) {
+          return push_axis_value(axis, item, grid, &item_error);
         })) {
-      report("axis 'crash_schedules' is not a JSON array");
+      report(item_error.empty()
+                 ? "axis '" + std::string(axis.key) + "' is not a JSON array"
+                 : item_error);
     }
-  }
+  });
 
-  if (!ok) return fail(first_error);
+  if (!first_error.empty()) return fail(first_error);
   return grid;
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/scenario_spec.hpp"
@@ -36,9 +37,9 @@ struct SweepGrid {
   /// still enumerated, so keep this axis short unless sweeping rgg only).
   std::vector<double> densities;
   std::vector<WorkloadKind> workloads;
-  /// Named crash-schedule generators (see crash_schedule_names()), applied
-  /// to ScenarioSpec::crash_schedule_name; only cells whose fault is
-  /// `scheduled` act on it (inert otherwise, like densities for non-rgg).
+  /// Named crash-schedule generators (see crash_schedule_generators()),
+  /// applied to ScenarioSpec::crash_schedule_name; only cells whose fault
+  /// is `scheduled` act on it (inert otherwise, like densities for non-rgg).
   std::vector<std::string> crash_schedules;
 
   std::uint32_t seeds_per_cell = 1;
@@ -93,5 +94,90 @@ struct SweepGrid {
 
   friend bool operator==(const SweepGrid&, const SweepGrid&) = default;
 };
+
+/// One sweep axis: where its values live in a grid and a spec, and how it
+/// is spelled in grid JSON and on ccd_sweep's command line.
+template <typename T>
+struct Axis {
+  using Value = T;
+  const char* key;   ///< grid JSON key
+  const char* flag;  ///< ccd_sweep flag
+  const char* help;  ///< --help text; named values are listed after it
+  std::vector<T> SweepGrid::*values;
+  T ScenarioSpec::*field;
+  /// Position in the mixed-radix cell index, 0 innermost: the on-disk
+  /// cell numbering, frozen separately from the JSON order.
+  unsigned digit;
+};
+
+/// The 13 axes, the one list every axis-wise operation walks: cell count
+/// and enumeration, grid JSON, and ccd_sweep's axis flags and --help.
+/// They come in grid-JSON order, which is the fingerprint() preimage, so
+/// do not reorder them or change a digit.  The two orders differ: the
+/// multihop axes took the outermost digits so that older grids keep their
+/// cell numbering, and `densities` is the digit inside `topologies`.
+template <typename Visit>
+constexpr void for_each_axis(Visit&& visit) {
+  using S = ScenarioSpec;
+  using G = SweepGrid;
+  visit(Axis<AlgKind>{"algs", "--algs", "", &G::algs, &S::alg, 8});
+  visit(Axis<DetectorKind>{"detectors", "--detectors", "", &G::detectors,
+                           &S::detector, 7});
+  visit(Axis<PolicyKind>{"policies", "--policies", "", &G::policies,
+                         &S::policy, 6});
+  visit(Axis<CmKind>{"cms", "--cms", "", &G::cms, &S::cm, 5});
+  visit(Axis<LossKind>{"losses", "--losses", "", &G::losses, &S::loss, 4});
+  visit(Axis<FaultKind>{"faults", "--faults", "", &G::faults, &S::fault, 3});
+  visit(Axis<std::uint32_t>{"ns", "--n", "process counts, e.g. 4,8,16",
+                            &G::ns, &S::n, 2});
+  visit(Axis<std::uint64_t>{"value_spaces", "--values",
+                            "|V| per cell, e.g. 16,256", &G::value_spaces,
+                            &S::num_values, 1});
+  visit(Axis<Round>{"csts", "--csts", "CST targets, e.g. 5,20", &G::csts,
+                    &S::cst_target, 0});
+  visit(Axis<TopologyKind>{"topologies", "--topologies", "", &G::topologies,
+                           &S::topology, 10});
+  visit(Axis<double>{"densities", "--densities",
+                     "rgg density factors (1.0 = connectivity threshold; "
+                     "floor 2.0), e.g. 2,3; inert for other topologies",
+                     &G::densities, &S::density, 9});
+  visit(Axis<WorkloadKind>{"workloads", "--workloads", "", &G::workloads,
+                           &S::workload, 11});
+  visit(Axis<std::string>{"crash_schedules", "--crash-schedules",
+                          "named crash-schedule generators for "
+                          "fault=scheduled cells:",
+                          &G::crash_schedules, &S::crash_schedule_name, 12});
+}
+
+/// How many axes for_each_axis lists; their digits are 0..kNumAxes-1.
+inline constexpr unsigned kNumAxes = [] {
+  unsigned n = 0;
+  for_each_axis([&](const auto&) { ++n; });
+  return n;
+}();
+static_assert(
+    [] {
+      std::uint32_t digits = 0;
+      for_each_axis([&](const auto& axis) { digits |= 1u << axis.digit; });
+      return digits == (1u << kNumAxes) - 1;
+    }(),
+    "every digit 0..kNumAxes-1 belongs to exactly one axis");
+
+/// Append the value `item` names to the axis in `grid`; false, with
+/// "bad value '<item>' for axis '<key>'" in *error, if the axis's codec
+/// rejects it.  The grid reader and ccd_sweep's flags both read through
+/// here.
+template <typename T>
+bool push_axis_value(const Axis<T>& axis, std::string_view item,
+                     SweepGrid& grid, std::string* error) {
+  std::optional<T> value = Codec<T>::parse(item);
+  if (value) {
+    (grid.*axis.values).push_back(std::move(*value));
+  } else if (error) {
+    *error = "bad value '" + std::string(item) + "' for axis '" + axis.key +
+             "'";
+  }
+  return value.has_value();
+}
 
 }  // namespace ccd::exp

@@ -122,20 +122,6 @@ bool scan_container(std::string_view text, char open, char close,
   return i == text.size();  // no trailing junk
 }
 
-/// Array of parse(item) values; nullopt on anything else.
-template <typename T, typename Parse>
-std::optional<std::vector<T>> parse_array(std::string_view raw, Parse parse) {
-  std::vector<T> out;
-  if (!for_each_item(raw, [&](std::string_view item) {
-        const std::optional<T> v = parse(item);
-        if (v) out.push_back(*v);
-        return v.has_value();
-      })) {
-    return std::nullopt;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::optional<FlatJson> FlatJson::parse(std::string_view text) {
@@ -177,11 +163,17 @@ std::optional<FlatJson> FlatJson::parse(std::string_view text) {
 }
 
 std::optional<std::string_view> FlatJson::find(std::string_view key) const {
+  const auto i = index_of(key);
+  if (!i) return std::nullopt;
+  return members[*i].value;
+}
+
+std::optional<std::size_t> FlatJson::index_of(std::string_view key) const {
   auto at = std::lower_bound(
       members.begin(), members.end(), key,
       [](const Member& m, std::string_view k) { return m.key < k; });
   if (at == members.end() || at->key != key) return std::nullopt;
-  return at->value;
+  return static_cast<std::size_t>(at - members.begin());
 }
 
 namespace detail {
@@ -211,7 +203,15 @@ bool walk_items(std::string_view raw,
 }  // namespace detail
 
 std::optional<std::vector<double>> parse_double_array(std::string_view raw) {
-  return parse_array<double>(raw, parse_double);
+  std::vector<double> out;
+  if (!for_each_item(raw, [&](std::string_view item) {
+        const std::optional<double> v = parse_double(item);
+        if (v) out.push_back(*v);
+        return v.has_value();
+      })) {
+    return std::nullopt;
+  }
+  return out;
 }
 
 std::optional<double> parse_double(std::string_view text) {
@@ -235,12 +235,6 @@ std::optional<std::uint64_t> parse_u64(std::string_view text,
   const auto [stop, ec] = std::from_chars(text.data(), end, v, 10);
   if (ec != std::errc() || stop != end || v > max) return std::nullopt;
   return v;
-}
-
-std::optional<std::vector<std::uint64_t>> parse_u64_array(
-    std::string_view raw, std::uint64_t max) {
-  return parse_array<std::uint64_t>(
-      raw, [max](std::string_view item) { return parse_u64(item, max); });
 }
 
 std::string fingerprint_to_hex(std::uint64_t fp) {
@@ -278,13 +272,18 @@ void append_double_array(std::string& out, const std::vector<double>& xs) {
   out += ']';
 }
 
-std::string quote(const std::string& s) {
-  std::string out = "\"";
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
   for (char c : s) {
     if (c == '"' || c == '\\') out += '\\';
     out += c;
   }
-  out += "\"";
+  out += '"';
+}
+
+std::string quote(const std::string& s) {
+  std::string out;
+  append_quoted(out, s);
   return out;
 }
 

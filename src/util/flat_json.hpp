@@ -60,6 +60,9 @@ class FlatJson {
   static std::optional<FlatJson> parse(S&& text) = delete;
 
   std::optional<std::string_view> find(std::string_view key) const;
+  /// The position of `key` in `members`, for readers that track which
+  /// members they consumed.
+  std::optional<std::size_t> index_of(std::string_view key) const;
 
  private:
   /// Decoded copies of the keys and values that held a backslash; the
@@ -109,11 +112,6 @@ std::optional<std::uint64_t> parse_u64(
     std::string_view text,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
-/// Array of parse_u64 values; nullopt on anything else.
-std::optional<std::vector<std::uint64_t>> parse_u64_array(
-    std::string_view raw,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
-
 /// 16-hex-digit rendering used for grid fingerprints in shard specs,
 /// reports, checkpoints and perf sidecars (readable in error messages,
 /// greppable across files); the parser takes exactly that form.
@@ -127,5 +125,7 @@ void append_double_array(std::string& out, const std::vector<double>& xs);
 /// (file paths never go through here; schedule names and enum tokens are
 /// already escape-free, but defend anyway).
 std::string quote(const std::string& s);
+/// quote(s) appended to `out` in place.
+void append_quoted(std::string& out, std::string_view s);
 
 }  // namespace ccd::jsonu

@@ -120,13 +120,20 @@ TEST(ScenarioSpecJson, ErrorNamesTheOffendingKeyAndValue) {
     const char* json;
     const char* key;
     const char* value;
+    const char* also = "";  ///< more text the error must hold
   };
   const Case cases[] = {
       {"{\"alg\":\"alg9\"}", "alg", "alg9"},
       {"{\"detector\":\"psychic\"}", "detector", "psychic"},
       {"{\"workload\":\"gossip\"}", "workload", "gossip"},
+      // The expected-value list names every workload the reader accepts.
+      {"{\"workload\":\"round-sinc\"}", "workload", "round-sinc",
+       "round-sync"},
       {"{\"n\":\"eight\"}", "n", "eight"},
       {"{\"density\":\"thick\"}", "density", "thick"},
+      // A typo'd key must not leave the default in place.
+      {"{\"detecter\":\"ac\",\"num_value\":4}", "detecter",
+       "unknown key 'detecter' in spec"},
   };
   for (const Case& c : cases) {
     std::string error;
@@ -135,6 +142,8 @@ TEST(ScenarioSpecJson, ErrorNamesTheOffendingKeyAndValue) {
     EXPECT_NE(error.find(std::string("'") + c.key + "'"), std::string::npos)
         << c.json << " -> " << error;
     EXPECT_NE(error.find(c.value), std::string::npos)
+        << c.json << " -> " << error;
+    EXPECT_NE(error.find(c.also), std::string::npos)
         << c.json << " -> " << error;
   }
   // Structural failures still produce a message (no key to blame).

@@ -283,6 +283,11 @@ TEST(SweepGridJson, RejectsTyposWithKeyedErrors) {
   EXPECT_FALSE(
       SweepGrid::from_json("{\"base\":{\"alg\":\"alg9\"}}", &error));
   EXPECT_NE(error.find("base: "), std::string::npos) << error;
+  EXPECT_FALSE(
+      SweepGrid::from_json("{\"base\":{\"detecter\":\"ac\"}}", &error));
+  EXPECT_NE(error.find("base: unknown key 'detecter' in spec"),
+            std::string::npos)
+      << error;
 }
 
 TEST(ShardSpecJson, RoundTripsAndRejectsTamperedGrids) {

@@ -8,7 +8,8 @@
 # and a file that is neither a shard report nor a perf sidecar (exit 2);
 # for a non-JSON input, an input without "format" and one with an unknown
 # format the exact error line is pinned too (exits_2 keeps stderr in
-# err.txt).
+# err.txt).  Every value each named-value flag accepts is listed in that
+# flag's --help entry.
 #
 # usage: ccd_sweep_modes.sh PATH/TO/ccd_sweep
 set -eu
@@ -65,4 +66,32 @@ done
 exits_2 "$sweep" --merge --quiet part-0.json bad-3.json
 test "$(cat err.txt)" = "ccd_sweep: bad-3.json: format 'ccd-shard-report-v1' \
 is neither ccd-shard-report-v2 nor ccd-perf-sidecar-v1"
+# Each value below is accepted by its flag and named in the flag's --help
+# entry (its line plus the indented lines under it).
+"$sweep" --help > help.txt
+while read -r flag values; do
+  awk -v flag="$flag" '$1 == flag { on = 1; print; next }
+    on && /^                       / { print; next }
+    { on = 0 }' help.txt | tr ' ,|' '\n\n\n' > names.txt
+  for value in $(echo "$values" | tr ',' ' '); do
+    if ! grep -qx -- "$value" names.txt; then
+      echo "ccd_sweep --help does not list $flag value '$value'" >&2
+      exit 1
+    fi
+    "$sweep" --grid crash "$flag" "$value" --emit-shards 1 \
+      --shard-out accepted --quiet < /dev/null
+  done
+done <<'EOF'
+--algs alg1,alg2,alg3,alg4,naive
+--detectors ac,maj-ac,half-ac,zero-ac,oac,maj-oac,half-oac,zero-oac,nocd,noacc
+--policies truthful,prefer-null,prefer-collision,spurious,flaky-majority,random-legal
+--cms nocm,wakeup,leader,backoff
+--losses noloss,ecf,prob,unrestricted
+--faults none,random-crash,scheduled
+--topologies singlehop,line,ring,grid,rgg
+--workloads consensus,flood,mis,mis-then-consensus,round-sync
+--crash-schedules leaf-then-die,source-dies,articulation-point,all-cut-vertices,min-vertex-cut
+--chaos calm,chaotic
+--init random,split,same
+EOF
 echo "ccd_sweep_modes: run, --workers and --merge outputs identical"

@@ -68,8 +68,37 @@ using namespace ccd;
 using namespace ccd::exp;
 namespace fs = std::filesystem;
 
+/// One --help entry: `lead`, then `text` from column 23, wrapped before
+/// column 80 at spaces and after commas.
+void print_entry(std::FILE* out, std::string line, std::string_view text) {
+  constexpr std::size_t kIndent = 23, kWidth = 79;
+  line.resize(std::max(line.size() + 1, kIndent), ' ');
+  bool line_empty = true;  // no text after the lead yet
+  bool space = false;      // a space separates the next chunk from the last
+  while (!text.empty()) {
+    std::size_t cut = text.find_first_of(", ");
+    if (cut == std::string_view::npos) {
+      cut = text.size();
+    } else if (text[cut] == ',') {
+      ++cut;
+    }
+    const std::string_view chunk = text.substr(0, cut);
+    if (!line_empty && line.size() + space + chunk.size() > kWidth) {
+      std::fprintf(out, "%s\n", line.c_str());
+      line.assign(kIndent, ' ');
+      line_empty = true;
+    }
+    if (!line_empty && space) line += ' ';
+    line += chunk;
+    line_empty = false;
+    space = cut < text.size() && text[cut] == ' ';
+    text.remove_prefix(space ? cut + 1 : cut);
+  }
+  std::fprintf(out, "%s\n", line.c_str());
+}
+
 void usage(std::FILE* out) {
-  std::fprintf(out, R"(usage: ccd_sweep [options]
+  std::fputs(R"(usage: ccd_sweep [options]
        ccd_sweep --merge [options] FILE...
 
 grid selection:
@@ -77,30 +106,31 @@ grid selection:
   --list-grids         print the named grids and exit
 
 axis overrides (comma-separated; replace the named grid's axis):
-  --algs LIST          alg1,alg2,alg3,alg4,naive
-  --detectors LIST     ac,maj-ac,half-ac,zero-ac,oac,maj-oac,half-oac,
-                       zero-oac,nocd,noacc
-  --policies LIST      truthful,prefer-null,prefer-collision,spurious,
-                       flaky-majority,random-legal
-  --cms LIST           nocm,wakeup,leader,backoff
-  --losses LIST        noloss,ecf,prob,unrestricted
-  --faults LIST        none,random-crash,scheduled
-  --crash-schedules L  named crash-schedule generators for fault=scheduled
-                       cells: leaf-then-die,source-dies,articulation-point
-  --n LIST             process counts, e.g. 4,8,16
-  --values LIST        |V| per cell, e.g. 16,256
-  --csts LIST          CST targets, e.g. 5,20
-  --topologies LIST    singlehop,line,ring,grid,rgg
-  --workloads LIST     consensus,flood,mis,mis-then-consensus
-  --densities LIST     rgg density factors (1.0 = connectivity threshold;
-                       floor 2.0), e.g. 2,3; inert for other topologies
-
+)",
+             out);
+  for_each_axis([out](const auto& axis) {
+    using T = std::remove_cvref_t<decltype(axis)>::Value;
+    std::string text = axis.help;
+    std::string names;
+    if constexpr (NamedEnum<T>) {
+      names = join_names(names_of<T>(), ",");
+    } else if constexpr (std::same_as<T, std::string>) {
+      names = join_names(crash_schedule_generators(), ",");
+    }
+    if (!text.empty() && !names.empty()) text += ' ';
+    print_entry(out, std::string("  ") + axis.flag + " LIST", text + names);
+  });
+  std::fputs(R"(
 scalar knobs:
   --seeds N            seeds per cell (default: grid's)
   --grid-seed S        master seed (default: grid's)
-  --chaos calm|chaotic pre-CST environment flavour
-  --init random|split|same
-  --p-deliver P        delivery probability knob in [0, 1] (round-sync:
+)",
+             out);
+  print_entry(out, "  --chaos " + join_names(names_of<ChaosKind>(), "|"),
+              "pre-CST environment flavour");
+  print_entry(out, "  --init " + join_names(names_of<InitKind>(), "|"),
+              "initial value assignment");
+  std::fputs(R"(  --p-deliver P        delivery probability knob in [0, 1] (round-sync:
                        beacon delivery, loss = 1 - P)
   --max-rounds N       per-run round cap (0 = auto)
   --sync-rho R         round-sync: max clock rate deviation (default 1e-4)
@@ -158,7 +188,8 @@ Grid and axis flags apply to the run, --workers and --emit-shards modes;
 (--json, --dist-out and --perf-out also to --shard-file); --trace-out and
 --rerun-cell to the run mode only; --threads to run, --workers and
 --shard-file.  Any other combination exits 2.
-)");
+)",
+             out);
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -173,65 +204,25 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-template <typename T, typename ParseFn>
-bool parse_list(const std::string& arg, const char* what, ParseFn parse,
-                std::vector<T>& out) {
-  out.clear();
-  for (const std::string& tok : split_csv(arg)) {
-    auto v = parse(tok);
-    if (!v) {
-      std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what,
-                   tok.c_str());
-      return false;
-    }
-    out.push_back(*v);
-  }
-  return true;
-}
-
+/// An axis flag's list replaces that axis of `grid`.
 template <typename T>
-bool parse_uint_list(const std::string& arg, const char* what,
-                     std::vector<T>& out) {
-  out.clear();
-  for (const std::string& tok : split_csv(arg)) {
-    const auto v = jsonu::parse_u64(tok, std::numeric_limits<T>::max());
-    if (!v) {
-      std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what,
-                   tok.c_str());
+bool read_axis_flag(const Axis<T>& axis, const char* list, SweepGrid& grid) {
+  if (!list) return false;
+  (grid.*axis.values).clear();
+  std::string error;
+  for (const std::string& item : split_csv(list)) {
+    if (!push_axis_value(axis, item, grid, &error)) {
+      std::fprintf(stderr, "ccd_sweep: %s\n", error.c_str());
       return false;
     }
-    out.push_back(static_cast<T>(*v));
   }
   return true;
 }
 
-bool parse_double_list(const std::string& arg, const char* what,
-                       std::vector<double>& out) {
-  out.clear();
-  for (const std::string& tok : split_csv(arg)) {
-    const auto v = jsonu::parse_double(tok);
-    if (!v) {
-      std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what,
-                   tok.c_str());
-      return false;
-    }
-    out.push_back(*v);
-  }
-  return true;
-}
-
-bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
-  const auto v = jsonu::parse_u64(arg);
-  if (!v) {
-    std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what, arg);
-    return false;
-  }
-  out = *v;
-  return true;
-}
-
-bool parse_double_flag(const char* arg, const char* what, double& out) {
-  const auto v = jsonu::parse_double(arg);
+/// A scalar flag's value, read with its field's codec.
+template <typename T>
+bool parse_flag(const char* arg, const char* what, T& out) {
+  auto v = Codec<T>::parse(arg);
   if (!v) {
     std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what, arg);
     return false;
@@ -325,13 +316,11 @@ constexpr unsigned bit(Mode m) { return 1u << m; }
 constexpr unsigned kGridModes = bit(kRun) | bit(kWorkers) | bit(kEmitShards);
 constexpr unsigned kResultModes = bit(kRun) | bit(kWorkers) | bit(kMerge);
 
+/// The grid flags besides the axis flags (for_each_axis).
 const char* const kGridFlags[] = {
-    "--grid",      "--algs",      "--detectors",  "--policies",
-    "--cms",       "--losses",    "--faults",     "--crash-schedules",
-    "--n",         "--values",    "--csts",       "--topologies",
-    "--workloads", "--densities", "--seeds",      "--grid-seed",
-    "--chaos",     "--init",      "--p-deliver",  "--max-rounds",
-    "--sync-rho",  "--sync-round-length"};
+    "--grid",  "--seeds",     "--grid-seed",  "--chaos",
+    "--init",  "--p-deliver", "--max-rounds", "--sync-rho",
+    "--sync-round-length"};
 
 struct FlagModes {
   const char* flag;
@@ -374,9 +363,12 @@ Mode select_mode(const std::vector<std::string>& flags) {
 }
 
 unsigned modes_accepting(const std::string& flag) {
-  for (const char* g : kGridFlags) {
-    if (flag == g) return kGridModes;
-  }
+  bool grid_flag = false;
+  for (const char* g : kGridFlags) grid_flag = grid_flag || flag == g;
+  for_each_axis([&](const auto& axis) {
+    grid_flag = grid_flag || flag == axis.flag;
+  });
+  if (grid_flag) return kGridModes;
   for (const FlagModes& entry : kFlagModes) {
     if (flag == entry.flag) return entry.modes;
   }
@@ -725,7 +717,7 @@ int run_shard_worker(const Cli& cli) {
   // deterministically.
   if (const char* delay_env = std::getenv("CCD_SWEEP_TEST_RUN_DELAY_MS")) {
     std::uint64_t delay_ms = 0;
-    if (parse_u64_flag(delay_env, "CCD_SWEEP_TEST_RUN_DELAY_MS", delay_ms) &&
+    if (parse_flag(delay_env, "CCD_SWEEP_TEST_RUN_DELAY_MS", delay_ms) &&
         delay_ms > 0) {
       shard_options.sweep.on_record = [delay_ms](const RunRecord&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
@@ -811,111 +803,55 @@ int main(int argc, char** argv) {
     for (const auto& [name, member] : kTextFlags) {
       if (flag == name) text = member;
     }
+    // A scalar flag's value, read with its field's codec.
+    auto value = [&](auto& field) {
+      const char* v = next();
+      return v && parse_flag(v, flag.c_str() + 2, field);
+    };
     bool ok = true;
-    if (text) {
+    bool axis_flag = false;
+    for_each_axis([&](const auto& axis) {
+      if (flag != axis.flag) return;
+      axis_flag = true;
+      ok = read_axis_flag(axis, next(), grid);
+    });
+    if (axis_flag) {
+      // read above
+    } else if (text) {
       const char* v = next();
       ok = v != nullptr;
       if (ok) cli.*text = v;
     } else if (flag == "--grid") {
       ok = next() != nullptr;  // consumed in the first pass
-    } else if (flag == "--algs") {
-      const char* v = next();
-      ok = v && parse_list(v, "alg", parse_alg, grid.algs);
-    } else if (flag == "--detectors") {
-      const char* v = next();
-      ok = v && parse_list(v, "detector", parse_detector, grid.detectors);
-    } else if (flag == "--policies") {
-      const char* v = next();
-      ok = v && parse_list(v, "policy", parse_policy, grid.policies);
-    } else if (flag == "--cms") {
-      const char* v = next();
-      ok = v && parse_list(v, "cm", parse_cm, grid.cms);
-    } else if (flag == "--losses") {
-      const char* v = next();
-      ok = v && parse_list(v, "loss", parse_loss, grid.losses);
-    } else if (flag == "--faults") {
-      const char* v = next();
-      ok = v && parse_list(v, "fault", parse_fault, grid.faults);
-    } else if (flag == "--crash-schedules") {
-      const char* v = next();
-      ok = v != nullptr;
-      // Names are validated by grid.validate() below, which knows the
-      // generator registry.
-      if (ok) grid.crash_schedules = split_csv(v);
-    } else if (flag == "--n") {
-      const char* v = next();
-      ok = v && parse_uint_list(v, "n", grid.ns);
-    } else if (flag == "--values") {
-      const char* v = next();
-      ok = v && parse_uint_list(v, "num_values", grid.value_spaces);
-    } else if (flag == "--csts") {
-      const char* v = next();
-      ok = v && parse_uint_list(v, "cst", grid.csts);
-    } else if (flag == "--topologies") {
-      const char* v = next();
-      ok = v && parse_list(v, "topology", parse_topology, grid.topologies);
-    } else if (flag == "--workloads") {
-      const char* v = next();
-      ok = v && parse_list(v, "workload", parse_workload, grid.workloads);
-    } else if (flag == "--densities") {
-      const char* v = next();
-      ok = v && parse_double_list(v, "density", grid.densities);
     } else if (flag == "--seeds") {
-      const char* v = next();
-      std::uint64_t seeds = 0;
-      ok = v && parse_u64_flag(v, "seeds", seeds) && seeds <= ~0u;
-      if (ok) grid.seeds_per_cell = static_cast<std::uint32_t>(seeds);
+      ok = value(grid.seeds_per_cell);
     } else if (flag == "--grid-seed") {
-      const char* v = next();
-      ok = v && parse_u64_flag(v, "grid-seed", grid.grid_seed);
+      ok = value(grid.grid_seed);
     } else if (flag == "--chaos") {
-      const char* v = next();
-      auto c = v ? parse_chaos(v) : std::nullopt;
-      ok = c.has_value();
-      if (ok) grid.base.chaos = *c;
+      ok = value(grid.base.chaos);
     } else if (flag == "--init") {
-      const char* v = next();
-      auto c = v ? parse_init(v) : std::nullopt;
-      ok = c.has_value();
-      if (ok) grid.base.init = *c;
+      ok = value(grid.base.init);
     } else if (flag == "--p-deliver") {
-      const char* v = next();
-      ok = v && parse_double_flag(v, "p-deliver", grid.base.p_deliver);
+      ok = value(grid.base.p_deliver);
     } else if (flag == "--max-rounds") {
-      const char* v = next();
-      std::uint64_t rounds = 0;
-      ok = v && parse_u64_flag(v, "max-rounds", rounds) &&
-           rounds <= ccd::kNeverRound;
-      if (ok) grid.base.max_rounds = static_cast<ccd::Round>(rounds);
+      ok = value(grid.base.max_rounds);
     } else if (flag == "--sync-rho") {
-      const char* v = next();
-      ok = v && parse_double_flag(v, "sync-rho", grid.base.sync_rho);
+      ok = value(grid.base.sync_rho);
     } else if (flag == "--sync-round-length") {
-      const char* v = next();
-      ok = v && parse_double_flag(v, "sync-round-length",
-                                  grid.base.sync_round_length);
+      ok = value(grid.base.sync_round_length);
     } else if (flag == "--rerun-cell") {
-      const char* v = next();
-      std::uint64_t cell = 0;
-      ok = v && parse_u64_flag(v, "rerun-cell", cell);
-      if (ok) cli.rerun_cell = static_cast<std::size_t>(cell);
+      std::size_t cell = 0;
+      ok = value(cell);
+      if (ok) cli.rerun_cell = cell;
     } else if (flag == "--threads") {
-      const char* v = next();
-      std::uint64_t t = 0;
-      ok = v && parse_u64_flag(v, "threads", t) && t <= 4096;
-      if (ok) cli.threads = static_cast<unsigned>(t);
+      ok = value(cli.threads) && cli.threads <= 4096;
     } else if (flag == "--quiet") {
       cli.quiet = true;
     } else if (flag == "--workers") {
-      const char* v = next();
-      std::uint64_t w = 0;
-      ok = v && parse_u64_flag(v, "workers", w) && w >= 1 && w <= 1024;
-      if (ok) cli.workers = static_cast<std::size_t>(w);
+      ok = value(cli.workers) && cli.workers >= 1 && cli.workers <= 1024;
     } else if (flag == "--emit-shards") {
-      const char* v = next();
-      std::uint64_t k = 0;
-      ok = v && parse_u64_flag(v, "emit-shards", k) && k >= 1 && k <= 65536;
-      if (ok) cli.emit_shards = static_cast<std::size_t>(k);
+      ok = value(cli.emit_shards) && cli.emit_shards >= 1 &&
+           cli.emit_shards <= 65536;
     }
     if (!ok) return 2;
   }
