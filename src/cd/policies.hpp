@@ -22,8 +22,6 @@ class AdvicePolicy {
   /// Called only when both kNull and kCollision are legal for (r, c, t).
   virtual CdAdvice choose(Round round, ProcessId i, std::uint32_t c,
                           std::uint32_t t) = 0;
-
-  virtual const char* name() const = 0;
 };
 
 /// Report "+-" exactly when messages were lost (t < c).  This is the
@@ -33,7 +31,6 @@ class TruthfulPolicy final : public AdvicePolicy {
  public:
   CdAdvice choose(Round round, ProcessId i, std::uint32_t c,
                   std::uint32_t t) override;
-  const char* name() const override { return "truthful"; }
 };
 
 /// Suppress every report that is not forced.  Against zero/half-complete
@@ -44,7 +41,6 @@ class PreferNullPolicy final : public AdvicePolicy {
  public:
   CdAdvice choose(Round round, ProcessId i, std::uint32_t c,
                   std::uint32_t t) override;
-  const char* name() const override { return "prefer-null"; }
 };
 
 /// Report "+-" whenever legal: a maximally noisy (but class-legal)
@@ -54,7 +50,6 @@ class PreferCollisionPolicy final : public AdvicePolicy {
  public:
   CdAdvice choose(Round round, ProcessId i, std::uint32_t c,
                   std::uint32_t t) override;
-  const char* name() const override { return "prefer-collision"; }
 };
 
 /// Truthful, plus independent false positives with probability p in rounds
@@ -65,7 +60,6 @@ class SpuriousPolicy final : public AdvicePolicy {
   SpuriousPolicy(double p, Round spurious_until, std::uint64_t seed);
   CdAdvice choose(Round round, ProcessId i, std::uint32_t c,
                   std::uint32_t t) override;
-  const char* name() const override { return "spurious"; }
 
  private:
   double p_;
@@ -82,7 +76,6 @@ class FlakyMajorityPolicy final : public AdvicePolicy {
   FlakyMajorityPolicy(double q, std::uint64_t seed);
   CdAdvice choose(Round round, ProcessId i, std::uint32_t c,
                   std::uint32_t t) override;
-  const char* name() const override { return "flaky-majority"; }
 
  private:
   double q_;
@@ -95,7 +88,6 @@ class RandomLegalPolicy final : public AdvicePolicy {
   explicit RandomLegalPolicy(std::uint64_t seed);
   CdAdvice choose(Round round, ProcessId i, std::uint32_t c,
                   std::uint32_t t) override;
-  const char* name() const override { return "random-legal"; }
 
  private:
   Rng rng_;

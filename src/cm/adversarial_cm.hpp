@@ -29,7 +29,6 @@ class ScriptedCm final : public ContentionManager {
   void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return stabilization_; }
-  const char* name() const override { return "ScriptedCm"; }
 
  private:
   std::vector<std::vector<CmAdvice>> script_;
@@ -45,7 +44,6 @@ class TwoGroupMaxLs final : public ContentionManager {
   void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return k_ + 1; }
-  const char* name() const override { return "TwoGroupMaxLs"; }
 
  private:
   std::uint32_t split_;

@@ -41,8 +41,6 @@ class BackoffCm final : public ContentionManager {
   /// every round so far; kNeverRound until the lock happens.
   Round stabilized_at() const { return locked_round_; }
 
-  const char* name() const override { return "BackoffCm"; }
-
  private:
   Options opts_;
   Rng rng_;

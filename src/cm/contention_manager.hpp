@@ -48,8 +48,6 @@ class ContentionManager {
   /// manager offers no such guarantee a priori (NoCM) or when stabilization
   /// is emergent (backoff: see stabilized_at()).
   virtual Round stabilization_round() const = 0;
-
-  virtual const char* name() const = 0;
 };
 
 }  // namespace ccd

@@ -24,7 +24,6 @@ class KWakeupService final : public ContentionManager {
   void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return options_.r_wake; }
-  const char* name() const override { return "KWakeupService"; }
 
   /// First round by which every one of n processes has completed its k
   /// solo rounds (assuming no crashes).

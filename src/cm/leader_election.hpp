@@ -35,7 +35,6 @@ class LeaderElectionService final : public ContentionManager {
   void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return opts_.r_lead; }
-  const char* name() const override { return "LeaderElectionService"; }
 
   /// The currently pinned leader (valid once stabilized).
   std::uint32_t current_leader() const { return leader_; }

@@ -13,7 +13,6 @@ class NoCm final : public ContentionManager {
   void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return kNeverRound; }
-  const char* name() const override { return "NoCM"; }
 };
 
 }  // namespace ccd

@@ -41,7 +41,6 @@ class WakeupService final : public ContentionManager {
   void advise(Round round, BitView participating,
               std::vector<CmAdvice>& out) override;
   Round stabilization_round() const override { return opts_.r_wake; }
-  const char* name() const override { return "WakeupService"; }
 
  private:
   Options opts_;

@@ -53,14 +53,9 @@ class FailureAdversary {
   /// neither hook is called in any later round, so past this bound the
   /// hooks must mark nobody and draw no randomness.
   virtual Round last_crash_round() const { return 0; }
-
-  virtual const char* name() const = 0;
 };
 
-class NoFailures final : public FailureAdversary {
- public:
-  const char* name() const override { return "NoFailures"; }
-};
+class NoFailures final : public FailureAdversary {};
 
 /// Deterministic crash schedule; the workhorse for worst-case scenarios
 /// such as Theorem 3's "lead everyone to a leaf, then die".
@@ -73,7 +68,6 @@ class ScheduledCrash final : public FailureAdversary {
   void crash_after_send(Round round, BitView alive,
                         std::span<std::uint64_t> crash) override;
   Round last_crash_round() const override { return last_round_; }
-  const char* name() const override { return "ScheduledCrash"; }
 
  private:
   void mark(Round round, CrashPoint point, BitView alive,
@@ -100,7 +94,6 @@ class RandomCrash final : public FailureAdversary {
   void crash_before_send(Round round, BitView alive,
                          std::span<std::uint64_t> crash) override;
   Round last_crash_round() const override { return opts_.stop_after; }
-  const char* name() const override { return "RandomCrash"; }
 
  private:
   Options opts_;

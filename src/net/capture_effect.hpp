@@ -29,7 +29,6 @@ class CaptureEffectLoss final : public LossAdversary {
   void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return opts_.r_cf; }
-  const char* name() const override { return "CaptureEffectLoss"; }
 
  private:
   Options opts_;

@@ -40,7 +40,6 @@ class EcfAdversary final : public LossAdversary {
   void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return opts_.r_cf; }
-  const char* name() const override { return "EcfAdversary"; }
 
  private:
   Options opts_;

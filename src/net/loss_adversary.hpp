@@ -80,8 +80,6 @@ class LossAdversary {
   /// entirely without observable effect.  Only NoLoss qualifies; any
   /// adversary with an RNG or history must return false.
   virtual bool always_delivers() const { return false; }
-
-  virtual const char* name() const = 0;
 };
 
 }  // namespace ccd

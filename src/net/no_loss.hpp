@@ -13,7 +13,6 @@ class NoLoss final : public LossAdversary {
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return 1; }
   bool always_delivers() const override { return true; }
-  const char* name() const override { return "NoLoss"; }
 };
 
 }  // namespace ccd

@@ -30,7 +30,6 @@ class PartitionAdversary final : public LossAdversary {
 
   /// ECF holds iff the partition eventually heals.
   Round r_cf() const override { return opts_.heal_round; }
-  const char* name() const override { return "PartitionAdversary"; }
 
  private:
   void deliver_within_group(std::size_t lo, std::size_t hi, BitView sent,

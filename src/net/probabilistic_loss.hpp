@@ -22,7 +22,6 @@ class ProbabilisticLoss final : public LossAdversary {
   void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return opts_.r_cf; }
-  const char* name() const override { return "ProbabilisticLoss"; }
 
  private:
   Options opts_;

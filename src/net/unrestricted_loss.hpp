@@ -28,7 +28,6 @@ class UnrestrictedLoss final : public LossAdversary {
   void decide_delivery(Round round, BitView sent,
                        DeliveryMatrix& out) override;
   Round r_cf() const override { return kNeverRound; }
-  const char* name() const override { return "UnrestrictedLoss"; }
 
  private:
   Options opts_;

@@ -186,7 +186,6 @@ class RecordingPolicy final : public AdvicePolicy {
     asked_->push_back(i);
     return CdAdvice::kNull;
   }
-  const char* name() const override { return "recording"; }
 
  private:
   std::vector<ProcessId>* asked_;

@@ -30,7 +30,6 @@ class ScriptedDropLoss final : public LossAdversary {
     }
   }
   Round r_cf() const override { return r_cf_; }
-  const char* name() const override { return "ScriptedDropLoss"; }
 
  private:
   std::vector<Drop> drops_;
