@@ -107,19 +107,34 @@ std::vector<CrashEvent> kill_after_round2(
 void append_spec_json(std::string& out, const ScenarioSpec& spec,
                       std::uint64_t seed) {
   out += '{';
-  auto put = [&](const char* key, const auto& value) {
+  auto str = [&](const char* key, const char* value) {
     out += '"';
     out += key;
+    out += "\":\"";
+    out += value;
+    out += "\",";
+  };
+  auto key = [&](const char* name) {
+    out += '"';
+    out += name;
     out += "\":";
-    Codec<std::remove_cvref_t<decltype(value)>>::append(out, value);
+  };
+  auto uint = [&](const char* name, std::uint64_t value) {
+    key(name);
+    numfmt::append_int(out, value);
     out += ',';
   };
-  put("alg", spec.alg);
-  put("detector", spec.detector);
-  put("policy", spec.policy);
-  put("cm", spec.cm);
-  put("loss", spec.loss);
-  put("fault", spec.fault);
+  auto real = [&](const char* name, double value) {
+    key(name);
+    numfmt::append_shortest(out, value);
+    out += ',';
+  };
+  str("alg", to_string(spec.alg));
+  str("detector", to_string(spec.detector));
+  str("policy", to_string(spec.policy));
+  str("cm", to_string(spec.cm));
+  str("loss", to_string(spec.loss));
+  str("fault", to_string(spec.fault));
   // The schedule members are omitted when empty so pre-existing specs (and
   // their cell keys) keep their exact bytes.
   if (!spec.crash_schedule.empty()) {
@@ -137,31 +152,31 @@ void append_spec_json(std::string& out, const ScenarioSpec& spec,
     out += ',';
   }
   if (!spec.crash_schedule_name.empty()) {
-    put("crash_schedule_name", spec.crash_schedule_name);
+    str("crash_schedule_name", spec.crash_schedule_name.c_str());
   }
-  put("init", spec.init);
-  put("chaos", spec.chaos);
-  put("topology", spec.topology);
-  put("workload", spec.workload);
-  put("n", spec.n);
-  put("num_values", spec.num_values);
-  put("cst_target", spec.cst_target);
-  put("p_deliver", spec.p_deliver);
-  put("spurious_p", spec.spurious_p);
-  put("crash_p", spec.crash_p);
-  put("density", spec.density);
+  str("init", to_string(spec.init));
+  str("chaos", to_string(spec.chaos));
+  str("topology", to_string(spec.topology));
+  str("workload", to_string(spec.workload));
+  uint("n", spec.n);
+  uint("num_values", spec.num_values);
+  uint("cst_target", spec.cst_target);
+  real("p_deliver", spec.p_deliver);
+  real("spurious_p", spec.spurious_p);
+  real("crash_p", spec.crash_p);
+  real("density", spec.density);
   // Later-PR knobs are omitted at their defaults so pre-existing specs
   // (and their cell keys) keep their exact bytes -- the same contract as
   // the crash-schedule members above.
-  if (spec.id_space != 0) put("id_space", spec.id_space);
+  if (spec.id_space != 0) uint("id_space", spec.id_space);
   if (spec.sync_rho != ScenarioSpec::kDefaultSyncRho) {
-    put("sync_rho", spec.sync_rho);
+    real("sync_rho", spec.sync_rho);
   }
   if (spec.sync_round_length != ScenarioSpec::kDefaultSyncRoundLength) {
-    put("sync_round_length", spec.sync_round_length);
+    real("sync_round_length", spec.sync_round_length);
   }
-  put("max_rounds", spec.max_rounds);
-  put("seed", seed);
+  uint("max_rounds", spec.max_rounds);
+  uint("seed", seed);
   out.back() = '}';
 }
 

@@ -486,7 +486,7 @@ struct Codec<std::string> {
     return std::string(s);
   }
   static void append(std::string& out, const std::string& value) {
-    jsonu::append_quoted(out, value);
+    out += jsonu::quote(value);
   }
   static std::string expected() {
     return "one of " + join_names(crash_schedule_generators(), ", ");

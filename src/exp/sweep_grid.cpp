@@ -1,7 +1,9 @@
 #include "exp/sweep_grid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <type_traits>
+#include <utility>
 
 #include "util/flat_json.hpp"
 #include "util/numfmt.hpp"
@@ -25,21 +27,25 @@ std::size_t SweepGrid::num_cells() const {
 }
 
 ScenarioSpec SweepGrid::spec_for_cell(std::size_t cell_index) const {
-  // Digit d of the cell index is the value position on the axis whose
-  // digit is d; an empty axis has radix 1 and keeps the base value.
-  std::size_t stride[kNumAxes + 1] = {1};
-  for_each_axis([&](const auto& axis) {
-    stride[axis.digit + 1] = radix(this->*axis.values);
-  });
-  for (std::size_t d = 1; d <= kNumAxes; ++d) stride[d] *= stride[d - 1];
-
+  // Peel the mixed-radix digits innermost first, one division per axis.
+  // An empty axis has radix 1 and keeps the base value.
   ScenarioSpec spec = base;
-  for_each_axis([&](const auto& axis) {
+  auto peel = [&](const auto& axis) {
     const auto& values = this->*axis.values;
     if (values.empty()) return;
-    spec.*axis.field =
-        values[cell_index / stride[axis.digit] % values.size()];
-  });
+    spec.*axis.field = values[cell_index % values.size()];
+    cell_index /= values.size();
+  };
+  // by_digit[d]: the position in kAxes of the axis whose digit is d.
+  static constexpr auto by_digit = [] {
+    std::array<std::size_t, kNumAxes> order{};
+    std::size_t i = 0;
+    for_each_axis([&](const auto& axis) { order[axis.digit] = i++; });
+    return order;
+  }();
+  [&]<std::size_t... D>(std::index_sequence<D...>) {
+    (peel(std::get<by_digit[D]>(kAxes)), ...);
+  }(std::make_index_sequence<kNumAxes>{});
   spec.seed = 0;
   return spec;
 }

@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "exp/scenario_spec.hpp"
@@ -116,45 +117,47 @@ struct Axis {
 /// do not reorder them or change a digit.  The two orders differ: the
 /// multihop axes took the outermost digits so that older grids keep their
 /// cell numbering, and `densities` is the digit inside `topologies`.
-template <typename Visit>
-constexpr void for_each_axis(Visit&& visit) {
+inline constexpr auto kAxes = [] {
   using S = ScenarioSpec;
   using G = SweepGrid;
-  visit(Axis<AlgKind>{"algs", "--algs", "", &G::algs, &S::alg, 8});
-  visit(Axis<DetectorKind>{"detectors", "--detectors", "", &G::detectors,
-                           &S::detector, 7});
-  visit(Axis<PolicyKind>{"policies", "--policies", "", &G::policies,
-                         &S::policy, 6});
-  visit(Axis<CmKind>{"cms", "--cms", "", &G::cms, &S::cm, 5});
-  visit(Axis<LossKind>{"losses", "--losses", "", &G::losses, &S::loss, 4});
-  visit(Axis<FaultKind>{"faults", "--faults", "", &G::faults, &S::fault, 3});
-  visit(Axis<std::uint32_t>{"ns", "--n", "process counts, e.g. 4,8,16",
-                            &G::ns, &S::n, 2});
-  visit(Axis<std::uint64_t>{"value_spaces", "--values",
-                            "|V| per cell, e.g. 16,256", &G::value_spaces,
-                            &S::num_values, 1});
-  visit(Axis<Round>{"csts", "--csts", "CST targets, e.g. 5,20", &G::csts,
-                    &S::cst_target, 0});
-  visit(Axis<TopologyKind>{"topologies", "--topologies", "", &G::topologies,
-                           &S::topology, 10});
-  visit(Axis<double>{"densities", "--densities",
-                     "rgg density factors (1.0 = connectivity threshold; "
-                     "floor 2.0), e.g. 2,3; inert for other topologies",
-                     &G::densities, &S::density, 9});
-  visit(Axis<WorkloadKind>{"workloads", "--workloads", "", &G::workloads,
-                           &S::workload, 11});
-  visit(Axis<std::string>{"crash_schedules", "--crash-schedules",
-                          "named crash-schedule generators for "
-                          "fault=scheduled cells:",
-                          &G::crash_schedules, &S::crash_schedule_name, 12});
+  return std::tuple{
+      Axis<AlgKind>{"algs", "--algs", "", &G::algs, &S::alg, 8},
+      Axis<DetectorKind>{"detectors", "--detectors", "", &G::detectors,
+                         &S::detector, 7},
+      Axis<PolicyKind>{"policies", "--policies", "", &G::policies,
+                       &S::policy, 6},
+      Axis<CmKind>{"cms", "--cms", "", &G::cms, &S::cm, 5},
+      Axis<LossKind>{"losses", "--losses", "", &G::losses, &S::loss, 4},
+      Axis<FaultKind>{"faults", "--faults", "", &G::faults, &S::fault, 3},
+      Axis<std::uint32_t>{"ns", "--n", "process counts, e.g. 4,8,16", &G::ns,
+                          &S::n, 2},
+      Axis<std::uint64_t>{"value_spaces", "--values",
+                          "|V| per cell, e.g. 16,256", &G::value_spaces,
+                          &S::num_values, 1},
+      Axis<Round>{"csts", "--csts", "CST targets, e.g. 5,20", &G::csts,
+                  &S::cst_target, 0},
+      Axis<TopologyKind>{"topologies", "--topologies", "", &G::topologies,
+                         &S::topology, 10},
+      Axis<double>{"densities", "--densities",
+                   "rgg density factors (1.0 = connectivity threshold; "
+                   "floor 2.0), e.g. 2,3; inert for other topologies",
+                   &G::densities, &S::density, 9},
+      Axis<WorkloadKind>{"workloads", "--workloads", "", &G::workloads,
+                         &S::workload, 11},
+      Axis<std::string>{"crash_schedules", "--crash-schedules",
+                        "named crash-schedule generators for "
+                        "fault=scheduled cells:",
+                        &G::crash_schedules, &S::crash_schedule_name, 12}};
+}();
+
+/// Visit every axis in grid-JSON order.
+template <typename Visit>
+constexpr void for_each_axis(Visit&& visit) {
+  std::apply([&](const auto&... axis) { (visit(axis), ...); }, kAxes);
 }
 
-/// How many axes for_each_axis lists; their digits are 0..kNumAxes-1.
-inline constexpr unsigned kNumAxes = [] {
-  unsigned n = 0;
-  for_each_axis([&](const auto&) { ++n; });
-  return n;
-}();
+/// How many axes kAxes lists; their digits are 0..kNumAxes-1.
+inline constexpr std::size_t kNumAxes = std::tuple_size_v<decltype(kAxes)>;
 static_assert(
     [] {
       std::uint32_t digits = 0;

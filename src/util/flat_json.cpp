@@ -272,18 +272,13 @@ void append_double_array(std::string& out, const std::vector<double>& xs) {
   out += ']';
 }
 
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
+std::string quote(const std::string& s) {
+  std::string out = "\"";
   for (char c : s) {
     if (c == '"' || c == '\\') out += '\\';
     out += c;
   }
-  out += '"';
-}
-
-std::string quote(const std::string& s) {
-  std::string out;
-  append_quoted(out, s);
+  out += "\"";
   return out;
 }
 

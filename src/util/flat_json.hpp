@@ -125,7 +125,5 @@ void append_double_array(std::string& out, const std::vector<double>& xs);
 /// (file paths never go through here; schedule names and enum tokens are
 /// already escape-free, but defend anyway).
 std::string quote(const std::string& s);
-/// quote(s) appended to `out` in place.
-void append_quoted(std::string& out, std::string_view s);
 
 }  // namespace ccd::jsonu
