@@ -33,6 +33,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -41,11 +42,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -68,8 +70,8 @@ using namespace ccd;
 using namespace ccd::exp;
 namespace fs = std::filesystem;
 
-/// One --help entry: `lead`, then `text` from column 23, wrapped before
-/// column 80 at spaces and after commas.
+/// Print one --help entry: `line` (the flag part), then `text` from column
+/// 23, wrapped before column 80 at spaces and after commas.
 void print_entry(std::FILE* out, std::string line, std::string_view text) {
   constexpr std::size_t kIndent = 23, kWidth = 79;
   line.resize(std::max(line.size() + 1, kIndent), ' ');
