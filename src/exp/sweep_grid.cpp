@@ -260,8 +260,8 @@ std::optional<SweepGrid> SweepGrid::from_json(std::string_view json,
   auto flat = jsonu::FlatJson::parse(json);
   if (!flat) return fail("grid is not a flat JSON object");
 
-  for (const auto& [key, value] : flat->members) {
-    (void)value;
+  for (const jsonu::FlatJson::Member& member : flat->members) {
+    const std::string_view key = member.key;
     bool known = key == "grid_seed" || key == "seeds_per_cell" ||
                  key == "base";
     for_each_axis([&](const auto& axis) { known = known || key == axis.key; });
