@@ -25,6 +25,8 @@
 #include <string>
 
 #include "exp/aggregator.hpp"
+#include "exp/shard/shard_plan.hpp"
+#include "exp/shard/shard_report.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
 #include "obs/perf_sidecar.hpp"
@@ -110,6 +112,36 @@ TEST(GoldenReports, EngineReproducesPreRefactorReportsByteIdentically) {
           << " (lanes=" << lanes << ")";
     }
   }
+}
+
+TEST(GoldenReports, SyncAndMultihopCellsRenderFrozenBytes) {
+  // The named grids hold no round-sync cell, so their hashes never see a
+  // "sync" block; this grid has one next to flood and mis-then-consensus
+  // cells under random crashes (the "mh" block and the consensus counters
+  // of a two-phase cell), in every format that renders a cell.
+  SweepGrid grid;
+  grid.workloads = {WorkloadKind::kFlood, WorkloadKind::kMisThenConsensus,
+                    WorkloadKind::kRoundSync};
+  grid.topologies = {TopologyKind::kRing};
+  grid.faults = {FaultKind::kRandomCrash};
+  grid.ns = {8};
+  grid.seeds_per_cell = 3;
+  ASSERT_FALSE(grid.validate().has_value());
+  SweepOptions options;
+  options.threads = 2;
+  const auto cells = aggregate(grid, run_sweep(grid, options));
+  ASSERT_EQ(cells.size(), 3u);
+  EXPECT_GT(cells[0].mh_runs, 0u);
+  EXPECT_GT(cells[1].mh_crashes_applied + cells[0].mh_crashes_applied, 0u);
+  EXPECT_GT(cells[2].sync_runs, 0u);
+  const ShardReport report{ShardPlanner::plan(grid, 1)[0], cells};
+  const std::string json = aggregates_to_json(grid, cells);
+  EXPECT_NE(json.find("\"sync\":{"), std::string::npos);
+  EXPECT_EQ(fnv1a(json), 0xdd2ab033854f2804ull) << "report JSON";
+  EXPECT_EQ(fnv1a(cells_to_dist_json(grid, cells)), 0xc817ab159ac775b3ull)
+      << "dist";
+  EXPECT_EQ(fnv1a(report.to_json()), 0xfc6957c200adc7e4ull)
+      << "shard report";
 }
 
 TEST(GoldenReports, TelemetryNeverPerturbsReportBytes) {

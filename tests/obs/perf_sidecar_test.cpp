@@ -1,12 +1,14 @@
 // Perf sidecar tests: build from spans, JSON round-trip, K-shard merge
-// (counter sums exact, disjoint cell union, fingerprint guard), and the
-// Chrome trace export's required keys.
+// (counter sums exact, disjoint cell union, fingerprint guard), frozen
+// sidecar bytes and inspector text, the keyed error of each malformed
+// member, and the Chrome trace export's required keys.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/perf_sidecar.hpp"
+#include "obs/report_inspect.hpp"
 
 namespace ccd::obs {
 namespace {
@@ -85,6 +87,131 @@ TEST(PerfSidecarTest, FromJsonRejectsGarbageWithKeyedErrors) {
   EXPECT_FALSE(
       PerfSidecar::from_json("{\"format\":\"ccd-perf-sidecar-v9\"}", &error));
   EXPECT_NE(error.find("format"), std::string::npos);
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Every member distinct, so a swapped or dropped key changes the bytes;
+/// the extremes of both member widths included.
+PerfSidecar fixed_sidecar() {
+  PerfSidecar s;
+  s.grid_fingerprint = 0x0123456789abcdefull;
+  s.runs = 1001;
+  s.stats_bytes_retained = 1002;
+  s.counters.rounds = 11;
+  s.counters.messages_sent = 12;
+  s.counters.messages_delivered = 13;
+  s.counters.collisions = 14;
+  s.counters.crashes_before_send = 15;
+  s.counters.crashes_after_send = 16;
+  s.counters.cm_advice_calls = 17;
+  s.counters.cd_advice_calls = 18446744073709551615ull;
+  s.shards.push_back({0, 2, 2001, 2002, 2, 2003,
+                      {{0, 2101, 2102}, {4294967295u, 2111, 2112}}});
+  s.shards.push_back({1, 2, 2201, 2202, 1, 2203, {{0, 2301, 2302}}});
+  s.cells.push_back({0, 3, 3001, 3002, 3003, 3004, 3005});
+  s.cells.push_back({5, 4, 18446744073709551615ull, 3102, 3103, 3104, 3105});
+  PerfDispatch d{2, 4001, 4002, 4003, 4004, 4005, 4006, {}};
+  d.slots.push_back({0, 4101, 4102, 4103, 4104, 4105});
+  d.slots.push_back({1, 4201, 4202, 4203, 4204, 4205});
+  s.dispatch = d;
+  return s;
+}
+
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(PerfSidecarTest, BytesAndInspectorTextAreFrozen) {
+  const std::string json = fixed_sidecar().to_json();
+  EXPECT_EQ(fnv1a(json), 0x0279c42c5dc478e1ull) << json;
+  auto parsed = PerfSidecar::from_json(json);
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(parsed->to_json(), json);
+  std::string out, error;
+  ASSERT_TRUE(render_report(json, {}, &out, &error)) << error;
+  EXPECT_EQ(fnv1a(out), 0xc969106414ac14d2ull) << out;
+}
+
+TEST(PerfSidecarTest, EveryMalformedMemberHasItsKeyedError) {
+  const std::string valid = fixed_sidecar().to_json();
+  struct Case {
+    std::string from, to, error;
+  };
+  const Case cases[] = {
+      // top level
+      {"\"runs\":1001,", "", "perf sidecar missing key 'runs'"},
+      {"\"runs\":1001", "\"runs\":-1",
+       "bad value '-1' for key 'runs' in perf sidecar"},
+      {"\"stats_bytes_retained\":1002", "\"stats_bytes_retained\":1e3",
+       "bad value '1e3' for key 'stats_bytes_retained' in perf sidecar"},
+      {"\"grid_fingerprint\":\"0123456789abcdef\",", "",
+       "missing key 'grid_fingerprint'"},
+      {"0123456789abcdef", "0123", "bad value '0123' for key "
+                                   "'grid_fingerprint'"},
+      // counters
+      {"\"collisions\":14,", "", "'counters' missing key 'collisions'"},
+      {"\"collisions\":14", "\"collisions\":1.5",
+       "bad value '1.5' for key 'collisions' in 'counters'"},
+      {"\"cd_advice_calls\":18446744073709551615",
+       "\"cd_advice_calls\":18446744073709551616",
+       "bad value '18446744073709551616' for key 'cd_advice_calls' in "
+       "'counters'"},
+      // shards[i]
+      {"\"drain_ns\":2202,", "", "shards[1] missing key 'drain_ns'"},
+      {"\"threads\":1,", "\"threads\":4294967296,",
+       "bad value '4294967296' for key 'threads' in shards[1]"},
+      {"\"shard_index\":0,", "\"shard_index\":\"x\",",
+       "bad value 'x' for key 'shard_index' in shards[0]"},
+      // shards[i].workers[j]
+      {"\"busy_ns\":2111,", "", "shards[0].workers[1] missing key 'busy_ns'"},
+      {"\"worker\":4294967295", "\"worker\":4294967296",
+       "bad value '4294967296' for key 'worker' in shards[0].workers[1]"},
+      {"\"runs\":2302", "\"runs\":-2302",
+       "bad value '-2302' for key 'runs' in shards[1].workers[0]"},
+      // cells[i]
+      {",\"p95_ns\":3105", "", "cells[1] missing key 'p95_ns'"},
+      {"\"cell\":5,", "\"cell\":+5,",
+       "bad value '+5' for key 'cell' in cells[1]"},
+      // dispatch
+      {"\"steals\":4002,", "", "'dispatch' missing key 'steals'"},
+      {"\"wall_ns\":4006", "\"wall_ns\":\"\"",
+       "bad value '' for key 'wall_ns' in 'dispatch'"},
+      // dispatch.slots[i]
+      {",\"restarts\":4205", "", "dispatch.slots[1] missing key 'restarts'"},
+      {"\"busy_permille\":4104", "\"busy_permille\":-4104",
+       "bad value '-4104' for key 'busy_permille' in dispatch.slots[0]"},
+      // structure: a member that is not the kind it must be
+      {"\"counters\":{", "\"counters\":\"x\",\"y\":{",
+       "'counters' is not a flat JSON object"},
+      {"\"shards\":[", "\"shards\":\"x\",\"y\":[",
+       "'shards' is not a JSON array"},
+      {"\"workers\":[{\"worker\":0,\"busy_ns\":2301",
+       "\"workers\":[\"x\",{\"worker\":0,\"busy_ns\":2301",
+       "shards[1].workers[0] is not a flat JSON object"},
+      {"],\"cells\":[", "],\"cellz\":[", "missing key 'cells'"},
+      {"\"dispatch\":{", "\"dispatch\":\"x\",\"y\":{",
+       "'dispatch' is not a flat JSON object"},
+      {"\"slots\":[", "\"slotz\":[", "'dispatch' missing key 'slots'"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_FALSE(PerfSidecar::from_json(replaced(valid, c.from, c.to),
+                                        &error))
+        << c.from << " -> " << c.to;
+    EXPECT_EQ(error, c.error) << c.from << " -> " << c.to;
+  }
 }
 
 TEST(PerfSidecarTest, MergeSumsCountersAndUnionsCells) {
