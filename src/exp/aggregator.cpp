@@ -18,13 +18,7 @@ void append_fixed4(std::string& out, double d) {
 
 std::string fixed4(double d) { return numfmt::fixed(d, 4); }
 
-/// Append `,"key":value` for an integer member.
-void append_member(std::string& out, const char* key, std::uint64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  numfmt::append_int(out, value);
-}
+using jsonu::append_member;
 
 void append_summary_json(std::string& out, const char* key, const Stats& s) {
   out += ",\"";
@@ -49,6 +43,31 @@ void append_summary_json(std::string& out, const char* key, const Stats& s) {
   out += '}';
 }
 
+/// `group`'s counters, then its summaries, as `,"report_key":...` members,
+/// wrapped in `,"block":{...}` when `block` is set.
+void append_group(std::string& out, const CellAggregate& cell,
+                  CellGroup group, const char* block = nullptr) {
+  std::size_t open = 0;
+  if (block) {
+    out += ",\"";
+    out += block;
+    out += "\":";
+    open = out.size();
+  }
+  for (const CellCounterField& f : kCellCounterFields) {
+    if (f.group == group) append_member(out, f.report_key, cell.*(f.member));
+  }
+  for (const CellStatsField& f : kCellStatsFields) {
+    if (f.group == group) {
+      append_summary_json(out, f.report_key, cell.*(f.member));
+    }
+  }
+  if (block) {
+    out[open] = '{';
+    out += '}';
+  }
+}
+
 // (append-style throughout: chained std::string operator+ trips a GCC 12
 // -Wrestrict false positive in optimized builds)
 void append_summary_csv(std::string& out, const Stats& s) {
@@ -69,29 +88,10 @@ void append_summary_csv(std::string& out, const Stats& s) {
 
 }  // namespace
 
-const std::vector<CellStatsField>& cell_stats_fields() {
-  static const std::vector<CellStatsField> kFields = {
-      {"decision_round", &CellAggregate::decision_round},
-      {"rounds_after_cst", &CellAggregate::rounds_after_cst},
-      {"rounds_executed", &CellAggregate::rounds_executed},
-      {"surviving_fraction", &CellAggregate::surviving_fraction},
-      {"coverage_rounds", &CellAggregate::coverage_rounds},
-      {"coverage_fraction", &CellAggregate::coverage_fraction},
-      {"mis_size", &CellAggregate::mis_size},
-      {"mis_settle_round", &CellAggregate::mis_settle_round},
-      {"messages_per_node", &CellAggregate::messages_per_node},
-      {"diameter", &CellAggregate::diameter},
-      {"sync_skew_us", &CellAggregate::sync_skew_us},
-      {"sync_bound_us", &CellAggregate::sync_bound_us},
-      {"sync_agreement", &CellAggregate::sync_agreement},
-  };
-  return kFields;
-}
-
 std::uint64_t stats_bytes_retained(const std::vector<CellAggregate>& cells) {
   std::uint64_t bytes = 0;
   for (const CellAggregate& cell : cells) {
-    for (const CellStatsField& f : cell_stats_fields()) {
+    for (const CellStatsField& f : kCellStatsFields) {
       bytes += (cell.*(f.member)).bytes_retained();
     }
   }
@@ -117,7 +117,7 @@ std::string cells_to_dist_json(const SweepGrid& grid,
     append_member(out, "runs", cell.runs);
     out += ",\"metrics\":{";
     bool first = true;
-    for (const CellStatsField& f : cell_stats_fields()) {
+    for (const CellStatsField& f : kCellStatsFields) {
       const Stats& s = cell.*(f.member);
       if (s.empty()) continue;
       if (!first) out += ',';
@@ -213,33 +213,12 @@ void accumulate_run(CellAggregate& cell, const RunRecord& r) {
 }
 
 void merge_cell_aggregate(CellAggregate& dst, const CellAggregate& src) {
-  dst.runs += src.runs;
-  dst.solved += src.solved;
-  dst.agreement_failures += src.agreement_failures;
-  dst.validity_failures += src.validity_failures;
-  dst.termination_failures += src.termination_failures;
-  dst.crashed_processes += src.crashed_processes;
-  dst.mh_runs += src.mh_runs;
-  dst.disconnected += src.disconnected;
-  dst.full_coverage += src.full_coverage;
-  dst.mis_violations += src.mis_violations;
-  dst.mh_crashes_applied += src.mh_crashes_applied;
-  dst.phase2_skipped += src.phase2_skipped;
-  dst.decision_round.merge_from(src.decision_round);
-  dst.rounds_after_cst.merge_from(src.rounds_after_cst);
-  dst.rounds_executed.merge_from(src.rounds_executed);
-  dst.surviving_fraction.merge_from(src.surviving_fraction);
-  dst.coverage_rounds.merge_from(src.coverage_rounds);
-  dst.coverage_fraction.merge_from(src.coverage_fraction);
-  dst.mis_size.merge_from(src.mis_size);
-  dst.mis_settle_round.merge_from(src.mis_settle_round);
-  dst.messages_per_node.merge_from(src.messages_per_node);
-  dst.diameter.merge_from(src.diameter);
-  dst.sync_runs += src.sync_runs;
-  dst.sync_bound_violations += src.sync_bound_violations;
-  dst.sync_skew_us.merge_from(src.sync_skew_us);
-  dst.sync_bound_us.merge_from(src.sync_bound_us);
-  dst.sync_agreement.merge_from(src.sync_agreement);
+  for (const CellCounterField& f : kCellCounterFields) {
+    dst.*(f.member) += src.*(f.member);
+  }
+  for (const CellStatsField& f : kCellStatsFields) {
+    (dst.*(f.member)).merge_from(src.*(f.member));
+  }
 }
 
 std::vector<CellAggregate> aggregate(const SweepGrid& grid,
@@ -268,41 +247,9 @@ std::string aggregates_to_json(const SweepGrid& grid,
     numfmt::append_int(out, cell.cell_index);
     out += ",\"spec\":";
     cell.spec.append_cell_key(out);
-    append_member(out, "runs", cell.runs);
-    append_member(out, "solved", cell.solved);
-    append_member(out, "agreement_failures", cell.agreement_failures);
-    append_member(out, "validity_failures", cell.validity_failures);
-    append_member(out, "termination_failures", cell.termination_failures);
-    append_member(out, "crashed_processes", cell.crashed_processes);
-    append_summary_json(out, "decision_round", cell.decision_round);
-    append_summary_json(out, "rounds_after_cst", cell.rounds_after_cst);
-    append_summary_json(out, "rounds_executed", cell.rounds_executed);
-    if (cell.mh_runs > 0) {
-      out += ",\"mh\":{\"runs\":";
-      numfmt::append_int(out, cell.mh_runs);
-      append_member(out, "disconnected", cell.disconnected);
-      append_member(out, "full_coverage", cell.full_coverage);
-      append_member(out, "mis_violations", cell.mis_violations);
-      append_member(out, "crashes_applied", cell.mh_crashes_applied);
-      append_member(out, "phase2_skipped", cell.phase2_skipped);
-      append_summary_json(out, "surviving_fraction", cell.surviving_fraction);
-      append_summary_json(out, "coverage_rounds", cell.coverage_rounds);
-      append_summary_json(out, "coverage_fraction", cell.coverage_fraction);
-      append_summary_json(out, "mis_size", cell.mis_size);
-      append_summary_json(out, "mis_settle_round", cell.mis_settle_round);
-      append_summary_json(out, "messages_per_node", cell.messages_per_node);
-      append_summary_json(out, "diameter", cell.diameter);
-      out += '}';
-    }
-    if (cell.sync_runs > 0) {
-      out += ",\"sync\":{\"runs\":";
-      numfmt::append_int(out, cell.sync_runs);
-      append_member(out, "bound_violations", cell.sync_bound_violations);
-      append_summary_json(out, "skew_us", cell.sync_skew_us);
-      append_summary_json(out, "bound_us", cell.sync_bound_us);
-      append_summary_json(out, "agreement", cell.sync_agreement);
-      out += '}';
-    }
+    append_group(out, cell, CellGroup::kTop);
+    if (cell.mh_runs > 0) append_group(out, cell, CellGroup::kMh, "mh");
+    if (cell.sync_runs > 0) append_group(out, cell, CellGroup::kSync, "sync");
     out += '}';
   }
   out += "]}";
@@ -379,55 +326,46 @@ void print_summary(std::ostream& os, const SweepGrid& grid,
     return cell.spec.workload == WorkloadKind::kConsensus ||
            cell.spec.workload == WorkloadKind::kMisThenConsensus;
   };
-  std::size_t runs = 0, consensus_runs = 0, solved = 0, agreement = 0,
-              validity = 0, termination = 0;
-  std::size_t mh_runs = 0, flood_runs = 0, full_coverage = 0,
-              mis_violations = 0, disconnected = 0, crashes = 0,
-              phase2_skipped = 0;
-  std::size_t sync_runs = 0, sync_violations = 0;
+  // Every counter summed over the cells.  Verdicts are only counted in
+  // consensus-phase cells and full_coverage only in flood cells, so their
+  // sums are those cells' totals.
+  CellAggregate total;
+  std::size_t consensus_runs = 0, flood_runs = 0;
   for (const CellAggregate& cell : cells) {
-    runs += cell.runs;
-    sync_runs += cell.sync_runs;
-    sync_violations += cell.sync_bound_violations;
-    if (consensus_phase(cell)) {
-      consensus_runs += cell.runs;
-      solved += cell.solved;
-      agreement += cell.agreement_failures;
-      validity += cell.validity_failures;
-      termination += cell.termination_failures;
+    for (const CellCounterField& f : kCellCounterFields) {
+      total.*(f.member) += cell.*(f.member);
     }
-    mh_runs += cell.mh_runs;
-    if (cell.spec.workload == WorkloadKind::kFlood) {
-      flood_runs += cell.mh_runs;
-      full_coverage += cell.full_coverage;
-    }
-    mis_violations += cell.mis_violations;
-    disconnected += cell.disconnected;
-    crashes += cell.mh_crashes_applied;
-    phase2_skipped += cell.phase2_skipped;
+    if (consensus_phase(cell)) consensus_runs += cell.runs;
+    if (cell.spec.workload == WorkloadKind::kFlood) flood_runs += cell.mh_runs;
   }
   os << "grid: " << cells.size() << " cells x " << grid.seeds_per_cell
-     << " seeds = " << runs << " runs (grid_seed " << grid.grid_seed
+     << " seeds = " << total.runs << " runs (grid_seed " << grid.grid_seed
      << ")\n";
   if (consensus_runs > 0) {
-    os << "solved " << solved << "/" << consensus_runs
-       << "; failures: agreement " << agreement << ", validity " << validity
-       << ", termination " << termination << "\n";
+    os << "solved " << total.solved << "/" << consensus_runs
+       << "; failures: agreement " << total.agreement_failures
+       << ", validity " << total.validity_failures << ", termination "
+       << total.termination_failures << "\n";
   }
-  if (mh_runs > 0) {
-    os << "multihop: " << mh_runs << " runs";
+  if (total.mh_runs > 0) {
+    os << "multihop: " << total.mh_runs << " runs";
     if (flood_runs > 0) {
-      os << ", full coverage " << full_coverage << "/" << flood_runs;
+      os << ", full coverage " << total.full_coverage << "/" << flood_runs;
     }
-    os << ", MIS violations " << mis_violations << ", disconnected "
-       << disconnected;
-    if (crashes > 0) os << ", crashes applied " << crashes;
-    if (phase2_skipped > 0) os << ", phase-2 skipped " << phase2_skipped;
+    os << ", MIS violations " << total.mis_violations << ", disconnected "
+       << total.disconnected;
+    if (total.mh_crashes_applied > 0) {
+      os << ", crashes applied " << total.mh_crashes_applied;
+    }
+    if (total.phase2_skipped > 0) {
+      os << ", phase-2 skipped " << total.phase2_skipped;
+    }
     os << "\n";
   }
-  if (sync_runs > 0) {
-    os << "round-sync: " << sync_runs << " runs, skew-bound violations "
-       << sync_violations << "\n";
+  if (total.sync_runs > 0) {
+    os << "round-sync: " << total.sync_runs
+       << " runs, skew-bound violations " << total.sync_bound_violations
+       << "\n";
   }
   os << "\n";
 
@@ -467,7 +405,7 @@ void print_summary(std::ostream& os, const SweepGrid& grid,
     table.print(os);
   }
 
-  if (mh_runs > 0) {
+  if (total.mh_runs > 0) {
     AsciiTable table({"cell", "workload", "topology", "loss", "fault", "n",
                       "density", "covered", "cover-mean", "MIS-mean",
                       "msgs/node", "surv-mean", "diam-mean"});
@@ -498,7 +436,7 @@ void print_summary(std::ostream& os, const SweepGrid& grid,
     table.print(os);
   }
 
-  if (sync_runs > 0) {
+  if (total.sync_runs > 0) {
     AsciiTable table({"cell", "n", "rho", "round-len(s)", "skew-max(us)",
                       "bound(us)", "agreement", "violations"});
     for (const CellAggregate& cell : cells) {

@@ -6,6 +6,7 @@
 // matter how many threads produced the records.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -67,14 +68,69 @@ struct CellAggregate {
   Stats sync_agreement{Stats::Mode::kRawSamples};  ///< agreement fraction
 };
 
-/// Fixed (name, member) table over CellAggregate's 13 Stats members, in
-/// serialization order.  Shared by the shard-report codec and the dist
-/// export so the two can never drift.
+/// The block of a report cell a member renders in: the cell's top level,
+/// its "mh" block or its "sync" block.
+enum class CellGroup : std::uint8_t { kTop, kMh, kSync };
+
+/// CellAggregate's 14 counters in serialization order: `key` in shard
+/// reports and checkpoints (a jsonu::append_members / read_members table),
+/// `report_key` inside its group's block of the JSON report.  A counter
+/// flows through both formats and the merge by having one entry.
+struct CellCounterField {
+  const char* key;
+  std::size_t CellAggregate::* member;
+  CellGroup group;
+  const char* report_key = key;
+};
+inline constexpr CellCounterField kCellCounterFields[] = {
+    {"runs", &CellAggregate::runs, CellGroup::kTop},
+    {"solved", &CellAggregate::solved, CellGroup::kTop},
+    {"agreement_failures", &CellAggregate::agreement_failures,
+     CellGroup::kTop},
+    {"validity_failures", &CellAggregate::validity_failures, CellGroup::kTop},
+    {"termination_failures", &CellAggregate::termination_failures,
+     CellGroup::kTop},
+    {"crashed_processes", &CellAggregate::crashed_processes, CellGroup::kTop},
+    {"mh_runs", &CellAggregate::mh_runs, CellGroup::kMh, "runs"},
+    {"disconnected", &CellAggregate::disconnected, CellGroup::kMh},
+    {"full_coverage", &CellAggregate::full_coverage, CellGroup::kMh},
+    {"mis_violations", &CellAggregate::mis_violations, CellGroup::kMh},
+    {"mh_crashes_applied", &CellAggregate::mh_crashes_applied, CellGroup::kMh,
+     "crashes_applied"},
+    {"phase2_skipped", &CellAggregate::phase2_skipped, CellGroup::kMh},
+    {"sync_runs", &CellAggregate::sync_runs, CellGroup::kSync, "runs"},
+    {"sync_bound_violations", &CellAggregate::sync_bound_violations,
+     CellGroup::kSync, "bound_violations"},
+};
+
+/// CellAggregate's 13 Stats members, in the same shape: `name` in shard
+/// reports, checkpoints and the dist export, `report_key` for the summary
+/// in its group's block of the JSON report.
 struct CellStatsField {
   const char* name;
   Stats CellAggregate::* member;
+  CellGroup group;
+  const char* report_key = name;
 };
-const std::vector<CellStatsField>& cell_stats_fields();
+inline constexpr CellStatsField kCellStatsFields[] = {
+    {"decision_round", &CellAggregate::decision_round, CellGroup::kTop},
+    {"rounds_after_cst", &CellAggregate::rounds_after_cst, CellGroup::kTop},
+    {"rounds_executed", &CellAggregate::rounds_executed, CellGroup::kTop},
+    {"surviving_fraction", &CellAggregate::surviving_fraction,
+     CellGroup::kMh},
+    {"coverage_rounds", &CellAggregate::coverage_rounds, CellGroup::kMh},
+    {"coverage_fraction", &CellAggregate::coverage_fraction, CellGroup::kMh},
+    {"mis_size", &CellAggregate::mis_size, CellGroup::kMh},
+    {"mis_settle_round", &CellAggregate::mis_settle_round, CellGroup::kMh},
+    {"messages_per_node", &CellAggregate::messages_per_node, CellGroup::kMh},
+    {"diameter", &CellAggregate::diameter, CellGroup::kMh},
+    {"sync_skew_us", &CellAggregate::sync_skew_us, CellGroup::kSync,
+     "skew_us"},
+    {"sync_bound_us", &CellAggregate::sync_bound_us, CellGroup::kSync,
+     "bound_us"},
+    {"sync_agreement", &CellAggregate::sync_agreement, CellGroup::kSync,
+     "agreement"},
+};
 
 std::vector<CellAggregate> aggregate(const SweepGrid& grid,
                                      const std::vector<RunRecord>& records);

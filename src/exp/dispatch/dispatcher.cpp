@@ -48,11 +48,14 @@ struct Assignment {
 struct Slot {
   int handle = -1;  ///< transport handle, -1 = idle
   std::optional<Assignment> batch;
-  std::uint64_t busy_ns = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t cells_won = 0;
-  std::uint64_t restarts = 0;
+  obs::PerfDispatchSlot totals;  ///< slot and busy_permille set at the end
 };
+
+/// A ledger entry's keys in the ledger JSON, in order.
+constexpr std::tuple kLedgerFields{
+    jsonu::UintMember{"cell", &DispatchLedgerEntry::cell},
+    jsonu::UintMember{"batch", &DispatchLedgerEntry::batch_id},
+    jsonu::UintMember{"slot", &DispatchLedgerEntry::slot}};
 
 }  // namespace
 
@@ -65,10 +68,9 @@ std::size_t next_batch_size(std::size_t pending, std::size_t workers) {
 std::string ledger_to_json(const std::vector<DispatchLedgerEntry>& ledger) {
   std::string out = "{\"format\":\"ccd-dispatch-ledger-v1\",\"cells\":[";
   for (std::size_t i = 0; i < ledger.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "{\"cell\":" + std::to_string(ledger[i].cell);
-    out += ",\"batch\":" + std::to_string(ledger[i].batch_id);
-    out += ",\"slot\":" + std::to_string(ledger[i].slot) + "}";
+    if (i > 0) out += ',';
+    jsonu::open_object(out, ledger[i], kLedgerFields);
+    out += '}';
   }
   out += "]}";
   return out;
@@ -135,7 +137,7 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
     ++completed;
     won_cells[c] = std::move(cell);
     ledger[c] = DispatchLedgerEntry{c, batch_id, slot_index};
-    ++slots[slot_index].cells_won;
+    ++slots[slot_index].totals.cells;
   };
 
   while (completed < n) {
@@ -208,7 +210,7 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
       }
       slot.handle = handle;
       slot.batch = std::move(a);
-      ++slot.batches;
+      ++slot.totals.batches;
       ++stats.batches;
       worked = true;
     }
@@ -245,7 +247,7 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
       }
 
       // Worker exited.
-      slot.busy_ns += timer.elapsed_ns() - a.start_ns;
+      slot.totals.busy_ns += timer.elapsed_ns() - a.start_ns;
       bool adopted_report = false;
       if (status.exit_code == 0) {
         std::string text, parse_error;
@@ -271,7 +273,7 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
             adopt(c, std::move(cell), a.id, si);
           }
         }
-        ++slot.restarts;
+        ++slot.totals.restarts;
         ++stats.worker_restarts;
       }
       std::size_t requeued = 0;
@@ -314,22 +316,17 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
   // hard-kill them (charging the busy time they consumed).
   for (Slot& slot : slots) {
     if (slot.handle == -1) continue;
-    slot.busy_ns += timer.elapsed_ns() - slot.batch->start_ns;
+    slot.totals.busy_ns += timer.elapsed_ns() - slot.batch->start_ns;
     transport->kill_worker(slot.handle);
     slot.handle = -1;
     slot.batch.reset();
   }
   stats.wall_ns = timer.elapsed_ns();
   for (std::uint32_t si = 0; si < slots.size(); ++si) {
-    obs::PerfDispatchSlot view;
+    obs::PerfDispatchSlot& view = stats.slots.emplace_back(slots[si].totals);
     view.slot = si;
-    view.batches = slots[si].batches;
-    view.cells = slots[si].cells_won;
-    view.busy_ns = slots[si].busy_ns;
     view.busy_permille =
-        stats.wall_ns > 0 ? slots[si].busy_ns * 1000 / stats.wall_ns : 0;
-    view.restarts = slots[si].restarts;
-    stats.slots.push_back(view);
+        stats.wall_ns > 0 ? view.busy_ns * 1000 / stats.wall_ns : 0;
   }
 
   // Ledger-pruned merge: one synthetic report per winning assignment, so

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 
 #include "obs/telemetry.hpp"
 #include "util/flat_json.hpp"
@@ -22,10 +21,9 @@ std::uint64_t heartbeat_of(const jsonu::FlatJson& flat) {
 std::string checkpoint_header(const ShardSpec& shard) {
   std::string out = "{\"format\":\"ccd-shard-checkpoint-v1\"";
   out += ",\"grid_fingerprint\":\"" +
-         fingerprint_to_hex(shard.grid_fingerprint);
-  out += "\",\"shard_index\":" + std::to_string(shard.shard_index);
-  out += ",\"shard_count\":" + std::to_string(shard.shard_count);
-  out += ",\"ts_ms\":" + std::to_string(obs::wall_clock_ms());
+         fingerprint_to_hex(shard.grid_fingerprint) + "\"";
+  jsonu::append_members(out, shard, kShardIdentityFields);
+  jsonu::append_member(out, "ts_ms", obs::wall_clock_ms());
   out += "}";
   return out;
 }
@@ -33,7 +31,7 @@ std::string checkpoint_header(const ShardSpec& shard) {
 std::string checkpoint_cell_marker(const CellAggregate& cell) {
   std::string marker = cell_aggregate_to_json(cell);
   marker.pop_back();  // cell_aggregate_to_json yields one flat object
-  marker += ",\"ts_ms\":" + std::to_string(obs::wall_clock_ms());
+  jsonu::append_member(marker, "ts_ms", obs::wall_clock_ms());
   marker += "}";
   return marker;
 }
@@ -140,11 +138,9 @@ bool tail_checkpoint(const std::string& path,
     auto flat = jsonu::FlatJson::parse(line);
     if (!flat) continue;  // mid-append torn line: skip, it will heal
     if (last_ts_ms) *last_ts_ms = std::max(*last_ts_ms, heartbeat_of(*flat));
-    const auto cell_raw = flat->find("cell");
-    if (!cell_raw || !cells_done) continue;
-    if (auto c = jsonu::parse_u64(*cell_raw,
-                                  std::numeric_limits<std::size_t>::max())) {
-      cells_done->push_back(static_cast<std::size_t>(*c));
+    std::size_t c = 0;
+    if (cells_done && jsonu::read_member(*flat, "cell", &c, nullptr)) {
+      cells_done->push_back(c);
     }
   }
   return true;

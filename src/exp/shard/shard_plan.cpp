@@ -1,7 +1,6 @@
 #include "exp/shard/shard_plan.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/flat_json.hpp"
 #include "util/numfmt.hpp"
@@ -13,21 +12,26 @@ bool ShardSpec::owns_cell(std::size_t cell) const {
 }
 
 std::string ShardSpec::to_json() const {
-  std::string out = "{\"format\":\"ccd-shard-spec-v1\",\"shard_index\":";
-  numfmt::append_int(out, shard_index);
-  out += ",\"shard_count\":";
-  numfmt::append_int(out, shard_count);
+  std::string out = "{\"format\":\"ccd-shard-spec-v1\"";
+  append_members(out, "cells");
+  out += '}';
+  return out;
+}
+
+void ShardSpec::append_members(std::string& out, const char* cells_key) const {
+  jsonu::append_members(out, *this, kShardIdentityFields);
   out += ",\"grid_fingerprint\":\"";
   out += fingerprint_to_hex(grid_fingerprint);
   out += "\",\"grid\":";
   out += grid.to_json();
-  out += ",\"cells\":[";
+  out += ",\"";
+  out += cells_key;
+  out += "\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i > 0) out += ',';
     numfmt::append_int(out, cells[i]);
   }
-  out += "]}";
-  return out;
+  out += ']';
 }
 
 std::optional<ShardSpec> ShardSpec::from_json(const std::string& json,
@@ -56,19 +60,8 @@ std::optional<ShardSpec> ShardSpec::from_members(const jsonu::FlatJson& flat,
   };
 
   ShardSpec spec;
-  auto read_size = [&](const char* key, std::size_t& field) {
-    const auto raw = flat.find(key);
-    if (!raw) return std::string("missing key '") + key + "'";
-    auto v = jsonu::parse_u64(*raw, std::numeric_limits<std::size_t>::max());
-    if (!v) return "bad value '" + std::string(*raw) + "' for key '" + key + "'";
-    field = static_cast<std::size_t>(*v);
-    return std::string();
-  };
-  if (auto e = read_size("shard_index", spec.shard_index); !e.empty()) {
-    return fail(e);
-  }
-  if (auto e = read_size("shard_count", spec.shard_count); !e.empty()) {
-    return fail(e);
+  if (!jsonu::read_members(flat, kShardIdentityFields, spec, error)) {
+    return std::nullopt;
   }
   if (spec.shard_count == 0) return fail("shard_count must be >= 1");
 

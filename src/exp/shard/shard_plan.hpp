@@ -53,7 +53,16 @@ struct ShardSpec {
   static std::optional<ShardSpec> from_members(const jsonu::FlatJson& flat,
                                                const char* cells_key,
                                                std::string* error);
+  /// Its inverse: append the spec members as `,"key":value` pairs, owned
+  /// cells under `cells_key`.
+  void append_members(std::string& out, const char* cells_key) const;
 };
+
+/// A spec's identity members, in serialization order; a shard report's
+/// header carries them too.
+inline constexpr jsonu::UintMember<ShardSpec, std::size_t>
+    kShardIdentityFields[] = {{"shard_index", &ShardSpec::shard_index},
+                              {"shard_count", &ShardSpec::shard_count}};
 
 class ShardPlanner {
  public:

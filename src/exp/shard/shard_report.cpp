@@ -1,7 +1,6 @@
 #include "exp/shard/shard_report.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/flat_json.hpp"
 #include "util/numfmt.hpp"
@@ -9,33 +8,6 @@
 namespace ccd::exp {
 
 namespace {
-
-// Field tables keep the serializer and parser in lockstep: a counter or
-// statistic added to CellAggregate only needs one entry here to flow
-// through shard reports, checkpoints and the merge.
-struct CounterField {
-  const char* key;
-  std::size_t CellAggregate::* member;
-};
-constexpr CounterField kCounters[] = {
-    {"runs", &CellAggregate::runs},
-    {"solved", &CellAggregate::solved},
-    {"agreement_failures", &CellAggregate::agreement_failures},
-    {"validity_failures", &CellAggregate::validity_failures},
-    {"termination_failures", &CellAggregate::termination_failures},
-    {"crashed_processes", &CellAggregate::crashed_processes},
-    {"mh_runs", &CellAggregate::mh_runs},
-    {"disconnected", &CellAggregate::disconnected},
-    {"full_coverage", &CellAggregate::full_coverage},
-    {"mis_violations", &CellAggregate::mis_violations},
-    {"mh_crashes_applied", &CellAggregate::mh_crashes_applied},
-    {"phase2_skipped", &CellAggregate::phase2_skipped},
-    {"sync_runs", &CellAggregate::sync_runs},
-    {"sync_bound_violations", &CellAggregate::sync_bound_violations},
-};
-
-// (The Stats members use the shared cell_stats_fields() table from
-// aggregator.hpp, so the dist export and this codec can never drift.)
 
 /// "12" or "3..17" (inclusive) range rendering for coverage errors.
 std::string render_ranges(const std::vector<std::size_t>& cells) {
@@ -55,13 +27,8 @@ std::string render_ranges(const std::vector<std::size_t>& cells) {
 void append_cell_aggregate_json(std::string& out, const CellAggregate& cell) {
   out += "{\"cell\":";
   numfmt::append_int(out, cell.cell_index);
-  for (const CounterField& f : kCounters) {
-    out += ",\"";
-    out += f.key;
-    out += "\":";
-    numfmt::append_int(out, cell.*(f.member));
-  }
-  for (const CellStatsField& f : cell_stats_fields()) {
+  jsonu::append_members(out, cell, kCellCounterFields);
+  for (const CellStatsField& f : kCellStatsFields) {
     out += ",\"";
     out += f.name;
     out += "\":";
@@ -99,32 +66,20 @@ std::optional<CellAggregate> cell_aggregate_from_members(
     if (error) *error = message;
     return std::nullopt;
   };
-  const auto cell_raw = flat.find("cell");
-  if (!cell_raw) return fail("cell aggregate missing key 'cell'");
-  const auto c = jsonu::parse_u64(*cell_raw);
-  if (!c) {
-    return fail("bad value '" + std::string(*cell_raw) + "' for key 'cell'");
+  std::size_t c = 0;
+  if (!jsonu::read_member(flat, "cell", &c, error, "cell aggregate")) {
+    return std::nullopt;
   }
-  if (*c >= grid.num_cells()) {
-    return fail("cell " + std::to_string(*c) + " out of range (grid has " +
+  if (c >= grid.num_cells()) {
+    return fail("cell " + std::to_string(c) + " out of range (grid has " +
                 std::to_string(grid.num_cells()) + " cells)");
   }
-
-  CellAggregate cell =
-      empty_cell_aggregate(grid, static_cast<std::size_t>(*c));
-  for (const CounterField& f : kCounters) {
-    const auto raw = flat.find(f.key);
-    if (!raw) return fail(std::string("cell aggregate missing key '") +
-                          f.key + "'");
-    const auto v =
-        jsonu::parse_u64(*raw, std::numeric_limits<std::size_t>::max());
-    if (!v) {
-      return fail("bad value '" + std::string(*raw) + "' for key '" + f.key +
-                  "'");
-    }
-    cell.*(f.member) = static_cast<std::size_t>(*v);
+  CellAggregate cell = empty_cell_aggregate(grid, c);
+  if (!jsonu::read_members(flat, kCellCounterFields, cell, error,
+                           "cell aggregate")) {
+    return std::nullopt;
   }
-  for (const CellStatsField& f : cell_stats_fields()) {
+  for (const CellStatsField& f : kCellStatsFields) {
     const auto raw = flat.find(f.name);
     if (!raw) return fail(std::string("cell aggregate missing key '") +
                           f.name + "'");
@@ -140,21 +95,10 @@ std::optional<CellAggregate> cell_aggregate_from_members(
 }
 
 std::string ShardReport::to_json() const {
-  std::string out = "{\"format\":\"ccd-shard-report-v2\",\"shard_index\":";
-  numfmt::append_int(out, shard.shard_index);
-  out += ",\"shard_count\":";
-  numfmt::append_int(out, shard.shard_count);
-  out += ",\"grid_fingerprint\":\"";
-  out += fingerprint_to_hex(shard.grid_fingerprint);
-  out += "\",\"grid\":";
-  out += shard.grid.to_json();
+  std::string out = "{\"format\":\"ccd-shard-report-v2\"";
   // "cell_list" because "cells" already carries the aggregates below.
-  out += ",\"cell_list\":[";
-  for (std::size_t i = 0; i < shard.cells.size(); ++i) {
-    if (i > 0) out += ',';
-    numfmt::append_int(out, shard.cells[i]);
-  }
-  out += "],\"cells\":[";
+  shard.append_members(out, "cell_list");
+  out += ",\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i > 0) out += ',';
     append_cell_aggregate_json(out, cells[i]);

@@ -34,10 +34,7 @@
 #include <vector>
 
 #include "obs/telemetry.hpp"
-
-namespace ccd::jsonu {
-class FlatJson;
-}  // namespace ccd::jsonu
+#include "util/flat_json.hpp"
 
 namespace ccd::obs {
 
@@ -76,6 +73,12 @@ struct PerfWorker {
   std::uint64_t busy_ns = 0;  ///< sum of this worker's run spans
   std::uint64_t runs = 0;
 };
+// Each record's sidecar keys, in serialization order (see
+// jsonu::UintMember); the writer, the reader and the inspector walk these.
+inline constexpr std::tuple kPerfWorkerFields{
+    jsonu::UintMember{"worker", &PerfWorker::worker},
+    jsonu::UintMember{"busy_ns", &PerfWorker::busy_ns},
+    jsonu::UintMember{"runs", &PerfWorker::runs}};
 
 /// One process's execution of (part of) the grid.  A single-process sweep
 /// is shard 0 of 1; merged sidecars keep every shard's entry so per-shard
@@ -89,6 +92,13 @@ struct PerfShardExec {
   std::uint64_t runs = 0;
   std::vector<PerfWorker> workers;
 };
+inline constexpr std::tuple kPerfShardExecFields{
+    jsonu::UintMember{"shard_index", &PerfShardExec::shard_index},
+    jsonu::UintMember{"shard_count", &PerfShardExec::shard_count},
+    jsonu::UintMember{"wall_ns", &PerfShardExec::wall_ns},
+    jsonu::UintMember{"drain_ns", &PerfShardExec::drain_ns},
+    jsonu::UintMember{"threads", &PerfShardExec::threads},
+    jsonu::UintMember{"runs", &PerfShardExec::runs}};
 
 /// Per-cell run-time distribution (nearest-rank percentiles over the
 /// cell's seeds).
@@ -101,6 +111,15 @@ struct PerfCell {
   std::uint64_t p50_ns = 0;
   std::uint64_t p95_ns = 0;
 };
+inline constexpr jsonu::UintMember<PerfCell, std::uint64_t>
+    kPerfCellFields[] = {
+        {"cell", &PerfCell::cell_index},
+        {"runs", &PerfCell::runs},
+        {"total_ns", &PerfCell::total_ns},
+        {"min_ns", &PerfCell::min_ns},
+        {"max_ns", &PerfCell::max_ns},
+        {"p50_ns", &PerfCell::p50_ns},
+        {"p95_ns", &PerfCell::p95_ns}};
 
 /// One dispatcher worker slot's lifetime totals (a slot hosts a sequence
 /// of worker processes; a restart reuses the slot).
@@ -112,6 +131,13 @@ struct PerfDispatchSlot {
   std::uint64_t busy_permille = 0;  ///< busy_ns * 1000 / dispatch wall_ns
   std::uint64_t restarts = 0;       ///< nonzero exits charged to the slot
 };
+inline constexpr std::tuple kPerfDispatchSlotFields{
+    jsonu::UintMember{"slot", &PerfDispatchSlot::slot},
+    jsonu::UintMember{"batches", &PerfDispatchSlot::batches},
+    jsonu::UintMember{"cells", &PerfDispatchSlot::cells},
+    jsonu::UintMember{"busy_ns", &PerfDispatchSlot::busy_ns},
+    jsonu::UintMember{"busy_permille", &PerfDispatchSlot::busy_permille},
+    jsonu::UintMember{"restarts", &PerfDispatchSlot::restarts}};
 
 /// Work-stealing dispatcher event totals (ccd_sweep --workers).  Stamped by the
 /// dispatcher onto the final merged sidecar only; merge_perf_sidecars
@@ -128,6 +154,15 @@ struct PerfDispatch {
   std::uint64_t wall_ns = 0;          ///< dispatch start -> all cells done
   std::vector<PerfDispatchSlot> slots;
 };
+inline constexpr jsonu::UintMember<PerfDispatch, std::uint64_t>
+    kPerfDispatchFields[] = {
+        {"workers", &PerfDispatch::workers},
+        {"batches", &PerfDispatch::batches},
+        {"steals", &PerfDispatch::steals},
+        {"requeues", &PerfDispatch::requeues},
+        {"worker_restarts", &PerfDispatch::worker_restarts},
+        {"duplicate_cells", &PerfDispatch::duplicate_cells},
+        {"wall_ns", &PerfDispatch::wall_ns}};
 
 struct PerfSidecar {
   std::uint64_t grid_fingerprint = 0;

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "obs/perf_sidecar.hpp"
 #include "util/flat_json.hpp"
 #include "util/histogram.hpp"
 #include "util/numfmt.hpp"
@@ -271,30 +272,26 @@ bool parse_aggregate_cells(std::string_view cells_raw, ReportView* view,
   });
 }
 
-bool parse_sidecar_cells(std::string_view cells_raw, ReportView* view,
-                         std::string* error) {
-  return walk_array(cells_raw, "'cells' is not a JSON array", error,
-                    [&](std::string_view item, std::size_t i) {
-    const std::string where = "cells[" + std::to_string(i) + "]";
-    auto flat = jsonu::FlatJson::parse(item);
-    if (!flat) return set_error(error, where + " is not a JSON object");
-    CellView cell;
-    const auto cell_raw = flat->find("cell");
-    const auto index = cell_raw ? jsonu::parse_u64(*cell_raw) : std::nullopt;
-    if (!index) return set_error(error, where + " missing valid 'cell'");
-    cell.cell = *index;
-    for (const auto& [member, value] : flat->members) {
-      const std::string key(member);
-      if (key == "cell") continue;
-      const auto v = jsonu::parse_u64(value);
-      if (!v) {
-        return set_error(error, where + ": bad value for '" + key + "'");
+/// A perf sidecar's view: the totals and one counter row per timed cell,
+/// read by the sidecar's own reader.
+bool parse_sidecar(const jsonu::FlatJson& flat, ReportView* view,
+                   std::string* error) {
+  const auto sidecar = PerfSidecar::from_members(flat, error);
+  if (!sidecar) return false;
+  view->totals["runs"] = sidecar->runs;
+  if (flat.find("stats_bytes_retained")) {
+    view->totals["stats_bytes_retained"] = sidecar->stats_bytes_retained;
+  }
+  for (const PerfCell& timed : sidecar->cells) {
+    CellView& cell = view->cells.emplace_back();
+    cell.cell = timed.cell_index;
+    for (const auto& f : kPerfCellFields) {
+      if (f.member != &PerfCell::cell_index) {
+        cell.counters[f.key] = timed.*(f.member);
       }
-      cell.counters[key] = *v;
     }
-    view->cells.push_back(std::move(cell));
-    return true;
-  });
+  }
+  return true;
 }
 
 /// Parse any supported report artifact into the unified view.
@@ -315,6 +312,10 @@ bool parse_report(const std::string& json, ReportView* view,
         "num_runs", "shard_index", "shard_count"}) {
     if (const auto v = flat->find(key)) view->header[key] = *v;
   }
+  if (kind == "ccd-perf-sidecar-v1") {
+    view->kind = "sidecar";
+    return parse_sidecar(*flat, view, error);
+  }
   const auto cells_raw = flat->find("cells");
   if (!cells_raw) return set_error(error, "missing 'cells'");
 
@@ -329,15 +330,6 @@ bool parse_report(const std::string& json, ReportView* view,
   if (kind == "aggregate") {
     view->kind = "report";
     return parse_aggregate_cells(*cells_raw, view, error);
-  }
-  if (kind == "ccd-perf-sidecar-v1") {
-    view->kind = "sidecar";
-    for (const char* key : {"runs", "stats_bytes_retained"}) {
-      if (const auto v = flat->find(key)) {
-        if (auto n = jsonu::parse_u64(*v)) view->totals[key] = *n;
-      }
-    }
-    return parse_sidecar_cells(*cells_raw, view, error);
   }
   return set_error(error,
                    "unrecognized artifact" +
@@ -454,14 +446,13 @@ void render_cell(const ReportView& view, const CellView& cell,
   if (!cell.spec.empty()) *out += "  " + cell.spec;
   *out += "\n";
   if (view.kind == "sidecar") {
-    auto get = [&](const char* key) -> std::string {
-      auto it = cell.counters.find(key);
-      return it == cell.counters.end() ? std::string("-")
-                                       : std::to_string(it->second);
-    };
-    *out += "  runs=" + get("runs") + " total_ns=" + get("total_ns") +
-            " min_ns=" + get("min_ns") + " p50_ns=" + get("p50_ns") +
-            " p95_ns=" + get("p95_ns") + " max_ns=" + get("max_ns") + "\n";
+    *out += " ";
+    for (const char* key :
+         {"runs", "total_ns", "min_ns", "p50_ns", "p95_ns", "max_ns"}) {
+      *out += std::string(" ") + key + "=" +
+              std::to_string(cell.counters.at(key));
+    }
+    *out += "\n";
     return;
   }
   if (!cell.counters.empty()) {

@@ -16,9 +16,10 @@
 //                  entry by entry and flag medians that fall past the
 //                  baseline's bound -- the CI bench regression gate.
 //
-// Lives in obs/ (depends only on util/), so the layer DAG stays intact:
-// the inspector never needs the engine or the exp layer -- every input is
-// a serialized artifact.
+// Lives in obs/ (it depends on util/ and reads sidecars through
+// obs/perf_sidecar), so the layer DAG stays intact: the inspector never
+// needs the engine or the exp layer -- every input is a serialized
+// artifact.
 #pragma once
 
 #include <cstdint>

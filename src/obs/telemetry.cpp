@@ -10,32 +10,11 @@ void EngineCounters::add(const EngineCounters& other) {
   }
 }
 
-const char* to_string(Counter c) {
-  switch (c) {
-    case Counter::kRunsExecuted: return "runs_executed";
-    case Counter::kCellsCompleted: return "cells_completed";
-    case Counter::kRoundsExecuted: return "rounds_executed";
-    case Counter::kMessagesSent: return "messages_sent";
-    case Counter::kMessagesDelivered: return "messages_delivered";
-    case Counter::kCollisions: return "collisions";
-    case Counter::kCrashesBeforeSend: return "crashes_before_send";
-    case Counter::kCrashesAfterSend: return "crashes_after_send";
-    case Counter::kCmAdviceCalls: return "cm_advice_calls";
-    case Counter::kCdAdviceCalls: return "cd_advice_calls";
-    case Counter::kCount: break;
-  }
-  return "unknown";
-}
-
 void Telemetry::Sink::add_engine(const EngineCounters& ec) {
-  add(Counter::kRoundsExecuted, ec.rounds);
-  add(Counter::kMessagesSent, ec.messages_sent);
-  add(Counter::kMessagesDelivered, ec.messages_delivered);
-  add(Counter::kCollisions, ec.collisions);
-  add(Counter::kCrashesBeforeSend, ec.crashes_before_send);
-  add(Counter::kCrashesAfterSend, ec.crashes_after_send);
-  add(Counter::kCmAdviceCalls, ec.cm_advice_calls);
-  add(Counter::kCdAdviceCalls, ec.cd_advice_calls);
+  std::size_t slot = kFirstEngineCounter;
+  for (const EngineCounterField& f : kEngineCounterFields) {
+    slots_[slot++].fetch_add(ec.*(f.member), std::memory_order_relaxed);
+  }
 }
 
 Telemetry::Sink& Telemetry::create_sink() {

@@ -36,6 +36,8 @@
 #include <mutex>
 #include <vector>
 
+#include "util/flat_json.hpp"
+
 namespace ccd::obs {
 
 /// Per-run tallies, incremented non-atomically by the round engine
@@ -61,11 +63,9 @@ struct EngineCounters {
 };
 
 /// Serializer/parser field table: an EngineCounters member flows through
-/// the perf sidecar (and its merge) by having exactly one entry here.
-struct EngineCounterField {
-  const char* key;
-  std::uint64_t EngineCounters::* member;
-};
+/// the perf sidecar, its merge and the telemetry registry by having exactly
+/// one entry here.
+using EngineCounterField = jsonu::UintMember<EngineCounters, std::uint64_t>;
 inline constexpr EngineCounterField kEngineCounterFields[] = {
     {"rounds", &EngineCounters::rounds},
     {"messages_sent", &EngineCounters::messages_sent},
@@ -77,7 +77,9 @@ inline constexpr EngineCounterField kEngineCounterFields[] = {
     {"cd_advice_calls", &EngineCounters::cd_advice_calls},
 };
 
-/// Process-wide counter ids (the registry's slot layout).
+/// Process-wide counter ids (the registry's slot layout).  From
+/// kRoundsExecuted on, one id per kEngineCounterFields entry, in table
+/// order: Sink::add_engine folds entry i into id kRoundsExecuted + i.
 enum class Counter : std::uint32_t {
   kRunsExecuted = 0,   ///< scenario runs completed by sweep workers
   kCellsCompleted,     ///< grid cells whose last seed landed
@@ -93,7 +95,12 @@ enum class Counter : std::uint32_t {
 };
 inline constexpr std::size_t kNumCounters =
     static_cast<std::size_t>(Counter::kCount);
-const char* to_string(Counter c);
+inline constexpr std::size_t kFirstEngineCounter =
+    static_cast<std::size_t>(Counter::kRoundsExecuted);
+static_assert(kNumCounters - kFirstEngineCounter ==
+                  std::size(kEngineCounterFields) &&
+              kEngineCounterFields[0].member == &EngineCounters::rounds,
+              "Counter's engine ids must follow kEngineCounterFields");
 
 class Telemetry {
  public:

@@ -237,6 +237,22 @@ std::optional<std::uint64_t> parse_u64(std::string_view text,
   return v;
 }
 
+bool detail::read_u64(const FlatJson& flat, const char* key,
+                      std::uint64_t max, std::uint64_t* out,
+                      std::string* error, std::string_view where) {
+  const auto raw = flat.find(key);
+  const auto v = raw ? parse_u64(*raw, max) : std::nullopt;
+  if (v) {
+    *out = *v;
+  } else if (error) {
+    const std::string in(where);
+    *error = !raw ? (in.empty() ? in : in + " ") + "missing key '" + key + "'"
+                  : "bad value '" + std::string(*raw) + "' for key '" + key +
+                        "'" + (in.empty() ? in : " in " + in);
+  }
+  return v.has_value();
+}
+
 std::string fingerprint_to_hex(std::uint64_t fp) {
   static const char* digits = "0123456789abcdef";
   std::string out(16, '0');

@@ -14,15 +14,20 @@
 // container may not have.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <vector>
+
+#include "util/numfmt.hpp"
 
 namespace ccd::jsonu {
 
@@ -111,6 +116,83 @@ std::optional<std::vector<double>> parse_double_array(std::string_view raw);
 std::optional<std::uint64_t> parse_u64(
     std::string_view text,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// One unsigned member of a record under its key in the record's flat JSON
+/// object.  A record's table of these, in serialization order, is the one
+/// place its keys are spelled: append_members writes the record and
+/// read_members reads it back.  A table is a C array, or a std::tuple when
+/// the members differ in width.
+template <typename Record, std::unsigned_integral T>
+struct UintMember {
+  const char* key;
+  T Record::* member;
+};
+
+namespace detail {
+bool read_u64(const FlatJson& flat, const char* key, std::uint64_t max,
+              std::uint64_t* out, std::string* error, std::string_view where);
+
+/// fn(entry) for each entry of `table` in order, until one returns false.
+template <typename Table, typename Fn>
+bool each_entry(const Table& table, Fn fn) {
+  if constexpr (requires { std::tuple_size<Table>::value; }) {
+    return std::apply([&](const auto&... e) { return (fn(e) && ...); }, table);
+  } else {
+    return std::all_of(std::begin(table), std::end(table), fn);
+  }
+}
+}  // namespace detail
+
+/// Append `,"key":value`.
+inline void append_member(std::string& out, std::string_view key,
+                          std::uint64_t value) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  numfmt::append_int(out, value);
+}
+
+/// Member `key` of `flat` as a parse_u64 value no larger than T holds.  On
+/// failure *error (when non-null) is "<where> missing key 'key'" or "bad
+/// value '<text>' for key 'key' in <where>", without the `where` part when
+/// `where` is empty.
+template <std::unsigned_integral T>
+bool read_member(const FlatJson& flat, const char* key, T* out,
+                 std::string* error, std::string_view where = {}) {
+  std::uint64_t v = 0;
+  const bool ok = detail::read_u64(flat, key, std::numeric_limits<T>::max(),
+                                   &v, error, where);
+  if (ok) *out = static_cast<T>(v);
+  return ok;
+}
+
+/// append_member for each entry of `table`.
+template <typename Record, typename Table>
+void append_members(std::string& out, const Record& record,
+                    const Table& table) {
+  detail::each_entry(table, [&](const auto& e) {
+    append_member(out, e.key, record.*(e.member));
+    return true;
+  });
+}
+
+/// `{"key":value,...` over a non-empty `table`, left open for the caller's
+/// further members and closing brace.
+template <typename Record, typename Table>
+void open_object(std::string& out, const Record& record, const Table& table) {
+  const std::size_t open = out.size();
+  append_members(out, record, table);
+  out[open] = '{';
+}
+
+/// read_member for each entry of `table` in order, up to the first failure.
+template <typename Record, typename Table>
+bool read_members(const FlatJson& flat, const Table& table, Record& record,
+                  std::string* error, std::string_view where = {}) {
+  return detail::each_entry(table, [&](const auto& e) {
+    return read_member(flat, e.key, &(record.*(e.member)), error, where);
+  });
+}
 
 /// 16-hex-digit rendering used for grid fingerprints in shard specs,
 /// reports, checkpoints and perf sidecars (readable in error messages,

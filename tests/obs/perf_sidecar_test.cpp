@@ -192,6 +192,9 @@ TEST(PerfSidecarTest, EveryMalformedMemberHasItsKeyedError) {
       {",\"restarts\":4205", "", "dispatch.slots[1] missing key 'restarts'"},
       {"\"busy_permille\":4104", "\"busy_permille\":-4104",
        "bad value '-4104' for key 'busy_permille' in dispatch.slots[0]"},
+      // a 32-bit member: the reader once truncated this slot id to 0
+      {"\"slot\":1,", "\"slot\":4294967296,",
+       "bad value '4294967296' for key 'slot' in dispatch.slots[1]"},
       // structure: a member that is not the kind it must be
       {"\"counters\":{", "\"counters\":\"x\",\"y\":{",
        "'counters' is not a flat JSON object"},

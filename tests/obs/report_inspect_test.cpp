@@ -119,7 +119,11 @@ TEST(ReportInspect, RejectsMismatchedKindsAndGarbage) {
   EXPECT_FALSE(render_report("not json", {}, &out, &error));
   EXPECT_FALSE(error.empty());
   const std::string sidecar =
-      R"({"format":"ccd-perf-sidecar-v1","grid_fingerprint":"aa","runs":1,)"
+      R"({"format":"ccd-perf-sidecar-v1","grid_fingerprint":)"
+      R"("00000000deadbeef","runs":1,"counters":{"rounds":0,)"
+      R"("messages_sent":0,"messages_delivered":0,"collisions":0,)"
+      R"("crashes_before_send":0,"crashes_after_send":0,)"
+      R"("cm_advice_calls":0,"cd_advice_calls":0},"shards":[],)"
       R"("cells":[{"cell":0,"runs":1,"total_ns":5,"min_ns":5,"max_ns":5,)"
       R"("p50_ns":5,"p95_ns":5}]})";
   error.clear();

@@ -8,7 +8,8 @@
 # and a file that is neither a shard report nor a perf sidecar (exit 2);
 # for a non-JSON input, an input without "format" and one with an unknown
 # format the exact error line is pinned too (exits_2 keeps stderr in
-# err.txt).  Every value each named-value flag accepts is listed in that
+# err.txt), as it is for --threads, --workers and --emit-shards values out
+# of range.  Every value each named-value flag accepts is listed in that
 # flag's --help entry.
 #
 # usage: ccd_sweep_modes.sh PATH/TO/ccd_sweep
@@ -66,6 +67,14 @@ done
 exits_2 "$sweep" --merge --quiet part-0.json bad-3.json
 test "$(cat err.txt)" = "ccd_sweep: bad-3.json: format 'ccd-shard-report-v1' \
 is neither ccd-shard-report-v2 nor ccd-perf-sidecar-v1"
+# A count flag outside its range names the flag, the value and the range.
+exits_2 "$sweep" --grid smoke --quiet --threads 5000
+test "$(cat err.txt)" = "ccd_sweep: bad threads value '5000' (expected 0..4096)"
+exits_2 "$sweep" --grid smoke --quiet --workers 0
+test "$(cat err.txt)" = "ccd_sweep: bad workers value '0' (expected 1..1024)"
+exits_2 "$sweep" --grid smoke --quiet --emit-shards 0
+test "$(cat err.txt)" = \
+  "ccd_sweep: bad emit-shards value '0' (expected 1..65536)"
 # Each value below is accepted by its flag and named in the flag's --help
 # entry (its line plus the indented lines under it).
 "$sweep" --help > help.txt

@@ -810,6 +810,15 @@ int main(int argc, char** argv) {
       const char* v = next();
       return v && parse_flag(v, flag.c_str() + 2, field);
     };
+    // The same, refused with its accepted range outside [lo, hi].
+    auto bounded = [&](auto& field, unsigned long lo, unsigned long hi) {
+      if (!value(field)) return false;
+      if (field >= lo && field <= hi) return true;
+      std::fprintf(stderr,
+                   "ccd_sweep: bad %s value '%s' (expected %lu..%lu)\n",
+                   flag.c_str() + 2, argv[i], lo, hi);
+      return false;
+    };
     bool ok = true;
     bool axis_flag = false;
     for_each_axis([&](const auto& axis) {
@@ -846,14 +855,13 @@ int main(int argc, char** argv) {
       ok = value(cell);
       if (ok) cli.rerun_cell = cell;
     } else if (flag == "--threads") {
-      ok = value(cli.threads) && cli.threads <= 4096;
+      ok = bounded(cli.threads, 0, 4096);
     } else if (flag == "--quiet") {
       cli.quiet = true;
     } else if (flag == "--workers") {
-      ok = value(cli.workers) && cli.workers >= 1 && cli.workers <= 1024;
+      ok = bounded(cli.workers, 1, 1024);
     } else if (flag == "--emit-shards") {
-      ok = value(cli.emit_shards) && cli.emit_shards >= 1 &&
-           cli.emit_shards <= 65536;
+      ok = bounded(cli.emit_shards, 1, 65536);
     }
     if (!ok) return 2;
   }
