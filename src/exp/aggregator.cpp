@@ -123,7 +123,7 @@ std::string cells_to_dist_json(const SweepGrid& grid,
       if (!first) out += ',';
       first = false;
       out += '"';
-      out += f.name;
+      out += f.key;
       out += "\":";
       append_stats_json(out, s);
     }

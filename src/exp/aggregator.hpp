@@ -72,16 +72,21 @@ struct CellAggregate {
 /// its "mh" block or its "sync" block.
 enum class CellGroup : std::uint8_t { kTop, kMh, kSync };
 
-/// CellAggregate's 14 counters in serialization order: `key` in shard
-/// reports and checkpoints (a jsonu::append_members / read_members table),
-/// `report_key` inside its group's block of the JSON report.  A counter
-/// flows through both formats and the merge by having one entry.
-struct CellCounterField {
+/// One CellAggregate member: `key` in shard reports and checkpoints (and,
+/// for a statistic, the dist export), `report_key` inside its group's
+/// block of the JSON report.  A member flows through those formats and the
+/// merge by having one entry in kCellCounterFields or kCellStatsFields,
+/// which list the 14 counters and 13 statistics in serialization order.
+template <typename T>
+struct CellField {
   const char* key;
-  std::size_t CellAggregate::* member;
+  T CellAggregate::* member;
   CellGroup group;
   const char* report_key = key;
 };
+using CellCounterField = CellField<std::size_t>;
+using CellStatsField = CellField<Stats>;
+
 inline constexpr CellCounterField kCellCounterFields[] = {
     {"runs", &CellAggregate::runs, CellGroup::kTop},
     {"solved", &CellAggregate::solved, CellGroup::kTop},
@@ -103,15 +108,6 @@ inline constexpr CellCounterField kCellCounterFields[] = {
      CellGroup::kSync, "bound_violations"},
 };
 
-/// CellAggregate's 13 Stats members, in the same shape: `name` in shard
-/// reports, checkpoints and the dist export, `report_key` for the summary
-/// in its group's block of the JSON report.
-struct CellStatsField {
-  const char* name;
-  Stats CellAggregate::* member;
-  CellGroup group;
-  const char* report_key = name;
-};
 inline constexpr CellStatsField kCellStatsFields[] = {
     {"decision_round", &CellAggregate::decision_round, CellGroup::kTop},
     {"rounds_after_cst", &CellAggregate::rounds_after_cst, CellGroup::kTop},

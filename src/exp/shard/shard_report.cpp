@@ -30,7 +30,7 @@ void append_cell_aggregate_json(std::string& out, const CellAggregate& cell) {
   jsonu::append_members(out, cell, kCellCounterFields);
   for (const CellStatsField& f : kCellStatsFields) {
     out += ",\"";
-    out += f.name;
+    out += f.key;
     out += "\":";
     // v2 encoding: {"h":[key,count,...]} for histogram-mode statistics
     // (the common case -- every count-like metric), {"raw":[...]} for the
@@ -80,15 +80,15 @@ std::optional<CellAggregate> cell_aggregate_from_members(
     return std::nullopt;
   }
   for (const CellStatsField& f : kCellStatsFields) {
-    const auto raw = flat.find(f.name);
+    const auto raw = flat.find(f.key);
     if (!raw) return fail(std::string("cell aggregate missing key '") +
-                          f.name + "'");
+                          f.key + "'");
     // Histogram bins install by count addition; raw buffers replay via
     // add() in insertion order.  Either way the worker's accumulator state
     // is reproduced exactly.
     std::string stats_error;
     if (!stats_from_json(*raw, &(cell.*(f.member)), &stats_error)) {
-      return fail(std::string("key '") + f.name + "': " + stats_error);
+      return fail(std::string("key '") + f.key + "': " + stats_error);
     }
   }
   return cell;
