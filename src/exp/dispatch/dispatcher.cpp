@@ -5,7 +5,6 @@
 #include <deque>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <thread>
 
@@ -37,9 +36,7 @@ bool read_file(const std::string& path, std::string& out) {
 /// first completed copy wins.
 struct Assignment {
   std::size_t id = 0;
-  std::vector<std::size_t> cells;
-  std::string spec_path, report_path, ckpt_path, perf_path;
-  ShardSpec spec;
+  CheckpointReader checkpoint;  ///< the worker's one output; owns the spec
   std::uint64_t spawn_wall_ms = 0;  ///< heartbeat floor before first write
   std::uint64_t start_ns = 0;       ///< dispatcher-clock spawn instant
   bool stolen = false;              ///< at most one steal per assignment
@@ -168,29 +165,27 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
       if (cells.empty()) continue;
       std::sort(cells.begin(), cells.end());  // requeues arrive unsorted
 
-      Assignment a;
-      a.id = next_batch_id++;
-      a.cells = cells;
+      const std::size_t id = next_batch_id++;
       const std::string base =
-          options.work_dir + "/batch-" + std::to_string(a.id);
-      a.spec_path = base + ".spec.json";
-      a.report_path = base + ".report.json";
-      a.ckpt_path = base + ".ckpt.jsonl";
-      a.spec = ShardPlanner::plan_cells(grid, cells, a.id);
-      if (!write_file(a.spec_path, a.spec.to_json() + "\n")) {
+          options.work_dir + "/batch-" + std::to_string(id);
+      const std::string spec_path = base + ".spec.json";
+      const std::string ckpt_path = base + ".ckpt.jsonl";
+      ShardSpec spec = ShardPlanner::plan_cells(grid, cells, id);
+      if (!write_file(spec_path, spec.to_json() + "\n")) {
         cleanup();
-        return fail("cannot write shard spec " + a.spec_path);
+        return fail("cannot write shard spec " + spec_path);
       }
-      std::vector<std::string> argv = {
-          options.worker_bin, "--shard-file", a.spec_path,
-          "--json",           a.report_path, "--checkpoint",
-          a.ckpt_path,        "--quiet"};
+      Assignment a{id, CheckpointReader(std::move(spec), ckpt_path)};
+      std::vector<std::string> argv = {options.worker_bin, "--shard-file",
+                                       spec_path,          "--checkpoint",
+                                       ckpt_path,          "--quiet"};
+      std::string perf_path;
       if (options.worker_perf) {
-        a.perf_path = base + ".perf.json";
+        perf_path = base + ".perf.json";
         argv.push_back("--perf-out");
-        argv.push_back(a.perf_path);
+        argv.push_back(perf_path);
       }
-      perf_path_by_batch.push_back(a.perf_path);
+      perf_path_by_batch.push_back(perf_path);
       for (const std::string& arg : options.worker_args) argv.push_back(arg);
       std::vector<std::string> env = {"CCD_DISPATCH_WORKER=" +
                                       std::to_string(si)};
@@ -199,7 +194,7 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
           env.push_back(kv);
         }
       }
-      for (std::size_t c : a.cells) ++live[c];
+      for (std::size_t c : cells) ++live[c];
       a.spawn_wall_ms = obs::wall_clock_ms();
       a.start_ns = timer.elapsed_ns();
       const int handle = transport->spawn(argv, env);
@@ -215,29 +210,30 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
       worked = true;
     }
 
-    // 2. Poll running workers: adopt finished batches, harvest + requeue
-    // dead ones, steal from stale ones.
+    // 2. Poll running workers: read each one's new checkpoint lines, steal
+    // from stale ones, adopt what exited ones finished and requeue the
+    // rest.
     for (std::uint32_t si = 0; si < slots.size(); ++si) {
       Slot& slot = slots[si];
       if (slot.handle == -1) continue;
       Assignment& a = *slot.batch;
+      const std::vector<std::size_t>& cells = a.checkpoint.shard().cells;
       const WorkerStatus status = transport->poll(slot.handle);
+      // Read after the poll: once the worker has exited, every line it
+      // wrote is in the file.
+      const bool usable = a.checkpoint.read();
 
       if (status.running) {
-        std::vector<std::size_t> tail_cells;
-        std::uint64_t hb = 0;
-        tail_checkpoint(a.ckpt_path, &tail_cells, &hb);
-        const std::uint64_t last = std::max(hb, a.spawn_wall_ms);
+        const std::uint64_t last =
+            std::max(a.checkpoint.last_ts_ms(), a.spawn_wall_ms);
         const std::uint64_t now = obs::wall_clock_ms();
         if (!a.stolen && now > last && now - last > stale_ms) {
           // Steal: re-queue the unfinished cells but leave the laggard
           // running -- it may still win some of them.
           a.stolen = true;
-          const std::set<std::size_t> fresh(tail_cells.begin(),
-                                            tail_cells.end());
           std::size_t stolen_cells = 0;
-          for (auto it = a.cells.rbegin(); it != a.cells.rend(); ++it) {
-            if (fresh.count(*it)) continue;
+          for (auto it = cells.rbegin(); it != cells.rend(); ++it) {
+            if (a.checkpoint.cells().count(*it)) continue;
             if (requeue_cell(*it)) ++stolen_cells;
           }
           stats.steals += stolen_cells;
@@ -246,39 +242,21 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
         continue;
       }
 
-      // Worker exited.
+      // Worker exited: adopt every cell its stream holds (an unusable
+      // stream holds none).  Anything short of a clean exit with the whole
+      // batch read is a restart.
       slot.totals.busy_ns += timer.elapsed_ns() - a.start_ns;
-      bool adopted_report = false;
-      if (status.exit_code == 0) {
-        std::string text, parse_error;
-        if (read_file(a.report_path, text)) {
-          if (auto report = ShardReport::from_json(text, &parse_error)) {
-            for (CellAggregate& cell : report->cells) {
-              const std::size_t c = cell.cell_index;
-              adopt(c, std::move(cell), a.id, si);
-            }
-            adopted_report = true;
-          }
-        }
-      }
-      if (!adopted_report) {
-        // Crash (or a clean exit with an unusable report, which is treated
-        // the same).  Harvest the checkpoint -- torn-tail amnesty included
-        // -- so completed cells survive; an invalid checkpoint forfeits
-        // its progress and every cell re-queues.
-        CheckpointContents contents;
-        std::string ckpt_error;
-        if (load_checkpoint(a.spec, a.ckpt_path, &contents, &ckpt_error)) {
-          for (auto& [c, cell] : contents.cells) {
-            adopt(c, std::move(cell), a.id, si);
-          }
-        }
+      if (status.exit_code != 0 || !usable ||
+          a.checkpoint.cells().size() < cells.size()) {
         ++slot.totals.restarts;
         ++stats.worker_restarts;
       }
+      for (auto& [c, cell] : a.checkpoint.take_cells()) {
+        adopt(c, std::move(cell), a.id, si);
+      }
       std::size_t requeued = 0;
-      for (std::size_t c : a.cells) --live[c];
-      for (auto it = a.cells.rbegin(); it != a.cells.rend(); ++it) {
+      for (std::size_t c : cells) --live[c];
+      for (auto it = cells.rbegin(); it != cells.rend(); ++it) {
         const std::size_t c = *it;
         if (live[c] > 0) continue;  // another (stolen) copy is in flight
         if (requeue_cell(c)) ++requeued;

@@ -7,16 +7,19 @@
 //
 //   * assignments are shard specs like any other (ShardPlanner::plan_cells
 //     names each batch's cells), so workers are plain `ccd_sweep
-//     --shard-file` invocations -- checkpoint writing and report
-//     emission unchanged;
-//   * liveness is read from the workers' own checkpoint JSONL heartbeats
-//     (tail_checkpoint each poll tick); a batch whose heartbeat goes stale
+//     --shard-file SPEC --checkpoint FILE` invocations whose one output is
+//     the checkpoint stream -- a cell marker per finished cell;
+//   * one CheckpointReader per assignment reads that stream as it grows,
+//     each poll tick parsing only the lines appended since the last.  Its
+//     heartbeat is the liveness signal: a batch whose heartbeat goes stale
 //     past stale_after has its unfinished cells re-queued (STOLEN) while
 //     the laggard keeps running -- first completed copy wins.  This is the
 //     stack's only staleness signal;
-//   * a worker that exits nonzero has its checkpoint harvested (torn-tail
-//     amnesty included) so finished cells survive the crash, and the rest
-//     re-queued;
+//   * when a worker exits, whatever its exit code, the cells its stream
+//     holds are adopted and the rest re-queued.  A nonzero exit or a
+//     stream that is unusable or short of the batch counts as a restart.
+//     Adoption waits for the exit so a winning worker's perf sidecar is
+//     written before the merge reads it;
 //   * the cell -> winning-assignment ledger prunes every duplicate before
 //     merging, so merge_shard_reports' exactly-once validation holds and
 //     the merged report is byte-identical to a single-process run --
@@ -51,7 +54,7 @@ struct DispatchOptions {
   /// dispatch (deterministic failure instead of an infinite requeue loop
   /// when e.g. the worker binary crashes on that cell every time).
   std::size_t max_assignments_per_cell = 10;
-  /// Directory for spec/report/checkpoint files; must exist.
+  /// Directory for spec/checkpoint/perf files; must exist.
   std::string work_dir;
   /// Worker binary (a ccd_sweep build).
   std::string worker_bin;

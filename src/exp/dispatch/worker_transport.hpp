@@ -5,9 +5,10 @@
 // is a transport change, not a scheduler change.
 //
 // The contract is deliberately minimal (spawn / poll / kill on an opaque
-// handle) because that is all work stealing needs: liveness comes from the
-// workers' checkpoint heartbeats, not from the transport, so a remote
-// transport does not need to stream anything back.
+// handle) because that is all work stealing needs: liveness and results
+// both come from the workers' checkpoint streams in the work directory,
+// not from the transport, so a remote transport only has to make that
+// directory visible to the dispatcher.
 #pragma once
 
 #include <string>

@@ -247,7 +247,6 @@ ScenarioOutcome run_world(const ScenarioSpec& spec, const Graph& graph,
       ScenarioOutcome phase2 = run_consensus_world(
           WorldFactory::phase2_spec(spec, static_cast<std::uint32_t>(k)), {},
           options);
-      out.mh.consensus = phase2.summary;
       out.summary = phase2.summary;
       out.counters.add(phase2.counters);
       out.phase2_log = std::move(phase2.log);

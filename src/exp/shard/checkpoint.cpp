@@ -8,16 +8,6 @@
 
 namespace ccd::exp {
 
-namespace {
-
-/// ts_ms from an already-parsed checkpoint line, 0 if absent/bad.
-std::uint64_t heartbeat_of(const jsonu::FlatJson& flat) {
-  const auto ts = flat.find("ts_ms");
-  return ts ? jsonu::parse_u64(*ts).value_or(0) : 0;
-}
-
-}  // namespace
-
 std::string checkpoint_header(const ShardSpec& shard) {
   std::string out = "{\"format\":\"ccd-shard-checkpoint-v1\"";
   out += ",\"grid_fingerprint\":\"" +
@@ -36,112 +26,74 @@ std::string checkpoint_cell_marker(const CellAggregate& cell) {
   return marker;
 }
 
-bool load_checkpoint(const ShardSpec& shard, const std::string& path,
-                     CheckpointContents* out, std::string* error) {
-  *out = CheckpointContents{};
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    out->missing = true;
-    return true;  // no file yet: nothing completed
+CheckpointReader::CheckpointReader(ShardSpec shard, std::string path)
+    : shard_(std::move(shard)), path_(std::move(path)) {}
+
+bool CheckpointReader::read() {
+  if (!error_.empty()) return false;
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
+  if (!in) return true;  // not written yet: nothing completed
+  const std::streamoff size = in.tellg();
+  const auto offset = static_cast<std::streamoff>(offset_);
+  if (size <= offset) return true;
+  std::string text(static_cast<std::size_t>(size - offset), '\0');
+  in.seekg(offset);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+
+  std::size_t begin = 0;
+  for (std::size_t end; (end = text.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    if (!read_line(std::string_view(text).substr(begin, end - begin))) {
+      cells_.clear();
+      return false;
+    }
   }
-  std::string line;
-  if (!std::getline(in, line)) return true;  // empty file
-  {
-    auto flat = jsonu::FlatJson::parse(line);
-    if (!flat) {
-      // A header torn mid-write is the first-write crash artifact; it gets
-      // the same amnesty as a torn marker -- but only when it really is
-      // the file's final line.  Anything after it means the file was never
-      // a checkpoint.
-      if (in.peek() == std::ifstream::traits_type::eof()) {
-        out->torn_tail = true;
-        return true;
-      }
-      if (error) {
-        *error = "checkpoint " + path +
-                 ": unparseable header with content after it (not a "
-                 "checkpoint file?)";
-      }
-      return false;
-    }
-    const auto format = flat->find("format");
-    if (!format || *format != "ccd-shard-checkpoint-v1") {
-      if (error) {
-        *error = "checkpoint " + path +
-                 ": missing or unknown header (expected "
-                 "ccd-shard-checkpoint-v1)";
-      }
-      return false;
-    }
-    const auto fp = flat->find("grid_fingerprint");
-    if (!fp || *fp != fingerprint_to_hex(shard.grid_fingerprint)) {
-      if (error) {
-        *error = "checkpoint " + path + ": grid fingerprint " +
-                 std::string(fp.value_or("<missing>")) +
-                 " does not match this shard's grid " +
-                 fingerprint_to_hex(shard.grid_fingerprint) +
-                 " (stale checkpoint from another grid?)";
-      }
-      return false;
-    }
-    out->last_ts_ms = std::max(out->last_ts_ms, heartbeat_of(*flat));
-  }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    // One parse per marker: the cell aggregate and its ts_ms heartbeat.
-    auto flat = jsonu::FlatJson::parse(line);
-    std::string cell_error = "cell aggregate is not a flat JSON object";
-    auto cell = flat ? cell_aggregate_from_members(shard.grid, *flat,
-                                                   &cell_error)
-                     : std::nullopt;
-    if (!cell) {
-      // A final partial line is the expected crash artifact; only the LAST
-      // line gets that amnesty.
-      if (in.peek() == std::ifstream::traits_type::eof()) {
-        out->torn_tail = true;
-        break;
-      }
-      if (error) {
-        *error = "checkpoint " + path + " line " + std::to_string(line_no) +
-                 ": " + cell_error;
-      }
-      return false;
-    }
-    if (!shard.owns_cell(cell->cell_index)) {
-      if (error) {
-        *error = "checkpoint " + path + " line " + std::to_string(line_no) +
-                 ": cell " + std::to_string(cell->cell_index) +
-                 " is not owned by shard " +
-                 std::to_string(shard.shard_index) + "/" +
-                 std::to_string(shard.shard_count);
-      }
-      return false;
-    }
-    out->last_ts_ms = std::max(out->last_ts_ms, heartbeat_of(*flat));
-    out->cells[cell->cell_index] = std::move(*cell);
-  }
+  offset_ += begin;  // a partial last line waits for its newline
   return true;
 }
 
-bool tail_checkpoint(const std::string& path,
-                     std::vector<std::size_t>* cells_done,
-                     std::uint64_t* last_ts_ms) {
-  if (cells_done) cells_done->clear();
-  if (last_ts_ms) *last_ts_ms = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto flat = jsonu::FlatJson::parse(line);
-    if (!flat) continue;  // mid-append torn line: skip, it will heal
-    if (last_ts_ms) *last_ts_ms = std::max(*last_ts_ms, heartbeat_of(*flat));
-    std::size_t c = 0;
-    if (cells_done && jsonu::read_member(*flat, "cell", &c, nullptr)) {
-      cells_done->push_back(c);
+bool CheckpointReader::read_line(std::string_view line) {
+  ++lines_;
+  auto fail = [&](const std::string& what) {
+    error_ = "checkpoint " + path_;
+    if (lines_ > 1) error_.append(" line ").append(std::to_string(lines_));
+    error_.append(": ").append(what);
+    return false;
+  };
+  const auto flat = jsonu::FlatJson::parse(line);
+  if (lines_ == 1) {
+    if (!flat) return fail("unparseable header (not a checkpoint file?)");
+    const auto format = flat->find("format");
+    if (!format || *format != "ccd-shard-checkpoint-v1") {
+      return fail(
+          "missing or unknown header (expected ccd-shard-checkpoint-v1)");
     }
+    const std::string want = fingerprint_to_hex(shard_.grid_fingerprint);
+    const auto fp = flat->find("grid_fingerprint");
+    if (!fp || *fp != want) {
+      return fail("grid fingerprint " + std::string(fp.value_or("<missing>")) +
+                  " does not match this shard's grid " + want +
+                  " (stale checkpoint from another grid?)");
+    }
+  } else {
+    if (line.empty()) return true;
+    std::string cell_error = "cell aggregate is not a flat JSON object";
+    auto cell = flat ? cell_aggregate_from_members(shard_.grid, *flat,
+                                                   &cell_error)
+                     : std::nullopt;
+    if (!cell) return fail(cell_error);
+    if (!shard_.owns_cell(cell->cell_index)) {
+      return fail("cell " + std::to_string(cell->cell_index) +
+                  " is not owned by shard " +
+                  std::to_string(shard_.shard_index) + "/" +
+                  std::to_string(shard_.shard_count));
+    }
+    cells_[cell->cell_index] = std::move(*cell);
+  }
+  // ts_ms is optional: a line without a valid one adds no heartbeat.
+  if (const auto ts = flat->find("ts_ms")) {
+    last_ts_ms_ = std::max(last_ts_ms_, jsonu::parse_u64(*ts).value_or(0));
   }
   return true;
 }

@@ -1,23 +1,23 @@
 // Shard checkpoint files: the JSONL stream a worker writes as cells
-// complete, read back by the dispatcher's per-tick liveness probe (its
-// steal signal) and when it harvests a dead worker's partial progress
-// before re-queueing the rest of its batch.
+// complete, and the one reader the dispatcher keeps per assignment.  It
+// reads the stream as it grows, for the batch's heartbeat and the steal's
+// finished set, and once the worker has exited, for the cells to adopt.
 //
 // Layout: one header line ("ccd-shard-checkpoint-v1", grid fingerprint,
 // shard identity, wall-clock stamp) then one cell-aggregate line per
 // COMPLETED cell, each carrying a ts_ms heartbeat.  The file is rewritten
-// whole at worker start and appended per cell after that, so the only
-// malformed content a crash can produce is a torn FINAL line -- possibly
-// the header itself when the worker died inside its very first write.
-// Loading forgives exactly that: a torn tail (including a torn lone
-// header) drops silently; malformed content anywhere else is a hard,
-// keyed error.
+// whole at worker start and appended per cell after that, each line
+// ending in '\n', so the only malformed content a crash can produce is a
+// torn FINAL line -- possibly the header itself when the worker died
+// inside its very first write.  The reader consumes '\n'-terminated lines
+// only: a torn or half-appended tail is never read, so it needs no
+// amnesty.  Malformed content in any complete line is a hard, keyed error.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "exp/shard/shard_report.hpp"
 
@@ -29,39 +29,47 @@ namespace ccd::exp {
 std::string checkpoint_header(const ShardSpec& shard);
 
 /// One completed cell as a checkpoint line: the cell aggregate with a
-/// ts_ms heartbeat spliced in before the closing brace.  The loader looks
-/// up known keys only, so the stamp never changes the loaded aggregate.
+/// ts_ms heartbeat spliced in before the closing brace.  The reader looks
+/// up known keys only, so the stamp never changes the read aggregate.
 std::string checkpoint_cell_marker(const CellAggregate& cell);
 
-/// What a checkpoint file held when loaded.
-struct CheckpointContents {
-  /// Completed cells, keyed by cell index; bit-identical to the worker's
-  /// accumulator state at write time.
-  std::map<std::size_t, CellAggregate> cells;
-  /// Newest ts_ms across the header and every marker (0 if none parsed).
-  std::uint64_t last_ts_ms = 0;
-  /// A torn final line (crash artifact) was dropped.
-  bool torn_tail = false;
-  /// No file existed at `path` -- nothing completed, not an error.
-  bool missing = false;
+/// Incremental reader of one shard's checkpoint file.  Each read() parses
+/// only the complete lines appended since the previous one, checking the
+/// header against the shard (format + grid fingerprint) and every marker's
+/// aggregate and cell ownership.
+class CheckpointReader {
+ public:
+  CheckpointReader(ShardSpec shard, std::string path);
+
+  /// Read the complete lines appended since the last call; a missing file
+  /// reads as empty.  False once the stream is unusable: error() then
+  /// names the file and line, the cells read are dropped, and later calls
+  /// read nothing.
+  bool read();
+
+  const ShardSpec& shard() const { return shard_; }
+  /// Completed cells read so far, keyed by cell index; bit-identical to
+  /// the worker's accumulator state at write time.
+  const std::map<std::size_t, CellAggregate>& cells() const { return cells_; }
+  /// Moves the cells out (the reader is spent afterwards).
+  std::map<std::size_t, CellAggregate> take_cells() {
+    return std::move(cells_);
+  }
+  /// Newest ts_ms across the lines read (0 if none carried one).
+  std::uint64_t last_ts_ms() const { return last_ts_ms_; }
+  /// Empty while the stream is usable.
+  const std::string& error() const { return error_; }
+
+ private:
+  bool read_line(std::string_view line);
+
+  ShardSpec shard_;
+  std::string path_;
+  std::uint64_t offset_ = 0;  ///< bytes of the complete lines read
+  std::size_t lines_ = 0;     ///< complete lines read, header included
+  std::map<std::size_t, CellAggregate> cells_;
+  std::uint64_t last_ts_ms_ = 0;
+  std::string error_;
 };
-
-/// Load `path`, validating the header against `shard` (format + grid
-/// fingerprint) and every marker's cell against shard ownership.  Torn
-/// final lines -- including a header torn mid-write -- are forgiven and
-/// reported via torn_tail; every other malformation fails with a keyed
-/// message in *error.  A missing file is success with missing = true.
-bool load_checkpoint(const ShardSpec& shard, const std::string& path,
-                     CheckpointContents* out, std::string* error);
-
-/// Lenient progress probe for live tailing: which cells have markers, and
-/// the newest heartbeat seen.  Unparseable lines are skipped (the file is
-/// mid-append), no ownership or fingerprint validation happens, and the
-/// aggregates are not reconstructed -- this is cheap enough to call every
-/// dispatcher poll tick.  False only if the file exists but cannot be
-/// opened.
-bool tail_checkpoint(const std::string& path,
-                     std::vector<std::size_t>* cells_done,
-                     std::uint64_t* last_ts_ms);
 
 }  // namespace ccd::exp

@@ -4,10 +4,11 @@
 //
 // The checkpoint file is append-only JSONL: a header line naming the grid
 // fingerprint and shard identity, then one cell-aggregate line per
-// COMPLETED cell, written the moment the cell's last seed finishes.  The
-// dispatcher tails it as the worker's heartbeat and, when a worker dies,
-// loads it to keep the finished cells (bit-identical -- samples are
-// serialized losslessly in fold order) and re-queues only the rest.
+// COMPLETED cell, written the moment the cell's last seed finishes.  It is
+// a dispatched worker's only output: the dispatcher reads it as it grows
+// for the heartbeat and, when the worker exits, adopts the cells it holds
+// (bit-identical -- samples are serialized losslessly in fold order) and
+// re-queues only the rest.
 #pragma once
 
 #include <optional>

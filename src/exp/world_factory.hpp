@@ -65,12 +65,10 @@ struct MultihopSummary {
   bool mis_independent = true;  ///< no two adjacent surviving heads
   bool mis_maximal = true;      ///< every survivor is a head or dominated
 
-  /// mis-then-consensus only: the single-hop consensus phase among the
-  /// SURVIVING clusterheads.
-  std::optional<RunSummary> consensus;
   /// mis-then-consensus: true when zero heads survived the MIS phase, so
-  /// phase 2 never ran (distinguishes a skipped phase from a real
-  /// zero-round consensus).
+  /// phase 2 -- the single-hop consensus among the SURVIVING clusterheads,
+  /// whose verdict is ScenarioOutcome::summary -- never ran (distinguishes
+  /// a skipped phase from a real zero-round consensus).
   bool phase2_skipped = false;
 
   /// Non-empty when the spec could not be executed on the multihop path.

@@ -104,11 +104,7 @@ std::optional<PerfSidecar> PerfSidecar::from_members(
   }
   sidecar.grid_fingerprint = *fp;
   if (!jsonu::read_member(flat, "runs", &sidecar.runs, error,
-                          "perf sidecar")) {
-    return std::nullopt;
-  }
-  // Optional: sidecars written before the histogram-stats work lack it.
-  if (flat.find("stats_bytes_retained") &&
+                          "perf sidecar") ||
       !jsonu::read_member(flat, "stats_bytes_retained",
                           &sidecar.stats_bytes_retained, error,
                           "perf sidecar")) {

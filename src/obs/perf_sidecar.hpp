@@ -15,8 +15,7 @@
 //   {"format":"ccd-perf-sidecar-v1",
 //    "grid_fingerprint":"<16 hex>",
 //    "runs":N,
-//    "stats_bytes_retained":B,   // aggregator Stats footprint; optional on
-//                                // parse (older sidecars predate it)
+//    "stats_bytes_retained":B,   // aggregator Stats footprint
 //    "counters":{"rounds":..,...},            // EngineCounters totals
 //    "shards":[{"shard_index":i,"shard_count":K,"wall_ns":..,"drain_ns":..,
 //               "threads":T,"runs":N,

@@ -279,9 +279,7 @@ bool parse_sidecar(const jsonu::FlatJson& flat, ReportView* view,
   const auto sidecar = PerfSidecar::from_members(flat, error);
   if (!sidecar) return false;
   view->totals["runs"] = sidecar->runs;
-  if (flat.find("stats_bytes_retained")) {
-    view->totals["stats_bytes_retained"] = sidecar->stats_bytes_retained;
-  }
+  view->totals["stats_bytes_retained"] = sidecar->stats_bytes_retained;
   for (const PerfCell& timed : sidecar->cells) {
     CellView& cell = view->cells.emplace_back();
     cell.cell = timed.cell_index;

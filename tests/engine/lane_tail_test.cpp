@@ -175,8 +175,7 @@ std::string describe(const RunRecord& r) {
     out.append(std::to_string(x)).append(",");
   }
   out.append(std::to_string(mh.messages_per_node)).append(",");
-  out.append(mh.error).append("|");
-  if (mh.consensus) out.append(describe(*mh.consensus));
+  out.append(mh.error);
   return out;
 }
 

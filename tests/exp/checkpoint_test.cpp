@@ -1,11 +1,15 @@
-// Checkpoint JSONL contract: torn-final-line amnesty (the crash artifact a
-// SIGKILLed worker leaves) covers the tail AND a lone torn header, while
-// malformation anywhere else stays a hard keyed error.  The dispatcher's
-// harvest-and-requeue path leans on exactly this split: every byte-level
-// truncation of a valid checkpoint must load as a clean prefix of the
-// completed cells, never as garbage and never as a crash of the loader.
+// Checkpoint JSONL contract: the reader consumes '\n'-terminated lines
+// only, so a torn final line (the crash artifact a SIGKILLed worker
+// leaves, a lone torn header included) or a half-appended one is simply
+// not read yet, while malformation in any complete line is a hard keyed
+// error.  The dispatcher's adopt-and-requeue path leans on exactly this
+// split: every byte-level truncation of a valid checkpoint must read as a
+// clean prefix of the completed cells, never as garbage and never as a
+// crash of the reader -- and reading a growing file piece by piece must
+// end where one whole read does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,6 +22,7 @@
 #include "exp/shard/shard_runner.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
+#include "util/rng.hpp"
 
 namespace ccd::exp {
 namespace {
@@ -38,6 +43,10 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
   void write(const std::string& content) const {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << content;
+  }
+  void append(const std::string& content) const {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
     out << content;
   }
   std::string path;
@@ -61,33 +70,42 @@ std::vector<CellAggregate> grid_cells(const SweepGrid& grid) {
   return aggregate(grid, run_sweep(grid, options));
 }
 
-TEST(CheckpointTest, RoundTripLoadsEveryCellBitIdentically) {
+/// One whole read of `path` by a fresh reader for `shard`.
+CheckpointReader read_once(const ShardSpec& shard, const std::string& path) {
+  CheckpointReader reader(shard, path);
+  reader.read();
+  return reader;
+}
+
+void expect_same_cells(const CheckpointReader& reader,
+                       const std::vector<CellAggregate>& cells) {
+  ASSERT_EQ(reader.cells().size(), cells.size());
+  for (const CellAggregate& cell : cells) {
+    auto it = reader.cells().find(cell.cell_index);
+    ASSERT_NE(it, reader.cells().end()) << "cell " << cell.cell_index;
+    // The marker splices a heartbeat into the aggregate JSON; reading must
+    // strip it back out to the worker's exact accumulator state.
+    EXPECT_EQ(cell_aggregate_to_json(it->second),
+              cell_aggregate_to_json(cell));
+  }
+}
+
+TEST(CheckpointTest, RoundTripReadsEveryCellBitIdentically) {
   const SweepGrid grid = small_grid();
   const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
   const auto cells = grid_cells(grid);
   TempFile file("ckpt_roundtrip.jsonl");
   file.write(valid_checkpoint(shard, cells, cells.size()));
 
-  CheckpointContents contents;
-  std::string error;
-  ASSERT_TRUE(load_checkpoint(shard, file.path, &contents, &error)) << error;
-  EXPECT_FALSE(contents.missing);
-  EXPECT_FALSE(contents.torn_tail);
-  EXPECT_GT(contents.last_ts_ms, 0u);
-  ASSERT_EQ(contents.cells.size(), cells.size());
-  for (const CellAggregate& cell : cells) {
-    auto it = contents.cells.find(cell.cell_index);
-    ASSERT_NE(it, contents.cells.end()) << "cell " << cell.cell_index;
-    // The marker splices heartbeat fields into the aggregate JSON; loading
-    // must strip them back out to the worker's exact accumulator state.
-    EXPECT_EQ(cell_aggregate_to_json(it->second),
-              cell_aggregate_to_json(cell));
-  }
+  const CheckpointReader reader = read_once(shard, file.path);
+  EXPECT_EQ(reader.error(), "");
+  EXPECT_GT(reader.last_ts_ms(), 0u);
+  expect_same_cells(reader, cells);
 }
 
-TEST(CheckpointTest, RunShardStampsEveryLineAndLoadsBackItsReport) {
+TEST(CheckpointTest, RunShardStampsEveryLineAndReadsBackItsReport) {
   // The file a worker writes: every line carries the ts_ms heartbeat the
-  // dispatcher's steal reads, and loading it yields the worker's report.
+  // dispatcher's steal reads, and reading it yields the worker's report.
   // A stale file on the path is truncated, not appended to.
   const SweepGrid grid = small_grid();
   const ShardSpec shard = ShardPlanner::plan(grid, 2)[0];
@@ -108,17 +126,13 @@ TEST(CheckpointTest, RunShardStampsEveryLineAndLoadsBackItsReport) {
   }
   EXPECT_EQ(lines, 1 + shard.cells.size());  // header + one per cell
 
-  CheckpointContents contents;
-  ASSERT_TRUE(load_checkpoint(shard, file.path, &contents, &error)) << error;
-  ASSERT_EQ(contents.cells.size(), report->cells.size());
-  for (const CellAggregate& cell : report->cells) {
-    EXPECT_EQ(cell_aggregate_to_json(contents.cells.at(cell.cell_index)),
-              cell_aggregate_to_json(cell));
-  }
+  const CheckpointReader reader = read_once(shard, file.path);
+  EXPECT_EQ(reader.error(), "");
+  expect_same_cells(reader, report->cells);
 }
 
-TEST(CheckpointTest, CheckpointWithoutHeartbeatsStillLoads) {
-  // ts_ms is optional on read: a file without it loads the same cells and
+TEST(CheckpointTest, CheckpointWithoutHeartbeatsStillReads) {
+  // ts_ms is optional on read: a file without it reads the same cells and
   // reports no heartbeat.
   const SweepGrid grid = small_grid();
   const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
@@ -134,41 +148,40 @@ TEST(CheckpointTest, CheckpointWithoutHeartbeatsStillLoads) {
   TempFile file("ckpt_no_heartbeat.jsonl");
   file.write(text);
 
-  CheckpointContents contents;
-  std::string error;
-  ASSERT_TRUE(load_checkpoint(shard, file.path, &contents, &error)) << error;
-  EXPECT_FALSE(contents.torn_tail);
-  EXPECT_EQ(contents.last_ts_ms, 0u);
-  ASSERT_EQ(contents.cells.size(), cells.size());
-  for (const CellAggregate& cell : cells) {
-    EXPECT_EQ(cell_aggregate_to_json(contents.cells.at(cell.cell_index)),
-              cell_aggregate_to_json(cell));
-  }
+  const CheckpointReader reader = read_once(shard, file.path);
+  EXPECT_EQ(reader.error(), "");
+  EXPECT_EQ(reader.last_ts_ms(), 0u);
+  expect_same_cells(reader, cells);
 }
 
-TEST(CheckpointTest, MissingFileIsEmptySuccess) {
+TEST(CheckpointTest, MissingFileReadsAsEmptyUntilItAppears) {
   const SweepGrid grid = small_grid();
   const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
-  CheckpointContents contents;
-  std::string error;
-  ASSERT_TRUE(load_checkpoint(shard, "ckpt_never_written.jsonl", &contents,
-                              &error))
-      << error;
-  EXPECT_TRUE(contents.missing);
-  EXPECT_TRUE(contents.cells.empty());
+  const auto cells = grid_cells(grid);
+  TempFile file("ckpt_not_yet_written.jsonl");
+  CheckpointReader reader(shard, file.path);
+  EXPECT_TRUE(reader.read());
+  EXPECT_TRUE(reader.cells().empty());
+  EXPECT_EQ(reader.last_ts_ms(), 0u);
+
+  // The worker starts writing after the reader's first look.
+  file.write(valid_checkpoint(shard, cells, 2));
+  EXPECT_TRUE(reader.read()) << reader.error();
+  EXPECT_EQ(reader.cells().size(), 2u);
+  EXPECT_GT(reader.last_ts_ms(), 0u);
 }
 
-TEST(CheckpointTest, EveryTruncationLoadsAsACleanPrefix) {
+TEST(CheckpointTest, EveryTruncationReadsAsACleanPrefix) {
   // Chop a 4-cell checkpoint at EVERY byte boundary: each prefix is a
-  // state some crash could leave behind, and each must load as exactly
-  // the fully-written markers -- with torn_tail flagged iff the final
-  // line was cut.  This is the harvest path's whole safety argument.
+  // state some crash could leave behind, and each must read as exactly
+  // the markers whose newline was written.  One reader follows the file
+  // as it grows byte by byte and must agree with a fresh reader at every
+  // length.  This is the adoption path's whole safety argument.
   const SweepGrid grid = small_grid();
   const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
   const auto cells = grid_cells(grid);
   const std::string full = valid_checkpoint(shard, cells, 4);
 
-  // Map each byte offset to how many markers are complete at that point.
   std::vector<std::size_t> line_ends;  // offset just past each '\n'
   for (std::size_t i = 0; i < full.size(); ++i) {
     if (full[i] == '\n') line_ends.push_back(i + 1);
@@ -176,57 +189,114 @@ TEST(CheckpointTest, EveryTruncationLoadsAsACleanPrefix) {
   ASSERT_EQ(line_ends.size(), 5u);  // header + 4 markers
 
   TempFile file("ckpt_truncation.jsonl");
+  TempFile grown("ckpt_grown.jsonl");
+  grown.write("");
+  CheckpointReader follower(shard, grown.path);
   for (std::size_t len = 0; len <= full.size(); ++len) {
     file.write(full.substr(0, len));
-    CheckpointContents contents;
-    std::string error;
-    ASSERT_TRUE(load_checkpoint(shard, file.path, &contents, &error))
-        << "prefix length " << len << ": " << error;
-    // A line is parseable once its CONTENT is fully present -- the final
-    // newline is not needed (getline yields the unterminated line whole).
-    std::size_t parseable = 0;
-    while (parseable < line_ends.size() &&
-           line_ends[parseable] - 1 <= len) {
-      ++parseable;
+    if (len > 0) grown.append(full.substr(len - 1, 1));
+    EXPECT_TRUE(follower.read()) << "prefix length " << len;
+    std::size_t complete = 0;
+    while (complete < line_ends.size() && line_ends[complete] <= len) {
+      ++complete;
     }
-    const std::size_t expect_cells =
-        parseable > 0 ? parseable - 1 : 0;  // header is not a cell
-    EXPECT_EQ(contents.cells.size(), expect_cells) << "prefix length " << len;
-    for (std::size_t i = 0; i < expect_cells; ++i) {
-      EXPECT_EQ(contents.cells.count(cells[i].cell_index), 1u)
-          << "prefix length " << len << " cell " << i;
+    const std::size_t expect_cells = complete > 0 ? complete - 1 : 0;
+    for (const CheckpointReader& reader :
+         {read_once(shard, file.path), follower}) {
+      EXPECT_EQ(reader.error(), "") << "prefix length " << len;
+      ASSERT_EQ(reader.cells().size(), expect_cells)
+          << "prefix length " << len;
+      for (std::size_t i = 0; i < expect_cells; ++i) {
+        EXPECT_EQ(reader.cells().count(cells[i].cell_index), 1u)
+            << "prefix length " << len << " cell " << i;
+      }
+      EXPECT_EQ(reader.last_ts_ms() > 0, complete > 0)
+          << "prefix length " << len;
     }
-    // torn_tail iff bytes remain past the last parseable line that do not
-    // themselves form one -- a genuine mid-line cut.
-    const std::size_t consumed = parseable > 0 ? line_ends[parseable - 1] : 0;
-    EXPECT_EQ(contents.torn_tail, len > consumed) << "prefix length " << len;
   }
 }
 
-TEST(CheckpointTest, ContentAfterATornHeaderIsAHardError) {
-  // The lone-header amnesty is only for a file that IS a torn header; a
-  // garbage first line followed by more content was never a checkpoint.
+TEST(CheckpointTest, RandomChunksReadLikeOneWholeRead) {
+  // The dispatcher reads a worker's file whenever it polls, so lines
+  // arrive split at arbitrary bytes.  Appending a checkpoint in random
+  // chunks with a read after each must end with the same cells and
+  // heartbeat as one read of the whole file.
+  const SweepGrid grid = small_grid();
+  const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
+  const auto cells = grid_cells(grid);
+  const std::string full = valid_checkpoint(shard, cells, cells.size());
+  TempFile whole("ckpt_whole.jsonl");
+  whole.write(full);
+  const CheckpointReader expected = read_once(shard, whole.path);
+  ASSERT_EQ(expected.error(), "");
+  ASSERT_EQ(expected.cells().size(), cells.size());
+
+  Rng rng(7);
+  TempFile file("ckpt_chunks.jsonl");
+  for (int trial = 0; trial < 20; ++trial) {
+    file.write("");
+    CheckpointReader reader(shard, file.path);
+    // Chunks of up to a third of a line, so most lines split mid-way.
+    for (std::size_t at = 0; at < full.size();) {
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.below(full.size() / 40),
+                                full.size() - at);
+      file.append(full.substr(at, len));
+      at += len;
+      ASSERT_TRUE(reader.read()) << reader.error();
+    }
+    EXPECT_EQ(reader.last_ts_ms(), expected.last_ts_ms());
+    ASSERT_EQ(reader.cells().size(), expected.cells().size());
+    for (const auto& [c, cell] : expected.cells()) {
+      EXPECT_EQ(cell_aggregate_to_json(reader.cells().at(c)),
+                cell_aggregate_to_json(cell))
+          << "trial " << trial << " cell " << c;
+    }
+  }
+}
+
+TEST(CheckpointTest, ATornHeaderIsUnreadButAGarbageOneIsAHardError) {
+  // A header torn mid-write has no newline and is never read; a complete
+  // garbage first line was never a checkpoint.
   const SweepGrid grid = small_grid();
   const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
   TempFile file("ckpt_badheader.jsonl");
+  file.write("{\"format\":\"ccd-shard-chec");
+  CheckpointReader reader(shard, file.path);
+  EXPECT_TRUE(reader.read());
+  EXPECT_TRUE(reader.cells().empty());
+
   file.write("{\"format\":\"ccd-shard-chec\n{\"cell\":0}\n");
-  CheckpointContents contents;
-  std::string error;
-  EXPECT_FALSE(load_checkpoint(shard, file.path, &contents, &error));
-  EXPECT_NE(error.find("unparseable header"), std::string::npos) << error;
+  const CheckpointReader garbage = read_once(shard, file.path);
+  EXPECT_NE(garbage.error().find("unparseable header"), std::string::npos)
+      << garbage.error();
 }
 
-TEST(CheckpointTest, MalformedMiddleLineIsAHardError) {
+TEST(CheckpointTest, MalformedCompleteLineIsAHardErrorThatDropsTheStream) {
   const SweepGrid grid = small_grid();
   const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
   const auto cells = grid_cells(grid);
   TempFile file("ckpt_midgarbage.jsonl");
   file.write(checkpoint_header(shard) + "\n" + "not json\n" +
              checkpoint_cell_marker(cells[0]) + "\n");
-  CheckpointContents contents;
-  std::string error;
-  EXPECT_FALSE(load_checkpoint(shard, file.path, &contents, &error));
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  const CheckpointReader middle = read_once(shard, file.path);
+  EXPECT_NE(middle.error().find("line 2"), std::string::npos)
+      << middle.error();
+
+  // A bad line after good ones drops the cells read before it, and the
+  // reader stays spent: nothing later is read.
+  file.write(valid_checkpoint(shard, cells, 1));
+  CheckpointReader reader(shard, file.path);
+  ASSERT_TRUE(reader.read()) << reader.error();
+  EXPECT_EQ(reader.cells().size(), 1u);
+  file.append("{\"cell\":1}\n");
+  EXPECT_FALSE(reader.read());
+  EXPECT_NE(reader.error().find("line 3"), std::string::npos)
+      << reader.error();
+  EXPECT_TRUE(reader.cells().empty());
+  file.append(checkpoint_cell_marker(cells[2]) + "\n");
+  EXPECT_FALSE(reader.read());
+  EXPECT_TRUE(reader.cells().empty());
 }
 
 TEST(CheckpointTest, WrongFormatAndFingerprintAreKeyedErrors) {
@@ -235,18 +305,17 @@ TEST(CheckpointTest, WrongFormatAndFingerprintAreKeyedErrors) {
   TempFile file("ckpt_badmeta.jsonl");
 
   file.write("{\"format\":\"something-else\"}\n");
-  CheckpointContents contents;
-  std::string error;
-  EXPECT_FALSE(load_checkpoint(shard, file.path, &contents, &error));
-  EXPECT_NE(error.find("ccd-shard-checkpoint-v1"), std::string::npos)
-      << error;
+  const CheckpointReader format = read_once(shard, file.path);
+  EXPECT_NE(format.error().find("ccd-shard-checkpoint-v1"), std::string::npos)
+      << format.error();
 
   // Header written against a different grid: stale checkpoint, rejected.
   SweepGrid other = grid;
   other.grid_seed = 100;
   file.write(checkpoint_header(ShardPlanner::plan(other, 1)[0]) + "\n");
-  EXPECT_FALSE(load_checkpoint(shard, file.path, &contents, &error));
-  EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+  const CheckpointReader fingerprint = read_once(shard, file.path);
+  EXPECT_NE(fingerprint.error().find("fingerprint"), std::string::npos)
+      << fingerprint.error();
 }
 
 TEST(CheckpointTest, MarkerForUnownedCellIsAHardError) {
@@ -256,33 +325,9 @@ TEST(CheckpointTest, MarkerForUnownedCellIsAHardError) {
   TempFile file("ckpt_unowned.jsonl");
   file.write(checkpoint_header(shard) + "\n" +
              checkpoint_cell_marker(cells[5]) + "\n");
-  CheckpointContents contents;
-  std::string error;
-  EXPECT_FALSE(load_checkpoint(shard, file.path, &contents, &error));
-  EXPECT_NE(error.find("not owned"), std::string::npos) << error;
-}
-
-TEST(CheckpointTest, TailCheckpointIsLenientAndCheap) {
-  const SweepGrid grid = small_grid();
-  const ShardSpec shard = ShardPlanner::plan(grid, 1)[0];
-  const auto cells = grid_cells(grid);
-  TempFile file("ckpt_tail.jsonl");
-
-  // Mid-append torn tail: the tailer skips it and reports what's whole.
-  std::string content = valid_checkpoint(shard, cells, 3);
-  content += checkpoint_cell_marker(cells[3]).substr(0, 20);
-  file.write(content);
-  std::vector<std::size_t> done;
-  std::uint64_t last_ts = 0;
-  ASSERT_TRUE(tail_checkpoint(file.path, &done, &last_ts));
-  EXPECT_EQ(done, (std::vector<std::size_t>{cells[0].cell_index,
-                                            cells[1].cell_index,
-                                            cells[2].cell_index}));
-  EXPECT_GT(last_ts, 0u);
-
-  // No validation at all: a foreign-grid checkpoint still tails fine
-  // (the dispatcher only wants liveness, load_checkpoint does the vetting).
-  EXPECT_FALSE(tail_checkpoint("ckpt_never_written.jsonl", &done, &last_ts));
+  const CheckpointReader reader = read_once(shard, file.path);
+  EXPECT_NE(reader.error().find("not owned"), std::string::npos)
+      << reader.error();
 }
 
 }  // namespace

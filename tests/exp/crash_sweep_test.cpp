@@ -224,8 +224,10 @@ TEST(RunScenarioCrash, ReproducibleFromJsonSpecAlone) {
   auto parsed = ScenarioSpec::from_json(spec.to_json());
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(spec, *parsed);
-  const MultihopSummary a = WorldFactory::run_scenario(spec).mh;
-  const MultihopSummary b = WorldFactory::run_scenario(*parsed).mh;
+  const ScenarioOutcome a_run = WorldFactory::run_scenario(spec);
+  const ScenarioOutcome b_run = WorldFactory::run_scenario(*parsed);
+  const MultihopSummary& a = a_run.mh;
+  const MultihopSummary& b = b_run.mh;
   EXPECT_GT(a.crashes_applied, 0u);
   EXPECT_EQ(a.crashes_applied, b.crashes_applied);
   EXPECT_EQ(a.survivors, b.survivors);
@@ -233,7 +235,10 @@ TEST(RunScenarioCrash, ReproducibleFromJsonSpecAlone) {
   EXPECT_EQ(a.broadcasts, b.broadcasts);
   EXPECT_EQ(a.mis_size, b.mis_size);
   EXPECT_EQ(a.phase2_skipped, b.phase2_skipped);
-  EXPECT_EQ(a.consensus.has_value(), b.consensus.has_value());
+  EXPECT_EQ(a_run.summary.result.rounds_executed,
+            b_run.summary.result.rounds_executed);
+  EXPECT_EQ(a_run.summary.verdict.decided_values,
+            b_run.summary.verdict.decided_values);
 }
 
 TEST(RunScenarioCrash, RandomCrashAppliesUnderTheFaultSeedStream) {
@@ -268,19 +273,20 @@ TEST(RunScenarioCrash, ZeroSurvivingHeadsSkipsPhaseTwoExplicitly) {
   for (std::uint32_t p = 0; p < spec.n; ++p) {
     spec.crash_schedule.push_back({1, p, CrashPoint::kBeforeSend});
   }
-  const MultihopSummary s = WorldFactory::run_scenario(spec).mh;
+  const ScenarioOutcome skipped = WorldFactory::run_scenario(spec);
+  const MultihopSummary& s = skipped.mh;
   EXPECT_TRUE(s.ran);
   EXPECT_EQ(s.survivors, 0u);
   EXPECT_EQ(s.mis_size, 0u);
   EXPECT_TRUE(s.phase2_skipped);
-  EXPECT_FALSE(s.consensus.has_value());
+  EXPECT_EQ(skipped.summary.result.rounds_executed, 0u);
 
   // A failure-free run of the same shape runs phase 2 and says so.
   spec.fault = FaultKind::kNone;
   spec.crash_schedule.clear();
-  const MultihopSummary ok = WorldFactory::run_scenario(spec).mh;
-  EXPECT_FALSE(ok.phase2_skipped);
-  EXPECT_TRUE(ok.consensus.has_value());
+  const ScenarioOutcome ok = WorldFactory::run_scenario(spec);
+  EXPECT_FALSE(ok.mh.phase2_skipped);
+  EXPECT_GT(ok.summary.result.rounds_executed, 0u);
 }
 
 // ---- grid validation and sweeps -------------------------------------------

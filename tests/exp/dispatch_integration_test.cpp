@@ -76,7 +76,6 @@ struct WorkDir {
     for (int id = 0; id < 512; ++id) {
       const std::string base = path + "/batch-" + std::to_string(id);
       std::remove((base + ".spec.json").c_str());
-      std::remove((base + ".report.json").c_str());
       std::remove((base + ".ckpt.jsonl").c_str());
       std::remove((base + ".perf.json").c_str());
     }
@@ -112,7 +111,7 @@ TEST(DispatchIntegrationTest, KilledAndStolenWorkersStillMergeByteIdentical) {
   options.worker_bin = worker_bin;
   options.worker_args = {"--threads", "1"};
   // Slot 0: 3ms per run, so the 150ms kill lands mid-batch with a partial
-  // checkpoint to harvest.  Slot 1: 200ms per run -- its first heartbeat
+  // checkpoint to adopt.  Slot 1: 200ms per run -- its first heartbeat
   // marker would arrive at ~600ms, far past stale_after, forcing a steal
   // while the laggard keeps running.
   options.worker_env = {{"CCD_SWEEP_TEST_RUN_DELAY_MS=3"},

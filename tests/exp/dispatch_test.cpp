@@ -1,15 +1,20 @@
 // Dispatcher unit contracts: batch-size decay, explicit-cell shard specs
 // (the assignment format), ledger JSON, the keyed run_dispatch failure
-// modes that need no real worker, and the LocalProcessTransport
-// spawn/poll/kill lifecycle the scheduler is built on.
+// modes that need no real worker, the one exit path over an in-process
+// transport whose workers exit 0 with a full or a partial checkpoint, and
+// the LocalProcessTransport spawn/poll/kill lifecycle the scheduler is
+// built on.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,13 +54,63 @@ struct WorkDir {
     for (int id = 0; id < 128; ++id) {
       const std::string base = path + "/batch-" + std::to_string(id);
       std::remove((base + ".spec.json").c_str());
-      std::remove((base + ".report.json").c_str());
       std::remove((base + ".ckpt.jsonl").c_str());
       std::remove((base + ".perf.json").c_str());
     }
     rmdir(path.c_str());
   }
   std::string path;
+};
+
+/// Runs each batch in process at spawn: reads the worker's --shard-file
+/// spec, runs it with run_shard writing the --checkpoint stream, and
+/// reports exit 0.  With `truncate_first`, the first batch's stream keeps
+/// only its header and first marker -- a clean exit that is still short.
+class InProcessTransport : public WorkerTransport {
+ public:
+  explicit InProcessTransport(bool truncate_first)
+      : truncate_first_(truncate_first) {}
+
+  int spawn(const std::vector<std::string>& argv,
+            const std::vector<std::string>&) override {
+    auto value_of = [&](const std::string& flag) {
+      auto it = std::find(argv.begin(), argv.end(), flag);
+      return it != argv.end() && it + 1 != argv.end() ? *(it + 1) : "";
+    };
+    EXPECT_EQ(std::find(argv.begin(), argv.end(), "--json"), argv.end());
+    std::ifstream spec_in(value_of("--shard-file"), std::ios::binary);
+    std::stringstream text;
+    text << spec_in.rdbuf();
+    std::string error;
+    auto spec = ShardSpec::from_json(text.str(), &error);
+    EXPECT_TRUE(spec.has_value()) << error;
+    if (!spec) return -1;
+    if (spawns_ == 0) first_batch_size_ = spec->cells.size();
+    ShardRunOptions options;
+    options.sweep.threads = 1;
+    options.checkpoint_path = value_of("--checkpoint");
+    EXPECT_TRUE(run_shard(*spec, options, &error).has_value()) << error;
+    if (truncate_first_ && spawns_ == 0) {
+      std::ifstream in(options.checkpoint_path, std::ios::binary);
+      std::string header, marker;
+      std::getline(in, header);
+      std::getline(in, marker);
+      in.close();
+      std::ofstream out(options.checkpoint_path,
+                        std::ios::binary | std::ios::trunc);
+      out << header << "\n" << marker << "\n";
+    }
+    return spawns_++;
+  }
+  WorkerStatus poll(int) override { return WorkerStatus{false, 0}; }
+  void kill_worker(int) override {}
+
+  std::size_t first_batch_size() const { return first_batch_size_; }
+
+ private:
+  bool truncate_first_;
+  int spawns_ = 0;
+  std::size_t first_batch_size_ = 0;
 };
 
 /// Poll until the worker exits, with a hard cap so a broken transport
@@ -222,6 +277,51 @@ TEST(DispatchTest, DeterministicallyCrashingWorkerHitsTheAssignmentCap) {
   std::string error;
   EXPECT_FALSE(run_dispatch(small_grid(), options, &error).has_value());
   EXPECT_NE(error.find("assigned 2 times"), std::string::npos) << error;
+}
+
+/// run_dispatch over InProcessTransport; the merged report must equal a
+/// single-process run's.
+DispatchResult dispatch_in_process(InProcessTransport& transport) {
+  const SweepGrid grid = small_grid();
+  WorkDir work;
+  DispatchOptions options;
+  options.workers = 2;
+  options.poll_ms = 1;
+  options.worker_bin = "in-process";
+  options.work_dir = work.path;
+  options.transport = &transport;
+  std::string error;
+  auto result = run_dispatch(grid, options, &error);
+  EXPECT_TRUE(result.has_value()) << error;
+  if (!result) return {};
+  SweepOptions reference;
+  reference.threads = 1;
+  const auto cells = aggregate(grid, run_sweep(grid, reference));
+  EXPECT_EQ(aggregates_to_json(result->merged.grid, result->merged.cells),
+            aggregates_to_json(grid, cells));
+  EXPECT_EQ(result->ledger.size(), grid.num_cells());
+  return std::move(*result);
+}
+
+TEST(DispatchTest, CleanExitWithAFullCheckpointAdoptsEveryCell) {
+  InProcessTransport transport(false);
+  const DispatchResult result = dispatch_in_process(transport);
+  EXPECT_EQ(result.stats.worker_restarts, 0u);
+  EXPECT_EQ(result.stats.requeues, 0u);
+  EXPECT_EQ(result.stats.duplicate_cells, 0u);
+}
+
+TEST(DispatchTest, CleanExitWithAPartialCheckpointRequeuesTheRest) {
+  // Exit 0 with only one marker read: that cell is adopted, the rest of
+  // the batch re-queues, and the short stream counts as a restart.
+  InProcessTransport transport(true);
+  const DispatchResult result = dispatch_in_process(transport);
+  ASSERT_GT(transport.first_batch_size(), 1u);
+  EXPECT_EQ(result.stats.worker_restarts, 1u);
+  EXPECT_EQ(result.stats.requeues, transport.first_batch_size() - 1);
+  EXPECT_EQ(result.stats.duplicate_cells, 0u);
+  ASSERT_FALSE(result.stats.slots.empty());
+  EXPECT_EQ(result.stats.slots[0].restarts, 1u);
 }
 
 TEST(LocalProcessTransportTest, ExitCodesAndEnvPlumbThrough) {

@@ -195,10 +195,10 @@ TEST(RunScenarioMultihop, MisThenConsensusRunsBothPhases) {
   spec.loss = LossKind::kNoLoss;
   spec.n = 16;
   spec.seed = 3;
-  const MultihopSummary s = WorldFactory::run_scenario(spec).mh;
-  EXPECT_GE(s.mis_size, 1u);
-  ASSERT_TRUE(s.consensus.has_value());
-  EXPECT_TRUE(s.consensus->verdict.solved());
+  const ScenarioOutcome out = WorldFactory::run_scenario(spec);
+  EXPECT_GE(out.mh.mis_size, 1u);
+  EXPECT_FALSE(out.mh.phase2_skipped);
+  EXPECT_TRUE(out.summary.verdict.solved());
 }
 
 TEST(SweepRunner, MultihopGridIsThreadCountInvariant) {

@@ -1,6 +1,6 @@
 // Deterministic mutation fuzz over the artifact readers: FlatJson::parse,
-// ShardSpec::from_json, ShardReport::from_json, load_checkpoint /
-// tail_checkpoint, stats_from_json, PerfSidecar::from_json,
+// ShardSpec::from_json, ShardReport::from_json, CheckpointReader,
+// stats_from_json, PerfSidecar::from_json,
 // ScenarioSpec::from_json with a crash schedule, and the ccd_report
 // inspector's dist, trace and bench readers.
 //
@@ -230,32 +230,39 @@ TEST(ReaderFuzz, ShardReport) {
   });
 }
 
-TEST(ReaderFuzz, CheckpointLoadAndTail) {
-  // One marker: every load reads a file, and the truncation family of
-  // longer files is exp_checkpoint_test's.
+TEST(ReaderFuzz, CheckpointReader) {
+  // One marker: every read opens a file, and the truncation family of
+  // longer files is exp_checkpoint_test's.  Each text is also read in two
+  // pieces split at its middle byte, which must end where one read does.
   const Artifacts& a = artifacts();
   ASSERT_NE(flood_cell(a.report), nullptr);
   const std::string valid = checkpoint_header(a.spec) + "\n" +
                             checkpoint_cell_marker(*flood_cell(a.report)) +
                             "\n";
   const std::string path = "reader_fuzz_test.ckpt";
+  auto write = [&](const std::string& text, std::ios::openmode mode) {
+    std::ofstream out(path, std::ios::binary | mode);
+    out << text;
+  };
   fuzz(valid, 3, [&](const std::string& text) {
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << text;
+    write(text, std::ios::trunc);
+    CheckpointReader whole(a.spec, path);
+    const bool ok = whole.read();
+    EXPECT_EQ(ok, whole.error().empty());
+    for (const auto& [c, cell] : whole.cells()) {
+      EXPECT_TRUE(a.spec.owns_cell(c)) << c;
+      EXPECT_EQ(cell.cell_index, c);
     }
-    std::vector<std::size_t> done;
-    std::uint64_t last_ts = 0;
-    EXPECT_TRUE(tail_checkpoint(path, &done, &last_ts));
-    CheckpointContents contents;
-    std::string error;
-    const bool ok = load_checkpoint(a.spec, path, &contents, &error);
-    if (ok) {
-      for (const auto& [c, cell] : contents.cells) {
-        EXPECT_TRUE(a.spec.owns_cell(c)) << c;
-        EXPECT_EQ(cell.cell_index, c);
-      }
-    }
+
+    const std::size_t half = text.size() / 2;
+    write(text.substr(0, half), std::ios::trunc);
+    CheckpointReader split(a.spec, path);
+    split.read();
+    write(text.substr(half), std::ios::app);
+    EXPECT_EQ(split.read(), ok);
+    EXPECT_EQ(split.error(), whole.error());
+    EXPECT_EQ(split.last_ts_ms(), whole.last_ts_ms());
+    EXPECT_EQ(split.cells().size(), whole.cells().size());
     return ok;
   });
   std::remove(path.c_str());
@@ -445,29 +452,33 @@ TEST(StrictUnsigned, ReportCounterSignIsRejected) {
 TEST(StrictUnsigned, NegativeHeartbeatDoesNotWrapToTheFarFuture) {
   // A wrapped ts_ms (2^64-1) would make every later "now > last" false,
   // so the dispatcher would never steal from that batch.
+  // A bad ts_ms adds no heartbeat but does not reject the line either.
   const Artifacts& a = artifacts();
-  std::string marker = checkpoint_cell_marker(a.report.cells[0]);
-  marker = marker.substr(0, marker.rfind(",\"ts_ms\":")) + ",\"ts_ms\":-1}";
+  auto negative = [](std::string line) {
+    return line.substr(0, line.rfind(",\"ts_ms\":")) + ",\"ts_ms\":-1}";
+  };
+  const std::string header = negative(checkpoint_header(a.spec));
+  const std::string marker = negative(checkpoint_cell_marker(a.report.cells[0]));
   const std::string path = "reader_fuzz_test_heartbeat.ckpt";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "{\"ts_ms\":-1,\"cell\":-1}\n" << marker << "\n";
+    out << header << "\n" << marker << "\n";
   }
-  std::vector<std::size_t> done;
-  std::uint64_t last_ts = 1;
-  ASSERT_TRUE(tail_checkpoint(path, &done, &last_ts));
-  EXPECT_EQ(last_ts, 0u);
-  EXPECT_EQ(done, (std::vector<std::size_t>{a.report.cells[0].cell_index}));
+  CheckpointReader reader(a.spec, path);
+  ASSERT_TRUE(reader.read()) << reader.error();
+  EXPECT_EQ(reader.last_ts_ms(), 0u);
+  ASSERT_EQ(reader.cells().size(), 1u);
+  EXPECT_EQ(reader.cells().begin()->first, a.report.cells[0].cell_index);
 
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << checkpoint_header(a.spec) << "\n" << marker << "\n";
   }
-  CheckpointContents contents;
-  std::string error;
-  ASSERT_TRUE(load_checkpoint(a.spec, path, &contents, &error)) << error;
-  EXPECT_EQ(contents.cells.size(), 1u);
-  EXPECT_LT(contents.last_ts_ms, std::uint64_t{1} << 62);
+  CheckpointReader stamped(a.spec, path);
+  ASSERT_TRUE(stamped.read()) << stamped.error();
+  EXPECT_EQ(stamped.cells().size(), 1u);
+  EXPECT_GT(stamped.last_ts_ms(), 0u);
+  EXPECT_LT(stamped.last_ts_ms(), std::uint64_t{1} << 62);
   std::remove(path.c_str());
 }
 

@@ -156,6 +156,9 @@ TEST(PerfSidecarTest, EveryMalformedMemberHasItsKeyedError) {
        "bad value '-1' for key 'runs' in perf sidecar"},
       {"\"stats_bytes_retained\":1002", "\"stats_bytes_retained\":1e3",
        "bad value '1e3' for key 'stats_bytes_retained' in perf sidecar"},
+      // a misspelled key once read as 0 retained bytes
+      {"\"stats_bytes_retained\":1002", "\"stats_bytes_retaind\":5",
+       "perf sidecar missing key 'stats_bytes_retained'"},
       {"\"grid_fingerprint\":\"0123456789abcdef\",", "",
        "missing key 'grid_fingerprint'"},
       {"0123456789abcdef", "0123", "bad value '0123' for key "

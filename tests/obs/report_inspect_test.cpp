@@ -120,7 +120,8 @@ TEST(ReportInspect, RejectsMismatchedKindsAndGarbage) {
   EXPECT_FALSE(error.empty());
   const std::string sidecar =
       R"({"format":"ccd-perf-sidecar-v1","grid_fingerprint":)"
-      R"("00000000deadbeef","runs":1,"counters":{"rounds":0,)"
+      R"("00000000deadbeef","runs":1,"stats_bytes_retained":0,)"
+      R"("counters":{"rounds":0,)"
       R"("messages_sent":0,"messages_delivered":0,"collisions":0,)"
       R"("crashes_before_send":0,"crashes_after_send":0,)"
       R"("cm_advice_calls":0,"cd_advice_calls":0},"shards":[],)"

@@ -9,7 +9,9 @@
 # for a non-JSON input, an input without "format" and one with an unknown
 # format the exact error line is pinned too (exits_2 keeps stderr in
 # err.txt), as it is for --threads, --workers and --emit-shards values out
-# of range.  Every value each named-value flag accepts is listed in that
+# of range and for a --shard-file worker with no output.  A worker with
+# only --checkpoint (the dispatcher's kind) writes a marker for every cell
+# it owns.  Every value each named-value flag accepts is listed in that
 # flag's --help entry.
 #
 # usage: ccd_sweep_modes.sh PATH/TO/ccd_sweep
@@ -43,6 +45,14 @@ for i in 0 1 2; do
     --json "part-$i.json"
 done
 "$sweep" --merge --quiet $(outputs merged) part-0.json part-1.json part-2.json
+"$sweep" --shard-file spec-1-of-3.json --threads 1 --quiet \
+  --checkpoint part-1.ckpt.jsonl
+owned=$(grep -o '"cells":\[[0-9,]*\]' spec-1-of-3.json | tr -dc '0-9,' |
+  tr ',' ' ')
+marked=$(tail -n +2 part-1.ckpt.jsonl | grep -o '"cell":[0-9]*' |
+  cut -d: -f2 | sort -n)
+test -n "$owned"
+test "$(echo $owned)" = "$(echo $marked)"
 same run workers
 same run merged
 
@@ -67,6 +77,9 @@ done
 exits_2 "$sweep" --merge --quiet part-0.json bad-3.json
 test "$(cat err.txt)" = "ccd_sweep: bad-3.json: format 'ccd-shard-report-v1' \
 is neither ccd-shard-report-v2 nor ccd-perf-sidecar-v1"
+exits_2 "$sweep" --shard-file spec-0-of-3.json --quiet
+test "$(cat err.txt)" = "ccd_sweep: worker mode needs an output: --json PATH \
+(a partial shard report) or --checkpoint PATH (cell markers)"
 # A count flag outside its range names the flag, the value and the range.
 exits_2 "$sweep" --grid smoke --quiet --threads 5000
 test "$(cat err.txt)" = "ccd_sweep: bad threads value '5000' (expected 0..4096)"

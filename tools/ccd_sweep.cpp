@@ -7,7 +7,7 @@
 //
 //   (default)        run_sweep: every cell x seed on an in-process pool
 //   --workers N      run_dispatch: a dynamic cell queue over N ccd_sweep
-//                    worker processes (heartbeat steal, crash harvest)
+//                    worker processes (heartbeat steal, adoption at exit)
 //   --merge FILE...  merge_shard_reports over shard reports, plus any perf
 //                    sidecars among the inputs
 //
@@ -181,7 +181,8 @@ modes (at most one; without any, the grid runs in this process):
   --shard-out PREFIX   (--emit-shards) spec file prefix (default "shard");
                        files are PREFIX-<i>-of-<K>.json
   --shard-file PATH    worker mode: run the cells a spec file owns; --json
-                       (required) writes a PARTIAL shard report
+                       writes a PARTIAL shard report (it or --checkpoint
+                       is required)
   --checkpoint PATH    (--shard-file) append a per-cell completion marker
                        to PATH as each cell finishes
 
@@ -690,10 +691,11 @@ int run_shard_worker(const Cli& cli) {
                  problem->c_str());
     return 2;
   }
-  if (cli.json_path.empty()) {
+  if (cli.json_path.empty() && cli.checkpoint_path.empty()) {
     std::fprintf(stderr,
-                 "ccd_sweep: worker mode emits a partial shard report; "
-                 "--json PATH is required\n");
+                 "ccd_sweep: worker mode needs an output: --json PATH (a "
+                 "partial shard report) or --checkpoint PATH (cell "
+                 "markers)\n");
     return 2;
   }
   ShardRunOptions shard_options;
@@ -732,7 +734,9 @@ int run_shard_worker(const Cli& cli) {
     std::fprintf(stderr, "ccd_sweep: %s\n", error.c_str());
     return 2;
   }
-  if (!write_file(cli.json_path, report->to_json())) return 1;
+  if (!cli.json_path.empty() && !write_file(cli.json_path, report->to_json())) {
+    return 1;
+  }
   if (!cli.dist_path.empty() &&
       !write_file(cli.dist_path,
                   cells_to_dist_json(spec.grid, report->cells) + "\n")) {
@@ -744,8 +748,10 @@ int run_shard_worker(const Cli& cli) {
     if (!write_file(cli.perf_path, sidecar.to_json() + "\n")) return 1;
   }
   if (!cli.quiet) {
-    std::fprintf(stderr, "ccd_sweep: wrote shard report %s (%zu cells)\n",
-                 cli.json_path.c_str(), report->cells.size());
+    std::fprintf(stderr, "ccd_sweep: wrote shard %s (%zu cells)\n",
+                 cli.json_path.empty() ? cli.checkpoint_path.c_str()
+                                       : cli.json_path.c_str(),
+                 report->cells.size());
   }
   return 0;
 }
