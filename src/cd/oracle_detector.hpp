@@ -10,8 +10,10 @@
 // reached by choosing adversarial policies.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "cd/detector_spec.hpp"
 #include "cd/policies.hpp"
@@ -21,26 +23,59 @@
 
 namespace ccd {
 
+/// Saturating neighbour-count planes a capture round needs: the deepest
+/// question is half completeness for a sender that captured (t = 2, so
+/// forced iff 2t < c, i.e. at least 4 broadcasting neighbours).
+inline constexpr std::size_t kCapturePlanes = 4;
+
+/// One capture-channel round's transmission data (the kCapture channel of
+/// the round engine) as word rows over n processes, ceil(n/64) words each.
+/// A capture receiver gets at most its own message and one captured
+/// neighbour's, so t <= 2 and every class's forced report is a formula
+/// over the neighbour-count planes; only a process the envelope leaves
+/// free needs its exact c.
+struct CaptureRows {
+  std::size_t n = 0;
+  const std::uint64_t* alive = nullptr;
+  const std::uint64_t* sent = nullptr;  ///< S: broadcast this round
+  const std::uint64_t* got = nullptr;   ///< G: captured a neighbour
+  /// heard[k]: processes with at least k + 1 broadcasting neighbours.
+  std::array<const std::uint64_t*, kCapturePlanes> heard{};
+  /// Adjacency rows, neighbours of i at adj + i * word_count(n).
+  const std::uint64_t* adj = nullptr;
+};
+
+/// Advice rows: bit i of a collision row is set iff process i is told
+/// "+-" (kCollision), clear iff it is told null.
 class OracleDetector {
  public:
   OracleDetector(DetectorSpec spec, std::unique_ptr<AdvicePolicy> policy);
 
   /// Advice for every process in one round.  `c` is the number of
-  /// broadcasters, `t[i]` the number of messages process i received.
-  void advise(Round round, std::uint32_t c, const std::vector<std::uint32_t>& t,
-              std::vector<CdAdvice>& out);
+  /// broadcasters, `t[i]` the number of messages process i received;
+  /// `collision` holds word_count(t.size()) words.
+  void advise(Round round, std::uint32_t c, std::span<const std::uint32_t> t,
+              std::span<std::uint64_t> collision);
 
   /// Advice from local neighborhood counts, for every process in `alive`
-  /// (ascending; alive.size() is n): out[i] from (c[i], t[i]) by the same
-  /// forced-report/free-choice resolution as advise().  Entries of
-  /// processes outside `alive` are left as they are.  This is how the
-  /// round engine's per-neighborhood scope (CollisionScope::kLocal)
-  /// consults the detector -- the class envelope is identical, only the
+  /// (ascending; alive.size() is n): process i's from (c[i], t[i]) by the
+  /// same forced-report/free-choice resolution as advise().  Processes
+  /// outside `alive` read null.  This is how the round engine's
+  /// per-neighborhood scope (CollisionScope::kLocal) consults the detector
+  /// over a delivery matrix -- the class envelope is identical, only the
   /// scope of c changes.
   void advise_local(Round round, BitView alive,
-                    const std::vector<std::uint32_t>& c,
-                    const std::vector<std::uint32_t>& t,
-                    std::vector<CdAdvice>& out);
+                    std::span<const std::uint32_t> c,
+                    std::span<const std::uint32_t> t,
+                    std::span<std::uint64_t> collision);
+
+  /// advise_local on the capture channel, from the round's rows: with
+  /// c = S + heard and t = S + G, each forced report is a word formula
+  /// over (S, G, heard >= 1..4).  Each live process the envelope leaves
+  /// free is resolved by one policy choice with its exact (c, t), in
+  /// ascending order -- the same policy calls as advise_local.
+  void advise_capture(Round round, const CaptureRows& rows,
+                      std::span<std::uint64_t> collision);
 
   const DetectorSpec& spec() const { return spec_; }
   const AdvicePolicy& policy() const { return *policy_; }

@@ -24,10 +24,10 @@ LaneEngine::LaneEngine(EngineWorld world, EngineOptions options)
       words_(word_count(n_)),
       options_(options),
       local_(world.scope == CollisionScope::kLocal),
+      capture_(world.channel == ChannelModel::kCapture),
       world_(std::move(world)),
-      cd_advice_(n_, CdAdvice::kNull),
       recv_count_(n_, 0),
-      local_c_(local_ ? n_ : 0, 0),
+      local_c_(local_ && !capture_ ? n_ : 0, 0),
       sent_msg_(n_),
       decided_value_(n_, kNoValue),
       num_alive_(n_),
@@ -52,11 +52,14 @@ LaneEngine::LaneEngine(EngineWorld world, EngineOptions options)
            (world_.topology->size() == n_ && is_clique(*world_.topology)));
   }
 
-  // One buffer for every word row: six process rows, then the crash marks,
-  // kLocal's in-range receivers and record_rounds' receivers snapshot.
-  words_buf_.assign((7 + (local_ ? 1 : 0) + (options_.record_rounds ? 1 : 0)) *
-                        words_,
-                    0);
+  // One buffer for every word row: six process rows, then the crash marks
+  // and the collision advice, kLocal's in-range receivers, kCapture's
+  // captured receivers and count planes, and record_rounds' receivers
+  // snapshot.
+  const std::size_t rows = 8 + (local_ ? 1 : 0) +
+                           (capture_ ? 1 + kCapturePlanes : 0) +
+                           (options_.record_rounds ? 1 : 0);
+  words_buf_.assign(rows * words_, 0);
   std::uint64_t* next = words_buf_.data();
   auto take = [&next](std::size_t count) {
     std::uint64_t* row = next;
@@ -70,8 +73,17 @@ LaneEngine::LaneEngine(EngineWorld world, EngineOptions options)
   sent_ = take(words_);
   decided_ = take(words_);
   crash_ = take(words_);
+  collision_ = take(words_);
   hear_ = take(local_ ? words_ : 0);
+  got_ = take(capture_ ? words_ : 0);
+  planes_ = take(capture_ ? kCapturePlanes * words_ : 0);
   receivers_ = take(options_.record_rounds ? words_ : 0);
+  if (capture_) {
+    capture_rows_ = {n_, alive_, sent_, got_, {}, adj_.data()};
+    for (std::size_t k = 0; k < kCapturePlanes; ++k) {
+      capture_rows_.heard[k] = planes_ + k * words_;
+    }
+  }
 
   World& w = world_.world;
   // Degenerate-world robustness: a caller-assembled world may omit
@@ -98,11 +110,19 @@ LaneEngine::LaneEngine(EngineWorld world, EngineOptions options)
   // A loss-free clique round shares one multiset of at most n broadcasts;
   // a lossy one gives each of up to n receivers its own, n^2 messages at
   // most, reserved up front up to n = 64 (larger engines grow on demand
-  // rather than reserve a worst case the CMs rarely reach).
-  const bool lossy_clique = !local_ && !w.loss->always_delivers();
-  constexpr std::size_t kLossyReserveCap = 64 * 64;
-  recv_buf_.reserve(lossy_clique ? std::min(n_ * n_, kLossyReserveCap) : n_);
+  // rather than reserve a worst case the CMs rarely reach).  A capture
+  // receiver gets at most two messages, so receiver i owns the two slots
+  // from 2i for the whole run.
   recv_off_.assign(n_, 0);
+  if (capture_) {
+    recv_buf_.resize(2 * n_);
+    for (std::size_t i = 0; i < n_; ++i) recv_off_[i] = 2 * i;
+  } else {
+    const bool lossy_clique = !local_ && !w.loss->always_delivers();
+    constexpr std::size_t kLossyReserveCap = 64 * 64;
+    recv_buf_.reserve(lossy_clique ? std::min(n_ * n_, kLossyReserveCap)
+                                   : n_);
+  }
 }
 
 LaneEngine::LaneEngine(World world, EngineOptions options)
@@ -113,6 +133,16 @@ LaneEngine::LaneEngine(World world, EngineOptions options)
             return ew;
           }(),
           options) {}
+
+std::uint32_t LaneEngine::last_local_broadcasters(std::size_t i) const {
+  if (!local_) return broadcaster_count_;
+  if (!capture_) return local_c_[i];
+  // The capture channel keeps no counts: a live process's c_i is popped
+  // from its row (a dead radio's reads 0).
+  if (!alive(i)) return 0;
+  return static_cast<std::uint32_t>((sent_[i / 64] >> (i % 64)) & 1u) +
+         and_count(sent_, adj_row(i), words_);
+}
 
 bool LaneEngine::all_correct_decided() const {
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
@@ -146,10 +176,10 @@ void LaneEngine::commit_crashes(Round r) {
     crash_[wdx] = 0;
     alive_[wdx] &= ~hit;
     participating_[wdx] &= ~hit;
+    // kLocal: a dead radio's detector advice reads kNull from now on
+    // (kGlobal's oracle advises every process each round).
+    if (local_) collision_[wdx] &= ~hit;
     for_each_bit(hit, wdx * 64, [&](std::size_t i) {
-      // kLocal: a dead radio's detector advice reads kNull from now on
-      // (kGlobal's oracle advises every process each round).
-      if (local_) cd_advice_[i] = CdAdvice::kNull;
       --num_alive_;
       ++crashes_applied_;
       log_.record_crash(static_cast<ProcessId>(i), r);
@@ -159,6 +189,7 @@ void LaneEngine::commit_crashes(Round r) {
 
 void LaneEngine::deliver_matrix_global(Round r) {
   World& w = world_.world;
+  recv_buf_.clear();
   const std::vector<Message>& msg = sent_msg_;
   const std::uint64_t* sent = sent_;
   const std::uint64_t* part = participating_;
@@ -205,6 +236,7 @@ void LaneEngine::deliver_matrix_global(Round r) {
 
 void LaneEngine::deliver_matrix_local(Round r) {
   World& w = world_.world;
+  recv_buf_.clear();
   const std::vector<Message>& msg = sent_msg_;
   const std::uint64_t* sent = sent_;
   std::fill(local_c_.begin(), local_c_.end(), 0);
@@ -245,49 +277,76 @@ void LaneEngine::deliver_matrix_local(Round r) {
 void LaneEngine::deliver_capture() {
   const std::vector<Message>& msg = sent_msg_;
   const std::uint64_t* sent = sent_;
+  const std::uint64_t* alive = alive_;
   const MhLinkModel& link = world_.link;
-  std::fill(local_c_.begin(), local_c_.end(), 0);
+
+  // Saturating bit-sliced neighbour counts, one pass over the
+  // broadcasters' adjacency rows per word: plane k holds the processes
+  // with at least k + 1 broadcasting neighbours (adjacency is symmetric,
+  // so i is in j's row iff j is in i's).  Then the live receivers in range
+  // of a sender, and the collisions: those with c_i >= 2.
+  std::uint64_t* h1 = planes_;
+  std::uint64_t* h2 = h1 + words_;
+  std::uint64_t* h3 = h2 + words_;
+  std::uint64_t* h4 = h3 + words_;
+  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
+    std::uint64_t p1 = 0, p2 = 0, p3 = 0, p4 = 0;
+    for (std::size_t sw = 0; sw < words_; ++sw) {
+      for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
+        const std::uint64_t a = adj_row(j)[wdx];
+        p4 |= p3 & a;
+        p3 |= p2 & a;
+        p2 |= p1 & a;
+        p1 |= a;
+      });
+    }
+    h1[wdx] = p1;
+    h2[wdx] = p2;
+    h3[wdx] = p3;
+    h4[wdx] = p4;
+    hear_[wdx] = (sent[wdx] | p1) & alive[wdx];
+    counters_.collisions += bit_count((p2 | (sent[wdx] & p1)) & alive[wdx]);
+  }
 
   // Receivers ascending; dead and out-of-range receivers are skipped
   // WITHOUT consuming randomness (an in-range receiver with no
   // broadcasting neighbour draws none either), so the link RNG stream
   // depends on the world alone.  The captured neighbour is the k-th
   // broadcasting neighbour in ascending order: the k-th set bit of
-  // `sent & adjacency`.
-  const std::uint64_t* hear = receivers_in_range();
+  // `sent & adjacency`; the exact count is popped only for a capture.
+  Message* slots = recv_buf_.data();
+  std::uint64_t delivered = 0;
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    for_each_bit(hear[wdx], wdx * 64, [&](std::size_t i) {
-      const std::size_t off = recv_buf_.size();
+    const std::uint64_t own = sent[wdx];
+    const std::uint64_t many = h2[wdx];
+    const std::uint64_t one = h1[wdx] & ~many;
+    std::uint64_t got = 0;
+    for_each_bit(hear_[wdx], wdx * 64, [&](std::size_t i) {
+      Message* in = slots + 2 * i;
+      std::uint32_t count = 0;
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      if (own & bit) in[count++] = msg[i];
       const std::uint64_t* adj = adj_row(i);
-      std::uint32_t heard = 0;  // broadcasting neighbours
-      for (std::size_t sw = 0; sw < words_; ++sw) {
-        heard += bit_count(sent[sw] & adj[sw]);
-      }
-      std::uint32_t c = heard;
-      if ((sent[i / 64] >> (i % 64)) & 1u) {
-        ++c;
-        recv_buf_.push_back(msg[i]);
-      }
-      if (heard == 1) {
-        if (link_rng_.chance(link.p_single)) {
-          recv_buf_.push_back(msg[nth_set_bit(sent, adj, 0)]);
-        }
-      } else if (heard > 1) {
+      if (many & bit) {
         if (link_rng_.chance(link.p_capture)) {
-          const std::size_t j =
-              nth_set_bit(sent, adj, link_rng_.below(heard));
-          recv_buf_.push_back(msg[j]);
+          const std::uint32_t heard = and_count(sent, adj, words_);
+          in[count++] = msg[nth_set_bit(sent, adj, link_rng_.below(heard))];
+          got |= bit;
+        }
+      } else if (one & bit) {
+        if (link_rng_.chance(link.p_single)) {
+          in[count++] = msg[nth_set_bit(sent, adj, 0)];
+          got |= bit;
         }
       }
-      // At most two messages (own + captured): one compare-swap sorts them.
-      if (recv_buf_.size() - off == 2 && recv_buf_[off + 1] < recv_buf_[off]) {
-        std::swap(recv_buf_[off], recv_buf_[off + 1]);
-      }
-      close_multiset(i, off);
-      local_c_[i] = c;
-      if (c >= 2) ++counters_.collisions;
+      // Own + captured: one compare-swap sorts them.
+      if (count == 2 && in[1] < in[0]) std::swap(in[0], in[1]);
+      recv_count_[i] = count;
+      delivered += count;
     });
+    got_[wdx] = got;
   }
+  counters_.messages_delivered += delivered;
 }
 
 const std::uint64_t* LaneEngine::receivers_in_range() {
@@ -386,9 +445,9 @@ void LaneEngine::step() {
     if (local) commit_crashes(r);
   }
 
-  // N_r: receive multisets, appended to recv_buf_ in receiver order; a
-  // receiver delivery does not visit keeps count 0.
-  recv_buf_.clear();
+  // N_r: receive multisets in recv_buf_ (appended in receiver order over a
+  // delivery matrix, in fixed slots on the capture channel); a receiver
+  // delivery does not visit keeps count 0.
   std::fill(recv_count_.begin(), recv_count_.end(), 0);
   if (world_.channel == ChannelModel::kMatrix) {
     if (local) {
@@ -407,15 +466,22 @@ void LaneEngine::step() {
 
   ctr.messages_sent += bc;
 
-  // D_r: collision detector advice -- one global oracle call on a clique,
-  // per-neighborhood (c_i, t_i) for every live process otherwise (delivery
-  // counted the local collisions).
+  // D_r: collision detector advice into the collision row -- one global
+  // oracle call on a clique, per-neighborhood (c_i, t_i) for every live
+  // process otherwise (delivery counted the local collisions): from the
+  // exact counts over a delivery matrix, from the count planes and the
+  // captured row on the capture channel.
+  const std::span<std::uint64_t> collision(collision_, words_);
   if (!local) {
-    w.cd->advise(r, bc, recv_count_, cd_advice_);
+    w.cd->advise(r, bc, recv_count_, collision);
     ++ctr.cd_advice_calls;
     if (bc >= 2) ++ctr.collisions;
   } else {
-    w.cd->advise_local(r, view(alive), local_c_, recv_count_, cd_advice_);
+    if (capture_) {
+      w.cd->advise_capture(r, capture_rows_, collision);
+    } else {
+      w.cd->advise_local(r, view(alive), local_c_, recv_count_, collision);
+    }
     ctr.cd_advice_calls += num_alive_;
   }
   w.cm->observe(r, bc);
@@ -432,8 +498,7 @@ void LaneEngine::step() {
         local ? alive[wdx] & ~halted[wdx] & (~dormant[wdx] | hear_[wdx])
               : part[wdx] & ~crash_[wdx];
     for_each_bit(takers, wdx * 64, [&](std::size_t i) {
-      w.processes[i]->on_receive(r, received(i), cd_advice_[i],
-                                 cm_advice_[i]);
+      w.processes[i]->on_receive(r, received(i), last_cd(i), cm_advice_[i]);
       note_flags(i);
       if (decided_value_[i] == kNoValue && w.processes[i]->decided()) {
         decided_value_[i] = w.processes[i]->decision();
@@ -451,6 +516,8 @@ void LaneEngine::record_round() {
   TransmissionRound tr;
   tr.broadcaster_count = broadcaster_count_;
   tr.receive_count = recv_count_;
+  std::vector<CdAdvice> cd(n_);
+  for (std::size_t i = 0; i < n_; ++i) cd[i] = last_cd(i);
   std::vector<RoundView> views;
   if (log_.views_recorded()) {
     views.resize(n_);
@@ -462,12 +529,12 @@ void LaneEngine::record_round() {
         const std::span<const Message> in = received(i);
         view.received.assign(in.begin(), in.end());
       }
-      view.cd = cd_advice_[i];
+      view.cd = cd[i];
       view.cm = cm_advice_[i];
       view.crashed = !alive(i);
     }
   }
-  log_.push_round(std::move(tr), cd_advice_, cm_advice_, std::move(views));
+  log_.push_round(std::move(tr), std::move(cd), cm_advice_, std::move(views));
 }
 
 RunResult LaneEngine::run(Round max_rounds) {

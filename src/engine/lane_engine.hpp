@@ -34,9 +34,12 @@
 //               count degenerates to c).  Delivery is the participation
 //               mask, so no adjacency is read or built.
 //      kLocal:  per-neighborhood counts c_i = |{j broadcasting : j == i or
-//               j ~ i}| with advice from the same DetectorSpec envelope
-//               evaluated per live process, in one batched call
-//               (OracleDetector::advise_local).
+//               j ~ i}| with advice from the same DetectorSpec envelope for
+//               every live process, in one call: from exact per-process
+//               counts over a delivery matrix (OracleDetector::
+//               advise_local), from word rows on the capture channel, where
+//               t_i <= 2 makes every forced report a formula over the
+//               neighbour-count planes (OracleDetector::advise_capture).
 //
 // Crash-point visibility follows the scope: kGlobal keeps the literal
 // Definition 11 reading (an after-send crasher's round-r view N_r[i] still
@@ -50,7 +53,9 @@
 // Layout is struct-of-arrays, one allocation per concern:
 //
 //  * process words -- the alive / halted / dormant / participating / sent
-//    / decided sets over processes, the crash marks and (kLocal only) each
+//    / decided sets over processes, the crash marks, D_r's advice (one
+//    collision row, the only form C_r and last_cd() read), kCapture's
+//    captured row and neighbour-count planes, and (kLocal only) each
 //    adjacency row are word rows (util/bitwords.hpp): ceil(n/64)
 //    `uint64_t`s, bits at or above n always zero.  Every word row but
 //    adjacency lives in one buffer.  They are the only form of a process
@@ -64,19 +69,22 @@
 //    O(n^2).  Whether every correct process decided is one AND-NOT per
 //    word.
 //
-//  * per-process state -- advice, counts, sent messages and decisions, one
-//    vector each, plus the tallies (counters, broadcasts, crashes, crash
-//    window, survivors), the link RNG and the log.  kLocal-only scratch
-//    (local counts c_i, the in-range receivers) and the loss adversary's
-//    delivery matrix exist only where that scope or channel reads them: a
-//    single-hop engine allocates no kLocal scratch, and a loss-free one no
-//    matrix either.
+//  * per-process state -- contention advice, receive counts, sent
+//    messages and decisions, one vector each, plus the tallies (counters,
+//    broadcasts, crashes, crash window, survivors), the link RNG and the
+//    log.  kLocal-only scratch (the in-range receivers; over a delivery
+//    matrix the local counts c_i) and the loss adversary's delivery matrix
+//    exist only where that scope or channel reads them: a single-hop
+//    engine allocates no kLocal scratch, and a loss-free one no matrix
+//    either.
 //
 // Receive multisets N_r[i] are not stored per receiver: each round appends
 // them, in ascending receiver order, to ONE flat buffer, and receiver i
 // reads a span of its count (recv_count[i], kept for the detector and the
-// accessors) from its offset.  A receiver delivery skips has count 0 and
-// so reads the empty multiset by construction -- never an earlier round's.
+// accessors) from its offset.  On the capture channel a receiver gets at
+// most two messages, so receiver i owns the buffer's two slots from 2i.  A
+// receiver delivery skips has count 0 and so reads the empty multiset by
+// construction -- never an earlier round's.
 //
 // A run allocates nothing per round once every buffer has reached its
 // round size: the flat receive buffer starts with room for one loss-free
@@ -92,9 +100,15 @@
 // than n:
 //
 //  * masks and termination are word operations, not per-process scans;
-//  * senders are iterated as set bits, never scanned; a capture receiver
-//    picks its captured neighbour straight from the set bits of
-//    `sent & adjacency`;
+//  * senders are iterated as set bits, never scanned;
+//  * a capture round counts neighbours in words: one pass over the
+//    senders' adjacency rows builds saturating bit-sliced planes (the
+//    processes with >= 1, 2, 3, 4 broadcasting neighbours), which give the
+//    receivers in range, the collisions, which receivers draw p_single or
+//    p_capture, and every forced detector report; a receiver's exact count
+//    is popped only after a capture succeeds (for the uniform pick) or for
+//    a report the policy chooses, and the captured neighbour is taken
+//    straight from the set bits of `sent & adjacency`;
 //  * kLocal delivery visits only live receivers in range of a sender
 //    (`sent` OR the senders' adjacency rows); a receiver out of range
 //    keeps zero counts, draws no link randomness and reaches no adversary,
@@ -244,10 +258,12 @@ class LaneEngine {
     return recv_count_[i];
   }
   /// c_i: the global broadcaster count under kGlobal.
-  std::uint32_t last_local_broadcasters(std::size_t i) const {
-    return local_ ? local_c_[i] : broadcaster_count_;
+  std::uint32_t last_local_broadcasters(std::size_t i) const;
+  /// D_r's advice to process i, read from the collision row.
+  CdAdvice last_cd(std::size_t i) const {
+    return (collision_[i / 64] >> (i % 64)) & 1u ? CdAdvice::kCollision
+                                                 : CdAdvice::kNull;
   }
-  CdAdvice last_cd(std::size_t i) const { return cd_advice_[i]; }
 
  private:
   BitView view(const std::uint64_t* row) const { return {{row, words_}, n_}; }
@@ -268,14 +284,14 @@ class LaneEngine {
   std::size_t words_ = 0;  ///< words per process row: ceil(n/64)
   EngineOptions options_;
   bool local_ = false;     ///< CollisionScope::kLocal
+  bool capture_ = false;   ///< ChannelModel::kCapture
   Round round_ = 0;
   EngineWorld world_;
 
   // Per-process advice, counts, messages and decisions ([i]).
   std::vector<CmAdvice> cm_advice_;
-  std::vector<CdAdvice> cd_advice_;
   std::vector<std::uint32_t> recv_count_;
-  std::vector<std::uint32_t> local_c_;  // kLocal only (empty otherwise)
+  std::vector<std::uint32_t> local_c_;  // kLocal x kMatrix only
   std::vector<Message> sent_msg_;       // sent bit = valid
   std::vector<Value> decided_value_;
 
@@ -307,13 +323,25 @@ class LaneEngine {
   /// zeroes) its marks: before-send marks at once, after-send marks after
   /// C_r (kGlobal) or before N_r (kLocal).
   std::uint64_t* crash_ = nullptr;
+  /// D_r's advice, the one form C_r and last_cd() read: bit i set iff
+  /// process i was told "+-".
+  std::uint64_t* collision_ = nullptr;
   /// kLocal delivery: the live receivers in range of a sender this round
-  /// (sent | the senders' adjacency rows), the only ones it visits.
-  /// kLocal only.
+  /// (sent | the senders' adjacency rows, or sent | the first plane), the
+  /// only ones it visits.  kLocal only.
   std::uint64_t* hear_ = nullptr;
+  /// kCapture only: the receivers that captured a neighbour's message this
+  /// round, and kCapturePlanes saturating neighbour-count planes (plane k,
+  /// at planes_ + k * words_, holds the processes with at least k + 1
+  /// broadcasting neighbours).
+  std::uint64_t* got_ = nullptr;
+  std::uint64_t* planes_ = nullptr;
   /// record_rounds only: the round's receivers, snapshotted at delivery
   /// (a kGlobal after-send crasher received, but is dead by record time).
   std::uint64_t* receivers_ = nullptr;
+  /// kCapture only: D_r's view of the rows (alive, sent, got, the planes
+  /// and adjacency).
+  CaptureRows capture_rows_;
 
   /// The loss adversary's matrix; sized only once the adversary drops
   /// messages (a loss-free world never asks for it).
@@ -324,7 +352,8 @@ class LaneEngine {
   /// not visit has count 0 and reads the empty multiset whatever its
   /// stale offset.  Loss-free cliques store the one multiset every
   /// participant observes once, at offset 0.  Reserved for n messages,
-  /// grows to one round's deliveries; cleared, not freed, per round.
+  /// grows to one round's deliveries; cleared, not freed, per round.  The
+  /// capture channel sizes it once to 2n: receiver i's two slots from 2i.
   std::vector<Message> recv_buf_;
   std::vector<std::size_t> recv_off_;
 };

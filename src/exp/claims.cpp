@@ -486,10 +486,12 @@ std::vector<Claim> e1_detector_classes(std::ostream& os) {
           const auto c = static_cast<std::uint32_t>(rng.between(0, 8));
           std::vector<std::uint32_t> t(4);
           for (auto& ti : t) ti = static_cast<std::uint32_t>(rng.between(0, c));
-          std::vector<CdAdvice> advice;
-          det.advise(r, c, t, advice);
+          BitSet collision(t.size());
+          det.advise(r, c, t, collision.words());
           for (std::size_t i = 0; i < t.size(); ++i) {
-            contained = contained && b.advice_legal(r, c, t[i], advice[i]);
+            const CdAdvice advice = collision.test(i) ? CdAdvice::kCollision
+                                                      : CdAdvice::kNull;
+            contained = contained && b.advice_legal(r, c, t[i], advice);
           }
         }
       }

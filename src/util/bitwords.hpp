@@ -37,6 +37,14 @@ inline std::uint32_t bit_count(std::uint64_t word) {
   return static_cast<std::uint32_t>((word * 0x0101010101010101ull) >> 56);
 }
 
+/// Set bits of the row `a & b` over `words` words.
+inline std::uint32_t and_count(const std::uint64_t* a, const std::uint64_t* b,
+                               std::size_t words) {
+  std::uint32_t count = 0;
+  for (std::size_t w = 0; w < words; ++w) count += bit_count(a[w] & b[w]);
+  return count;
+}
+
 /// Index of the k-th (0-based, ascending) set bit of the row `a & b`; k
 /// must be below the row's bit count (the scan stops at that bit).
 inline std::size_t nth_set_bit(const std::uint64_t* a, const std::uint64_t* b,

@@ -2,17 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "util/bitwords.hpp"
 
 namespace ccd {
 namespace {
 
+/// A collision row's n reports as advice.
+std::vector<CdAdvice> to_advice(const BitSet& collision) {
+  std::vector<CdAdvice> out(collision.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = collision.test(i) ? CdAdvice::kCollision : CdAdvice::kNull;
+  }
+  return out;
+}
+
 std::vector<CdAdvice> advise_once(OracleDetector& det, Round r,
                                   std::uint32_t c,
                                   std::vector<std::uint32_t> t) {
-  std::vector<CdAdvice> out;
-  det.advise(r, c, t, out);
-  return out;
+  BitSet collision(t.size());
+  det.advise(r, c, t, collision.words());
+  return to_advice(collision);
+}
+
+/// The six policies by index; each drawing policy has a fixed seed.
+std::unique_ptr<AdvicePolicy> make_test_policy(int which) {
+  switch (which) {
+    case 0:
+      return make_truthful_policy();
+    case 1:
+      return make_prefer_null_policy();
+    case 2:
+      return make_prefer_collision_policy();
+    case 3:
+      return std::make_unique<SpuriousPolicy>(0.5, 6, 31);
+    case 4:
+      return std::make_unique<FlakyMajorityPolicy>(0.6, 37);
+    default:
+      return std::make_unique<RandomLegalPolicy>(41);
+  }
+}
+
+/// The ten classes of Figure 1 and Section 5.3, eventual accuracy from
+/// round r_acc.
+std::vector<DetectorSpec> all_classes(Round r_acc) {
+  return {DetectorSpec::AC(),          DetectorSpec::MajAC(),
+          DetectorSpec::HalfAC(),      DetectorSpec::ZeroAC(),
+          DetectorSpec::OAC(r_acc),    DetectorSpec::MajOAC(r_acc),
+          DetectorSpec::HalfOAC(r_acc), DetectorSpec::ZeroOAC(r_acc),
+          DetectorSpec::NoCD(),        DetectorSpec::NoAcc()};
 }
 
 TEST(OracleDetector, TruthfulReportsExactlyLoss) {
@@ -136,36 +177,13 @@ class PolicyEnvelope : public ::testing::TestWithParam<int> {};
 
 TEST_P(PolicyEnvelope, AllAdviceLegal) {
   const int which = GetParam();
-  const DetectorSpec specs[] = {
-      DetectorSpec::AC(),      DetectorSpec::MajAC(),
-      DetectorSpec::HalfAC(),  DetectorSpec::ZeroAC(),
-      DetectorSpec::OAC(4),    DetectorSpec::MajOAC(4),
-      DetectorSpec::HalfOAC(4), DetectorSpec::ZeroOAC(4),
-      DetectorSpec::NoCD(),    DetectorSpec::NoAcc()};
-  for (const DetectorSpec& spec : specs) {
-    auto make_policy = [&]() -> std::unique_ptr<AdvicePolicy> {
-      switch (which) {
-        case 0:
-          return make_truthful_policy();
-        case 1:
-          return make_prefer_null_policy();
-        case 2:
-          return make_prefer_collision_policy();
-        case 3:
-          return std::make_unique<SpuriousPolicy>(0.5, 6, 31);
-        case 4:
-          return std::make_unique<FlakyMajorityPolicy>(0.6, 37);
-        default:
-          return std::make_unique<RandomLegalPolicy>(41);
-      }
-    };
-    OracleDetector det(spec, make_policy());
+  for (const DetectorSpec& spec : all_classes(4)) {
+    OracleDetector det(spec, make_test_policy(which));
     for (Round r = 1; r <= 8; ++r) {
       for (std::uint32_t c = 0; c <= 6; ++c) {
         std::vector<std::uint32_t> t;
         for (std::uint32_t ti = 0; ti <= c; ++ti) t.push_back(ti);
-        std::vector<CdAdvice> advice;
-        det.advise(r, c, t, advice);
+        const std::vector<CdAdvice> advice = advise_once(det, r, c, t);
         for (std::size_t i = 0; i < t.size(); ++i) {
           ASSERT_TRUE(spec.advice_legal(r, c, t[i], advice[i]))
               << spec.class_name() << " policy=" << which << " r=" << r
@@ -194,7 +212,7 @@ class RecordingPolicy final : public AdvicePolicy {
 TEST(OracleDetector, AdviseLocalAsksOncePerLiveProcessAscending) {
   // n = 65: the live set straddles the word boundary.  Under NoAcc with
   // t == c every choice is free, so the policy sees each live process once,
-  // in ascending order, and no dead entry is written.
+  // in ascending order, and a dead process reads null.
   std::vector<ProcessId> asked;
   OracleDetector det(DetectorSpec::NoAcc(),
                      std::make_unique<RecordingPolicy>(&asked));
@@ -202,13 +220,10 @@ TEST(OracleDetector, AdviseLocalAsksOncePerLiveProcessAscending) {
   for (std::size_t i : {0u, 3u, 63u, 64u}) alive.set(i);
   const std::vector<std::uint32_t> c(65, 1);
   const std::vector<std::uint32_t> t(65, 1);
-  std::vector<CdAdvice> out(65, CdAdvice::kCollision);
-  det.advise_local(1, alive, c, t, out);
+  BitSet collision(65, true);
+  det.advise_local(1, alive, c, t, collision.words());
   EXPECT_EQ(asked, (std::vector<ProcessId>{0, 3, 63, 64}));
-  for (std::size_t i = 0; i < 65; ++i) {
-    EXPECT_EQ(out[i], alive.test(i) ? CdAdvice::kNull : CdAdvice::kCollision)
-        << "process " << i;
-  }
+  EXPECT_EQ(collision.count(), 0u);
 }
 
 TEST(OracleDetector, AdviseLocalOverEveryoneEqualsGlobalAdvise) {
@@ -226,12 +241,139 @@ TEST(OracleDetector, AdviseLocalOverEveryoneEqualsGlobalAdvise) {
       for (std::size_t i = 0; i < n; ++i) {
         t[i] = static_cast<std::uint32_t>(i % (c + 1));
       }
-      std::vector<CdAdvice> want;
-      global.advise(r, c, t, want);
-      std::vector<CdAdvice> got(n, CdAdvice::kNull);
+      BitSet want(n);
+      global.advise(r, c, t, want.words());
+      BitSet got(n);
       local.advise_local(r, everyone, std::vector<std::uint32_t>(n, c), t,
-                         got);
+                         got.words());
       EXPECT_EQ(got, want) << "n " << n << " round " << r;
+    }
+  }
+}
+
+/// One policy call: its arguments and the answer.
+struct Choice {
+  Round r;
+  ProcessId i;
+  std::uint32_t c;
+  std::uint32_t t;
+  CdAdvice advice;
+  friend bool operator==(const Choice&, const Choice&) = default;
+};
+
+/// Forwards every choice to a wrapped policy and logs it.
+class LoggingPolicy final : public AdvicePolicy {
+ public:
+  LoggingPolicy(std::unique_ptr<AdvicePolicy> inner, std::vector<Choice>* log)
+      : inner_(std::move(inner)), log_(log) {}
+  CdAdvice choose(Round r, ProcessId i, std::uint32_t c,
+                  std::uint32_t t) override {
+    const CdAdvice advice = inner_->choose(r, i, c, t);
+    log_->push_back({r, i, c, t, advice});
+    return advice;
+  }
+
+ private:
+  std::unique_ptr<AdvicePolicy> inner_;
+  std::vector<Choice>* log_;
+};
+
+/// One capture round holding every (sent, got, heard) case a capture
+/// receiver can be in: sent in {0, 1}, heard in 0..6 broadcasting
+/// neighbours and got in {0, 1} (got only when heard >= 1), one case per
+/// process in the last 26.  Processes 0..5 are the broadcasters, crashed
+/// after sending (in `sent`, not alive); case i's adjacency row names
+/// broadcasters 0..heard-1.  The processes between them are live, silent
+/// and out of range (c = t = 0).  `c` and `t` are every process's exact
+/// counts, the per-process path's input.
+struct CaptureRound {
+  static constexpr std::size_t kBroadcasters = 6;
+  static constexpr std::size_t kCases = 26;
+
+  explicit CaptureRound(std::size_t n)
+      : alive(n), sent(n), got(n), heard{BitSet(n), BitSet(n), BitSet(n),
+                                         BitSet(n)},
+        adj(n * word_count(n), 0), c(n, 0), t(n, 0) {
+    const std::size_t words = word_count(n);
+    const std::size_t first = n - kCases;
+    for (std::size_t j = 0; j < kBroadcasters; ++j) sent.set(j);
+    for (std::size_t i = kBroadcasters; i < n; ++i) alive.set(i);
+    std::size_t i = first;
+    for (std::uint32_t s = 0; s <= 1; ++s) {
+      for (std::uint32_t h = 0; h <= kBroadcasters; ++h) {
+        for (std::uint32_t g = 0; g <= (h > 0 ? 1u : 0u); ++g, ++i) {
+          sent.set(i, s != 0);
+          got.set(i, g != 0);
+          for (std::uint32_t k = 0; k < h; ++k) {
+            adj[i * words + k / 64] |= std::uint64_t{1} << (k % 64);
+            if (k < heard.size()) heard[k].set(i);
+          }
+          c[i] = s + h;
+          t[i] = s + g;
+        }
+      }
+    }
+    EXPECT_EQ(i, n);
+  }
+
+  CaptureRows rows() const {
+    CaptureRows r;
+    r.n = alive.size();
+    r.alive = alive.view().words().data();
+    r.sent = sent.view().words().data();
+    r.got = got.view().words().data();
+    for (std::size_t k = 0; k < heard.size(); ++k) {
+      r.heard[k] = heard[k].view().words().data();
+    }
+    r.adj = adj.data();
+    return r;
+  }
+
+  BitSet alive, sent, got;
+  std::array<BitSet, 4> heard;
+  std::vector<std::uint64_t> adj;
+  std::vector<std::uint32_t> c, t;
+};
+
+TEST(OracleDetector, CaptureRowsMatchPerProcessResolution) {
+  // Every class, before and from r_acc, under every policy: the row entry
+  // point gives the advice the per-process path gives, and asks the policy
+  // the same questions in the same order (so a drawing policy's stream
+  // moves identically).  n = 32 holds the cases in one word; n = 65 puts
+  // them across the word boundary, the last in bit 0 of word 1.
+  constexpr Round kRAcc = 3;
+  for (std::size_t n : {32u, 65u}) {
+    const CaptureRound round(n);
+    for (const DetectorSpec& spec : all_classes(kRAcc)) {
+      for (int which = 0; which < 6; ++which) {
+        std::vector<Choice> row_calls;
+        std::vector<Choice> twin_calls;
+        OracleDetector rows(spec, std::make_unique<LoggingPolicy>(
+                                      make_test_policy(which), &row_calls));
+        OracleDetector twin(spec, std::make_unique<LoggingPolicy>(
+                                      make_test_policy(which), &twin_calls));
+        for (Round r = 1; r <= kRAcc + 2; ++r) {
+          BitSet got(n, true);
+          rows.advise_capture(r, round.rows(), got.words());
+          BitSet want(n, true);
+          twin.advise_local(r, round.alive, round.c, round.t, want.words());
+          const std::string where = spec.class_name() + " policy " +
+                                    std::to_string(which) + " n " +
+                                    std::to_string(n) + " round " +
+                                    std::to_string(r);
+          ASSERT_EQ(got, want) << where;
+          ASSERT_EQ(row_calls, twin_calls) << where;
+          for (std::size_t i = 0; i < n; ++i) {
+            const CdAdvice advice =
+                got.test(i) ? CdAdvice::kCollision : CdAdvice::kNull;
+            ASSERT_TRUE(round.alive.test(i)
+                            ? spec.advice_legal(r, round.c[i], round.t[i],
+                                                advice)
+                            : advice == CdAdvice::kNull)
+                << where << " process " << i;
+          }
+        }
+      }
     }
   }
 }

@@ -772,6 +772,134 @@ TEST(LaneDifferential, DormantWorldsMatchFrozenReference) {
   }
 }
 
+/// The capture-class table: flood and MIS on the capture channel under the
+/// four detector classes whose forced reports read the neighbour-count
+/// planes past the first (maj-ac, half-ac, maj-oac, half-oac), with every
+/// policy.  Rows are workload x detector x policy; topology, fault, n and
+/// loss (which sets the link model) cycle with the row, so every workload
+/// x detector pair meets every topology, fault kind and n.  CST 12 puts
+/// the eventually-accurate classes' r_acc inside the run.
+std::vector<ScenarioSpec> capture_class_specs() {
+  constexpr WorkloadKind kWorkloads[] = {WorkloadKind::kFlood,
+                                         WorkloadKind::kMis};
+  constexpr DetectorKind kDetectors[] = {
+      DetectorKind::kMajAC, DetectorKind::kHalfAC, DetectorKind::kMajOAC,
+      DetectorKind::kHalfOAC};
+  constexpr PolicyKind kPolicies[] = {
+      PolicyKind::kTruthful,      PolicyKind::kPreferNull,
+      PolicyKind::kPreferCollision, PolicyKind::kSpurious,
+      PolicyKind::kFlakyMajority, PolicyKind::kRandomLegal};
+  constexpr TopologyKind kTopologies[] = {
+      TopologyKind::kLine, TopologyKind::kRing, TopologyKind::kGrid,
+      TopologyKind::kRandomGeometric};
+  constexpr FaultKind kFaults[] = {FaultKind::kNone, FaultKind::kRandomCrash,
+                                   FaultKind::kScheduled};
+  constexpr LossKind kLosses[] = {LossKind::kNoLoss, LossKind::kEcf,
+                                  LossKind::kProbabilistic,
+                                  LossKind::kUnrestricted};
+  constexpr std::uint32_t kNs[] = {16, 33, 65};
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t w = 0; w < std::size(kWorkloads); ++w) {
+    for (std::size_t d = 0; d < std::size(kDetectors); ++d) {
+      for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+        ScenarioSpec spec;
+        spec.workload = kWorkloads[w];
+        spec.detector = kDetectors[d];
+        spec.policy = kPolicies[p];
+        spec.topology = kTopologies[(w + d + p) % 4];
+        spec.fault = kFaults[(w + d + p) % 3];
+        spec.n = kNs[(w + 2 * d + p) % 3];
+        spec.loss = kLosses[(w + d + p / 2) % 4];
+        spec.cst_target = 12;
+        spec.spurious_p = 0.3;
+        spec.crash_p = 0.05;
+        if (spec.fault == FaultKind::kScheduled) {
+          spec.crash_schedule_name = "min-vertex-cut";
+        }
+        specs.push_back(spec);
+      }
+    }
+  }
+  return specs;
+}
+
+// FNV-1a of each capture_class_specs() cell's JSON report, CSV report and
+// per-run counters (6 seeds, grid_seed 0xca97), captured from the engine
+// as it stood before it computed capture rounds from bit-sliced
+// neighbour-count rows (one popcount of `sent & adjacency` per receiver,
+// one resolve per live process).
+constexpr Frozen kFrozenCaptureClasses[] = {
+    {0x1b2b37cc7eb2835bull, 0x815196a5ce5e2e88ull, 0x422fe2d2ed08e32eull},
+    {0x07688fe3092bf644ull, 0x87c053b88495b722ull, 0x7a90f362deeeae41ull},
+    {0xde064360f6d3fc64ull, 0x607d2a3894a65195ull, 0xd486b797ec246195ull},
+    {0xefd58fc9cbf0dd4cull, 0x5ceb9458a51fff36ull, 0x97d112b7d40c7637ull},
+    {0xe2b92250b2e19361ull, 0x465066534f95347cull, 0x75a19aaf094e77d7ull},
+    {0x89b2f57ce4fb38cfull, 0x974910db64bd2ac2ull, 0x68f56cef32f66c95ull},
+    {0xc5045f7fee4a95caull, 0x0ba0ea469e94f710ull, 0xa41874b8aa6d4c9full},
+    {0x0cd76338efe824e0ull, 0x6ad06d8537c72411ull, 0xb5842cbc45f1e8f8ull},
+    {0xd374a6cd98f788a8ull, 0x27f729b0287dd204ull, 0xfc415b8c0fee56ffull},
+    {0x87d2147e2e388cfbull, 0x7109dbb513b1aaafull, 0x0c84aacfb6f8e66bull},
+    {0xa688b359694e4e54ull, 0x374c3850d3d9d4b3ull, 0xe13d759293e29b47ull},
+    {0x59a44f9020d356a1ull, 0x16b8e4872c11bdf6ull, 0x7aed9c4ad7262f1dull},
+    {0xa47eea01fbce28b3ull, 0x8f56566f69349901ull, 0x3f2ed0bbfc52427cull},
+    {0x2db682e89255c10dull, 0x102ee309f5df7426ull, 0xfdbed7034644b624ull},
+    {0xfbf914adb1dd10adull, 0xfd9de188a0f7132cull, 0x2eb4c0f9eb86f278ull},
+    {0xf0315b1df51a38ccull, 0x7138bfaa4764fb12ull, 0xf0a7f48d1f2c7832ull},
+    {0x37c9493ecb5b17d3ull, 0xb91c97cfb880f8deull, 0x7824ed5cbb72116bull},
+    {0xcf37aa0105e2b79full, 0x7dc2419026b4680aull, 0x816b4eb3e2fb7d7bull},
+    {0x68f7e3cd1c6378ebull, 0xfce87727c434a04dull, 0x86e3b1c2d9d25568ull},
+    {0x264b609b32066271ull, 0xece9c17cf0b4cc25ull, 0x4f7ccb85feca1e8eull},
+    {0x193e7f1a7385d631ull, 0xdf8ae74abaa70cc1ull, 0x589dd2aa57cc70f0ull},
+    {0x0142bf55ff285515ull, 0x51eb0afc5b86aedaull, 0xc7b25c4590d9c00bull},
+    {0x00461e6e1e862943ull, 0xc3f175603c7fa972ull, 0xff727655e63d259bull},
+    {0xc871e2e164f7f9c8ull, 0x7613774e56cc9935ull, 0xc1f30a2be22dfa56ull},
+    {0x6414985ce7079f85ull, 0x08964d1f9fadd8b9ull, 0xe071dbd3d544a0acull},
+    {0x2803b8dfc36f9018ull, 0x18d307a08f8b9ebaull, 0x47abd68be981e0baull},
+    {0xa5195a397559c18dull, 0xfe230702505c1fd3ull, 0xe432b3a37a79975dull},
+    {0xd1f5d83961899fe7ull, 0x25ccc5b1aa1ea871ull, 0x788060d536dd29a3ull},
+    {0xd83f6bbb940603e5ull, 0xc8ce3e4b24d6fc32ull, 0x0d507416d99d6ae1ull},
+    {0x9289bc4de035ad6cull, 0x8c95423d94ad4580ull, 0xd1c4251f50828c27ull},
+    {0xeacbede128fa78a3ull, 0x9bab2b686f980093ull, 0xf3a62524dab3d91eull},
+    {0xbddd0eeea07cb992ull, 0xe427bbe415fc3a6bull, 0x3b2036e24307b8e3ull},
+    {0x2e69775e6db2c03full, 0x2320f36b875cd012ull, 0x7e64eca5b099ccecull},
+    {0x86f81075df90c306ull, 0x45ac457afabf3a67ull, 0xb02f3a4fed655c30ull},
+    {0x455ecfcd8ca7172bull, 0xa7f38aae990fda91ull, 0x6c6214e7ec437ad6ull},
+    {0xfb063fb87811c9aaull, 0x4ed6f7f55c5b2877ull, 0x552444e624d257e4ull},
+    {0xe321fe4421de2351ull, 0x8b583f22661708f8ull, 0x688a47809d4f5178ull},
+    {0x4aa1d03f6e73c14cull, 0x12cefcc4a4b95f16ull, 0x507394dc1a2610d9ull},
+    {0x1cfaf9f200171d73ull, 0x816df9187276d913ull, 0x59ee7058b841225dull},
+    {0xb108039e8f708eaaull, 0x82a064e0f2a734abull, 0x1bd0a064cef27b7cull},
+    {0x3cc32f01b8afec4dull, 0x67c6e6b1d5a3e646ull, 0x15e6a4827cfd4b88ull},
+    {0xae7943718f2affe1ull, 0x0c6334019dd32ab6ull, 0xa53454f9f164ba85ull},
+    {0x2386d46a5293192aull, 0x948f7b9daaaafd5aull, 0x0ebdac0de3b1de7bull},
+    {0x98bd3aa1a956529aull, 0x1d58d600e1128dafull, 0x8e366bcae9fdcb3dull},
+    {0x466554988f60042cull, 0xb7e21ff22f32b720ull, 0x7595916a82f73c17ull},
+    {0x00d22a158533790cull, 0x68768849b39d90c4ull, 0x6638162c5b859c37ull},
+    {0x458ae3033e19ced0ull, 0xd67bbf28d4d70114ull, 0xa09c01da133d5a78ull},
+    {0x2eb59076c55669c6ull, 0xc97cf80f762a4721ull, 0x37d4420bb1bedb00ull},
+};
+
+TEST(LaneDifferential, CaptureClassWorldsMatchFrozenReference) {
+  const std::vector<ScenarioSpec> specs = capture_class_specs();
+  ASSERT_EQ(specs.size(), std::size(kFrozenCaptureClasses));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SweepGrid grid;
+    grid.base = specs[i];
+    grid.seeds_per_cell = 6;
+    grid.grid_seed = 0xca97;
+    ASSERT_FALSE(grid.validate().has_value())
+        << *grid.validate() << "\nspec: " << grid.base.to_json();
+    const SweepResult result = run(grid, /*lanes=*/true, 1);
+    const Frozen got{fnv1a(result.json), fnv1a(result.csv),
+                     fnv1a(result.counters)};
+    EXPECT_EQ(got, kFrozenCaptureClasses[i])
+        << "capture-class spec " << i << " drifted from the frozen "
+        << "reference; got {" << hex(got.json) << ", " << hex(got.csv)
+        << ", " << hex(got.counters) << "}\n"
+        << grid.base.to_json();
+  }
+}
+
 TEST(LaneDifferential, NamedGridsLaneVsScalarByteIdentical) {
   // The shipped grids end to end -- including the 432-cell multihop grid
   // and the loss-on-topology composition -- through real multi-threaded
